@@ -11,6 +11,7 @@ use sfi_bench::{resnet20_setup, Scale};
 use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
 use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 use sfi_faultsim::golden::GoldenReference;
+use sfi_nn::ForwardOptions;
 
 fn bench_incremental(c: &mut Criterion) {
     let setup = resnet20_setup(Scale::Smoke);
@@ -51,7 +52,10 @@ fn bench_forward(c: &mut Criterion) {
     // Re-running from the deepest weight layer touches only the head.
     let deep_node = setup.model.node_of_param(setup.model.weight_layers()[19].param).unwrap();
     g.bench_function("resnet20_micro_8x8_from_fc", |b| {
-        b.iter(|| setup.model.forward_from(deep_node, &cache).unwrap())
+        b.iter(|| {
+            let opts = &mut ForwardOptions::default();
+            setup.model.forward_suffix(Some(deep_node), &cache, &[], opts).unwrap()
+        })
     });
     g.finish();
 }

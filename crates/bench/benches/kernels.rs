@@ -1,7 +1,7 @@
 //! `kernels`: the inference fast-path benches. `gemm_kernels` compares the
-//! naive triple loop, the self-dispatching kernel, the register-tiled
-//! microkernel, and the retired packed row-blocked kernel on ResNet-20-
-//! and MobileNetV2-shaped im2col matrices; `campaign_fast_path` measures
+//! naive triple loop (the reference), the self-dispatching kernel, and the
+//! register-tiled microkernel on ResNet-20- and MobileNetV2-shaped im2col
+//! matrices; `campaign_fast_path` measures
 //! the end-to-end bit-level campaign with the pre-optimisation path
 //! (naive kernels, no lowering cache) against the per-image fast path
 //! (dispatched GEMM, cached lowerings, scratch arenas) and the
@@ -29,9 +29,7 @@ use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::{KernelPolicy, BATCHED_HEDGE_CONVERGENT};
 use sfi_stats::sampling::sample_without_replacement;
-use sfi_tensor::ops::{
-    gemm, gemm_blocked_with, gemm_micro, gemm_packed_rows, gemm_selected_kernel,
-};
+use sfi_tensor::ops::{gemm, gemm_blocked_with, gemm_micro, gemm_selected_kernel};
 
 /// PR 9's recorded end-to-end per-image fast path on the full-scale
 /// bit-level campaign (`fast_cached_mean_s` in that PR's
@@ -44,7 +42,7 @@ const PR9_FAST_CACHED_MEAN_S: f64 = 0.595611;
 /// `k` = `c_in * k_h * k_w`, `n` = output pixels per image.
 ///
 /// The `resnet20` family covers one shape per stage plus a tall-`n`
-/// stress shape that crosses both the `BLOCK_N` and `BLOCK_K` tile
+/// stress shape that crosses the microkernel's `NC` column-block
 /// boundaries, plus two mid-width L2-resident shapes covering the class
 /// where a row-blocked kernel once regressed to 0.74x and the dispatch
 /// must stay on the naive loop. The `mbv2-pw` family is MobileNetV2's
@@ -127,14 +125,6 @@ fn bench_gemm(c: &mut Criterion) {
             b.iter(|| {
                 let mut out = vec![0.0f32; m * n];
                 gemm_micro(m, k, n, &a, &b_mat, &mut out, &mut scratch);
-                out
-            })
-        });
-        g.bench_function(BenchmarkId::new("packed", &shape), |b| {
-            let mut packed = Vec::new();
-            b.iter(|| {
-                let mut out = vec![0.0f32; m * n];
-                gemm_packed_rows(m, k, n, &a, &b_mat, &mut out, &mut packed);
                 out
             })
         });
@@ -254,8 +244,7 @@ fn emit_bench_json() {
     for &(family, m, k, n) in &SHAPES {
         let a = filled(m * k, 1);
         let b_mat = filled(k * n, 2);
-        let (mut naive, mut blocked, mut micro, mut packed) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut naive, mut blocked, mut micro) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..GEMM_ROUNDS {
             naive = naive.min(min_secs(
                 || {
@@ -278,13 +267,6 @@ fn emit_bench_json() {
                 },
                 GEMM_ITERS,
             ));
-            packed = packed.min(min_secs(
-                || {
-                    let mut out = vec![0.0f32; m * n];
-                    gemm_packed_rows(m, k, n, &a, &b_mat, &mut out, &mut packed_buf);
-                },
-                GEMM_ITERS,
-            ));
         }
         let micro_speedup = naive / micro;
         if family == "resnet20" && ((m, k, n) == (64, 576, 1024) || (m, k, n) == (32, 288, 512)) {
@@ -294,11 +276,9 @@ fn emit_bench_json() {
             "    {{\"family\": \"{family}\", \"shape\": \"{m}x{k}x{n}\", \
              \"selected\": \"{}\", \"naive_min_s\": {naive:.9}, \
              \"dispatch_min_s\": {blocked:.9}, \"micro_min_s\": {micro:.9}, \
-             \"packed_min_s\": {packed:.9}, \"dispatch_speedup\": {:.3}, \
-             \"micro_speedup\": {micro_speedup:.3}, \"packed_speedup\": {:.3}}}",
+             \"dispatch_speedup\": {:.3}, \"micro_speedup\": {micro_speedup:.3}}}",
             gemm_selected_kernel(m, k, n),
-            naive / blocked,
-            naive / packed
+            naive / blocked
         ));
     }
     let micro_meets_1_4x =

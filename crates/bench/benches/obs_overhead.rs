@@ -76,9 +76,11 @@ fn classify_probe_free(
                     golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
                 let mut opts =
                     ForwardOptions { arena: Some(&mut *arena), lowered, ..Default::default() };
+                let cache = golden.cache(idx);
                 let logits = model
-                    .forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)
-                    .unwrap();
+                    .forward_suffix(Some(injection.dirty_node), cache, &[], &mut opts)
+                    .unwrap()
+                    .into_logits(cache);
                 let Some(pred) = logits.argmax() else {
                     failed = true;
                     break;

@@ -5,7 +5,7 @@
 //! over the full activation population of ResNet-20 (every element of
 //! every post-input activation tensor, per evaluation image). The baseline
 //! re-executes the dense suffix from each struck node
-//! (`Model::forward_patched`, delta off); the contender classifies the
+//! (`Model::forward_suffix`, delta off); the contender classifies the
 //! same faults through `Model::forward_delta_site` (the default config).
 //! Both must produce byte-identical classifications — delta propagation is
 //! an exact re-encoding of the faulty inference, never an approximation.

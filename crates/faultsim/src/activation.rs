@@ -11,8 +11,10 @@
 //!   (node × element × bit), with per-node subpopulations mirroring the
 //!   paper's per-layer stratification;
 //! - [`run_activation_campaign`] injects each fault into one inference via
-//!   [`Model::forward_patched`] (the clean prefix is reused from the
-//!   golden cache) and classifies the outcome against the golden top-1.
+//!   [`Model::forward_suffix`] (the clean prefix is reused from the
+//!   golden cache) and classifies the outcome against the golden top-1 —
+//!   the sequential reference the campaign executor's transient path is
+//!   checked against.
 //!
 //! A transient fault is tied to a specific image; the campaign evaluates
 //! each sampled `(fault, image)` pair once, which is exactly the trial
@@ -21,8 +23,10 @@
 use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
-use sfi_nn::{Model, NodeId};
+use sfi_nn::{ForwardOptions, Model, NnError, NodeId};
+use sfi_tensor::TensorError;
 
+use crate::executor::validate_activation_site;
 use crate::fault::FaultModel;
 use crate::golden::GoldenReference;
 use crate::multi::FaultTarget;
@@ -328,8 +332,9 @@ impl ActivationCampaignResult {
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty golden reference,
-/// [`FaultSimError::InvalidFault`] for a site outside the model/dataset, or
-/// the first inference failure.
+/// [`FaultSimError::InvalidFault`] for a site outside the model/dataset
+/// (image, node, element or bit), or the first inference failure — empty
+/// logits included, which leave no top-1 to compare.
 ///
 /// # Example
 ///
@@ -362,29 +367,17 @@ pub fn run_activation_campaign(
     let mut critical = Vec::with_capacity(faults.len());
     let mut inferences = 0u64;
     for fault in faults {
-        if fault.site.image >= golden.len() {
-            return Err(FaultSimError::InvalidFault {
-                reason: format!(
-                    "image {} outside evaluation set of {}",
-                    fault.site.image,
-                    golden.len()
-                ),
-            });
-        }
+        validate_activation_site(golden, fault)?;
         let cache = golden.cache(fault.site.image);
-        let site = fault.site;
-        let model_kind = fault.model;
         let logits = model
-            .forward_patched(site.node, cache, move |t| {
-                let data = t.as_mut_slice();
-                if site.element < data.len() {
-                    data[site.element] = model_kind.apply(data[site.element], site.bit);
-                }
-            })
-            .map_err(FaultSimError::Nn)?;
+            .forward_suffix(None, cache, &[fault.patch()], &mut ForwardOptions::default())?
+            .into_logits(cache);
         inferences += 1;
-        let pred = logits.argmax().expect("logits are nonempty");
-        critical.push(pred != golden.prediction(site.image));
+        let pred = logits.argmax().ok_or(NnError::Op {
+            node: model.nodes().len() - 1,
+            source: TensorError::Empty { op: "argmax" },
+        })?;
+        critical.push(pred != golden.prediction(fault.site.image));
     }
     Ok(ActivationCampaignResult { critical, inferences })
 }
@@ -488,6 +481,28 @@ mod tests {
             run_activation_campaign(&model, &data, &golden, &[fault]),
             Err(FaultSimError::InvalidFault { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_sites_are_rejected_not_skipped() {
+        let (model, data, golden, _) = setup();
+        let logits = golden.cache(0).get(model.nodes().len() - 1).unwrap().len();
+        let site =
+            ActivationSite { node: model.nodes().len() - 1, element: logits, bit: 30, image: 0 };
+        for site in [
+            site,
+            ActivationSite { node: 999, element: 0, ..site },
+            ActivationSite { bit: 32, element: 0, ..site },
+        ] {
+            let fault = ActivationFault { site, model: FaultModel::BitFlip };
+            assert!(
+                matches!(
+                    run_activation_campaign(&model, &data, &golden, &[fault]),
+                    Err(FaultSimError::InvalidFault { .. })
+                ),
+                "{site:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use sfi_dataset::Dataset;
 use sfi_nn::{KernelPolicy, Model, SessionState};
 
-use crate::executor::{classify_one, needed_for_critical, with_executor};
+use crate::executor::{classify_one, needed_for_critical, with_executor, FaultTally};
 use crate::fault::Fault;
 use crate::golden::GoldenReference;
 use crate::FaultSimError;
@@ -406,52 +406,29 @@ pub fn run_campaign_static<C: Corruption>(
         for r in results {
             let shard = r?;
             merged.classes.extend(shard.classes);
-            merged.inferences += shard.inferences;
+            merged.tally += shard.tally;
             merged.arena_peak = merged.arena_peak.max(shard.arena_peak);
-            merged.converged += shard.converged;
-            merged.nodes_skipped += shard.nodes_skipped;
-            merged.delta_sparse_nodes += shard.delta_sparse_nodes;
-            merged.delta_fallbacks += shard.delta_fallbacks;
-            merged.delta_dirty_blocks += shard.delta_dirty_blocks;
-            merged.engine_dense += shard.engine_dense;
-            merged.engine_delta += shard.engine_delta;
-            merged.engine_batched += shard.engine_batched;
         }
         merged
     };
-    Ok(CampaignResult {
-        injections: shard_out.classes.len() as u64,
-        classes: shard_out.classes,
-        inferences: shard_out.inferences,
-        elapsed: start.elapsed(),
-        lowering_hits: golden.lowering_hits().saturating_sub(hits0),
-        lowering_misses: golden.lowering_misses().saturating_sub(misses0),
-        arena_peak_bytes: shard_out.arena_peak,
-        converged: shard_out.converged,
-        nodes_skipped: shard_out.nodes_skipped,
-        delta_sparse_nodes: shard_out.delta_sparse_nodes,
-        delta_fallbacks: shard_out.delta_fallbacks,
-        delta_dirty_blocks: shard_out.delta_dirty_blocks,
-        engine_dense: shard_out.engine_dense,
-        engine_delta: shard_out.engine_delta,
-        engine_batched: shard_out.engine_batched,
-    })
+    let lowering = (
+        golden.lowering_hits().saturating_sub(hits0),
+        golden.lowering_misses().saturating_sub(misses0),
+    );
+    Ok(shard_out.tally.into_result(
+        shard_out.classes,
+        start.elapsed(),
+        lowering,
+        shard_out.arena_peak,
+    ))
 }
 
 /// Tallies of one static shard.
 #[derive(Default)]
 struct ShardOutcome {
     classes: Vec<FaultClass>,
-    inferences: u64,
+    tally: FaultTally,
     arena_peak: u64,
-    converged: u64,
-    nodes_skipped: u64,
-    delta_sparse_nodes: u64,
-    delta_fallbacks: u64,
-    delta_dirty_blocks: u64,
-    engine_dense: u64,
-    engine_delta: u64,
-    engine_batched: u64,
 }
 
 /// Processes a contiguous shard of faults on one worker-local model,
@@ -482,15 +459,7 @@ fn run_shard<C: Corruption>(
             sfi_obs::WorkerProbe::off(),
         )?;
         out.classes.push(item.class);
-        out.inferences += item.inferences;
-        out.converged += u64::from(item.converged_images > 0);
-        out.nodes_skipped += item.nodes_skipped;
-        out.delta_sparse_nodes += item.delta_sparse_nodes;
-        out.delta_fallbacks += item.delta_fallbacks;
-        out.delta_dirty_blocks += item.delta_dirty_blocks;
-        out.engine_dense += item.engine_dense;
-        out.engine_delta += item.engine_delta;
-        out.engine_batched += item.engine_batched;
+        out.tally += item.tally;
     }
     out.arena_peak = session.arena.peak_bytes() as u64;
     Ok(out)

@@ -72,6 +72,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::AddAssign;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -83,8 +84,8 @@ use serde::{Deserialize, Serialize};
 use sfi_dataset::Dataset;
 use sfi_nn::plan::row_argmax;
 use sfi_nn::{
-    ActPatch, BatchedOutcome, DeltaOptions, ForwardOptions, ForwardOutcome, KernelPolicy, Model,
-    NodeId, SessionState, BATCHED_HEDGE_CONVERGENT, BATCHED_HEDGE_MISMATCH,
+    ActPatch, BatchedOutcome, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome,
+    KernelPolicy, Model, NodeId, SessionState, BATCHED_HEDGE_CONVERGENT, BATCHED_HEDGE_MISMATCH,
 };
 use sfi_obs::{Probe, WorkerProbe};
 use sfi_tensor::ScratchArena;
@@ -561,15 +562,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
         let start = Instant::now();
         let needed = needed_for_critical(&self.cfg, self.data.len());
         let total = faults.len() as u64;
-        let mut inferences = 0u64;
-        let mut converged = 0u64;
-        let mut nodes_skipped = 0u64;
-        let mut delta_sparse_nodes = 0u64;
-        let mut delta_fallbacks = 0u64;
-        let mut delta_dirty_blocks = 0u64;
-        let mut engine_dense = 0u64;
-        let mut engine_delta = 0u64;
-        let mut engine_batched = 0u64;
+        let mut tally = FaultTally::default();
         let data = self.data;
         let golden = self.golden;
         let cfg = self.cfg;
@@ -614,18 +607,14 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                             }
                         }
                     };
-                    inferences += item.inferences;
-                    converged += u64::from(item.converged_images > 0);
-                    nodes_skipped += item.nodes_skipped;
-                    delta_sparse_nodes += item.delta_sparse_nodes;
-                    delta_fallbacks += item.delta_fallbacks;
-                    delta_dirty_blocks += item.delta_dirty_blocks;
-                    engine_dense += item.engine_dense;
-                    engine_delta += item.engine_delta;
-                    engine_batched += item.engine_batched;
+                    tally += item.tally;
                     slots[fi] = Some(item.class);
-                    on_classified(fi, item.class, item.inferences);
-                    progress(CampaignProgress { completed: done as u64 + 1, total, inferences });
+                    on_classified(fi, item.class, item.tally.inferences);
+                    progress(CampaignProgress {
+                        completed: done as u64 + 1,
+                        total,
+                        inferences: tally.inferences,
+                    });
                 }
                 let arena_after = session.arena.stats();
                 wprobe.record_arena(
@@ -688,19 +677,11 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                             }
                             match item {
                                 Ok(item) => {
-                                    inferences += item.inferences;
-                                    converged += u64::from(item.converged_images > 0);
-                                    nodes_skipped += item.nodes_skipped;
-                                    delta_sparse_nodes += item.delta_sparse_nodes;
-                                    delta_fallbacks += item.delta_fallbacks;
-                                    delta_dirty_blocks += item.delta_dirty_blocks;
-                                    engine_dense += item.engine_dense;
-                                    engine_delta += item.engine_delta;
-                                    engine_batched += item.engine_batched;
+                                    tally += item.tally;
                                     slots[fi] = Some(item.class);
                                     filled += 1;
                                     classified += 1;
-                                    on_classified(fi, item.class, item.inferences);
+                                    on_classified(fi, item.class, item.tally.inferences);
                                 }
                                 Err(e) => {
                                     if first_error.as_ref().is_none_or(|(i, _)| fi < *i) {
@@ -715,7 +696,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                             progress(CampaignProgress {
                                 completed: filled as u64,
                                 total,
-                                inferences,
+                                inferences: tally.inferences,
                             });
                         }
                         WorkerReport::Panicked { fault, worker } => {
@@ -739,7 +720,7 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                                 progress(CampaignProgress {
                                     completed: filled as u64,
                                     total,
-                                    inferences,
+                                    inferences: tally.inferences,
                                 });
                             }
                         }
@@ -769,23 +750,15 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
                 classes
             }
         };
-        Ok(CampaignResult {
-            injections: faults.len() as u64,
+        Ok(tally.into_result(
             classes,
-            inferences,
-            elapsed: start.elapsed(),
-            lowering_hits: golden.lowering_hits().saturating_sub(lowering_hits0),
-            lowering_misses: golden.lowering_misses().saturating_sub(lowering_misses0),
-            arena_peak_bytes: self.stats.arena_peak.load(Ordering::Relaxed),
-            converged,
-            nodes_skipped,
-            delta_sparse_nodes,
-            delta_fallbacks,
-            delta_dirty_blocks,
-            engine_dense,
-            engine_delta,
-            engine_batched,
-        })
+            start.elapsed(),
+            (
+                golden.lowering_hits().saturating_sub(lowering_hits0),
+                golden.lowering_misses().saturating_sub(lowering_misses0),
+            ),
+            self.stats.arena_peak.load(Ordering::Relaxed),
+        ))
     }
 
     /// The order faults are *executed* in (indices into the caller's
@@ -878,16 +851,16 @@ pub(crate) fn needed_for_critical(cfg: &CampaignConfig, total_images: usize) -> 
 // choice now lives in the compiled execution plan as a per-node cost-model
 // decision: see [`sfi_nn::CompiledPlan::delta_profitable`].
 
-/// Per-fault classification outcome with early-exit accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FaultOutcome {
-    /// The fault's classification.
-    pub class: FaultClass,
+/// Engine, convergence and delta counters of one fault, summed with `+=`
+/// into a campaign's tallies (the matching [`CampaignResult`] fields).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FaultTally {
     /// Single-image inferences spent (a converged image still counts as
     /// one inference — convergence changes cost, never counts).
     pub inferences: u64,
-    /// Images whose forward pass converged onto the golden activations.
-    pub converged_images: u64,
+    /// 1 when at least one image's forward pass converged onto the golden
+    /// activations; summed, the faults with a convergence.
+    pub converged: u64,
     /// Graph nodes skipped by convergence early exits, over all images.
     pub nodes_skipped: u64,
     /// Nodes recomputed through sparse delta kernels, over all images.
@@ -904,21 +877,168 @@ pub(crate) struct FaultOutcome {
     pub engine_batched: u64,
 }
 
-impl FaultOutcome {
-    fn masked() -> Self {
-        Self {
-            class: FaultClass::Masked,
-            inferences: 0,
-            converged_images: 0,
-            nodes_skipped: 0,
-            delta_sparse_nodes: 0,
-            delta_fallbacks: 0,
-            delta_dirty_blocks: 0,
-            engine_dense: 0,
-            engine_delta: 0,
-            engine_batched: 0,
+impl AddAssign for FaultTally {
+    fn add_assign(&mut self, o: Self) {
+        self.inferences += o.inferences;
+        self.converged += o.converged;
+        self.nodes_skipped += o.nodes_skipped;
+        self.delta_sparse_nodes += o.delta_sparse_nodes;
+        self.delta_fallbacks += o.delta_fallbacks;
+        self.delta_dirty_blocks += o.delta_dirty_blocks;
+        self.engine_dense += o.engine_dense;
+        self.engine_delta += o.engine_delta;
+        self.engine_batched += o.engine_batched;
+    }
+}
+
+impl FaultTally {
+    /// The campaign result carrying these tallies.
+    pub(crate) fn into_result(
+        self,
+        classes: Vec<FaultClass>,
+        elapsed: Duration,
+        lowering: (u64, u64),
+        arena_peak_bytes: u64,
+    ) -> CampaignResult {
+        CampaignResult {
+            injections: classes.len() as u64,
+            classes,
+            inferences: self.inferences,
+            elapsed,
+            lowering_hits: lowering.0,
+            lowering_misses: lowering.1,
+            arena_peak_bytes,
+            converged: self.converged,
+            nodes_skipped: self.nodes_skipped,
+            delta_sparse_nodes: self.delta_sparse_nodes,
+            delta_fallbacks: self.delta_fallbacks,
+            delta_dirty_blocks: self.delta_dirty_blocks,
+            engine_dense: self.engine_dense,
+            engine_delta: self.engine_delta,
+            engine_batched: self.engine_batched,
         }
     }
+}
+
+/// Per-fault classification outcome with early-exit accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FaultOutcome {
+    /// The fault's classification.
+    pub class: FaultClass,
+    /// What classifying it cost, and on which engine.
+    pub tally: FaultTally,
+}
+
+impl FaultOutcome {
+    fn masked() -> Self {
+        Self { class: FaultClass::Masked, tally: FaultTally::default() }
+    }
+}
+
+/// The per-image verdict every engine shares: images are recorded in
+/// ascending order, a converged image counts an inference and never a
+/// mismatch, an evaluated image's top-1 is compared against the golden
+/// one, and under [`CampaignConfig::early_exit`] evaluation stops once the
+/// mismatches reach the criterion's cutoff — so classifications and
+/// inference counts cannot depend on the engine that produced the images.
+struct Verdict<'a> {
+    golden: &'a GoldenReference,
+    needed_for_critical: usize,
+    early_exit: bool,
+    /// First recomputed node and graph size, for convergence accounting.
+    start: NodeId,
+    total_nodes: usize,
+    wprobe: WorkerProbe<'a>,
+    mismatches: usize,
+    failed: bool,
+    tally: FaultTally,
+}
+
+impl<'a> Verdict<'a> {
+    fn new(
+        model: &Model,
+        golden: &'a GoldenReference,
+        needed_for_critical: usize,
+        cfg: &CampaignConfig,
+        start: NodeId,
+        wprobe: WorkerProbe<'a>,
+    ) -> Self {
+        Self {
+            golden,
+            needed_for_critical,
+            early_exit: cfg.early_exit,
+            start,
+            total_nodes: model.nodes().len(),
+            wprobe,
+            mismatches: 0,
+            failed: false,
+            tally: FaultTally::default(),
+        }
+    }
+
+    /// Records image `idx`'s top-1 (`None` for degenerate logits, which
+    /// make the fault an execution failure); returns whether further
+    /// images must be evaluated.
+    fn predicted(&mut self, idx: usize, pred: Option<usize>) -> bool {
+        self.tally.inferences += 1;
+        let Some(pred) = pred else {
+            self.failed = true;
+            return false;
+        };
+        if pred != self.golden.prediction(idx) {
+            self.mismatches += 1;
+            return !(self.early_exit && self.mismatches >= self.needed_for_critical);
+        }
+        true
+    }
+
+    /// Records an image whose pass converged at `at_node`: its prediction
+    /// provably equals the golden one.
+    fn converged(&mut self, at_node: NodeId) {
+        self.tally.inferences += 1;
+        self.tally.converged = 1;
+        let skipped = (self.total_nodes - 1 - at_node) as u64;
+        self.tally.nodes_skipped += skipped;
+        self.wprobe.record_convergence(at_node + 1 - self.start, skipped);
+    }
+
+    /// Records image `idx`'s forward outcome; returns whether further
+    /// images must be evaluated.
+    fn outcome(&mut self, idx: usize, out: ForwardOutcome) -> bool {
+        match out {
+            ForwardOutcome::Logits(l) => self.predicted(idx, l.argmax()),
+            ForwardOutcome::Converged { at_node } => {
+                self.converged(at_node);
+                true
+            }
+        }
+    }
+
+    /// Adds one delta pass's work counters.
+    fn delta(&mut self, stats: DeltaStats) {
+        self.tally.delta_sparse_nodes += stats.sparse_nodes;
+        self.tally.delta_fallbacks += stats.dense_nodes;
+        self.tally.delta_dirty_blocks += stats.dirty_blocks;
+        self.wprobe.record_delta(stats.sparse_nodes, stats.dense_nodes, stats.dirty_blocks);
+    }
+
+    fn finish(self) -> FaultOutcome {
+        let class = if self.failed {
+            FaultClass::ExecutionFailure
+        } else if self.mismatches >= self.needed_for_critical {
+            FaultClass::Critical
+        } else {
+            FaultClass::NonCritical
+        };
+        FaultOutcome { class, tally: self.tally }
+    }
+}
+
+/// Forward options of a per-image pass under the campaign's kernel policy:
+/// the worker's arena on the fast path, fresh allocations on the naive one.
+fn pass_options<'a>(cfg: &CampaignConfig, arena: &'a mut ScratchArena) -> ForwardOptions<'a> {
+    let fast = cfg.kernel == KernelPolicy::Fast;
+    ForwardOptions { policy: cfg.kernel, arena: fast.then_some(arena), ..Default::default() }
 }
 
 /// Injects one fault, classifies it against the golden reference, and
@@ -1023,154 +1143,62 @@ pub(crate) fn classify_one<C: Corruption>(
         revert(model, &injection);
         return res;
     }
+    let dirty = injection.dirty_node;
     let arena = &mut session.arena;
-    let total_nodes = model.nodes().len();
-    let mut inferences = 0u64;
-    let mut converged_images = 0u64;
-    let mut nodes_skipped = 0u64;
-    let mut delta_sparse_nodes = 0u64;
-    let mut delta_fallbacks = 0u64;
-    let mut delta_dirty_blocks = 0u64;
-    let mut mismatches = 0usize;
-    let mut failed = false;
+    let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, dirty, wprobe);
+    verdict.tally.engine_dense = u64::from(!use_delta);
+    verdict.tally.engine_delta = u64::from(use_delta);
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let timer = wprobe.inference_start();
-        let logits = match (cfg.incremental, fast) {
-            (true, true) => {
-                let lowered =
-                    golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                if use_delta {
-                    // Delta propagation subsumes the convergence probe: the
-                    // delta pass converges exactly when every surviving
-                    // mask has been consumed empty.
-                    let mut dopts = DeltaOptions {
-                        arena: Some(&mut *arena),
-                        lowered,
-                        dirty_unit,
-                        ..Default::default()
-                    };
-                    match model.forward_delta(injection.dirty_node, golden.cache(idx), &mut dopts) {
-                        Ok((out, stats)) => {
-                            delta_sparse_nodes += stats.sparse_nodes;
-                            delta_fallbacks += stats.dense_nodes;
-                            delta_dirty_blocks += stats.dirty_blocks;
-                            wprobe.record_delta(
-                                stats.sparse_nodes,
-                                stats.dense_nodes,
-                                stats.dirty_blocks,
-                            );
-                            match out {
-                                ForwardOutcome::Logits(l) => Ok(l),
-                                ForwardOutcome::Converged { at_node } => {
-                                    // The image's prediction provably
-                                    // equals the golden one.
-                                    wprobe.inference_end(timer);
-                                    inferences += 1;
-                                    converged_images += 1;
-                                    let skipped = (total_nodes - 1 - at_node) as u64;
-                                    nodes_skipped += skipped;
-                                    wprobe.record_convergence(
-                                        at_node + 1 - injection.dirty_node,
-                                        skipped,
-                                    );
-                                    continue;
-                                }
-                            }
-                        }
-                        Err(e) => Err(e),
-                    }
-                } else {
-                    let mut opts = ForwardOptions {
-                        arena: Some(&mut *arena),
-                        lowered,
-                        dirty_unit,
-                        ..Default::default()
-                    };
-                    if cfg.convergence {
-                        match model.forward_from_converging(
-                            injection.dirty_node,
-                            golden.cache(idx),
-                            &mut opts,
-                        ) {
-                            Ok(ForwardOutcome::Logits(l)) => Ok(l),
-                            Ok(ForwardOutcome::Converged { at_node }) => {
-                                // The image's prediction provably equals the
-                                // golden one: count the inference, never the
-                                // mismatch, and move to the next image.
-                                wprobe.inference_end(timer);
-                                inferences += 1;
-                                converged_images += 1;
-                                let skipped = (total_nodes - 1 - at_node) as u64;
-                                nodes_skipped += skipped;
-                                wprobe.record_convergence(
-                                    at_node + 1 - injection.dirty_node,
-                                    skipped,
-                                );
-                                continue;
-                            }
-                            Err(e) => Err(e),
-                        }
-                    } else {
-                        model.forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)
-                    }
-                }
-            }
-            (true, false) => model.forward_from_with(
-                injection.dirty_node,
-                golden.cache(idx),
-                &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
-            ),
-            (false, true) => model.forward_with(
-                data.image(idx),
-                &mut ForwardOptions { arena: Some(&mut *arena), ..Default::default() },
-            ),
-            (false, false) => model.forward_with(
-                data.image(idx),
-                &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
-            ),
+        let cache = golden.cache(idx);
+        let lowered = if cfg.incremental && fast {
+            golden.lowering(dirty, idx).map(|l| (dirty, l))
+        } else {
+            None
         };
-        let logits = match logits {
-            Ok(l) => l,
+        let out = if !cfg.incremental {
+            model
+                .forward_with(data.image(idx), &mut pass_options(cfg, arena))
+                .map(ForwardOutcome::Logits)
+        } else if use_delta {
+            // Delta propagation subsumes the convergence probe: the delta
+            // pass converges exactly when every surviving mask has been
+            // consumed empty.
+            let mut dopts = DeltaOptions {
+                arena: Some(&mut *arena),
+                lowered,
+                dirty_unit,
+                ..Default::default()
+            };
+            model.forward_delta(dirty, cache, &mut dopts).map(|(out, stats)| {
+                verdict.delta(stats);
+                out
+            })
+        } else {
+            let mut opts = ForwardOptions {
+                lowered,
+                dirty_unit,
+                converge: cfg.convergence && fast,
+                ..pass_options(cfg, arena)
+            };
+            model.forward_suffix(Some(dirty), cache, &[], &mut opts)
+        };
+        let out = match out {
+            Ok(out) => out,
             Err(e) => {
                 outcome = Err(e.into());
                 break;
             }
         };
         wprobe.inference_end(timer);
-        inferences += 1;
-        let Some(pred) = logits.argmax() else {
-            failed = true;
+        if !verdict.outcome(idx, out) {
             break;
-        };
-        if pred != golden.prediction(idx) {
-            mismatches += 1;
-            if cfg.early_exit && mismatches >= needed_for_critical {
-                break;
-            }
         }
     }
     revert(model, &injection);
     outcome?;
-    let class = if failed {
-        FaultClass::ExecutionFailure
-    } else if mismatches >= needed_for_critical {
-        FaultClass::Critical
-    } else {
-        FaultClass::NonCritical
-    };
-    Ok(FaultOutcome {
-        class,
-        inferences,
-        converged_images,
-        nodes_skipped,
-        delta_sparse_nodes,
-        delta_fallbacks,
-        delta_dirty_blocks,
-        engine_dense: u64::from(!use_delta),
-        engine_delta: u64::from(use_delta),
-        engine_batched: 0,
-    })
+    Ok(verdict.finish())
 }
 
 /// Highest weight-fault bit (exclusive) the delta engine accepts: the 23
@@ -1182,10 +1210,10 @@ const DELTA_NARROW_BIT_MAX: u8 = 23;
 /// Classifies one injected weight fault through the batched eval-image
 /// engine: the dirty suffix of **all** E images runs as a single pass over
 /// the compiled plan (one fused GEMM per conv step for the whole batch),
-/// then the legacy per-image classification loop is replayed over the
-/// resulting per-image logits rows — which are bit-identical to E
-/// per-image passes — so classifications, early-exit behaviour and
-/// inference counts match the per-image path exactly, at any worker count.
+/// then the per-image [`Verdict`] is replayed over the resulting per-image
+/// logits rows — which are bit-identical to E per-image passes — so
+/// classifications, early-exit behaviour and inference counts match the
+/// per-image path exactly, at any worker count.
 ///
 /// The caller injects before and reverts after; this function only
 /// evaluates. The im2col panel of the dirty conv is built lazily in the
@@ -1208,7 +1236,6 @@ fn classify_weight_batched(
     let plan = golden.plan();
     let bcache = golden.batched_cache().expect("caller checked has_batched");
     let images = golden.len();
-    let total_nodes = model.nodes().len();
     let timer = wprobe.inference_start();
     if session.ensure_panel(model, plan, bcache, dirty_node)? {
         golden.record_panel_hit();
@@ -1226,109 +1253,34 @@ fn classify_weight_batched(
         arena,
     )?;
     wprobe.inference_end(timer);
-    let out = match outcome {
+    // Survivors' logits rows in ascending image order; converged images
+    // (only a converging pass has any) carry no row.
+    let (converged_at, logits, classes) = match outcome {
         BatchedOutcome::Converging { converged_at, logits, classes } => {
-            // Replay the per-image loop over the converging outcome in
-            // ascending image order: a converged image counts an inference
-            // and never a mismatch (exactly the per-image `Converged` arm),
-            // a survivor's logits row feeds the identical mismatch
-            // accounting and early-exit break point.
-            let mut inferences = 0u64;
-            let mut converged_images = 0u64;
-            let mut nodes_skipped = 0u64;
-            let mut mismatches = 0usize;
-            let mut failed = false;
-            let mut cursor = 0usize;
-            for (idx, conv) in converged_at.iter().enumerate().take(images) {
-                inferences += 1;
-                if let Some(at_node) = *conv {
-                    converged_images += 1;
-                    let skipped = (total_nodes - 1 - at_node) as u64;
-                    nodes_skipped += skipped;
-                    wprobe.record_convergence(at_node + 1 - dirty_node.max(1), skipped);
-                    continue;
-                }
-                let row = &logits[cursor * classes..][..classes];
-                cursor += 1;
-                let Some(pred) = row_argmax(row) else {
-                    failed = true;
-                    break;
-                };
-                if pred != golden.prediction(idx) {
-                    mismatches += 1;
-                    if cfg.early_exit && mismatches >= needed_for_critical {
-                        break;
-                    }
-                }
-            }
-            let class = if failed {
-                FaultClass::ExecutionFailure
-            } else if mismatches >= needed_for_critical {
-                FaultClass::Critical
-            } else {
-                FaultClass::NonCritical
-            };
-            arena.recycle(logits);
-            FaultOutcome {
-                class,
-                inferences,
-                converged_images,
-                nodes_skipped,
-                delta_sparse_nodes: 0,
-                delta_fallbacks: 0,
-                delta_dirty_blocks: 0,
-                engine_dense: 0,
-                engine_delta: 0,
-                engine_batched: 1,
-            }
+            (converged_at, logits, classes)
         }
         BatchedOutcome::Logits(logits) => {
-            // Replay the per-image loop over the batched rows: identical
-            // mismatch accounting and early-exit break point.
             let classes = logits.len() / images;
-            let rows = logits.as_slice();
-            let mut inferences = 0u64;
-            let mut mismatches = 0usize;
-            let mut failed = false;
-            for idx in 0..images {
-                inferences += 1;
-                let Some(pred) = row_argmax(&rows[idx * classes..][..classes]) else {
-                    failed = true;
-                    break;
-                };
-                if pred != golden.prediction(idx) {
-                    mismatches += 1;
-                    if cfg.early_exit && mismatches >= needed_for_critical {
-                        break;
-                    }
-                }
-            }
-            let class = if failed {
-                FaultClass::ExecutionFailure
-            } else if mismatches >= needed_for_critical {
-                FaultClass::Critical
-            } else {
-                FaultClass::NonCritical
-            };
-            arena.recycle(logits.into_vec());
-            FaultOutcome {
-                class,
-                inferences,
-                converged_images: 0,
-                nodes_skipped: 0,
-                delta_sparse_nodes: 0,
-                delta_fallbacks: 0,
-                delta_dirty_blocks: 0,
-                engine_dense: 0,
-                engine_delta: 0,
-                engine_batched: 1,
-            }
+            (Vec::new(), logits.into_vec(), classes)
         }
     };
+    let mut verdict =
+        Verdict::new(model, golden, needed_for_critical, cfg, dirty_node.max(1), wprobe);
+    verdict.tally.engine_batched = 1;
+    let mut rows = logits.chunks_exact(classes.max(1));
+    for idx in 0..images {
+        if let Some(at_node) = converged_at.get(idx).copied().flatten() {
+            verdict.converged(at_node);
+        } else if !verdict.predicted(idx, rows.next().and_then(row_argmax)) {
+            break;
+        }
+    }
+    arena.recycle(logits);
+    let out = verdict.finish();
     // The probe's inference counter mirrors the logical per-image count
-    // (one batched pass evaluated `out.inferences` images); the first
-    // entry above carried the whole pass's latency.
-    for _ in 1..out.inferences {
+    // (one batched pass evaluated `inferences` images); the first entry
+    // above carried the whole pass's latency.
+    for _ in 1..out.tally.inferences {
         wprobe.inference_end(wprobe.inference_start());
     }
     Ok(out)
@@ -1386,7 +1338,7 @@ pub(crate) fn classify_any<C: Corruption>(
 
 /// Checks that an activation fault's coordinates exist in the golden
 /// reference, without touching the model.
-fn validate_activation_site(
+pub(crate) fn validate_activation_site(
     golden: &GoldenReference,
     fault: &ActivationFault,
 ) -> Result<(), FaultSimError> {
@@ -1432,8 +1384,8 @@ fn validate_activation_site(
 /// With the delta engine active the single dirty site seeds a sparse cone
 /// via [`Model::forward_delta_site`] (this is the workload the per-image
 /// dirty-site machinery was built for); otherwise the dense
-/// [`Model::forward_patched_with`] path re-executes the suffix. The model
-/// is never mutated.
+/// [`Model::forward_suffix`] path re-executes the suffix. The model is
+/// never mutated.
 fn classify_activation(
     model: &Model,
     golden: &GoldenReference,
@@ -1451,60 +1403,25 @@ fn classify_activation(
     if faulty_bits == golden_v.to_bits() {
         return Ok(FaultOutcome::masked());
     }
-    let fast = cfg.kernel == KernelPolicy::Fast;
     // A transient's one-element cone stays sparse at any bit — delta owns
     // this tier unconditionally; no bit gate, no cost-model floor.
-    let use_delta = cfg.delta && cfg.incremental && fast;
-    let mut outcome = FaultOutcome { class: FaultClass::NonCritical, ..FaultOutcome::masked() };
-    outcome.engine_delta = u64::from(use_delta);
-    outcome.engine_dense = u64::from(!use_delta);
-    let total_nodes = model.nodes().len();
+    let use_delta = cfg.delta && cfg.incremental && cfg.kernel == KernelPolicy::Fast;
+    let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, site.node, wprobe);
+    verdict.tally.engine_delta = u64::from(use_delta);
+    verdict.tally.engine_dense = u64::from(!use_delta);
     let timer = wprobe.inference_start();
-    let logits = if use_delta {
+    let out = if use_delta {
         let mut dopts = DeltaOptions { arena: Some(&mut *arena), ..Default::default() };
         let (out, stats) =
             model.forward_delta_site(site.node, site.element, faulty_bits, cache, &mut dopts)?;
-        outcome.delta_sparse_nodes = stats.sparse_nodes;
-        outcome.delta_fallbacks = stats.dense_nodes;
-        outcome.delta_dirty_blocks = stats.dirty_blocks;
-        wprobe.record_delta(stats.sparse_nodes, stats.dense_nodes, stats.dirty_blocks);
-        match out {
-            ForwardOutcome::Logits(l) => l,
-            ForwardOutcome::Converged { at_node } => {
-                // The struck image's prediction provably equals the golden
-                // one: the upset was effective at its site but absorbed.
-                wprobe.inference_end(timer);
-                outcome.inferences = 1;
-                outcome.converged_images = 1;
-                outcome.nodes_skipped = (total_nodes - 1 - at_node) as u64;
-                wprobe.record_convergence(at_node + 1 - site.node, outcome.nodes_skipped);
-                return Ok(outcome);
-            }
-        }
+        verdict.delta(stats);
+        out
     } else {
-        let mut opts = if fast {
-            ForwardOptions { arena: Some(&mut *arena), ..Default::default() }
-        } else {
-            ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() }
-        };
-        model.forward_patched_with(
-            site.node,
-            cache,
-            move |t| t.as_mut_slice()[site.element] = f32::from_bits(faulty_bits),
-            &mut opts,
-        )?
+        model.forward_suffix(None, cache, &[fault.patch()], &mut pass_options(cfg, arena))?
     };
     wprobe.inference_end(timer);
-    outcome.inferences = 1;
-    let Some(pred) = logits.argmax() else {
-        outcome.class = FaultClass::ExecutionFailure;
-        return Ok(outcome);
-    };
-    let mismatches = usize::from(pred != golden.prediction(site.image));
-    if mismatches >= needed_for_critical {
-        outcome.class = FaultClass::Critical;
-    }
-    Ok(outcome)
+    verdict.outcome(site.image, out);
+    Ok(verdict.finish())
 }
 
 /// Classifies one accumulated multi-fault instance: every weight component
@@ -1515,7 +1432,7 @@ fn classify_activation(
 /// effect: every weight injection is ineffective and every activation patch
 /// is a no-op on the value it would strike. Images touched by neither a
 /// weight fault nor an activation patch are provably golden and skipped.
-/// Re-execution always runs the dense [`Model::forward_from_patched`] path
+/// Re-execution always runs the dense [`Model::forward_suffix`] path
 /// (patches on multiple sites make the sparse cone immediately wide), which
 /// starts from the shallowest effective component.
 #[allow(clippy::too_many_arguments)]
@@ -1561,10 +1478,10 @@ fn classify_accumulated<C: Corruption>(
         }
         return Ok(FaultOutcome::masked());
     }
-    let fast = cfg.kernel == KernelPolicy::Fast;
-    let mut inferences = 0u64;
-    let mut mismatches = 0usize;
-    let mut failed = false;
+    // These passes run without the convergence switch, so the verdict's
+    // convergence start is never read.
+    let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, 0, wprobe);
+    verdict.tally.engine_dense = 1;
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let patches: Vec<ActPatch> = fault
@@ -1578,48 +1495,28 @@ fn classify_accumulated<C: Corruption>(
             continue;
         }
         let timer = wprobe.inference_start();
-        let mut opts = if fast {
-            ForwardOptions { arena: Some(&mut *arena), ..Default::default() }
-        } else {
-            ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() }
-        };
-        let logits = match model.forward_from_patched(
+        let out = match model.forward_suffix(
             weight_dirty,
             golden.cache(idx),
             &patches,
-            &mut opts,
+            &mut pass_options(cfg, arena),
         ) {
-            Ok(l) => l,
+            Ok(out) => out,
             Err(e) => {
                 outcome = Err(e.into());
                 break;
             }
         };
         wprobe.inference_end(timer);
-        inferences += 1;
-        let Some(pred) = logits.argmax() else {
-            failed = true;
+        if !verdict.outcome(idx, out) {
             break;
-        };
-        if pred != golden.prediction(idx) {
-            mismatches += 1;
-            if cfg.early_exit && mismatches >= needed_for_critical {
-                break;
-            }
         }
     }
     for inj in injections.iter().rev() {
         revert(model, inj);
     }
     outcome?;
-    let class = if failed {
-        FaultClass::ExecutionFailure
-    } else if mismatches >= needed_for_critical {
-        FaultClass::Critical
-    } else {
-        FaultClass::NonCritical
-    };
-    Ok(FaultOutcome { class, inferences, engine_dense: 1, ..FaultOutcome::masked() })
+    Ok(verdict.finish())
 }
 
 /// Pool worker: drain tasks until the session's senders are dropped, steal

@@ -181,7 +181,10 @@ pub fn run_campaign_detailed_with<C: Corruption>(
                     golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
                 let mut opts =
                     ForwardOptions { arena: Some(&mut arena), lowered, ..Default::default() };
-                worker.forward_from_with(injection.dirty_node, golden.cache(idx), &mut opts)?
+                let cache = golden.cache(idx);
+                worker
+                    .forward_suffix(Some(injection.dirty_node), cache, &[], &mut opts)?
+                    .into_logits(cache)
             } else {
                 let mut opts = ForwardOptions { arena: Some(&mut arena), ..Default::default() };
                 worker.forward_with(data.image(idx), &mut opts)?

@@ -2,9 +2,8 @@
 //!
 //! A stuck-at weight fault perturbs exactly one output unit of one node;
 //! everything else that first node produces is bit-golden. Instead of
-//! re-running the dense suffix ([`Model::forward_from`]) or probing for
-//! whole-node convergence ([`Model::forward_from_converging`]), the delta
-//! pass represents every faulty activation as *golden + delta*: the full
+//! re-running the dense suffix ([`Model::forward_suffix`], with or without
+//! its whole-node convergence check), the delta pass represents every faulty activation as *golden + delta*: the full
 //! tensor is materialized, but a [`DirtyMask`] records which per-channel,
 //! per-spatial-block regions may differ bitwise from the golden run. Each
 //! node then:
@@ -102,8 +101,8 @@ struct DeltaState {
 impl Model {
     /// Incremental faulty inference by sparse delta propagation.
     ///
-    /// Bit-identical to [`Model::forward_from`] / the dense
-    /// [`Model::forward_from_converging`] pass in every observable way:
+    /// Bit-identical to the dense [`Model::forward_suffix`] pass (converging
+    /// or not) in every observable way:
     /// returned logits carry the exact bits dense recomputation would
     /// produce, and [`ForwardOutcome::Converged`] is returned only when the
     /// skipped suffix is provably bit-golden (same live-dirty bookkeeping
@@ -111,7 +110,7 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Model::forward_from`].
+    /// Same conditions as [`Model::forward_suffix`].
     pub fn forward_delta(
         &self,
         first_dirty: NodeId,
@@ -223,7 +222,7 @@ impl Model {
         mut stats: DeltaStats,
     ) -> Result<(ForwardOutcome, DeltaStats), NnError> {
         let n_nodes = self.nodes().len();
-        // Same live-dirty bookkeeping as forward_from_converging: a node
+        // Same live-dirty bookkeeping as the converging forward_suffix: a node
         // with a nonempty mask blocks convergence until its last reader
         // has consumed it.
         let mut last_reader: Vec<NodeId> = (0..n_nodes).collect();
@@ -1052,7 +1051,19 @@ fn sparse_conv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Node, ParamKind, ParameterStore};
+    use crate::{ActPatch, ForwardOptions, Node, ParamKind, ParameterStore};
+
+    /// The dense suffix re-execution the delta pass must reproduce.
+    fn dense_suffix(
+        m: &Model,
+        weight_dirty: Option<NodeId>,
+        cache: &ActivationCache,
+        patches: &[ActPatch],
+    ) -> Tensor {
+        m.forward_suffix(weight_dirty, cache, patches, &mut ForwardOptions::default())
+            .unwrap()
+            .into_logits(cache)
+    }
 
     fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
         a.shape() == b.shape()
@@ -1084,7 +1095,7 @@ mod tests {
     }
 
     /// Runs forward_delta (with the given saturation) and asserts the
-    /// outcome is indistinguishable from dense forward_from: bit-identical
+    /// outcome is indistinguishable from dense forward_suffix: bit-identical
     /// logits on divergence, bit-golden final activation on convergence.
     fn assert_delta_exact(
         faulty: &Model,
@@ -1114,7 +1125,7 @@ mod tests {
             }
             _ => None,
         };
-        let dense = faulty.forward_from(first_dirty, cache).unwrap();
+        let dense = dense_suffix(faulty, Some(first_dirty), cache, &[]);
         let mut arena = ScratchArena::new();
         let (out, stats) = faulty
             .forward_delta(
@@ -1381,7 +1392,7 @@ mod tests {
         let cache = m.forward_cached(&input).unwrap();
         let mut faulty = m.clone();
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let dense = faulty.forward_from(1, &cache).unwrap();
+        let dense = dense_suffix(&faulty, Some(1), &cache, &[]);
         let (out, stats) = faulty
             .forward_delta(1, &cache, &mut DeltaOptions { saturation: 1.1, ..Default::default() })
             .unwrap();
@@ -1416,12 +1427,8 @@ mod tests {
             let golden = cache.get(node).unwrap();
             let element = golden.len() / 2;
             let faulty_bits = golden.as_slice()[element].to_bits() ^ (1 << 31);
-            let dense = m
-                .forward_patched(node, &cache, |t| {
-                    let s = t.as_mut_slice();
-                    s[element] = f32::from_bits(s[element].to_bits() ^ (1 << 31));
-                })
-                .unwrap();
+            let flip = ActPatch { xor_mask: 1 << 31, ..ActPatch::identity(node, element) };
+            let dense = dense_suffix(&m, None, &cache, &[flip]);
             for saturation in [0.0, DELTA_SATURATION_DEFAULT, 1.1] {
                 let mut arena = ScratchArena::new();
                 let (out, _) = m
@@ -1475,12 +1482,12 @@ mod tests {
         let input = Tensor::from_fn([1, 1, 4, 4], |i| (i as f32 * 0.3).cos());
         let cache = m.forward_cached(&input).unwrap();
         let faulty_bits = input.as_slice()[7].to_bits() ^ (0x5 << 20);
-        let dense = m
-            .forward_patched(0, &cache, |t| {
-                let s = t.as_mut_slice();
-                s[7] = f32::from_bits(s[7].to_bits() ^ (0x5 << 20));
-            })
-            .unwrap();
+        let dense = dense_suffix(
+            &m,
+            None,
+            &cache,
+            &[ActPatch { xor_mask: 0x5 << 20, ..ActPatch::identity(0, 7) }],
+        );
         let (out, stats) =
             m.forward_delta_site(0, 7, faulty_bits, &cache, &mut DeltaOptions::default()).unwrap();
         match out {

@@ -10,8 +10,8 @@
 //! - [`Model`] — a topologically ordered operator graph with plain
 //!   [`forward`](Model::forward) inference, cached inference
 //!   ([`forward_cached`](Model::forward_cached)) and *incremental
-//!   re-execution* ([`forward_from`](Model::forward_from)) that recomputes
-//!   only from the first node affected by a weight fault — the key
+//!   re-execution* ([`forward_suffix`](Model::forward_suffix)) that
+//!   recomputes only from the first node affected by a fault — the key
 //!   optimisation that makes million-fault campaigns tractable;
 //! - [`resnet`] / [`mobilenet`] — CIFAR-10 builders for **ResNet-20**
 //!   (20 weight layers, 268,336 weights) and **MobileNetV2** (54 weight

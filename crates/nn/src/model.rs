@@ -24,10 +24,11 @@ pub enum KernelPolicy {
     Naive,
 }
 
-/// Per-caller state threaded through the `*_with` forward variants.
+/// Per-caller state threaded through [`Model::forward_with`] and
+/// [`Model::forward_suffix`].
 ///
-/// The plain [`Model::forward`]-family methods use the defaults (fast
-/// kernels, no arena, no pre-lowered panels).
+/// The plain [`Model::forward`] uses the defaults (fast kernels, no arena,
+/// no pre-lowered panels, no convergence check).
 #[derive(Default)]
 pub struct ForwardOptions<'a> {
     /// Kernel and allocation policy.
@@ -38,29 +39,28 @@ pub struct ForwardOptions<'a> {
     /// Pre-lowered im2col panels for one conv node. Consulted only when
     /// that exact node is evaluated under [`KernelPolicy::Fast`]; the
     /// caller asserts the panels were lowered from the value the node's
-    /// input holds during this pass.
+    /// input holds during this pass. [`Model::forward_suffix`] ignores
+    /// them whenever it applies activation patches.
     pub lowered: Option<(NodeId, &'a LoweredConv)>,
     /// Output unit (conv out-channel / linear out-feature) through which
     /// the active weight fault reaches the *first dirty* node, when the
-    /// caller knows it (see [`Model::param_output_unit`]).
-    /// [`Model::forward_from_converging`] then evaluates only that unit of
-    /// the first dirty node — every other unit is a deterministic
+    /// caller knows it (see [`Model::param_output_unit`]). A converging
+    /// [`Model::forward_suffix`] then evaluates only that unit of the
+    /// first dirty node — every other unit is a deterministic
     /// recomputation from golden inputs and unfaulted weight rows, hence
     /// bit-golden — deciding convergence (or materializing the node's full
-    /// activation) at a fraction of the node cost. Ignored by the
-    /// non-converging passes and by unsupported node kinds.
+    /// activation) at a fraction of the node cost. Ignored unless
+    /// [`converge`](Self::converge) is in effect, and by unsupported node
+    /// kinds.
     pub dirty_unit: Option<usize>,
-    /// Compiled execution plan for this model, when the caller holds one.
-    /// [`Model::forward_from_converging`] reads tensor lifetime
-    /// ([`CompiledPlan::last_reader`]) from it instead of recomputing the
-    /// last-reader table per pass; the plan's global table agrees with the
-    /// per-pass one on every suffix node (all readers of a suffix node are
-    /// themselves suffix nodes).
-    pub plan: Option<&'a crate::plan::CompiledPlan>,
+    /// Golden-convergence early exit for [`Model::forward_suffix`]: stop
+    /// with [`ForwardOutcome::Converged`] once the recomputed suffix is
+    /// provably bit-golden. Honoured only for pure weight faults (no
+    /// activation patches); ignored by [`Model::forward_with`].
+    pub converge: bool,
 }
 
-/// Outcome of a convergence-checking incremental forward pass
-/// ([`Model::forward_from_converging`]).
+/// Outcome of a suffix re-execution ([`Model::forward_suffix`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ForwardOutcome {
     /// The suffix diverged from the golden activations all the way to the
@@ -76,9 +76,22 @@ pub enum ForwardOutcome {
     },
 }
 
-/// Result of the single-unit convergence probe
-/// ([`Model::forward_from_converging`] with
-/// [`ForwardOptions::dirty_unit`] set).
+impl ForwardOutcome {
+    /// The pass's logits: the recomputed ones, or — after a convergence,
+    /// which proves them bit-identical to the golden run — a clone of the
+    /// final activation `cache` holds.
+    pub fn into_logits(self, cache: &ActivationCache) -> Tensor {
+        match self {
+            ForwardOutcome::Logits(l) => l,
+            ForwardOutcome::Converged { .. } => {
+                cache.activations.last().expect("cache covers the model").clone()
+            }
+        }
+    }
+}
+
+/// Result of the single-unit convergence probe (a converging
+/// [`Model::forward_suffix`] with [`ForwardOptions::dirty_unit`] set).
 enum ProbeOutcome {
     /// The node/op/options combination has no single-unit kernel; fall
     /// back to full evaluation.
@@ -92,28 +105,21 @@ enum ProbeOutcome {
 }
 
 /// Resolves node-output references during a forward pass: a clean prefix
-/// (cached activations), at most one overridden node, a (usually empty)
-/// list of additionally overridden nodes, and the recomputed suffix.
+/// (cached activations), a (usually empty) list of overridden nodes, and
+/// the recomputed suffix.
 pub(crate) struct NodeValues<'a> {
     pub(crate) prefix: &'a [Tensor],
-    pub(crate) over: Option<(NodeId, &'a Tensor)>,
-    /// Patched activations for nodes that are *not* recomputed — the
-    /// accumulated-fault path ([`Model::forward_from_patched`]) corrupts
-    /// several prefix activations at once. Scanned linearly; campaigns
-    /// carry at most a handful of entries.
-    pub(crate) multi: &'a [(NodeId, Tensor)],
+    /// Corrupted values of nodes that are *not* recomputed — the patched
+    /// prefix activations of [`Model::forward_suffix`]. Scanned linearly;
+    /// a pass carries at most a handful of entries.
+    pub(crate) overrides: &'a [(NodeId, Tensor)],
     pub(crate) suffix_base: usize,
     pub(crate) suffix: &'a [Tensor],
 }
 
 impl NodeValues<'_> {
     fn get(&self, id: NodeId) -> &Tensor {
-        if let Some((n, t)) = self.over {
-            if n == id {
-                return t;
-            }
-        }
-        if let Some((_, t)) = self.multi.iter().find(|(n, _)| *n == id) {
+        if let Some((_, t)) = self.overrides.iter().find(|(n, _)| *n == id) {
             return t;
         }
         if id >= self.suffix_base {
@@ -179,7 +185,7 @@ impl ActPatch {
 }
 
 /// Cached per-node activations of one input, produced by
-/// [`Model::forward_cached`] and consumed by [`Model::forward_from`].
+/// [`Model::forward_cached`] and consumed by [`Model::forward_suffix`].
 ///
 /// Fault campaigns keep one cache per evaluation image: a fault in weight
 /// layer `l` leaves every node before `l`'s node untouched, so re-running
@@ -537,9 +543,8 @@ impl Model {
             let v = self.eval_node_with(
                 id,
                 &NodeValues {
-                    prefix: &[],
-                    over: Some((0, input)),
-                    multi: &[],
+                    prefix: std::slice::from_ref(input),
+                    overrides: &[],
                     suffix_base: 1,
                     suffix: &suffix,
                 },
@@ -551,16 +556,12 @@ impl Model {
             Some(t) => t,
             None => input.clone(),
         };
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in suffix {
-                arena.recycle(t.into_vec());
-            }
-        }
+        recycle(suffix, opts);
         Ok(out)
     }
 
     /// Runs inference and returns every node's activation, for later
-    /// incremental re-execution with [`Model::forward_from`].
+    /// incremental re-execution with [`Model::forward_suffix`].
     ///
     /// # Errors
     ///
@@ -574,8 +575,7 @@ impl Model {
                 id,
                 &NodeValues {
                     prefix: &values,
-                    over: None,
-                    multi: &[],
+                    overrides: &[],
                     suffix_base: usize::MAX,
                     suffix: &[],
                 },
@@ -586,223 +586,214 @@ impl Model {
         Ok(ActivationCache { activations: values })
     }
 
-    /// Re-runs inference assuming every node **before** `first_dirty` still
-    /// has the activation recorded in `cache`.
+    /// Re-runs inference over one input's cached golden activations after
+    /// a fault — the single suffix re-execution primitive behind every
+    /// fault model.
     ///
-    /// Nodes `>= first_dirty` are recomputed (reading cached values for
-    /// earlier inputs); the final node's output is returned. With
-    /// `first_dirty == 0` this degrades to a full forward pass over the
-    /// cached input.
+    /// - `weight_dirty` names the first node whose *recomputation* differs:
+    ///   the node consuming a faulted parameter (see
+    ///   [`Model::node_of_param`]). This is sound because a fault in the
+    ///   parameter consumed by node `d` cannot change any activation of the
+    ///   nodes `< d` in a topologically ordered graph. `Some(0)` degrades
+    ///   to a full forward pass over the cached input; `None` means the
+    ///   parameters are golden.
+    /// - Each [`ActPatch`] corrupts one element of one node's activation
+    ///   *as produced during this faulty inference*: a patch on a node
+    ///   before the recomputation start applies to the cached golden
+    ///   activation, a patch on a recomputed node to its freshly computed
+    ///   (possibly already faulty) value. Node 0 is the input image.
     ///
-    /// This is sound for weight faults: a fault in the parameter consumed by
-    /// node `d` cannot change any activation produced by nodes `< d` in a
-    /// topologically ordered graph.
+    /// Recomputation starts at the earliest node whose value can change:
+    /// `weight_dirty` (at least 1), or the node right after the earliest
+    /// patched one (the struck node itself is not recomputed). With nothing
+    /// to recompute the cached — possibly patched — final activation is
+    /// returned.
     ///
-    /// # Errors
+    /// Pure weight faults (`patches` empty) additionally honour two
+    /// options that assume golden activations upstream of the faulted
+    /// node:
     ///
-    /// Returns [`NnError::CacheMismatch`] when the cache does not cover this
-    /// model's node count, or the first operator failure.
-    pub fn forward_from(
-        &self,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
-    ) -> Result<Tensor, NnError> {
-        self.forward_from_with(first_dirty, cache, &mut ForwardOptions::default())
-    }
-
-    /// [`Model::forward_from`] with explicit [`ForwardOptions`].
+    /// - [`ForwardOptions::lowered`]: when it names the first dirty conv
+    ///   node, that node's im2col lowering is skipped and the cached panels
+    ///   feed the GEMM — the node reads its *golden* input, the exact value
+    ///   the panels were lowered from.
+    /// - [`ForwardOptions::converge`]: after each recomputed node its
+    ///   activation is compared bitwise (`u32`-reinterpreted) against the
+    ///   cached golden one, and the pass stops with
+    ///   [`ForwardOutcome::Converged`] once the skipped suffix is provably
+    ///   golden. Every operator is deterministic and bit-exact in its
+    ///   inputs, so that holds once **every activation the suffix can
+    ///   still read** is bitwise-golden — stronger than "node `k`
+    ///   matches": with skip connections (ResNet's residual `Add`) a node
+    ///   after `k` may read a recomputed activation *before* `k` that still
+    ///   differs (a diverged conv whose following ReLU clamped back to
+    ///   golden). The pass therefore tracks the *live dirty* nodes —
+    ///   recomputed nodes that differ from golden and are read past the
+    ///   current one — and converges only when the current node matches
+    ///   and none is live. NaN payloads and signed zeros compare by bits.
+    ///   When [`ForwardOptions::dirty_unit`] names the one output unit the
+    ///   fault can reach, the first dirty node is decided by a
+    ///   *single-unit probe* — one GEMM row instead of the full layer —
+    ///   and on divergence its activation is materialized as a golden
+    ///   clone with that unit overwritten, bit-identical to full
+    ///   re-evaluation because no other unit depends on the faulted
+    ///   weight row.
     ///
-    /// When `opts.lowered` names the first dirty conv node, its im2col
-    /// lowering is skipped entirely and the cached panels feed the GEMM —
-    /// sound because incremental re-execution hands that node its *golden*
-    /// input, the exact value the panels were lowered from.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward_from`].
-    pub fn forward_from_with(
-        &self,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        if cache.activations.len() != self.nodes.len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.activations.len(),
-                    self.nodes.len()
-                ),
-            });
-        }
-        let first_dirty = first_dirty.max(1);
-        if first_dirty >= self.nodes.len() {
-            return Ok(cache.activations.last().expect("nonempty").clone());
-        }
-        // Recomputed suffix values, indexed by id - first_dirty.
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(self.nodes.len() - first_dirty);
-        for id in first_dirty..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: None,
-                    multi: &[],
-                    suffix_base: first_dirty,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            fresh.push(v);
-        }
-        let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`Model::forward_from_with`] with a golden-convergence early exit:
-    /// after each recomputed node its activation is compared against the
-    /// cached golden one with a bitwise (`u32`-reinterpreted) slice compare,
-    /// and the pass stops with [`ForwardOutcome::Converged`] the moment they
-    /// match.
-    ///
-    /// Soundness: every operator is deterministic and bit-exact in its
-    /// inputs, so the skipped suffix is provably golden once **every
-    /// activation it can still read** is bitwise-golden. That is stronger
-    /// than "node `k` matches": with skip connections (ResNet's residual
-    /// `Add`) a node after `k` may read a recomputed activation *before*
-    /// `k` that still differs (a diverged conv whose following ReLU clamped
-    /// back to golden). The pass therefore tracks the set of *live dirty*
-    /// nodes — recomputed nodes that differ from golden and are read by at
-    /// least one node past the current one — and declares convergence only
-    /// when the current node matches and that set is empty. NaN payloads
-    /// and signed zeros compare by bits, so no approximation is involved.
-    ///
-    /// The comparison short-circuits on the first differing element, which
-    /// keeps the per-node overhead negligible for genuinely diverged
-    /// activations; a converged pass recycles every intermediate tensor
-    /// into `opts.arena`, so the next image's convergence checks reuse the
-    /// same scratch.
-    ///
-    /// When [`ForwardOptions::dirty_unit`] names the one output unit the
-    /// fault can reach, the first dirty node is decided by a *single-unit
-    /// probe* — one GEMM row instead of the full layer — and on divergence
-    /// its activation is materialized as a golden clone with that unit
-    /// overwritten, which is bit-identical to full re-evaluation because
-    /// no other unit of a conv/linear output depends on the faulted
-    /// weight row.
+    /// Intermediate tensors are recycled into `opts.arena` when the pass
+    /// ends, so the next image reuses the same scratch.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Model::forward_from`].
-    pub fn forward_from_converging(
+    /// Returns [`NnError::CacheMismatch`] when the cache does not cover
+    /// this model's nodes or a patch names an out-of-range node or
+    /// element, or the first operator failure.
+    pub fn forward_suffix(
         &self,
-        first_dirty: NodeId,
+        weight_dirty: Option<NodeId>,
         cache: &ActivationCache,
+        patches: &[ActPatch],
         opts: &mut ForwardOptions<'_>,
     ) -> Result<ForwardOutcome, NnError> {
-        if cache.activations.len() != self.nodes.len() {
+        let n_nodes = self.nodes.len();
+        let golden = &cache.activations;
+        if golden.len() != n_nodes {
             return Err(NnError::CacheMismatch {
                 reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.activations.len(),
-                    self.nodes.len()
+                    "cache holds {} activations, model has {n_nodes} nodes",
+                    golden.len()
                 ),
             });
         }
-        let first_dirty = first_dirty.max(1);
-        if first_dirty >= self.nodes.len() {
-            return Ok(ForwardOutcome::Logits(cache.activations.last().expect("nonempty").clone()));
-        }
-        // For each node, the last node that reads its activation. A dirty
-        // (differs-from-golden) recomputed node stays "live" — and blocks
-        // convergence — until its last reader has been evaluated. A
-        // compiled plan supplies the table precomputed; it agrees with the
-        // per-pass computation on every index this pass consults (the
-        // first dirty node and later — all their readers are themselves at
-        // or after `first_dirty`).
-        let computed_last_reader;
-        let last_reader: &[NodeId] = match opts.plan {
-            Some(plan) if plan.len() == self.nodes.len() => plan.last_reader(),
-            _ => {
-                let mut lr: Vec<NodeId> = (0..self.nodes.len()).collect();
-                for (id, node) in self.nodes.iter().enumerate().skip(first_dirty) {
-                    for &inp in &node.inputs {
-                        lr[inp] = id;
-                    }
-                }
-                computed_last_reader = lr;
-                &computed_last_reader
+        for p in patches {
+            let Some(value) = golden.get(p.node) else {
+                return Err(NnError::CacheMismatch {
+                    reason: format!("patch names node {}, model has {n_nodes} nodes", p.node),
+                });
+            };
+            if p.element >= value.len() {
+                return Err(NnError::CacheMismatch {
+                    reason: format!(
+                        "patch element {} out of range for node {} ({} elements)",
+                        p.element,
+                        p.node,
+                        value.len()
+                    ),
+                });
             }
-        };
-        // expiring[id] = how many live dirty nodes die once node `id` has
-        // consumed them for the last time.
-        let mut expiring: Vec<u32> = vec![0; self.nodes.len()];
-        let mut live_dirty: u32 = 0;
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(self.nodes.len() - first_dirty);
-        let mut start = first_dirty;
-        // Single-unit probe of the first dirty node: when the caller names
-        // the one output unit the fault can reach, evaluating just that
-        // unit decides the whole node — the rest of its activation is a
-        // deterministic recomputation from golden inputs and unfaulted
-        // weight rows, hence bit-golden.
-        if let Some(unit) = opts.dirty_unit {
-            match self.probe_dirty_unit(first_dirty, cache, unit, opts)? {
-                ProbeOutcome::Unsupported => {}
-                ProbeOutcome::Clean => {
-                    return Ok(ForwardOutcome::Converged { at_node: first_dirty });
+        }
+        let start = weight_dirty
+            .map(|w| w.max(1))
+            .into_iter()
+            .chain(patches.iter().map(|p| p.node + 1))
+            .min()
+            .unwrap_or(n_nodes)
+            .min(n_nodes);
+        // Patched golden activations of nodes before the recomputation
+        // start; patches at or past it strike recomputed values. Empty (and
+        // allocation-free) for pure weight faults.
+        let mut overrides: Vec<(NodeId, Tensor)> = Vec::new();
+        for p in patches.iter().filter(|p| p.node < start) {
+            let t = match overrides.iter().position(|(n, _)| *n == p.node) {
+                Some(i) => &mut overrides[i].1,
+                None => {
+                    overrides.push((p.node, golden[p.node].clone()));
+                    &mut overrides.last_mut().expect("just pushed").1
                 }
+            };
+            let s = t.as_mut_slice();
+            s[p.element] = p.apply(s[p.element]);
+        }
+        if start >= n_nodes {
+            let last = n_nodes - 1;
+            return Ok(ForwardOutcome::Logits(
+                match overrides.into_iter().find(|(n, _)| *n == last) {
+                    Some((_, t)) => t,
+                    None => golden[last].clone(),
+                },
+            ));
+        }
+        // A corrupted activation upstream of a lowered conv makes its
+        // panels unsound.
+        let lowered = opts.lowered;
+        if !patches.is_empty() {
+            opts.lowered = None;
+        }
+        let out = self.recompute_suffix(start, cache, &overrides, patches, opts);
+        opts.lowered = lowered;
+        out
+    }
+
+    /// The recompute loop of [`Model::forward_suffix`] from node `start`
+    /// on, with the golden-convergence bookkeeping when it applies.
+    fn recompute_suffix(
+        &self,
+        start: NodeId,
+        cache: &ActivationCache,
+        overrides: &[(NodeId, Tensor)],
+        patches: &[ActPatch],
+        opts: &mut ForwardOptions<'_>,
+    ) -> Result<ForwardOutcome, NnError> {
+        let n_nodes = self.nodes.len();
+        let golden = &cache.activations;
+        let converge = opts.converge && patches.is_empty();
+        // For each node, the last node that reads its activation: a dirty
+        // (differs-from-golden) recomputed node stays live — and blocks
+        // convergence — until its last reader has been evaluated.
+        // `expiring[id]` counts the live dirty nodes that die once node
+        // `id` has consumed them. Both stay empty without convergence.
+        let (mut last_reader, mut expiring) = (Vec::new(), Vec::new());
+        if converge {
+            last_reader = (0..n_nodes).collect();
+            for (id, node) in self.nodes.iter().enumerate().skip(start) {
+                for &inp in &node.inputs {
+                    last_reader[inp] = id;
+                }
+            }
+            expiring = vec![0u32; n_nodes];
+        }
+        let mut live_dirty: u32 = 0;
+        let mut fresh: Vec<Tensor> = Vec::with_capacity(n_nodes - start);
+        let mut next = start;
+        if let (true, Some(unit)) = (converge, opts.dirty_unit) {
+            match self.probe_dirty_unit(start, cache, unit, opts)? {
+                ProbeOutcome::Unsupported => {}
+                ProbeOutcome::Clean => return Ok(ForwardOutcome::Converged { at_node: start }),
                 ProbeOutcome::Dirty(t) => {
-                    if last_reader[first_dirty] > first_dirty {
-                        expiring[last_reader[first_dirty]] += 1;
+                    if last_reader[start] > start {
+                        expiring[last_reader[start]] += 1;
                         live_dirty += 1;
                     }
                     fresh.push(t);
-                    start = first_dirty + 1;
+                    next = start + 1;
                 }
             }
         }
-        for id in start..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: None,
-                    multi: &[],
-                    suffix_base: first_dirty,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            // Node `id` has now read its inputs; dirty nodes last read here
-            // can no longer influence the suffix.
-            live_dirty -= expiring[id];
-            if v.bits_equal(&cache.activations[id]) {
-                if live_dirty == 0 {
-                    if let Some(arena) = opts.arena.as_deref_mut() {
-                        arena.recycle(v.into_vec());
-                        for t in fresh {
-                            arena.recycle(t.into_vec());
-                        }
+        for id in next..n_nodes {
+            let vals = NodeValues { prefix: golden, overrides, suffix_base: start, suffix: &fresh };
+            let mut v = self.eval_node_with(id, &vals, opts)?;
+            for p in patches.iter().filter(|p| p.node == id) {
+                let s = v.as_mut_slice();
+                s[p.element] = p.apply(s[p.element]);
+            }
+            if converge {
+                // Node `id` has now read its inputs; dirty nodes last read
+                // here can no longer influence the suffix.
+                live_dirty -= expiring[id];
+                if v.bits_equal(&golden[id]) {
+                    if live_dirty == 0 {
+                        fresh.push(v);
+                        recycle(fresh, opts);
+                        return Ok(ForwardOutcome::Converged { at_node: id });
                     }
-                    return Ok(ForwardOutcome::Converged { at_node: id });
+                } else if last_reader[id] > id {
+                    expiring[last_reader[id]] += 1;
+                    live_dirty += 1;
                 }
-            } else if last_reader[id] > id {
-                expiring[last_reader[id]] += 1;
-                live_dirty += 1;
             }
             fresh.push(v);
         }
         let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
+        recycle(fresh, opts);
         Ok(ForwardOutcome::Logits(out))
     }
 
@@ -898,208 +889,6 @@ impl Model {
         let t = Tensor::from_vec(shape, data)
             .expect("materialized activation matches the golden shape");
         Ok(ProbeOutcome::Dirty(t))
-    }
-
-    /// Re-runs inference with node `node`'s cached activation replaced by
-    /// `patch(cached)` — the primitive behind *transient activation fault*
-    /// campaigns: a soft error strikes a feature map during one inference,
-    /// so the clean prefix up to (and including) the struck node is reused
-    /// from the golden cache and only the suffix is recomputed.
-    ///
-    /// With `node == 0` the patch applies to the input image itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CacheMismatch`] when the cache does not cover
-    /// this model's nodes or `node` is out of range, or the first operator
-    /// failure.
-    pub fn forward_patched(
-        &self,
-        node: NodeId,
-        cache: &ActivationCache,
-        patch: impl FnOnce(&mut Tensor),
-    ) -> Result<Tensor, NnError> {
-        self.forward_patched_with(node, cache, patch, &mut ForwardOptions::default())
-    }
-
-    /// [`Model::forward_patched`] with explicit [`ForwardOptions`]
-    /// (`opts.lowered` is ignored here: a patched activation invalidates
-    /// any panels lowered downstream of it).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::forward_patched`].
-    pub fn forward_patched_with(
-        &self,
-        node: NodeId,
-        cache: &ActivationCache,
-        patch: impl FnOnce(&mut Tensor),
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        if cache.activations.len() != self.nodes.len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {} nodes",
-                    cache.activations.len(),
-                    self.nodes.len()
-                ),
-            });
-        }
-        if node >= self.nodes.len() {
-            return Err(NnError::CacheMismatch {
-                reason: format!("node {node} out of range ({} nodes)", self.nodes.len()),
-            });
-        }
-        let mut patched = cache.activations[node].clone();
-        patch(&mut patched);
-        if node + 1 == self.nodes.len() {
-            return Ok(patched);
-        }
-        // A patched value makes pre-lowered panels unsound; drop them.
-        let lowered = opts.lowered.take();
-        // Recompute the suffix, reading the patched value for `node` and
-        // cached values for everything else before it.
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(self.nodes.len() - node - 1);
-        for id in node + 1..self.nodes.len() {
-            let v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: Some((node, &patched)),
-                    multi: &[],
-                    suffix_base: node + 1,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            fresh.push(v);
-        }
-        opts.lowered = lowered;
-        let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Accumulated-fault inference: re-runs from the earliest corrupted
-    /// value with any number of transient activation patches applied on top
-    /// of an (optional) weight fault already injected into the parameters.
-    ///
-    /// `weight_dirty` names the first node whose *recomputation* differs
-    /// (the faulted weight's node), exactly as in [`Model::forward_from`];
-    /// `None` means the parameters are golden. Each [`ActPatch`] corrupts
-    /// one element of one node's activation *as produced during this faulty
-    /// inference*: a patch on a node upstream of the recomputation start
-    /// applies to the cached golden activation, a patch on a recomputed
-    /// node applies to the freshly computed (possibly already faulty)
-    /// value. Patches never feed pre-lowered conv panels
-    /// (`opts.lowered` is ignored whenever `patches` is nonempty).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CacheMismatch`] when the cache does not cover
-    /// this model's nodes or a patch site is out of range, or the first
-    /// operator failure.
-    pub fn forward_from_patched(
-        &self,
-        weight_dirty: Option<NodeId>,
-        cache: &ActivationCache,
-        patches: &[ActPatch],
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        let n_nodes = self.nodes.len();
-        if cache.activations.len() != n_nodes {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "cache holds {} activations, model has {n_nodes} nodes",
-                    cache.activations.len()
-                ),
-            });
-        }
-        for p in patches {
-            if p.node >= n_nodes {
-                return Err(NnError::CacheMismatch {
-                    reason: format!("patch names node {}, model has {n_nodes} nodes", p.node),
-                });
-            }
-            let len = cache.activations[p.node].len();
-            if p.element >= len {
-                return Err(NnError::CacheMismatch {
-                    reason: format!(
-                        "patch element {} out of range for node {} ({len} elements)",
-                        p.element, p.node
-                    ),
-                });
-            }
-        }
-        // Recomputation starts at the earliest node whose value can change:
-        // the weight fault's node, or the node right after the earliest
-        // patched activation (the patched node itself is not recomputed —
-        // the corruption strikes its produced value).
-        let min_patch = patches.iter().map(|p| p.node).min();
-        let start = match (weight_dirty, min_patch) {
-            (None, None) => return Ok(cache.activations.last().expect("nonempty").clone()),
-            (Some(w), None) => w.max(1),
-            (None, Some(p)) => p + 1,
-            (Some(w), Some(p)) => w.max(1).min(p + 1),
-        }
-        .min(n_nodes);
-        // Patched golden activations for nodes before the recomputation
-        // start; patches at or past it apply to recomputed values below.
-        let mut overrides: Vec<(NodeId, Tensor)> = Vec::new();
-        for p in patches.iter().filter(|p| p.node < start) {
-            let t = match overrides.iter_mut().find(|(n, _)| *n == p.node) {
-                Some((_, t)) => t,
-                None => {
-                    overrides.push((p.node, cache.activations[p.node].clone()));
-                    &mut overrides.last_mut().expect("just pushed").1
-                }
-            };
-            let s = t.as_mut_slice();
-            s[p.element] = p.apply(s[p.element]);
-        }
-        if start >= n_nodes {
-            // Only the final node was struck; its patched value is the output.
-            return Ok(match overrides.into_iter().find(|(n, _)| *n == n_nodes - 1) {
-                Some((_, t)) => t,
-                None => cache.activations.last().expect("nonempty").clone(),
-            });
-        }
-        // A corrupted activation upstream of a lowered conv makes the
-        // cached panels unsound; keep them only for pure weight faults.
-        let lowered = if patches.is_empty() { None } else { opts.lowered.take() };
-        let mut fresh: Vec<Tensor> = Vec::with_capacity(n_nodes - start);
-        for id in start..n_nodes {
-            let mut v = self.eval_node_with(
-                id,
-                &NodeValues {
-                    prefix: &cache.activations,
-                    over: None,
-                    multi: &overrides,
-                    suffix_base: start,
-                    suffix: &fresh,
-                },
-                opts,
-            )?;
-            for p in patches.iter().filter(|p| p.node == id) {
-                let s = v.as_mut_slice();
-                s[p.element] = p.apply(s[p.element]);
-            }
-            fresh.push(v);
-        }
-        if lowered.is_some() {
-            opts.lowered = lowered;
-        }
-        let out = fresh.pop().expect("suffix is nonempty");
-        if let Some(arena) = opts.arena.as_deref_mut() {
-            for t in fresh {
-                arena.recycle(t.into_vec());
-            }
-        }
-        Ok(out)
     }
 
     /// A human-readable summary: one line per weight layer with its name,
@@ -1199,6 +988,15 @@ pub struct LayerStats {
     pub max: f32,
 }
 
+/// Returns a finished pass's intermediate tensors to `opts.arena`.
+fn recycle(tensors: Vec<Tensor>, opts: &mut ForwardOptions<'_>) {
+    if let Some(arena) = opts.arena.as_deref_mut() {
+        for t in tensors {
+            arena.recycle(t.into_vec());
+        }
+    }
+}
+
 /// Index of the maximum element, NaN-aware (see [`Tensor::argmax`]).
 pub(crate) fn argmax_slice(row: &[f32]) -> usize {
     let mut best = 0usize;
@@ -1273,17 +1071,43 @@ mod tests {
         assert_eq!(plain, *last);
     }
 
+    /// [`Model::forward_suffix`] with `opts`, resolved to its logits.
+    fn suffix_with(
+        m: &Model,
+        weight_dirty: Option<NodeId>,
+        cache: &ActivationCache,
+        patches: &[ActPatch],
+        opts: &mut ForwardOptions<'_>,
+    ) -> Result<Tensor, NnError> {
+        Ok(m.forward_suffix(weight_dirty, cache, patches, opts)?.into_logits(cache))
+    }
+
+    /// [`Model::forward_suffix`] with default options, resolved to its logits.
+    fn suffix(
+        m: &Model,
+        weight_dirty: Option<NodeId>,
+        cache: &ActivationCache,
+        patches: &[ActPatch],
+    ) -> Result<Tensor, NnError> {
+        suffix_with(m, weight_dirty, cache, patches, &mut ForwardOptions::default())
+    }
+
+    /// A patch that overwrites its element with `v`.
+    fn set(node: NodeId, element: usize, v: f32) -> ActPatch {
+        ActPatch { and_mask: 0, or_mask: v.to_bits(), ..ActPatch::identity(node, element) }
+    }
+
     #[test]
-    fn forward_from_zero_matches_full() {
+    fn suffix_from_zero_matches_full() {
         let m = tiny_model();
         let input = tiny_input();
         let cache = m.forward_cached(&input).unwrap();
-        let out = m.forward_from(0, &cache).unwrap();
+        let out = suffix(&m, Some(0), &cache, &[]).unwrap();
         assert_eq!(out, m.forward(&input).unwrap());
     }
 
     #[test]
-    fn forward_from_detects_weight_change() {
+    fn suffix_detects_weight_change() {
         let mut m = tiny_model();
         let input = tiny_input();
         let cache = m.forward_cached(&input).unwrap();
@@ -1292,7 +1116,7 @@ mod tests {
         let fc = m.node_of_param(1).unwrap();
         assert_eq!(fc, 4);
         m.store_mut().get_mut(1).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let faulty = m.forward_from(fc, &cache).unwrap();
+        let faulty = suffix(&m, Some(fc), &cache, &[]).unwrap();
         assert!(golden.max_abs_diff(&faulty).unwrap() > 1.0);
         // And the cached prefix is genuinely reused: recompute-from-conv
         // gives the same answer.
@@ -1301,18 +1125,98 @@ mod tests {
     }
 
     #[test]
-    fn forward_from_past_end_returns_cached_output() {
+    fn suffix_without_faults_or_past_end_returns_cached_output() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let out = m.forward_from(999, &cache).unwrap();
+        let golden = cache.get(cache.len() - 1).unwrap();
+        for weight_dirty in [None, Some(999)] {
+            let out = suffix(&m, weight_dirty, &cache, &[]).unwrap();
+            assert!(out.bits_equal(golden), "{weight_dirty:?}");
+        }
+    }
+
+    #[test]
+    fn suffix_rejects_foreign_cache_and_bad_sites() {
+        let m = tiny_model();
+        let foreign = ActivationCache { activations: vec![Tensor::zeros([1])] };
+        for converge in [false, true] {
+            let opts = &mut ForwardOptions { converge, ..Default::default() };
+            assert!(matches!(
+                m.forward_suffix(Some(1), &foreign, &[], opts),
+                Err(NnError::CacheMismatch { .. })
+            ));
+        }
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        for bad in [ActPatch::identity(99, 0), ActPatch::identity(1, usize::MAX)] {
+            for weight_dirty in [None, Some(1)] {
+                assert!(matches!(
+                    suffix(&m, weight_dirty, &cache, &[bad]),
+                    Err(NnError::CacheMismatch { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn identity_patch_matches_cached_output() {
+        let m = tiny_model();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let out = suffix(&m, None, &cache, &[ActPatch::identity(2, 0)]).unwrap();
         assert_eq!(out, *cache.get(cache.len() - 1).unwrap());
     }
 
     #[test]
-    fn forward_from_rejects_foreign_cache() {
+    fn input_patch_matches_full_forward() {
         let m = tiny_model();
-        let cache = ActivationCache { activations: vec![Tensor::zeros([1])] };
-        assert!(matches!(m.forward_from(1, &cache), Err(NnError::CacheMismatch { .. })));
+        let input = tiny_input();
+        let cache = m.forward_cached(&input).unwrap();
+        // Patch the input: zero one pixel; compare against a plain forward
+        // on the same modified image.
+        let mut modified = input.clone();
+        modified.as_mut_slice()[5] = 0.0;
+        let patched = suffix(&m, None, &cache, &[set(0, 5, 0.0)]).unwrap();
+        let direct = m.forward(&modified).unwrap();
+        assert!(patched.max_abs_diff(&direct).unwrap() < 1e-6);
+    }
+
+    #[test]
+    fn last_node_patch_returns_patched_logits() {
+        let m = tiny_model();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let last = m.nodes().len() - 1;
+        let out = suffix(&m, None, &cache, &[set(last, 0, 99.0)]).unwrap();
+        assert_eq!(out.as_slice()[0], 99.0);
+        assert_eq!(out.as_slice()[1..], cache.get(last).unwrap().as_slice()[1..]);
+    }
+
+    #[test]
+    fn patch_propagates_corruption() {
+        let m = tiny_model();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let golden = cache.get(cache.len() - 1).unwrap().clone();
+        let patches: Vec<ActPatch> =
+            (0..cache.get(1).unwrap().len()).map(|e| set(1, e, 10.0)).collect();
+        let corrupted = suffix(&m, None, &cache, &patches).unwrap();
+        assert!(golden.max_abs_diff(&corrupted).unwrap() > 0.1);
+    }
+
+    #[test]
+    fn accumulated_patches_match_sequential_application() {
+        let m = tiny_model();
+        let input = tiny_input();
+        let cache = m.forward_cached(&input).unwrap();
+        // Two activation strikes on different nodes: the accumulated pass
+        // must match patching the input by hand, re-caching, then striking
+        // node 2's produced value.
+        let p0 = ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(0, 3) };
+        let p2 = ActPatch { or_mask: 1 << 31, ..ActPatch::identity(2, 5) };
+        let out = suffix(&m, None, &cache, &[p0, p2]).unwrap();
+        let mut modified = input.clone();
+        let s = modified.as_mut_slice();
+        s[3] = p0.apply(s[3]);
+        let faulty_cache = m.forward_cached(&modified).unwrap();
+        let direct = suffix(&m, None, &faulty_cache, &[p2]).unwrap();
+        assert!(out.bits_equal(&direct), "accumulated patches diverge from sequential application");
     }
 
     #[test]
@@ -1372,134 +1276,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_patched_identity_matches_cached_output() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        let out = m.forward_patched(2, &cache, |_| {}).unwrap();
-        assert_eq!(out, *cache.get(cache.len() - 1).unwrap());
-    }
-
-    #[test]
-    fn forward_patched_at_input_matches_full_forward() {
-        let m = tiny_model();
-        let input = tiny_input();
-        let cache = m.forward_cached(&input).unwrap();
-        // Patch the input: zero one pixel; compare against a plain forward
-        // on the same modified image.
-        let mut modified = input.clone();
-        modified.as_mut_slice()[5] = 0.0;
-        let patched = m.forward_patched(0, &cache, |t| t.as_mut_slice()[5] = 0.0).unwrap();
-        let direct = m.forward(&modified).unwrap();
-        assert!(patched.max_abs_diff(&direct).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn forward_patched_at_last_node_returns_patched_logits() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        let last = m.nodes().len() - 1;
-        let out = m.forward_patched(last, &cache, |t| t.as_mut_slice()[0] = 99.0).unwrap();
-        assert_eq!(out.as_slice()[0], 99.0);
-    }
-
-    #[test]
-    fn forward_patched_propagates_corruption() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        let golden = cache.get(cache.len() - 1).unwrap().clone();
-        let corrupted = m
-            .forward_patched(1, &cache, |t| {
-                for v in t.as_mut_slice() {
-                    *v += 10.0;
-                }
-            })
-            .unwrap();
-        assert!(golden.max_abs_diff(&corrupted).unwrap() > 0.1);
-    }
-
-    #[test]
-    fn forward_patched_rejects_bad_node_and_cache() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        assert!(m.forward_patched(99, &cache, |_| {}).is_err());
-        let foreign = ActivationCache { activations: vec![Tensor::zeros([1])] };
-        assert!(m.forward_patched(1, &foreign, |_| {}).is_err());
-    }
-
-    #[test]
-    fn forward_from_patched_matches_sequential_patches() {
-        let m = tiny_model();
-        let input = tiny_input();
-        let cache = m.forward_cached(&input).unwrap();
-        // Two activation strikes on different nodes: the accumulated path
-        // must match patching the input and node-2 value by hand.
-        let p0 = ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(0, 3) };
-        let p2 = ActPatch { or_mask: 1 << 31, ..ActPatch::identity(2, 5) };
-        let out = m
-            .forward_from_patched(None, &cache, &[p0, p2], &mut ForwardOptions::default())
-            .unwrap();
-        // Reference: recompute by hand with a patched input cache, patching
-        // node 2's produced value mid-flight via forward_cached on the
-        // patched input then forward_patched at node 2.
-        let mut modified = input.clone();
-        let s = modified.as_mut_slice();
-        s[3] = p0.apply(s[3]);
-        let faulty_cache = m.forward_cached(&modified).unwrap();
-        let direct = m
-            .forward_patched(2, &faulty_cache, |t| {
-                let s = t.as_mut_slice();
-                s[5] = p2.apply(s[5]);
-            })
-            .unwrap();
-        assert!(
-            out.as_slice().iter().zip(direct.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "accumulated patches diverge from sequential application"
-        );
-    }
-
-    #[test]
-    fn forward_from_patched_without_faults_returns_golden() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        let out =
-            m.forward_from_patched(None, &cache, &[], &mut ForwardOptions::default()).unwrap();
-        assert!(out.bits_equal(cache.get(cache.len() - 1).unwrap()));
-    }
-
-    #[test]
-    fn forward_from_patched_single_patch_matches_forward_patched() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        for node in 0..cache.len() {
-            let patch = ActPatch { xor_mask: 1 << 22, ..ActPatch::identity(node, 1) };
-            let acc = m
-                .forward_from_patched(None, &cache, &[patch], &mut ForwardOptions::default())
-                .unwrap();
-            let single = m
-                .forward_patched(node, &cache, |t| {
-                    let s = t.as_mut_slice();
-                    s[1] = patch.apply(s[1]);
-                })
-                .unwrap();
-            assert!(acc.bits_equal(&single), "node {node}: single-patch paths disagree");
-        }
-    }
-
-    #[test]
-    fn forward_from_patched_rejects_bad_sites() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        let bad_node = ActPatch::identity(99, 0);
-        assert!(m
-            .forward_from_patched(None, &cache, &[bad_node], &mut ForwardOptions::default())
-            .is_err());
-        let bad_elem = ActPatch::identity(1, usize::MAX);
-        assert!(m
-            .forward_from_patched(None, &cache, &[bad_elem], &mut ForwardOptions::default())
-            .is_err());
-    }
-
-    #[test]
     fn summary_lists_every_weight_layer() {
         let m = tiny_model();
         let s = m.summary();
@@ -1533,8 +1309,7 @@ mod tests {
 
     fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
         assert_eq!(a.shape(), b.shape(), "{what}: shapes");
-        let same = a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same, "{what}: values diverge");
+        assert!(a.bits_equal(b), "{what}: values diverge");
     }
 
     #[test]
@@ -1550,66 +1325,104 @@ mod tests {
             .unwrap();
         assert_bits_equal(&fast, &naive, "fast vs naive");
         let mut arena = ScratchArena::new();
-        for round in 0..3 {
+        for _ in 0..3 {
             let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
             let with_arena = m.forward_with(&input, opts).unwrap();
             assert_bits_equal(&fast, &with_arena, "arena round");
-            let _ = round;
         }
         assert!(arena.peak_bytes() > 0, "arena must have been used");
     }
 
-    #[test]
-    fn forward_from_with_lowered_panels_matches_plain() {
-        let m = tiny_model();
-        let input = tiny_input();
-        let cache = m.forward_cached(&input).unwrap();
-        // Node 1 is the conv; lower its golden input (the image itself).
-        let crate::NodeOp::Conv { weight, cfg, .. } = m.nodes()[1].op else {
+    /// Golden im2col panels of tiny_model's conv (node 1), whose input is
+    /// the image itself.
+    fn conv_panels(m: &Model, cache: &ActivationCache) -> LoweredConv {
+        let NodeOp::Conv { weight, cfg, .. } = m.nodes()[1].op else {
             panic!("node 1 is the conv")
         };
         let w = &m.store().get(weight).unwrap().tensor;
-        let lowered = sfi_tensor::ops::im2col_lower(cache.get(0).unwrap(), w, cfg).unwrap();
-        let plain = m.forward_from(1, &cache).unwrap();
+        ops::im2col_lower(cache.get(0).unwrap(), w, cfg).unwrap()
+    }
+
+    #[test]
+    fn suffix_with_lowered_panels_and_arena_matches_plain() {
+        let m = tiny_model();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let lowered = conv_panels(&m, &cache);
+        let plain = suffix(&m, Some(1), &cache, &[]).unwrap();
         let mut arena = ScratchArena::new();
         let opts = &mut ForwardOptions {
             arena: Some(&mut arena),
             lowered: Some((1, &lowered)),
             ..Default::default()
         };
-        let fast = m.forward_from_with(1, &cache, opts).unwrap();
-        assert_bits_equal(&plain, &fast, "lowered forward_from");
+        let fast = suffix_with(&m, Some(1), &cache, &[], opts).unwrap();
+        assert_bits_equal(&plain, &fast, "lowered suffix");
+        assert!(opts.lowered.is_some(), "the caller's options are left as given");
     }
 
     #[test]
-    fn converging_forward_detects_an_unchanged_model() {
+    fn patches_bypass_lowered_panels_and_convergence() {
+        // Panels lowered from the golden image are unsound once the image
+        // is struck, and a converging pass would stop at the first node
+        // matching golden although a later patch still strikes: both
+        // options must be ignored whenever a patch applies.
+        let m = tiny_model();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
+        let lowered = conv_panels(&m, &cache);
+        let patches = [set(0, 5, 3.0), ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(3, 0) }];
+        let plain = suffix(&m, None, &cache, &patches).unwrap();
+        let mut arena = ScratchArena::new();
+        let opts = &mut ForwardOptions {
+            arena: Some(&mut arena),
+            lowered: Some((1, &lowered)),
+            converge: true,
+            ..Default::default()
+        };
+        let out = m.forward_suffix(None, &cache, &patches, opts).unwrap();
+        match out {
+            ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "patched with options"),
+            ForwardOutcome::Converged { at_node } => panic!("patched pass converged at {at_node}"),
+        }
+        assert!(opts.lowered.is_some(), "the caller's options are left as given");
+        let patched_arena = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
+        let again = suffix_with(&m, None, &cache, &patches, patched_arena).unwrap();
+        assert_bits_equal(&plain, &again, "patched with arena");
+    }
+
+    /// A converging pass with default options otherwise.
+    fn converging(m: &Model, first_dirty: NodeId, cache: &ActivationCache) -> ForwardOutcome {
+        let opts = &mut ForwardOptions { converge: true, ..Default::default() };
+        m.forward_suffix(Some(first_dirty), cache, &[], opts).unwrap()
+    }
+
+    #[test]
+    fn converging_suffix_detects_an_unchanged_model() {
         // With no fault injected, the very first recomputed node matches
         // the cache and the pass stops immediately.
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
         let mut arena = ScratchArena::new();
-        let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-        let out = m.forward_from_converging(1, &cache, opts).unwrap();
+        let opts =
+            &mut ForwardOptions { arena: Some(&mut arena), converge: true, ..Default::default() };
+        let out = m.forward_suffix(Some(1), &cache, &[], opts).unwrap();
         assert_eq!(out, ForwardOutcome::Converged { at_node: 1 });
     }
 
     #[test]
-    fn converging_forward_matches_plain_on_a_diverging_model() {
+    fn converging_suffix_matches_plain_on_a_diverging_model() {
         let mut m = tiny_model();
-        let input = tiny_input();
-        let cache = m.forward_cached(&input).unwrap();
+        let cache = m.forward_cached(&tiny_input()).unwrap();
         // A large conv-weight change diverges all the way to the logits.
         m.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let plain = m.forward_from(1, &cache).unwrap();
-        let out = m.forward_from_converging(1, &cache, &mut ForwardOptions::default()).unwrap();
-        match out {
+        let plain = suffix(&m, Some(1), &cache, &[]).unwrap();
+        match converging(&m, 1, &cache) {
             ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "diverged logits"),
             ForwardOutcome::Converged { at_node } => panic!("spurious convergence at {at_node}"),
         }
     }
 
     #[test]
-    fn converging_forward_detects_relu_annihilation() {
+    fn converging_suffix_detects_relu_annihilation() {
         // tiny_model's conv output channel 1 has non-negative weights
         // ((9..18) - 9) * 0.1; on an all-negative input every channel-1
         // pre-activation is <= 0, so the ReLU clamps the whole channel to
@@ -1623,18 +1436,12 @@ mod tests {
         let mut faulty = m.clone();
         // Weight 13 belongs to output channel 1 and is 0.4; keep it positive.
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        let out =
-            faulty.forward_from_converging(1, &cache, &mut ForwardOptions::default()).unwrap();
-        assert_eq!(out, ForwardOutcome::Converged { at_node: 2 });
+        assert_eq!(converging(&faulty, 1, &cache), ForwardOutcome::Converged { at_node: 2 });
     }
 
-    #[test]
-    fn converging_forward_respects_skip_connections() {
-        // Same ReLU-annihilation fault as above, but a residual Add reads
-        // the *conv* output directly. The ReLU activation matches golden
-        // bit-for-bit, yet the still-dirty conv output flows around it —
-        // stopping there would misclassify. Live-dirty tracking must keep
-        // the pass going and reproduce forward_from exactly.
+    /// conv -> relu -> add(relu, conv) -> gap -> linear: the residual Add
+    /// reads the conv output directly, around the ReLU.
+    fn skip_model() -> Model {
         let mut store = ParameterStore::new();
         let w0 = store.push(
             "conv.weight",
@@ -1654,7 +1461,17 @@ mod tests {
             Node::unary(NodeOp::GlobalAvgPool, 3),
             Node::unary(NodeOp::Linear { weight: w1, bias: None }, 4),
         ];
-        let m = Model::new("skip", nodes, store, vec![1, 4, 4]).unwrap();
+        Model::new("skip", nodes, store, vec![1, 4, 4]).unwrap()
+    }
+
+    #[test]
+    fn converging_suffix_respects_skip_connections() {
+        // Same ReLU-annihilation fault as above, but a residual Add reads
+        // the *conv* output directly. The ReLU activation matches golden
+        // bit-for-bit, yet the still-dirty conv output flows around it —
+        // stopping there would misclassify. Live-dirty tracking must keep
+        // the pass going and reproduce the full forward pass exactly.
+        let m = skip_model();
         let input = Tensor::full([1, 1, 4, 4], -1.0);
         let cache = m.forward_cached(&input).unwrap();
         let mut faulty = m.clone();
@@ -1664,18 +1481,16 @@ mod tests {
         let refreshed = faulty.forward_cached(&input).unwrap();
         assert!(refreshed.get(2).unwrap().bits_equal(cache.get(2).unwrap()));
         assert!(!refreshed.get(1).unwrap().bits_equal(cache.get(1).unwrap()));
-        let plain = faulty.forward_from(1, &cache).unwrap();
-        let out =
-            faulty.forward_from_converging(1, &cache, &mut ForwardOptions::default()).unwrap();
-        match out {
-            ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "skip logits"),
+        let full = faulty.forward(&input).unwrap();
+        match converging(&faulty, 1, &cache) {
+            ForwardOutcome::Logits(l) => assert_bits_equal(&full, &l, "skip logits"),
             ForwardOutcome::Converged { at_node } => {
                 panic!("unsound convergence at node {at_node} past a live dirty skip input")
             }
         }
     }
 
-    /// Runs `forward_from_converging` with and without the single-unit
+    /// Runs a converging `forward_suffix` with and without the single-unit
     /// probe armed and asserts the outcomes are indistinguishable.
     fn assert_probe_invisible(
         faulty: &Model,
@@ -1687,38 +1502,24 @@ mod tests {
         let input = cache.get(0).unwrap();
         let lowered = match &faulty.nodes()[first_dirty].op {
             NodeOp::Conv { weight, cfg, .. } => Some(
-                sfi_tensor::ops::im2col_lower(
-                    input,
-                    &faulty.store().get(*weight).unwrap().tensor,
-                    *cfg,
-                )
-                .unwrap(),
+                ops::im2col_lower(input, &faulty.store().get(*weight).unwrap().tensor, *cfg)
+                    .unwrap(),
             ),
             _ => None,
         };
         let mut arena = ScratchArena::new();
-        let probed = faulty
-            .forward_from_converging(
-                first_dirty,
-                cache,
-                &mut ForwardOptions {
-                    arena: Some(&mut arena),
-                    lowered: lowered.as_ref().map(|l| (first_dirty, l)),
-                    dirty_unit: Some(dirty_unit),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let full = faulty
-            .forward_from_converging(
-                first_dirty,
-                cache,
-                &mut ForwardOptions {
-                    lowered: lowered.as_ref().map(|l| (first_dirty, l)),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let run = |dirty_unit, arena| {
+            let opts = &mut ForwardOptions {
+                arena,
+                lowered: lowered.as_ref().map(|l| (first_dirty, l)),
+                dirty_unit,
+                converge: true,
+                ..Default::default()
+            };
+            faulty.forward_suffix(Some(first_dirty), cache, &[], opts).unwrap()
+        };
+        let probed = run(Some(dirty_unit), Some(&mut arena));
+        let full = run(None, None);
         match (&probed, &full) {
             (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => assert_bits_equal(a, b, ctx),
             (a, b) => assert_eq!(a, b, "{ctx}: probe changed the outcome"),
@@ -1773,31 +1574,12 @@ mod tests {
 
     #[test]
     fn single_unit_probe_respects_skip_connections() {
-        // The skip-connection trap from converging_forward_respects_skip_
+        // The skip-connection trap from converging_suffix_respects_skip_
         // connections, probed: the faulted channel diverges at the conv,
         // the following ReLU matches golden, and the residual Add still
         // reads the dirty conv — the probed pass must keep going exactly
         // like the full one.
-        let mut store = ParameterStore::new();
-        let w0 = store.push(
-            "conv.weight",
-            ParamKind::Weight { layer: 0 },
-            Tensor::from_fn([2, 1, 3, 3], |i| (i as f32 - 9.0) * 0.1),
-        );
-        let w1 = store.push(
-            "fc.weight",
-            ParamKind::Weight { layer: 1 },
-            Tensor::from_fn([3, 2], |i| (i as f32 - 3.0) * 0.5),
-        );
-        let nodes = vec![
-            Node { op: NodeOp::Input, inputs: vec![] },
-            Node::unary(NodeOp::Conv { weight: w0, bias: None, cfg: Conv2dCfg::same(1) }, 0),
-            Node::unary(NodeOp::Relu, 1),
-            Node::binary(NodeOp::Add, 2, 1),
-            Node::unary(NodeOp::GlobalAvgPool, 3),
-            Node::unary(NodeOp::Linear { weight: w1, bias: None }, 4),
-        ];
-        let m = Model::new("skip", nodes, store, vec![1, 4, 4]).unwrap();
+        let m = skip_model();
         let input = Tensor::full([1, 1, 4, 4], -1.0);
         let cache = m.forward_cached(&input).unwrap();
         let mut faulty = m.clone();
@@ -1819,26 +1601,5 @@ mod tests {
         // Out of range.
         assert_eq!(m.param_output_unit(0, 18), None);
         assert_eq!(m.param_output_unit(99, 0), None);
-    }
-
-    #[test]
-    fn converging_forward_rejects_foreign_cache() {
-        let m = tiny_model();
-        let cache = ActivationCache { activations: vec![Tensor::zeros([1])] };
-        assert!(matches!(
-            m.forward_from_converging(1, &cache, &mut ForwardOptions::default()),
-            Err(NnError::CacheMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn forward_patched_with_arena_matches_plain() {
-        let m = tiny_model();
-        let cache = m.forward_cached(&tiny_input()).unwrap();
-        let plain = m.forward_patched(1, &cache, |t| t.as_mut_slice()[0] = 5.0).unwrap();
-        let mut arena = ScratchArena::new();
-        let opts = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-        let fast = m.forward_patched_with(1, &cache, |t| t.as_mut_slice()[0] = 5.0, opts).unwrap();
-        assert_bits_equal(&plain, &fast, "patched with arena");
     }
 }

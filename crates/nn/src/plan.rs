@@ -225,7 +225,7 @@ impl Calibration {
 }
 
 /// Result of a single-unit probe of the first dirty node on the batched
-/// path (mirrors the per-image probe in [`Model::forward_from_converging`]).
+/// path (mirrors the per-image probe of a converging [`Model::forward_suffix`]).
 enum BatchedProbe {
     /// No single-unit kernel for this node/op; fall back to full eval.
     Unsupported,
@@ -441,8 +441,7 @@ impl CompiledPlan {
             for rep in 0..=CALIBRATION_REPS {
                 let vals = NodeValues {
                     prefix: single.activations(),
-                    over: None,
-                    multi: &[],
+                    overrides: &[],
                     suffix_base: n,
                     suffix: &empty,
                 };
@@ -983,8 +982,7 @@ impl CompiledPlan {
         }
         let vals = NodeValues {
             prefix: cache.activations(),
-            over: None,
-            multi: &over_rows,
+            overrides: &over_rows,
             suffix_base: first_dirty,
             suffix: fresh,
         };

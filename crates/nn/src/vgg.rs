@@ -121,6 +121,7 @@ impl Default for VggConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ForwardOptions;
     use sfi_tensor::Tensor;
 
     #[test]
@@ -155,7 +156,10 @@ mod tests {
         let info = m.weight_layers()[2].clone();
         let node = m.node_of_param(info.param).unwrap();
         m.store_mut().get_mut(info.param).unwrap().tensor.as_mut_slice()[7] = 3.0;
-        let incremental = m.forward_from(node, &cache).unwrap();
+        let incremental = m
+            .forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default())
+            .unwrap()
+            .into_logits(&cache);
         let full = m.forward(&input).unwrap();
         assert!(incremental.max_abs_diff(&full).unwrap() < 1e-5);
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use sfi_nn::resnet::ResNetConfig;
-use sfi_nn::Model;
+use sfi_nn::{ForwardOptions, Model};
 use sfi_tensor::Tensor;
 
 fn tiny_model(seed: u64) -> Model {
@@ -26,7 +26,7 @@ proptest! {
     /// pass after corrupting a weight in that layer. This is the soundness
     /// property the campaign runner relies on.
     #[test]
-    fn forward_from_equals_forward(
+    fn forward_suffix_equals_forward(
         layer in 0usize..8,
         weight_pick in 0usize..10_000,
         delta in -8.0f32..8.0,
@@ -39,7 +39,10 @@ proptest! {
         let node = m.node_of_param(info.param).unwrap();
         let idx = weight_pick % info.len;
         m.store_mut().get_mut(info.param).unwrap().tensor.as_mut_slice()[idx] += delta;
-        let incremental = m.forward_from(node, &cache).unwrap();
+        let incremental = m
+            .forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default())
+            .unwrap()
+            .into_logits(&cache);
         let full = m.forward(&input).unwrap();
         prop_assert!(
             incremental.max_abs_diff(&full).unwrap() <= 1e-4,

@@ -1,25 +1,3 @@
-/// Column-block width of [`gemm_blocked`]: the `n` extent of one packed B
-/// panel. 256 columns x 128 rows of f32 is a 128 KiB panel — comfortably
-/// inside L2 on every target we care about.
-const BLOCK_N: usize = 256;
-
-/// Row-block depth of [`gemm_blocked`]: the `k` extent of one packed B
-/// panel.
-const BLOCK_K: usize = 128;
-
-/// B-matrix footprint that used to gate the packed-row path when it was
-/// the dispatch tier above the naive kernel. The dispatch now lives in
-/// [`gemm_selected_kernel`](super::gemm_selected_kernel) (multiply-count
-/// floor, not B footprint); this constant survives only for the direct
-/// `gemm_packed` tests that straddle it.
-#[cfg(test)]
-const PACK_THRESHOLD_BYTES: usize = 1 << 20;
-
-/// Row-block height of [`gemm_rows`]: how many output rows share one
-/// streamed B row while it is L1-hot. `MR` C rows plus one B row stay well
-/// inside L1 while B's L1 miss count drops by `MR`x.
-const MR: usize = 4;
-
 /// Row-major matrix multiply: `c[m][n] += a[m][k] * b[k][n]`.
 ///
 /// `c` must be zero-initialised (or hold a partial accumulation the caller
@@ -121,165 +99,6 @@ pub fn gemm_blocked_with(
     super::microkernel::gemm_dispatch(m, k, n, a, b, c, packed);
 }
 
-/// Row-blocked [`gemm`]: `MR` output rows consume each B row while it is
-/// L1-hot instead of one row at a time cycling the whole of B per pass.
-///
-/// For a fixed output row `mi`, `ki` still runs `0..k` in increasing order,
-/// so every output element receives its partial products in exactly the
-/// order [`gemm`] produces them; row-blocking only changes which
-/// *independent* output rows are interleaved. The innermost loop is kept a
-/// textual copy of [`gemm`]'s so the compiler emits the same per-element
-/// arithmetic (the `kernel_bitident` proptests pin this down, NaN/Inf
-/// payloads included).
-///
-/// Not currently selected by [`gemm_blocked`]'s dispatch: with B resident
-/// in L2 it measured consistently *slower* than the naive loop on the
-/// ResNet-20 im2col shapes (0.74-0.87x), so the heuristic routes small-B
-/// problems to [`gemm`] instead. The kernel stays public so the trade-off
-/// remains measurable if cache geometries shift.
-///
-/// # Panics
-///
-/// Same length checks as [`gemm`].
-#[inline(never)]
-pub fn gemm_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(c.len(), m * n, "gemm: out length");
-    for mi0 in (0..m).step_by(MR) {
-        let m_hi = (mi0 + MR).min(m);
-        for ki in 0..k {
-            let b_row = &b[ki * n..(ki + 1) * n];
-            for mi in mi0..m_hi {
-                let a_v = a[mi * k + ki];
-                let c_row = &mut c[mi * n..(mi + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_v * b_v;
-                }
-            }
-        }
-    }
-}
-
-/// The always-packing tile kernel behind [`gemm_blocked`]: no size
-/// heuristic, every call tiles over `n`/`k` and packs B panels. Prefer
-/// [`gemm_blocked`], which self-selects; this entry point exists so the
-/// packing path stays testable (and measurable) at shapes below the
-/// delegation threshold. Bit-identical to [`gemm`].
-///
-/// `packed` is resized as needed and holds unspecified contents on return.
-///
-/// # Panics
-///
-/// Same length checks as [`gemm`].
-#[inline(never)]
-pub fn gemm_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    packed: &mut Vec<f32>,
-) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(c.len(), m * n, "gemm: out length");
-    // One up-front fill instead of per-tile `resize` churn as tail tiles
-    // shrink and full tiles re-grow the buffer.
-    if packed.len() < BLOCK_K * BLOCK_N {
-        packed.resize(BLOCK_K * BLOCK_N, 0.0);
-    }
-    for n0 in (0..n).step_by(BLOCK_N) {
-        let nw = BLOCK_N.min(n - n0);
-        for k0 in (0..k).step_by(BLOCK_K) {
-            let kw = BLOCK_K.min(k - k0);
-            for ki in 0..kw {
-                packed[ki * nw..(ki + 1) * nw]
-                    .copy_from_slice(&b[(k0 + ki) * n + n0..(k0 + ki) * n + n0 + nw]);
-            }
-            for mi in 0..m {
-                let a_row = &a[mi * k + k0..mi * k + k0 + kw];
-                let c_row = &mut c[mi * n + n0..mi * n + n0 + nw];
-                for (ki, &a_v) in a_row.iter().enumerate() {
-                    let b_row = &packed[ki * nw..(ki + 1) * nw];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_v * b_v;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The packed *and* row-blocked tile kernel: B panels are packed exactly as
-/// in [`gemm_packed`], and within each panel `MR` output rows consume every
-/// packed B row while it is L1-hot (the [`gemm_rows`] interleaving).
-///
-/// **Retired from dispatch.** This was [`gemm_blocked`]'s above-L2 tier
-/// until the register-tiled microkernel superseded it: the row-blocked
-/// interleave still streams C from memory `k / BLOCK_K` times per panel
-/// column and measured *slower than naive* on `32x288x512` (0.81x, see
-/// BENCH_kernels.json history) — dispatch must never select a
-/// measured-slower tier, so [`gemm_micro`](super::gemm_micro) (which holds
-/// C in registers across each `k` block) replaced it. The kernel stays
-/// public so the trade-off remains measurable.
-///
-/// Bit-identity: for a fixed output element `c[mi][ni]`, the `ki` partial
-/// products still arrive one at a time in increasing `ki` order — panel
-/// tiling picks *which* `(k0, n0)` rectangle is active and row blocking
-/// picks *which independent rows* interleave, but neither reorders any
-/// single element's accumulation chain. The innermost loop is a textual
-/// copy of [`gemm`]'s, so the compiler emits the same per-element
-/// arithmetic (pinned by the `kernel_bitident` proptests, NaN/±Inf
-/// payloads included).
-///
-/// `packed` is resized as needed and holds unspecified contents on return.
-///
-/// # Panics
-///
-/// Same length checks as [`gemm`].
-#[inline(never)]
-pub fn gemm_packed_rows(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    packed: &mut Vec<f32>,
-) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(c.len(), m * n, "gemm: out length");
-    if packed.len() < BLOCK_K * BLOCK_N {
-        packed.resize(BLOCK_K * BLOCK_N, 0.0);
-    }
-    for n0 in (0..n).step_by(BLOCK_N) {
-        let nw = BLOCK_N.min(n - n0);
-        for k0 in (0..k).step_by(BLOCK_K) {
-            let kw = BLOCK_K.min(k - k0);
-            for ki in 0..kw {
-                packed[ki * nw..(ki + 1) * nw]
-                    .copy_from_slice(&b[(k0 + ki) * n + n0..(k0 + ki) * n + n0 + nw]);
-            }
-            for mi0 in (0..m).step_by(MR) {
-                let m_hi = (mi0 + MR).min(m);
-                for ki in 0..kw {
-                    let b_row = &packed[ki * nw..(ki + 1) * nw];
-                    for mi in mi0..m_hi {
-                        let a_v = a[mi * k + k0 + ki];
-                        let c_row = &mut c[mi * n + n0..mi * n + n0 + nw];
-                        for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                            *c_v += a_v * b_v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,39 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_naive_bitwise_across_block_boundaries() {
-        // Shapes straddling the BLOCK_N/BLOCK_K boundaries, including the
-        // exact block sizes and one-past cases. `gemm_packed` is called
-        // directly so the tile-and-pack path is exercised even below the
-        // delegation threshold; `packed` is reused dirty across shapes.
-        let mut packed = Vec::new();
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (4, BLOCK_K, BLOCK_N),
-            (4, BLOCK_K + 1, BLOCK_N + 1),
-            (2, 300, 17),
-            (5, 17, 700),
-            (16, 144, 1024),
-        ] {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let mut c0 = fill(m * n, 3); // nonzero accumulator base
-            let mut c1 = c0.clone();
-            gemm(m, k, n, &a, &b, &mut c0);
-            gemm_packed(m, k, n, &a, &b, &mut c1, &mut packed);
-            let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{k},{n}) diverged");
-        }
-    }
-
-    #[test]
-    fn blocked_takes_packed_path_above_threshold_bitwise() {
-        // Large enough that the dispatch leaves the naive tier (historically
-        // the PACK_THRESHOLD_BYTES boundary; today the microkernel's
-        // multiply floor) — gemm_blocked must tile and still match bitwise.
+    fn blocked_takes_micro_path_above_floor_bitwise() {
+        // Large enough that the dispatch leaves the naive tier (above the
+        // microkernel's multiply floor) — gemm_blocked must tile and still
+        // match bitwise.
         let (m, k, n) = (3usize, 520usize, 520usize);
-        assert!(k * n * std::mem::size_of::<f32>() > PACK_THRESHOLD_BYTES);
+        assert_eq!(crate::ops::gemm_selected_kernel(m, k, n), "micro");
         let a = fill(m * k, 4);
         let b = fill(k * n, 5);
         let mut c0 = fill(m * n, 6);
@@ -384,46 +176,5 @@ mod tests {
         gemm_blocked(m, k, n, &a, &b, &mut c1);
         let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(same, "({m},{k},{n}) diverged");
-    }
-
-    #[test]
-    fn rows_matches_naive_bitwise_including_nan_inf() {
-        // Called directly — the dispatch heuristic never selects this
-        // kernel — so the bit-identity guarantee holds if it ever returns
-        // to the hot path. Row counts straddle the MR boundary.
-        for &(m, k, n) in &[(1usize, 7usize, 300usize), (MR, 33, 256), (MR * 2 + 3, 40, 300)] {
-            let a = fill(m * k, 11);
-            let mut b = fill(k * n, 12);
-            b[0] = f32::NAN;
-            b[n] = f32::INFINITY;
-            b[2 * n - 1] = f32::NEG_INFINITY;
-            let mut a2 = a.clone();
-            a2[k - 1] = f32::NAN;
-            a2[0] = 0.0; // 0 * Inf => NaN in row 0
-            let mut c0 = fill(m * n, 13);
-            let mut c1 = c0.clone();
-            gemm(m, k, n, &a2, &b, &mut c0);
-            gemm_rows(m, k, n, &a2, &b, &mut c1);
-            let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{k},{n}) diverged");
-        }
-    }
-
-    #[test]
-    fn packed_propagates_nan_and_inf_bitwise() {
-        let (m, k, n) = (3usize, 140usize, 300usize);
-        let mut a = fill(m * k, 9);
-        let mut b = fill(k * n, 10);
-        a[5] = f32::NAN;
-        a[135] = f32::INFINITY;
-        b[17] = f32::NEG_INFINITY;
-        b[k * n - 1] = f32::NAN;
-        let mut c0 = vec![0.0; m * n];
-        let mut c1 = vec![0.0; m * n];
-        let mut packed = Vec::new();
-        gemm(m, k, n, &a, &b, &mut c0);
-        gemm_packed(m, k, n, &a, &b, &mut c1, &mut packed);
-        let same = c0.iter().zip(&c1).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same, "NaN/Inf propagation diverged");
     }
 }

@@ -16,12 +16,13 @@
 //! - [`avg_pool2d`], [`max_pool2d`], [`global_avg_pool`],
 //! - [`add`] residual addition and [`downsample_pad_channels`]
 //!   (ResNet "option A" shortcut),
-//! - [`gemm`] and its bit-identical self-dispatching sibling
-//!   [`gemm_blocked`], the matrix multiplies underneath `im2col`
-//!   convolution, backed by the register-tiled microkernels [`gemm_micro`]
-//!   and [`gemm_row_lanes`] (lane-per-output tiling — see the
-//!   `microkernel` module docs for why that SIMD shape is the bit-exact
-//!   one).
+//! - [`gemm`], the naive reference kernel, and its bit-identical
+//!   self-dispatching sibling [`gemm_blocked`], the matrix multiplies
+//!   underneath `im2col` convolution, backed by the register-tiled
+//!   microkernels [`gemm_micro`] and [`gemm_row_lanes`] (lane-per-output
+//!   tiling — see the `microkernel` module docs for why that SIMD shape is
+//!   the bit-exact one). These feed every forward pass, including the
+//!   suffix re-execution `Model::forward_suffix` of the `sfi-nn` crate.
 
 mod activation;
 mod conv;
@@ -42,7 +43,7 @@ pub use conv::{
     FusedActivation, GemmKernel, LoweredConv, Padding,
 };
 pub use elementwise::{add, add_with, downsample_pad_channels};
-pub use gemm::{gemm, gemm_blocked, gemm_blocked_with, gemm_packed, gemm_packed_rows, gemm_rows};
+pub use gemm::{gemm, gemm_blocked, gemm_blocked_with};
 pub use linear::{linear, linear_row};
 pub use microkernel::{
     gemm_micro, gemm_row, gemm_row_lanes, gemm_selected_kernel, MR as MICRO_MR, NR as MICRO_NR,

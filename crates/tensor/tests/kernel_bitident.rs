@@ -23,9 +23,9 @@ use proptest::prelude::*;
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
     conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_from_lowered, conv2d_kernel,
-    conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_packed, gemm_packed_rows, gemm_row,
-    gemm_row_lanes, im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg,
-    ConvEpilogue, FusedActivation, GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_row, gemm_row_lanes, im2col_lower,
+    im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation,
+    GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -33,7 +33,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Blocked GEMM is bit-identical to the naive triple loop for shapes
-    /// on either side of (and crossing) the BLOCK_N/BLOCK_K boundaries,
+    /// on either side of the dispatch's naive/microkernel floor,
     /// accumulating on top of a nonzero C.
     #[test]
     fn blocked_gemm_is_bit_identical(
@@ -64,22 +64,9 @@ proptest! {
             cycled(&seed_a, k * n, 7, 3).iter().map(|v| v * 0.25 + 0.01).collect();
         let mut c_naive = vec![seed_c; m * n];
         let mut c_blocked = c_naive.clone();
-        let mut c_packed = c_naive.clone();
         gemm(m, k, n, &a, &b, &mut c_naive);
         gemm_blocked(m, k, n, &a, &b, &mut c_blocked);
         assert_bits_equal(&c_naive, &c_blocked);
-        // Below the delegation threshold gemm_blocked routes to the naive
-        // kernel, so the tile-and-pack path is exercised directly (with a
-        // dirty reused panel buffer, as the arena-backed conv calls it).
-        let mut panel = vec![f32::NAN; 7];
-        gemm_packed(m, k, n, &a, &b, &mut c_packed, &mut panel);
-        assert_bits_equal(&c_naive, &c_packed);
-        // The row-tiled packing variant (the batched-forward workhorse)
-        // must agree too, again through a dirty recycled panel.
-        let mut c_packed_rows = vec![seed_c; m * n];
-        let mut rows_panel = vec![f32::NAN; 13];
-        gemm_packed_rows(m, k, n, &a, &b, &mut c_packed_rows, &mut rows_panel);
-        assert_bits_equal(&c_naive, &c_packed_rows);
     }
 
     /// The register-tiled microkernels — the full `MR x NR` tile kernel

@@ -168,12 +168,13 @@ pub fn random_accumulated_faults(
 }
 
 /// The transient-site differential oracle: asserts that the dense patched
-/// suffix re-execution (`forward_patched_with`), the early-exit-equivalent
-/// delta pass (`forward_delta_site` at saturation 0, where every node takes
-/// the dense bit-compare path), and full sparse delta propagation all
-/// classify the injected site identically — the same predicted class, with
-/// any `Converged` outcome backed by bit-golden dense logits. Returns the
-/// predicted class of the faulty inference.
+/// suffix re-execution (`forward_suffix` with the fault's single patch),
+/// the early-exit-equivalent delta pass (`forward_delta_site` at saturation
+/// 0, where every node takes the dense bit-compare path), and full sparse
+/// delta propagation all classify the injected site identically — the same
+/// predicted class, with any `Converged` outcome backed by bit-golden dense
+/// logits. A patched `forward_suffix` must ignore the convergence switch.
+/// Returns the predicted class of the faulty inference.
 pub fn assert_site_forward_equiv(
     model: &Model,
     cache: &ActivationCache,
@@ -184,14 +185,18 @@ pub fn assert_site_forward_equiv(
     let site = fault.site;
     let golden_v = cache.get(site.node).unwrap().as_slice()[site.element];
     let faulty_bits = fault.model.apply(golden_v, site.bit).to_bits();
-    let dense = model
-        .forward_patched_with(
-            site.node,
-            cache,
-            |t| t.as_mut_slice()[site.element] = f32::from_bits(faulty_bits),
-            &mut ForwardOptions::default(),
-        )
-        .unwrap();
+    let patch = [fault.patch()];
+    let suffix = |converge| {
+        let opts = &mut ForwardOptions { converge, ..Default::default() };
+        match model.forward_suffix(None, cache, &patch, opts).unwrap() {
+            ForwardOutcome::Logits(l) => l,
+            ForwardOutcome::Converged { at_node } => {
+                panic!("{ctx}: patched suffix converged at node {at_node}")
+            }
+        }
+    };
+    let dense = suffix(false);
+    assert_bits_equal(suffix(true).as_slice(), dense.as_slice());
     let dense_pred = dense.argmax().unwrap_or(usize::MAX);
     let golden_logits = cache.get(cache.len() - 1).unwrap();
     for (name, saturation) in [("early-exit", 0.0f64), ("delta", 0.25)] {
@@ -354,12 +359,15 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
 }
 
 /// The differential forward oracle: asserts that dense incremental
-/// re-execution (`forward_from`), the golden-convergence pass
-/// (`forward_from_converging`), and sparse delta propagation
-/// (`forward_delta`, with and without a scratch arena) all observe the same
-/// faulty inference — bit-identical logits on divergence, a provably
-/// bit-golden suffix on convergence. Returns the dense logits plus the
-/// delta pass's outcome and work counters.
+/// re-execution (`forward_suffix` from `first_dirty`, which must be the
+/// faulted parameter's node) reproduces the full `Model::forward` of the
+/// faulted model bit for bit, and that the golden-convergence pass
+/// (`forward_suffix` with `converge` on) and sparse delta propagation
+/// (`forward_delta`, with and without a scratch arena) observe the same
+/// faulty inference — bit-identical logits on divergence, and on
+/// convergence dense logits that are bit-golden (so their prediction is the
+/// golden one). Returns the dense logits plus the delta pass's outcome and
+/// work counters.
 pub fn assert_forward_equiv(
     faulty: &Model,
     first_dirty: usize,
@@ -388,11 +396,22 @@ pub fn assert_forward_equiv(
         }
         _ => None,
     };
-    let dense = faulty.forward_from(first_dirty, cache).unwrap();
+    let dense = match faulty
+        .forward_suffix(Some(first_dirty), cache, &[], &mut ForwardOptions::default())
+        .unwrap()
+    {
+        ForwardOutcome::Logits(l) => l,
+        ForwardOutcome::Converged { at_node } => {
+            panic!("{ctx}: suffix without convergence check converged at node {at_node}")
+        }
+    };
+    let full = faulty.forward(cache.get(0).unwrap()).unwrap();
+    assert!(tensor_bits(&dense, &full), "{ctx}: suffix diverges from the full faulty forward");
     let lowered_pair = lowered.as_ref().map(|l| (first_dirty, l));
 
-    let mut conv_opts = ForwardOptions { lowered: lowered_pair, dirty_unit, ..Default::default() };
-    let converging = faulty.forward_from_converging(first_dirty, cache, &mut conv_opts).unwrap();
+    let mut conv_opts =
+        ForwardOptions { lowered: lowered_pair, dirty_unit, converge: true, ..Default::default() };
+    let converging = faulty.forward_suffix(Some(first_dirty), cache, &[], &mut conv_opts).unwrap();
     match &converging {
         ForwardOutcome::Logits(l) => {
             assert!(tensor_bits(l, &dense), "{ctx}: converging pass diverges from dense bits");

@@ -49,7 +49,7 @@ fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `forward_delta` is bitwise-equal to dense `forward_from` on random
+    /// `forward_delta` is bitwise-equal to dense `forward_suffix` on random
     /// small conv/bn/relu/add/pool graphs under random single-bit weight
     /// faults — with guaranteed NaN/±Inf coverage on top of uniform flips —
     /// at the default, forced-dense (0.0), and forced-sparse (1.1)

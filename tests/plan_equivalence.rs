@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use sfi::faultsim::campaign::run_any_campaign;
 use sfi::prelude::*;
 use sfi_nn::{BatchedOutcome, Model, NodeOp};
-use sfi_nn::{CompiledPlan, ForwardOptions, ForwardOutcome, ParamKind};
+use sfi_nn::{CompiledPlan, ForwardOptions, ParamKind};
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -98,8 +98,13 @@ proptest! {
 
         // The per-image reference: dense incremental re-execution, exactly
         // what the per-image campaign path computes.
-        let dense: Vec<Tensor> =
-            caches.iter().map(|c| faulty.forward_from(first_dirty, c).unwrap()).collect();
+        let dense: Vec<Tensor> = caches
+            .iter()
+            .map(|c| {
+                let opts = &mut ForwardOptions::default();
+                faulty.forward_suffix(Some(first_dirty), c, &[], opts).unwrap().into_logits(c)
+            })
+            .collect();
 
         // Batched golden im2col panels of the first dirty conv, as the
         // campaign executor would feed them from the golden reference.
@@ -185,49 +190,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    /// Routing the legacy converging forward through the compiled plan's
-    /// global last-reader table (`ForwardOptions::plan`) changes nothing:
-    /// outcome and bits match the per-call lifetime computation on random
-    /// graphs under random weight faults.
-    #[test]
-    fn plan_routed_forward_matches_legacy_on_random_graphs(
-        seed in 0u64..1_000_000,
-        param_pick in 0usize..8,
-        elem_pick in 0usize..4096,
-        bit in 0u32..32,
-    ) {
-        let model = random_small_model(seed);
-        let images = per_image_inputs(&model, 1, seed);
-        let cache = model.forward_cached(&images[0]).unwrap();
-        let plan = CompiledPlan::compile(&model, &cache).unwrap();
-
-        let weights = weight_params(&model);
-        let pid = weights[param_pick % weights.len()];
-        let len = model.store().get(pid).unwrap().tensor.len();
-        let idx = elem_pick % len;
-        let mut faulty = model.clone();
-        {
-            let slot = &mut faulty.store_mut().get_mut(pid).unwrap().tensor.as_mut_slice()[idx];
-            *slot = f32::from_bits(slot.to_bits() ^ (1u32 << bit));
-        }
-        let first_dirty = model.node_of_param(pid).unwrap();
-
-        let mut legacy_opts = ForwardOptions::default();
-        let legacy =
-            faulty.forward_from_converging(first_dirty, &cache, &mut legacy_opts).unwrap();
-        let mut plan_opts = ForwardOptions { plan: Some(&plan), ..Default::default() };
-        let routed =
-            faulty.forward_from_converging(first_dirty, &cache, &mut plan_opts).unwrap();
-        match (&legacy, &routed) {
-            (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
-                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "seed={} plan changed bits", seed);
-                }
-            }
-            (a, b) => prop_assert_eq!(a, b, "seed={} plan changed the outcome", seed),
         }
     }
 }
