@@ -1,19 +1,24 @@
 //! `kernels`: the inference fast-path benches. `gemm_kernels` compares the
 //! naive triple loop (the reference), the self-dispatching kernel, and the
 //! register-tiled microkernel on ResNet-20- and MobileNetV2-shaped im2col
-//! matrices; `campaign_fast_path` measures
+//! matrices; `depthwise_kernels` compares the scalar per-output depthwise
+//! loop (`GemmKernel::Naive`) with the plane kernel behind `conv2d` at
+//! MobileNetV2's ten depthwise shapes; `campaign_fast_path` measures
 //! the end-to-end bit-level campaign with the pre-optimisation path
 //! (naive kernels, no lowering cache) against the per-image fast path
 //! (dispatched GEMM, cached lowerings, scratch arenas) and the
 //! compiled-plan batched path (all eval images in one GEMM per node),
 //! asserting the classifications stay byte-identical. Under `cargo bench`
 //! the comparison is written to `BENCH_kernels.json` at the workspace
-//! root, including the microkernel speedup per shape, the end-to-end
-//! trajectory against the recorded PR 9 baseline, and a host fingerprint.
+//! root, including the microkernel speedup per shape, the depthwise
+//! speedup per shape, a per-op-kind breakdown of one MobileNetV2 forward
+//! pass with either depthwise kernel, the end-to-end trajectory against
+//! the recorded fast-path baseline, and a host fingerprint.
 //! With `--smoke` the binary runs a seconds-scale regression guard
 //! instead and exits non-zero if the dispatched GEMM is slower than the
 //! naive one at any shape, the microkernel is not the selected tier on
-//! the shapes it owns, or the batched campaign diverges from the
+//! the shapes it owns, the depthwise plane kernel is slower than the scalar
+//! loop at any shape, or the batched campaign diverges from the
 //! per-image one (used by CI).
 
 use std::time::{Duration, Instant};
@@ -23,13 +28,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
+use sfi_dataset::SynthCifarConfig;
 use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
-use sfi_nn::{KernelPolicy, BATCHED_HEDGE_CONVERGENT};
+use sfi_nn::mobilenet::MobileNetV2Config;
+use sfi_nn::{KernelPolicy, Model, NodeOp, BATCHED_HEDGE_CONVERGENT};
 use sfi_stats::sampling::sample_without_replacement;
-use sfi_tensor::ops::{gemm, gemm_blocked_with, gemm_micro, gemm_selected_kernel};
+use sfi_tensor::ops::{
+    self, gemm, gemm_blocked_with, gemm_micro, gemm_selected_kernel, BatchNormParams, Conv2dCfg,
+    GemmKernel,
+};
+use sfi_tensor::Tensor;
 
 /// PR 9's recorded end-to-end per-image fast path on the full-scale
 /// bit-level campaign (`fast_cached_mean_s` in that PR's
@@ -47,10 +58,10 @@ const PR9_FAST_CACHED_MEAN_S: f64 = 0.595611;
 /// where a row-blocked kernel once regressed to 0.74x and the dispatch
 /// must stay on the naive loop. The `mbv2-pw` family is MobileNetV2's
 /// 1x1 pointwise convolutions (expansion and projection, early 32x32
-/// stages through the final 1280-channel head at 4x4); `mbv2-dw` is its
-/// per-channel 3x3 depthwise GEMM, degenerate (`m = 1`, `k = 9`) and far
-/// below every blocking threshold — the dispatch must not pack there.
-const SHAPES: [(&str, usize, usize, usize); 12] = [
+/// stages through the final 1280-channel head at 4x4). MobileNetV2's
+/// depthwise convolutions never reach a GEMM (`conv2d` sends them to the
+/// depthwise kernel); they are benched in [`DEPTHWISE_SHAPES`].
+const SHAPES: [(&str, usize, usize, usize); 10] = [
     ("resnet20", 16, 144, 1024),
     ("resnet20", 16, 144, 256),
     ("resnet20", 32, 288, 256),
@@ -61,9 +72,165 @@ const SHAPES: [(&str, usize, usize, usize); 12] = [
     ("mbv2-pw", 24, 96, 1024),
     ("mbv2-pw", 192, 32, 256),
     ("mbv2-pw", 1280, 320, 16),
-    ("mbv2-dw", 1, 9, 1024),
-    ("mbv2-dw", 1, 9, 64),
 ];
+
+/// MobileNetV2's ten distinct 3x3 depthwise convolutions at CIFAR
+/// resolution (width 1.0, 32x32 input): `(channels, input plane side,
+/// stride)`, from the first 32-channel stage to the 960-channel 4x4 tail.
+const DEPTHWISE_SHAPES: [(usize, usize, usize); 10] = [
+    (32, 32, 1),
+    (96, 32, 1),
+    (144, 32, 1),
+    (144, 32, 2),
+    (192, 16, 1),
+    (192, 16, 2),
+    (384, 8, 1),
+    (576, 8, 1),
+    (576, 8, 2),
+    (960, 4, 1),
+];
+
+/// One image and a 3x3 weight for a depthwise shape, with its config.
+fn depthwise_operands(channels: usize, side: usize, stride: usize) -> (Tensor, Tensor, Conv2dCfg) {
+    let input =
+        Tensor::from_vec([1, channels, side, side], filled(channels * side * side, 3)).unwrap();
+    let weight = Tensor::from_vec([channels, 1, 3, 3], filled(channels * 9, 4)).unwrap();
+    (input, weight, Conv2dCfg::same(stride).with_groups(channels))
+}
+
+/// Minimum wall time of one depthwise convolution with `kernel`:
+/// `GemmKernel::Naive` is the scalar per-output loop, `Blocked` the plane
+/// kernel (`conv2d`). Both allocate their output the same way.
+fn depthwise_min_secs(
+    (input, weight, cfg): &(Tensor, Tensor, Conv2dCfg),
+    kernel: GemmKernel,
+    iters: usize,
+) -> f64 {
+    min_secs(
+        || {
+            ops::conv2d_kernel(input, weight, None, *cfg, kernel).unwrap();
+        },
+        iters,
+    )
+}
+
+/// Op kinds of the per-op forward breakdown, in report order.
+const OP_KINDS: [&str; 6] = ["depthwise", "conv_gemm", "batch_norm", "relu6", "add", "other"];
+
+/// One forward pass of `model`, node by node, through the public `ops`
+/// calls `Model::forward` makes — with `depthwise` as the depthwise
+/// kernel. Returns each node's [`OP_KINDS`] index and seconds (the input
+/// node reads 0), and the logits.
+fn forward_by_node(
+    model: &Model,
+    input: &Tensor,
+    depthwise: GemmKernel,
+) -> (Vec<(usize, f64)>, Tensor) {
+    let param = |p| &model.store().get(p).expect("model parameter").tensor;
+    let mut vals: Vec<Tensor> = vec![input.clone()];
+    let mut times = vec![(OP_KINDS.len() - 1, 0.0)];
+    for node in &model.nodes()[1..] {
+        let x = |i: usize| &vals[node.inputs[i]];
+        let start = Instant::now();
+        let (kind, out) = match &node.op {
+            NodeOp::Conv { weight, bias, cfg } => {
+                let (w, b) = (param(*weight), bias.map(param));
+                if ops::conv2d_uses_lowering(x(0), w, *cfg) {
+                    (1, ops::conv2d(x(0), w, b, *cfg).unwrap())
+                } else {
+                    (0, ops::conv2d_kernel(x(0), w, b, *cfg, depthwise).unwrap())
+                }
+            }
+            NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
+                let params = BatchNormParams {
+                    gamma: param(*gamma),
+                    beta: param(*beta),
+                    mean: param(*mean),
+                    var: param(*var),
+                    eps: *eps,
+                };
+                (2, ops::batch_norm(x(0), &params).unwrap())
+            }
+            NodeOp::Relu6 => (3, ops::relu6(x(0))),
+            NodeOp::Add => (4, ops::add(x(0), x(1)).unwrap()),
+            NodeOp::GlobalAvgPool => (5, ops::global_avg_pool(x(0)).unwrap()),
+            NodeOp::Linear { weight, bias } => {
+                (5, ops::linear(x(0), param(*weight), bias.map(param)).unwrap())
+            }
+            op => panic!("no MobileNetV2 node is a {op:?}"),
+        };
+        times.push((kind, start.elapsed().as_secs_f64()));
+        vals.push(out);
+    }
+    (times, vals.pop().expect("the model has nodes"))
+}
+
+/// The `mbv2_forward_by_op` table: one MobileNetV2 (width 1.0, 32x32)
+/// forward pass per op kind, with the scalar depthwise loop ("before")
+/// and the plane kernel ("after"), as JSON, plus `Model::forward`'s own
+/// minimum for comparison with the per-node sums. Each node's time is its
+/// minimum over interleaved rounds of both walks; both walks must return
+/// `Model::forward`'s logits bit for bit.
+fn mbv2_forward_by_op_json() -> String {
+    const ROUNDS: usize = 7;
+    let model = MobileNetV2Config::cifar().build_seeded(42).expect("valid config");
+    let data = SynthCifarConfig::new().with_samples(1).generate();
+    let input = data.image(0);
+    let forward = model.forward(input).unwrap();
+    let mut sides = [(GemmKernel::Naive, Vec::new()), (GemmKernel::Blocked, Vec::new())];
+    for _ in 0..ROUNDS {
+        for (kernel, best) in &mut sides {
+            let (times, logits) = forward_by_node(&model, input, *kernel);
+            assert!(logits.bits_equal(&forward), "the {kernel:?} walk changed the logits");
+            if best.is_empty() {
+                *best = times;
+            } else {
+                for (b, (_, secs)) in best.iter_mut().zip(times) {
+                    b.1 = b.1.min(secs);
+                }
+            }
+        }
+    }
+    let forward_s = min_secs(
+        || {
+            model.forward(input).unwrap();
+        },
+        ROUNDS,
+    );
+    let [before, after] = sides.map(|(_, best)| {
+        let mut by_kind = [0.0; OP_KINDS.len()];
+        for (kind, secs) in best {
+            by_kind[kind] += secs;
+        }
+        by_kind
+    });
+    let (total_before, total_after) = (before.iter().sum::<f64>(), after.iter().sum::<f64>());
+    let rows: Vec<String> = OP_KINDS
+        .iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            format!(
+                "      {{\"op\": \"{kind}\", \"before_ms\": {:.3}, \"before_share\": {:.3}, \
+                 \"after_ms\": {:.3}, \"after_share\": {:.3}}}",
+                before[i] * 1e3,
+                before[i] / total_before,
+                after[i] * 1e3,
+                after[i] / total_after
+            )
+        })
+        .collect();
+    format!(
+        "{{\n    \"workload\": \"MobileNetV2 (width 1.0, 32x32), one image; per-node minimum \
+         of {ROUNDS} interleaved passes, summed per op kind; before = scalar depthwise loop, \
+         after = plane kernel\",\n    \"model_forward_min_ms\": {:.3},\n    \
+         \"before_total_ms\": {:.3},\n    \"after_total_ms\": {:.3},\n    \"ops\": \
+         [\n{}\n    ]\n  }}",
+        forward_s * 1e3,
+        total_before * 1e3,
+        total_after * 1e3,
+        rows.join(",\n")
+    )
+}
 
 /// Deterministic operand fill; no special values — throughput only, the
 /// bit-identity suite covers NaN/Inf.
@@ -128,6 +295,21 @@ fn bench_gemm(c: &mut Criterion) {
                 out
             })
         });
+    }
+    g.finish();
+}
+
+fn bench_depthwise(c: &mut Criterion) {
+    let mut g = c.benchmark_group("depthwise_kernels");
+    g.sample_size(10).measurement_time(Duration::from_secs(2));
+    for &(channels, side, stride) in &DEPTHWISE_SHAPES {
+        let (input, weight, cfg) = depthwise_operands(channels, side, stride);
+        let shape = format!("{channels}@{side}s{stride}");
+        for (name, kernel) in [("scalar", GemmKernel::Naive), ("plane", GemmKernel::Blocked)] {
+            g.bench_function(BenchmarkId::new(name, &shape), |b| {
+                b.iter(|| ops::conv2d_kernel(&input, &weight, None, cfg, kernel).unwrap())
+            });
+        }
     }
     g.finish();
 }
@@ -284,6 +466,23 @@ fn emit_bench_json() {
     let micro_meets_1_4x =
         largest_micro_speedups.len() == 2 && largest_micro_speedups.iter().all(|&s| s >= 1.4);
 
+    // Depthwise rows: the same interleaved-rounds minimum discipline.
+    let mut depthwise_entries = Vec::new();
+    for &(channels, side, stride) in &DEPTHWISE_SHAPES {
+        let operands = depthwise_operands(channels, side, stride);
+        let (mut scalar, mut plane) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..GEMM_ROUNDS {
+            scalar = scalar.min(depthwise_min_secs(&operands, GemmKernel::Naive, GEMM_ITERS));
+            plane = plane.min(depthwise_min_secs(&operands, GemmKernel::Blocked, GEMM_ITERS));
+        }
+        depthwise_entries.push(format!(
+            "    {{\"channels\": {channels}, \"plane\": \"{side}x{side}\", \"stride\": {stride}, \
+             \"scalar_min_s\": {scalar:.9}, \"plane_min_s\": {plane:.9}, \"speedup\": {:.3}}}",
+            scalar / plane
+        ));
+    }
+    let by_op = mbv2_forward_by_op_json();
+
     let baseline = run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
     let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
     let batched = run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
@@ -328,7 +527,8 @@ fn emit_bench_json() {
          scale), bit-level plan over all 20 layers x 32 bits, {} faults, {} eval images\",\n  \
          \"gemm_iters_per_point\": {GEMM_ITERS},\n  \"campaign_iters_per_point\": \
          {CAMPAIGN_ITERS},\n  \"gemm\": [\n{}\n  ],\n  \"micro_meets_1_4x_on_two_largest\": \
-         {micro_meets_1_4x},\n  \"campaign\": {{\n    \"naive_uncached_mean_s\": {naive_s:.6},\n    \
+         {micro_meets_1_4x},\n  \"depthwise\": [\n{}\n  ],\n  \"mbv2_forward_by_op\": {by_op},\n  \
+         \"campaign\": {{\n    \"naive_uncached_mean_s\": {naive_s:.6},\n    \
          \"fast_cached_mean_s\": {fast_s:.6},\n    \"batched_plan_mean_s\": {batched_s:.6},\n    \
          \"speedup\": {speedup:.3},\n    \"batched_vs_fast_speedup\": {batched_vs_fast:.3},\n    \
          \"batched_total_speedup\": {batched_total:.3},\n    \"pr9_fast_cached_mean_s\": \
@@ -341,6 +541,7 @@ fn emit_bench_json() {
         faults.len(),
         data.len(),
         gemm_entries.join(",\n"),
+        depthwise_entries.join(",\n"),
         e2e_vs_pr9 >= 1.3,
         speedup >= 1.5,
         batched_total >= 2.0,
@@ -354,9 +555,11 @@ fn emit_bench_json() {
 /// CI regression guard: a few iterations of each kernel at every shape,
 /// failing the process if the dispatched GEMM is slower than the naive one
 /// at *any* shape (10% tolerance for machine noise) — the dispatch
-/// heuristic must never pick a losing kernel — plus a smoke-scale
-/// campaign asserting the compiled-plan batched path classifies
-/// identically to the per-image fast path and recording its speedup.
+/// heuristic must never pick a losing kernel — or the depthwise plane
+/// kernel is slower than the scalar loop at any depthwise shape, plus a
+/// smoke-scale campaign asserting the compiled-plan batched path
+/// classifies identically to the per-image fast path and recording its
+/// speedup.
 fn smoke() -> i32 {
     // 15 iterations (after the warm-up run inside `mean_secs`) keeps the
     // guard under a second while averaging out the page-fault noise a
@@ -418,6 +621,36 @@ fn smoke() -> i32 {
         if m >= 2 && selected != "micro" {
             eprintln!(
                 "FAIL: microkernel not selected at {family}/{m}x{k}x{n} (got \"{selected}\")"
+            );
+            status = 1;
+        }
+    }
+
+    // Depthwise gate: the plane kernel must not lose to the scalar loop at
+    // any MobileNetV2 depthwise shape (10% tolerance, one re-measure).
+    for &(channels, side, stride) in &DEPTHWISE_SHAPES {
+        let operands = depthwise_operands(channels, side, stride);
+        let measure = || {
+            (
+                depthwise_min_secs(&operands, GemmKernel::Naive, ITERS),
+                depthwise_min_secs(&operands, GemmKernel::Blocked, ITERS),
+            )
+        };
+        let (mut scalar, mut plane) = measure();
+        if plane > scalar * 1.10 {
+            (scalar, plane) = measure();
+        }
+        println!(
+            "smoke depthwise {channels}@{side}x{side} s{stride}: scalar {:.1}us plane {:.1}us \
+             (speedup {:.2}x)",
+            scalar * 1e6,
+            plane * 1e6,
+            scalar / plane
+        );
+        if plane > scalar * 1.10 {
+            eprintln!(
+                "FAIL: depthwise plane kernel slower than the scalar loop at \
+                 {channels}@{side}x{side} s{stride}: {plane:.6}s vs {scalar:.6}s"
             );
             status = 1;
         }
@@ -513,6 +746,7 @@ fn main() {
     }
     let mut c = Criterion::default();
     bench_gemm(&mut c);
+    bench_depthwise(&mut c);
     bench_campaign_fast_path(&mut c);
     // Machine-readable comparison (full bench runs only, so `cargo test`
     // smoke runs stay read-only).

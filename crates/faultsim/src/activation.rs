@@ -332,9 +332,11 @@ impl ActivationCampaignResult {
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty golden reference,
-/// [`FaultSimError::InvalidFault`] for a site outside the model/dataset
-/// (image, node, element or bit), or the first inference failure — empty
-/// logits included, which leave no top-1 to compare.
+/// [`FaultSimError::EvalSetMismatch`] for one built for a different number
+/// of images than `data` holds, [`FaultSimError::InvalidFault`] for a site
+/// outside the model/dataset (image, node, element or bit), or the first
+/// inference failure — empty logits included, which leave no top-1 to
+/// compare.
 ///
 /// # Example
 ///
@@ -361,9 +363,7 @@ pub fn run_activation_campaign(
     golden: &GoldenReference,
     faults: &[ActivationFault],
 ) -> Result<ActivationCampaignResult, FaultSimError> {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let mut critical = Vec::with_capacity(faults.len());
     let mut inferences = 0u64;
     for fault in faults {

@@ -276,9 +276,10 @@ impl CampaignResult {
 ///
 /// # Errors
 ///
-/// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset, an
-/// injection error for a fault that does not fit the model, or the first
-/// inference failure.
+/// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset,
+/// [`FaultSimError::EvalSetMismatch`] for a golden reference built for a
+/// different number of images, an injection error for a fault that does
+/// not fit the model, or the first inference failure.
 ///
 /// # Example
 ///
@@ -374,9 +375,7 @@ pub fn run_campaign_static<C: Corruption>(
     cfg: &CampaignConfig,
     corruption: &C,
 ) -> Result<CampaignResult, FaultSimError> {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let start = Instant::now();
     let hits0 = golden.lowering_hits();
     let misses0 = golden.lowering_misses();

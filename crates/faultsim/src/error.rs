@@ -23,6 +23,14 @@ pub enum FaultSimError {
     },
     /// The campaign was given no evaluation images.
     EmptyEvalSet,
+    /// The golden reference was built for a different evaluation set: its
+    /// image count differs from the dataset's.
+    EvalSetMismatch {
+        /// Images in the golden reference.
+        golden: usize,
+        /// Images in the evaluation dataset.
+        data: usize,
+    },
     /// One or more pool workers died without reporting their claimed
     /// faults (a non-unwinding death; panics are isolated and retried).
     WorkerLost {
@@ -66,6 +74,10 @@ impl fmt::Display for FaultSimError {
                 write!(f, "fault index {index} out of range for subpopulation of size {size}")
             }
             FaultSimError::EmptyEvalSet => write!(f, "evaluation set must not be empty"),
+            FaultSimError::EvalSetMismatch { golden, data } => write!(
+                f,
+                "golden reference covers {golden} image(s) but the evaluation set has {data}"
+            ),
             FaultSimError::WorkerLost { missing } => {
                 write!(f, "campaign workers died with {missing} fault report(s) outstanding")
             }

@@ -378,7 +378,9 @@ struct SessionStats {
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset or golden
-/// reference; otherwise whatever `f` returns.
+/// reference, [`FaultSimError::EvalSetMismatch`] for a golden reference
+/// built for a different number of images; otherwise whatever `f`
+/// returns.
 pub fn with_executor<C, R, F>(
     model: &Model,
     data: &Dataset,
@@ -415,9 +417,7 @@ where
     C: Corruption,
     F: FnOnce(&mut CampaignExecutor<'_, C>) -> Result<R, FaultSimError>,
 {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let workers = cfg.workers.max(1);
     let stats = Arc::new(SessionStats::default());
     if workers == 1 {
@@ -1587,7 +1587,7 @@ fn worker_loop<C: Corruption>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, Ieee754Corruption};
+    use crate::campaign::{run_campaign, run_campaign_static, Ieee754Corruption};
     use crate::fault::{FaultModel, FaultSite};
     use sfi_dataset::SynthCifarConfig;
     use sfi_nn::resnet::ResNetConfig;
@@ -1790,6 +1790,42 @@ mod tests {
             |exec| exec.run(&[]),
         );
         assert!(matches!(out, Err(FaultSimError::EmptyEvalSet)));
+    }
+
+    /// Runs `faults` against a golden reference built for `golden_images`
+    /// of the four setup images while the dataset holds `data_images` of
+    /// them, through the pooled executor (inline and 2 workers, per-image
+    /// and batched engines) and the static-shard runner: each must refuse
+    /// the mismatched pair up front.
+    fn assert_eval_set_mismatch_rejected(golden_images: usize, data_images: usize) {
+        let (model, data, _) = setup();
+        let golden = GoldenReference::build(&model, &data.truncated(golden_images)).unwrap();
+        let data = data.truncated(data_images);
+        let faults = mixed_faults(&model, 6);
+        let expected = FaultSimError::EvalSetMismatch { golden: golden_images, data: data_images };
+        for workers in [1, 2] {
+            for batched in [false, true] {
+                let cfg = CampaignConfig { workers, batched, ..CampaignConfig::default() };
+                let pooled =
+                    with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+                        exec.run(&faults)
+                    });
+                assert_eq!(pooled.err(), Some(expected.clone()), "workers {workers}");
+                let sharded =
+                    run_campaign_static(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption);
+                assert_eq!(sharded.err(), Some(expected.clone()), "static, workers {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_golden_built_for_fewer_images() {
+        assert_eval_set_mismatch_rejected(2, 4);
+    }
+
+    #[test]
+    fn rejects_golden_built_for_more_images() {
+        assert_eval_set_mismatch_rejected(4, 2);
     }
 
     #[test]

@@ -260,6 +260,23 @@ impl GoldenReference {
         self.predictions.len()
     }
 
+    /// Checks that this reference was built for `data`: both non-empty,
+    /// with one image count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultSimError::EmptyEvalSet`] when either is empty, or
+    /// [`FaultSimError::EvalSetMismatch`] when their image counts differ.
+    pub(crate) fn check_eval_set(&self, data: &Dataset) -> Result<(), FaultSimError> {
+        if data.is_empty() || self.len() == 0 {
+            return Err(FaultSimError::EmptyEvalSet);
+        }
+        if self.len() != data.len() {
+            return Err(FaultSimError::EvalSetMismatch { golden: self.len(), data: data.len() });
+        }
+        Ok(())
+    }
+
     /// Golden top-1 prediction of image `idx`.
     ///
     /// # Panics

@@ -103,8 +103,9 @@ impl DetailedResult {
 ///
 /// # Errors
 ///
-/// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset, or the
-/// first injection/inference failure.
+/// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset,
+/// [`FaultSimError::EvalSetMismatch`] for a golden reference built for a
+/// different number of images, or the first injection/inference failure.
 ///
 /// # Example
 ///
@@ -152,9 +153,7 @@ pub fn run_campaign_detailed_with<C: Corruption>(
     incremental: bool,
     corruption: &C,
 ) -> Result<DetailedResult, FaultSimError> {
-    if data.is_empty() || golden.len() == 0 {
-        return Err(FaultSimError::EmptyEvalSet);
-    }
+    golden.check_eval_set(data)?;
     let start = Instant::now();
     let mut worker = model.clone();
     let mut classes = Vec::with_capacity(faults.len());

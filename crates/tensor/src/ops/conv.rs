@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use crate::{ScratchArena, Shape, Tensor, TensorError};
 
 use super::gemm::{gemm, gemm_blocked_with};
@@ -226,7 +228,7 @@ pub fn conv2d_kernel(
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
     if dims.is_depthwise(cfg) {
-        Ok(depthwise(input, weight, bias, cfg, &dims))
+        Ok(depthwise(input, weight, bias, cfg, &dims, kernel, None))
     } else {
         Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None))
     }
@@ -249,7 +251,7 @@ pub fn conv2d_with(
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
     if dims.is_depthwise(cfg) {
-        Ok(depthwise(input, weight, bias, cfg, &dims))
+        Ok(depthwise(input, weight, bias, cfg, &dims, GemmKernel::Blocked, Some(arena)))
     } else {
         Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Blocked, Some(arena)))
     }
@@ -1119,7 +1121,194 @@ fn im2col_conv(
         .expect("output length follows from conv dims")
 }
 
+/// Depthwise convolution (`groups == C_in == C_out`): the scalar reference
+/// loop for [`GemmKernel::Naive`], the plane kernel otherwise.
 fn depthwise(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    d: &ConvDims,
+    kernel: GemmKernel,
+    arena: Option<&mut ScratchArena>,
+) -> Tensor {
+    if kernel == GemmKernel::Naive {
+        return depthwise_scalar(input, weight, bias, cfg, d);
+    }
+    let out_len = d.batch * d.c_out * d.h_out * d.w_out;
+    let mut out_data = match arena {
+        Some(a) => a.take_zeroed(out_len),
+        None => vec![0.0f32; out_len],
+    };
+    depthwise_planes(
+        input.as_slice(),
+        weight.as_slice(),
+        bias.map(Tensor::as_slice),
+        cfg.stride,
+        d,
+        &mut out_data,
+    );
+    Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out_data)
+        .expect("output length follows from conv dims")
+}
+
+/// The output positions `[lo, hi)` along one axis at which kernel tap `k`
+/// lands inside the input: `0 <= o * stride + k - pad < len_in`, clamped to
+/// `len_out`. The span is empty (`lo == hi`) when the tap never does.
+fn tap_span(k: usize, pad: usize, stride: usize, len_in: usize, len_out: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = (len_in + pad).saturating_sub(k).div_ceil(stride).min(len_out);
+    (lo.min(hi), hi)
+}
+
+/// One kernel tap of [`depthwise_planes`], resolved against its grid.
+struct PlaneTap {
+    /// The tap's index within the channel's `k_h * k_w` weights.
+    weight: usize,
+    /// The output-grid positions the tap updates: the rows it lands in,
+    /// clipped to where its constant-offset read stays inside the phase
+    /// plane (every position clipped away is one it does not land on).
+    dst: Range<usize>,
+    /// Phase-buffer index read for `dst.start`.
+    src: usize,
+    /// Start of the tap's column mask in the mask table, for taps that miss
+    /// some output columns; `None` when the tap lands in every column.
+    mask: Option<usize>,
+}
+
+/// The depthwise fast kernel: bit-identical to [`depthwise_scalar`].
+///
+/// Per `(image, channel)`, the input plane is split into `stride²` phase
+/// planes (`x[a * stride + rh][b * stride + rw]` at grid position
+/// `(a, b)` of phase `(rh, rw)`) laid out with the output's row stride,
+/// so that each tap reads every output position's input at one constant
+/// offset. At stride 1 with `w_in == w_out` the channel is its own phase
+/// plane and nothing is copied. Each valid tap, in increasing `(kh, kw)`
+/// order, then adds `x * w` over the single contiguous run of positions
+/// in the rows it lands in, keeping the previous value bit for bit where
+/// its column falls outside the input; `base` is added once at the end.
+/// Every output element therefore sees the scalar loop's exact chain —
+/// the same products, taps that miss it skipped rather than multiplied as
+/// padding zeros, in the same order, then one `+ base` — while each run
+/// autovectorises and no tap pays a per-element bounds test.
+///
+/// When a phase plane needs more columns than the output has
+/// (`w_in.div_ceil(stride) > w_out`, as with explicit padding below
+/// `(k - 1) / 2`), the channel is computed on a grid of that width and its
+/// rows compacted into `out`.
+///
+/// `out` must be zeroed. `#[inline(never)]` keeps one compiled copy behind
+/// every caller ([`conv2d`] and [`conv2d_with`]), for the NaN-payload
+/// reason given on [`gemm`](super::gemm): a chain's surviving payload may
+/// depend on the operand order the compiler picked for each inlined copy.
+#[inline(never)]
+fn depthwise_planes(
+    input: &[f32],
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    stride: usize,
+    d: &ConvDims,
+    out: &mut [f32],
+) {
+    let (plane_in, plane_out, k_taps) = (d.h_in * d.w_in, d.h_out * d.w_out, d.k_h * d.k_w);
+    let grid_w = d.w_out.max(d.w_in.div_ceil(stride));
+    let in_place = stride == 1 && d.w_in == grid_w;
+    let phase_len = if in_place { plane_in } else { d.h_out.max(d.h_in.div_ceil(stride)) * grid_w };
+    let grid_len = d.h_out * grid_w;
+    let direct = grid_w == d.w_out;
+    let cols: Vec<(usize, usize)> =
+        (0..d.k_w).map(|kw| tap_span(kw, d.pad, stride, d.w_in, d.w_out)).collect();
+    let masks: Vec<u32> = cols
+        .iter()
+        .flat_map(|&(lo, hi)| {
+            (0..grid_len).map(move |i| if (lo..hi).contains(&(i % grid_w)) { !0 } else { 0 })
+        })
+        .collect();
+    let (s, pad) = (stride as isize, d.pad as isize);
+    let mut taps = Vec::with_capacity(k_taps);
+    for kh in 0..d.k_h {
+        let (row_lo, row_hi) = tap_span(kh, d.pad, stride, d.h_in, d.h_out);
+        let qh = kh as isize - pad;
+        for (kw, &(lo, hi)) in cols.iter().enumerate() {
+            let qw = kw as isize - pad;
+            let shift = qh.div_euclid(s) * grid_w as isize + qw.div_euclid(s);
+            let start = ((row_lo * grid_w) as isize).max(-shift);
+            let end = ((row_hi * grid_w) as isize).min(phase_len as isize - shift);
+            if lo == hi || start >= end {
+                continue;
+            }
+            let phase = (qh.rem_euclid(s) * s + qw.rem_euclid(s)) * phase_len as isize;
+            taps.push(PlaneTap {
+                weight: kh * d.k_w + kw,
+                dst: start as usize..end as usize,
+                src: (phase + start + shift) as usize,
+                mask: (lo > 0 || hi < d.w_out).then_some(kw * grid_len + start as usize),
+            });
+        }
+    }
+    let mut phases = if in_place { Vec::new() } else { vec![0.0f32; stride * stride * phase_len] };
+    let mut grid = if direct { Vec::new() } else { vec![0.0f32; grid_len] };
+    for n in 0..d.batch {
+        for c in 0..d.c_in {
+            let x = &input[(n * d.c_in + c) * plane_in..][..plane_in];
+            let src: &[f32] = if in_place {
+                x
+            } else {
+                for (ih, x_row) in x.chunks_exact(d.w_in).enumerate() {
+                    let (a, rh) = (ih / stride, ih % stride);
+                    for rw in 0..stride {
+                        let ph = &mut phases[(rh * stride + rw) * phase_len + a * grid_w..];
+                        for (v, &xv) in ph.iter_mut().zip(x_row.iter().skip(rw).step_by(stride)) {
+                            *v = xv;
+                        }
+                    }
+                }
+                &phases
+            };
+            let w = &weight[c * k_taps..][..k_taps];
+            let y_at = (n * d.c_out + c) * plane_out;
+            let acc: &mut [f32] = if direct {
+                &mut out[y_at..][..plane_out]
+            } else {
+                grid.fill(0.0);
+                &mut grid
+            };
+            for tap in &taps {
+                let run = &mut acc[tap.dst.clone()];
+                let xs = &src[tap.src..][..run.len()];
+                let wv = w[tap.weight];
+                match tap.mask {
+                    None => {
+                        for (o, &xv) in run.iter_mut().zip(xs) {
+                            *o += xv * wv;
+                        }
+                    }
+                    Some(m) => {
+                        for ((o, &xv), &keep) in run.iter_mut().zip(xs).zip(&masks[m..]) {
+                            let v = *o + xv * wv;
+                            // Bitwise select: `keep` is all ones or all zeros.
+                            *o = f32::from_bits((v.to_bits() & keep) | (o.to_bits() & !keep));
+                        }
+                    }
+                }
+            }
+            let y = &mut out[y_at..][..plane_out];
+            if !direct {
+                for (row, g) in y.chunks_exact_mut(d.w_out).zip(grid.chunks_exact(grid_w)) {
+                    row.copy_from_slice(&g[..d.w_out]);
+                }
+            }
+            let base = bias.map_or(0.0, |b| b[c]);
+            for o in y {
+                *o += base;
+            }
+        }
+    }
+}
+
+/// The scalar reference depthwise loop behind [`GemmKernel::Naive`]: one
+/// output element at a time, each tap bounds-tested.
+fn depthwise_scalar(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,

@@ -7,11 +7,13 @@
 //! kernels — including NaN payloads and signed infinities, which the
 //! fault-injection campaigns rely on for stable classifications.
 //!
-//! (`conv2d_direct` is deliberately absent here: it skips out-of-bounds
-//! taps instead of multiplying explicit padding zeros, which is only
-//! value-identical — not bit-identical — once NaN/Inf weights meet padded
-//! borders. The im2col family is the campaign path and must agree with
-//! itself exactly.)
+//! (`conv2d_direct` is deliberately absent from the im2col tests: it skips
+//! out-of-bounds taps instead of multiplying explicit padding zeros, which
+//! is only value-identical — not bit-identical — once NaN/Inf weights meet
+//! padded borders. The im2col family is the campaign path and must agree
+//! with itself exactly. Depthwise convolutions never lower and skip
+//! padded taps on every path, so there `conv2d_direct` is a bitwise
+//! oracle too.)
 
 #[path = "../../../tests/common/fixtures.rs"]
 mod fixtures;
@@ -22,10 +24,10 @@ use proptest::prelude::*;
 
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
-    conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_from_lowered, conv2d_kernel,
-    conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_row, gemm_row_lanes, im2col_lower,
-    im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation,
-    GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_direct, conv2d_from_lowered,
+    conv2d_kernel, conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_row, gemm_row_lanes,
+    im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue,
+    FusedActivation, GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -319,6 +321,94 @@ proptest! {
                 conv2d_channel_batched(&blowered, &weight, bias, channel, Some(&mut arena))
                     .unwrap();
             assert_bits_equal(&per_image_channel, &probe);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The depthwise plane kernel behind `conv2d` and `conv2d_with` is
+    /// bit-identical to the scalar per-output loop (`GemmKernel::Naive`)
+    /// and to `conv2d_direct`: strides 1-3, kernels 1/2/3/5, `Same` and
+    /// explicit pads up to the kernel size (with taps that land nowhere),
+    /// planes from 1x1 to 12x12, batches of 1-3, with and without bias, through a NaN-dirtied arena buffer smaller or larger
+    /// than the output, with fault-like specials in input and weights.
+    #[test]
+    fn depthwise_plane_kernel_is_bit_identical(
+        batch in 1usize..4,
+        channels in 1usize..5,
+        h in 1usize..13,
+        w in 1usize..13,
+        kernel_pick in 0usize..4,
+        stride in 1usize..4,
+        pad_pick in 0usize..7,
+        values in vec(fault_like_f32(), 4..12),
+        with_bias in any::<bool>(),
+        dirty_oversized in any::<bool>(),
+        nan_mode in any::<bool>(),
+    ) {
+        // One NaN payload family per case, as in the tests above, and
+        // strictly so: in the literal-NaN family the overflowing
+        // `3.4e38` is replaced too, since its products overflow to
+        // infinities whose collisions make the other family's indefinite
+        // NaN. Across two payload families only value semantics hold (see
+        // the bit-identity notes on `gemm`), and the plane kernel's
+        // vectorised adds may keep the other payload than the scalar loop.
+        let values: Vec<f32> = values
+            .iter()
+            .map(|&v| match (nan_mode, v.is_nan(), v.is_finite()) {
+                (true, false, false) => f32::NAN,
+                (true, false, true) if v.abs() > 1.0e30 => 1.5,
+                (false, true, _) => f32::INFINITY,
+                _ => v,
+            })
+            .collect();
+        let kernel = [1, 2, 3, 5][kernel_pick];
+        // `pad_pick` 0 is `Same`; otherwise an explicit pad in 0..=kernel.
+        let padding = match pad_pick {
+            0 => Padding::Same,
+            p => Padding::Explicit((p - 1).min(kernel)),
+        };
+        let pad = match padding {
+            Padding::Same => (kernel - 1) / 2,
+            Padding::Explicit(p) => p,
+        };
+        // A kernel larger than the padded plane is rejected by validation
+        // on every path alike; grow such planes to the smallest valid one.
+        let (h, w) = (h.max(kernel.saturating_sub(2 * pad)), w.max(kernel.saturating_sub(2 * pad)));
+        let cfg = Conv2dCfg { stride, padding, groups: channels };
+        let input = Tensor::from_vec(
+            [batch, channels, h, w],
+            cycled(&values, batch * channels * h * w, 1, 0),
+        )
+        .unwrap();
+        let weight = Tensor::from_vec(
+            [channels, 1, kernel, kernel],
+            cycled(&values, channels * kernel * kernel, 5, 1),
+        )
+        .unwrap();
+        let bias_t = Tensor::from_vec([channels], cycled(&values, channels, 3, 2)).unwrap();
+        let bias = with_bias.then_some(&bias_t);
+
+        let scalar = conv2d_kernel(&input, &weight, bias, cfg, GemmKernel::Naive).unwrap();
+        let direct = conv2d_direct(&input, &weight, bias, cfg).unwrap();
+        assert_bits_equal(scalar.as_slice(), direct.as_slice());
+        let rows = conv2d(&input, &weight, bias, cfg).unwrap();
+        assert_bits_equal(scalar.as_slice(), rows.as_slice());
+
+        let mut arena = ScratchArena::new();
+        let out_len = scalar.len();
+        let dirty_len = if dirty_oversized { 2 * out_len + 7 } else { out_len.div_ceil(2) };
+        arena.recycle(vec![f32::NAN; dirty_len]);
+        // Two rounds; the second also consumes the first round's output,
+        // dirtied, so the plane kernel must not rely on fresh memory.
+        for _ in 0..2 {
+            let with_arena = conv2d_with(&input, &weight, bias, cfg, &mut arena).unwrap();
+            assert_bits_equal(scalar.as_slice(), with_arena.as_slice());
+            let mut spent = with_arena.into_vec();
+            spent.fill(f32::NAN);
+            arena.recycle(spent);
         }
     }
 }

@@ -20,7 +20,7 @@ use fixtures::{
 use proptest::prelude::*;
 use sfi::faultsim::campaign::run_any_campaign;
 use sfi::prelude::*;
-use sfi_nn::{BatchedOutcome, Model, NodeOp};
+use sfi_nn::{BatchedOutcome, KernelPolicy, Model, NodeOp};
 use sfi_nn::{CompiledPlan, ForwardOptions, ParamKind};
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
@@ -292,6 +292,54 @@ proptest! {
                     "{} workers={}", name, workers
                 );
             }
+        }
+    }
+}
+
+/// The depthwise fast kernel is invisible at model level. On MobileNetV2,
+/// whose depthwise convolutions run from 16x16 down to 2x2 planes at
+/// strides 1 and 2, a forward pass under `KernelPolicy::Fast` (without and
+/// with a reused arena) is bit-identical to `KernelPolicy::Naive`, whose
+/// convs run the scalar per-output depthwise loop; and a weight campaign
+/// classifies identically under both policies, in classes and inference
+/// counts, at workers 1 and 4.
+#[test]
+fn depthwise_kernel_is_invisible_on_mobilenet() {
+    let model = MobileNetV2Config::cifar_micro().build_seeded(5).unwrap();
+    let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
+    let mut arena = ScratchArena::new();
+    for img in 0..data.len() {
+        let x = data.image(img);
+        let naive = model
+            .forward_with(
+                x,
+                &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() },
+            )
+            .unwrap();
+        let fast = model.forward_with(x, &mut ForwardOptions::default()).unwrap();
+        assert!(naive.bits_equal(&fast), "image {img}: fast forward diverged");
+        for round in 0..2 {
+            let with_arena = model
+                .forward_with(
+                    x,
+                    &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() },
+                )
+                .unwrap();
+            assert!(naive.bits_equal(&with_arena), "image {img}: arena round {round} diverged");
+        }
+    }
+
+    let lowered = golden.clone().with_lowering(&model).unwrap();
+    let faults = random_faults(&FaultSpace::stuck_at(&model), 11, 32);
+    let naive_cfg =
+        CampaignConfig { kernel: KernelPolicy::Naive, workers: 1, ..Default::default() };
+    let reference = run_campaign(&model, &data, &golden, &faults, &naive_cfg).unwrap();
+    for workers in [1usize, 4] {
+        for (kernel, golden) in [(KernelPolicy::Naive, &golden), (KernelPolicy::Fast, &lowered)] {
+            let cfg = CampaignConfig { kernel, workers, ..Default::default() };
+            let res = run_campaign(&model, &data, golden, &faults, &cfg).unwrap();
+            assert_eq!(res.classes, reference.classes, "{kernel:?} workers={workers}");
+            assert_eq!(res.inferences, reference.inferences, "{kernel:?} workers={workers}");
         }
     }
 }
