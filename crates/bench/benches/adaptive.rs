@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use sfi_bench::{resnet20_setup, Scale};
 use sfi_core::adaptive::{run_adaptive, AdaptiveConfig};
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::Campaign;
 use sfi_core::plan::plan_layer_wise;
 use sfi_faultsim::campaign::CampaignConfig;
 use sfi_faultsim::golden::GoldenReference;
@@ -28,7 +28,13 @@ fn bench_adaptive_vs_fixed(c: &mut Criterion) {
     let spec = SampleSpec { error_margin: target, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec).restricted_to_layer(13, &space);
     g.bench_function("fixed_eq1_layer13", |b| {
-        b.iter(|| execute_plan(model, data, &golden, &plan, 5, &cfg).unwrap())
+        b.iter(|| {
+            Campaign::new(model, data, &golden, &plan, 5, &cfg)
+                .run()
+                .unwrap()
+                .into_outcome()
+                .unwrap()
+        })
     });
     let subpop = space.layer_subpopulation(13).unwrap();
     g.bench_function("adaptive_wilson_layer13", |b| {

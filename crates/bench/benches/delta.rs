@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
 use sfi_faultsim::activation::ActivationSpace;
-use sfi_faultsim::campaign::{run_any_campaign, run_campaign, CampaignConfig, CampaignResult};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig, CampaignResult};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::multi::{CampaignFault, FaultTarget};
@@ -240,15 +240,15 @@ fn emit_bench_json() {
     // same artifact.
     let acts = ActivationSpace::build_for(model, data, FaultTarget::Activation).unwrap();
     let tfaults = transient_sample(&acts, 2100, 256);
-    let tbase = run_any_campaign(model, data, &golden, &tfaults, &baseline_cfg()).unwrap();
-    let tfast = run_any_campaign(model, data, &golden, &tfaults, &delta_cfg()).unwrap();
+    let tbase = run_campaign(model, data, &golden, &tfaults, &baseline_cfg()).unwrap();
+    let tfast = run_campaign(model, data, &golden, &tfaults, &delta_cfg()).unwrap();
     let tidentical = tbase.classes == tfast.classes && tbase.inferences == tfast.inferences;
     let (tbase_s, tfast_s) = mean_secs_pair(
         || {
-            run_any_campaign(model, data, &golden, &tfaults, &baseline_cfg()).unwrap();
+            run_campaign(model, data, &golden, &tfaults, &baseline_cfg()).unwrap();
         },
         || {
-            run_any_campaign(model, data, &golden, &tfaults, &delta_cfg()).unwrap();
+            run_campaign(model, data, &golden, &tfaults, &delta_cfg()).unwrap();
         },
         ITERS,
     );

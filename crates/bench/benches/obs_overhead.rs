@@ -20,10 +20,11 @@ use sfi_bench::{host_fingerprint, resnet20_setup, Scale};
 use sfi_faultsim::campaign::{
     run_campaign, CampaignConfig, Corruption, FaultClass, Ieee754Corruption,
 };
-use sfi_faultsim::executor::with_executor_probed;
+use sfi_faultsim::executor::with_executor;
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::injector::{inject_with, revert};
+use sfi_faultsim::multi::CampaignFault;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::{ForwardOptions, Model};
 use sfi_obs::{Probe, TraceLevel};
@@ -118,8 +119,9 @@ fn run_traced(
     out: Option<&std::path::Path>,
 ) -> Vec<FaultClass> {
     let probe = Probe::new(level, out).unwrap();
-    let result = with_executor_probed(model, data, golden, cfg, &Ieee754Corruption, &probe, |ex| {
-        ex.run_with(faults, &mut |_| {}, &mut |_, _, _| {}, None)
+    let faults: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
+    let result = with_executor(model, data, golden, cfg, &Ieee754Corruption, &probe, |ex| {
+        ex.run_with(&faults, &mut |_| {}, &mut |_, _, _| {}, None)
     })
     .unwrap();
     probe.finish().unwrap();

@@ -6,7 +6,8 @@
 
 use sfi_bench::{resnet20_setup, Scale};
 use sfi_core::bits::{bit_ranking, layer_bit_matrix};
-use sfi_core::execute::execute_plan;
+use sfi_core::checkpoint::CampaignRun;
+use sfi_core::execute::Campaign;
 use sfi_core::plan::plan_data_unaware;
 use sfi_core::report::group_digits;
 use sfi_faultsim::campaign::CampaignConfig;
@@ -36,7 +37,9 @@ fn main() {
         group_digits(plan.total_sample()),
         plan.strata().len()
     );
-    let outcome = execute_plan(model, data, &golden, &plan, 17, &CampaignConfig::default())
+    let outcome = Campaign::new(model, data, &golden, &plan, 17, &CampaignConfig::default())
+        .run()
+        .and_then(CampaignRun::into_outcome)
         .expect("campaign executes");
 
     println!("layer x bit criticality map ('.' 0%, '+' <5%, 'x' <20%, 'X' <50%, '#' >=50%)");

@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release -p sfi-bench --bin fig5 [-- --scale smoke|full]`
 
 use sfi_bench::{resnet20_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::checkpoint::CampaignRun;
+use sfi_core::execute::Campaign;
 use sfi_core::exhaustive::ExhaustiveTruth;
 use sfi_core::plan::{plan_data_aware, plan_layer_wise};
 use sfi_core::report::{group_digits, TextTable};
@@ -32,9 +33,15 @@ fn main() {
     let da_plan = plan_data_aware(&space, &analysis, spec, &DataAwareConfig::paper_default())
         .expect("valid data-aware config");
     eprintln!("layer-wise campaign: {} faults...", group_digits(lw_plan.total_sample()));
-    let lw = execute_plan(model, data, &golden, &lw_plan, 3, &cfg).expect("layer-wise runs");
+    let lw = Campaign::new(model, data, &golden, &lw_plan, 3, &cfg)
+        .run()
+        .and_then(CampaignRun::into_outcome)
+        .expect("layer-wise runs");
     eprintln!("data-aware campaign: {} faults...", group_digits(da_plan.total_sample()));
-    let da = execute_plan(model, data, &golden, &da_plan, 3, &cfg).expect("data-aware runs");
+    let da = Campaign::new(model, data, &golden, &da_plan, 3, &cfg)
+        .run()
+        .and_then(CampaignRun::into_outcome)
+        .expect("data-aware runs");
 
     println!(
         "\nFig. 5 — per-layer critical %% (exhaustive | layer-wise ± margin | data-aware ± margin)"

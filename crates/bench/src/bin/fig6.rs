@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release -p sfi-bench --bin fig6 [-- --scale smoke|full]`
 
 use sfi_bench::{resnet20_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::checkpoint::CampaignRun;
+use sfi_core::execute::Campaign;
 use sfi_core::exhaustive::exhaustive_layer;
 use sfi_core::plan::{
     plan_data_aware, plan_data_unaware, plan_layer_wise, plan_network_wise, SfiPlan,
@@ -50,7 +51,9 @@ fn main() {
         println!("sample  critical %  margin %  truth inside?");
         let mut hits = 0;
         for s in 0..SAMPLES {
-            let outcome = execute_plan(model, data, &golden, &plan, 1000 + s, &cfg)
+            let outcome = Campaign::new(model, data, &golden, &plan, 1000 + s, &cfg)
+                .run()
+                .and_then(CampaignRun::into_outcome)
                 .expect("campaign executes");
             let est = outcome.layer_estimate(0, Confidence::C99).expect("layer sampled");
             let inside = (est.proportion - truth.proportion()).abs() <= est.error_margin + 1e-12;

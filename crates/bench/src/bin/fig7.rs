@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release -p sfi-bench --bin fig7 [-- --scale smoke|full]`
 
 use sfi_bench::{mobilenet_setup, Scale};
-use sfi_core::execute::execute_plan;
+use sfi_core::checkpoint::CampaignRun;
+use sfi_core::execute::Campaign;
 use sfi_core::exhaustive::ExhaustiveTruth;
 use sfi_core::plan::{plan_data_aware, plan_network_wise};
 use sfi_core::report::{group_digits, TextTable};
@@ -35,9 +36,15 @@ fn main() {
     let da_plan = plan_data_aware(&space, &analysis, spec, &DataAwareConfig::paper_default())
         .expect("valid data-aware config");
     eprintln!("network-wise: {} faults...", group_digits(nw_plan.total_sample()));
-    let nw = execute_plan(model, data, &golden, &nw_plan, 9, &cfg).expect("network-wise runs");
+    let nw = Campaign::new(model, data, &golden, &nw_plan, 9, &cfg)
+        .run()
+        .and_then(CampaignRun::into_outcome)
+        .expect("network-wise runs");
     eprintln!("data-aware:   {} faults...", group_digits(da_plan.total_sample()));
-    let da = execute_plan(model, data, &golden, &da_plan, 9, &cfg).expect("data-aware runs");
+    let da = Campaign::new(model, data, &golden, &da_plan, 9, &cfg)
+        .run()
+        .and_then(CampaignRun::into_outcome)
+        .expect("data-aware runs");
 
     println!("\nFig. 7 — MobileNetV2 per-layer criticality");
     let mut table = TextTable::new(vec![

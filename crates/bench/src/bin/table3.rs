@@ -11,7 +11,8 @@
 //! Run with: `cargo run --release -p sfi-bench --bin table3 [-- --scale full]`
 
 use sfi_bench::{mobilenet_setup, resnet_setup, Scale, Setup};
-use sfi_core::execute::execute_plan;
+use sfi_core::checkpoint::CampaignRun;
+use sfi_core::execute::Campaign;
 use sfi_core::exhaustive::ExhaustiveTruth;
 use sfi_core::plan::{
     plan_data_aware, plan_data_unaware, plan_layer_wise, plan_network_wise, SfiPlan,
@@ -64,8 +65,10 @@ fn run(name: &str, setup: &Setup) {
     ]);
     for plan in plans {
         eprintln!("[{name}] executing {} ({} faults)...", plan.scheme(), plan.total_sample());
-        let outcome =
-            execute_plan(model, data, &golden, &plan, 11, &cfg).expect("campaign executes");
+        let outcome = Campaign::new(model, data, &golden, &plan, 11, &cfg)
+            .run()
+            .and_then(CampaignRun::into_outcome)
+            .expect("campaign executes");
         let v = validate_against_exhaustive(&outcome, &truth, Confidence::C99);
         table.add_row(vec![
             plan.scheme().to_string(),

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sfi_dataset::Dataset;
-use sfi_faultsim::campaign::{run_campaign_with, CampaignConfig, Corruption, Ieee754Corruption};
+use sfi_faultsim::campaign::{run_campaign, CampaignConfig};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::Subpopulation;
 use sfi_nn::Model;
@@ -112,26 +112,6 @@ pub fn run_adaptive(
     seed: u64,
     campaign_cfg: &CampaignConfig,
 ) -> Result<AdaptiveOutcome, SfiError> {
-    run_adaptive_with(model, data, golden, subpop, cfg, seed, campaign_cfg, &Ieee754Corruption)
-}
-
-/// [`run_adaptive`] with a custom [`Corruption`] model (reduced-precision
-/// representations).
-///
-/// # Errors
-///
-/// Propagates sampling and campaign failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_with<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    subpop: &Subpopulation,
-    cfg: &AdaptiveConfig,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-) -> Result<AdaptiveOutcome, SfiError> {
     let population = subpop.size();
     let cap = cfg.max_total.unwrap_or(population).min(population);
     // One uniformly random order; prefixes of a Fisher–Yates shuffle are
@@ -148,7 +128,7 @@ pub fn run_adaptive_with<C: Corruption>(
         let take = chunk.min(cap - injected);
         let indices = &order[injected as usize..(injected + take) as usize];
         let faults = subpop.faults_at(indices)?;
-        let res = run_campaign_with(model, data, golden, &faults, campaign_cfg, corruption)?;
+        let res = run_campaign(model, data, golden, &faults, campaign_cfg)?;
         injected += res.injections;
         successes += res.critical();
         inferences += res.inferences;

@@ -31,7 +31,7 @@ pub struct BitVulnerability {
 ///
 /// ```
 /// use sfi_core::bits::bit_ranking;
-/// use sfi_core::execute::execute_plan;
+/// use sfi_core::execute::Campaign;
 /// use sfi_core::plan::plan_data_unaware;
 /// use sfi_dataset::SynthCifarConfig;
 /// use sfi_faultsim::campaign::CampaignConfig;
@@ -49,7 +49,8 @@ pub struct BitVulnerability {
 /// let space = FaultSpace::stuck_at(&model);
 /// let spec = SampleSpec { error_margin: 0.25, ..SampleSpec::paper_default() };
 /// let plan = plan_data_unaware(&space, &spec);
-/// let outcome = execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default())?;
+/// let cfg = CampaignConfig::default();
+/// let outcome = Campaign::new(&model, &data, &golden, &plan, 3, &cfg).run()?.into_outcome()?;
 /// let ranking = bit_ranking(&outcome, Confidence::C99);
 /// // The exponent MSB tops the ranking on IEEE-754 weights.
 /// assert_eq!(ranking[0].bit, 30);
@@ -115,7 +116,7 @@ pub fn layer_bit_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::execute_plan;
+    use crate::execute::Campaign;
     use crate::plan::{plan_data_unaware, plan_layer_wise};
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::campaign::CampaignConfig;
@@ -134,7 +135,11 @@ mod tests {
         let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
         let plan =
             if bitwise { plan_data_unaware(&space, &spec) } else { plan_layer_wise(&space, &spec) };
-        execute_plan(&model, &data, &golden, &plan, 8, &CampaignConfig::default()).unwrap()
+        Campaign::new(&model, &data, &golden, &plan, 8, &CampaignConfig::default())
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap()
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Validation-scale campaigns (the paper's Table I runs millions of
 //! inferences) can outlive a machine's patience: jobs get pre-empted,
-//! nodes reboot, users hit Ctrl-C. This module wraps
-//! [`execute_plan_observed`](crate::execute::execute_plan_observed)-style
-//! execution with the [`sfi_faultsim::journal`] write-ahead journal so an
-//! interrupted campaign loses at most `checkpoint_every` classifications:
+//! nodes reboot, users hit Ctrl-C. A [`Campaign`] given a
+//! [`CheckpointConfig`] with [`Campaign::checkpoint`] writes the
+//! [`sfi_faultsim::journal`] write-ahead journal, so an interrupted
+//! campaign loses at most `checkpoint_every` classifications:
 //!
 //! 1. every classified fault is appended to the journal **as it
 //!    completes** (completion order, not fault order);
@@ -21,32 +21,27 @@
 //! with [`FaultSimError::CheckpointMismatch`] rather than silently mixing
 //! incompatible classifications.
 //!
-//! Cancellation is cooperative: pass a [`CancelToken`] and arm it from
-//! anywhere; the execution stops at the next fault boundary, flushes and
-//! seals the journal, and returns [`CampaignRun::Interrupted`] with resume
-//! statistics. Running the same command again with `resume` picks up
-//! where the journal left off.
+//! Cancellation is cooperative: pass a [`CancelToken`] with
+//! [`Campaign::cancel`] and arm it from anywhere; the execution stops at
+//! the next fault boundary, flushes and seals the journal, and returns
+//! [`CampaignRun::Interrupted`] with resume statistics. Running the same
+//! command again with `resume` picks up where the journal left off.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use sfi_dataset::Dataset;
 use sfi_faultsim::activation::ActivationFault;
-use sfi_faultsim::campaign::{CampaignConfig, CampaignResult, Corruption, Criterion, FaultClass};
-use sfi_faultsim::executor::{with_executor_probed, CampaignTelemetry, CancelToken};
+use sfi_faultsim::campaign::{CampaignConfig, Corruption, Criterion, FaultClass};
+use sfi_faultsim::executor::CancelToken;
 use sfi_faultsim::fault::{Fault, FaultModel};
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::journal::{self, FaultId, JournalWriter};
 use sfi_faultsim::multi::{CampaignFault, FaultTarget};
-use sfi_faultsim::population::FaultSpace;
 use sfi_faultsim::FaultSimError;
 use sfi_nn::Model;
-use sfi_obs::{Event, Probe};
+use sfi_obs::Probe;
 
-use crate::execute::{
-    assemble_outcome_any, class_name, fault_model_label, sample_strata_any, stratum_label_any,
-    CampaignSpace, PlanProgress, SfiOutcome,
-};
+use crate::execute::{Campaign, CampaignSpace, PlanProgress, SfiOutcome};
 use crate::plan::{SchemeKind, SfiPlan};
 use crate::SfiError;
 
@@ -72,7 +67,8 @@ impl CheckpointConfig {
     }
 }
 
-/// Resume bookkeeping of one checkpointed execution.
+/// Resume bookkeeping of one campaign run (nothing is resumed without a
+/// checkpoint).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResumeStats {
     /// Faults skipped because the journal already held their class.
@@ -88,7 +84,7 @@ pub struct ResumeStats {
     pub per_stratum_resumed: Vec<u64>,
 }
 
-/// What a checkpointed execution produced.
+/// What a [`Campaign::run`] produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignRun {
     /// Every planned fault is classified; the outcome is complete (and
@@ -99,9 +95,9 @@ pub enum CampaignRun {
         /// How much of it came from the journal vs. this session.
         stats: ResumeStats,
     },
-    /// The execution was cancelled before completing; everything
-    /// classified so far is sealed in the journal and a re-run with
-    /// `resume` continues from here.
+    /// The execution was cancelled before completing; with a checkpoint,
+    /// everything classified so far is sealed in the journal and a re-run
+    /// with `resume` continues from here.
     Interrupted {
         /// Journal/session bookkeeping up to the stop.
         stats: ResumeStats,
@@ -123,11 +119,29 @@ impl CampaignRun {
             CampaignRun::Interrupted { .. } => None,
         }
     }
+
+    /// The completed outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultSimError::Cancelled`] for an interrupted run.
+    pub fn into_outcome(self) -> Result<SfiOutcome, SfiError> {
+        match self {
+            CampaignRun::Complete { outcome, .. } => Ok(outcome),
+            CampaignRun::Interrupted { stats } => {
+                Err(FaultSimError::Cancelled { completed: stats.completed }.into())
+            }
+        }
+    }
 }
 
 /// 64-bit FNV-1a over the facts that determine a campaign's
-/// classifications: scheme, seed, evaluation-set size, classification
-/// criterion, execution strategy, and every sampled fault.
+/// classifications: scheme, fault target and accumulation order, seed,
+/// evaluation-set size, classification criterion, execution strategy, and
+/// every sampled fault (with a per-fault variant tag for non-weight
+/// faults, so a journal written by a weight campaign can never be resumed
+/// by a transient or accumulated one even when their site coordinates
+/// collide).
 ///
 /// Worker count, retry budget, kernel policy and the golden-convergence
 /// early exit are deliberately excluded — they change scheduling or speed,
@@ -139,25 +153,6 @@ impl CampaignRun {
 /// deterministic function of plan and seed) plus the caller using the
 /// same artifacts, which the CLI derives from the same seeds.
 pub fn plan_fingerprint(
-    plan: &SfiPlan,
-    seed: u64,
-    eval_images: usize,
-    cfg: &CampaignConfig,
-    sampled: &[Vec<Fault>],
-) -> u64 {
-    let generic: Vec<Vec<CampaignFault>> = sampled
-        .iter()
-        .map(|faults| faults.iter().map(|&f| CampaignFault::Weight(f)).collect())
-        .collect();
-    plan_fingerprint_any(plan, seed, eval_images, cfg, &generic)
-}
-
-/// [`plan_fingerprint`] over a fault-model-generic sample: additionally
-/// hashes the plan's fault target and accumulation order plus a per-fault
-/// variant tag, so a journal written by a weight campaign can never be
-/// resumed by a transient or accumulated one (and vice versa) even when
-/// their site coordinates collide.
-pub fn plan_fingerprint_any(
     plan: &SfiPlan,
     seed: u64,
     eval_images: usize,
@@ -245,155 +240,14 @@ pub fn plan_fingerprint_any(
     h
 }
 
-/// Executes `plan` with write-ahead checkpointing and optional
-/// cooperative cancellation.
-///
-/// Semantics:
-///
-/// - **Fresh run** (`checkpoint.resume == false`): `checkpoint.dir` must
-///   not already hold a journal; every classification is journaled as it
-///   completes.
-/// - **Resume** (`checkpoint.resume == true`): the journal in
-///   `checkpoint.dir` is recovered (tolerating truncated or
-///   checksum-failing tails), validated against this plan's
-///   [`plan_fingerprint`], and every fault it already classifies is
-///   skipped. Only the remainder is re-executed, into a fresh journal
-///   segment.
-/// - **Cancellation**: when `cancel` fires, the execution stops at a
-///   fault boundary, drains in-flight work into the journal, seals it,
-///   and returns [`CampaignRun::Interrupted`].
-///
-/// The completed outcome is identical to
-/// [`execute_plan`](crate::execute::execute_plan) on the same inputs —
-/// same classes, tallies, telemetry counts, and estimates, with only
-/// wall-clock durations differing — regardless of how many times the
-/// campaign was interrupted and at which worker counts it ran.
+/// [`Campaign`] with a space, corruption, checkpoint, optional cancel
+/// token, probe and progress observer, as one call. Kept as a delegate
+/// because the end-to-end benchmark in `benchmark/` calls it; new code uses
+/// [`Campaign`].
 ///
 /// # Errors
 ///
-/// Everything [`execute_plan`](crate::execute::execute_plan) can return,
-/// plus journal I/O failures ([`FaultSimError::Journal`]) and resuming
-/// against a journal from a different plan
-/// ([`FaultSimError::CheckpointMismatch`]).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_checkpointed<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    checkpoint: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<CampaignRun, SfiError> {
-    execute_plan_checkpointed_traced(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        checkpoint,
-        cancel,
-        Probe::disabled(),
-        progress,
-    )
-}
-
-/// [`execute_plan_checkpointed`] with an observability [`Probe`].
-///
-/// Emits the same span events as
-/// [`execute_plan_traced`](crate::execute::execute_plan_traced), plus the
-/// checkpoint-specific ones: a `resume` event when continuing from a
-/// journal (carrying the resumed and dropped-record counts) and an
-/// `interrupted` event when a cancellation stops the run. Journal `fsync`
-/// count and latency are folded into the probe's metrics after the seal.
-/// The probe never changes classifications, tallies, or estimates.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_checkpointed_traced<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    checkpoint: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    probe: &Probe,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<CampaignRun, SfiError> {
-    execute_plan_checkpointed_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        CampaignSpace::Weight(space),
-        seed,
-        campaign_cfg,
-        corruption,
-        checkpoint,
-        cancel,
-        probe,
-        progress,
-    )
-}
-
-/// [`execute_plan_checkpointed_traced`] over any fault model: the
-/// [`CampaignSpace`] selects weight, transient-activation/input, or
-/// accumulated multi-fault sampling, and the journal fingerprint binds the
-/// fault target and accumulation order so mixed-model journals never
-/// cross-resume. Weight-only campaigns routed through here journal and
-/// classify exactly the same faults as the legacy entry point.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_checkpointed_any<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: CampaignSpace<'_>,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    checkpoint: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<CampaignRun, SfiError> {
-    execute_plan_checkpointed_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        checkpoint,
-        cancel,
-        Probe::disabled(),
-        progress,
-    )
-}
-
-/// [`execute_plan_checkpointed_any`] with an observability [`Probe`].
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_checkpointed`].
+/// Same conditions as [`Campaign::run`].
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_checkpointed_traced_any<C: Corruption>(
     model: &Model,
@@ -409,245 +263,19 @@ pub fn execute_plan_checkpointed_traced_any<C: Corruption>(
     probe: &Probe,
     progress: &mut dyn FnMut(PlanProgress),
 ) -> Result<CampaignRun, SfiError> {
-    if checkpoint.checkpoint_every == 0 {
-        return Err(SfiError::InvalidExperiment {
-            reason: "checkpoint_every must be at least 1".into(),
-        });
-    }
-    let start = Instant::now();
-    let sampled = sample_strata_any(plan, space, seed)?;
-    let fingerprint = plan_fingerprint_any(plan, seed, data.len(), campaign_cfg, &sampled);
-    let (mut writer, done, dropped) =
-        open_journal(&checkpoint.dir, checkpoint.resume, fingerprint, checkpoint.checkpoint_every)?;
-
-    // Split every stratum into journal-resumed faults and faults still to
-    // run; remember each to-run fault's original index for the merge.
-    let n_strata = sampled.len();
-    let plan_total: u64 = sampled.iter().map(|f| f.len() as u64).sum();
-    let mut todo: Vec<Vec<usize>> = Vec::with_capacity(n_strata);
-    let mut per_stratum_resumed = vec![0u64; n_strata];
-    for (s, faults) in sampled.iter().enumerate() {
-        let mut missing = Vec::new();
-        for i in 0..faults.len() {
-            if done.contains_key(&FaultId::new(s, i)) {
-                per_stratum_resumed[s] += 1;
-            } else {
-                missing.push(i);
-            }
-        }
-        todo.push(missing);
-    }
-    let resumed: u64 = per_stratum_resumed.iter().sum();
-
-    probe.emit(&Event::CampaignStart {
-        strata: n_strata,
-        faults: plan_total,
-        workers: campaign_cfg.workers.max(1),
-        fault_model: fault_model_label(plan),
-    });
-    if checkpoint.resume {
-        probe.emit(&Event::Resume { resumed, dropped });
-    }
-
-    // Execute the remainder in one pool session, journaling each
-    // classification from the collector as it completes.
-    let mut completed = 0u64;
-    let mut journal_error: Option<FaultSimError> = None;
-    let mut session: Vec<Option<CampaignResult>> = Vec::with_capacity(n_strata);
-    let mut interrupted = false;
-    let exec_out =
-        with_executor_probed(model, data, golden, campaign_cfg, corruption, probe, |exec| {
-            let mut done_before: u64 = per_stratum_resumed.iter().sum();
-            let mut inferences_before = 0u64;
-            for (s, indices) in todo.iter().enumerate() {
-                if interrupted || cancel.is_some_and(|t| t.is_cancelled()) {
-                    interrupted = true;
-                    session.push(None);
-                    continue;
-                }
-                if indices.is_empty() {
-                    session.push(None);
-                    continue;
-                }
-                if probe.spans() {
-                    let label = stratum_label_any(plan.target(), &plan.strata()[s]);
-                    probe.emit(&Event::StratumStart {
-                        stratum: s,
-                        label: &label,
-                        faults: indices.len() as u64,
-                    });
-                }
-                let subset: Vec<CampaignFault> =
-                    indices.iter().map(|&i| sampled[s][i].clone()).collect();
-                let stratum_total = sampled[s].len() as u64;
-                let stratum_resumed = per_stratum_resumed[s];
-                let out = exec.run_any_with(
-                    &subset,
-                    &mut |p| {
-                        progress(PlanProgress {
-                            stratum: s,
-                            strata: n_strata,
-                            completed: stratum_resumed + p.completed,
-                            total: stratum_total,
-                            plan_completed: done_before + p.completed,
-                            plan_total,
-                            inferences: inferences_before + p.inferences,
-                        })
-                    },
-                    &mut |subset_idx, class, cost| {
-                        completed += 1;
-                        probe.emit(&Event::Fault {
-                            stratum: s,
-                            index: indices[subset_idx],
-                            class: class_name(class),
-                            inferences: cost,
-                        });
-                        if journal_error.is_none() {
-                            let id = FaultId::new(s, indices[subset_idx]);
-                            if let Err(e) = writer.append(id, class, cost) {
-                                journal_error = Some(e);
-                            }
-                        }
-                    },
-                    cancel,
-                );
-                match out {
-                    Ok(result) => {
-                        if probe.spans() {
-                            let tel = CampaignTelemetry::from_result(&result);
-                            probe.emit(&Event::StratumEnd {
-                                stratum: s,
-                                injections: tel.injections,
-                                masked: tel.masked,
-                                critical: tel.critical,
-                                non_critical: tel.non_critical,
-                                failures: tel.exec_failures,
-                                lowering_hits: tel.lowering_hits,
-                                lowering_misses: tel.lowering_misses,
-                                converged: tel.converged,
-                                nodes_skipped: tel.nodes_skipped,
-                                delta_sparse: tel.delta_sparse_nodes,
-                                delta_fallbacks: tel.delta_fallbacks,
-                                delta_dirty_blocks: tel.delta_dirty_blocks,
-                                wall_ms: tel.wall.as_secs_f64() * 1e3,
-                            });
-                        }
-                        done_before += result.injections;
-                        inferences_before += result.inferences;
-                        session.push(Some(result));
-                    }
-                    Err(FaultSimError::Cancelled { .. }) => {
-                        interrupted = true;
-                        session.push(None);
-                    }
-                    Err(e) => return Err(e),
-                }
-                if let Some(e) = journal_error.take() {
-                    return Err(e);
-                }
-            }
-            Ok(())
-        });
-    // Seal before surfacing any error: whatever was classified is durable.
-    let seal = writer.seal();
-    let (fsyncs, fsync_ns) = writer.fsync_stats();
-    probe.record_fsync(fsyncs, fsync_ns);
-    exec_out.map_err(SfiError::from)?;
-    seal.map_err(SfiError::from)?;
-
-    let stats = ResumeStats { resumed, dropped, completed, total: plan_total, per_stratum_resumed };
-    if interrupted {
-        probe.emit(&Event::Interrupted { completed });
-        return Ok(CampaignRun::Interrupted { stats });
-    }
-
-    // Merge journal-resumed and freshly-run classifications back into
-    // fault order, stratum by stratum.
-    let mut results = Vec::with_capacity(n_strata);
-    for (s, faults) in sampled.iter().enumerate() {
-        let fresh = &session[s];
-        let mut classes = Vec::with_capacity(faults.len());
-        let mut inferences = 0u64;
-        let mut fresh_cursor = 0usize;
-        for i in 0..faults.len() {
-            if let Some(&(class, cost)) = done.get(&FaultId::new(s, i)) {
-                classes.push(class);
-                inferences += cost;
-            } else {
-                let result = fresh.as_ref().ok_or_else(|| SfiError::InvalidExperiment {
-                    reason: format!("stratum {s} has unclassified faults but no session result"),
-                })?;
-                classes.push(result.classes[fresh_cursor]);
-                fresh_cursor += 1;
-            }
-        }
-        let (fresh_inferences, elapsed) = fresh
-            .as_ref()
-            .map(|r| (r.inferences, r.elapsed))
-            .unwrap_or((0, std::time::Duration::ZERO));
-        inferences += fresh_inferences;
-        // Fast-path counters describe only the fresh session's work;
-        // journal-resumed faults carry no cache, arena, or convergence
-        // telemetry — the journal stores classifications, not exit depths.
-        let session_counters = fresh.as_ref().map(|r| {
-            (
-                r.lowering_hits,
-                r.lowering_misses,
-                r.arena_peak_bytes,
-                r.converged,
-                r.nodes_skipped,
-                r.delta_sparse_nodes,
-                r.delta_fallbacks,
-                r.delta_dirty_blocks,
-            )
-        });
-        let (
-            lowering_hits,
-            lowering_misses,
-            arena_peak_bytes,
-            converged,
-            nodes_skipped,
-            delta_sparse_nodes,
-            delta_fallbacks,
-            delta_dirty_blocks,
-        ) = session_counters.unwrap_or((0, 0, 0, 0, 0, 0, 0, 0));
-        let (engine_dense, engine_delta, engine_batched) = fresh
-            .as_ref()
-            .map(|r| (r.engine_dense, r.engine_delta, r.engine_batched))
-            .unwrap_or((0, 0, 0));
-        results.push(CampaignResult {
-            injections: faults.len() as u64,
-            classes,
-            inferences,
-            elapsed,
-            lowering_hits,
-            lowering_misses,
-            arena_peak_bytes,
-            converged,
-            nodes_skipped,
-            delta_sparse_nodes,
-            delta_fallbacks,
-            delta_dirty_blocks,
-            engine_dense,
-            engine_delta,
-            engine_batched,
-        });
-    }
-    let outcome = assemble_outcome_any(plan, space, &sampled, &results, start.elapsed());
-    probe.emit(&Event::CampaignEnd {
-        injections: outcome.injections(),
-        inferences: outcome.inferences(),
-        wall_ms: outcome.elapsed().as_secs_f64() * 1e3,
-    });
-    Ok(CampaignRun::Complete { outcome, stats })
+    let campaign = Campaign::new(model, data, golden, plan, seed, campaign_cfg).space(space);
+    let campaign = campaign.corruption(corruption).checkpoint(checkpoint).cancel(cancel);
+    campaign.probe(probe).progress(progress).run()
 }
+
+/// Already-classified faults recovered from a journal: class and inference
+/// cost per fault.
+pub(crate) type DoneMap = std::collections::HashMap<FaultId, (FaultClass, u64)>;
 
 /// Creates or resumes the journal, returning the writer, the map of
 /// already-classified faults, and the count of corrupt records dropped
 /// during recovery.
-type DoneMap = std::collections::HashMap<FaultId, (FaultClass, u64)>;
-
-fn open_journal(
+pub(crate) fn open_journal(
     dir: &Path,
     resume: bool,
     fingerprint: u64,
@@ -666,10 +294,10 @@ fn open_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::sample_strata;
-    use crate::plan::{plan_layer_wise, SchemeKind};
+    use crate::execute::sample_strata_any;
+    use crate::plan::plan_layer_wise;
     use sfi_dataset::SynthCifarConfig;
-    use sfi_faultsim::campaign::Ieee754Corruption;
+    use sfi_faultsim::population::FaultSpace;
     use sfi_nn::resnet::ResNetConfig;
     use sfi_stats::sample_size::SampleSpec;
     use std::path::PathBuf;
@@ -716,20 +344,13 @@ mod tests {
             _ => CampaignSpace::Weight(weights),
         };
         let checkpoint = CheckpointConfig { dir: dir.to_path_buf(), resume, checkpoint_every: 64 };
-        execute_plan_checkpointed_any(
-            model,
-            data,
-            golden,
-            plan,
-            space,
-            seed,
-            cfg,
-            &Ieee754Corruption,
-            &checkpoint,
-            cancel,
-            progress,
-        )
-        .unwrap()
+        Campaign::new(model, data, golden, plan, seed, cfg)
+            .space(space)
+            .checkpoint(&checkpoint)
+            .cancel(cancel)
+            .progress(progress)
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -750,17 +371,12 @@ mod tests {
         )
         .unwrap();
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan_any(
-            &world.0,
-            &world.1,
-            &world.2,
-            &plan,
-            CampaignSpace::Transient(&acts),
-            7,
-            &cfg,
-            &Ieee754Corruption,
-        )
-        .unwrap();
+        let plain = Campaign::new(&world.0, &world.1, &world.2, &plan, 7, &cfg)
+            .space(CampaignSpace::Transient(&acts))
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let dir = tmp_dir("transient");
         let token = CancelToken::new();
         let stop_at = plain.injections() / 2;
@@ -818,17 +434,12 @@ mod tests {
         let union = world.3.total() + acts.total();
         let plan = crate::plan::plan_accumulated(union, 2, &loose_spec()).unwrap();
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan_any(
-            &world.0,
-            &world.1,
-            &world.2,
-            &plan,
-            CampaignSpace::Accumulated { weights: &world.3, activations: &acts },
-            7,
-            &cfg,
-            &Ieee754Corruption,
-        )
-        .unwrap();
+        let plain = Campaign::new(&world.0, &world.1, &world.2, &plan, 7, &cfg)
+            .space(CampaignSpace::Accumulated { weights: &world.3, activations: &acts })
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let dir = tmp_dir("accumulated");
         let token = CancelToken::new();
         let stop_at = plain.injections() / 2;
@@ -879,7 +490,7 @@ mod tests {
         let cfg = CampaignConfig::default();
         let wplan = plan_layer_wise(&space, &loose_spec());
         let wsampled = sample_strata_any(&wplan, CampaignSpace::Weight(&space), 3).unwrap();
-        let wfp = plan_fingerprint_any(&wplan, 3, data.len(), &cfg, &wsampled);
+        let wfp = plan_fingerprint(&wplan, 3, data.len(), &cfg, &wsampled);
         let tplan = crate::plan::plan_transient(
             &acts,
             FaultTarget::Activation,
@@ -889,7 +500,7 @@ mod tests {
         )
         .unwrap();
         let tsampled = sample_strata_any(&tplan, CampaignSpace::Transient(&acts), 3).unwrap();
-        let tfp = plan_fingerprint_any(&tplan, 3, data.len(), &cfg, &tsampled);
+        let tfp = plan_fingerprint(&tplan, 3, data.len(), &cfg, &tsampled);
         assert_ne!(wfp, tfp, "weight and transient journals must not cross-resume");
         let union = space.total() + acts.total();
         let a2 = crate::plan::plan_accumulated(union, 2, &loose_spec()).unwrap();
@@ -907,13 +518,22 @@ mod tests {
         )
         .unwrap();
         assert_ne!(
-            plan_fingerprint_any(&a2, 3, data.len(), &cfg, &s2),
-            plan_fingerprint_any(&a4, 3, data.len(), &cfg, &s4),
+            plan_fingerprint(&a2, 3, data.len(), &cfg, &s2),
+            plan_fingerprint(&a4, 3, data.len(), &cfg, &s4),
             "different accumulation orders must not cross-resume"
         );
-        // The legacy weight-only fingerprint is the generic one in disguise.
-        let legacy = sample_strata(&wplan, &space, 3).unwrap();
-        assert_eq!(wfp, plan_fingerprint(&wplan, 3, data.len(), &cfg, &legacy));
+    }
+
+    #[test]
+    fn weight_plan_fingerprint_is_pinned() {
+        // Journals written by earlier builds must keep resuming, so the
+        // fingerprint of a fixed weight plan at a fixed seed is frozen.
+        let (_, data, _, space) = setup();
+        let plan = plan_layer_wise(&space, &loose_spec());
+        assert_eq!(plan.total_sample(), 1459);
+        let sampled = sample_strata_any(&plan, CampaignSpace::Weight(&space), 3).unwrap();
+        let cfg = CampaignConfig::default();
+        assert_eq!(plan_fingerprint(&plan, 3, data.len(), &cfg, &sampled), 0x82b5_33d6_61af_4ca2);
     }
 
     fn strip_wall(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
@@ -945,22 +565,16 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 5, &cfg).unwrap();
+        let plain = Campaign::new(&model, &data, &golden, &plan, 5, &cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let dir = tmp_dir("plain");
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            5,
-            &cfg,
-            &Ieee754Corruption,
-            &CheckpointConfig::new(&dir),
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let run = Campaign::new(&model, &data, &golden, &plan, 5, &cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .run()
+            .unwrap();
         let CampaignRun::Complete { outcome, stats } = run else { panic!("expected Complete") };
         assert_eq!(strip_wall(&outcome), strip_wall(&plain));
         assert_eq!(stats.resumed, 0);
@@ -973,49 +587,35 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 7, &cfg).unwrap();
+        let plain = Campaign::new(&model, &data, &golden, &plan, 7, &cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let dir = tmp_dir("resume");
         // Interrupt after ~40% of the plan.
         let token = CancelToken::new();
         let stop_at = plain.injections() * 2 / 5;
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            7,
-            &cfg,
-            &Ieee754Corruption,
-            &CheckpointConfig::new(&dir),
-            Some(&token),
-            &mut |p| {
+        let run = Campaign::new(&model, &data, &golden, &plan, 7, &cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .cancel(&token)
+            .progress(&mut |p| {
                 if p.plan_completed >= stop_at {
                     token.cancel();
                 }
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         let CampaignRun::Interrupted { stats } = run else { panic!("expected an interrupted run") };
         assert!(stats.completed >= stop_at);
         assert!(stats.completed < plain.injections());
         // Resume to completion (different worker count on purpose).
         let resume_cfg = CampaignConfig { workers: 4, ..cfg };
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            7,
-            &resume_cfg,
-            &Ieee754Corruption,
-            &checkpoint,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let run = Campaign::new(&model, &data, &golden, &plan, 7, &resume_cfg)
+            .checkpoint(&checkpoint)
+            .run()
+            .unwrap();
         let CampaignRun::Complete { outcome, stats } = run else { panic!("expected Complete") };
         assert_eq!(stats.resumed, stats.total - stats.completed);
         assert!(stats.resumed > 0, "the journal must have carried work over");
@@ -1029,36 +629,16 @@ mod tests {
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
         let dir = tmp_dir("mismatch");
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            1,
-            &cfg,
-            &Ieee754Corruption,
-            &CheckpointConfig::new(&dir),
-            None,
-            &mut |_| {},
-        );
+        let run = Campaign::new(&model, &data, &golden, &plan, 1, &cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .run();
         assert!(run.is_ok());
         // Same journal, different seed: the fingerprint must not match.
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let err = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            2,
-            &cfg,
-            &Ieee754Corruption,
-            &checkpoint,
-            None,
-            &mut |_| {},
-        )
-        .unwrap_err();
+        let err = Campaign::new(&model, &data, &golden, &plan, 2, &cfg)
+            .checkpoint(&checkpoint)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, SfiError::FaultSim(FaultSimError::CheckpointMismatch { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1069,7 +649,7 @@ mod tests {
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg1 = CampaignConfig { workers: 1, ..CampaignConfig::default() };
         let cfg8 = CampaignConfig { workers: 8, ..CampaignConfig::default() };
-        let sampled = sample_strata(&plan, &space, 3).unwrap();
+        let sampled = sample_strata_any(&plan, CampaignSpace::Weight(&space), 3).unwrap();
         let a = plan_fingerprint(&plan, 3, data.len(), &cfg1, &sampled);
         let b = plan_fingerprint(&plan, 3, data.len(), &cfg8, &sampled);
         assert_eq!(a, b, "worker count must not invalidate a checkpoint");
@@ -1096,48 +676,34 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let base = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 13, &base).unwrap();
+        let plain = Campaign::new(&model, &data, &golden, &plan, 13, &base)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         for (first_conv, second_conv) in [(true, false), (false, true)] {
             let dir = tmp_dir(if first_conv { "conv-on-off" } else { "conv-off-on" });
             let first_cfg = CampaignConfig { convergence: first_conv, ..base };
             let token = CancelToken::new();
             let stop_at = plain.injections() / 2;
-            let run = execute_plan_checkpointed(
-                &model,
-                &data,
-                &golden,
-                &plan,
-                &space,
-                13,
-                &first_cfg,
-                &Ieee754Corruption,
-                &CheckpointConfig::new(&dir),
-                Some(&token),
-                &mut |p| {
+            let run = Campaign::new(&model, &data, &golden, &plan, 13, &first_cfg)
+                .checkpoint(&CheckpointConfig::new(&dir))
+                .cancel(&token)
+                .progress(&mut |p| {
                     if p.plan_completed >= stop_at {
                         token.cancel();
                     }
-                },
-            )
-            .unwrap();
+                })
+                .run()
+                .unwrap();
             assert!(matches!(run, CampaignRun::Interrupted { .. }));
             let second_cfg = CampaignConfig { convergence: second_conv, ..base };
             let checkpoint =
                 CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-            let run = execute_plan_checkpointed(
-                &model,
-                &data,
-                &golden,
-                &plan,
-                &space,
-                13,
-                &second_cfg,
-                &Ieee754Corruption,
-                &checkpoint,
-                None,
-                &mut |_| {},
-            )
-            .unwrap();
+            let run = Campaign::new(&model, &data, &golden, &plan, 13, &second_cfg)
+                .checkpoint(&checkpoint)
+                .run()
+                .unwrap();
             let CampaignRun::Complete { outcome, stats } = run else { panic!("expected Complete") };
             assert!(stats.resumed > 0, "the journal must have carried work over");
             assert_eq!(
@@ -1154,46 +720,32 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
-        let plain = crate::execute::execute_plan(&model, &data, &golden, &plan, 11, &cfg).unwrap();
+        let plain = Campaign::new(&model, &data, &golden, &plan, 11, &cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let dir = tmp_dir("two-corrupt");
         // Session 1: interrupt partway so segment-000001 seals a prefix.
         let token = CancelToken::new();
         let stop_at = plain.injections() * 2 / 5;
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            11,
-            &cfg,
-            &Ieee754Corruption,
-            &CheckpointConfig::new(&dir),
-            Some(&token),
-            &mut |p| {
+        let run = Campaign::new(&model, &data, &golden, &plan, 11, &cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .cancel(&token)
+            .progress(&mut |p| {
                 if p.plan_completed >= stop_at {
                     token.cancel();
                 }
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         assert!(matches!(run, CampaignRun::Interrupted { .. }));
         // Session 2: resume to completion, sealing segment-000002.
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            11,
-            &cfg,
-            &Ieee754Corruption,
-            &checkpoint,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let run = Campaign::new(&model, &data, &golden, &plan, 11, &cfg)
+            .checkpoint(&checkpoint)
+            .run()
+            .unwrap();
         assert!(matches!(run, CampaignRun::Complete { .. }));
         // Tear the final record of BOTH segments: each sealed segment then
         // yields one record fewer than its manifest entry, so recovery must
@@ -1206,20 +758,10 @@ mod tests {
         }
         // Session 3: recovery drops the two torn records, re-executes those
         // two faults, and the merged outcome still matches the clean run.
-        let run = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            11,
-            &cfg,
-            &Ieee754Corruption,
-            &checkpoint,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let run = Campaign::new(&model, &data, &golden, &plan, 11, &cfg)
+            .checkpoint(&checkpoint)
+            .run()
+            .unwrap();
         let CampaignRun::Complete { outcome, stats } = run else { panic!("expected Complete") };
         assert_eq!(stats.dropped, 2, "exactly one record torn off each of the two segments");
         assert_eq!(stats.completed, 2, "each dropped record forces one re-execution");
@@ -1234,35 +776,15 @@ mod tests {
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig::default();
         let dir = tmp_dir("noop");
-        let first = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            9,
-            &cfg,
-            &Ieee754Corruption,
-            &CheckpointConfig::new(&dir),
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let first = Campaign::new(&model, &data, &golden, &plan, 9, &cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .run()
+            .unwrap();
         let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 64 };
-        let second = execute_plan_checkpointed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            9,
-            &cfg,
-            &Ieee754Corruption,
-            &checkpoint,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let second = Campaign::new(&model, &data, &golden, &plan, 9, &cfg)
+            .checkpoint(&checkpoint)
+            .run()
+            .unwrap();
         let (CampaignRun::Complete { outcome: a, .. }, CampaignRun::Complete { outcome: b, stats }) =
             (first, second)
         else {

@@ -1,4 +1,5 @@
-//! Executing an [`SfiPlan`]: sampling, injecting, classifying, estimating.
+//! Executing an [`SfiPlan`]: sampling, injecting, classifying, estimating —
+//! the [`Campaign`] builder and its single stratum loop.
 
 use std::time::{Duration, Instant};
 
@@ -8,12 +9,16 @@ use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
 use sfi_faultsim::activation::ActivationSpace;
-use sfi_faultsim::campaign::{CampaignConfig, Corruption, FaultClass, Ieee754Corruption};
-use sfi_faultsim::executor::{with_executor_probed, CampaignTelemetry};
+use sfi_faultsim::campaign::{
+    CampaignConfig, CampaignResult, Corruption, FaultClass, Ieee754Corruption,
+};
+use sfi_faultsim::executor::{with_executor, CampaignTelemetry, CancelToken};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
+use sfi_faultsim::journal::FaultId;
 use sfi_faultsim::multi::{AccumulatedFault, CampaignFault, FaultTarget};
 use sfi_faultsim::population::{FaultSpace, Subpopulation};
+use sfi_faultsim::FaultSimError;
 use sfi_nn::Model;
 use sfi_obs::{Event, Probe};
 use sfi_stats::confidence::Confidence;
@@ -21,6 +26,9 @@ use sfi_stats::estimate::{stratified_estimate, StratifiedEstimate, StratumResult
 use sfi_stats::sample_size::accumulated_population;
 use sfi_stats::sampling::sample_without_replacement;
 
+use crate::checkpoint::{
+    open_journal, plan_fingerprint, CampaignRun, CheckpointConfig, DoneMap, ResumeStats,
+};
 use crate::plan::{SchemeKind, SfiPlan, Stratum};
 use crate::SfiError;
 
@@ -66,8 +74,8 @@ pub struct LayerTally {
     pub successes: u64,
 }
 
-/// Live progress of a plan execution, delivered to the observer of
-/// [`execute_plan_observed`] after every classified fault.
+/// Live progress of a plan execution, delivered to the observer set with
+/// [`Campaign::progress`] after every classified fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanProgress {
     /// Index of the stratum currently executing (plan order).
@@ -181,21 +189,24 @@ impl SfiOutcome {
     }
 }
 
-/// Executes `plan` against `model` on `data`.
+/// One SFI campaign: `plan` executed against `model` on `data`.
+///
+/// [`Campaign::new`] takes what every campaign needs and defaults the rest:
+/// the stuck-at [`FaultSpace`] of `model`, [`Ieee754Corruption`], a
+/// disabled probe, no progress observer, no checkpoint journal and no
+/// cancellation. Each setter replaces one default; [`run`](Campaign::run)
+/// executes the plan.
 ///
 /// Sampling is deterministic in `seed` (each stratum derives an independent
 /// sub-seed), so outcomes are reproducible and different samples `S0..S9`
-/// (paper Fig. 6) are obtained by varying `seed`.
-///
-/// # Errors
-///
-/// Returns an error when the plan does not fit the model's fault space,
-/// sampling fails, or the underlying campaign fails.
+/// (paper Fig. 6) are obtained by varying `seed`. Classifications and
+/// estimates are byte-identical across worker counts, trace levels, and
+/// interrupt/resume cycles.
 ///
 /// # Example
 ///
 /// ```
-/// use sfi_core::execute::execute_plan;
+/// use sfi_core::execute::Campaign;
 /// use sfi_core::plan::plan_layer_wise;
 /// use sfi_dataset::SynthCifarConfig;
 /// use sfi_faultsim::campaign::CampaignConfig;
@@ -213,123 +224,353 @@ impl SfiOutcome {
 /// // A deliberately loose spec to keep the doctest fast.
 /// let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
 /// let plan = plan_layer_wise(&space, &spec);
-/// let outcome = execute_plan(&model, &data, &golden, &plan, 7, &CampaignConfig::default())?;
+/// let cfg = CampaignConfig::default();
+/// let outcome = Campaign::new(&model, &data, &golden, &plan, 7, &cfg).run()?.into_outcome()?;
 /// let est = outcome.network_estimate(Confidence::C99)?;
 /// assert!((0.0..=1.0).contains(&est.proportion));
 /// # Ok(())
 /// # }
 /// ```
-pub fn execute_plan(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
+pub struct Campaign<'a, C: Corruption = Ieee754Corruption> {
+    model: &'a Model,
+    data: &'a Dataset,
+    golden: &'a GoldenReference,
+    plan: &'a SfiPlan,
     seed: u64,
-    campaign_cfg: &CampaignConfig,
-) -> Result<SfiOutcome, SfiError> {
-    let space = FaultSpace::stuck_at(model);
-    execute_plan_in_space(model, data, golden, plan, &space, seed, campaign_cfg, &Ieee754Corruption)
+    cfg: &'a CampaignConfig,
+    space: Option<CampaignSpace<'a>>,
+    corruption: &'a C,
+    probe: &'a Probe,
+    progress: Option<&'a mut dyn FnMut(PlanProgress)>,
+    checkpoint: Option<&'a CheckpointConfig>,
+    cancel: Option<&'a CancelToken>,
 }
 
-/// Executes `plan` against an explicit fault space with a custom
-/// [`Corruption`] model.
-///
-/// This is the entry point for reduced-precision representations: the space
-/// carries the format's bit width (`FaultSpace::with_bits`) and the
-/// corruption strikes the encoded weight (see the `sfi-repr` crate).
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_in_space<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_observed(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        &mut |_| {},
-    )
+impl<'a> Campaign<'a> {
+    /// A campaign of `plan` at sampling seed `seed`, with every optional
+    /// part at its default.
+    pub fn new(
+        model: &'a Model,
+        data: &'a Dataset,
+        golden: &'a GoldenReference,
+        plan: &'a SfiPlan,
+        seed: u64,
+        cfg: &'a CampaignConfig,
+    ) -> Self {
+        Self {
+            model,
+            data,
+            golden,
+            plan,
+            seed,
+            cfg,
+            space: None,
+            corruption: &Ieee754Corruption,
+            probe: Probe::disabled(),
+            progress: None,
+            checkpoint: None,
+            cancel: None,
+        }
+    }
 }
 
-/// Executes `plan` against any [`CampaignSpace`] without tracing — the
-/// fault-model-generic sibling of [`execute_plan_in_space`].
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan_traced_any`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_any<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: CampaignSpace<'_>,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        Probe::disabled(),
-        &mut |_| {},
-    )
-}
+impl<'a, C: Corruption> Campaign<'a, C> {
+    /// The fault population to sample: a weight space (for example a
+    /// reduced-precision one from `FaultSpace::with_bits`), a transient
+    /// activation/input space, or the accumulated union of both. It must
+    /// match the plan's fault model.
+    pub fn space(self, space: CampaignSpace<'a>) -> Self {
+        Self { space: Some(space), ..self }
+    }
 
-/// [`execute_plan_in_space`] with a progress observer, called after every
-/// classified fault with plan-wide completion and inference counts.
-///
-/// All strata are sampled up front, then executed against **one** worker
-/// pool ([`with_executor`]): each worker's model clone is built once and
-/// amortised across the entire plan instead of once per stratum.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_observed<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_traced(
-        model,
-        data,
-        golden,
-        plan,
-        space,
-        seed,
-        campaign_cfg,
-        corruption,
-        Probe::disabled(),
-        progress,
-    )
+    /// How a fault corrupts a stored weight (see the `sfi-repr` crate for
+    /// reduced-precision formats).
+    pub fn corruption<D: Corruption>(self, corruption: &'a D) -> Campaign<'a, D> {
+        Campaign {
+            model: self.model,
+            data: self.data,
+            golden: self.golden,
+            plan: self.plan,
+            seed: self.seed,
+            cfg: self.cfg,
+            space: self.space,
+            corruption,
+            probe: self.probe,
+            progress: self.progress,
+            checkpoint: self.checkpoint,
+            cancel: self.cancel,
+        }
+    }
+
+    /// An observability probe: the run emits `campaign_start`,
+    /// `plan_compiled`, per-stratum spans, `fault` events and
+    /// `campaign_end` (plus `resume`/`interrupted` with a checkpoint), and
+    /// the executor records per-worker metrics into it. The probe never
+    /// changes classifications or estimates.
+    pub fn probe(self, probe: &'a Probe) -> Self {
+        Self { probe, ..self }
+    }
+
+    /// A progress observer, called after every classified fault with
+    /// plan-wide completion and inference counts.
+    pub fn progress(self, progress: &'a mut dyn FnMut(PlanProgress)) -> Self {
+        Self { progress: Some(progress), ..self }
+    }
+
+    /// Write-ahead checkpointing into a journal.
+    ///
+    /// - **Fresh run** (`checkpoint.resume == false`): `checkpoint.dir`
+    ///   must not already hold a journal; every classification is
+    ///   journaled as it completes.
+    /// - **Resume** (`checkpoint.resume == true`): the journal is recovered
+    ///   (tolerating truncated or checksum-failing tails), validated
+    ///   against this plan's [`plan_fingerprint`], and every fault it
+    ///   already classifies is skipped. Only the remainder is re-executed,
+    ///   into a fresh journal segment.
+    ///
+    /// Takes a `&CheckpointConfig` or an `Option` of one.
+    pub fn checkpoint(self, checkpoint: impl Into<Option<&'a CheckpointConfig>>) -> Self {
+        Self { checkpoint: checkpoint.into(), ..self }
+    }
+
+    /// Cooperative cancellation: when `cancel` fires, the run stops at a
+    /// fault boundary, drains in-flight work (into the journal, when there
+    /// is one), and returns [`CampaignRun::Interrupted`].
+    ///
+    /// Takes a `&CancelToken` or an `Option` of one.
+    pub fn cancel(self, cancel: impl Into<Option<&'a CancelToken>>) -> Self {
+        Self { cancel: cancel.into(), ..self }
+    }
+
+    /// Samples every stratum, then executes them all against **one** worker
+    /// pool ([`with_executor`]): each worker's model clone is built once and
+    /// amortised across the entire plan. A completed outcome is identical
+    /// however many times the campaign was interrupted and resumed, and at
+    /// whichever worker counts it ran; only wall-clock durations differ.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the plan does not fit the space
+    /// ([`SfiError::PlanMismatch`], also when the plan's fault model does
+    /// not match the space variant), sampling fails, or the underlying
+    /// campaign fails; with a checkpoint, also journal I/O failures
+    /// ([`FaultSimError::Journal`]) and resuming against a journal from a
+    /// different plan ([`FaultSimError::CheckpointMismatch`]).
+    pub fn run(self) -> Result<CampaignRun, SfiError> {
+        let Campaign { model, data, golden, plan, seed, cfg, space, corruption, .. } = self;
+        let Campaign { probe, progress, checkpoint, cancel, .. } = self;
+        if checkpoint.is_some_and(|c| c.checkpoint_every == 0) {
+            return Err(SfiError::InvalidExperiment {
+                reason: "checkpoint_every must be at least 1".into(),
+            });
+        }
+        let stuck_at;
+        let space = match space {
+            Some(space) => space,
+            None => {
+                stuck_at = FaultSpace::stuck_at(model);
+                CampaignSpace::Weight(&stuck_at)
+            }
+        };
+        let mut no_progress = |_: PlanProgress| {};
+        let progress = progress.unwrap_or(&mut no_progress);
+        let start = Instant::now();
+        // Phase 1 — resolve and sample every stratum (plan/sampling errors
+        // surface before any worker is spawned), then recover the journal.
+        let sampled = sample_strata_any(plan, space, seed)?;
+        let (mut journal, done, dropped) = match checkpoint {
+            Some(c) => {
+                let fingerprint = plan_fingerprint(plan, seed, data.len(), cfg, &sampled);
+                let (writer, done, dropped) =
+                    open_journal(&c.dir, c.resume, fingerprint, c.checkpoint_every)?;
+                (Some(writer), done, dropped)
+            }
+            None => (None, DoneMap::new(), 0),
+        };
+        let n_strata = sampled.len();
+        let plan_total: u64 = sampled.iter().map(|f| f.len() as u64).sum();
+        let per_stratum_resumed: Vec<u64> = sampled
+            .iter()
+            .enumerate()
+            .map(|(s, faults)| {
+                (0..faults.len()).filter(|&i| done.contains_key(&FaultId::new(s, i))).count() as u64
+            })
+            .collect();
+        let resumed: u64 = per_stratum_resumed.iter().sum();
+        probe.emit(&Event::CampaignStart {
+            strata: n_strata,
+            faults: plan_total,
+            workers: cfg.workers.max(1),
+            fault_model: fault_model_label(plan),
+        });
+        let exec_plan = golden.plan();
+        probe.emit(&Event::PlanCompiled {
+            nodes: exec_plan.len(),
+            fused_groups: exec_plan.fused_groups(),
+            lowerable_convs: (0..exec_plan.len())
+                .filter(|&i| exec_plan.is_lowerable_conv(i))
+                .count(),
+            batched: cfg.batched,
+        });
+        if checkpoint.is_some_and(|c| c.resume) {
+            probe.emit(&Event::Resume { resumed, dropped });
+        }
+
+        // Phase 2 — one executor session across all strata, journaling each
+        // classification from the collector as it completes.
+        let mut completed = 0u64;
+        let mut journal_error: Option<FaultSimError> = None;
+        let mut session: Vec<Option<CampaignResult>> = Vec::with_capacity(n_strata);
+        let mut interrupted = false;
+        let exec_out = with_executor(model, data, golden, cfg, corruption, probe, |exec| {
+            let mut done_before = resumed;
+            let mut inferences_before = 0u64;
+            for (s, faults) in sampled.iter().enumerate() {
+                if cancel.is_some_and(|t| t.is_cancelled()) {
+                    interrupted = true;
+                    break;
+                }
+                let stratum_resumed = per_stratum_resumed[s];
+                // A stratum the journal covers entirely has nothing to run.
+                if stratum_resumed > 0 && stratum_resumed == faults.len() as u64 {
+                    session.push(None);
+                    continue;
+                }
+                // Faults still to run, and each one's index in the stratum.
+                let todo: Option<(Vec<CampaignFault>, Vec<usize>)> =
+                    (stratum_resumed > 0).then(|| {
+                        (0..faults.len())
+                            .filter(|&i| !done.contains_key(&FaultId::new(s, i)))
+                            .map(|i| (faults[i].clone(), i))
+                            .unzip()
+                    });
+                let (to_run, index_of): (&[CampaignFault], &[usize]) = match &todo {
+                    Some((subset, indices)) => (subset, indices),
+                    None => (faults, &[]),
+                };
+                let index = |i: usize| index_of.get(i).copied().unwrap_or(i);
+                if probe.spans() {
+                    let label = stratum_label_any(plan.target(), &plan.strata()[s]);
+                    probe.emit(&Event::StratumStart {
+                        stratum: s,
+                        label: &label,
+                        faults: to_run.len() as u64,
+                    });
+                }
+                let out = exec.run_with(
+                    to_run,
+                    &mut |p| {
+                        progress(PlanProgress {
+                            stratum: s,
+                            strata: n_strata,
+                            completed: stratum_resumed + p.completed,
+                            total: faults.len() as u64,
+                            plan_completed: done_before + p.completed,
+                            plan_total,
+                            inferences: inferences_before + p.inferences,
+                        })
+                    },
+                    &mut |i, class, cost| {
+                        completed += 1;
+                        probe.emit(&Event::Fault {
+                            stratum: s,
+                            index: index(i),
+                            class: class_name(class),
+                            inferences: cost,
+                        });
+                        if let (Some(writer), None) = (journal.as_mut(), &journal_error) {
+                            if let Err(e) = writer.append(FaultId::new(s, index(i)), class, cost) {
+                                journal_error = Some(e);
+                            }
+                        }
+                    },
+                    cancel,
+                );
+                match out {
+                    Ok(result) => {
+                        if probe.spans() {
+                            let tel = CampaignTelemetry::from_result(&result);
+                            probe.emit(&Event::StratumEnd {
+                                stratum: s,
+                                injections: tel.injections,
+                                masked: tel.masked,
+                                critical: tel.critical,
+                                non_critical: tel.non_critical,
+                                failures: tel.exec_failures,
+                                lowering_hits: tel.lowering_hits,
+                                lowering_misses: tel.lowering_misses,
+                                converged: tel.converged,
+                                nodes_skipped: tel.nodes_skipped,
+                                delta_sparse: tel.delta_sparse_nodes,
+                                delta_fallbacks: tel.delta_fallbacks,
+                                delta_dirty_blocks: tel.delta_dirty_blocks,
+                                wall_ms: tel.wall.as_secs_f64() * 1e3,
+                            });
+                        }
+                        done_before += result.injections;
+                        inferences_before += result.inferences;
+                        session.push(Some(result));
+                    }
+                    Err(FaultSimError::Cancelled { .. }) => interrupted = true,
+                    Err(e) => return Err(e),
+                }
+                if let Some(e) = journal_error.take() {
+                    return Err(e);
+                }
+                if interrupted {
+                    break;
+                }
+            }
+            Ok(())
+        });
+        // Seal before surfacing any error: whatever was classified is durable.
+        let seal = journal.as_mut().map_or(Ok(()), |writer| {
+            let seal = writer.seal();
+            let (fsyncs, fsync_ns) = writer.fsync_stats();
+            probe.record_fsync(fsyncs, fsync_ns);
+            seal
+        });
+        exec_out?;
+        seal?;
+
+        let stats =
+            ResumeStats { resumed, dropped, completed, total: plan_total, per_stratum_resumed };
+        if interrupted {
+            probe.emit(&Event::Interrupted { completed });
+            return Ok(CampaignRun::Interrupted { stats });
+        }
+        // Phase 3 — splice journal-resumed classes (and their inference
+        // costs) back into fault order. Fast-path counters stay the fresh
+        // session's own: the journal stores classes, not exit depths.
+        let mut results = Vec::with_capacity(n_strata);
+        for ((s, faults), fresh) in sampled.iter().enumerate().zip(session) {
+            let mut result = fresh.unwrap_or_default();
+            if stats.per_stratum_resumed[s] > 0 {
+                let mut fresh_classes = std::mem::take(&mut result.classes).into_iter();
+                for i in 0..faults.len() {
+                    let class = match done.get(&FaultId::new(s, i)) {
+                        Some(&(class, cost)) => {
+                            result.inferences += cost;
+                            class
+                        }
+                        None => {
+                            fresh_classes.next().expect("the session ran every unjournaled fault")
+                        }
+                    };
+                    result.classes.push(class);
+                }
+                result.injections = faults.len() as u64;
+            }
+            results.push(result);
+        }
+        let outcome = assemble_outcome_any(plan, space, &sampled, &results, start.elapsed());
+        probe.emit(&Event::CampaignEnd {
+            injections: outcome.injections,
+            inferences: outcome.inferences,
+            wall_ms: outcome.elapsed.as_secs_f64() * 1e3,
+        });
+        Ok(CampaignRun::Complete { outcome, stats })
+    }
 }
 
 /// The display label of a stratum (matches the telemetry report). Weight
@@ -368,52 +609,13 @@ pub(crate) fn class_name(class: FaultClass) -> &'static str {
     }
 }
 
-/// [`execute_plan_observed`] with an observability probe: emits
-/// `campaign_start` / `stratum_start` / `fault` / `stratum_end` /
-/// `campaign_end` spans to the probe's event stream and lets the executor
-/// record per-worker metrics into it. With [`Probe::disabled`] this is
-/// exactly [`execute_plan_observed`] — classifications and estimates are
-/// byte-identical at every trace level.
+/// [`Campaign`] with a space, corruption, probe and progress observer, as
+/// one call. Kept as a delegate because the end-to-end benchmark in
+/// `benchmark/` calls it; new code uses [`Campaign`].
 ///
 /// # Errors
 ///
-/// Same conditions as [`execute_plan`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_traced<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    plan: &SfiPlan,
-    space: &FaultSpace,
-    seed: u64,
-    campaign_cfg: &CampaignConfig,
-    corruption: &C,
-    probe: &Probe,
-    progress: &mut dyn FnMut(PlanProgress),
-) -> Result<SfiOutcome, SfiError> {
-    execute_plan_traced_any(
-        model,
-        data,
-        golden,
-        plan,
-        CampaignSpace::Weight(space),
-        seed,
-        campaign_cfg,
-        corruption,
-        probe,
-        progress,
-    )
-}
-
-/// [`execute_plan_traced`] over any [`CampaignSpace`]: the fault-model-
-/// generic plan executor behind weight, transient-activation/input, and
-/// accumulated campaigns. Classifications and estimates are byte-identical
-/// across worker counts and trace levels, exactly as for weight plans.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_plan`], plus [`SfiError::PlanMismatch`]
-/// when the plan's fault model does not match the space variant.
+/// Same conditions as [`Campaign::run`]; a cancellation is impossible here.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_traced_any<C: Corruption>(
     model: &Model,
@@ -427,96 +629,8 @@ pub fn execute_plan_traced_any<C: Corruption>(
     probe: &Probe,
     progress: &mut dyn FnMut(PlanProgress),
 ) -> Result<SfiOutcome, SfiError> {
-    let start = Instant::now();
-    // Phase 1 — resolve and sample every stratum (plan/sampling errors
-    // surface before any worker is spawned).
-    let sampled = sample_strata_any(plan, space, seed)?;
-    // Phase 2 — one executor session across all strata.
-    let n_strata = sampled.len();
-    let plan_total: u64 = sampled.iter().map(|f| f.len() as u64).sum();
-    probe.emit(&Event::CampaignStart {
-        strata: n_strata,
-        faults: plan_total,
-        workers: campaign_cfg.workers.max(1),
-        fault_model: fault_model_label(plan),
-    });
-    let exec_plan = golden.plan();
-    probe.emit(&Event::PlanCompiled {
-        nodes: exec_plan.len(),
-        fused_groups: exec_plan.fused_groups(),
-        lowerable_convs: (0..exec_plan.len()).filter(|&i| exec_plan.is_lowerable_conv(i)).count(),
-        batched: campaign_cfg.batched,
-    });
-    let results =
-        with_executor_probed(model, data, golden, campaign_cfg, corruption, probe, |exec| {
-            let mut results = Vec::with_capacity(n_strata);
-            let mut done_before = 0u64;
-            let mut inferences_before = 0u64;
-            for (idx, faults) in sampled.iter().enumerate() {
-                if probe.spans() {
-                    let label = stratum_label_any(plan.target(), &plan.strata()[idx]);
-                    probe.emit(&Event::StratumStart {
-                        stratum: idx,
-                        label: &label,
-                        faults: faults.len() as u64,
-                    });
-                }
-                let result = exec.run_any_with(
-                    faults,
-                    &mut |p| {
-                        progress(PlanProgress {
-                            stratum: idx,
-                            strata: n_strata,
-                            completed: p.completed,
-                            total: p.total,
-                            plan_completed: done_before + p.completed,
-                            plan_total,
-                            inferences: inferences_before + p.inferences,
-                        })
-                    },
-                    &mut |fault_idx, class, cost| {
-                        probe.emit(&Event::Fault {
-                            stratum: idx,
-                            index: fault_idx,
-                            class: class_name(class),
-                            inferences: cost,
-                        });
-                    },
-                    None,
-                )?;
-                if probe.spans() {
-                    let tel = CampaignTelemetry::from_result(&result);
-                    probe.emit(&Event::StratumEnd {
-                        stratum: idx,
-                        injections: tel.injections,
-                        masked: tel.masked,
-                        critical: tel.critical,
-                        non_critical: tel.non_critical,
-                        failures: tel.exec_failures,
-                        lowering_hits: tel.lowering_hits,
-                        lowering_misses: tel.lowering_misses,
-                        converged: tel.converged,
-                        nodes_skipped: tel.nodes_skipped,
-                        delta_sparse: tel.delta_sparse_nodes,
-                        delta_fallbacks: tel.delta_fallbacks,
-                        delta_dirty_blocks: tel.delta_dirty_blocks,
-                        wall_ms: tel.wall.as_secs_f64() * 1e3,
-                    });
-                }
-                done_before += result.injections;
-                inferences_before += result.inferences;
-                results.push(result);
-            }
-            Ok(results)
-        })?;
-    // Phase 3 — assemble outcomes, tallies, and telemetry.
-    let outcome = assemble_outcome_any(plan, space, &sampled, &results, start.elapsed());
-    probe.emit(&Event::CampaignEnd {
-        injections: outcome.injections,
-        inferences: outcome.inferences,
-        wall_ms: outcome.elapsed.as_secs_f64() * 1e3,
-    });
-    Ok(outcome)
+    let campaign = Campaign::new(model, data, golden, plan, seed, campaign_cfg).space(space);
+    campaign.corruption(corruption).probe(probe).progress(progress).run()?.into_outcome()
 }
 
 /// Resolves and samples every stratum of `plan` (phase 1 of execution).
@@ -797,6 +911,10 @@ mod tests {
         (model, data, golden, space)
     }
 
+    fn run_to_end(campaign: Campaign<'_>) -> SfiOutcome {
+        campaign.run().unwrap().into_outcome().unwrap()
+    }
+
     fn loose_spec() -> SampleSpec {
         SampleSpec { error_margin: 0.15, ..SampleSpec::paper_default() }
     }
@@ -811,17 +929,10 @@ mod tests {
         let space = ActivationSpace::build_for(&model, &data, target).unwrap();
         let plan = plan_transient(&space, target, scheme, None, &loose_spec()).unwrap();
         let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-        execute_plan_any(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            CampaignSpace::Transient(&space),
-            seed,
-            &cfg,
-            &sfi_faultsim::campaign::Ieee754Corruption,
+        run_to_end(
+            Campaign::new(&model, &data, &golden, &plan, seed, &cfg)
+                .space(CampaignSpace::Transient(&space)),
         )
-        .unwrap()
     }
 
     #[test]
@@ -877,17 +988,10 @@ mod tests {
         )
         .unwrap();
         assert!(plan.total_sample() <= unaware.total_sample());
-        let outcome = execute_plan_any(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            CampaignSpace::Transient(&space),
-            3,
-            &CampaignConfig::default(),
-            &sfi_faultsim::campaign::Ieee754Corruption,
-        )
-        .unwrap();
+        let outcome = run_to_end(
+            Campaign::new(&model, &data, &golden, &plan, 3, &CampaignConfig::default())
+                .space(CampaignSpace::Transient(&space)),
+        );
         assert_eq!(outcome.injections(), plan.total_sample());
     }
 
@@ -900,17 +1004,17 @@ mod tests {
             let plan = plan_accumulated(union, k, &loose_spec()).unwrap();
             assert_eq!(plan.accumulate(), k);
             let run = |workers: usize| {
-                execute_plan_any(
-                    &model,
-                    &data,
-                    &golden,
-                    &plan,
-                    CampaignSpace::Accumulated { weights: &space, activations: &acts },
-                    7,
-                    &CampaignConfig { workers, ..CampaignConfig::default() },
-                    &sfi_faultsim::campaign::Ieee754Corruption,
+                run_to_end(
+                    Campaign::new(
+                        &model,
+                        &data,
+                        &golden,
+                        &plan,
+                        7,
+                        &CampaignConfig { workers, ..CampaignConfig::default() },
+                    )
+                    .space(CampaignSpace::Accumulated { weights: &space, activations: &acts }),
                 )
-                .unwrap()
             };
             let one = run(1);
             let four = run(4);
@@ -944,18 +1048,11 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let legacy =
-            execute_plan(&model, &data, &golden, &plan, 5, &CampaignConfig::default()).unwrap();
-        let generic = execute_plan_any(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            CampaignSpace::Weight(&space),
-            5,
-            &CampaignConfig::default(),
-            &sfi_faultsim::campaign::Ieee754Corruption,
-        )
-        .unwrap();
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 5, &CampaignConfig::default()));
+        let generic = run_to_end(
+            Campaign::new(&model, &data, &golden, &plan, 5, &CampaignConfig::default())
+                .space(CampaignSpace::Weight(&space)),
+        );
         assert_eq!(legacy.strata(), generic.strata());
         assert_eq!(legacy.injections(), generic.injections());
         assert_eq!(legacy.layer_tallies(), generic.layer_tallies());
@@ -966,7 +1063,7 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let outcome =
-            execute_plan(&model, &data, &golden, &plan, 1, &CampaignConfig::default()).unwrap();
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 1, &CampaignConfig::default()));
         assert_eq!(outcome.scheme(), SchemeKind::LayerWise);
         assert_eq!(outcome.injections(), plan.total_sample());
         for l in 0..20 {
@@ -983,7 +1080,7 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_network_wise(&space, &loose_spec());
         let outcome =
-            execute_plan(&model, &data, &golden, &plan, 2, &CampaignConfig::default()).unwrap();
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 2, &CampaignConfig::default()));
         // Big layers certainly received some faults.
         let est = outcome.layer_estimate(14, Confidence::C99).expect("layer 14 sampled");
         // The per-layer sample is only the layer's proportional share of
@@ -991,8 +1088,14 @@ mod tests {
         // campaign gives the same layer, which is why the paper calls
         // per-layer readings of a network-wise SFI statistically invalid.
         let lw_plan = plan_layer_wise(&space, &loose_spec());
-        let lw =
-            execute_plan(&model, &data, &golden, &lw_plan, 2, &CampaignConfig::default()).unwrap();
+        let lw = run_to_end(Campaign::new(
+            &model,
+            &data,
+            &golden,
+            &lw_plan,
+            2,
+            &CampaignConfig::default(),
+        ));
         let lw_est = lw.layer_estimate(14, Confidence::C99).unwrap();
         assert!(
             est.sample * 4 < lw_est.sample,
@@ -1011,10 +1114,13 @@ mod tests {
     fn execution_is_deterministic_in_seed() {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
-        let a = execute_plan(&model, &data, &golden, &plan, 5, &CampaignConfig::default()).unwrap();
-        let b = execute_plan(&model, &data, &golden, &plan, 5, &CampaignConfig::default()).unwrap();
+        let a =
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 5, &CampaignConfig::default()));
+        let b =
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 5, &CampaignConfig::default()));
         assert_eq!(a.strata(), b.strata());
-        let c = execute_plan(&model, &data, &golden, &plan, 6, &CampaignConfig::default()).unwrap();
+        let c =
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 6, &CampaignConfig::default()));
         // Different seed virtually always gives different tallies somewhere.
         assert!(a.strata() != c.strata() || a.layer_tallies() != c.layer_tallies());
     }
@@ -1025,7 +1131,9 @@ mod tests {
         let other = ResNetConfig::resnet20().build().unwrap();
         let plan = plan_layer_wise(&FaultSpace::stuck_at(&other), &loose_spec());
         assert!(matches!(
-            execute_plan(&model, &data, &golden, &plan, 0, &CampaignConfig::default()),
+            Campaign::new(&model, &data, &golden, &plan, 0, &CampaignConfig::default())
+                .run()
+                .and_then(CampaignRun::into_outcome),
             Err(SfiError::PlanMismatch { .. })
         ));
     }
@@ -1037,8 +1145,14 @@ mod tests {
         let (model, data, golden, space) = setup();
         let full = plan_data_unaware(&space, &loose_spec());
         let pruned = full.restricted_to_layer(0, &space);
-        let outcome =
-            execute_plan(&model, &data, &golden, &pruned, 3, &CampaignConfig::default()).unwrap();
+        let outcome = run_to_end(Campaign::new(
+            &model,
+            &data,
+            &golden,
+            &pruned,
+            3,
+            &CampaignConfig::default(),
+        ));
         assert_eq!(outcome.strata().len(), 32);
         let est = outcome.layer_estimate(0, Confidence::C99).unwrap();
         assert!(est.sample > 0);
@@ -1049,7 +1163,7 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let outcome =
-            execute_plan(&model, &data, &golden, &plan, 9, &CampaignConfig::default()).unwrap();
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 9, &CampaignConfig::default()));
         let telemetry = outcome.stratum_telemetry();
         assert_eq!(telemetry.len(), outcome.strata().len());
         let inferences: u64 = telemetry.iter().map(|t| t.inferences).sum();
@@ -1068,18 +1182,13 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let mut seen: Vec<PlanProgress> = Vec::new();
-        let outcome = execute_plan_observed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            11,
-            &CampaignConfig::default(),
-            &Ieee754Corruption,
-            &mut |p| seen.push(p),
-        )
-        .unwrap();
+        let cfg = CampaignConfig::default();
+        let outcome = Campaign::new(&model, &data, &golden, &plan, 11, &cfg)
+            .progress(&mut |p| seen.push(p))
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         assert_eq!(seen.len() as u64, outcome.injections(), "one event per fault");
         for pair in seen.windows(2) {
             assert_eq!(pair[1].plan_completed, pair[0].plan_completed + 1);
@@ -1098,19 +1207,14 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-        let plain = execute_plan(&model, &data, &golden, &plan, 13, &cfg).unwrap();
-        let observed = execute_plan_observed(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            13,
-            &cfg,
-            &Ieee754Corruption,
-            &mut |_| {},
-        )
-        .unwrap();
+        let plain = run_to_end(Campaign::new(&model, &data, &golden, &plan, 13, &cfg));
+        let observed = Campaign::new(&model, &data, &golden, &plan, 13, &cfg)
+            .space(CampaignSpace::Weight(&space))
+            .progress(&mut |_| {})
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         assert_eq!(plain.strata(), observed.strata());
         assert_eq!(plain.layer_tallies(), observed.layer_tallies());
     }
@@ -1120,7 +1224,7 @@ mod tests {
         let (model, data, golden, space) = setup();
         let plan = plan_layer_wise(&space, &loose_spec());
         let outcome =
-            execute_plan(&model, &data, &golden, &plan, 9, &CampaignConfig::default()).unwrap();
+            run_to_end(Campaign::new(&model, &data, &golden, &plan, 9, &CampaignConfig::default()));
         let tallied: u64 = outcome.layer_tallies().iter().map(|t| t.sample).sum();
         assert_eq!(tallied, outcome.injections());
     }

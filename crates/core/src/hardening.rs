@@ -107,7 +107,7 @@ impl ProtectionPlan {
 /// # Example
 ///
 /// ```
-/// use sfi_core::execute::execute_plan;
+/// use sfi_core::execute::Campaign;
 /// use sfi_core::hardening::{plan_protection, HardeningConfig};
 /// use sfi_core::plan::plan_layer_wise;
 /// use sfi_dataset::SynthCifarConfig;
@@ -126,7 +126,8 @@ impl ProtectionPlan {
 /// let space = FaultSpace::stuck_at(&model);
 /// let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
 /// let plan = plan_layer_wise(&space, &spec);
-/// let outcome = execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default())?;
+/// let cfg = CampaignConfig::default();
+/// let outcome = Campaign::new(&model, &data, &golden, &plan, 3, &cfg).run()?.into_outcome()?;
 /// // Budget for roughly half the network's check bits.
 /// let budget = HardeningConfig::secded32(model.store().total_weights() as u64 * 7 / 2);
 /// let protection = plan_protection(&outcome, &space, &budget, Confidence::C99)?;
@@ -187,7 +188,7 @@ pub fn plan_protection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::execute_plan;
+    use crate::execute::Campaign;
     use crate::plan::plan_layer_wise;
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::campaign::CampaignConfig;
@@ -204,8 +205,11 @@ mod tests {
         let space = FaultSpace::stuck_at(&model);
         let spec = SampleSpec { error_margin: 0.08, ..SampleSpec::paper_default() };
         let plan = plan_layer_wise(&space, &spec);
-        let outcome =
-            execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default()).unwrap();
+        let outcome = Campaign::new(&model, &data, &golden, &plan, 3, &CampaignConfig::default())
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         (outcome, space, model.store().total_weights() as u64)
     }
 

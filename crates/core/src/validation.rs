@@ -119,7 +119,7 @@ pub fn validate_against_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::execute_plan;
+    use crate::execute::Campaign;
     use crate::plan::plan_layer_wise;
     use sfi_dataset::SynthCifarConfig;
     use sfi_faultsim::campaign::CampaignConfig;
@@ -154,7 +154,11 @@ mod tests {
         // random seed still misses some layer ~8% of the time.
         let spec = SampleSpec { error_margin: 0.05, ..SampleSpec::paper_default() };
         let plan = plan_layer_wise(&space, &spec);
-        let outcome = execute_plan(&model, &data, &golden, &plan, 1, &cfg).unwrap();
+        let outcome = Campaign::new(&model, &data, &golden, &plan, 1, &cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let validation = validate_against_exhaustive(&outcome, &truth, Confidence::C99);
 
         let non_degenerate: Vec<_> = validation.layers.iter().filter(|l| !l.degenerate).collect();
@@ -184,7 +188,11 @@ mod tests {
         let space = FaultSpace::stuck_at(&model);
         let spec = SampleSpec { error_margin: 0.05, ..SampleSpec::paper_default() };
         let plan = plan_layer_wise(&space, &spec);
-        let outcome = execute_plan(&model, &data, &golden, &plan, 1, &cfg).unwrap();
+        let outcome = Campaign::new(&model, &data, &golden, &plan, 1, &cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let validation = validate_against_exhaustive(&outcome, &truth, Confidence::C99);
         assert_eq!(validation.scheme, SchemeKind::LayerWise);
         assert_eq!(validation.layers.len(), 8, "ResNet-8 has 8 weight layers");

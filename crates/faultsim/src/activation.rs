@@ -329,6 +329,11 @@ impl ActivationCampaignResult {
 /// inference once; the outcome is critical when the struck inference's
 /// top-1 differs from the golden prediction.
 ///
+/// This is the executor-free reference for transient faults: it
+/// classifies each fault with one plain forward pass, and the executor's
+/// activation tests check every engine and worker count against it. It
+/// stays for that reason.
+///
 /// # Errors
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty golden reference,

@@ -1,10 +1,11 @@
 //! The campaign runner: inject → re-infer → classify → revert, over a list
 //! of faults, optionally across worker threads.
 //!
-//! [`run_campaign`] / [`run_campaign_with`] are thin wrappers over the
-//! work-stealing [`executor`](crate::executor) — one model clone per worker
-//! and dynamic fault distribution. The historical static-shard scheduler is
-//! kept as [`run_campaign_static`] so benches can measure the difference.
+//! [`run_campaign`] is a thin wrapper over the work-stealing
+//! [`executor`](crate::executor) — one model clone per worker and dynamic
+//! fault distribution. The historical static-shard scheduler is kept as
+//! [`run_campaign_static`], the fault-order reference the executor's
+//! depth-sorted schedule is tested against.
 
 use std::time::{Duration, Instant};
 
@@ -12,10 +13,12 @@ use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
 use sfi_nn::{KernelPolicy, Model, SessionState};
+use sfi_obs::Probe;
 
 use crate::executor::{classify_one, needed_for_critical, with_executor, FaultTally};
 use crate::fault::Fault;
 use crate::golden::GoldenReference;
+use crate::multi::CampaignFault;
 use crate::FaultSimError;
 
 /// How a fault corrupts a stored weight.
@@ -183,7 +186,7 @@ impl Default for CampaignConfig {
 }
 
 /// Aggregate outcome of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignResult {
     /// Per-fault classification, aligned with the input fault order.
     pub classes: Vec<FaultClass>,
@@ -270,9 +273,11 @@ impl CampaignResult {
 ///
 /// For every fault: inject into a worker-local clone of `model`, evaluate
 /// the dataset (incrementally from the faulted layer when
-/// `cfg.incremental`), classify against `golden`, revert. Results are
-/// returned in input order regardless of worker count, and the entire run
-/// is deterministic.
+/// `cfg.incremental`), classify against `golden`, revert. `faults` is any
+/// list that converts into [`CampaignFault`]s: weight faults, transient
+/// activation/input faults, and accumulated multi-fault instances, freely
+/// mixed. Results are returned in input order regardless of worker count,
+/// and the entire run is deterministic.
 ///
 /// # Errors
 ///
@@ -303,66 +308,32 @@ impl CampaignResult {
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_campaign(
+pub fn run_campaign<F: Clone + Into<CampaignFault>>(
     model: &Model,
     data: &Dataset,
     golden: &GoldenReference,
-    faults: &[Fault],
+    faults: &[F],
     cfg: &CampaignConfig,
-) -> Result<CampaignResult, FaultSimError> {
-    run_campaign_with(model, data, golden, faults, cfg, &Ieee754Corruption)
-}
-
-/// Runs a fault-injection campaign with a custom [`Corruption`] model.
-///
-/// Identical to [`run_campaign`] except that each fault's faulty value is
-/// produced by `corruption` instead of direct IEEE-754 bit manipulation.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign`].
-pub fn run_campaign_with<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    faults: &[Fault],
-    cfg: &CampaignConfig,
-    corruption: &C,
 ) -> Result<CampaignResult, FaultSimError> {
     // Never spawn more workers than faults; the executor's cursor would
     // leave the excess idle anyway, but their model clones are not free.
     let cfg = CampaignConfig { workers: cfg.workers.max(1).min(faults.len().max(1)), ..*cfg };
-    with_executor(model, data, golden, &cfg, corruption, |exec| exec.run(faults))
-}
-
-/// Runs a fault-model-generic campaign: weight faults, transient
-/// activation/input faults, and accumulated multi-fault instances, freely
-/// mixed in one list. Classifications are in fault order and identical
-/// across worker counts.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign`].
-pub fn run_any_campaign(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    faults: &[crate::multi::CampaignFault],
-    cfg: &CampaignConfig,
-) -> Result<CampaignResult, FaultSimError> {
-    let cfg = CampaignConfig { workers: cfg.workers.max(1).min(faults.len().max(1)), ..*cfg };
-    with_executor(model, data, golden, &cfg, &Ieee754Corruption, |exec| exec.run_any(faults))
+    with_executor(model, data, golden, &cfg, &Ieee754Corruption, Probe::disabled(), |exec| {
+        exec.run(faults)
+    })
 }
 
 /// Runs a campaign with the historical static-shard scheduler: the fault
 /// list is split into `workers` contiguous chunks up front, one scoped
 /// thread per chunk.
 ///
-/// Classifications are identical to [`run_campaign_with`]; only the
-/// schedule differs. Kept as the ablation baseline for the `campaign`
-/// bench — per-fault cost is uneven (masked faults are free, early-exited
-/// critical faults nearly so), so static shards straggle where the
-/// work-stealing executor balances.
+/// Classifications are identical to [`run_campaign`]; only the schedule
+/// differs. It stays as a test reference: it classifies in fault order
+/// while the executor classifies in depth-sorted execution order, and the
+/// executor-determinism and eval-set-mismatch tests compare the two. It is
+/// also the `campaign` bench's ablation baseline — per-fault cost is uneven
+/// (masked faults are free, early-exited critical faults nearly so), so
+/// static shards straggle where the work-stealing executor balances.
 ///
 /// # Errors
 ///
@@ -645,7 +616,8 @@ mod tests {
     #[test]
     fn empty_faults_yield_empty_result() {
         let (model, data, golden) = setup();
-        let res = run_campaign(&model, &data, &golden, &[], &CampaignConfig::default()).unwrap();
+        let res =
+            run_campaign::<Fault>(&model, &data, &golden, &[], &CampaignConfig::default()).unwrap();
         assert_eq!(res.injections, 0);
         assert_eq!(res.critical_rate(), 0.0);
     }
@@ -655,7 +627,7 @@ mod tests {
         let (model, data, golden) = setup();
         let empty = data.truncated(0);
         assert!(matches!(
-            run_campaign(&model, &empty, &golden, &[], &CampaignConfig::default()),
+            run_campaign::<Fault>(&model, &empty, &golden, &[], &CampaignConfig::default()),
             Err(FaultSimError::EmptyEvalSet)
         ));
     }

@@ -51,6 +51,7 @@
 //! use sfi_faultsim::fault::{Fault, FaultModel, FaultSite};
 //! use sfi_faultsim::golden::GoldenReference;
 //! use sfi_nn::resnet::ResNetConfig;
+//! use sfi_obs::Probe;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let model = ResNetConfig::resnet20_micro().build_seeded(1)?;
@@ -62,7 +63,8 @@
 //!     model: FaultModel::StuckAt1,
 //! };
 //! // One pool serves any number of campaigns (here: two strata).
-//! let (a, b) = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+//! let probe = Probe::disabled();
+//! let (a, b) = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, probe, |exec| {
 //!     Ok((exec.run(&[fault(0), fault(1)])?, exec.run(&[fault(2)])?))
 //! })?;
 //! assert_eq!(a.injections, 2);
@@ -124,7 +126,7 @@ impl CancelToken {
     }
 }
 
-/// Progress snapshot delivered to [`CampaignExecutor::run_observed`]
+/// Progress snapshot delivered to [`CampaignExecutor::run_with`]
 /// callbacks after every completed fault.
 ///
 /// `completed` is strictly monotone over the callbacks of one campaign and
@@ -345,7 +347,7 @@ pub struct CampaignExecutor<'a, C: Corruption> {
     /// Session-wide tallies fed by every worker (or the inline loop).
     stats: Arc<SessionStats>,
     /// Observability probe; [`Probe::disabled`] unless the session was
-    /// opened through [`with_executor_probed`].
+    /// opened with one.
     probe: &'a Probe,
 }
 
@@ -370,10 +372,13 @@ struct SessionStats {
 }
 
 /// Runs `f` with a campaign executor whose worker pool (and per-worker
-/// model clones) persists across every [`CampaignExecutor::run`] call made
-/// inside `f` — the cheap way to execute many strata against one model.
+/// model clones) persists across every [`CampaignExecutor::run_with`] call
+/// made inside `f` — the cheap way to execute many strata against one model.
 ///
-/// `cfg.workers <= 1` runs inline without spawning anything.
+/// `cfg.workers <= 1` runs inline without spawning anything. Workers time
+/// their inferences and arena activity into `probe`'s shards, and the
+/// collector counts requeues and retirements; with [`Probe::disabled`]
+/// every instrumentation point reduces to a branch.
 ///
 /// # Errors
 ///
@@ -382,29 +387,6 @@ struct SessionStats {
 /// built for a different number of images; otherwise whatever `f`
 /// returns.
 pub fn with_executor<C, R, F>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    cfg: &CampaignConfig,
-    corruption: &C,
-    f: F,
-) -> Result<R, FaultSimError>
-where
-    C: Corruption,
-    F: FnOnce(&mut CampaignExecutor<'_, C>) -> Result<R, FaultSimError>,
-{
-    with_executor_probed(model, data, golden, cfg, corruption, Probe::disabled(), f)
-}
-
-/// [`with_executor`] with an observability probe: workers time their
-/// inferences and arena activity into the probe's shards, and the
-/// collector counts requeues and retirements. With [`Probe::disabled`]
-/// every instrumentation point reduces to a branch.
-///
-/// # Errors
-///
-/// Same conditions as [`with_executor`].
-pub fn with_executor_probed<C, R, F>(
     model: &Model,
     data: &Dataset,
     golden: &GoldenReference,
@@ -476,34 +458,27 @@ where
 }
 
 impl<C: Corruption> CampaignExecutor<'_, C> {
-    /// Runs one campaign over `faults`.
-    ///
-    /// Results are in fault order and identical across worker counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first injection or inference error (by fault order).
-    pub fn run(&mut self, faults: &[Fault]) -> Result<CampaignResult, FaultSimError> {
-        self.run_observed(faults, &mut |_| {})
-    }
-
-    /// [`run`](Self::run) with a progress callback, invoked after every
-    /// classified fault with monotonically increasing `completed` counts.
+    /// Runs one campaign over `faults` with no hooks: [`run_with`](Self::run_with)
+    /// for any fault list that converts into [`CampaignFault`]s.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`run`](Self::run).
-    pub fn run_observed(
+    /// Same conditions as [`run_with`](Self::run_with).
+    pub fn run<F: Clone + Into<CampaignFault>>(
         &mut self,
-        faults: &[Fault],
-        progress: &mut dyn FnMut(CampaignProgress),
+        faults: &[F],
     ) -> Result<CampaignResult, FaultSimError> {
-        self.run_with(faults, progress, &mut |_, _, _| {}, None)
+        let faults: Vec<CampaignFault> = faults.iter().cloned().map(Into::into).collect();
+        self.run_with(&faults, &mut |_| {}, &mut |_, _, _| {}, None)
     }
 
-    /// The fully instrumented run: progress callbacks, a per-fault
-    /// completion sink, and cooperative cancellation.
+    /// Runs one campaign over a fault-model-generic fault list (weight,
+    /// activation/input, or accumulated multi-fault instances, freely
+    /// mixed) — the executor's one primitive. Results are in fault order
+    /// and identical across worker counts.
     ///
+    /// `progress` is invoked after every classified fault with
+    /// monotonically increasing `completed` counts.
     /// `on_classified(index, class, inferences)` fires in **completion
     /// order** (not fault order) exactly once per classified fault — the
     /// hook checkpoint journals use to persist results as they happen.
@@ -520,36 +495,6 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
     ///   when pool workers die without unwinding (panics are isolated and
     ///   do **not** produce these).
     pub fn run_with(
-        &mut self,
-        faults: &[Fault],
-        progress: &mut dyn FnMut(CampaignProgress),
-        on_classified: &mut dyn FnMut(usize, FaultClass, u64),
-        cancel: Option<&CancelToken>,
-    ) -> Result<CampaignResult, FaultSimError> {
-        let faults: Vec<CampaignFault> = faults.iter().map(|&f| CampaignFault::Weight(f)).collect();
-        self.run_any_with(&faults, progress, on_classified, cancel)
-    }
-
-    /// Runs one campaign over a fault-model-generic fault list (weight,
-    /// activation/input, or accumulated multi-fault instances, freely
-    /// mixed).
-    ///
-    /// Results are in fault order and identical across worker counts.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    pub fn run_any(&mut self, faults: &[CampaignFault]) -> Result<CampaignResult, FaultSimError> {
-        self.run_any_with(faults, &mut |_| {}, &mut |_, _, _| {}, None)
-    }
-
-    /// [`run_with`](Self::run_with) over a fault-model-generic fault list —
-    /// the primitive every other `run*` entry point reduces to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_with`](Self::run_with).
-    pub fn run_any_with(
         &mut self,
         faults: &[CampaignFault],
         progress: &mut dyn FnMut(CampaignProgress),
@@ -1592,6 +1537,21 @@ mod tests {
     use sfi_dataset::SynthCifarConfig;
     use sfi_nn::resnet::ResNetConfig;
 
+    fn generic(faults: &[Fault]) -> Vec<CampaignFault> {
+        faults.iter().map(|&f| f.into()).collect()
+    }
+
+    /// An untraced IEEE-754 executor session.
+    fn session<R>(
+        model: &Model,
+        data: &Dataset,
+        golden: &GoldenReference,
+        cfg: &CampaignConfig,
+        f: impl FnOnce(&mut CampaignExecutor<'_, Ieee754Corruption>) -> Result<R, FaultSimError>,
+    ) -> Result<R, FaultSimError> {
+        with_executor(model, data, golden, cfg, &Ieee754Corruption, Probe::disabled(), f)
+    }
+
     fn setup() -> (Model, Dataset, GoldenReference) {
         let model = ResNetConfig::resnet20_micro().build_seeded(4).unwrap();
         let data = SynthCifarConfig::new().with_size(16).with_samples(4).generate();
@@ -1633,10 +1593,7 @@ mod tests {
         let mut results = Vec::new();
         for workers in [1usize, 2, 4, 8] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run(&faults)
-            })
-            .unwrap();
+            let res = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap();
             results.push(res);
         }
         for r in &results[1..] {
@@ -1650,15 +1607,14 @@ mod tests {
         let (model, data, golden) = setup();
         let cfg = CampaignConfig { workers: 3, ..CampaignConfig::default() };
         let all = mixed_faults(&model, 30);
-        let (joint, split) =
-            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                assert_eq!(exec.workers(), 3);
-                let joint = exec.run(&all)?;
-                let first = exec.run(&all[..15])?;
-                let second = exec.run(&all[15..])?;
-                Ok((joint, (first, second)))
-            })
-            .unwrap();
+        let (joint, split) = session(&model, &data, &golden, &cfg, |exec| {
+            assert_eq!(exec.workers(), 3);
+            let joint = exec.run(&all)?;
+            let first = exec.run(&all[..15])?;
+            let second = exec.run(&all[15..])?;
+            Ok((joint, (first, second)))
+        })
+        .unwrap();
         let mut stitched = split.0.classes.clone();
         stitched.extend(split.1.classes.clone());
         assert_eq!(joint.classes, stitched, "pool state must not leak across campaigns");
@@ -1670,10 +1626,7 @@ mod tests {
         let faults = mixed_faults(&model, 24);
         let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
         let via_campaign = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
-        let direct = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run(&faults)
-        })
-        .unwrap();
+        let direct = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap();
         assert_eq!(via_campaign.classes, direct.classes);
     }
 
@@ -1684,8 +1637,8 @@ mod tests {
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
             let mut seen = Vec::new();
-            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_observed(&faults, &mut |p| seen.push(p))
+            session(&model, &data, &golden, &cfg, |exec| {
+                exec.run_with(&generic(&faults), &mut |p| seen.push(p), &mut |_, _, _| {}, None)
             })
             .unwrap();
             assert_eq!(seen.len(), faults.len(), "one event per fault ({workers} workers)");
@@ -1753,10 +1706,7 @@ mod tests {
             Fault { site: FaultSite { layer: 98, weight: 0, bit: 0 }, model: FaultModel::StuckAt1 };
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            let err = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run(&faults)
-            })
-            .unwrap_err();
+            let err = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap_err();
             match err {
                 FaultSimError::InvalidFault { reason } => {
                     assert!(reason.contains("99"), "{workers} workers: {reason}")
@@ -1770,9 +1720,7 @@ mod tests {
     fn empty_fault_list_is_fine() {
         let (model, data, golden) = setup();
         let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-        let res =
-            with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| exec.run(&[]))
-                .unwrap();
+        let res = session(&model, &data, &golden, &cfg, |exec| exec.run::<Fault>(&[])).unwrap();
         assert_eq!(res.injections, 0);
         assert!(res.classes.is_empty());
     }
@@ -1787,7 +1735,8 @@ mod tests {
             &golden,
             &CampaignConfig::default(),
             &Ieee754Corruption,
-            |exec| exec.run(&[]),
+            Probe::disabled(),
+            |exec| exec.run::<Fault>(&[]),
         );
         assert!(matches!(out, Err(FaultSimError::EmptyEvalSet)));
     }
@@ -1806,10 +1755,7 @@ mod tests {
         for workers in [1, 2] {
             for batched in [false, true] {
                 let cfg = CampaignConfig { workers, batched, ..CampaignConfig::default() };
-                let pooled =
-                    with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                        exec.run(&faults)
-                    });
+                let pooled = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults));
                 assert_eq!(pooled.err(), Some(expected.clone()), "workers {workers}");
                 let sharded =
                     run_campaign_static(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption);
@@ -1837,11 +1783,12 @@ mod tests {
         let clean =
             run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
         let cfg = CampaignConfig { workers: 4, max_fault_retries: 1, ..CampaignConfig::default() };
-        let (res, survivors) = with_executor(&model, &data, &golden, &cfg, &corruption, |exec| {
-            let res = exec.run(&faults)?;
-            Ok((res, exec.workers()))
-        })
-        .unwrap();
+        let (res, survivors) =
+            with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+                let res = exec.run(&faults)?;
+                Ok((res, exec.workers()))
+            })
+            .unwrap();
         assert_eq!(res.classes[9], FaultClass::ExecutionFailure);
         for (i, (got, want)) in res.classes.iter().zip(&clean.classes).enumerate() {
             if i != 9 {
@@ -1864,8 +1811,10 @@ mod tests {
             run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
         let cfg = CampaignConfig { workers: 1, ..CampaignConfig::default() };
         let res =
-            with_executor(&model, &data, &golden, &cfg, &corruption, |exec| exec.run(&faults))
-                .unwrap();
+            with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+                exec.run(&faults)
+            })
+            .unwrap();
         assert_eq!(res.classes[4], FaultClass::ExecutionFailure);
         for (i, (got, want)) in res.classes.iter().zip(&clean.classes).enumerate() {
             if i != 4 {
@@ -1885,7 +1834,7 @@ mod tests {
         let cfg = CampaignConfig { workers: 3, max_fault_retries: 1, ..CampaignConfig::default() };
         let clean_tail =
             run_campaign(&model, &data, &golden, &faults[1..], &CampaignConfig::default()).unwrap();
-        with_executor(&model, &data, &golden, &cfg, &corruption, |exec| {
+        with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
             let first = exec.run(&faults)?;
             assert_eq!(first.classes[0], FaultClass::ExecutionFailure);
             assert_eq!(exec.workers(), 1, "two workers retired by the poisoned fault");
@@ -1907,10 +1856,10 @@ mod tests {
             let token = CancelToken::new();
             let mut seen: Vec<(usize, FaultClass, u64)> = Vec::new();
             let stop_after = 5u64;
-            let out = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+            let out = session(&model, &data, &golden, &cfg, |exec| {
                 let t = token.clone();
                 exec.run_with(
-                    &faults,
+                    &generic(&faults),
                     &mut move |p| {
                         if p.completed >= stop_after {
                             t.cancel();
@@ -2028,10 +1977,7 @@ mod tests {
             (4, false, false),
         ] {
             let cfg = CampaignConfig { workers, delta, convergence, ..CampaignConfig::default() };
-            let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_any(&faults)
-            })
-            .unwrap();
+            let res = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap();
             assert_eq!(res.injections, faults.len() as u64);
             if let Some(r) = &reference {
                 assert_eq!(
@@ -2071,12 +2017,7 @@ mod tests {
         let mut results = Vec::new();
         for workers in [1usize, 4] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            results.push(
-                with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                    exec.run_any(&faults)
-                })
-                .unwrap(),
-            );
+            results.push(session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap());
         }
         assert_eq!(results[0].classes, results[1].classes);
         assert!(
@@ -2121,10 +2062,7 @@ mod tests {
             }),
         ];
         let cfg = CampaignConfig::default();
-        let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run_any(&faults)
-        })
-        .unwrap();
+        let res = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap();
         assert_eq!(res.classes[0], FaultClass::Masked, "all components masked");
         assert_ne!(res.classes[1], FaultClass::Masked, "effective transient component");
         // Masked instance costs nothing; the effective one evaluates only
@@ -2159,10 +2097,7 @@ mod tests {
             })
             .collect();
         let cfg = CampaignConfig { early_exit: false, ..CampaignConfig::default() };
-        let res = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run_any(&acc)
-        })
-        .unwrap();
+        let res = session(&model, &data, &golden, &cfg, |exec| exec.run(&acc)).unwrap();
         assert_eq!(res.classes, singles.classes, "k=1 accumulation ≡ plain weight fault");
         assert_eq!(res.inferences, singles.inferences);
     }
@@ -2192,12 +2127,7 @@ mod tests {
         let mut results = Vec::new();
         for workers in [1usize, 2, 4, 8] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            results.push(
-                with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                    exec.run_any(&faults)
-                })
-                .unwrap(),
-            );
+            results.push(session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap());
         }
         for r in &results[1..] {
             assert_eq!(r.classes, results[0].classes);
@@ -2226,10 +2156,7 @@ mod tests {
             }),
         ];
         let cfg = CampaignConfig::default();
-        let _ = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-            exec.run_any(&faults)
-        })
-        .unwrap();
+        let _ = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults)).unwrap();
         assert_eq!(*model.store(), store_before, "every fault model must revert cleanly");
     }
 
@@ -2250,8 +2177,8 @@ mod tests {
             }),
         ] {
             let cfg = CampaignConfig::default();
-            let err = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_any(std::slice::from_ref(&fault))
+            let err = session(&model, &data, &golden, &cfg, |exec| {
+                exec.run(std::slice::from_ref(&fault))
             })
             .unwrap_err();
             assert!(matches!(err, FaultSimError::InvalidFault { .. }), "{fault}: {err:?}");
@@ -2266,8 +2193,8 @@ mod tests {
         token.cancel();
         for workers in [1usize, 3] {
             let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
-            let err = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
-                exec.run_with(&faults, &mut |_| {}, &mut |_, _, _| {}, Some(&token))
+            let err = session(&model, &data, &golden, &cfg, |exec| {
+                exec.run_with(&generic(&faults), &mut |_| {}, &mut |_, _, _| {}, Some(&token))
             })
             .unwrap_err();
             assert!(matches!(err, FaultSimError::Cancelled { .. }), "{workers} workers: {err:?}");

@@ -137,22 +137,6 @@ pub fn run_campaign_detailed(
     faults: &[Fault],
     incremental: bool,
 ) -> Result<DetailedResult, FaultSimError> {
-    run_campaign_detailed_with(model, data, golden, faults, incremental, &Ieee754Corruption)
-}
-
-/// [`run_campaign_detailed`] with a custom [`Corruption`] model.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign_detailed`].
-pub fn run_campaign_detailed_with<C: Corruption>(
-    model: &Model,
-    data: &Dataset,
-    golden: &GoldenReference,
-    faults: &[Fault],
-    incremental: bool,
-    corruption: &C,
-) -> Result<DetailedResult, FaultSimError> {
     golden.check_eval_set(data)?;
     let start = Instant::now();
     let mut worker = model.clone();
@@ -164,7 +148,7 @@ pub fn run_campaign_detailed_with<C: Corruption>(
     let mut arena = ScratchArena::new();
     for fault in faults {
         let injection =
-            inject_with(&mut worker, fault, |f, original| corruption.corrupt(f, original))?;
+            inject_with(&mut worker, fault, |f, original| Ieee754Corruption.corrupt(f, original))?;
         if !injection.is_effective() {
             classes.push(DetailedClass::Masked);
             revert(&mut worker, &injection);

@@ -15,8 +15,10 @@ use sfi_faultsim::campaign::{
 use sfi_faultsim::executor::{with_executor, CancelToken};
 use sfi_faultsim::fault::Fault;
 use sfi_faultsim::journal::{recover, FaultId, JournalWriter};
+use sfi_faultsim::multi::CampaignFault;
 use sfi_faultsim::population::FaultSpace;
 use sfi_faultsim::FaultSimError;
+use sfi_obs::Probe;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -126,7 +128,8 @@ proptest! {
         let cfg = CampaignConfig { workers, ..Default::default() };
 
         let joint = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
-        let stitched = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+        let off = Probe::disabled();
+        let stitched = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, off, |exec| {
             let mut classes = exec.run(&faults[..split])?.classes;
             classes.extend(exec.run(&faults[split..])?.classes);
             Ok(classes)
@@ -150,6 +153,7 @@ proptest! {
         let (data, golden) = campaign_world(&model, 16, 2);
         let space = FaultSpace::stuck_at(&model);
         let faults = random_faults(&space, fault_seed, 16);
+        let generic: Vec<CampaignFault> = faults.iter().map(|&f| f.into()).collect();
         let reference =
             run_campaign(&model, &data, &golden, &faults, &CampaignConfig::default()).unwrap();
 
@@ -161,10 +165,11 @@ proptest! {
         let mut writer = JournalWriter::create(&dir, fingerprint, 8).unwrap();
         let token = CancelToken::new();
         let cfg = CampaignConfig { workers: WORKERS[first_idx], ..Default::default() };
-        let first = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, |exec| {
+        let off = Probe::disabled();
+        let first = with_executor(&model, &data, &golden, &cfg, &Ieee754Corruption, off, |exec| {
             let mut journal_err = None;
             let res = exec.run_with(
-                &faults,
+                &generic,
                 &mut |_| {},
                 &mut |idx, class, inferences| {
                     if let Err(e) = writer.append(FaultId::new(0, idx), class, inferences) {

@@ -42,9 +42,9 @@ pub fn quantize_weights(store: &mut ParameterStore, format: Format) {
 /// A [`Corruption`] model that applies faults to the *encoded*
 /// reduced-precision weight: `decode(apply_bits(encode(w)))`.
 ///
-/// Use with [`sfi_faultsim::campaign::run_campaign_with`] or
-/// [`sfi_core::execute::execute_plan_in_space`] and a
-/// `FaultSpace::with_bits(format.bits())` fault space.
+/// Pass it to [`Campaign::corruption`](sfi_core::execute::Campaign::corruption)
+/// together with a `FaultSpace::with_bits(format.bits())` space, or to
+/// [`sfi_faultsim::executor::with_executor`] for a raw fault list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormatCorruption {
     format: Format,

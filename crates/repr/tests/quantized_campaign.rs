@@ -1,16 +1,18 @@
 //! End-to-end SFI campaigns over reduced-precision weight memories.
 
-use sfi_core::execute::{execute_plan_any, execute_plan_in_space, CampaignSpace};
+use sfi_core::execute::{Campaign, CampaignSpace};
 use sfi_core::plan::{
     plan_accumulated, plan_data_aware_with_p, plan_data_unaware, plan_layer_wise,
 };
 use sfi_dataset::SynthCifarConfig;
 use sfi_faultsim::activation::ActivationSpace;
-use sfi_faultsim::campaign::{run_campaign_with, CampaignConfig};
+use sfi_faultsim::campaign::CampaignConfig;
+use sfi_faultsim::executor::with_executor;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::multi::FaultTarget;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::resnet::ResNetConfig;
+use sfi_obs::Probe;
 use sfi_repr::{
     data_aware_p_format, quantize_weights, Format, FormatBitAnalysis, FormatCorruption,
 };
@@ -39,9 +41,11 @@ fn int8_campaign_produces_sane_classification() {
     let sub = space.layer_subpopulation(0).unwrap();
     let faults: Vec<_> = sub.iter().collect();
     let corruption = FormatCorruption::new(format);
-    let res =
-        run_campaign_with(&model, &data, &golden, &faults, &CampaignConfig::default(), &corruption)
-            .unwrap();
+    let cfg = CampaignConfig::default();
+    let res = with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+        exec.run(&faults)
+    })
+    .unwrap();
     assert_eq!(res.injections, sub.size());
     // Exactly half of all stuck-at faults are masked (one polarity per bit
     // always matches the stored value).
@@ -61,14 +65,23 @@ fn quantized_statistical_campaign_brackets_quantized_truth() {
     // Exhaustive truth for layer 4.
     let sub = space.layer_subpopulation(4).unwrap();
     let faults: Vec<_> = sub.iter().collect();
-    let exhaustive = run_campaign_with(&model, &data, &golden, &faults, &cfg, &corruption).unwrap();
+    let exhaustive =
+        with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+            exec.run(&faults)
+        })
+        .unwrap();
     let truth = exhaustive.critical_rate();
 
     // Layer-wise statistical estimate at e = 4%.
     let spec = SampleSpec { error_margin: 0.04, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec).restricted_to_layer(4, &space);
-    let outcome =
-        execute_plan_in_space(&model, &data, &golden, &plan, &space, 5, &cfg, &corruption).unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 5, &cfg)
+        .space(CampaignSpace::Weight(&space))
+        .corruption(&corruption)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     let est = outcome.layer_estimate(4, Confidence::C99).unwrap();
     assert!(
         (est.proportion - truth).abs() <= est.error_margin.max(0.04) + 1e-9,
@@ -119,16 +132,19 @@ fn accumulated_faults_over_quantized_weights_are_deterministic() {
         let plan = plan_accumulated(space.total() + acts.total(), k, &spec).unwrap();
         assert_eq!(plan.accumulate(), k);
         let run = |workers: usize| {
-            execute_plan_any(
+            Campaign::new(
                 &model,
                 &data,
                 &golden,
                 &plan,
-                CampaignSpace::Accumulated { weights: &space, activations: &acts },
                 9,
                 &CampaignConfig { workers, ..CampaignConfig::default() },
-                &corruption,
             )
+            .space(CampaignSpace::Accumulated { weights: &space, activations: &acts })
+            .corruption(&corruption)
+            .run()
+            .unwrap()
+            .into_outcome()
             .unwrap()
         };
         let one = run(1);
@@ -148,15 +164,13 @@ fn formats_rank_by_masked_fraction() {
         let space = FaultSpace::stuck_at(&model).with_bits(u64::from(format.bits()));
         let sub = space.bit_subpopulation(0, 0).unwrap();
         let faults: Vec<_> = sub.iter().collect();
-        let res = run_campaign_with(
-            &model,
-            &data,
-            &golden,
-            &faults,
-            &CampaignConfig::default(),
-            &FormatCorruption::new(format),
-        )
-        .unwrap();
+        let cfg = CampaignConfig::default();
+        let corruption = FormatCorruption::new(format);
+        let res =
+            with_executor(&model, &data, &golden, &cfg, &corruption, Probe::disabled(), |exec| {
+                exec.run(&faults)
+            })
+            .unwrap();
         assert_eq!(res.masked(), sub.size() / 2, "{format}");
     }
 }

@@ -73,7 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.injected_percent()
     );
 
-    let outcome = execute_plan(&model, &data, &golden, &plan, 1, &CampaignConfig::default())?;
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 1, &CampaignConfig::default())
+        .run()?
+        .into_outcome()?;
     println!("injected {} faults in {:.2?}\n", outcome.injections(), outcome.elapsed());
     for l in 0..space.layers() {
         if let Some(est) = outcome.layer_estimate(l, Confidence::C99) {

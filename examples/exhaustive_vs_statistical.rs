@@ -42,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "coverage".into(),
     ]);
     for plan in plans {
-        let outcome = execute_plan(&model, &data, &golden, &plan, 11, &cfg)?;
+        let outcome =
+            Campaign::new(&model, &data, &golden, &plan, 11, &cfg).run()?.into_outcome()?;
         let validation = validate_against_exhaustive(&outcome, &truth, Confidence::C99);
         table.add_row(vec![
             plan.scheme().to_string(),

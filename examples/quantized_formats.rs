@@ -27,16 +27,11 @@ fn assess(format: Format) -> Result<Vec<String>, Box<dyn std::error::Error>> {
     let plan = plan_data_aware_with_p(&space, &p, &spec)?;
 
     let corruption = FormatCorruption::new(format);
-    let outcome = execute_plan_in_space(
-        &model,
-        &data,
-        &golden,
-        &plan,
-        &space,
-        7,
-        &CampaignConfig::default(),
-        &corruption,
-    )?;
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 7, &CampaignConfig::default())
+        .space(CampaignSpace::Weight(&space))
+        .corruption(&corruption)
+        .run()?
+        .into_outcome()?;
     let est = outcome.network_estimate(Confidence::C99)?;
     Ok(vec![
         format.to_string(),

@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Execute: every sampled fault is injected, inference re-runs from the
     // faulted layer (incremental re-execution), and the fault is classified
     // Critical when any image's top-1 prediction changes.
-    let outcome = execute_plan(&model, &data, &golden, &plan, 7, &CampaignConfig::default())?;
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 7, &CampaignConfig::default())
+        .run()?
+        .into_outcome()?;
     println!(
         "executed {} injections / {} inferences in {:.2?}\n",
         outcome.injections(),

@@ -52,7 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.total_population(),
         plan.injected_percent()
     );
-    let outcome = execute_plan(&model, &eval, &golden, &plan, 7, &CampaignConfig::default())?;
+    let outcome = Campaign::new(&model, &eval, &golden, &plan, 7, &CampaignConfig::default())
+        .run()?
+        .into_outcome()?;
     let est = outcome.network_estimate(Confidence::C99)?;
     println!(
         "trained network criticality: {:.3}% ± {:.3}% ({} injections in {:.2?})",
@@ -63,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("\nmost critical bits of the trained weight distribution:");
     let du_plan = plan_data_unaware(&space, &SampleSpec { error_margin: 0.05, ..spec });
-    let du = execute_plan(&model, &eval, &golden, &du_plan, 7, &CampaignConfig::default())?;
+    let du = Campaign::new(&model, &eval, &golden, &du_plan, 7, &CampaignConfig::default())
+        .run()?
+        .into_outcome()?;
     for v in bit_ranking(&du, Confidence::C99).iter().take(5) {
         println!(
             "  bit {:2}: {:6.2}% ± {:.2}%",

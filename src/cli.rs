@@ -19,10 +19,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use sfi_core::bits::bit_ranking;
-use sfi_core::checkpoint::{execute_plan_checkpointed_traced_any, CampaignRun, CheckpointConfig};
-use sfi_core::execute::{
-    execute_plan, execute_plan_traced_any, fault_model_label, CampaignSpace, PlanProgress,
-};
+use sfi_core::checkpoint::{CampaignRun, CheckpointConfig};
+use sfi_core::execute::{fault_model_label, Campaign, CampaignSpace, PlanProgress};
 use sfi_core::hardening::{plan_protection, HardeningConfig};
 use sfi_core::plan::{
     activation_bit_analysis, plan_accumulated, plan_data_aware, plan_data_unaware, plan_layer_wise,
@@ -34,7 +32,7 @@ use sfi_core::report::{
 };
 use sfi_dataset::SynthCifarConfig;
 use sfi_faultsim::activation::ActivationSpace;
-use sfi_faultsim::campaign::{CampaignConfig, Ieee754Corruption};
+use sfi_faultsim::campaign::CampaignConfig;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::multi::FaultTarget;
 use sfi_faultsim::population::FaultSpace;
@@ -713,84 +711,57 @@ pub fn run(
                     );
                 }
             };
-            let (outcome, resume_stats) = if let Some(dir) = &opts.checkpoint_dir {
-                let checkpoint = CheckpointConfig {
-                    dir: PathBuf::from(dir),
-                    resume: opts.resume,
-                    checkpoint_every: opts.checkpoint_every,
-                };
-                let run = execute_plan_checkpointed_traced_any(
-                    &model,
-                    &data,
-                    &golden,
-                    &plan,
-                    cspace,
-                    opts.seed,
-                    &cfg,
-                    &Ieee754Corruption,
-                    &checkpoint,
-                    None,
-                    probe,
-                    &mut progress,
-                )?;
-                if report_progress {
-                    eprintln!();
-                }
-                match run {
-                    CampaignRun::Complete { outcome, stats } => {
-                        if stats.resumed > 0 {
-                            writeln!(
-                                out,
-                                "resumed {} of {} classifications from the checkpoint journal \
-                                 ({} corrupt record(s) dropped and re-executed)",
-                                group_digits(stats.resumed),
-                                group_digits(stats.total),
-                                stats.dropped
-                            )?;
-                        }
-                        (outcome, Some(stats))
-                    }
-                    CampaignRun::Interrupted { stats } => {
+            let checkpoint = opts.checkpoint_dir.as_ref().map(|dir| CheckpointConfig {
+                dir: PathBuf::from(dir),
+                resume: opts.resume,
+                checkpoint_every: opts.checkpoint_every,
+            });
+            let run = Campaign::new(&model, &data, &golden, &plan, opts.seed, &cfg)
+                .space(cspace)
+                .checkpoint(checkpoint.as_ref())
+                .probe(probe)
+                .progress(&mut progress)
+                .run()?;
+            if report_progress {
+                eprintln!();
+            }
+            let (outcome, resume_stats) = match run {
+                CampaignRun::Complete { outcome, stats } => {
+                    if stats.resumed > 0 {
                         writeln!(
                             out,
-                            "campaign interrupted: {} of {} faults classified and journaled",
-                            group_digits(stats.resumed + stats.completed),
-                            group_digits(stats.total)
+                            "resumed {} of {} classifications from the checkpoint journal \
+                             ({} corrupt record(s) dropped and re-executed)",
+                            group_digits(stats.resumed),
+                            group_digits(stats.total),
+                            stats.dropped
                         )?;
-                        // Seal the trace so the partial campaign is still
-                        // inspectable with `sfi trace report`.
-                        if let Some(trace) = probe.finish()? {
-                            writeln!(
-                                out,
-                                "trace written: {} ({} events)",
-                                trace.path.display(),
-                                trace.events
-                            )?;
-                        }
-                        return Err(format!(
-                            "campaign interrupted; continue it with `--checkpoint-dir {dir} \
-                             --resume`"
-                        )
-                        .into());
                     }
+                    (outcome, checkpoint.is_some().then_some(stats))
                 }
-            } else {
-                let outcome = execute_plan_traced_any(
-                    &model,
-                    &data,
-                    &golden,
-                    &plan,
-                    cspace,
-                    opts.seed,
-                    &cfg,
-                    &Ieee754Corruption,
-                    probe,
-                    &mut progress,
-                )?;
-                if report_progress {
-                    eprintln!();
+                CampaignRun::Interrupted { stats } => {
+                    writeln!(
+                        out,
+                        "campaign interrupted: {} of {} faults classified and journaled",
+                        group_digits(stats.resumed + stats.completed),
+                        group_digits(stats.total)
+                    )?;
+                    // Seal the trace so the partial campaign is still
+                    // inspectable with `sfi trace report`.
+                    if let Some(trace) = probe.finish()? {
+                        writeln!(
+                            out,
+                            "trace written: {} ({} events)",
+                            trace.path.display(),
+                            trace.events
+                        )?;
+                    }
+                    let dir = opts.checkpoint_dir.as_deref().unwrap_or_default();
+                    return Err(format!(
+                        "campaign interrupted; continue it with `--checkpoint-dir {dir} --resume`"
+                    )
+                    .into());
                 }
-                (outcome, None)
             };
             {
                 let busy_ms = probe.enabled().then(|| probe.snapshot().inference_ns as f64 / 1e6);
@@ -1038,14 +1009,10 @@ pub fn run(
                 "data-unaware campaign ({} faults) for the bit ranking...",
                 group_digits(plan.total_sample())
             )?;
-            let outcome = execute_plan(
-                &model,
-                &data,
-                &golden,
-                &plan,
-                opts.seed,
-                &CampaignConfig { workers: opts.workers, ..CampaignConfig::default() },
-            )?;
+            let cfg = CampaignConfig { workers: opts.workers, ..CampaignConfig::default() };
+            let outcome = Campaign::new(&model, &data, &golden, &plan, opts.seed, &cfg)
+                .run()?
+                .into_outcome()?;
             let mut table =
                 TextTable::new(vec!["bit".into(), "critical %".into(), "± %".into(), "n".into()]);
             for v in bit_ranking(&outcome, Confidence::C99) {
@@ -1070,14 +1037,10 @@ pub fn run(
             let spec =
                 SampleSpec { error_margin: opts.error_margin, ..SampleSpec::paper_default() };
             let plan = plan_layer_wise(&space, &spec);
-            let outcome = execute_plan(
-                &model,
-                &data,
-                &golden,
-                &plan,
-                opts.seed,
-                &CampaignConfig { workers: opts.workers, ..CampaignConfig::default() },
-            )?;
+            let cfg = CampaignConfig { workers: opts.workers, ..CampaignConfig::default() };
+            let outcome = Campaign::new(&model, &data, &golden, &plan, opts.seed, &cfg)
+                .run()?
+                .into_outcome()?;
             let full = HardeningConfig::secded32(model.store().total_weights() as u64 * 7);
             let cfg = HardeningConfig {
                 budget_bits: (full.budget_bits as f64 * opts.budget_frac) as u64,

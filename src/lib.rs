@@ -32,7 +32,8 @@
 //! let plan = plan_layer_wise(&space, &spec);
 //!
 //! // 3. Execute and read the per-layer criticality estimates.
-//! let outcome = execute_plan(&model, &data, &golden, &plan, 7, &CampaignConfig::default())?;
+//! let cfg = CampaignConfig::default();
+//! let outcome = Campaign::new(&model, &data, &golden, &plan, 7, &cfg).run()?.into_outcome()?;
 //! let est = outcome.layer_estimate(0, Confidence::C99).unwrap();
 //! println!("layer 0: {:.2}% ± {:.2}%", est.proportion * 100.0, est.error_margin * 100.0);
 //! # Ok(())
@@ -57,13 +58,8 @@ pub mod cli;
 pub mod prelude {
     pub use sfi_core::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveOutcome};
     pub use sfi_core::bits::{bit_ranking, layer_bit_matrix, BitVulnerability};
-    pub use sfi_core::checkpoint::{
-        execute_plan_checkpointed, execute_plan_checkpointed_any, plan_fingerprint,
-        plan_fingerprint_any, CampaignRun, CheckpointConfig, ResumeStats,
-    };
-    pub use sfi_core::execute::{
-        execute_plan, execute_plan_any, execute_plan_in_space, CampaignSpace, SfiOutcome,
-    };
+    pub use sfi_core::checkpoint::{plan_fingerprint, CampaignRun, CheckpointConfig, ResumeStats};
+    pub use sfi_core::execute::{Campaign, CampaignSpace, PlanProgress, SfiOutcome};
     pub use sfi_core::exhaustive::ExhaustiveTruth;
     pub use sfi_core::plan::{
         activation_bit_analysis, plan_accumulated, plan_data_aware, plan_data_aware_with_p,

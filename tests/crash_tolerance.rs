@@ -12,13 +12,9 @@ mod fixtures;
 
 use fixtures::{activation_space, campaign_world, tiny_resnet, unique_tmp_dir};
 use proptest::prelude::*;
-use sfi::core::checkpoint::{
-    execute_plan_checkpointed, execute_plan_checkpointed_any, CampaignRun, CheckpointConfig,
-    ResumeStats,
-};
-use sfi::core::execute::{execute_plan_any, execute_plan_in_space};
 use sfi::core::plan::{plan_accumulated, plan_transient};
-use sfi::faultsim::campaign::{Corruption, Ieee754Corruption};
+use sfi::faultsim::campaign::Corruption;
+use sfi::obs::{Probe, TraceLevel};
 use sfi::prelude::*;
 use sfi::stats::sampling::sample_without_replacement;
 
@@ -64,21 +60,30 @@ proptest! {
         resume_idx in 0usize..4,
     ) {
         const WORKERS: [usize; 4] = [1, 2, 4, 8];
-        let (model, data, golden, space, plan) = setup();
+        let (model, data, golden, _, plan) = setup();
         let seed = 11u64;
         let clean_cfg = CampaignConfig::default();
-        let clean = execute_plan(&model, &data, &golden, &plan, seed, &clean_cfg).unwrap();
+        let clean = Campaign::new(&model, &data, &golden, &plan, seed, &clean_cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let reference = fingerprint(&clean);
 
         let dir = unique_tmp_dir("crash-tolerance-prop");
         let first_cfg = CampaignConfig { workers: WORKERS[first_idx], ..clean_cfg };
         let stop_at = ((clean.injections() as f64 * stop_frac) as u64).max(1);
         let token = CancelToken::new();
-        let first = execute_plan_checkpointed(
-            &model, &data, &golden, &plan, &space, seed, &first_cfg, &Ieee754Corruption,
-            &CheckpointConfig::new(&dir), Some(&token),
-            &mut |p| { if p.plan_completed >= stop_at { token.cancel(); } },
-        ).unwrap();
+        let first = Campaign::new(&model, &data, &golden, &plan, seed, &first_cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .cancel(&token)
+            .progress(&mut |p| {
+                if p.plan_completed >= stop_at {
+                    token.cancel();
+                }
+            })
+            .run()
+            .unwrap();
         let outcome = match first {
             // Fast pools may complete before the token is observed —
             // cancellation is cooperative, not preemptive.
@@ -90,10 +95,10 @@ proptest! {
                 let checkpoint = CheckpointConfig {
                     dir: dir.clone(), resume: true, checkpoint_every: 16,
                 };
-                let resumed = execute_plan_checkpointed(
-                    &model, &data, &golden, &plan, &space, seed, &resume_cfg,
-                    &Ieee754Corruption, &checkpoint, None, &mut |_| {},
-                ).unwrap();
+                let resumed = Campaign::new(&model, &data, &golden, &plan, seed, &resume_cfg)
+                    .checkpoint(&checkpoint)
+                    .run()
+                    .unwrap();
                 let (outcome, stats) = match resumed {
                     CampaignRun::Complete { outcome, stats } => (outcome, stats),
                     CampaignRun::Interrupted { .. } => {
@@ -111,16 +116,19 @@ proptest! {
     }
 
     /// The same interrupt-anywhere invariant for transient-activation and
-    /// accumulated (k simultaneous weight + activation faults) campaigns:
-    /// interrupt mid-stratum, resume at workers 1, 4, or 8, and the merged
-    /// outcome is identical to the uninterrupted run of the same plan.
+    /// accumulated (k simultaneous weight + activation faults) campaigns,
+    /// with every optional part of the builder composed: a spans-level
+    /// probe, a checkpoint journal, and a cancel token fired mid-stratum.
+    /// The first session runs inline, so the token stops it at the next
+    /// fault boundary; resumed at workers 2, 4, or 8, the outcome is
+    /// identical to a plain run of the same plan.
     #[test]
     fn mixed_model_interrupt_and_resume_matches_uninterrupted(
         stop_frac in 0.1f64..0.9,
         resume_idx in 0usize..3,
         accumulated in any::<bool>(),
     ) {
-        const WORKERS: [usize; 3] = [1, 4, 8];
+        const WORKERS: [usize; 3] = [2, 4, 8];
         let model = tiny_resnet(5, 8);
         let (data, golden) = campaign_world(&model, 8, 2);
         let weights = FaultSpace::stuck_at(&model);
@@ -137,42 +145,44 @@ proptest! {
         };
         let seed = 11u64;
         let cfg = CampaignConfig::default();
-        let clean = execute_plan_any(
-            &model, &data, &golden, &plan, cspace, seed, &cfg, &Ieee754Corruption,
-        ).unwrap();
+        let clean = Campaign::new(&model, &data, &golden, &plan, seed, &cfg)
+            .space(cspace)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let reference = fingerprint(&clean);
 
         let dir = unique_tmp_dir("crash-tolerance-mixed");
         let stop_at = ((clean.injections() as f64 * stop_frac) as u64).max(1);
         let token = CancelToken::new();
-        let first = execute_plan_checkpointed_any(
-            &model, &data, &golden, &plan, cspace, seed, &cfg, &Ieee754Corruption,
-            &CheckpointConfig::new(&dir), Some(&token),
-            &mut |p| { if p.plan_completed >= stop_at { token.cancel(); } },
-        ).unwrap();
-        let outcome = match first {
-            CampaignRun::Complete { outcome, .. } => outcome,
-            CampaignRun::Interrupted { stats } => {
-                prop_assert!(stats.completed < clean.injections());
-                let resume_cfg = CampaignConfig { workers: WORKERS[resume_idx], ..cfg };
-                let checkpoint = CheckpointConfig {
-                    dir: dir.clone(), resume: true, checkpoint_every: 16,
-                };
-                let resumed = execute_plan_checkpointed_any(
-                    &model, &data, &golden, &plan, cspace, seed, &resume_cfg,
-                    &Ieee754Corruption, &checkpoint, None, &mut |_| {},
-                ).unwrap();
-                let (outcome, stats) = match resumed {
-                    CampaignRun::Complete { outcome, stats } => (outcome, stats),
-                    CampaignRun::Interrupted { .. } => {
-                        prop_assert!(false, "resume did not complete");
-                        unreachable!()
-                    }
-                };
-                prop_assert!(stats.resumed > 0, "the journal must carry work across sessions");
-                outcome
-            }
+        let probe = Probe::new(TraceLevel::Spans, None).unwrap();
+        let first = Campaign::new(&model, &data, &golden, &plan, seed, &cfg)
+            .space(cspace)
+            .probe(&probe)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .cancel(&token)
+            .progress(&mut |p| {
+                if p.plan_completed >= stop_at {
+                    token.cancel();
+                }
+            })
+            .run()
+            .unwrap();
+        prop_assert!(probe.snapshot().fsyncs > 0, "the journal reports to the probe");
+        let CampaignRun::Interrupted { stats } = first else {
+            panic!("an inline session stops at the next fault boundary");
         };
+        prop_assert!(stats.completed < clean.injections());
+        let resume_cfg = CampaignConfig { workers: WORKERS[resume_idx], ..cfg };
+        let checkpoint = CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 16 };
+        let resumed = Campaign::new(&model, &data, &golden, &plan, seed, &resume_cfg)
+            .space(cspace)
+            .checkpoint(&checkpoint)
+            .run()
+            .unwrap();
+        prop_assert!(resumed.stats().resumed > 0, "the journal must carry work across sessions");
+        let outcome = resumed.into_outcome().unwrap();
         prop_assert_eq!(fingerprint(&outcome), reference,
             "accumulated={} resume workers={}", accumulated, WORKERS[resume_idx]);
         std::fs::remove_dir_all(&dir).ok();
@@ -212,8 +222,11 @@ impl Corruption for PoisonedCorruption {
 fn worker_panic_mid_plan_neither_hangs_nor_aborts() {
     let (model, data, golden, space, plan) = setup();
     let seed = 3u64;
-    let clean =
-        execute_plan(&model, &data, &golden, &plan, seed, &CampaignConfig::default()).unwrap();
+    let clean = Campaign::new(&model, &data, &golden, &plan, seed, &CampaignConfig::default())
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
 
     let target_stratum = 2usize;
     let poison = sampled_fault(&plan, &space, seed, target_stratum, 1);
@@ -225,17 +238,13 @@ fn worker_panic_mid_plan_neither_hangs_nor_aborts() {
     // 4 workers, 1 retry: the poisoned fault retires two workers; the two
     // survivors must still finish the whole plan.
     let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
-    let outcome = execute_plan_in_space(
-        &model,
-        &data,
-        &golden,
-        &plan,
-        &space,
-        seed,
-        &cfg,
-        &PoisonedCorruption { poison },
-    )
-    .unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &plan, seed, &cfg)
+        .space(CampaignSpace::Weight(&space))
+        .corruption(&PoisonedCorruption { poison })
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
 
     assert_eq!(outcome.injections(), clean.injections());
     let failures: u64 = outcome.stratum_telemetry().iter().map(|t| t.exec_failures).sum();

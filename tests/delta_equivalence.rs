@@ -16,8 +16,7 @@ use fixtures::{
     random_transient_faults, tiny_resnet, unique_tmp_dir,
 };
 use proptest::prelude::*;
-use sfi::core::checkpoint::{execute_plan_checkpointed, CampaignRun, CheckpointConfig};
-use sfi::faultsim::campaign::{run_any_campaign, Ieee754Corruption};
+use sfi::faultsim::campaign::run_campaign;
 use sfi::prelude::*;
 use sfi_nn::{ParamKind, DELTA_SATURATION_DEFAULT};
 
@@ -163,12 +162,12 @@ proptest! {
                 delta: false,
                 ..Default::default()
             };
-            let reference = run_any_campaign(&model, &data, &golden, &generic, &base).unwrap();
+            let reference = run_campaign(&model, &data, &golden, &generic, &base).unwrap();
             for workers in [1usize, 4, 8] {
                 for (convergence, delta) in [(true, false), (false, true), (true, true)] {
                     let cfg =
                         CampaignConfig { workers, convergence, delta, ..Default::default() };
-                    let res = run_any_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
+                    let res = run_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
                     prop_assert_eq!(
                         &res.classes, &reference.classes,
                         "{} workers={} convergence={} delta={}", name, workers, convergence, delta
@@ -195,11 +194,11 @@ proptest! {
             instances.into_iter().map(CampaignFault::Accumulated).collect();
         let base =
             CampaignConfig { workers: 1, convergence: false, delta: false, ..Default::default() };
-        let reference = run_any_campaign(&model, &data, &golden, &generic, &base).unwrap();
+        let reference = run_campaign(&model, &data, &golden, &generic, &base).unwrap();
         for workers in [1usize, 4, 8] {
             for (convergence, delta) in [(true, false), (true, true)] {
                 let cfg = CampaignConfig { workers, convergence, delta, ..Default::default() };
-                let res = run_any_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
+                let res = run_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
                 prop_assert_eq!(
                     &res.classes, &reference.classes,
                     "k={} workers={} convergence={} delta={}", k, workers, convergence, delta
@@ -225,7 +224,11 @@ proptest! {
         let plan = plan_layer_wise(&space, &spec);
         let seed = 11u64;
         let dense_cfg = CampaignConfig { convergence: false, delta: false, ..Default::default() };
-        let clean = execute_plan(&model, &data, &golden, &plan, seed, &dense_cfg).unwrap();
+        let clean = Campaign::new(&model, &data, &golden, &plan, seed, &dense_cfg)
+            .run()
+            .unwrap()
+            .into_outcome()
+            .unwrap();
         let reference = fingerprint(&clean);
 
         let dir = unique_tmp_dir("delta-cross-path");
@@ -237,11 +240,16 @@ proptest! {
         };
         let stop_at = ((clean.injections() as f64 * stop_frac) as u64).max(1);
         let token = CancelToken::new();
-        let first = execute_plan_checkpointed(
-            &model, &data, &golden, &plan, &space, seed, &first_cfg, &Ieee754Corruption,
-            &CheckpointConfig::new(&dir), Some(&token),
-            &mut |p| { if p.plan_completed >= stop_at { token.cancel(); } },
-        ).unwrap();
+        let first = Campaign::new(&model, &data, &golden, &plan, seed, &first_cfg)
+            .checkpoint(&CheckpointConfig::new(&dir))
+            .cancel(&token)
+            .progress(&mut |p| {
+                if p.plan_completed >= stop_at {
+                    token.cancel();
+                }
+            })
+            .run()
+            .unwrap();
         let outcome = match first {
             // Cancellation is cooperative; a fast pool may finish first.
             CampaignRun::Complete { outcome, .. } => outcome,
@@ -255,10 +263,10 @@ proptest! {
                 };
                 let checkpoint =
                     CheckpointConfig { dir: dir.clone(), resume: true, checkpoint_every: 16 };
-                let resumed = execute_plan_checkpointed(
-                    &model, &data, &golden, &plan, &space, seed, &resume_cfg,
-                    &Ieee754Corruption, &checkpoint, None, &mut |_| {},
-                ).unwrap();
+                let resumed = Campaign::new(&model, &data, &golden, &plan, seed, &resume_cfg)
+                    .checkpoint(&checkpoint)
+                    .run()
+                    .unwrap();
                 match resumed {
                     CampaignRun::Complete { outcome, stats } => {
                         prop_assert!(

@@ -22,8 +22,11 @@ fn full_pipeline_layer_wise() {
     let space = FaultSpace::stuck_at(&model);
     let spec = SampleSpec { error_margin: 0.08, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
-    let outcome =
-        execute_plan(&model, &data, &golden, &plan, 3, &CampaignConfig::default()).unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 3, &CampaignConfig::default())
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     assert_eq!(outcome.injections(), plan.total_sample());
     let est = outcome.network_estimate(Confidence::C99).unwrap();
     assert!((0.0..=1.0).contains(&est.proportion));
@@ -62,7 +65,11 @@ fn statistical_estimate_brackets_exhaustive_on_one_layer() {
     // Statistical estimate at e = 4%.
     let spec = SampleSpec { error_margin: 0.04, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec).restricted_to_layer(4, &space);
-    let outcome = execute_plan(&model, &data, &golden, &plan, 21, &cfg).unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 21, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     let est = outcome.layer_estimate(4, Confidence::C99).unwrap();
     assert!(
         (est.proportion - truth_rate).abs() <= est.error_margin.max(0.04) + 1e-9,
@@ -146,8 +153,11 @@ fn vgg_pipeline_cross_architecture() {
     assert_eq!(space.layers(), 3, "2 convs + classifier");
     let spec = SampleSpec { error_margin: 0.08, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
-    let outcome =
-        execute_plan(&model, &data, &golden, &plan, 4, &CampaignConfig::default()).unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 4, &CampaignConfig::default())
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     for l in 0..3 {
         let est = outcome.layer_estimate(l, Confidence::C99).unwrap();
         assert!((0.0..=1.0).contains(&est.proportion));
@@ -177,8 +187,16 @@ fn seeds_change_samples_but_not_plans() {
     let plan_b = plan_layer_wise(&space, &spec);
     assert_eq!(plan_a, plan_b, "planning is deterministic");
     let cfg = CampaignConfig::default();
-    let o1 = execute_plan(&model, &data, &golden, &plan_a, 1, &cfg).unwrap();
-    let o2 = execute_plan(&model, &data, &golden, &plan_a, 2, &cfg).unwrap();
+    let o1 = Campaign::new(&model, &data, &golden, &plan_a, 1, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
+    let o2 = Campaign::new(&model, &data, &golden, &plan_a, 2, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     assert_eq!(o1.injections(), o2.injections(), "same plan, same cost");
 }
 
@@ -199,8 +217,11 @@ fn neyman_plan_meets_the_network_margin_cheaply() {
     let aware =
         plan_data_aware(&space, &analysis, &spec, &DataAwareConfig::paper_default()).unwrap();
     assert!(neyman.total_sample() < aware.total_sample());
-    let outcome =
-        execute_plan(&model, &data, &golden, &neyman, 8, &CampaignConfig::default()).unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &neyman, 8, &CampaignConfig::default())
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     let est = outcome.network_estimate(Confidence::C99).unwrap();
     assert!(
         est.error_margin <= 0.01 + 1e-6,

@@ -19,7 +19,7 @@ use fixtures::{
     random_transient_faults,
 };
 use sfi::cli::parse;
-use sfi::faultsim::campaign::{run_any_campaign, CampaignResult};
+use sfi::faultsim::campaign::{run_campaign, CampaignResult};
 use sfi::prelude::*;
 use sfi_faultsim::fault::{FaultModel, FaultSite};
 use sfi_faultsim::multi::CampaignFault;
@@ -100,7 +100,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
     for &layer in &batched_layers {
         faults.extend(weight_faults(layer, 12, 2).into_iter().map(CampaignFault::Weight));
     }
-    let weights = run_any_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+    let weights = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
     assert_engine_accounting(&weights, "weight tier");
     assert!(
         weights.engine_batched >= mantissa,
@@ -121,7 +121,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
     let acts = activation_space(&model, &data);
     let transient: Vec<CampaignFault> =
         random_transient_faults(&acts, 11, 8).into_iter().map(CampaignFault::Activation).collect();
-    let transients = run_any_campaign(&model, &data, &golden, &transient, &cfg).unwrap();
+    let transients = run_campaign(&model, &data, &golden, &transient, &cfg).unwrap();
     assert_engine_accounting(&transients, "transient tier");
     assert!(
         transients.engine_delta > 0,
@@ -138,7 +138,7 @@ fn every_engine_fires_on_the_tier_it_owns() {
         .into_iter()
         .map(CampaignFault::Accumulated)
         .collect();
-    let acc = run_any_campaign(&model, &data, &golden, &accumulated, &cfg).unwrap();
+    let acc = run_campaign(&model, &data, &golden, &accumulated, &cfg).unwrap();
     assert_engine_accounting(&acc, "accumulated tier");
     assert!(
         acc.engine_dense > 0,

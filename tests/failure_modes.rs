@@ -3,7 +3,6 @@
 
 use std::path::{Path, PathBuf};
 
-use sfi::faultsim::campaign::Ieee754Corruption;
 use sfi::prelude::*;
 
 fn tiny_model() -> Model {
@@ -61,8 +60,10 @@ fn plan_for_different_topology_is_rejected_before_injection() {
         &FaultSpace::stuck_at(&bigger),
         &SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() },
     );
-    let err =
-        execute_plan(&model, &data, &golden, &plan, 0, &CampaignConfig::default()).unwrap_err();
+    let err = Campaign::new(&model, &data, &golden, &plan, 0, &CampaignConfig::default())
+        .run()
+        .and_then(CampaignRun::into_outcome)
+        .unwrap_err();
     assert!(err.to_string().contains("plan mismatch"), "{err}");
 }
 
@@ -101,7 +102,9 @@ fn empty_dataset_is_rejected_everywhere() {
     assert!(GoldenReference::build(&model, &empty).is_err());
     let data = SynthCifarConfig::new().with_size(8).with_samples(1).generate();
     let golden = GoldenReference::build(&model, &data).unwrap();
-    assert!(run_campaign(&model, &empty, &golden, &[], &CampaignConfig::default()).is_err());
+    assert!(
+        run_campaign::<Fault>(&model, &empty, &golden, &[], &CampaignConfig::default()).is_err()
+    );
 }
 
 #[test]
@@ -126,8 +129,10 @@ fn errors_chain_their_sources() {
         &FaultSpace::stuck_at(&bigger),
         &SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() },
     );
-    let err =
-        execute_plan(&model, &data, &golden, &plan, 0, &CampaignConfig::default()).unwrap_err();
+    let err = Campaign::new(&model, &data, &golden, &plan, 0, &CampaignConfig::default())
+        .run()
+        .and_then(CampaignRun::into_outcome)
+        .unwrap_err();
     // Either a self-contained message or a chained source — never a bare
     // unprintable error.
     assert!(!err.to_string().is_empty());
@@ -168,7 +173,11 @@ fn interrupted_journal(tag: &str) -> JournalFixture {
     let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
     let plan = plan_layer_wise(&space, &spec);
     let cfg = CampaignConfig::default();
-    let clean = execute_plan(&model, &data, &golden, &plan, JOURNAL_SEED, &cfg).unwrap();
+    let clean = Campaign::new(&model, &data, &golden, &plan, JOURNAL_SEED, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
 
     let dir =
         std::env::temp_dir().join(format!("sfi-journal-corruption-{tag}-{}", std::process::id()));
@@ -178,24 +187,17 @@ fn interrupted_journal(tag: &str) -> JournalFixture {
     let token = CancelToken::new();
     // One worker: inline execution stops deterministically at the next
     // fault boundary, so the run is always interrupted (never complete).
-    let run = execute_plan_checkpointed(
-        &model,
-        &data,
-        &golden,
-        &plan,
-        &space,
-        JOURNAL_SEED,
-        &cfg,
-        &Ieee754Corruption,
-        &CheckpointConfig::new(&dir),
-        Some(&token),
-        &mut |p| {
+    let run = Campaign::new(&model, &data, &golden, &plan, JOURNAL_SEED, &cfg)
+        .space(CampaignSpace::Weight(&space))
+        .checkpoint(&CheckpointConfig::new(&dir))
+        .cancel(&token)
+        .progress(&mut |p| {
             if p.plan_completed >= stop_at {
                 token.cancel();
             }
-        },
-    )
-    .unwrap();
+        })
+        .run()
+        .unwrap();
     let CampaignRun::Interrupted { stats } = run else {
         panic!("single-worker cancellation must interrupt the run");
     };
@@ -216,19 +218,17 @@ fn journal_segments(dir: &Path) -> Vec<PathBuf> {
 
 fn resume_journal(fx: &JournalFixture) -> (SfiOutcome, ResumeStats) {
     let checkpoint = CheckpointConfig { dir: fx.dir.clone(), resume: true, checkpoint_every: 64 };
-    let run = execute_plan_checkpointed(
+    let run = Campaign::new(
         &fx.model,
         &fx.data,
         &fx.golden,
         &fx.plan,
-        &fx.space,
         JOURNAL_SEED,
         &CampaignConfig::default(),
-        &Ieee754Corruption,
-        &checkpoint,
-        None,
-        &mut |_| {},
     )
+    .space(CampaignSpace::Weight(&fx.space))
+    .checkpoint(&checkpoint)
+    .run()
     .unwrap();
     let CampaignRun::Complete { outcome, stats } = run else {
         panic!("uncancelled resume must complete");

@@ -12,8 +12,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use sfi::core::execute::execute_plan_traced;
-use sfi::faultsim::campaign::Ieee754Corruption;
 use sfi::obs::{summary, Probe, TraceLevel};
 use sfi::prelude::*;
 
@@ -61,28 +59,20 @@ proptest! {
     #[test]
     fn events_level_tracing_is_read_only(worker_idx in 0usize..3, seed in 1u64..64) {
         const WORKERS: [usize; 3] = [1, 4, 8];
-        let (model, data, golden, space, plan) = setup();
+        let (model, data, golden, _, plan) = setup();
         let cfg = CampaignConfig {
             workers: WORKERS[worker_idx],
             ..CampaignConfig::default()
         };
-        let plain = execute_plan(&model, &data, &golden, &plan, seed, &cfg).unwrap();
+        let plain = Campaign::new(&model, &data, &golden, &plan, seed, &cfg).run().unwrap();
         let path = trace_path("readonly");
         let probe = Probe::new(TraceLevel::Events, Some(&path)).unwrap();
-        let traced = execute_plan_traced(
-            &model,
-            &data,
-            &golden,
-            &plan,
-            &space,
-            seed,
-            &cfg,
-            &Ieee754Corruption,
-            &probe,
-            &mut |_| {},
-        )
-        .unwrap();
+        let traced = Campaign::new(&model, &data, &golden, &plan, seed, &cfg)
+            .probe(&probe)
+            .run()
+            .unwrap();
         let trace = probe.finish().unwrap().expect("a sink was attached");
+        let (plain, traced) = (plain.into_outcome().unwrap(), traced.into_outcome().unwrap());
         prop_assert_eq!(fingerprint(&plain), fingerprint(&traced));
         prop_assert!(trace.events > 0);
         std::fs::remove_file(&path).ok();
@@ -94,23 +84,16 @@ proptest! {
 /// matching the telemetry, and a strictly increasing `seq`.
 #[test]
 fn jsonl_stream_round_trips_through_the_summarizer() {
-    let (model, data, golden, space, plan) = setup();
+    let (model, data, golden, _, plan) = setup();
     let cfg = CampaignConfig { workers: 4, ..CampaignConfig::default() };
     let path = trace_path("roundtrip");
     let probe = Probe::new(TraceLevel::Events, Some(&path)).unwrap();
-    let outcome = execute_plan_traced(
-        &model,
-        &data,
-        &golden,
-        &plan,
-        &space,
-        9,
-        &cfg,
-        &Ieee754Corruption,
-        &probe,
-        &mut |_| {},
-    )
-    .unwrap();
+    let outcome = Campaign::new(&model, &data, &golden, &plan, 9, &cfg)
+        .probe(&probe)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     let trace_file = probe.finish().unwrap().expect("a sink was attached");
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(text.lines().count() as u64, trace_file.events);
@@ -143,28 +126,66 @@ fn jsonl_stream_round_trips_through_the_summarizer() {
 /// and is just as read-only as `events`.
 #[test]
 fn spans_level_skips_fault_events_but_keeps_strata() {
-    let (model, data, golden, space, plan) = setup();
+    let (model, data, golden, _, plan) = setup();
     let cfg = CampaignConfig::default();
-    let plain = execute_plan(&model, &data, &golden, &plan, 3, &cfg).unwrap();
+    let plain = Campaign::new(&model, &data, &golden, &plan, 3, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     let path = trace_path("spans");
     let probe = Probe::new(TraceLevel::Spans, Some(&path)).unwrap();
-    let traced = execute_plan_traced(
-        &model,
-        &data,
-        &golden,
-        &plan,
-        &space,
-        3,
-        &cfg,
-        &Ieee754Corruption,
-        &probe,
-        &mut |_| {},
-    )
-    .unwrap();
+    let traced = Campaign::new(&model, &data, &golden, &plan, 3, &cfg)
+        .probe(&probe)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     probe.finish().unwrap();
     assert_eq!(fingerprint(&plain), fingerprint(&traced));
     let trace = summary::summarize(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(trace.fault_events, 0, "per-fault events require the events level");
     assert_eq!(trace.strata.len(), plain.strata().len());
     std::fs::remove_file(&path).ok();
+}
+
+/// A JSONL trace line without its wall-clock fields.
+fn untimed(line: &str) -> String {
+    let timed = |f: &&str| f.starts_with("\"t_ns\"") || f.starts_with("\"wall_ms\"");
+    line.split(',').filter(|f| !timed(f)).collect::<Vec<_>>().join(",")
+}
+
+/// A fresh checkpointed run traces exactly the events a plain run does,
+/// wall-clock fields aside: the `plan_compiled` event, and the spans of
+/// strata that sample no fault (a data-aware `p(i) = 0` sizes them to
+/// zero). The closing `metrics` event is left out: its latencies and
+/// journal fsync counts legitimately differ.
+#[test]
+fn checkpointed_run_traces_the_same_events_as_a_plain_run() {
+    let (model, data, golden, space, _) = setup();
+    let mut p = vec![0.5; 32];
+    p[31] = 0.0;
+    let spec = SampleSpec { error_margin: 0.2, ..SampleSpec::paper_default() };
+    let plan = plan_data_aware_with_p(&space, &p, &spec).unwrap();
+    assert!(plan.strata().iter().any(|s| s.sample == 0), "a zero-sample stratum");
+    let cfg = CampaignConfig::default();
+    let events = |checkpoint: Option<&CheckpointConfig>| {
+        let path = trace_path("checkpointed-events");
+        let probe = Probe::new(TraceLevel::Events, Some(&path)).unwrap();
+        let run = Campaign::new(&model, &data, &golden, &plan, 4, &cfg)
+            .checkpoint(checkpoint)
+            .probe(&probe)
+            .run()
+            .unwrap();
+        assert!(run.outcome().is_some());
+        probe.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let events = text.lines().filter(|line| !line.contains("\"ev\":\"metrics\""));
+        events.map(untimed).collect::<Vec<_>>()
+    };
+    let dir = trace_path("checkpointed-journal");
+    let journaled = events(Some(&CheckpointConfig::new(&dir)));
+    assert_eq!(events(None), journaled);
+    std::fs::remove_dir_all(&dir).ok();
 }

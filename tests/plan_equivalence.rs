@@ -18,7 +18,7 @@ use fixtures::{
     random_small_model, random_transient_faults,
 };
 use proptest::prelude::*;
-use sfi::faultsim::campaign::run_any_campaign;
+use sfi::faultsim::campaign::run_campaign;
 use sfi::prelude::*;
 use sfi_nn::{BatchedOutcome, KernelPolicy, Model, NodeOp};
 use sfi_nn::{CompiledPlan, ForwardOptions, ParamKind};
@@ -279,10 +279,10 @@ proptest! {
                 .collect();
         for (name, generic) in [("transient", transient), ("accumulated", accumulated)] {
             let base = CampaignConfig { workers: 1, batched: false, ..Default::default() };
-            let reference = run_any_campaign(&model, &data, &golden, &generic, &base).unwrap();
+            let reference = run_campaign(&model, &data, &golden, &generic, &base).unwrap();
             for workers in [1usize, 4, 8] {
                 let cfg = CampaignConfig { workers, batched: true, ..Default::default() };
-                let res = run_any_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
+                let res = run_campaign(&model, &data, &golden, &generic, &cfg).unwrap();
                 prop_assert_eq!(
                     &res.classes, &reference.classes,
                     "{} workers={}", name, workers

@@ -7,7 +7,7 @@
 //! exhaustively), which preserves the full per-bit stratification that
 //! distinguishes the data-aware scheme.
 
-use sfi_core::execute::execute_plan;
+use sfi_core::execute::Campaign;
 use sfi_core::exhaustive::exhaustive_layer;
 use sfi_core::plan::plan_data_aware;
 use sfi_dataset::SynthCifarConfig;
@@ -73,7 +73,11 @@ fn data_aware_estimate_brackets_exhaustive_rate() {
         "the statistical campaign must inject fewer faults than exhaustive"
     );
 
-    let outcome = execute_plan(&f.model, &f.data, &f.golden, &plan, PLAN_SEED, &cfg).unwrap();
+    let outcome = Campaign::new(&f.model, &f.data, &f.golden, &plan, PLAN_SEED, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
     let est = outcome.layer_estimate(LAYER, Confidence::C99).expect("layer estimated");
     let rate = truth.proportion();
     assert!(
@@ -96,7 +100,11 @@ fn per_stratum_estimates_bracket_exhaustive_bit_rates() {
     let plan = plan_data_aware(&f.space, &analysis, &spec, &scaled_data_aware())
         .unwrap()
         .restricted_to_layer(LAYER, &f.space);
-    let outcome = execute_plan(&f.model, &f.data, &f.golden, &plan, PLAN_SEED, &cfg).unwrap();
+    let outcome = Campaign::new(&f.model, &f.data, &f.golden, &plan, PLAN_SEED, &cfg)
+        .run()
+        .unwrap()
+        .into_outcome()
+        .unwrap();
 
     let mut non_degenerate = 0usize;
     let mut misses = 0usize;
@@ -136,7 +144,7 @@ fn validity_holds_identically_under_parallel_execution() {
     let plan = plan_data_aware(&f.space, &analysis, &spec, &scaled_data_aware())
         .unwrap()
         .restricted_to_layer(LAYER, &f.space);
-    let serial = execute_plan(
+    let serial = Campaign::new(
         &f.model,
         &f.data,
         &f.golden,
@@ -144,8 +152,11 @@ fn validity_holds_identically_under_parallel_execution() {
         PLAN_SEED,
         &CampaignConfig { workers: 1, ..CampaignConfig::default() },
     )
+    .run()
+    .unwrap()
+    .into_outcome()
     .unwrap();
-    let parallel = execute_plan(
+    let parallel = Campaign::new(
         &f.model,
         &f.data,
         &f.golden,
@@ -153,6 +164,9 @@ fn validity_holds_identically_under_parallel_execution() {
         PLAN_SEED,
         &CampaignConfig { workers: 4, ..CampaignConfig::default() },
     )
+    .run()
+    .unwrap()
+    .into_outcome()
     .unwrap();
     assert_eq!(serial.strata(), parallel.strata());
     assert_eq!(serial.inferences(), parallel.inferences());
