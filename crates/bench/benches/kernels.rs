@@ -10,14 +10,18 @@
 //! compiled-plan batched path (all eval images in one GEMM per node),
 //! asserting the classifications stay byte-identical. Under `cargo bench`
 //! the comparison is written to `BENCH_kernels.json` at the workspace
-//! root, including the microkernel speedup per shape, the depthwise
-//! speedup per shape, a per-op-kind breakdown of one MobileNetV2 forward
-//! pass with either depthwise kernel, the end-to-end trajectory against
-//! the recorded fast-path baseline, and a host fingerprint.
+//! root, including the microkernel speedup per shape, the pre-packed
+//! (golden panel) GEMM against per-call packing at MobileNetV2's
+//! small-`n` head shapes, the depthwise speedup per shape, a per-op-kind
+//! breakdown of one MobileNetV2 forward pass through the arena kernels a
+//! campaign runs (with and without golden weight panels), the end-to-end
+//! trajectory against the recorded fast-path baseline, and a host
+//! fingerprint.
 //! With `--smoke` the binary runs a seconds-scale regression guard
 //! instead and exits non-zero if the dispatched GEMM is slower than the
 //! naive one at any shape, the microkernel is not the selected tier on
-//! the shapes it owns, the depthwise plane kernel is slower than the scalar
+//! the shapes it owns, the panel GEMM is slower than per-call packing at
+//! any panel shape, the depthwise plane kernel is slower than the scalar
 //! loop at any shape, or the batched campaign diverges from the
 //! per-image one (used by CI).
 
@@ -34,13 +38,13 @@ use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::mobilenet::MobileNetV2Config;
-use sfi_nn::{KernelPolicy, Model, NodeOp, BATCHED_HEDGE_CONVERGENT};
+use sfi_nn::{CompiledPlan, GoldenPanels, KernelPolicy, Model, NodeOp, BATCHED_HEDGE_CONVERGENT};
 use sfi_stats::sampling::sample_without_replacement;
 use sfi_tensor::ops::{
-    self, gemm, gemm_blocked_with, gemm_micro, gemm_selected_kernel, BatchNormParams, Conv2dCfg,
-    GemmKernel,
+    self, gemm, gemm_blocked_with, gemm_micro, gemm_micro_packed, gemm_selected_kernel,
+    BatchNormParams, Conv2dCfg, GemmKernel, PackedLhs,
 };
-use sfi_tensor::Tensor;
+use sfi_tensor::{ScratchArena, Tensor};
 
 /// PR 9's recorded end-to-end per-image fast path on the full-scale
 /// bit-level campaign (`fast_cached_mean_s` in that PR's
@@ -73,6 +77,47 @@ const SHAPES: [(&str, usize, usize, usize); 10] = [
     ("mbv2-pw", 192, 32, 256),
     ("mbv2-pw", 1280, 320, 16),
 ];
+
+/// MobileNetV2's pointwise GEMMs with small output planes (`m` = output
+/// channels, `k` = input channels, `n` = 4x4 or 8x8 pixels), where packing
+/// the weight matrix costs about as much as the multiply: the head conv
+/// (1280x320 at 4x4), the last stage's expansion (960x160 at 4x4) and the
+/// 8x8 stage's expansion (576x96 at 8x8). Golden weight panels pack these
+/// once per campaign instead of once per call.
+const PANEL_SHAPES: [(usize, usize, usize); 3] = [(1280, 320, 16), (960, 160, 16), (576, 96, 64)];
+
+/// Minimum wall times of one `m x k x n` GEMM with per-call packing
+/// (`gemm_micro`) and over a pre-packed A (`gemm_micro_packed`), measured
+/// in `rounds` interleaved rounds of `iters` runs each. Both reuse their
+/// scratch, as the arena-backed conv path does.
+fn panel_gemm_min_secs(
+    (m, k, n): (usize, usize, usize),
+    rounds: usize,
+    iters: usize,
+) -> (f64, f64) {
+    let a = filled(m * k, 1);
+    let b_mat = filled(k * n, 2);
+    let packed = PackedLhs::pack(m, k, &a);
+    let (mut per_call, mut panel) = (f64::INFINITY, f64::INFINITY);
+    let (mut scratch, mut b_scratch) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        per_call = per_call.min(min_secs(
+            || {
+                let mut out = vec![0.0f32; m * n];
+                gemm_micro(m, k, n, &a, &b_mat, &mut out, &mut scratch);
+            },
+            iters,
+        ));
+        panel = panel.min(min_secs(
+            || {
+                let mut out = vec![0.0f32; m * n];
+                gemm_micro_packed(n, &packed, &b_mat, &mut out, &mut b_scratch);
+            },
+            iters,
+        ));
+    }
+    (per_call, panel)
+}
 
 /// MobileNetV2's ten distinct 3x3 depthwise convolutions at CIFAR
 /// resolution (width 1.0, 32x32 input): `(channels, input plane side,
@@ -117,29 +162,31 @@ fn depthwise_min_secs(
 /// Op kinds of the per-op forward breakdown, in report order.
 const OP_KINDS: [&str; 6] = ["depthwise", "conv_gemm", "batch_norm", "relu6", "add", "other"];
 
-/// One forward pass of `model`, node by node, through the public `ops`
-/// calls `Model::forward` makes — with `depthwise` as the depthwise
-/// kernel. Returns each node's [`OP_KINDS`] index and seconds (the input
-/// node reads 0), and the logits.
+/// One forward pass of `model`, node by node, through the arena-backed
+/// `ops` kernels the campaign's suffix evaluator (`Model::eval_node`)
+/// runs: `conv2d_with` — over `panels`' golden weight panels when given —
+/// `batch_norm_with`, `relu6_with` and `add_with`, drawing buffers from
+/// `arena` and recycling every activation into it at the end. Returns each
+/// node's [`OP_KINDS`] index and seconds (the input node reads 0), and the
+/// logits.
 fn forward_by_node(
     model: &Model,
     input: &Tensor,
-    depthwise: GemmKernel,
+    panels: Option<&GoldenPanels>,
+    arena: &mut ScratchArena,
 ) -> (Vec<(usize, f64)>, Tensor) {
     let param = |p| &model.store().get(p).expect("model parameter").tensor;
     let mut vals: Vec<Tensor> = vec![input.clone()];
     let mut times = vec![(OP_KINDS.len() - 1, 0.0)];
-    for node in &model.nodes()[1..] {
+    for (id, node) in model.nodes().iter().enumerate().skip(1) {
         let x = |i: usize| &vals[node.inputs[i]];
         let start = Instant::now();
         let (kind, out) = match &node.op {
             NodeOp::Conv { weight, bias, cfg } => {
                 let (w, b) = (param(*weight), bias.map(param));
-                if ops::conv2d_uses_lowering(x(0), w, *cfg) {
-                    (1, ops::conv2d(x(0), w, b, *cfg).unwrap())
-                } else {
-                    (0, ops::conv2d_kernel(x(0), w, b, *cfg, depthwise).unwrap())
-                }
+                let kind = if ops::conv2d_uses_lowering(x(0), w, *cfg) { 1 } else { 0 };
+                let panel = panels.and_then(|p| p.get(id));
+                (kind, ops::conv2d_with(x(0), w, b, *cfg, panel, arena).unwrap())
             }
             NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
                 let params = BatchNormParams {
@@ -149,10 +196,10 @@ fn forward_by_node(
                     var: param(*var),
                     eps: *eps,
                 };
-                (2, ops::batch_norm(x(0), &params).unwrap())
+                (2, ops::batch_norm_with(x(0), &params, arena).unwrap())
             }
-            NodeOp::Relu6 => (3, ops::relu6(x(0))),
-            NodeOp::Add => (4, ops::add(x(0), x(1)).unwrap()),
+            NodeOp::Relu6 => (3, ops::relu6_with(x(0), arena)),
+            NodeOp::Add => (4, ops::add_with(x(0), x(1), arena).unwrap()),
             NodeOp::GlobalAvgPool => (5, ops::global_avg_pool(x(0)).unwrap()),
             NodeOp::Linear { weight, bias } => {
                 (5, ops::linear(x(0), param(*weight), bias.map(param)).unwrap())
@@ -162,26 +209,35 @@ fn forward_by_node(
         times.push((kind, start.elapsed().as_secs_f64()));
         vals.push(out);
     }
-    (times, vals.pop().expect("the model has nodes"))
+    let logits = vals.pop().expect("the model has nodes");
+    for t in vals.drain(1..) {
+        arena.recycle(t.into_vec());
+    }
+    (times, logits)
 }
 
 /// The `mbv2_forward_by_op` table: one MobileNetV2 (width 1.0, 32x32)
-/// forward pass per op kind, with the scalar depthwise loop ("before")
-/// and the plane kernel ("after"), as JSON, plus `Model::forward`'s own
-/// minimum for comparison with the per-node sums. Each node's time is its
-/// minimum over interleaved rounds of both walks; both walks must return
-/// `Model::forward`'s logits bit for bit.
+/// forward pass per op kind through the campaign's arena kernels, with
+/// per-call weight packing ("arena") and with golden weight panels
+/// ("panels"), as JSON, plus `Model::forward`'s own minimum for
+/// comparison with the per-node sums. Each node's time is its minimum over
+/// interleaved rounds of both walks (each with its own warmed arena); both
+/// walks must return `Model::forward`'s logits bit for bit.
 fn mbv2_forward_by_op_json() -> String {
     const ROUNDS: usize = 7;
     let model = MobileNetV2Config::cifar().build_seeded(42).expect("valid config");
     let data = SynthCifarConfig::new().with_samples(1).generate();
     let input = data.image(0);
     let forward = model.forward(input).unwrap();
-    let mut sides = [(GemmKernel::Naive, Vec::new()), (GemmKernel::Blocked, Vec::new())];
+    let plan = CompiledPlan::compile(&model, &model.forward_cached(input).unwrap()).unwrap();
+    let mut sides = [
+        (None, ScratchArena::new(), Vec::new()),
+        (Some(plan.panels()), ScratchArena::new(), Vec::new()),
+    ];
     for _ in 0..ROUNDS {
-        for (kernel, best) in &mut sides {
-            let (times, logits) = forward_by_node(&model, input, *kernel);
-            assert!(logits.bits_equal(&forward), "the {kernel:?} walk changed the logits");
+        for (panels, arena, best) in &mut sides {
+            let (times, logits) = forward_by_node(&model, input, *panels, arena);
+            assert!(logits.bits_equal(&forward), "a by-node walk changed the logits");
             if best.is_empty() {
                 *best = times;
             } else {
@@ -197,37 +253,40 @@ fn mbv2_forward_by_op_json() -> String {
         },
         ROUNDS,
     );
-    let [before, after] = sides.map(|(_, best)| {
+    let [arena, panels] = sides.map(|(_, _, best)| {
         let mut by_kind = [0.0; OP_KINDS.len()];
         for (kind, secs) in best {
             by_kind[kind] += secs;
         }
         by_kind
     });
-    let (total_before, total_after) = (before.iter().sum::<f64>(), after.iter().sum::<f64>());
+    let (total_arena, total_panels) = (arena.iter().sum::<f64>(), panels.iter().sum::<f64>());
     let rows: Vec<String> = OP_KINDS
         .iter()
         .enumerate()
         .map(|(i, kind)| {
             format!(
-                "      {{\"op\": \"{kind}\", \"before_ms\": {:.3}, \"before_share\": {:.3}, \
-                 \"after_ms\": {:.3}, \"after_share\": {:.3}}}",
-                before[i] * 1e3,
-                before[i] / total_before,
-                after[i] * 1e3,
-                after[i] / total_after
+                "      {{\"op\": \"{kind}\", \"arena_ms\": {:.3}, \"arena_share\": {:.3}, \
+                 \"panels_ms\": {:.3}, \"panels_share\": {:.3}}}",
+                arena[i] * 1e3,
+                arena[i] / total_arena,
+                panels[i] * 1e3,
+                panels[i] / total_panels
             )
         })
         .collect();
     format!(
-        "{{\n    \"workload\": \"MobileNetV2 (width 1.0, 32x32), one image; per-node minimum \
-         of {ROUNDS} interleaved passes, summed per op kind; before = scalar depthwise loop, \
-         after = plane kernel\",\n    \"model_forward_min_ms\": {:.3},\n    \
-         \"before_total_ms\": {:.3},\n    \"after_total_ms\": {:.3},\n    \"ops\": \
+        "{{\n    \"workload\": \"MobileNetV2 (width 1.0, 32x32), one image, through the arena \
+         kernels of the campaign's suffix evaluator; per-node minimum of {ROUNDS} interleaved \
+         passes, summed per op kind; arena = per-call weight packing, panels = golden weight \
+         panels ({} convs, {:.2} MB)\",\n    \"model_forward_min_ms\": {:.3},\n    \
+         \"arena_total_ms\": {:.3},\n    \"panels_total_ms\": {:.3},\n    \"ops\": \
          [\n{}\n    ]\n  }}",
+        plan.panels().count(),
+        plan.panels().memory_bytes() as f64 / 1e6,
         forward_s * 1e3,
-        total_before * 1e3,
-        total_after * 1e3,
+        total_arena * 1e3,
+        total_panels * 1e3,
         rows.join(",\n")
     )
 }
@@ -465,6 +524,17 @@ fn emit_bench_json() {
     }
     let micro_meets_1_4x =
         largest_micro_speedups.len() == 2 && largest_micro_speedups.iter().all(|&s| s >= 1.4);
+    let panel_entries: Vec<String> = PANEL_SHAPES
+        .iter()
+        .map(|&(m, k, n)| {
+            let (per_call, panel) = panel_gemm_min_secs((m, k, n), GEMM_ROUNDS, GEMM_ITERS);
+            format!(
+                "    {{\"shape\": \"{m}x{k}x{n}\", \"per_call_packing_min_s\": \
+                 {per_call:.9}, \"panel_min_s\": {panel:.9}, \"speedup\": {:.3}}}",
+                per_call / panel
+            )
+        })
+        .collect();
 
     // Depthwise rows: the same interleaved-rounds minimum discipline.
     let mut depthwise_entries = Vec::new();
@@ -527,7 +597,8 @@ fn emit_bench_json() {
          scale), bit-level plan over all 20 layers x 32 bits, {} faults, {} eval images\",\n  \
          \"gemm_iters_per_point\": {GEMM_ITERS},\n  \"campaign_iters_per_point\": \
          {CAMPAIGN_ITERS},\n  \"gemm\": [\n{}\n  ],\n  \"micro_meets_1_4x_on_two_largest\": \
-         {micro_meets_1_4x},\n  \"depthwise\": [\n{}\n  ],\n  \"mbv2_forward_by_op\": {by_op},\n  \
+         {micro_meets_1_4x},\n  \"panel_gemm\": [\n{}\n  ],\n  \"depthwise\": [\n{}\n  ],\n  \
+         \"mbv2_forward_by_op\": {by_op},\n  \
          \"campaign\": {{\n    \"naive_uncached_mean_s\": {naive_s:.6},\n    \
          \"fast_cached_mean_s\": {fast_s:.6},\n    \"batched_plan_mean_s\": {batched_s:.6},\n    \
          \"speedup\": {speedup:.3},\n    \"batched_vs_fast_speedup\": {batched_vs_fast:.3},\n    \
@@ -541,6 +612,7 @@ fn emit_bench_json() {
         faults.len(),
         data.len(),
         gemm_entries.join(",\n"),
+        panel_entries.join(",\n"),
         depthwise_entries.join(",\n"),
         e2e_vs_pr9 >= 1.3,
         speedup >= 1.5,
@@ -555,8 +627,9 @@ fn emit_bench_json() {
 /// CI regression guard: a few iterations of each kernel at every shape,
 /// failing the process if the dispatched GEMM is slower than the naive one
 /// at *any* shape (10% tolerance for machine noise) — the dispatch
-/// heuristic must never pick a losing kernel — or the depthwise plane
-/// kernel is slower than the scalar loop at any depthwise shape, plus a
+/// heuristic must never pick a losing kernel — the panel GEMM is slower
+/// than per-call packing at any [`PANEL_SHAPES`] shape, or the depthwise
+/// plane kernel is slower than the scalar loop at any depthwise shape, plus a
 /// smoke-scale campaign asserting the compiled-plan batched path
 /// classifies identically to the per-image fast path and recording its
 /// speedup.
@@ -621,6 +694,31 @@ fn smoke() -> i32 {
         if m >= 2 && selected != "micro" {
             eprintln!(
                 "FAIL: microkernel not selected at {family}/{m}x{k}x{n} (got \"{selected}\")"
+            );
+            status = 1;
+        }
+    }
+
+    // Panel gate: at the small-`n` shapes golden weight panels exist for,
+    // the pre-packed GEMM must not be slower than packing per call
+    // (minimum of three rounds, one re-measure).
+    for &shape in &PANEL_SHAPES {
+        let (m, k, n) = shape;
+        let (mut per_call, mut panel) = panel_gemm_min_secs(shape, 3, ITERS);
+        if panel > per_call {
+            (per_call, panel) = panel_gemm_min_secs(shape, 3, ITERS);
+        }
+        println!(
+            "smoke panel gemm {m}x{k}x{n}: per-call packing {:.1}us panel {:.1}us \
+             (speedup {:.2}x)",
+            per_call * 1e6,
+            panel * 1e6,
+            per_call / panel
+        );
+        if panel > per_call {
+            eprintln!(
+                "FAIL: panel GEMM slower than per-call packing at {m}x{k}x{n}: \
+                 {panel:.6}s vs {per_call:.6}s"
             );
             status = 1;
         }

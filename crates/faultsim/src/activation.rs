@@ -368,7 +368,7 @@ pub fn run_activation_campaign(
     golden: &GoldenReference,
     faults: &[ActivationFault],
 ) -> Result<ActivationCampaignResult, FaultSimError> {
-    golden.check_eval_set(data)?;
+    golden.check_session(model, data)?;
     let mut critical = Vec::with_capacity(faults.len());
     let mut inferences = 0u64;
     for fault in faults {

@@ -346,7 +346,7 @@ pub fn run_campaign_static<C: Corruption>(
     cfg: &CampaignConfig,
     corruption: &C,
 ) -> Result<CampaignResult, FaultSimError> {
-    golden.check_eval_set(data)?;
+    golden.check_session(model, data)?;
     let start = Instant::now();
     let hits0 = golden.lowering_hits();
     let misses0 = golden.lowering_misses();

@@ -31,6 +31,16 @@ pub enum FaultSimError {
         /// Images in the evaluation dataset.
         data: usize,
     },
+    /// The golden reference was built from other weights than the model
+    /// the campaign injects into: its predictions, activation caches and
+    /// golden weight panels belong to those weights.
+    ModelMismatch {
+        /// [`ParameterStore::digest`](sfi_nn::ParameterStore::digest) of the
+        /// weights the golden reference was built from.
+        golden: u64,
+        /// Digest of the campaign model's weights.
+        model: u64,
+    },
     /// One or more pool workers died without reporting their claimed
     /// faults (a non-unwinding death; panics are isolated and retried).
     WorkerLost {
@@ -77,6 +87,11 @@ impl fmt::Display for FaultSimError {
             FaultSimError::EvalSetMismatch { golden, data } => write!(
                 f,
                 "golden reference covers {golden} image(s) but the evaluation set has {data}"
+            ),
+            FaultSimError::ModelMismatch { golden, model } => write!(
+                f,
+                "golden reference was built from other weights (digest {golden:#018x}) than \
+                 the campaign model (digest {model:#018x})"
             ),
             FaultSimError::WorkerLost { missing } => {
                 write!(f, "campaign workers died with {missing} fault report(s) outstanding")

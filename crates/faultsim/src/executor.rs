@@ -384,8 +384,9 @@ struct SessionStats {
 ///
 /// Returns [`FaultSimError::EmptyEvalSet`] for an empty dataset or golden
 /// reference, [`FaultSimError::EvalSetMismatch`] for a golden reference
-/// built for a different number of images; otherwise whatever `f`
-/// returns.
+/// built for a different number of images,
+/// [`FaultSimError::ModelMismatch`] for one built from other weights than
+/// `model`'s (checked once per session); otherwise whatever `f` returns.
 pub fn with_executor<C, R, F>(
     model: &Model,
     data: &Dataset,
@@ -399,7 +400,7 @@ where
     C: Corruption,
     F: FnOnce(&mut CampaignExecutor<'_, C>) -> Result<R, FaultSimError>,
 {
-    golden.check_eval_set(data)?;
+    golden.check_session(model, data)?;
     let workers = cfg.workers.max(1);
     let stats = Arc::new(SessionStats::default());
     if workers == 1 {
@@ -1114,6 +1115,7 @@ pub(crate) fn classify_one<C: Corruption>(
                 arena: Some(&mut *arena),
                 lowered,
                 dirty_unit,
+                panels: Some(golden.plan().panels()),
                 ..Default::default()
             };
             model.forward_delta(dirty, cache, &mut dopts).map(|(out, stats)| {
@@ -1125,6 +1127,7 @@ pub(crate) fn classify_one<C: Corruption>(
                 lowered,
                 dirty_unit,
                 converge: cfg.convergence && fast,
+                panels: Some(golden.plan().panels()),
                 ..pass_options(cfg, arena)
             };
             model.forward_suffix(Some(dirty), cache, &[], &mut opts)
@@ -1356,13 +1359,19 @@ fn classify_activation(
     verdict.tally.engine_dense = u64::from(!use_delta);
     let timer = wprobe.inference_start();
     let out = if use_delta {
-        let mut dopts = DeltaOptions { arena: Some(&mut *arena), ..Default::default() };
+        let mut dopts = DeltaOptions {
+            arena: Some(&mut *arena),
+            panels: Some(golden.plan().panels()),
+            ..Default::default()
+        };
         let (out, stats) =
             model.forward_delta_site(site.node, site.element, faulty_bits, cache, &mut dopts)?;
         verdict.delta(stats);
         out
     } else {
-        model.forward_suffix(None, cache, &[fault.patch()], &mut pass_options(cfg, arena))?
+        let mut opts =
+            ForwardOptions { panels: Some(golden.plan().panels()), ..pass_options(cfg, arena) };
+        model.forward_suffix(None, cache, &[fault.patch()], &mut opts)?
     };
     wprobe.inference_end(timer);
     verdict.outcome(site.image, out);
@@ -1379,7 +1388,9 @@ fn classify_activation(
 /// weight fault nor an activation patch are provably golden and skipped.
 /// Re-execution always runs the dense [`Model::forward_suffix`] path
 /// (patches on multiple sites make the sparse cone immediately wide), which
-/// starts from the shallowest effective component.
+/// starts from the shallowest effective component. It passes no golden
+/// weight panels: the weight components may fault several layers, and
+/// the pass only knows to re-pack the shallowest one.
 #[allow(clippy::too_many_arguments)]
 fn classify_accumulated<C: Corruption>(
     model: &mut Model,
@@ -1772,6 +1783,33 @@ mod tests {
     #[test]
     fn rejects_golden_built_for_more_images() {
         assert_eval_set_mismatch_rejected(4, 2);
+    }
+
+    /// A golden reference built from one model's weights is rejected when
+    /// the campaign runs on another's: its predictions, caches and golden
+    /// weight panels belong to the other weights.
+    #[test]
+    fn rejects_golden_built_from_other_weights() {
+        let model = ResNetConfig::resnet20_micro().build_seeded(2).unwrap();
+        let data = SynthCifarConfig::new().with_size(16).with_samples(4).generate();
+        let other = ResNetConfig::resnet20_micro().build_seeded(1).unwrap();
+        let golden = GoldenReference::build(&other, &data).unwrap();
+        let faults = mixed_faults(&model, 6);
+        let expected = FaultSimError::ModelMismatch {
+            golden: other.store().digest(),
+            model: model.store().digest(),
+        };
+        for workers in [1, 2] {
+            let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
+            let pooled = session(&model, &data, &golden, &cfg, |exec| exec.run(&faults));
+            assert_eq!(pooled.err(), Some(expected.clone()), "workers {workers}");
+            let sharded =
+                run_campaign_static(&model, &data, &golden, &faults, &cfg, &Ieee754Corruption);
+            assert_eq!(sharded.err(), Some(expected.clone()), "static, workers {workers}");
+        }
+        // The model the reference was built from still runs.
+        let cfg = CampaignConfig { workers: 2, ..CampaignConfig::default() };
+        assert!(session(&other, &data, &golden, &cfg, |exec| exec.run(&faults)).is_ok());
     }
 
     #[test]

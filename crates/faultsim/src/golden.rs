@@ -66,6 +66,9 @@ struct BatchedGolden {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoldenReference {
+    /// [`ParameterStore::digest`](sfi_nn::ParameterStore::digest) of the
+    /// weights this reference was built from.
+    weights_digest: u64,
     predictions: Vec<usize>,
     caches: Vec<ActivationCache>,
     lowering: Option<LoweringCache>,
@@ -94,7 +97,14 @@ impl GoldenReference {
             caches.push(cache);
         }
         let plan = Arc::new(CompiledPlan::compile(model, &caches[0])?);
-        Ok(Self { predictions, caches, lowering: None, plan, batched: None })
+        Ok(Self {
+            weights_digest: model.store().digest(),
+            predictions,
+            caches,
+            lowering: None,
+            plan,
+            batched: None,
+        })
     }
 
     /// Precomputes the im2col lowering of every lowerable conv node's golden
@@ -260,19 +270,29 @@ impl GoldenReference {
         self.predictions.len()
     }
 
-    /// Checks that this reference was built for `data`: both non-empty,
-    /// with one image count.
+    /// Checks that this reference was built for this session: for `data`
+    /// (both non-empty, with one image count) and from `model`'s current
+    /// weights — its predictions, activation caches and the plan's golden
+    /// weight panels are only valid for those.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultSimError::EmptyEvalSet`] when either is empty, or
-    /// [`FaultSimError::EvalSetMismatch`] when their image counts differ.
-    pub(crate) fn check_eval_set(&self, data: &Dataset) -> Result<(), FaultSimError> {
+    /// Returns [`FaultSimError::EmptyEvalSet`] when either is empty,
+    /// [`FaultSimError::EvalSetMismatch`] when their image counts differ,
+    /// or [`FaultSimError::ModelMismatch`] when the weight digests differ.
+    pub(crate) fn check_session(&self, model: &Model, data: &Dataset) -> Result<(), FaultSimError> {
         if data.is_empty() || self.len() == 0 {
             return Err(FaultSimError::EmptyEvalSet);
         }
         if self.len() != data.len() {
             return Err(FaultSimError::EvalSetMismatch { golden: self.len(), data: data.len() });
+        }
+        let digest = model.store().digest();
+        if digest != self.weights_digest {
+            return Err(FaultSimError::ModelMismatch {
+                golden: self.weights_digest,
+                model: digest,
+            });
         }
         Ok(())
     }

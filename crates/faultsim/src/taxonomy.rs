@@ -137,7 +137,7 @@ pub fn run_campaign_detailed(
     faults: &[Fault],
     incremental: bool,
 ) -> Result<DetailedResult, FaultSimError> {
-    golden.check_eval_set(data)?;
+    golden.check_session(model, data)?;
     let start = Instant::now();
     let mut worker = model.clone();
     let mut classes = Vec::with_capacity(faults.len());

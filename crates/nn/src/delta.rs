@@ -32,8 +32,8 @@
 use sfi_tensor::ops::{self, Conv2dCfg, LoweredConv, Padding};
 use sfi_tensor::{DirtyMask, ScratchArena, Tensor, DIRTY_BLOCK};
 
-use crate::model::{ActivationCache, ForwardOutcome};
-use crate::{Model, NnError, NodeId, NodeOp, ParamId};
+use crate::model::{ActivationCache, ForwardOutcome, NodeKernels};
+use crate::{GoldenPanels, Model, NnError, NodeId, NodeOp, ParamId};
 
 /// Default [`DeltaOptions::saturation`] threshold: when a node's candidate
 /// dirty region covers at least this fraction of its blocks, the scalar
@@ -57,6 +57,11 @@ pub struct DeltaOptions<'a> {
     /// [`Model::param_output_unit`]); seeds the delta from a single-unit
     /// kernel instead of a dense node evaluation.
     pub dirty_unit: Option<usize>,
+    /// Golden weight panels ([`CompiledPlan::panels`](crate::CompiledPlan::panels))
+    /// for the dense fallback of every node after the seed. The seed — the
+    /// node whose weight [`Model::forward_delta`] faults — never reads its
+    /// panel; [`Model::forward_delta_site`] has no faulted weights.
+    pub panels: Option<&'a GoldenPanels>,
     /// Dense-fallback threshold on the candidate mask's dirty fraction, in
     /// `[0, 1]`. A node whose candidate fraction is `>=` this value is
     /// evaluated densely. `0.0` forces every node dense; `1.0` (or more)
@@ -66,7 +71,13 @@ pub struct DeltaOptions<'a> {
 
 impl Default for DeltaOptions<'_> {
     fn default() -> Self {
-        Self { arena: None, lowered: None, dirty_unit: None, saturation: DELTA_SATURATION_DEFAULT }
+        Self {
+            arena: None,
+            lowered: None,
+            dirty_unit: None,
+            panels: None,
+            saturation: DELTA_SATURATION_DEFAULT,
+        }
     }
 }
 
@@ -364,7 +375,8 @@ impl Model {
             return Ok(Some(DeltaState { value, mask, saturated }));
         }
         // Dense seed: inputs are golden, so the cached lowering (when it
-        // names this node) is sound here.
+        // names this node) is sound here; the weights are faulted, so the
+        // golden panel is not.
         stats.dense_nodes += 1;
         let lowered = match opts.lowered {
             Some((ln, low)) if ln == id => Some(low),
@@ -372,7 +384,8 @@ impl Model {
         };
         let x0 = cache.get(node.inputs.first().copied().unwrap_or(0)).expect("cache covers model");
         let x1 = node.inputs.get(1).map(|&i| cache.get(i).expect("cache covers model"));
-        let value = self.eval_node_dense(id, x0, x1, lowered, opts.arena.as_deref_mut())?;
+        let kernels = NodeKernels { lowered, ..NodeKernels::default() };
+        let value = self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())?;
         let mask = DirtyMask::from_bitdiff(golden.shape(), golden.as_slice(), value.as_slice())
             .map_err(wrap)?;
         if mask.is_empty() {
@@ -426,8 +439,7 @@ impl Model {
             // bitwise compare. This caps the per-node delta overhead at
             // exactly the dense early-exit cost once the cone has gone dense.
             stats.dense_nodes += 1;
-            let value =
-                self.eval_node_dense(id, x0.0, x1.map(|x| x.0), None, opts.arena.as_deref_mut())?;
+            let value = self.eval_node_dense(id, x0.0, x1.map(|x| x.0), opts)?;
             if value.bits_equal(golden) {
                 if let Some(a) = opts.arena.as_deref_mut() {
                     a.recycle(value.into_vec());
@@ -445,8 +457,7 @@ impl Model {
         }
         let (value, mask) = if cand.dirty_fraction() >= opts.saturation {
             stats.dense_nodes += 1;
-            let value =
-                self.eval_node_dense(id, x0.0, x1.map(|x| x.0), None, opts.arena.as_deref_mut())?;
+            let value = self.eval_node_dense(id, x0.0, x1.map(|x| x.0), opts)?;
             if value.bits_equal(golden) {
                 if let Some(a) = opts.arena.as_deref_mut() {
                     a.recycle(value.into_vec());
@@ -474,80 +485,18 @@ impl Model {
         Ok(Some(DeltaState { value, mask, saturated }))
     }
 
-    /// Dense evaluation of node `id` on explicitly resolved inputs, using
-    /// the same fast kernels as `Model::eval_node_with`.
+    /// Dense evaluation of downstream node `id` (its weights are golden,
+    /// so it reads its golden panel when `opts` carries them).
     fn eval_node_dense(
         &self,
         id: NodeId,
         x0: &Tensor,
         x1: Option<&Tensor>,
-        lowered: Option<&LoweredConv>,
-        arena: Option<&mut ScratchArena>,
+        opts: &mut DeltaOptions<'_>,
     ) -> Result<Tensor, NnError> {
-        let node = &self.nodes()[id];
-        let param = |p: ParamId| &self.store().get(p).expect("validated at construction").tensor;
-        let wrap = |source| NnError::Op { node: id, source };
-        let out = match &node.op {
-            NodeOp::Input => unreachable!("input node is never re-evaluated"),
-            NodeOp::Conv { weight, bias, cfg } => {
-                let w = param(*weight);
-                let b = bias.map(&param);
-                match lowered {
-                    Some(low) => ops::conv2d_from_lowered(low, w, b, arena).map_err(wrap)?,
-                    None => match arena {
-                        Some(a) => ops::conv2d_with(x0, w, b, *cfg, a).map_err(wrap)?,
-                        None => ops::conv2d(x0, w, b, *cfg).map_err(wrap)?,
-                    },
-                }
-            }
-            NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
-                let params = ops::BatchNormParams {
-                    gamma: param(*gamma),
-                    beta: param(*beta),
-                    mean: param(*mean),
-                    var: param(*var),
-                    eps: *eps,
-                };
-                match arena {
-                    Some(a) => ops::batch_norm_with(x0, &params, a).map_err(wrap)?,
-                    None => ops::batch_norm(x0, &params).map_err(wrap)?,
-                }
-            }
-            NodeOp::Relu => match arena {
-                Some(a) => ops::relu_with(x0, a),
-                None => ops::relu(x0),
-            },
-            NodeOp::Relu6 => match arena {
-                Some(a) => ops::relu6_with(x0, a),
-                None => ops::relu6(x0),
-            },
-            NodeOp::AvgPool { kernel } => ops::avg_pool2d(x0, *kernel).map_err(wrap)?,
-            NodeOp::MaxPool { kernel } => ops::max_pool2d(x0, *kernel).map_err(wrap)?,
-            NodeOp::GlobalAvgPool => ops::global_avg_pool(x0).map_err(wrap)?,
-            NodeOp::Linear { weight, bias } => {
-                let reshaped;
-                let x2 = if x0.shape().rank() == 2 {
-                    x0
-                } else {
-                    let n = x0.shape().dims()[0];
-                    let rest = x0.len() / n;
-                    reshaped = x0.reshape([n, rest]).map_err(wrap)?;
-                    &reshaped
-                };
-                ops::linear(x2, param(*weight), bias.map(&param)).map_err(wrap)?
-            }
-            NodeOp::Add => {
-                let rhs = x1.expect("Add is binary");
-                match arena {
-                    Some(a) => ops::add_with(x0, rhs, a).map_err(wrap)?,
-                    None => ops::add(x0, rhs).map_err(wrap)?,
-                }
-            }
-            NodeOp::DownsamplePad { out_channels, stride } => {
-                ops::downsample_pad_channels(x0, *out_channels, *stride).map_err(wrap)?
-            }
-        };
-        Ok(out)
+        let panel = opts.panels.and_then(|p| p.get(id));
+        let kernels = NodeKernels { panel, ..NodeKernels::default() };
+        self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())
     }
 
     /// Conservative candidate mask of node `id` from its inputs' masks:
@@ -1135,6 +1084,7 @@ mod tests {
                     arena: Some(&mut arena),
                     lowered: lowered.as_ref().map(|l| (first_dirty, l)),
                     dirty_unit,
+                    panels: None,
                     saturation,
                 },
             )

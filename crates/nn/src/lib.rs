@@ -62,6 +62,6 @@ pub use model::{
 pub use node::{Node, NodeId, NodeOp};
 pub use param::{ParamId, ParamKind, Parameter, ParameterStore, WeightLayer};
 pub use plan::{
-    BatchedOutcome, CompiledPlan, SessionState, StepCost, BATCHED_HEDGE_CONVERGENT,
+    BatchedOutcome, CompiledPlan, GoldenPanels, SessionState, StepCost, BATCHED_HEDGE_CONVERGENT,
     BATCHED_HEDGE_MISMATCH,
 };

@@ -1,9 +1,9 @@
 use serde::{Deserialize, Serialize};
 
-use sfi_tensor::ops::{self, BatchNormParams, GemmKernel, LoweredConv};
+use sfi_tensor::ops::{self, BatchNormParams, GemmKernel, LoweredConv, PackedConvWeight};
 use sfi_tensor::{ScratchArena, Tensor};
 
-use crate::{NnError, Node, NodeId, ParamId, ParameterStore, WeightLayer};
+use crate::{GoldenPanels, NnError, Node, NodeId, ParamId, ParameterStore, WeightLayer};
 
 /// Kernel and allocation policy of a forward pass.
 ///
@@ -42,6 +42,14 @@ pub struct ForwardOptions<'a> {
     /// input holds during this pass. [`Model::forward_suffix`] ignores
     /// them whenever it applies activation patches.
     pub lowered: Option<(NodeId, &'a LoweredConv)>,
+    /// Golden weight panels ([`CompiledPlan::panels`](crate::CompiledPlan::panels))
+    /// for the conv GEMMs of a [`Model::forward_suffix`] pass under
+    /// [`KernelPolicy::Fast`]. The pass never lets its `weight_dirty` node
+    /// read its panel; the caller asserts every *other* recomputed node's
+    /// weights hold the golden values the panels were packed from — true
+    /// for a single weight fault and for transient faults, not for
+    /// accumulated multi-layer faults. Ignored by [`Model::forward_with`].
+    pub panels: Option<&'a GoldenPanels>,
     /// Output unit (conv out-channel / linear out-feature) through which
     /// the active weight fault reaches the *first dirty* node, when the
     /// caller knows it (see [`Model::param_output_unit`]). A converging
@@ -88,6 +96,17 @@ impl ForwardOutcome {
             }
         }
     }
+}
+
+/// The kernel hints of one [`Model::eval_node`] call besides its operands.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeKernels<'a> {
+    /// Kernel and allocation policy.
+    pub(crate) policy: KernelPolicy,
+    /// im2col panels lowered from this node's operand.
+    pub(crate) lowered: Option<&'a LoweredConv>,
+    /// This node's conv weight, pre-packed from its live values.
+    pub(crate) panel: Option<&'a PackedConvWeight>,
 }
 
 /// Result of the single-unit convergence probe (a converging
@@ -373,35 +392,72 @@ impl Model {
         }
     }
 
+    /// Evaluates node `id` with its operands read from `vals`, the cached
+    /// lowering `opts` names for this node, and `panel` as its packed conv
+    /// weight (callers pass only a panel packed from this node's live
+    /// weights). See [`Model::eval_node`].
     pub(crate) fn eval_node_with(
         &self,
         id: NodeId,
         vals: &NodeValues<'_>,
+        panel: Option<&PackedConvWeight>,
         opts: &mut ForwardOptions<'_>,
     ) -> Result<Tensor, NnError> {
+        let inputs = &self.nodes[id].inputs;
+        let x0 = vals.get(inputs.first().copied().unwrap_or(0));
+        let x1 = inputs.get(1).map(|&i| vals.get(i));
+        let lowered = match opts.lowered {
+            Some((n, low)) if n == id => Some(low),
+            _ => None,
+        };
+        let kernels = NodeKernels { policy: opts.policy, lowered, panel };
+        self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())
+    }
+
+    /// The one dense operator evaluator: node `id` over its explicitly
+    /// resolved operands `x0` (and `x1` for `Add`), shared by every forward
+    /// pass and the delta engine's dense fallback.
+    ///
+    /// Under [`KernelPolicy::Fast`] convs consume `kernels.lowered` (im2col
+    /// panels of `x0`) and `kernels.panel` (the packed weight) when given,
+    /// and every buffer comes from `arena` when there is one.
+    /// [`KernelPolicy::Naive`] is the historical reference path: it clones
+    /// every operand, allocates fresh, runs the naive GEMM and the scalar
+    /// depthwise loop, and ignores both conv hints. Every combination is
+    /// bit-identical.
+    pub(crate) fn eval_node(
+        &self,
+        id: NodeId,
+        x0: &Tensor,
+        x1: Option<&Tensor>,
+        kernels: NodeKernels<'_>,
+        arena: Option<&mut ScratchArena>,
+    ) -> Result<Tensor, NnError> {
         use crate::NodeOp;
-        if opts.policy == KernelPolicy::Naive {
-            return self.eval_node_naive(id, vals);
-        }
+        let naive = kernels.policy == KernelPolicy::Naive;
+        let copies;
+        let (x0, x1, arena) = if naive {
+            copies = (x0.clone(), x1.cloned());
+            (&copies.0, copies.1.as_ref(), None)
+        } else {
+            (x0, x1, arena)
+        };
         let node = &self.nodes[id];
         let param = |p: ParamId| &self.store.get(p).expect("validated at construction").tensor;
         let wrap = |source| NnError::Op { node: id, source };
-        let x = |i: usize| vals.get(node.inputs[i]);
         let out = match &node.op {
             NodeOp::Input => unreachable!("input node is never re-evaluated"),
             NodeOp::Conv { weight, bias, cfg } => {
-                let w = param(*weight);
-                let b = bias.map(&param);
-                match opts.lowered {
-                    Some((n, low)) if n == id => {
-                        ops::conv2d_from_lowered(low, w, b, opts.arena.as_deref_mut())
-                            .map_err(wrap)?
+                let (w, b) = (param(*weight), bias.map(&param));
+                let conv = match (naive, kernels.lowered, arena) {
+                    (true, ..) => ops::conv2d_kernel(x0, w, b, *cfg, GemmKernel::Naive),
+                    (false, Some(low), a) => ops::conv2d_from_lowered(low, w, b, kernels.panel, a),
+                    (false, None, Some(a)) => ops::conv2d_with(x0, w, b, *cfg, kernels.panel, a),
+                    (false, None, None) => {
+                        ops::conv2d_with(x0, w, b, *cfg, kernels.panel, &mut ScratchArena::new())
                     }
-                    _ => match opts.arena.as_deref_mut() {
-                        Some(a) => ops::conv2d_with(x(0), w, b, *cfg, a).map_err(wrap)?,
-                        None => ops::conv2d(x(0), w, b, *cfg).map_err(wrap)?,
-                    },
-                }
+                };
+                conv.map_err(wrap)?
             }
             NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
                 let params = BatchNormParams {
@@ -411,103 +467,43 @@ impl Model {
                     var: param(*var),
                     eps: *eps,
                 };
-                match opts.arena.as_deref_mut() {
-                    Some(a) => ops::batch_norm_with(x(0), &params, a).map_err(wrap)?,
-                    None => ops::batch_norm(x(0), &params).map_err(wrap)?,
+                match arena {
+                    Some(a) => ops::batch_norm_with(x0, &params, a).map_err(wrap)?,
+                    None => ops::batch_norm(x0, &params).map_err(wrap)?,
                 }
             }
-            NodeOp::Relu => match opts.arena.as_deref_mut() {
-                Some(a) => ops::relu_with(x(0), a),
-                None => ops::relu(x(0)),
+            NodeOp::Relu => match arena {
+                Some(a) => ops::relu_with(x0, a),
+                None => ops::relu(x0),
             },
-            NodeOp::Relu6 => match opts.arena.as_deref_mut() {
-                Some(a) => ops::relu6_with(x(0), a),
-                None => ops::relu6(x(0)),
+            NodeOp::Relu6 => match arena {
+                Some(a) => ops::relu6_with(x0, a),
+                None => ops::relu6(x0),
             },
-            NodeOp::AvgPool { kernel } => ops::avg_pool2d(x(0), *kernel).map_err(wrap)?,
-            NodeOp::MaxPool { kernel } => ops::max_pool2d(x(0), *kernel).map_err(wrap)?,
-            NodeOp::GlobalAvgPool => ops::global_avg_pool(x(0)).map_err(wrap)?,
+            NodeOp::AvgPool { kernel } => ops::avg_pool2d(x0, *kernel).map_err(wrap)?,
+            NodeOp::MaxPool { kernel } => ops::max_pool2d(x0, *kernel).map_err(wrap)?,
+            NodeOp::GlobalAvgPool => ops::global_avg_pool(x0).map_err(wrap)?,
             NodeOp::Linear { weight, bias } => {
-                let xv = x(0);
                 let reshaped;
-                let x2 = if xv.shape().rank() == 2 {
-                    xv
+                let x2 = if x0.shape().rank() == 2 {
+                    x0
                 } else {
-                    let n = xv.shape().dims()[0];
-                    let rest = xv.len() / n;
-                    reshaped = xv.reshape([n, rest]).map_err(wrap)?;
+                    let n = x0.shape().dims()[0];
+                    let rest = x0.len() / n;
+                    reshaped = x0.reshape([n, rest]).map_err(wrap)?;
                     &reshaped
                 };
                 ops::linear(x2, param(*weight), bias.map(&param)).map_err(wrap)?
             }
-            NodeOp::Add => match opts.arena.as_deref_mut() {
-                Some(a) => ops::add_with(x(0), x(1), a).map_err(wrap)?,
-                None => ops::add(x(0), x(1)).map_err(wrap)?,
-            },
-            NodeOp::DownsamplePad { out_channels, stride } => {
-                ops::downsample_pad_channels(x(0), *out_channels, *stride).map_err(wrap)?
-            }
-        };
-        Ok(out)
-    }
-
-    /// The historical evaluation path: clones every node input and uses the
-    /// naive GEMM — the faithful pre-optimization cost model behind
-    /// [`KernelPolicy::Naive`]. Bit-identical to the fast path.
-    fn eval_node_naive(&self, id: NodeId, vals: &NodeValues<'_>) -> Result<Tensor, NnError> {
-        use crate::NodeOp;
-        let node = &self.nodes[id];
-        let param = |p: ParamId| &self.store.get(p).expect("validated at construction").tensor;
-        let wrap = |source| NnError::Op { node: id, source };
-        let value_of = |i: NodeId| vals.get(i).clone();
-        let out = match &node.op {
-            NodeOp::Input => unreachable!("input node is never re-evaluated"),
-            NodeOp::Conv { weight, bias, cfg } => {
-                let x = value_of(node.inputs[0]);
-                ops::conv2d_kernel(&x, param(*weight), bias.map(&param), *cfg, GemmKernel::Naive)
-                    .map_err(wrap)?
-            }
-            NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
-                let x = value_of(node.inputs[0]);
-                let params = BatchNormParams {
-                    gamma: param(*gamma),
-                    beta: param(*beta),
-                    mean: param(*mean),
-                    var: param(*var),
-                    eps: *eps,
-                };
-                ops::batch_norm(&x, &params).map_err(wrap)?
-            }
-            NodeOp::Relu => ops::relu(&value_of(node.inputs[0])),
-            NodeOp::Relu6 => ops::relu6(&value_of(node.inputs[0])),
-            NodeOp::AvgPool { kernel } => {
-                ops::avg_pool2d(&value_of(node.inputs[0]), *kernel).map_err(wrap)?
-            }
-            NodeOp::MaxPool { kernel } => {
-                ops::max_pool2d(&value_of(node.inputs[0]), *kernel).map_err(wrap)?
-            }
-            NodeOp::GlobalAvgPool => {
-                ops::global_avg_pool(&value_of(node.inputs[0])).map_err(wrap)?
-            }
-            NodeOp::Linear { weight, bias } => {
-                let x = value_of(node.inputs[0]);
-                let x2 = if x.shape().rank() == 2 {
-                    x
-                } else {
-                    let n = x.shape().dims()[0];
-                    let rest = x.len() / n;
-                    x.reshape([n, rest]).map_err(wrap)?
-                };
-                ops::linear(&x2, param(*weight), bias.map(&param)).map_err(wrap)?
-            }
             NodeOp::Add => {
-                let a = value_of(node.inputs[0]);
-                let b = value_of(node.inputs[1]);
-                ops::add(&a, &b).map_err(wrap)?
+                let rhs = x1.expect("Add is binary");
+                match arena {
+                    Some(a) => ops::add_with(x0, rhs, a).map_err(wrap)?,
+                    None => ops::add(x0, rhs).map_err(wrap)?,
+                }
             }
             NodeOp::DownsamplePad { out_channels, stride } => {
-                ops::downsample_pad_channels(&value_of(node.inputs[0]), *out_channels, *stride)
-                    .map_err(wrap)?
+                ops::downsample_pad_channels(x0, *out_channels, *stride).map_err(wrap)?
             }
         };
         Ok(out)
@@ -548,6 +544,7 @@ impl Model {
                     suffix_base: 1,
                     suffix: &suffix,
                 },
+                None,
                 opts,
             )?;
             suffix.push(v);
@@ -579,6 +576,7 @@ impl Model {
                     suffix_base: usize::MAX,
                     suffix: &[],
                 },
+                None,
                 &mut ForwardOptions::default(),
             )?;
             values.push(v);
@@ -638,6 +636,10 @@ impl Model {
     ///   clone with that unit overwritten, bit-identical to full
     ///   re-evaluation because no other unit depends on the faulted
     ///   weight row.
+    ///
+    /// With [`ForwardOptions::panels`] every recomputed conv GEMM reads its
+    /// golden weight panel — except the `weight_dirty` node's, which always
+    /// packs its live (faulted) weights. This holds for patched passes too.
     ///
     /// Intermediate tensors are recycled into `opts.arena` when the pass
     /// ends, so the next image reuses the same scratch.
@@ -718,16 +720,18 @@ impl Model {
         if !patches.is_empty() {
             opts.lowered = None;
         }
-        let out = self.recompute_suffix(start, cache, &overrides, patches, opts);
+        let out = self.recompute_suffix(start, weight_dirty, cache, &overrides, patches, opts);
         opts.lowered = lowered;
         out
     }
 
     /// The recompute loop of [`Model::forward_suffix`] from node `start`
-    /// on, with the golden-convergence bookkeeping when it applies.
+    /// on, with the golden-convergence bookkeeping when it applies. Node
+    /// `weight_dirty` never reads its golden panel.
     fn recompute_suffix(
         &self,
         start: NodeId,
+        weight_dirty: Option<NodeId>,
         cache: &ActivationCache,
         overrides: &[(NodeId, Tensor)],
         patches: &[ActPatch],
@@ -770,7 +774,11 @@ impl Model {
         }
         for id in next..n_nodes {
             let vals = NodeValues { prefix: golden, overrides, suffix_base: start, suffix: &fresh };
-            let mut v = self.eval_node_with(id, &vals, opts)?;
+            let panel = match opts.panels {
+                Some(p) if weight_dirty != Some(id) => p.get(id),
+                _ => None,
+            };
+            let mut v = self.eval_node_with(id, &vals, panel, opts)?;
             for p in patches.iter().filter(|p| p.node == id) {
                 let s = v.as_mut_slice();
                 s[p.element] = p.apply(s[p.element]);

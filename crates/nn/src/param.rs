@@ -112,6 +112,28 @@ impl ParameterStore {
         self.params.is_empty()
     }
 
+    /// A 64-bit FNV-1a digest of every parameter's shape and value bits, in
+    /// id order: equal stores digest equally, and any changed value (NaN
+    /// payloads and signed zeros included) changes the digest with
+    /// overwhelming probability. Names and kinds are not hashed.
+    pub fn digest(&self) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |word: u64| {
+            h ^= word;
+            h = h.wrapping_mul(PRIME);
+        };
+        for p in &self.params {
+            for &d in p.tensor.shape().dims() {
+                mix(d as u64);
+            }
+            for &v in p.tensor.as_slice() {
+                mix(u64::from(v.to_bits()));
+            }
+        }
+        h
+    }
+
     /// Iterates over all parameters in id order.
     pub fn iter(&self) -> std::slice::Iter<'_, Parameter> {
         self.params.iter()
@@ -191,6 +213,20 @@ mod tests {
         s.push("fc.weight", ParamKind::Weight { layer: 1 }, Tensor::zeros([10, 2]));
         s.push("fc.bias", ParamKind::Bias, Tensor::zeros([10]));
         s
+    }
+
+    #[test]
+    fn digest_tracks_values_and_shapes() {
+        let base = store_with_layers();
+        assert_eq!(base.digest(), store_with_layers().digest());
+        let mut flipped = store_with_layers();
+        flipped.get_mut(2).unwrap().tensor.as_mut_slice()[7] = -0.0;
+        assert_ne!(base.digest(), flipped.digest(), "a signed zero is a different weight");
+        let mut reshaped = ParameterStore::new();
+        reshaped.push("w", ParamKind::Weight { layer: 0 }, Tensor::zeros([6]));
+        let mut other = ParameterStore::new();
+        other.push("w", ParamKind::Weight { layer: 0 }, Tensor::zeros([2, 3]));
+        assert_ne!(reshaped.digest(), other.digest());
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! - **per-step cost estimates** ([`StepCost`]) — flop and element counts
 //!   that turn the delta-vs-dense choice into a compile-time decision
 //!   ([`CompiledPlan::delta_profitable`]) instead of a runtime floor;
+//! - **golden weight panels** ([`GoldenPanels`]) — every conv weight the
+//!   register-tiled GEMM tier serves, packed once into that kernel's strip
+//!   layout, so every suffix GEMM downstream of a faulted node multiplies
+//!   pre-packed golden panels instead of re-packing the layer per call;
 //! - **conv+bn(+relu) fusion groups** — batch-norm folds to a per-channel
 //!   `mul`+`add` whose coefficients come from the *same*
 //!   [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
@@ -42,7 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sfi_tensor::ops::{self, BatchNormParams, BatchedLowered, ConvEpilogue, FusedActivation};
+use sfi_tensor::ops::{
+    self, BatchNormParams, BatchedLowered, ConvEpilogue, FusedActivation, PackedConvWeight,
+};
 use sfi_tensor::{ScratchArena, Shape, Tensor};
 
 use crate::model::NodeValues;
@@ -170,6 +176,42 @@ pub struct CompiledPlan {
     lowerable: Vec<bool>,
     /// Measured per-node engine costs, when [`CompiledPlan::calibrate`] ran.
     calibration: Option<Calibration>,
+    /// Golden conv weights pre-packed for the GEMM.
+    panels: GoldenPanels,
+}
+
+/// The golden weights of every conv node whose GEMM the register-tiled
+/// `micro` tier serves, packed once into that kernel's strip layout
+/// ([`PackedConvWeight`]). Built by [`CompiledPlan::compile`] from the
+/// model's golden parameters and shared read-only (one copy per process,
+/// inside the `Arc`-shared plan).
+///
+/// A panel is golden data: it is only sound for a node whose weights hold
+/// their golden values during the pass. The suffix engines enforce this
+/// for the one node a weight fault dirties — [`Model::forward_suffix`],
+/// [`Model::forward_delta`] and [`CompiledPlan::forward_batched_from`]
+/// always re-pack that node's live weights — so callers pass panels only
+/// to passes with at most one faulted weight tensor.
+#[derive(Debug, Clone, Default)]
+pub struct GoldenPanels {
+    by_node: Vec<Option<PackedConvWeight>>,
+}
+
+impl GoldenPanels {
+    /// The packed golden weight of conv node `id`, when it has one.
+    pub fn get(&self, id: NodeId) -> Option<&PackedConvWeight> {
+        self.by_node.get(id).and_then(Option::as_ref)
+    }
+
+    /// Number of conv nodes holding a panel.
+    pub fn count(&self) -> usize {
+        self.by_node.iter().flatten().count()
+    }
+
+    /// Heap footprint of every panel, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.by_node.iter().flatten().map(PackedConvWeight::memory_bytes).sum()
+    }
 }
 
 /// Measured per-node engine costs attached to a plan by
@@ -297,6 +339,7 @@ impl CompiledPlan {
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
         let mut cost = vec![StepCost::default(); n];
         let mut lowerable = vec![false; n];
+        let mut panels = vec![None; n];
         for (id, node) in nodes.iter().enumerate().skip(1) {
             let out = cache.get(id).expect("cache covers all nodes");
             let out_shape = out.shape();
@@ -307,6 +350,15 @@ impl CompiledPlan {
                     let k_len: usize = w.shape().dims()[1..].iter().product();
                     let input = cache.get(node.inputs[0]).expect("cache covers all nodes");
                     lowerable[id] = ops::conv2d_uses_lowering(input, w, *cfg);
+                    let c_out = w.shape().n();
+                    let m = c_out / cfg.groups;
+                    if lowerable[id]
+                        && ops::gemm_selected_kernel(m, k_len, out_elems / c_out) == "micro"
+                    {
+                        let packed = PackedConvWeight::pack(w, cfg.groups)
+                            .map_err(|source| NnError::Op { node: id, source })?;
+                        panels[id] = Some(packed);
+                    }
                     2 * k_len as u64 * out_elems as u64
                 }
                 NodeOp::Linear { weight, .. } => {
@@ -399,11 +451,14 @@ impl CompiledPlan {
             groups,
             lowerable,
             calibration: None,
+            panels: GoldenPanels { by_node: panels },
         })
     }
 
     /// Measures per-node dense and batched execution costs against the
-    /// campaign's own golden caches and attaches them to the plan,
+    /// campaign's own golden caches and attaches them to the plan (every
+    /// conv reading its golden panel, as the suffix nodes a fault re-runs
+    /// do),
     /// switching [`delta_profitable`](Self::delta_profitable) and
     /// [`batched_profitable`](Self::batched_profitable) from the static
     /// flop thresholds to measured wall-clock costs. `single` must be a
@@ -448,7 +503,7 @@ impl CompiledPlan {
                 let mut opts =
                     ForwardOptions { arena: Some(&mut arena), ..ForwardOptions::default() };
                 let t0 = Instant::now();
-                let out = model.eval_node_with(id, &vals, &mut opts)?;
+                let out = model.eval_node_with(id, &vals, self.panels.get(id), &mut opts)?;
                 let dt = t0.elapsed().as_secs_f64();
                 arena.recycle(out.into_vec());
                 if rep > 0 {
@@ -529,6 +584,11 @@ impl CompiledPlan {
     /// when one ran.
     pub fn calibration(&self) -> Option<&Calibration> {
         self.calibration.as_ref()
+    }
+
+    /// The golden weight panels packed at compile time.
+    pub fn panels(&self) -> &GoldenPanels {
+        &self.panels
     }
 
     /// Number of nodes the plan covers.
@@ -891,13 +951,15 @@ impl CompiledPlan {
         let b = bias.map(&param);
         let wrap = |source| NnError::Op { node: g.conv, source };
         let ep = ConvEpilogue { bn: Some((&g.scale, &g.shift)), act: g.activation };
+        let packed = self.golden_panel(g.conv, first_dirty);
         let out = match lowered {
             // The first dirty conv's golden-input panel is shared across
             // every fault at this node; the converging pass only evaluates
             // the seed node while all rows are still live, so the panel
             // never needs compaction.
             Some(low) if g.conv == first_dirty && rows.len() == batch => {
-                ops::conv2d_batched_from_lowered(low, w, b, Some(&ep), Some(arena)).map_err(wrap)?
+                ops::conv2d_batched_from_lowered(low, w, b, Some(&ep), packed, Some(arena))
+                    .map_err(wrap)?
             }
             _ => {
                 let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
@@ -905,8 +967,9 @@ impl CompiledPlan {
                     .then(|| take_rows(raw, rows, arena));
                 let input = compacted.as_ref().unwrap_or(raw);
                 let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
-                let out = ops::conv2d_batched_from_lowered(&owned, w, b, Some(&ep), Some(arena))
-                    .map_err(wrap)?;
+                let out =
+                    ops::conv2d_batched_from_lowered(&owned, w, b, Some(&ep), packed, Some(arena))
+                        .map_err(wrap)?;
                 arena.recycle(owned.into_cols());
                 if let Some(c) = compacted {
                     arena.recycle(c.into_vec());
@@ -944,9 +1007,10 @@ impl CompiledPlan {
                 let w = param(*weight);
                 let b = bias.map(&param);
                 let wrap = |source| NnError::Op { node: id, source };
+                let packed = self.golden_panel(id, first_dirty);
                 let out = match lowered {
                     Some(low) if id == first_dirty && rows.len() == batch => {
-                        ops::conv2d_batched_from_lowered(low, w, b, None, Some(arena))
+                        ops::conv2d_batched_from_lowered(low, w, b, None, packed, Some(arena))
                             .map_err(wrap)?
                     }
                     _ => {
@@ -956,8 +1020,15 @@ impl CompiledPlan {
                         let input = compacted.as_ref().unwrap_or(raw);
                         let owned =
                             ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
-                        let out = ops::conv2d_batched_from_lowered(&owned, w, b, None, Some(arena))
-                            .map_err(wrap)?;
+                        let out = ops::conv2d_batched_from_lowered(
+                            &owned,
+                            w,
+                            b,
+                            None,
+                            packed,
+                            Some(arena),
+                        )
+                        .map_err(wrap)?;
                         arena.recycle(owned.into_cols());
                         if let Some(c) = compacted {
                             arena.recycle(c.into_vec());
@@ -987,11 +1058,22 @@ impl CompiledPlan {
             suffix: fresh,
         };
         let mut opts = ForwardOptions { arena: Some(arena), ..ForwardOptions::default() };
-        let out = model.eval_node_with(id, &vals, &mut opts);
+        let out = model.eval_node_with(id, &vals, None, &mut opts);
         for (_, t) in over_rows {
             arena.recycle(t.into_vec());
         }
         out
+    }
+
+    /// The golden panel of conv node `id` for a batched pass whose faulted
+    /// node is `first_dirty`: none for the faulted node itself, whose live
+    /// weights differ from the golden ones the panel was packed from.
+    fn golden_panel(&self, id: NodeId, first_dirty: NodeId) -> Option<&PackedConvWeight> {
+        if id == first_dirty {
+            None
+        } else {
+            self.panels.get(id)
+        }
     }
 
     /// Batched single-unit probe of the first dirty node: evaluates only

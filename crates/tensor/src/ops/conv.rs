@@ -3,7 +3,7 @@ use std::ops::Range;
 use crate::{ScratchArena, Shape, Tensor, TensorError};
 
 use super::gemm::{gemm, gemm_blocked_with};
-use super::microkernel::gemm_row;
+use super::microkernel::{gemm_micro_packed, gemm_row, gemm_scratch_len, PackedLhs};
 
 /// Spatial padding policy for [`conv2d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,6 +75,106 @@ pub enum GemmKernel {
     Blocked,
     /// Plain m/k/n triple loop — the pre-optimization reference kernel.
     Naive,
+}
+
+/// A convolution weight pre-packed for the `im2col` GEMM: one
+/// [`PackedLhs`] per channel group, each the group's
+/// `c_out/groups x (c_in/groups * k_h * k_w)` weight matrix in the
+/// register-tiled kernel's strip layout.
+///
+/// The conv entry points that accept one ([`conv2d_with`],
+/// [`conv2d_from_lowered`], [`conv2d_batched_from_lowered`]) multiply
+/// these panels instead of re-packing `weight` on every call. They read
+/// `weight` only for its shape: the caller guarantees the panels were
+/// packed from the values `weight` holds. Fault campaigns pack each golden
+/// conv weight once and never hand a faulted layer its golden panels.
+#[derive(Debug, Clone)]
+pub struct PackedConvWeight {
+    groups: Vec<PackedLhs>,
+    /// `[c_out, c_in/groups, k_h, k_w]` of the packed weight.
+    dims: [usize; 4],
+}
+
+impl PackedConvWeight {
+    /// Packs `weight` (`[C_out, C_in/groups, K_h, K_w]`) for a convolution
+    /// with `groups` channel groups. Pure data movement.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `weight` is not rank 4 or `groups` does not
+    /// divide its output channels.
+    pub fn pack(weight: &Tensor, groups: usize) -> Result<Self, TensorError> {
+        const OP: &str = "PackedConvWeight::pack";
+        let ws = weight.shape();
+        if ws.rank() != 4 {
+            return Err(TensorError::RankMismatch { op: OP, expected: 4, actual: ws.rank() });
+        }
+        if groups == 0 || !ws.n().is_multiple_of(groups) {
+            return Err(TensorError::InvalidConfig {
+                op: OP,
+                reason: format!("groups {groups} must divide out channels {}", ws.n()),
+            });
+        }
+        let m = ws.n() / groups;
+        let k = ws.c() * ws.h() * ws.w();
+        let w = weight.as_slice();
+        let groups = (0..groups).map(|g| PackedLhs::pack(m, k, &w[g * m * k..][..m * k])).collect();
+        Ok(Self { groups, dims: [ws.n(), ws.c(), ws.h(), ws.w()] })
+    }
+
+    /// Heap footprint of the panels, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.groups.iter().map(PackedLhs::memory_bytes).sum()
+    }
+
+    /// Checks that these panels were packed for `weight`'s shape and
+    /// `groups`.
+    fn check(&self, op: &'static str, weight: &Tensor, groups: usize) -> Result<(), TensorError> {
+        let ws = weight.shape();
+        if ws.dims() != self.dims || self.groups.len() != groups {
+            return Err(TensorError::InvalidConfig {
+                op,
+                reason: format!(
+                    "panels packed for {:?} in {} groups do not match weight {ws} in {groups}",
+                    self.dims,
+                    self.groups.len()
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The GEMM of one conv group: `out += w_group x cols` (`m x k` times
+/// `k x n`), over the group's pre-packed panels when `packed` is given,
+/// the self-dispatching kernel otherwise. Bit-identical either way.
+fn group_gemm(
+    packed: Option<&PackedConvWeight>,
+    g: usize,
+    (m, k, n): (usize, usize, usize),
+    w_group: &[f32],
+    cols: &[f32],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    match packed {
+        Some(p) => gemm_micro_packed(n, &p.groups[g], cols, out, scratch),
+        None => gemm_blocked_with(m, k, n, w_group, cols, out, scratch),
+    }
+}
+
+/// GEMM scratch for an `m x k x n` conv group at its final size: from the
+/// arena when there is one (so the kernel never regrows it), empty
+/// otherwise (the kernel grows it once for the call).
+fn gemm_scratch(
+    arena: Option<&mut ScratchArena>,
+    (m, k, n): (usize, usize, usize),
+    packed: bool,
+) -> Vec<f32> {
+    match arena {
+        Some(a) => a.take(gemm_scratch_len(m, k, n, packed)),
+        None => Vec::new(),
+    }
 }
 
 struct ConvDims {
@@ -230,30 +330,37 @@ pub fn conv2d_kernel(
     if dims.is_depthwise(cfg) {
         Ok(depthwise(input, weight, bias, cfg, &dims, kernel, None))
     } else {
-        Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None))
+        Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None, None))
     }
 }
 
 /// [`conv2d`] drawing its column, packing, and output buffers from `arena`
-/// instead of the allocator — the campaign-worker hot path.
+/// instead of the allocator — the campaign-worker hot path — and, when
+/// `packed` is given, multiplying `weight`'s pre-packed panels instead of
+/// packing it per call (depthwise convs never use panels).
 ///
-/// Bit-identical to [`conv2d`]; only buffer provenance differs.
+/// Bit-identical to [`conv2d`]; only buffer provenance and packing differ.
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d`].
+/// Same conditions as [`conv2d`], plus [`TensorError::InvalidConfig`]
+/// when `packed` was packed for another weight shape or group count.
 pub fn conv2d_with(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
+    packed: Option<&PackedConvWeight>,
     arena: &mut ScratchArena,
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
+    if let Some(p) = packed {
+        p.check("conv2d_with", weight, cfg.groups)?;
+    }
     if dims.is_depthwise(cfg) {
         Ok(depthwise(input, weight, bias, cfg, &dims, GemmKernel::Blocked, Some(arena)))
     } else {
-        Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Blocked, Some(arena)))
+        Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Blocked, packed, Some(arena)))
     }
 }
 
@@ -329,7 +436,7 @@ pub fn conv2d_im2col(
     cfg: Conv2dCfg,
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
-    Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Naive, None))
+    Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Naive, None, None))
 }
 
 /// Whether [`conv2d`] would route `(input, weight, cfg)` through the
@@ -427,55 +534,50 @@ pub fn im2col_lower(
 }
 
 /// Convolution over pre-lowered column panels: skips the lowering pass and
-/// goes straight to the blocked GEMM. Bit-identical to [`conv2d`] on the
-/// input `lowered` was built from.
+/// goes straight to the blocked GEMM — over `weight`'s pre-packed panels
+/// when `packed` is given. Bit-identical to [`conv2d`] on the input
+/// `lowered` was built from.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidConfig`] when `weight`'s shape does not
-/// match the geometry the panels were lowered for, or a shape error for a
-/// mismatched bias.
+/// match the geometry the panels were lowered for or `packed` was packed
+/// for another shape, or a shape error for a mismatched bias.
 pub fn conv2d_from_lowered(
     lowered: &LoweredConv,
     weight: &Tensor,
     bias: Option<&Tensor>,
+    packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Result<Tensor, TensorError> {
     const OP: &str = "conv2d_from_lowered";
     validate_lowered(OP, lowered, weight, bias)?;
+    if let Some(p) = packed {
+        p.check(OP, weight, lowered.groups)?;
+    }
     let (k_len, spatial) = (lowered.k_len, lowered.spatial);
     let c_out_per_group = lowered.c_out / lowered.groups;
+    let mnk = (c_out_per_group, k_len, spatial);
     let out_len = lowered.batch * lowered.c_out * spatial;
     let mut out_data = match arena.as_deref_mut() {
         Some(a) => a.take_zeroed(out_len),
         None => vec![0.0f32; out_len],
     };
-    let mut packed = match arena.as_deref_mut() {
-        Some(a) => a.take(0),
-        None => Vec::new(),
-    };
+    let mut scratch = gemm_scratch(arena.as_deref_mut(), mnk, packed.is_some());
     let w_data = weight.as_slice();
     for n in 0..lowered.batch {
         for g in 0..lowered.groups {
             let w_group = &w_data[g * c_out_per_group * k_len..][..c_out_per_group * k_len];
             let out_group = &mut out_data[(n * lowered.c_out + g * c_out_per_group) * spatial..]
                 [..c_out_per_group * spatial];
-            gemm_blocked_with(
-                c_out_per_group,
-                k_len,
-                spatial,
-                w_group,
-                lowered.panel(n, g),
-                out_group,
-                &mut packed,
-            );
+            group_gemm(packed, g, mnk, w_group, lowered.panel(n, g), out_group, &mut scratch);
         }
         if let Some(b) = bias {
             add_bias(&mut out_data, b, n, lowered.c_out, spatial);
         }
     }
     if let Some(a) = arena {
-        a.recycle(packed);
+        a.recycle(scratch);
     }
     Ok(Tensor::from_vec([lowered.batch, lowered.c_out, lowered.h_out, lowered.w_out], out_data)
         .expect("output length follows from lowered dims"))
@@ -759,9 +861,9 @@ fn validate_batched(
 }
 
 /// Batched convolution over image-interleaved panels: one GEMM per group
-/// covers every image, and the GEMM-output scatter back to NCHW applies
-/// the bias and an optional fused epilogue (folded batch norm, ReLU) in
-/// the same pass.
+/// covers every image — over `weight`'s pre-packed panels when `packed` is
+/// given — and the GEMM-output scatter back to NCHW applies the bias and
+/// an optional fused epilogue (folded batch norm, ReLU) in the same pass.
 ///
 /// Bit-identical to running [`conv2d_from_lowered`] per image followed by
 /// the unfused `batch_norm`/`relu` ops: each output element's `k`
@@ -777,10 +879,14 @@ pub fn conv2d_batched_from_lowered(
     weight: &Tensor,
     bias: Option<&Tensor>,
     epilogue: Option<&ConvEpilogue<'_>>,
+    packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Result<Tensor, TensorError> {
     const OP: &str = "conv2d_batched_from_lowered";
     validate_batched(OP, lowered, weight, bias)?;
+    if let Some(p) = packed {
+        p.check(OP, weight, lowered.groups)?;
+    }
     if let Some(ep) = epilogue {
         if let Some((scale, shift)) = ep.bn {
             if scale.len() != lowered.c_out || shift.len() != lowered.c_out {
@@ -799,14 +905,12 @@ pub fn conv2d_batched_from_lowered(
     let (k_len, spatial, batch) = (lowered.k_len, lowered.spatial, lowered.batch);
     let bspatial = batch * spatial;
     let c_out_per_group = lowered.c_out / lowered.groups;
+    let mnk = (c_out_per_group, k_len, bspatial);
     let mut gemm_out = match arena.as_deref_mut() {
         Some(a) => a.take_zeroed(c_out_per_group * bspatial),
         None => vec![0.0f32; c_out_per_group * bspatial],
     };
-    let mut packed = match arena.as_deref_mut() {
-        Some(a) => a.take(0),
-        None => Vec::new(),
-    };
+    let mut scratch = gemm_scratch(arena.as_deref_mut(), mnk, packed.is_some());
     let mut out_data = match arena.as_deref_mut() {
         Some(a) => a.take(batch * lowered.c_out * spatial),
         None => vec![0.0f32; batch * lowered.c_out * spatial],
@@ -820,15 +924,7 @@ pub fn conv2d_batched_from_lowered(
         if g > 0 {
             gemm_out.fill(0.0);
         }
-        gemm_blocked_with(
-            c_out_per_group,
-            k_len,
-            bspatial,
-            w_group,
-            lowered.panel(g),
-            &mut gemm_out,
-            &mut packed,
-        );
+        group_gemm(packed, g, mnk, w_group, lowered.panel(g), &mut gemm_out, &mut scratch);
         // Scatter [c][image * spatial] rows into NCHW, fusing bias + tail.
         for cg in 0..c_out_per_group {
             let co = g * c_out_per_group + cg;
@@ -853,7 +949,7 @@ pub fn conv2d_batched_from_lowered(
         }
     }
     if let Some(a) = arena {
-        a.recycle(packed);
+        a.recycle(scratch);
         a.recycle(gemm_out);
     }
     Ok(Tensor::from_vec([batch, lowered.c_out, lowered.h_out, lowered.w_out], out_data)
@@ -1059,11 +1155,13 @@ fn im2col_conv(
     cfg: Conv2dCfg,
     d: &ConvDims,
     kernel: GemmKernel,
+    packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Tensor {
     let spatial = d.h_out * d.w_out;
     let k_len = d.c_in_per_group * d.k_h * d.k_w;
     let c_out_per_group = d.c_out / cfg.groups;
+    let mnk = (c_out_per_group, k_len, spatial);
     let out_len = d.batch * d.c_out * spatial;
     let mut out_data = match arena.as_deref_mut() {
         Some(a) => a.take_zeroed(out_len),
@@ -1077,10 +1175,7 @@ fn im2col_conv(
         Some(a) => a.take(k_len * spatial),
         None => vec![0.0f32; k_len * spatial],
     };
-    let mut packed = match arena.as_deref_mut() {
-        Some(a) => a.take(0),
-        None => Vec::new(),
-    };
+    let mut scratch = gemm_scratch(arena.as_deref_mut(), mnk, packed.is_some());
     for n in 0..d.batch {
         for g in 0..cfg.groups {
             // The Naive kernel keeps the historical scalar gather so the
@@ -1098,15 +1193,9 @@ fn im2col_conv(
                 GemmKernel::Naive => {
                     gemm(c_out_per_group, k_len, spatial, w_group, &cols, out_group)
                 }
-                GemmKernel::Blocked => gemm_blocked_with(
-                    c_out_per_group,
-                    k_len,
-                    spatial,
-                    w_group,
-                    &cols,
-                    out_group,
-                    &mut packed,
-                ),
+                GemmKernel::Blocked => {
+                    group_gemm(packed, g, mnk, w_group, &cols, out_group, &mut scratch)
+                }
             }
         }
         if let Some(b) = bias {
@@ -1115,7 +1204,7 @@ fn im2col_conv(
     }
     if let Some(a) = arena {
         a.recycle(cols);
-        a.recycle(packed);
+        a.recycle(scratch);
     }
     Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out_data)
         .expect("output length follows from conv dims")
@@ -1440,13 +1529,13 @@ mod tests {
         let cfg = Conv2dCfg::same(1);
         let plain = conv2d(&input, &weight, None, cfg).unwrap();
         let mut arena = ScratchArena::new();
-        let a = conv2d_with(&input, &weight, None, cfg, &mut arena).unwrap();
+        let a = conv2d_with(&input, &weight, None, cfg, None, &mut arena).unwrap();
         assert_bits_equal(&plain, &a, "arena first call");
         let parked = arena.free_buffers();
         assert!(parked >= 1, "cols buffer must be recycled");
         // A second call reuses the parked buffers and stays identical even
         // though they now hold stale contents.
-        let b = conv2d_with(&input, &weight, None, cfg, &mut arena).unwrap();
+        let b = conv2d_with(&input, &weight, None, cfg, None, &mut arena).unwrap();
         assert_bits_equal(&plain, &b, "arena second call");
         assert!(arena.peak_bytes() > 0);
     }
@@ -1461,11 +1550,11 @@ mod tests {
         let plain = conv2d(&input, &weight, Some(&bias), cfg).unwrap();
         let lowered = im2col_lower(&input, &weight, cfg).unwrap();
         assert_eq!(lowered.memory_bytes() % 4, 0);
-        let from_cols = conv2d_from_lowered(&lowered, &weight, Some(&bias), None).unwrap();
+        let from_cols = conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None).unwrap();
         assert_bits_equal(&plain, &from_cols, "lowered, no arena");
         let mut arena = ScratchArena::new();
         let with_arena =
-            conv2d_from_lowered(&lowered, &weight, Some(&bias), Some(&mut arena)).unwrap();
+            conv2d_from_lowered(&lowered, &weight, Some(&bias), None, Some(&mut arena)).unwrap();
         assert_bits_equal(&plain, &with_arena, "lowered, arena");
     }
 
@@ -1481,7 +1570,7 @@ mod tests {
         let bias = Tensor::from_fn([6], |i| i as f32 * 0.1);
         let cfg = Conv2dCfg::same(2).with_groups(2);
         let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        let full = conv2d_from_lowered(&lowered, &weight, Some(&bias), None).unwrap();
+        let full = conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None).unwrap();
         let shape = full.shape();
         let dims = shape.dims();
         let (batch, c_out) = (dims[0], dims[1]);
@@ -1522,7 +1611,7 @@ mod tests {
         weight.as_mut_slice()[7] = f32::NAN;
         weight.as_mut_slice()[20] = f32::INFINITY;
         let plain = conv2d(&input, &weight, None, cfg).unwrap();
-        let from_cols = conv2d_from_lowered(&lowered, &weight, None, None).unwrap();
+        let from_cols = conv2d_from_lowered(&lowered, &weight, None, None, None).unwrap();
         assert_bits_equal(&plain, &from_cols, "faulted weight");
     }
 
@@ -1543,11 +1632,11 @@ mod tests {
         let lowered = im2col_lower(&input, &weight, Conv2dCfg::same(1)).unwrap();
         let wrong = seq_tensor([4, 3, 5, 5]);
         assert!(matches!(
-            conv2d_from_lowered(&lowered, &wrong, None, None),
+            conv2d_from_lowered(&lowered, &wrong, None, None, None),
             Err(TensorError::InvalidConfig { .. })
         ));
         let bad_bias = Tensor::zeros([7]);
-        assert!(conv2d_from_lowered(&lowered, &weight, Some(&bad_bias), None).is_err());
+        assert!(conv2d_from_lowered(&lowered, &weight, Some(&bad_bias), None, None).is_err());
     }
 
     #[test]

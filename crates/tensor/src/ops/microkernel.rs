@@ -196,10 +196,11 @@ fn pack_b(b: &[f32], n: usize, k0: usize, kw: usize, n0: usize, nw: usize, bp: &
 /// the module docs for the lane-per-output argument, and the
 /// `kernel_bitident` proptests for the pin).
 ///
-/// `scratch` holds the packed panels (`~(min(m, KC-rounded) + NC) * KC`
-/// floats); it is resized as needed and holds unspecified contents on
-/// return — recycle it through a
-/// [`ScratchArena`](crate::ScratchArena) on hot paths.
+/// `scratch` holds the packed panels (`m * min(k, KC) + min(k, KC) *
+/// min(n, NC)` floats); it is resized as needed and holds unspecified contents on return — recycle
+/// it through a [`ScratchArena`](crate::ScratchArena) on hot paths. When
+/// the same A multiplies many B matrices, pack it once into a
+/// [`PackedLhs`] and call [`gemm_micro_packed`] instead.
 ///
 /// # Panics
 ///
@@ -222,40 +223,149 @@ pub fn gemm_micro(
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let ap_len = m * KC.min(k);
-    let bp_len = KC.min(k) * NC.min(n);
-    if scratch.len() < ap_len + bp_len {
-        scratch.resize(ap_len + bp_len, 0.0);
+    let need = m * KC.min(k) + KC.min(k) * NC.min(n);
+    if scratch.len() < need {
+        scratch.resize(need, 0.0);
     }
-    let (ap, bp) = scratch.split_at_mut(ap_len);
+    let (ap, bp) = scratch.split_at_mut(m * KC.min(k));
     for k0 in (0..k).step_by(KC) {
         let kw = KC.min(k - k0);
         pack_a(a, k, 0, m, k0, kw, ap);
-        for n0 in (0..n).step_by(NC) {
-            let nw = NC.min(n - n0);
-            pack_b(b, n, k0, kw, n0, nw, bp);
-            let mut a_base = 0;
-            let mut m0 = 0;
-            while m0 < m {
-                let mw = MR.min(m - m0);
-                let a_strip = &ap[a_base..a_base + kw * mw];
-                let mut b_base = 0;
-                let mut j0 = 0;
-                while j0 < nw {
-                    let jw = NR.min(nw - j0);
-                    let b_strip = &bp[b_base..b_base + kw * jw];
-                    let c_tile = &mut c[m0 * n + n0 + j0..];
-                    if mw == MR && jw == NR {
-                        micro_full::<MR, NR>(a_strip, b_strip, c_tile, n);
-                    } else {
-                        micro_edge(mw, jw, a_strip, b_strip, c_tile, n);
-                    }
-                    b_base += kw * jw;
-                    j0 += jw;
+        micro_block(m, n, k0, kw, &ap[..m * kw], b, c, bp);
+    }
+}
+
+/// An `m x k` row-major GEMM left-hand side packed once into
+/// [`gemm_micro`]'s layout: per [`KC`]-deep `k` block, the block's rows in
+/// `MR`-interleaved strips — exactly the bytes `gemm_micro` would write
+/// into its scratch for that block. [`gemm_micro_packed`] reads these
+/// panels in place, so a matrix that multiplies many right-hand sides
+/// (a golden conv weight across every fault of a campaign) pays its
+/// packing pass once instead of once per call.
+#[derive(Debug, Clone)]
+pub struct PackedLhs {
+    m: usize,
+    k: usize,
+    data: Vec<f32>,
+}
+
+impl PackedLhs {
+    /// Packs the row-major `m x k` matrix `a`. Pure data movement.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a.len() != m * k`.
+    pub fn pack(m: usize, k: usize, a: &[f32]) -> Self {
+        assert_eq!(a.len(), m * k, "gemm: lhs length");
+        let mut data = vec![0.0f32; m * k];
+        for k0 in (0..k).step_by(KC) {
+            let kw = KC.min(k - k0);
+            pack_a(a, k, 0, m, k0, kw, &mut data[m * k0..][..m * kw]);
+        }
+        Self { m, k, data }
+    }
+
+    /// Heap footprint of the panels, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f32>()
+    }
+}
+
+/// [`gemm_micro`] over a pre-packed left-hand side: the same `k` blocks,
+/// strips and tile walk, with the per-call `pack_a` pass replaced by a
+/// read of `a`'s panels. Bit-identical to [`gemm_micro`] (and so to the
+/// naive [`gemm`](super::gemm)) on the matrix `a` was packed from, at any
+/// shape.
+///
+/// `scratch` holds only the packed B panel (`min(k, KC) * min(n, NC)`
+/// floats); it is resized as needed.
+///
+/// # Panics
+///
+/// Panics when `b.len() != k * n` or `c.len() != m * n` for the `m x k`
+/// matrix `a` packs.
+#[inline(never)]
+pub fn gemm_micro_packed(
+    n: usize,
+    a: &PackedLhs,
+    b: &[f32],
+    c: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    let (m, k) = (a.m, a.k);
+    assert_eq!(b.len(), k * n, "gemm: rhs length");
+    assert_eq!(c.len(), m * n, "gemm: out length");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let need = KC.min(k) * NC.min(n);
+    if scratch.len() < need {
+        scratch.resize(need, 0.0);
+    }
+    for k0 in (0..k).step_by(KC) {
+        let kw = KC.min(k - k0);
+        micro_block(m, n, k0, kw, &a.data[m * k0..][..m * kw], b, c, scratch);
+    }
+}
+
+/// Scratch floats [`gemm_dispatch`] (`packed_lhs = false`) or
+/// [`gemm_micro_packed`] (`packed_lhs = true`) needs for an
+/// `m x k x n` problem: the A block plus the B panel on the micro tier,
+/// the B panel alone with a pre-packed A, nothing on the row and naive
+/// tiers. Hot paths take a buffer of this length from their arena up
+/// front, so the kernel never grows it.
+pub(crate) fn gemm_scratch_len(m: usize, k: usize, n: usize, packed_lhs: bool) -> usize {
+    let b_panel = KC.min(k) * NC.min(n);
+    if packed_lhs {
+        b_panel
+    } else if gemm_selected_kernel(m, k, n) == "micro" {
+        m * KC.min(k) + b_panel
+    } else {
+        0
+    }
+}
+
+/// One `kw`-deep `k` block of [`gemm_micro`] starting at `k0`: `ap` holds
+/// the block's `MR`-interleaved A strips, `bp` is the B-panel scratch.
+/// Walks the [`NC`] column blocks, packing each B block and running the
+/// register tiles over it. `#[inline(never)]` keeps one compiled copy of
+/// the tile loop behind both [`gemm_micro`] and [`gemm_micro_packed`].
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn micro_block(
+    m: usize,
+    n: usize,
+    k0: usize,
+    kw: usize,
+    ap: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    bp: &mut [f32],
+) {
+    for n0 in (0..n).step_by(NC) {
+        let nw = NC.min(n - n0);
+        pack_b(b, n, k0, kw, n0, nw, bp);
+        let mut a_base = 0;
+        let mut m0 = 0;
+        while m0 < m {
+            let mw = MR.min(m - m0);
+            let a_strip = &ap[a_base..a_base + kw * mw];
+            let mut b_base = 0;
+            let mut j0 = 0;
+            while j0 < nw {
+                let jw = NR.min(nw - j0);
+                let b_strip = &bp[b_base..b_base + kw * jw];
+                let c_tile = &mut c[m0 * n + n0 + j0..];
+                if mw == MR && jw == NR {
+                    micro_full::<MR, NR>(a_strip, b_strip, c_tile, n);
+                } else {
+                    micro_edge(mw, jw, a_strip, b_strip, c_tile, n);
                 }
-                a_base += kw * mw;
-                m0 += mw;
+                b_base += kw * jw;
+                j0 += jw;
             }
+            a_base += kw * mw;
+            m0 += mw;
         }
     }
 }
@@ -414,6 +524,30 @@ mod tests {
             gemm(m, k, n, &a, &b, &mut c0);
             gemm_micro(m, k, n, &a, &b, &mut c1, &mut scratch);
             assert_bits(&c0, &c1, &format!("micro {m}x{k}x{n}"));
+        }
+    }
+
+    #[test]
+    fn packed_lhs_matches_per_call_packing() {
+        let mut scratch = Vec::new();
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (MR + 1, KC, NC),
+            (MR * 3 + 2, 2 * KC + 5, NC + NR + 3),
+            (5, 300, 17),
+            (7, 0, 9),
+            (0, 4, 4),
+        ] {
+            let a = fill(m * k, 1);
+            let b = fill(k * n, 2);
+            let mut c0 = fill(m * n, 3);
+            let mut c1 = c0.clone();
+            gemm_micro(m, k, n, &a, &b, &mut c0, &mut scratch);
+            let packed = PackedLhs::pack(m, k, &a);
+            let mut b_scratch = Vec::new();
+            gemm_micro_packed(n, &packed, &b, &mut c1, &mut b_scratch);
+            assert!(b_scratch.len() <= gemm_scratch_len(m, k, n, true));
+            assert_bits(&c0, &c1, &format!("packed {m}x{k}x{n}"));
         }
     }
 

@@ -25,9 +25,10 @@ use proptest::prelude::*;
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
     conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_direct, conv2d_from_lowered,
-    conv2d_kernel, conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_row, gemm_row_lanes,
-    im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue,
-    FusedActivation, GemmKernel, Padding, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_kernel, conv2d_with, gemm, gemm_blocked, gemm_micro, gemm_micro_packed, gemm_row,
+    gemm_row_lanes, im2col_lower, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg,
+    ConvEpilogue, FusedActivation, GemmKernel, PackedConvWeight, PackedLhs, Padding, MICRO_MR,
+    MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -130,6 +131,53 @@ proptest! {
         prop_assert!(3 * MICRO_MR + 2 > MICRO_MR && 40 > MICRO_NR && 280 > MICRO_NR1);
     }
 
+    /// The pre-packed GEMM (A packed once into a [`PackedLhs`], read in
+    /// place by `gemm_micro_packed`) is bit-identical to the naive triple
+    /// loop, accumulating on top of a nonzero C through a dirty undersized
+    /// scratch, on shapes straddling the MR/NR tiles and the KC/NC blocks
+    /// — `deep_k` spans three KC = 256 blocks of A — with one fault-like
+    /// NaN payload family per case, as in the tests above.
+    #[test]
+    fn packed_gemm_is_bit_identical(
+        m in 0usize..3 * MICRO_MR + 3,
+        k_pick in 0u8..3,
+        k_off in 0usize..40,
+        n_off in 0usize..40,
+        big_n in any::<bool>(),
+        seed_a in vec(fault_like_f32(), 1..8),
+        seed_c in -1.0f32..1.0f32,
+        nan_mode in any::<bool>(),
+    ) {
+        let seed_a: Vec<f32> = seed_a
+            .iter()
+            .map(|&v| match (nan_mode, v.is_nan(), v.is_infinite()) {
+                (true, _, true) => f32::NAN,
+                (false, true, _) => f32::INFINITY,
+                _ => v,
+            })
+            .collect();
+        let k = match k_pick {
+            0 => k_off,
+            1 => 240 + k_off,
+            _ => 2 * 256 + 10 + k_off,
+        };
+        let n = if big_n { 240 + n_off } else { n_off };
+        let a: Vec<f32> = cycled(&seed_a, m * k, 1, 0).iter().map(|v| v * 0.5).collect();
+        let b: Vec<f32> =
+            cycled(&seed_a, k * n, 7, 3).iter().map(|v| v * 0.25 + 0.01).collect();
+        let mut c_naive = vec![seed_c; m * n];
+        let mut c_packed = c_naive.clone();
+        gemm(m, k, n, &a, &b, &mut c_naive);
+        let packed = PackedLhs::pack(m, k, &a);
+        let mut scratch = vec![f32::NAN; 11];
+        gemm_micro_packed(n, &packed, &b, &mut c_packed, &mut scratch);
+        assert_bits_equal(&c_naive, &c_packed);
+        // Reusing the panels (and the now-sized scratch) changes nothing.
+        let mut again = vec![seed_c; m * n];
+        gemm_micro_packed(n, &packed, &b, &mut again, &mut scratch);
+        assert_bits_equal(&c_naive, &again);
+    }
+
     /// All im2col-family convolution paths — naive GEMM, blocked GEMM,
     /// arena-backed, and precomputed lowering (with and without arena) —
     /// produce bit-identical outputs, with fault-like specials in both the
@@ -168,15 +216,15 @@ proptest! {
         let mut arena = ScratchArena::new();
         // Two rounds so the second consumes recycled (dirty) buffers.
         for _ in 0..2 {
-            let with_arena = conv2d_with(&input, &weight, bias, cfg, &mut arena).unwrap();
+            let with_arena = conv2d_with(&input, &weight, bias, cfg, None, &mut arena).unwrap();
             assert_bits_equal(naive.as_slice(), with_arena.as_slice());
         }
 
         let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        let from_lowered = conv2d_from_lowered(&lowered, &weight, bias, None).unwrap();
+        let from_lowered = conv2d_from_lowered(&lowered, &weight, bias, None, None).unwrap();
         assert_bits_equal(naive.as_slice(), from_lowered.as_slice());
         let from_lowered_arena =
-            conv2d_from_lowered(&lowered, &weight, bias, Some(&mut arena)).unwrap();
+            conv2d_from_lowered(&lowered, &weight, bias, None, Some(&mut arena)).unwrap();
         assert_bits_equal(naive.as_slice(), from_lowered_arena.as_slice());
     }
 
@@ -281,7 +329,7 @@ proptest! {
             )
             .unwrap();
             let lowered_img = im2col_lower(&img, &weight, cfg).unwrap();
-            let plain = conv2d_from_lowered(&lowered_img, &weight, bias, None).unwrap();
+            let plain = conv2d_from_lowered(&lowered_img, &weight, bias, None, None).unwrap();
             let bn = batch_norm(&plain, &params).unwrap();
             let activated = match act {
                 FusedActivation::None => bn,
@@ -305,7 +353,7 @@ proptest! {
                 None => im2col_lower_batched(&input, &weight, cfg, None).unwrap(),
             };
             let plain =
-                conv2d_batched_from_lowered(&blowered, &weight, bias, None, None).unwrap();
+                conv2d_batched_from_lowered(&blowered, &weight, bias, None, None, None).unwrap();
             assert_bits_equal(&plain_rows, plain.as_slice());
             let ep = ConvEpilogue { bn: Some((&scale, &shift)), act };
             let fused = conv2d_batched_from_lowered(
@@ -313,6 +361,7 @@ proptest! {
                 &weight,
                 bias,
                 Some(&ep),
+                None,
                 Some(&mut arena),
             )
             .unwrap();
@@ -404,11 +453,113 @@ proptest! {
         // Two rounds; the second also consumes the first round's output,
         // dirtied, so the plane kernel must not rely on fresh memory.
         for _ in 0..2 {
-            let with_arena = conv2d_with(&input, &weight, bias, cfg, &mut arena).unwrap();
+            let with_arena = conv2d_with(&input, &weight, bias, cfg, None, &mut arena).unwrap();
             assert_bits_equal(scalar.as_slice(), with_arena.as_slice());
             let mut spent = with_arena.into_vec();
             spent.fill(f32::NAN);
             arena.recycle(spent);
         }
     }
+}
+
+/// MobileNetV2's pointwise (1x1) convolutions at CIFAR resolution —
+/// `(c_in, c_out, plane side)` — spanning the early 32x32 expansions to the
+/// 4x4 head, including k > 256 (several packed K blocks).
+const MBV2_POINTWISE: [(usize, usize, usize); 6] =
+    [(16, 96, 32), (96, 24, 32), (32, 192, 16), (576, 96, 8), (960, 160, 4), (320, 1280, 4)];
+
+/// Every conv entry point that takes golden weight panels — per image
+/// (`conv2d_with`), over cached lowerings (`conv2d_from_lowered`), and
+/// batched with and without the fused epilogue
+/// (`conv2d_batched_from_lowered`) — is bit-identical with and without the
+/// panels and to the naive kernel, on MobileNetV2's pointwise shapes, for
+/// finite operands and each fault-like special family (a NaN weight, an
+/// infinite input), through dirty arena buffers.
+#[test]
+fn packed_conv_paths_are_bit_identical_on_mobilenet_pointwise_shapes() {
+    let cfg = Conv2dCfg::same(1);
+    for &(c_in, c_out, side) in &MBV2_POINTWISE {
+        for special in [None, Some(f32::NAN), Some(f32::INFINITY)] {
+            let ctx = format!("{c_in}->{c_out}@{side} special={special:?}");
+            let fill = |len: usize, salt: usize| -> Vec<f32> {
+                (0..len).map(|i| ((i * 37 + salt * 11) % 101) as f32 * 0.02 - 1.0).collect()
+            };
+            let mut input_data = fill(2 * c_in * side * side, 1);
+            let mut weight_data = fill(c_out * c_in, 2);
+            match special {
+                Some(v) if v.is_nan() => weight_data[c_in + 3] = v,
+                Some(v) => input_data[side + 1] = v,
+                None => {}
+            }
+            let input = Tensor::from_vec([2, c_in, side, side], input_data).unwrap();
+            let weight = Tensor::from_vec([c_out, c_in, 1, 1], weight_data).unwrap();
+            let bias = Tensor::from_vec([c_out], fill(c_out, 3)).unwrap();
+            let packed = PackedConvWeight::pack(&weight, 1).unwrap();
+            assert_eq!(packed.memory_bytes(), c_out * c_in * 4, "{ctx}");
+            let naive =
+                conv2d_kernel(&input, &weight, Some(&bias), cfg, GemmKernel::Naive).unwrap();
+
+            let mut arena = ScratchArena::new();
+            for round in 0..2 {
+                for panel in [None, Some(&packed)] {
+                    let per_image =
+                        conv2d_with(&input, &weight, Some(&bias), cfg, panel, &mut arena).unwrap();
+                    assert_bits_equal(naive.as_slice(), per_image.as_slice());
+                    arena.recycle(per_image.into_vec());
+                }
+                let lowered = im2col_lower(&input, &weight, cfg).unwrap();
+                let arena_opt = (round == 1).then_some(&mut arena);
+                let from_lowered =
+                    conv2d_from_lowered(&lowered, &weight, Some(&bias), Some(&packed), arena_opt)
+                        .unwrap();
+                assert_bits_equal(naive.as_slice(), from_lowered.as_slice());
+            }
+
+            let blowered = im2col_lower_batched(&input, &weight, cfg, Some(&mut arena)).unwrap();
+            let (scale, shift): (Vec<f32>, Vec<f32>) =
+                (0..c_out).map(|c| (1.0 + c as f32 * 0.01, c as f32 * -0.02)).unzip();
+            let ep = ConvEpilogue { bn: Some((&scale, &shift)), act: FusedActivation::Relu6 };
+            for epilogue in [None, Some(&ep)] {
+                let plain = conv2d_batched_from_lowered(
+                    &blowered,
+                    &weight,
+                    Some(&bias),
+                    epilogue,
+                    None,
+                    Some(&mut arena),
+                )
+                .unwrap();
+                let paneled = conv2d_batched_from_lowered(
+                    &blowered,
+                    &weight,
+                    Some(&bias),
+                    epilogue,
+                    Some(&packed),
+                    Some(&mut arena),
+                )
+                .unwrap();
+                assert_bits_equal(plain.as_slice(), paneled.as_slice());
+                if epilogue.is_none() {
+                    assert_bits_equal(naive.as_slice(), paneled.as_slice());
+                }
+            }
+        }
+    }
+}
+
+/// Panels packed for another weight shape or group count are rejected,
+/// never silently multiplied.
+#[test]
+fn packed_conv_rejects_mismatched_panels() {
+    let input = Tensor::zeros([1, 8, 4, 4]);
+    let weight = Tensor::zeros([16, 8, 1, 1]);
+    let other = PackedConvWeight::pack(&Tensor::zeros([16, 4, 1, 1]), 1).unwrap();
+    let grouped = PackedConvWeight::pack(&weight, 2).unwrap();
+    let mut arena = ScratchArena::new();
+    let cfg = Conv2dCfg::same(1);
+    assert!(conv2d_with(&input, &weight, None, cfg, Some(&other), &mut arena).is_err());
+    assert!(conv2d_with(&input, &weight, None, cfg, Some(&grouped), &mut arena).is_err());
+    let lowered = im2col_lower(&input, &weight, cfg).unwrap();
+    assert!(conv2d_from_lowered(&lowered, &weight, None, Some(&other), None).is_err());
+    assert!(PackedConvWeight::pack(&weight, 3).is_err());
 }

@@ -435,6 +435,7 @@ pub fn assert_forward_equiv(
                 lowered: lowered_pair,
                 dirty_unit,
                 saturation,
+                ..Default::default()
             },
         )
         .unwrap();

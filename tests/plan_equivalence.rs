@@ -20,8 +20,11 @@ use fixtures::{
 use proptest::prelude::*;
 use sfi::faultsim::campaign::run_campaign;
 use sfi::prelude::*;
+use sfi_faultsim::fault::{FaultModel, FaultSite};
+use sfi_faultsim::multi::AccumulatedFault;
+use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{BatchedOutcome, KernelPolicy, Model, NodeOp};
-use sfi_nn::{CompiledPlan, ForwardOptions, ParamKind};
+use sfi_nn::{CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -340,6 +343,157 @@ fn depthwise_kernel_is_invisible_on_mobilenet() {
             let res = run_campaign(&model, &data, golden, &faults, &cfg).unwrap();
             assert_eq!(res.classes, reference.classes, "{kernel:?} workers={workers}");
             assert_eq!(res.inferences, reference.inferences, "{kernel:?} workers={workers}");
+        }
+    }
+}
+
+/// Bit-flip weight faults on the first `n` weights of `layer`.
+fn layer_faults(layer: usize, bit: u8, n: usize) -> Vec<Fault> {
+    (0..n)
+        .map(|w| Fault { site: FaultSite { layer, weight: w, bit }, model: FaultModel::BitFlip })
+        .collect()
+}
+
+/// The golden-panel soundness rule, end to end: a faulted conv always
+/// packs its live weights, and accumulated multi-layer faults never read
+/// golden panels. Weight campaigns with faults in the first conv, a middle
+/// (pointwise, where the model has any) conv and the last conv classify
+/// identically — classes and inference counts — under `KernelPolicy::Fast`
+/// with golden panels and under `KernelPolicy::Naive`, at workers 1, 4 and
+/// 8, with convergence on and off (off runs the faulted node's full conv
+/// instead of the single-unit probe) and batched on and off. An
+/// accumulated campaign pairs a small-mantissa fault in one panelled layer
+/// with an exponent fault in a deeper panelled one. At base width 2 every
+/// ResNet-20 conv GEMM sits below the register-tiled tier's floor, so
+/// `resnet20_micro` holds no panels; the width-8 variant does.
+#[test]
+fn faulted_node_never_reads_its_golden_panel() {
+    let models = [
+        ("mobilenetv2-micro", MobileNetV2Config::cifar_micro().build_seeded(5).unwrap(), true),
+        ("resnet20-micro", micro_resnet(3), false),
+        (
+            "resnet20-micro-w8",
+            ResNetConfig::resnet20_micro().with_width(8).build_seeded(3).unwrap(),
+            true,
+        ),
+    ];
+    for (name, model, expect_panels) in models {
+        let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
+        let lowered = golden.clone().with_lowering(&model).unwrap();
+        let layers = model.weight_layers();
+        let node_of = |l: usize| model.node_of_param(layers[l].param).unwrap();
+        let conv_kernel = |l: usize| match &model.nodes()[node_of(l)].op {
+            NodeOp::Conv { weight, cfg, .. } => {
+                Some((model.store().get(*weight).unwrap().tensor.shape().h(), cfg.groups))
+            }
+            _ => None,
+        };
+        let convs: Vec<usize> = (0..layers.len()).filter(|&l| conv_kernel(l).is_some()).collect();
+        let panelled: Vec<usize> = convs
+            .iter()
+            .copied()
+            .filter(|&l| golden.plan().panels().get(node_of(l)).is_some())
+            .collect();
+        assert_eq!(!panelled.is_empty(), expect_panels, "{name}: panelled layers {panelled:?}");
+        let (first, last) = (convs[0], *convs.last().unwrap());
+        // A middle conv: the panelled pointwise one nearest the middle,
+        // else any panelled one, else the middle conv.
+        let pointwise: Vec<usize> =
+            panelled.iter().copied().filter(|&l| conv_kernel(l) == Some((1, 1))).collect();
+        let pool = [&pointwise, &panelled, &convs].into_iter().find(|p| !p.is_empty()).unwrap();
+        let middle = pool[pool.len() / 2];
+        if expect_panels {
+            assert!(panelled.contains(&middle), "{name}: middle layer {middle} has no panel");
+        }
+
+        // Engine level, bit for bit: with an exponent flip in the faulted
+        // layer, the dense, delta (every node dense) and batched suffixes
+        // over golden panels reproduce the naive per-image logits.
+        let plan = lowered.plan();
+        let bcache = lowered.batched_cache().unwrap();
+        let mut arena = ScratchArena::new();
+        for layer in [first, middle, last] {
+            let node = node_of(layer);
+            let mut faulty = model.clone();
+            let w = &mut faulty.store_mut().get_mut(layers[layer].param).unwrap().tensor;
+            w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << 30));
+            let mut rows = Vec::new();
+            for img in 0..data.len() {
+                let cache = golden.cache(img);
+                let naive_opts =
+                    &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+                let naive = faulty.forward_suffix(Some(node), cache, &[], naive_opts).unwrap();
+                let naive = naive.into_logits(cache);
+                let fast_opts = &mut ForwardOptions {
+                    arena: Some(&mut arena),
+                    panels: Some(plan.panels()),
+                    ..Default::default()
+                };
+                let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
+                assert!(naive.bits_equal(&fast.into_logits(cache)), "{name} L{layer} dense");
+                let delta_opts = &mut DeltaOptions {
+                    arena: Some(&mut arena),
+                    panels: Some(plan.panels()),
+                    saturation: 0.0,
+                    ..Default::default()
+                };
+                let (delta, _) = faulty.forward_delta(node, cache, delta_opts).unwrap();
+                assert!(naive.bits_equal(&delta.into_logits(cache)), "{name} L{layer} delta");
+                rows.extend_from_slice(naive.as_slice());
+            }
+            let batched = plan
+                .forward_batched_from(&faulty, node, bcache, None, None, false, &mut arena)
+                .unwrap();
+            let BatchedOutcome::Logits(batched) = batched else { panic!("non-converging pass") };
+            fixtures::assert_bits_equal(&rows, batched.as_slice());
+        }
+
+        let mut faults = Vec::new();
+        for layer in [first, middle, last] {
+            faults.extend(layer_faults(layer, 30, 3));
+            faults.extend(layer_faults(layer, 22, 2));
+        }
+        let naive_cfg =
+            CampaignConfig { kernel: KernelPolicy::Naive, workers: 1, ..Default::default() };
+        let reference = run_campaign(&model, &data, &golden, &faults, &naive_cfg).unwrap();
+        for workers in [1usize, 4, 8] {
+            for convergence in [false, true] {
+                for batched in [false, true] {
+                    let cfg =
+                        CampaignConfig { workers, convergence, batched, ..Default::default() };
+                    let res = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+                    let ctx = format!(
+                        "{name} workers={workers} convergence={convergence} batched={batched}"
+                    );
+                    assert_eq!(res.classes, reference.classes, "{ctx}");
+                    assert_eq!(res.inferences, reference.inferences, "{ctx}");
+                }
+            }
+        }
+
+        // Two weight faults in different panelled layers: a low mantissa
+        // flip in the shallower one, an exponent flip in the deeper one.
+        let (shallow, deep) = match panelled.as_slice() {
+            [a, .., b] => (*a, *b),
+            _ => (first, last),
+        };
+        let accumulated: Vec<CampaignFault> = layer_faults(shallow, 0, 3)
+            .into_iter()
+            .zip(layer_faults(deep, 30, 3))
+            .map(|(a, b)| {
+                let weights = vec![a, b];
+                CampaignFault::Accumulated(AccumulatedFault { weights, activations: Vec::new() })
+            })
+            .collect();
+        let reference = run_campaign(&model, &data, &golden, &accumulated, &naive_cfg).unwrap();
+        for workers in [1usize, 4, 8] {
+            let cfg = CampaignConfig { workers, ..Default::default() };
+            let res = run_campaign(&model, &data, &lowered, &accumulated, &cfg).unwrap();
+            assert_eq!(res.classes, reference.classes, "{name} accumulated workers={workers}");
+            assert_eq!(
+                res.inferences, reference.inferences,
+                "{name} accumulated workers={workers}"
+            );
         }
     }
 }
