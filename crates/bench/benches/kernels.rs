@@ -38,7 +38,7 @@ use sfi_faultsim::fault::Fault;
 use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::mobilenet::MobileNetV2Config;
-use sfi_nn::{CompiledPlan, GoldenPanels, KernelPolicy, Model, NodeOp, BATCHED_HEDGE_CONVERGENT};
+use sfi_nn::{CompiledPlan, GoldenPanels, KernelPolicy, Model, NodeOp};
 use sfi_stats::sampling::sample_without_replacement;
 use sfi_tensor::ops::{
     self, gemm, gemm_blocked_with, gemm_micro, gemm_micro_packed, gemm_selected_kernel,
@@ -791,25 +791,23 @@ fn smoke() -> i32 {
         status = 1;
     }
 
-    // Dispatch-coverage gate: the calibrated cost model must leave the
-    // batched engine reachable (some layer's suffix measures
-    // batched-profitable under the convergent-fault hedge), and mantissa-bit
-    // faults on the deepest such layer must actually route batched. A
-    // counter stuck at zero here is the `sparse_nodes: 0` failure mode —
-    // an engine silently disabled by a cost-model constant — in its
-    // batched edition.
+    // Dispatch-coverage gate: the plan's static suffix-flop rule must leave
+    // the batched engine reachable (some layer's suffix is
+    // batched-profitable), and faults on the deepest such layer must
+    // actually route batched. A counter stuck at zero here is an engine
+    // silently disabled by a cost-model constant.
     let weight_layers = model.weight_layers();
     let owned: Vec<usize> = (0..weight_layers.len())
         .filter(|&l| {
             model
                 .node_of_param(weight_layers[l].param)
-                .is_some_and(|n| golden.plan().batched_profitable(n, BATCHED_HEDGE_CONVERGENT))
+                .is_some_and(|n| golden.plan().batched_profitable(n))
         })
         .collect();
     match owned.last() {
         None => {
             eprintln!(
-                "FAIL: the calibrated cost model owns no layer for the batched engine \
+                "FAIL: the static cost model owns no layer for the batched engine \
                  (batched dispatch is dead at this scale)"
             );
             status = 1;

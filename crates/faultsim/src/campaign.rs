@@ -125,13 +125,14 @@ pub struct CampaignConfig {
     /// like `workers` and `kernel`.
     #[serde(default = "default_convergence")]
     pub convergence: bool,
-    /// Sparse delta-propagation faulty inference: during incremental
-    /// fast-path re-execution, represent the faulty activation as golden +
-    /// delta and recompute only the dirty cone with order-exact sparse
-    /// kernels ([`sfi_nn::Model::forward_delta`]), falling back to the
-    /// dense kernel per node when the dirty region saturates. Takes
-    /// precedence over `convergence` when both are enabled (the delta pass
-    /// subsumes the convergence probe: an empty delta ⇔ converged).
+    /// Sparse delta-propagation faulty inference for transient activation
+    /// and input faults: during incremental fast-path re-execution,
+    /// represent the faulty activation as golden + delta and recompute only
+    /// the struck element's dirty cone with order-exact sparse kernels
+    /// ([`sfi_nn::Model::forward_delta_site`]), falling back to the dense
+    /// kernel per node when the dirty region saturates. When off,
+    /// transients run the dense patched suffix. Weight faults never take
+    /// this engine: they run dense or batched whatever this field says.
     /// Classifications and inference counts are bit-identical either way;
     /// only the per-inference cost changes. Excluded from plan
     /// fingerprints, like `workers`, `kernel` and `convergence`.
@@ -144,8 +145,9 @@ pub struct CampaignConfig {
     /// logits rows are bit-identical to E per-image passes, and the
     /// executor replays the per-image early-exit loop over them, so
     /// classifications and inference counts are identical at any worker
-    /// count. Skipped for faults routed to the sparse delta engine.
-    /// Excluded from plan fingerprints, like `workers`, `kernel`,
+    /// count. The compiled plan picks it per fault from the suffix's static
+    /// cost ([`sfi_nn::CompiledPlan::batched_profitable`]); it needs more
+    /// than one eval image. Excluded from plan fingerprints, like `workers`, `kernel`,
     /// `convergence` and `delta`.
     #[serde(default = "default_batched")]
     pub batched: bool,

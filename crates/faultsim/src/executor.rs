@@ -87,7 +87,7 @@ use sfi_dataset::Dataset;
 use sfi_nn::plan::row_argmax;
 use sfi_nn::{
     ActPatch, BatchedOutcome, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome,
-    KernelPolicy, Model, NodeId, SessionState, BATCHED_HEDGE_CONVERGENT, BATCHED_HEDGE_MISMATCH,
+    KernelPolicy, Model, NodeId, SessionState,
 };
 use sfi_obs::{Probe, WorkerProbe};
 use sfi_tensor::ScratchArena;
@@ -793,10 +793,6 @@ pub(crate) fn needed_for_critical(cfg: &CampaignConfig, total_images: usize) -> 
     }
 }
 
-// The former `DELTA_MIN_SEED_ELEMENTS` runtime floor for the delta-vs-dense
-// choice now lives in the compiled execution plan as a per-node cost-model
-// decision: see [`sfi_nn::CompiledPlan::delta_profitable`].
-
 /// Engine, convergence and delta counters of one fault, summed with `+=`
 /// into a campaign's tallies (the matching [`CampaignResult`] fields).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1029,52 +1025,24 @@ pub(crate) fn classify_one<C: Corruption>(
     }
     let fast = cfg.kernel == KernelPolicy::Fast;
     // The one output unit (conv out-channel / fc out-feature) the fault
-    // can reach: arms the single-unit convergence/delta seed probe, which
-    // decides whole-node convergence (or seeds the delta mask) from one
-    // GEMM row instead of re-running the faulted layer in full.
-    //
-    // A weight fault dirties an entire output channel, so its delta cone is
-    // wide from the first node; on small feature maps the mask bookkeeping
-    // costs more than it saves. The compiled plan's per-node cost model
-    // decides where delta pays (seed width and remaining suffix cost);
-    // classifications and inference counts are identical either way.
-    //
-    // The bit gate keeps delta on the strata where the cone can stay
-    // narrow: mantissa flips perturb the stored weight by at most one part
-    // in 2^(23-bit), so downstream differences trim against the golden
-    // activations and the dirty mask shrinks. Exponent and sign flips
-    // rescale the whole channel — the cone saturates at the first
-    // downstream conv and the pass degrades to dense-at-extra-bookkeeping,
-    // which is exactly the recorded BENCH_delta regression.
-    let use_delta = cfg.delta
-        && cfg.incremental
-        && fast
-        && fault.site.bit < DELTA_NARROW_BIT_MAX
-        && golden.plan().delta_profitable(injection.dirty_node);
-    let dirty_unit = if (cfg.convergence || cfg.delta || cfg.batched) && cfg.incremental && fast {
+    // can reach: arms the single-unit convergence probe, which decides
+    // whole-node convergence from one GEMM row instead of re-running the
+    // faulted layer in full.
+    let dirty_unit = if cfg.convergence && cfg.incremental && fast {
         model.param_output_unit(injection.param, injection.index)
     } else {
         None
     };
     // Batched eval-image fast path: run the dirty suffix of all images as
     // one pass over the compiled plan, then replay the per-image
-    // classification loop over the bit-identical per-image rows. The hedge
-    // is picked by bit class: sign/exponent flips are likely critical, so
-    // the per-image loop's one-mismatch early exit makes it cheap and
-    // batching must clear a high bar; mantissa flips rarely mismatch, the
-    // loop pays the full per-image bill, and batching only needs to beat
-    // it with a small margin.
-    let hedge = if fault.site.bit < DELTA_NARROW_BIT_MAX {
-        BATCHED_HEDGE_CONVERGENT
-    } else {
-        BATCHED_HEDGE_MISMATCH
-    };
+    // classification loop over the bit-identical per-image rows. The plan
+    // decides from the suffix's static cost alone, so dispatch is the same
+    // on every host.
     if cfg.batched
         && cfg.incremental
         && fast
-        && !use_delta
         && golden.has_batched()
-        && golden.plan().batched_profitable(injection.dirty_node, hedge)
+        && golden.plan().batched_profitable(injection.dirty_node)
     {
         let res = classify_weight_batched(
             model,
@@ -1092,8 +1060,7 @@ pub(crate) fn classify_one<C: Corruption>(
     let dirty = injection.dirty_node;
     let arena = &mut session.arena;
     let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, dirty, wprobe);
-    verdict.tally.engine_dense = u64::from(!use_delta);
-    verdict.tally.engine_delta = u64::from(use_delta);
+    verdict.tally.engine_dense = 1;
     let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let timer = wprobe.inference_start();
@@ -1107,21 +1074,6 @@ pub(crate) fn classify_one<C: Corruption>(
             model
                 .forward_with(data.image(idx), &mut pass_options(cfg, arena))
                 .map(ForwardOutcome::Logits)
-        } else if use_delta {
-            // Delta propagation subsumes the convergence probe: the delta
-            // pass converges exactly when every surviving mask has been
-            // consumed empty.
-            let mut dopts = DeltaOptions {
-                arena: Some(&mut *arena),
-                lowered,
-                dirty_unit,
-                panels: Some(golden.plan().panels()),
-                ..Default::default()
-            };
-            model.forward_delta(dirty, cache, &mut dopts).map(|(out, stats)| {
-                verdict.delta(stats);
-                out
-            })
         } else {
             let mut opts = ForwardOptions {
                 lowered,
@@ -1148,12 +1100,6 @@ pub(crate) fn classify_one<C: Corruption>(
     outcome?;
     Ok(verdict.finish())
 }
-
-/// Highest weight-fault bit (exclusive) the delta engine accepts: the 23
-/// IEEE-754 single-precision mantissa bits. See the dispatch comment in
-/// [`classify_one`]; transient activation faults bypass this gate — their
-/// one-element cones stay sparse at any bit.
-const DELTA_NARROW_BIT_MAX: u8 = 23;
 
 /// Classifies one injected weight fault through the batched eval-image
 /// engine: the dirty suffix of **all** E images runs as a single pass over
@@ -1196,7 +1142,7 @@ fn classify_weight_batched(
         dirty_node,
         bcache,
         lowered,
-        if cfg.convergence { dirty_unit } else { None },
+        dirty_unit,
         cfg.convergence,
         arena,
     )?;
@@ -1351,8 +1297,8 @@ fn classify_activation(
     if faulty_bits == golden_v.to_bits() {
         return Ok(FaultOutcome::masked());
     }
-    // A transient's one-element cone stays sparse at any bit — delta owns
-    // this tier unconditionally; no bit gate, no cost-model floor.
+    // A transient's one-element cone stays sparse at any bit, so delta
+    // takes every transient when enabled.
     let use_delta = cfg.delta && cfg.incremental && cfg.kernel == KernelPolicy::Fast;
     let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, site.node, wprobe);
     verdict.tally.engine_delta = u64::from(use_delta);

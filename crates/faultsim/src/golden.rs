@@ -114,7 +114,9 @@ impl GoldenReference {
     /// lowers) are skipped. The cached panels are consumed by the campaign
     /// executor when re-running the *faulted* conv itself: the faulted layer
     /// reads its golden input, so the lowering is valid for every fault in
-    /// the stratum.
+    /// the stratum. With more than one evaluation image this also builds
+    /// the batched golden state the batched suffix engine classifies
+    /// against.
     ///
     /// # Errors
     ///
@@ -153,19 +155,19 @@ impl GoldenReference {
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
         });
-        self.build_batched(model)?;
+        if self.caches.len() > 1 {
+            self.build_batched(model)?;
+        }
         Ok(self)
     }
 
     /// Builds the batched golden state: stacks the E eval images into one
-    /// input, runs the fault-free model once over the stack, and measures
-    /// the plan's per-node engine calibration against the fresh caches
-    /// (switching `delta_profitable`/`batched_profitable` from static flop
-    /// thresholds to measured costs — see
-    /// [`CompiledPlan::calibrate`]). The batched activations are
-    /// bit-identical, image by image, to the per-image caches (every
-    /// operator treats the batch dimension independently), so the batched
-    /// suffix engine classifies against the same golden bits.
+    /// input and runs the fault-free model once over the stack. The batched
+    /// activations are bit-identical, image by image, to the per-image
+    /// caches (every operator treats the batch dimension independently), so
+    /// the batched suffix engine classifies against the same golden bits.
+    /// At E = 1 the stack would be a copy of `caches[0]`, so
+    /// [`with_lowering`](Self::with_lowering) skips it there.
     fn build_batched(&mut self, model: &Model) -> Result<(), FaultSimError> {
         let first = self.caches[0].get(0).expect("cache covers all nodes");
         let per_image = first.len();
@@ -178,7 +180,6 @@ impl GoldenReference {
         let input = Tensor::from_vec(sfi_tensor::Shape::new(&dims), stacked)
             .expect("stacked images match the input shape");
         let cache = model.forward_cached(&input)?;
-        Arc::make_mut(&mut self.plan).calibrate(model, &self.caches[0], &cache)?;
         self.batched = Some(BatchedGolden { cache });
         Ok(())
     }
@@ -214,8 +215,9 @@ impl GoldenReference {
         &self.plan
     }
 
-    /// Whether the batched golden state (stacked-image cache + batched
-    /// lowerings) was built; implies [`has_lowering`](Self::has_lowering).
+    /// Whether the batched golden state (the stacked-image cache) was built:
+    /// by [`with_lowering`](Self::with_lowering) on more than one image.
+    /// Implies [`has_lowering`](Self::has_lowering).
     pub fn has_batched(&self) -> bool {
         self.batched.is_some()
     }
@@ -426,6 +428,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_image_builds_no_batched_state() {
+        let model = ResNetConfig::resnet20_micro().build_seeded(8).unwrap();
+        let data = SynthCifarConfig::new().with_size(16).with_samples(1).generate();
+        let plain = GoldenReference::build(&model, &data).unwrap();
+        let base_bytes = plain.memory_bytes();
+        let golden = plain.with_lowering(&model).unwrap();
+        assert!(golden.has_lowering());
+        assert!(!golden.has_batched(), "a one-image stack would copy caches[0]");
+        assert!(golden.batched_cache().is_none());
+        assert_eq!(golden.batched_bytes(), 0);
+        assert_eq!(golden.memory_bytes(), base_bytes + golden.lowering_bytes());
     }
 
     #[test]

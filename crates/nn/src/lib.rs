@@ -62,6 +62,5 @@ pub use model::{
 pub use node::{Node, NodeId, NodeOp};
 pub use param::{ParamId, ParamKind, Parameter, ParameterStore, WeightLayer};
 pub use plan::{
-    BatchedOutcome, CompiledPlan, GoldenPanels, SessionState, StepCost, BATCHED_HEDGE_CONVERGENT,
-    BATCHED_HEDGE_MISMATCH,
+    BatchedOutcome, CompiledPlan, GoldenPanels, SessionState, BATCHED_MAX_SUFFIX_FLOPS,
 };

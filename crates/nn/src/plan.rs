@@ -11,9 +11,9 @@
 //!   ([`CompiledPlan::last_reader`]) and which activations die after each
 //!   step ([flush lists](CompiledPlan::flush_after)), driving arena
 //!   recycling at the earliest sound point;
-//! - **per-step cost estimates** ([`StepCost`]) — flop and element counts
-//!   that turn the delta-vs-dense choice into a compile-time decision
-//!   ([`CompiledPlan::delta_profitable`]) instead of a runtime floor;
+//! - **suffix cost estimates** ([`CompiledPlan::suffix_flops`]) — the flop
+//!   counts that make the batched-vs-dense choice a pure function of the
+//!   plan ([`CompiledPlan::batched_profitable`]);
 //! - **golden weight panels** ([`GoldenPanels`]) — every conv weight the
 //!   register-tiled GEMM tier serves, packed once into that kernel's strip
 //!   layout, so every suffix GEMM downstream of a faulted node multiplies
@@ -44,7 +44,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use sfi_tensor::ops::{
     self, BatchNormParams, BatchedLowered, ConvEpilogue, FusedActivation, PackedConvWeight,
@@ -53,15 +52,6 @@ use sfi_tensor::{ScratchArena, Shape, Tensor};
 
 use crate::model::NodeValues;
 use crate::{ActivationCache, ForwardOptions, Model, NnError, NodeId, NodeOp, ParamId};
-
-/// Compile-time cost estimate of one plan step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StepCost {
-    /// Estimated floating-point operations per evaluation image.
-    pub flops: u64,
-    /// Output elements per evaluation image (batch dimension excluded).
-    pub out_elems: usize,
-}
 
 /// One conv+bn(+relu) fusion group: the conv head, the folded batch-norm
 /// coefficients, and the optional activation, emitted as a single fused
@@ -89,69 +79,16 @@ impl FusedGroup {
     }
 }
 
-/// Per-image element count below which a *weight* fault's seed node makes
-/// sparse delta propagation unprofitable: weight faults dirty a whole
-/// output channel, so on small feature maps the 4x4 block-mask bookkeeping
-/// loses to the dense early-exit path (measured in BENCH_delta.json).
-const DELTA_SEED_BREAK_EVEN_ELEMS: usize = 2048;
-
-/// Minimum estimated dense-suffix flops (per image) for the delta engine to
-/// amortize its mask bookkeeping. Reduced-scale campaigns (smoke/default)
-/// sit one to two orders of magnitude below this and measured 0.83x/0.88x
-/// under delta in BENCH_delta.json; the full-scale ResNet-20 suffixes that
-/// profit sit well above.
-const DELTA_MIN_SUFFIX_FLOPS: u64 = 8_000_000;
-
-/// Maximum estimated dense-suffix flops (per image) for the batched
-/// eval-image engine to be the better dispatch **when no calibration is
-/// attached**. Small suffixes are per-call-overhead-dominated and batching
-/// the images into one GEMM per node wins (1.2-1.4x at reduced scales in
-/// BENCH_kernels.json); large suffixes are compute-bound — the per-image
-/// GEMMs already run at full arithmetic throughput. A calibrated plan
-/// replaces this constant with measured suffix costs (see
-/// [`CompiledPlan::batched_profitable`]).
-const BATCHED_MAX_SUFFIX_FLOPS: u64 = 2_000_000;
-
-/// Measured dense-suffix seconds (per image) below which the delta engine's
-/// block-mask bookkeeping cannot pay for itself even on a wide seed
-/// channel. This floor deliberately sits comfortably above the *largest*
-/// measured full-scale ResNet-20 suffix (471-526us at the first conv
-/// across runs, CIFAR scale):
-/// probing it at 150us routed 13 of 20 layers through delta and read 0.99x
-/// with 55097 dense fallbacks against 1851 sparse nodes — a weight fault
-/// dirties a whole output channel, so even a mantissa-gated cone saturates
-/// at the first downstream conv and the pass degrades to
-/// dense-plus-bookkeeping. Weight-fault delta therefore owns nothing at any
-/// scale measured so far; the floor re-arms the engine only if a larger
-/// model's measured suffix crosses it. Transient one-element cones bypass
-/// this gate entirely and keep their 1.67x (BENCH_transient.json).
-const DELTA_MIN_SUFFIX_SECS: f64 = 1e-3;
-
-/// Batched-engine hedge for faults that are *likely to mismatch* (sign and
-/// exponent bit flips): a critical fault under `AnyMismatch` stops the
-/// per-image loop after one mismatching image, while the batched pass
-/// computes every surviving row to the output — so the batched suffix must
-/// beat half the per-image bill before a calibrated plan selects it. The
-/// converging pass recovers convergence drop-outs on both sides; the hedge
-/// prices only the per-image loop's critical-fault breaks.
-pub const BATCHED_HEDGE_MISMATCH: f64 = 0.5;
-
-/// Batched-engine hedge for faults that *rarely mismatch* (mantissa bit
-/// flips, whose perturbation usually converges back to golden within a few
-/// nodes): the per-image loop almost never early-exits on these, so it pays
-/// close to the full `images * dense_suffix` bill and the batched pass only
-/// needs a small safety margin. Measured batched-vs-dense suffix ratios sit
-/// at 0.67-0.90 on the reduced scales and lower at full CIFAR scale, so
-/// 0.95 routes mantissa strata batched nearly everywhere the panel GEMM
-/// measurably wins.
-pub const BATCHED_HEDGE_CONVERGENT: f64 = 0.95;
-
-/// Repetitions per step when measuring calibration timings (min-of, after
-/// one warmup) — the same discipline the benches use.
-const CALIBRATION_REPS: usize = 3;
+/// Maximum estimated dense-suffix flops (per image) of a weight fault's
+/// suffix for the batched eval-image engine to take it
+/// ([`CompiledPlan::batched_profitable`]). Small suffixes are
+/// per-call-overhead-dominated, and batching the images into one GEMM per
+/// node wins; large suffixes are compute-bound, and the per-image GEMMs
+/// already run at full arithmetic throughput.
+pub const BATCHED_MAX_SUFFIX_FLOPS: u64 = 2_000_000;
 
 /// A compiled execution plan for one [`Model`]: explicit topological step
-/// order, tensor lifetime, per-step costs, and fusion groups. Built once
+/// order, tensor lifetime, suffix costs, and fusion groups. Built once
 /// per `(model, eval set)` (shapes come from a golden activation cache) and
 /// shared read-only across campaign workers.
 #[derive(Debug, Clone)]
@@ -162,8 +99,6 @@ pub struct CompiledPlan {
     last_reader: Vec<NodeId>,
     /// `flush[id]` — nodes whose activation dies once step `id` has run.
     flush: Vec<Vec<NodeId>>,
-    /// Per-node cost estimates (`cost[0]` is the input node: zero).
-    cost: Vec<StepCost>,
     /// `suffix_flops[id]` — estimated dense flops of nodes `id..` per image.
     suffix_flops: Vec<u64>,
     /// Fusion group index a conv node heads, if any.
@@ -174,8 +109,6 @@ pub struct CompiledPlan {
     /// Conv nodes whose golden input lowers to im2col panels (depthwise
     /// convs dispatch to a direct kernel and never lower).
     lowerable: Vec<bool>,
-    /// Measured per-node engine costs, when [`CompiledPlan::calibrate`] ran.
-    calibration: Option<Calibration>,
     /// Golden conv weights pre-packed for the GEMM.
     panels: GoldenPanels,
 }
@@ -188,10 +121,10 @@ pub struct CompiledPlan {
 ///
 /// A panel is golden data: it is only sound for a node whose weights hold
 /// their golden values during the pass. The suffix engines enforce this
-/// for the one node a weight fault dirties — [`Model::forward_suffix`],
-/// [`Model::forward_delta`] and [`CompiledPlan::forward_batched_from`]
-/// always re-pack that node's live weights — so callers pass panels only
-/// to passes with at most one faulted weight tensor.
+/// for the one node a weight fault dirties — [`Model::forward_suffix`] and
+/// [`CompiledPlan::forward_batched_from`] always re-pack that node's live
+/// weights — so callers pass panels only to passes with at most one faulted
+/// weight tensor.
 #[derive(Debug, Clone, Default)]
 pub struct GoldenPanels {
     by_node: Vec<Option<PackedConvWeight>>,
@@ -211,58 +144,6 @@ impl GoldenPanels {
     /// Heap footprint of every panel, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.by_node.iter().flatten().map(PackedConvWeight::memory_bytes).sum()
-    }
-}
-
-/// Measured per-node engine costs attached to a plan by
-/// [`CompiledPlan::calibrate`]: wall-clock suffix costs of the dense
-/// per-image path and the batched eval-image path against the campaign's
-/// own golden caches. When present, the engine-dispatch predicates
-/// ([`CompiledPlan::delta_profitable`],
-/// [`CompiledPlan::batched_profitable`]) use these instead of the
-/// hand-tuned flop constants, so each engine owns the tiers it measurably
-/// wins on *this* model at *this* scale. Dispatch is result-invariant
-/// (every engine produces byte-identical classifications and inference
-/// counts), so timing noise in the measurement can only shift performance
-/// and telemetry, never results.
-#[derive(Debug, Clone, Default)]
-pub struct Calibration {
-    /// `dense_suffix_s[id]` — measured seconds to re-execute nodes `id..`
-    /// densely for **one** image (min-of-reps per step, summed).
-    dense_suffix_s: Vec<f64>,
-    /// `batched_suffix_s[id]` — measured seconds to re-execute nodes `id..`
-    /// batched over **all** images, including per-step im2col panel builds
-    /// (the lazy-panel cost a real fault pays at non-seed nodes).
-    batched_suffix_s: Vec<f64>,
-    /// `panel_s[id]` — measured seconds to build node `id`'s batched
-    /// im2col panel from its golden input (zero for non-lowerable nodes).
-    /// The executor shares one panel across every same-stratum fault on a
-    /// worker, so the *marginal* batched cost of a fault excludes it.
-    panel_s: Vec<f64>,
-    /// Batch size the batched timings were taken at.
-    images: usize,
-}
-
-impl Calibration {
-    /// Measured seconds of the dense per-image suffix from `id` (one image).
-    pub fn dense_suffix_secs(&self, id: NodeId) -> f64 {
-        self.dense_suffix_s.get(id).copied().unwrap_or(0.0)
-    }
-
-    /// Measured seconds of the batched suffix from `id` (all images).
-    pub fn batched_suffix_secs(&self, id: NodeId) -> f64 {
-        self.batched_suffix_s.get(id).copied().unwrap_or(0.0)
-    }
-
-    /// Measured seconds to build node `id`'s batched golden-input panel
-    /// (zero when the node does not lower).
-    pub fn panel_secs(&self, id: NodeId) -> f64 {
-        self.panel_s.get(id).copied().unwrap_or(0.0)
-    }
-
-    /// Batch size the batched timings were measured at.
-    pub fn images(&self) -> usize {
-        self.images
     }
 }
 
@@ -337,14 +218,15 @@ impl CompiledPlan {
             flush[last_reader[i]].push(i);
         }
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
-        let mut cost = vec![StepCost::default(); n];
+        // Estimated floating-point operations of each step, per image.
+        let mut flops = vec![0u64; n];
         let mut lowerable = vec![false; n];
         let mut panels = vec![None; n];
         for (id, node) in nodes.iter().enumerate().skip(1) {
             let out = cache.get(id).expect("cache covers all nodes");
             let out_shape = out.shape();
             let out_elems: usize = out_shape.dims()[1..].iter().product();
-            let flops = match &node.op {
+            flops[id] = match &node.op {
                 NodeOp::Conv { weight, cfg, .. } => {
                     let w = param(*weight);
                     let k_len: usize = w.shape().dims()[1..].iter().product();
@@ -375,11 +257,10 @@ impl CompiledPlan {
                 }
                 _ => out_elems as u64,
             };
-            cost[id] = StepCost { flops, out_elems };
         }
         let mut suffix_flops = vec![0u64; n + 1];
         for id in (0..n).rev() {
-            suffix_flops[id] = suffix_flops[id + 1] + cost[id].flops;
+            suffix_flops[id] = suffix_flops[id + 1] + flops[id];
         }
         suffix_flops.pop();
 
@@ -444,146 +325,13 @@ impl CompiledPlan {
             n_nodes: n,
             last_reader,
             flush,
-            cost,
             suffix_flops,
             head,
             member,
             groups,
             lowerable,
-            calibration: None,
             panels: GoldenPanels { by_node: panels },
         })
-    }
-
-    /// Measures per-node dense and batched execution costs against the
-    /// campaign's own golden caches and attaches them to the plan (every
-    /// conv reading its golden panel, as the suffix nodes a fault re-runs
-    /// do),
-    /// switching [`delta_profitable`](Self::delta_profitable) and
-    /// [`batched_profitable`](Self::batched_profitable) from the static
-    /// flop thresholds to measured wall-clock costs. `single` must be a
-    /// one-image golden cache, `batched` the stacked eval-image cache.
-    /// Every step takes the min of [`CALIBRATION_REPS`] repetitions after
-    /// one warmup; fused groups are timed as the one fused kernel the
-    /// batched engine actually runs, attributed to the head conv.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CacheMismatch`] when either cache does not cover
-    /// the model, or the first operator failure.
-    pub fn calibrate(
-        &mut self,
-        model: &Model,
-        single: &ActivationCache,
-        batched: &ActivationCache,
-    ) -> Result<(), NnError> {
-        let n = self.n_nodes;
-        if single.len() != n || batched.len() != n || model.nodes().len() != n {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "calibrate: plan covers {n} nodes, caches hold {}/{}",
-                    single.len(),
-                    batched.len()
-                ),
-            });
-        }
-        let images = batched.get(0).expect("cache covers all nodes").shape().dims()[0];
-        let mut arena = ScratchArena::new();
-        let empty: Vec<Tensor> = Vec::new();
-        let mut dense_step = vec![0f64; n];
-        for (id, step) in dense_step.iter_mut().enumerate().skip(1) {
-            let mut best = f64::INFINITY;
-            for rep in 0..=CALIBRATION_REPS {
-                let vals = NodeValues {
-                    prefix: single.activations(),
-                    overrides: &[],
-                    suffix_base: n,
-                    suffix: &empty,
-                };
-                let mut opts =
-                    ForwardOptions { arena: Some(&mut arena), ..ForwardOptions::default() };
-                let t0 = Instant::now();
-                let out = model.eval_node_with(id, &vals, self.panels.get(id), &mut opts)?;
-                let dt = t0.elapsed().as_secs_f64();
-                arena.recycle(out.into_vec());
-                if rep > 0 {
-                    best = best.min(dt);
-                }
-            }
-            *step = best;
-        }
-        let mut batched_step = vec![0f64; n];
-        let rows: Vec<usize> = (0..images).collect();
-        let mut id = 1;
-        while id < n {
-            let group = self.head[id].and_then(|gi| {
-                let g = &self.groups[gi];
-                (g.output() < n).then_some(g)
-            });
-            let out_node = group.map_or(id, FusedGroup::output);
-            let mut best = f64::INFINITY;
-            for rep in 0..=CALIBRATION_REPS {
-                let t0 = Instant::now();
-                let out = match group {
-                    Some(g) => self.eval_fused(
-                        model, g, n, batched, &empty, None, images, &rows, &mut arena,
-                    )?,
-                    None => self.eval_step(
-                        model, id, n, batched, &empty, None, images, &rows, &mut arena,
-                    )?,
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                arena.recycle(out.into_vec());
-                if rep > 0 {
-                    best = best.min(dt);
-                }
-            }
-            batched_step[id] = best;
-            id = out_node + 1;
-        }
-        // Per-node panel-build cost: the executor's session shares one
-        // first-dirty panel across every same-stratum fault on a worker,
-        // so dispatch prices the batched suffix *net* of this build.
-        let mut panel_s = vec![0f64; n];
-        for (id, slot) in panel_s.iter_mut().enumerate().skip(1) {
-            if !self.is_lowerable_conv(id) {
-                continue;
-            }
-            let NodeOp::Conv { weight, cfg, .. } = &model.nodes()[id].op else { continue };
-            let w = &model.store().get(*weight).expect("validated at construction").tensor;
-            let input_id = model.nodes()[id].inputs[0];
-            let input = batched.get(input_id).ok_or_else(|| NnError::CacheMismatch {
-                reason: format!("calibrate: batched cache misses node {input_id}"),
-            })?;
-            let mut best = f64::INFINITY;
-            for rep in 0..=CALIBRATION_REPS {
-                let t0 = Instant::now();
-                let built = ops::im2col_lower_batched(input, w, *cfg, Some(&mut arena))
-                    .map_err(|source| NnError::Op { node: id, source })?;
-                let dt = t0.elapsed().as_secs_f64();
-                arena.recycle(built.into_cols());
-                if rep > 0 {
-                    best = best.min(dt);
-                }
-            }
-            *slot = best;
-        }
-        let mut dense_suffix_s = vec![0f64; n + 1];
-        let mut batched_suffix_s = vec![0f64; n + 1];
-        for id in (0..n).rev() {
-            dense_suffix_s[id] = dense_suffix_s[id + 1] + dense_step[id];
-            batched_suffix_s[id] = batched_suffix_s[id + 1] + batched_step[id];
-        }
-        dense_suffix_s.pop();
-        batched_suffix_s.pop();
-        self.calibration = Some(Calibration { dense_suffix_s, batched_suffix_s, panel_s, images });
-        Ok(())
-    }
-
-    /// The measured calibration attached by [`calibrate`](Self::calibrate),
-    /// when one ran.
-    pub fn calibration(&self) -> Option<&Calibration> {
-        self.calibration.as_ref()
     }
 
     /// The golden weight panels packed at compile time.
@@ -606,11 +354,6 @@ impl CompiledPlan {
     /// Nodes whose activations die once step `id` has executed.
     pub fn flush_after(&self, id: NodeId) -> &[NodeId] {
         &self.flush[id]
-    }
-
-    /// Compile-time cost estimate of step `id`.
-    pub fn step_cost(&self, id: NodeId) -> StepCost {
-        self.cost[id]
     }
 
     /// Estimated dense flops (per image) of re-executing nodes `id..`.
@@ -641,60 +384,15 @@ impl CompiledPlan {
         Some((g.conv, g.output()))
     }
 
-    /// The compile-time delta-vs-dense decision for a *weight* fault whose
-    /// first dirty node is `first_dirty`: sparse delta propagation is
-    /// selected only when the dirty channel is wide enough to amortize the
-    /// block-mask bookkeeping **and** the remaining dense suffix is
-    /// expensive enough that skipping clean blocks can pay. On a calibrated
-    /// plan the suffix floor is the *measured* dense-suffix wall-clock
-    /// ([`DELTA_MIN_SUFFIX_SECS`]) — the `DELTA_MIN_SUFFIX_FLOPS` flop
-    /// estimate excluded the entire full-scale ResNet-20 workload (every
-    /// stratum of BENCH_delta.json recorded `sparse_nodes: 0`) because the
-    /// whole-network suffix estimate sits just below the flop constant
-    /// while its measured cost sits far above the real break-even.
-    /// Uncalibrated plans keep the static thresholds.
-    pub fn delta_profitable(&self, first_dirty: NodeId) -> bool {
-        let Some(cost) = self.cost.get(first_dirty) else { return false };
-        if cost.out_elems < DELTA_SEED_BREAK_EVEN_ELEMS {
-            return false;
-        }
-        match &self.calibration {
-            Some(cal) => cal.dense_suffix_secs(first_dirty) >= DELTA_MIN_SUFFIX_SECS,
-            None => self.suffix_flops(first_dirty) >= DELTA_MIN_SUFFIX_FLOPS,
-        }
-    }
-
-    /// The compile-time batched-vs-per-image decision for a fault whose
-    /// first dirty node is `first_dirty`. On a calibrated plan the batched
-    /// engine is selected when one measured batched suffix costs less than
-    /// the dense per-image suffixes the per-image loop is expected to pay
-    /// (`hedge * images`). The caller picks the hedge by how likely the
-    /// fault is to mismatch: [`BATCHED_HEDGE_MISMATCH`] for sign/exponent
-    /// flips (the per-image loop early-exits after one critical mismatch),
-    /// [`BATCHED_HEDGE_CONVERGENT`] for mantissa flips (the loop pays
-    /// nearly the full per-image bill). Because both sides are measured —
-    /// including the batched pass's own panel-build and scatter overhead —
-    /// a last-node fault whose suffix is one cheap classifier GEMM is no
-    /// longer trivially batched: it is selected only if the batched row
-    /// really beats the per-image rows, fixing the `suffix_flops <=
-    /// BATCHED_MAX_SUFFIX_FLOPS` floor that was vacuously true near the
-    /// output. Uncalibrated plans keep the static threshold.
+    /// The batched-vs-per-image decision for a weight fault whose first
+    /// dirty node is `first_dirty`: the batched engine takes it when the
+    /// estimated dense suffix from there costs at most
+    /// [`BATCHED_MAX_SUFFIX_FLOPS`] per image. A pure function of the
+    /// compiled plan, so every build and every host dispatches alike.
     /// Classifications and inference counts are identical on both sides of
     /// the decision.
-    pub fn batched_profitable(&self, first_dirty: NodeId, hedge: f64) -> bool {
-        if first_dirty >= self.n_nodes {
-            return false;
-        }
-        match &self.calibration {
-            Some(cal) => {
-                // Marginal cost: the session shares the first-dirty panel
-                // across a stratum, so all but one fault skip its build.
-                let marginal =
-                    (cal.batched_suffix_secs(first_dirty) - cal.panel_secs(first_dirty)).max(0.0);
-                marginal < hedge * cal.images as f64 * cal.dense_suffix_secs(first_dirty)
-            }
-            None => self.suffix_flops(first_dirty) <= BATCHED_MAX_SUFFIX_FLOPS,
-        }
+    pub fn batched_profitable(&self, first_dirty: NodeId) -> bool {
+        first_dirty < self.n_nodes && self.suffix_flops(first_dirty) <= BATCHED_MAX_SUFFIX_FLOPS
     }
 
     /// Runs the batched suffix from `first_dirty` over the stacked
@@ -1375,16 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_unprofitable_at_micro_scale() {
-        let (_, _, plan) = setup();
-        // The micro model's widest activation is far below the break-even
-        // channel width; the cost model must keep every node dense.
-        for id in 1..plan.len() {
-            assert!(!plan.delta_profitable(id));
-        }
-    }
-
-    #[test]
     fn batched_forward_matches_per_image_bitwise() {
         let (model, _, _) = setup();
         let images: Vec<Tensor> = (0..3)
@@ -1430,29 +1118,6 @@ mod tests {
         assert_eq!(converged_at.len(), 2);
         assert!(converged_at.iter().all(Option::is_some), "golden recompute converges everywhere");
         assert!(logits.is_empty(), "no image survives to the output");
-    }
-
-    #[test]
-    fn calibration_switches_dispatch_to_measured_costs() {
-        let (model, cache, mut plan) = setup();
-        assert!(plan.calibration().is_none());
-        let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.11).sin());
-        let bcache = model.forward_cached(&input).unwrap();
-        plan.calibrate(&model, &cache, &bcache).unwrap();
-        let cal = plan.calibration().expect("calibration attached");
-        assert_eq!(cal.images(), 2);
-        // Suffix costs are monotone decreasing, like the flop estimates.
-        for id in 2..plan.len() {
-            assert!(cal.dense_suffix_secs(id - 1) >= cal.dense_suffix_secs(id));
-            assert!(cal.batched_suffix_secs(id - 1) >= cal.batched_suffix_secs(id));
-        }
-        assert!(cal.dense_suffix_secs(1) > 0.0, "a real suffix takes nonzero time");
-        // The micro model still keeps every node dense on the delta side:
-        // its widest activation is far below the seed break-even, which the
-        // measured floor does not relax.
-        for id in 1..plan.len() {
-            assert!(!plan.delta_profitable(id));
-        }
     }
 
     #[test]

@@ -126,20 +126,6 @@ impl DirtyMask {
         Ok(mask)
     }
 
-    /// The mask of bitwise differences between `golden` and `value`: a block
-    /// is dirty iff at least one of its elements differs in bits (NaN
-    /// payloads and signed zeros included).
-    ///
-    /// # Errors
-    ///
-    /// Same rank conditions as [`DirtyMask::for_shape`]; the tensors must
-    /// share `shape`'s length (guaranteed for tensors of that shape).
-    pub fn from_bitdiff(shape: Shape, golden: &[f32], value: &[f32]) -> Result<Self, TensorError> {
-        let mut mask = Self::for_shape(shape)?;
-        mask.mark_bitdiff(golden, value);
-        Ok(mask)
-    }
-
     /// Number of `(image, channel)` planes.
     pub fn planes(&self) -> usize {
         self.planes
@@ -218,15 +204,6 @@ impl DirtyMask {
         self.mark_block(plane, y / DIRTY_BLOCK, x / DIRTY_BLOCK);
     }
 
-    /// Marks every block of `plane` dirty.
-    pub fn mark_plane(&mut self, plane: usize) {
-        for by in 0..self.bh {
-            for bx in 0..self.bw {
-                self.mark_block(plane, by, bx);
-            }
-        }
-    }
-
     /// Whether any block of `plane` is dirty.
     pub fn plane_is_dirty(&self, plane: usize) -> bool {
         (0..self.bh).any(|by| (0..self.bw).any(|bx| self.block_is_dirty(plane, by, bx)))
@@ -264,43 +241,6 @@ impl DirtyMask {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w |= o;
             self.dirty += w.count_ones() as usize;
-        }
-    }
-
-    /// Marks every block where `golden` and `value` differ bitwise.
-    ///
-    /// Both slices must have the tensor layout this mask was built for
-    /// (`planes * h * w` contiguous elements); trailing elements beyond that
-    /// length are ignored.
-    pub fn mark_bitdiff(&mut self, golden: &[f32], value: &[f32]) {
-        let plane_len = self.h * self.w;
-        for p in 0..self.planes {
-            let g = &golden[p * plane_len..][..plane_len];
-            let v = &value[p * plane_len..][..plane_len];
-            self.mark_plane_bitdiff(p, g, v);
-        }
-    }
-
-    /// Marks every block of `plane` where the feature-map slices `golden`
-    /// and `value` (both `h * w` elements) differ bitwise.
-    pub fn mark_plane_bitdiff(&mut self, plane: usize, golden: &[f32], value: &[f32]) {
-        for by in 0..self.bh {
-            for bx in 0..self.bw {
-                if self.block_is_dirty(plane, by, bx) {
-                    continue;
-                }
-                let (y0, y1, x0, x1) = self.block_pixels(by, bx);
-                let differs = (y0..y1).any(|y| {
-                    let row = y * self.w;
-                    golden[row + x0..row + x1]
-                        .iter()
-                        .zip(&value[row + x0..row + x1])
-                        .any(|(a, b)| a.to_bits() != b.to_bits())
-                });
-                if differs {
-                    self.mark_block(plane, by, bx);
-                }
-            }
         }
     }
 
@@ -350,8 +290,6 @@ mod tests {
         assert!(!m.plane_is_dirty(0));
         m.mark_pixel(1, 7, 1); // same block: idempotent
         assert_eq!(m.dirty_blocks(), 1);
-        m.mark_plane(0);
-        assert_eq!(m.dirty_blocks(), 1 + 4);
     }
 
     #[test]
@@ -410,32 +348,6 @@ mod tests {
     fn single_site_rejects_out_of_range() {
         assert!(DirtyMask::single_site(Shape::new(&[1, 1, 4, 4]), 16).is_err());
         assert!(DirtyMask::single_site(Shape::new(&[1, 1, 4, 4]), 15).is_ok());
-    }
-
-    #[test]
-    fn bitdiff_marks_only_differing_blocks() {
-        let shape = Shape::new(&[1, 1, 8, 8]);
-        let golden = vec![1.0f32; 64];
-        let mut value = golden.clone();
-        value[7] = 2.0 - 1.0; // same value, same bits: still clean
-        let clean = DirtyMask::from_bitdiff(shape, &golden, &value).unwrap();
-        assert!(clean.is_empty(), "value-equal bits stay clean");
-        value[4 * 8 + 5] = f32::NAN;
-        let m = DirtyMask::from_bitdiff(shape, &golden, &value).unwrap();
-        assert_eq!(m.dirty_blocks(), 1);
-        assert!(m.block_is_dirty(0, 1, 1));
-    }
-
-    #[test]
-    fn bitdiff_distinguishes_nan_payloads_and_zero_signs() {
-        let shape = Shape::new(&[1, 2]);
-        let golden = [0.0f32, f32::from_bits(0x7fc0_0001)];
-        let negz = [-0.0f32, f32::from_bits(0x7fc0_0001)];
-        let m = DirtyMask::from_bitdiff(shape, &golden, &negz).unwrap();
-        assert_eq!(m.dirty_blocks(), 1, "-0.0 differs from 0.0 in bits");
-        let payload = [0.0f32, f32::from_bits(0x7fc0_0002)];
-        let m2 = DirtyMask::from_bitdiff(shape, &golden, &payload).unwrap();
-        assert_eq!(m2.dirty_blocks(), 1, "NaN payloads compare by bits");
     }
 
     #[test]

@@ -209,11 +209,11 @@ pub struct CliOptions {
     /// `--no-early-exit` disables it. Classifications and inference counts
     /// are identical either way.
     pub early_exit: bool,
-    /// Propagate faults as sparse deltas over the golden activations,
-    /// recomputing only the dirty cone of each fault (`run`). On by
-    /// default; `--no-delta` falls back to dense (or early-exit)
-    /// re-execution. Classifications and inference counts are identical
-    /// either way.
+    /// Propagate transient activation and input faults as sparse deltas
+    /// over the golden activations, recomputing only the struck element's
+    /// dirty cone (`run`). On by default; `--no-delta` re-executes
+    /// transients densely. Weight faults are unaffected. Classifications
+    /// and inference counts are identical either way.
     pub delta: bool,
     /// Evaluate all eval images of a faulty suffix in one batched forward
     /// pass per node (`run`). On by default; `--no-batched` falls back to
@@ -296,9 +296,9 @@ OPTIONS:
     --no-early-exit           always run faulty forward passes to the logits
                               instead of stopping once the activations are
                               provably golden again (run); slower, same results
-    --no-delta                disable sparse delta propagation and re-execute
-                              faulty suffixes densely (run); slower, same
-                              results
+    --no-delta                re-execute transient activation/input faults
+                              densely instead of as sparse deltas (run);
+                              slower, same results
     --no-batched              evaluate eval images one at a time instead of in
                               a single batched GEMM per node (run); slower,
                               same results

@@ -26,8 +26,8 @@ use sfi_faultsim::multi::{AccumulatedFault, FaultTarget};
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{
-    ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, Model, Node, NodeOp,
-    ParamKind, ParameterStore,
+    ActPatch, ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, Model,
+    Node, NodeOp, ParamKind, ParameterStore,
 };
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
@@ -358,24 +358,22 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
     Tensor::from_vec(shape, (0..len).map(|_| rng.gen_range(-1.5f32..1.5)).collect()).unwrap()
 }
 
-/// The differential forward oracle: asserts that dense incremental
+/// The weight-fault forward oracle: asserts that dense incremental
 /// re-execution (`forward_suffix` from `first_dirty`, which must be the
 /// faulted parameter's node) reproduces the full `Model::forward` of the
 /// faulted model bit for bit, and that the golden-convergence pass
-/// (`forward_suffix` with `converge` on) and sparse delta propagation
-/// (`forward_delta`, with and without a scratch arena) observe the same
+/// (`forward_suffix` with `converge` on, the single-unit probe armed by
+/// `dirty_unit` and the node's golden-input lowering) observes the same
 /// faulty inference — bit-identical logits on divergence, and on
-/// convergence dense logits that are bit-golden (so their prediction is the
-/// golden one). Returns the dense logits plus the delta pass's outcome and
-/// work counters.
+/// convergence dense logits that are bit-golden (so their prediction is
+/// the golden one). Returns the dense logits.
 pub fn assert_forward_equiv(
     faulty: &Model,
     first_dirty: usize,
     cache: &ActivationCache,
     dirty_unit: Option<usize>,
-    saturation: f64,
     ctx: &str,
-) -> (Tensor, ForwardOutcome, DeltaStats) {
+) -> Tensor {
     let tensor_bits = |a: &Tensor, b: &Tensor| -> bool {
         a.shape() == b.shape()
             && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -424,19 +422,44 @@ pub fn assert_forward_equiv(
             );
         }
     }
+    dense
+}
 
+/// The delta oracle: strikes element `element` of node `node`'s golden
+/// activation with `faulty_bits` and asserts that sparse delta propagation
+/// (`forward_delta_site` at `saturation`, with and without a scratch
+/// arena) observes exactly the inference of the dense patched suffix —
+/// bit-identical logits on divergence, and on convergence dense logits
+/// that are bit-golden. Returns the delta pass's outcome and work counters.
+pub fn assert_site_delta_equiv(
+    model: &Model,
+    cache: &ActivationCache,
+    node: usize,
+    element: usize,
+    faulty_bits: u32,
+    saturation: f64,
+    ctx: &str,
+) -> (ForwardOutcome, DeltaStats) {
+    let tensor_bits = |a: &Tensor, b: &Tensor| -> bool {
+        a.shape() == b.shape()
+            && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    let set = ActPatch { and_mask: 0, or_mask: faulty_bits, ..ActPatch::identity(node, element) };
+    let dense =
+        match model.forward_suffix(None, cache, &[set], &mut ForwardOptions::default()).unwrap() {
+            ForwardOutcome::Logits(l) => l,
+            ForwardOutcome::Converged { at_node } => {
+                panic!("{ctx}: patched suffix converged at node {at_node}")
+            }
+        };
     let mut arena = ScratchArena::new();
-    let (delta_out, stats) = faulty
-        .forward_delta(
-            first_dirty,
+    let (delta_out, stats) = model
+        .forward_delta_site(
+            node,
+            element,
+            faulty_bits,
             cache,
-            &mut DeltaOptions {
-                arena: Some(&mut arena),
-                lowered: lowered_pair,
-                dirty_unit,
-                saturation,
-                ..Default::default()
-            },
+            &mut DeltaOptions { arena: Some(&mut arena), saturation, ..Default::default() },
         )
         .unwrap();
     match &delta_out {
@@ -453,16 +476,13 @@ pub fn assert_forward_equiv(
     }
     // The pass must be arena-invariant: recycled dirty buffers cannot leak
     // into results.
-    let (delta_plain, _) = faulty
-        .forward_delta(
-            first_dirty,
+    let (delta_plain, _) = model
+        .forward_delta_site(
+            node,
+            element,
+            faulty_bits,
             cache,
-            &mut DeltaOptions {
-                lowered: lowered_pair,
-                dirty_unit,
-                saturation,
-                ..Default::default()
-            },
+            &mut DeltaOptions { saturation, ..Default::default() },
         )
         .unwrap();
     match (&delta_out, &delta_plain) {
@@ -471,5 +491,5 @@ pub fn assert_forward_equiv(
         }
         (a, b) => assert_eq!(a, b, "{ctx}: scratch arena changed the delta outcome"),
     }
-    (dense, delta_out, stats)
+    (delta_out, stats)
 }

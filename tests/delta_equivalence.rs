@@ -1,19 +1,23 @@
-//! Differential harness pinning the sparse delta-propagation path.
+//! Differential harness pinning the sparse delta-propagation path and the
+//! per-image suffix passes it is checked against.
 //!
 //! The delta engine's contract is *bitwise* equivalence: on any graph and
-//! any weight fault — including NaN/Inf exponent flips — `forward_delta`
-//! must observe exactly the inference dense re-execution observes, and a
-//! campaign classified through it must be byte-identical to the
-//! no-early-exit and golden-convergence paths at any worker count. These
-//! properties are what let `delta` default on without a fingerprint bump.
+//! any single-element strike — including NaN/Inf values —
+//! `forward_delta_site` must observe exactly the inference the dense
+//! patched suffix observes, and a campaign classified through it must be
+//! byte-identical to the no-early-exit and golden-convergence paths at any
+//! worker count. These properties are what let `delta` default on without
+//! a fingerprint bump. Weight faults never take the delta engine; their
+//! dense and converging suffix passes are pinned here on the same random
+//! graphs.
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
 
 use fixtures::{
-    activation_space, assert_forward_equiv, assert_site_forward_equiv, campaign_world, input_space,
-    micro_resnet, random_accumulated_faults, random_faults, random_small_input, random_small_model,
-    random_transient_faults, tiny_resnet, unique_tmp_dir,
+    activation_space, assert_forward_equiv, assert_site_delta_equiv, assert_site_forward_equiv,
+    campaign_world, input_space, micro_resnet, random_accumulated_faults, random_faults,
+    random_small_input, random_small_model, random_transient_faults, tiny_resnet, unique_tmp_dir,
 };
 use proptest::prelude::*;
 use sfi::faultsim::campaign::run_campaign;
@@ -48,13 +52,45 @@ fn fingerprint(outcome: &SfiOutcome) -> impl PartialEq + std::fmt::Debug {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `forward_delta` is bitwise-equal to dense `forward_suffix` on random
-    /// small conv/bn/relu/add/pool graphs under random single-bit weight
-    /// faults — with guaranteed NaN/±Inf coverage on top of uniform flips —
-    /// at the default, forced-dense (0.0), and forced-sparse (1.1)
-    /// saturation thresholds, with and without the single-unit seed probe.
+    /// `forward_delta_site` is bitwise-equal to the dense patched
+    /// `forward_suffix` on random small conv/bn/relu/add/pool graphs under
+    /// random single-element strikes on any node (the input included) —
+    /// with guaranteed NaN/±Inf coverage on top of uniform single-bit
+    /// flips — at the forced-sparse (1.1) threshold, where every node runs
+    /// the sparse kernels, and at the default threshold.
     #[test]
     fn delta_is_bitwise_equal_on_random_graphs(
+        seed in 0u64..1_000_000,
+        node_pick in 0usize..16,
+        elem_pick in 0usize..4096,
+        bit in 0u32..32,
+        force_special in 0u32..8,
+    ) {
+        let model = random_small_model(seed);
+        let input = random_small_input(seed, &model);
+        let cache = model.forward_cached(&input).unwrap();
+
+        let node = node_pick % model.nodes().len();
+        let golden = cache.get(node).unwrap().as_slice();
+        let element = elem_pick % golden.len();
+        let faulty_bits = match force_special {
+            0 => f32::NAN.to_bits(),
+            1 => f32::INFINITY.to_bits(),
+            2 => f32::NEG_INFINITY.to_bits(),
+            _ => golden[element].to_bits() ^ (1u32 << bit),
+        };
+        for saturation in [1.1, DELTA_SATURATION_DEFAULT] {
+            let ctx = format!("seed={seed} node={node} element={element} sat={saturation}");
+            assert_site_delta_equiv(&model, &cache, node, element, faulty_bits, saturation, &ctx);
+        }
+    }
+
+    /// Dense incremental re-execution reproduces the full faulty forward,
+    /// and the converging pass (with and without the single-unit probe)
+    /// observes the same inference, on the same random graphs under random
+    /// single-bit weight faults with guaranteed NaN/±Inf coverage.
+    #[test]
+    fn suffix_is_bitwise_equal_on_random_graphs(
         seed in 0u64..1_000_000,
         param_pick in 0usize..8,
         elem_pick in 0usize..4096,
@@ -82,12 +118,9 @@ proptest! {
         }
         let first_dirty = model.node_of_param(pid).unwrap();
         let unit = model.param_output_unit(pid, idx);
-
         for (dirty_unit, tag) in [(unit, "probe"), (None, "dense-seed")] {
-            for saturation in [DELTA_SATURATION_DEFAULT, 0.0, 1.1] {
-                let ctx = format!("seed={seed} pid={pid} idx={idx} {tag} sat={saturation}");
-                assert_forward_equiv(&faulty, first_dirty, &cache, dirty_unit, saturation, &ctx);
-            }
+            let ctx = format!("seed={seed} pid={pid} idx={idx} {tag}");
+            assert_forward_equiv(&faulty, first_dirty, &cache, dirty_unit, &ctx);
         }
     }
 }

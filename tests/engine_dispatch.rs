@@ -1,15 +1,18 @@
-//! Engine-dispatch coverage: every execution engine must actually fire.
+//! Engine-dispatch coverage: every execution engine must actually fire,
+//! and dispatch must be a function of the compiled plan alone.
 //!
-//! PR 8's cost-model dispatch silently disabled the sparse-delta engine on
-//! the full-scale weight bench (`BENCH_delta.json` recorded
-//! `sparse_nodes: 0` in every bit stratum) — nothing asserted that an
-//! engine the configuration *enables* is ever *selected*. These tests pin
-//! the dispatch outcome per representative fault tier through the
+//! A cost-model dispatch once silently disabled an engine on a full-scale
+//! bench — nothing asserted that an engine the configuration *enables* is
+//! ever *selected*. These tests pin the dispatch outcome per
+//! representative fault tier through the
 //! `engine_dense`/`engine_delta`/`engine_batched` campaign counters, so a
 //! cost-model constant change can never zero an engine unnoticed again.
-//! A companion matrix test pins that every joint combination of the
-//! `--no-batched`/`--no-delta`/`--no-early-exit` CLI flags parses, falls
-//! back to a valid engine, and classifies identically.
+//! Weight faults pick dense or batched by the plan's static suffix-flop
+//! rule, so two independently built golden references dispatch every
+//! fault alike at any worker count. A companion matrix test pins that
+//! every joint combination of the `--no-batched`/`--no-delta`/
+//! `--no-early-exit` CLI flags parses, falls back to a valid engine, and
+//! classifies identically.
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
@@ -23,7 +26,8 @@ use sfi::faultsim::campaign::{run_campaign, CampaignResult};
 use sfi::prelude::*;
 use sfi_faultsim::fault::{FaultModel, FaultSite};
 use sfi_faultsim::multi::CampaignFault;
-use sfi_nn::BATCHED_HEDGE_CONVERGENT;
+use sfi_nn::resnet::ResNetConfig;
+use sfi_nn::BATCHED_MAX_SUFFIX_FLOPS;
 
 fn cli_args(line: &str) -> Vec<String> {
     line.split_whitespace().map(str::to_string).collect()
@@ -54,67 +58,48 @@ fn assert_engine_accounting(res: &CampaignResult, ctx: &str) {
 
 /// Representative fault tiers each select the engine that owns them at
 /// least once under the default (everything-enabled) configuration:
-/// shallow/deep weight faults take the batched eval-image engine, transient
-/// activation faults take the sparse-delta engine, and accumulated k=2
-/// instances take the dense early-exit engine.
+/// weight faults on batched-owned layers take the batched eval-image
+/// engine, transient activation faults take the sparse-delta engine, and
+/// accumulated k=2 instances take the dense early-exit engine.
 #[test]
 fn every_engine_fires_on_the_tier_it_owns() {
     let model = micro_resnet(3);
-    // 8 eval images: the batched pass amortizes one suffix over all of
-    // them, so the measured cost model selects it robustly for conv faults.
     let (data, golden) = campaign_world(&model, 16, 8);
     let golden = golden.with_lowering(&model).unwrap();
     assert!(golden.has_batched(), "with_lowering builds the batched golden state");
     let cfg = CampaignConfig::default();
 
-    // Weight tier. Mantissa-bit faults rarely mismatch, so dispatch holds
-    // the batched pass to the generous `BATCHED_HEDGE_CONVERGENT` bar; the
-    // deep layers' measured batched-vs-dense suffix ratios sit far below
-    // it, so the calibrated cost model must leave the batched engine
-    // *reachable* — and because `batched_profitable` is a pure function of
-    // the one-time calibration, faults on a scan-selected layer route
-    // batched deterministically.
+    // Weight tier: every fault on a batched-owned layer routes batched,
+    // every other one dense, whatever its bit.
     let layers = model.weight_layers();
     let deep = layers.len() - 1;
-    let batched_layers: Vec<usize> = (0..layers.len())
-        .filter(|&l| {
-            model
-                .node_of_param(layers[l].param)
-                .is_some_and(|n| golden.plan().batched_profitable(n, BATCHED_HEDGE_CONVERGENT))
-        })
-        .collect();
+    let owned = |l: usize| {
+        model.node_of_param(layers[l].param).is_some_and(|n| golden.plan().batched_profitable(n))
+    };
     assert!(
-        !batched_layers.is_empty(),
-        "the measured cost model disabled the batched engine on every layer \
-         (the sparse_nodes:0 failure mode, batched edition)"
+        (0..layers.len()).any(owned),
+        "the static cost model disabled the batched engine on every layer"
     );
-    // Exponent-bit sweep: the delta bit gate rules delta out, and the
-    // mismatch-prone hedge makes dense-vs-batched the measured choice.
     let mut faults: Vec<CampaignFault> = Vec::new();
+    let mut on_owned = 0u64;
     for layer in [0, deep / 2, deep] {
-        faults.extend(weight_faults(layer, 30, 4).into_iter().map(CampaignFault::Weight));
-    }
-    // Mantissa-bit faults on every batched-profitable layer: each must
-    // route through the batched eval-image engine.
-    let mantissa: u64 = batched_layers.iter().map(|&l| weight_faults(l, 12, 2).len() as u64).sum();
-    for &layer in &batched_layers {
-        faults.extend(weight_faults(layer, 12, 2).into_iter().map(CampaignFault::Weight));
+        for bit in [12, 30] {
+            let batch = weight_faults(layer, bit, 2);
+            if owned(layer) {
+                on_owned += batch.len() as u64;
+            }
+            faults.extend(batch.into_iter().map(CampaignFault::Weight));
+        }
     }
     let weights = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
     assert_engine_accounting(&weights, "weight tier");
-    assert!(
-        weights.engine_batched >= mantissa,
-        "every mantissa-bit fault on a batched-profitable layer must take the \
-         batched engine (want >= {mantissa}, got dense={} delta={} batched={})",
-        weights.engine_dense,
-        weights.engine_delta,
-        weights.engine_batched
-    );
     assert_eq!(
-        weights.engine_delta, 0,
-        "micro-scale weight faults must not route through delta \
-         (bit gate on exponent bits, seed-width gate on mantissa bits)"
+        weights.engine_batched, on_owned,
+        "exactly the faults on batched-owned layers take the batched engine \
+         (dense={} delta={} batched={})",
+        weights.engine_dense, weights.engine_delta, weights.engine_batched
     );
+    assert_eq!(weights.engine_delta, 0, "weight faults never take the delta engine");
 
     // Transient activation tier: the one-element cone is delta's home
     // ground and routes there unconditionally.
@@ -219,5 +204,64 @@ fn cli_engine_flag_matrix_composes() {
                 }
             }
         }
+    }
+}
+
+/// The batched-vs-dense choice is the static suffix-flop rule on every
+/// node, and dispatch is a function of the compiled plan: two golden
+/// references built independently for one model and one evaluation set
+/// route every weight fault to the same engine at workers 1, 4 and 8, with
+/// identical classes and inference counts, and no weight fault ever takes
+/// the delta engine. At width 8 the rule splits the network: the shallow
+/// layers' suffixes exceed `BATCHED_MAX_SUFFIX_FLOPS` and run dense, the
+/// deep ones run batched.
+#[test]
+fn weight_dispatch_is_a_function_of_the_plan() {
+    let micro = micro_resnet(3);
+    let (_, golden) = campaign_world(&micro, 16, 2);
+    let plan = golden.plan();
+    for d in 0..plan.len() {
+        assert_eq!(
+            plan.batched_profitable(d),
+            plan.suffix_flops(d) <= BATCHED_MAX_SUFFIX_FLOPS,
+            "micro_resnet node {d}"
+        );
+    }
+    assert!(!plan.batched_profitable(plan.len()), "no suffix starts past the output");
+
+    let model = ResNetConfig::resnet20_micro().with_width(8).build_seeded(3).unwrap();
+    let data = fixtures::synth_images(16, 4);
+    let build = || GoldenReference::build(&model, &data).unwrap().with_lowering(&model).unwrap();
+    let goldens = [build(), build()];
+    let layers = model.weight_layers();
+    let mut faults = Vec::new();
+    for layer in 0..layers.len() {
+        for bit in [3, 22, 23, 30, 31] {
+            faults.extend(weight_faults(layer, bit, 1));
+        }
+    }
+    let mut runs = Vec::new();
+    for golden in &goldens {
+        for workers in [1usize, 4, 8] {
+            let cfg = CampaignConfig { workers, ..CampaignConfig::default() };
+            let res = run_campaign(&model, &data, golden, &faults, &cfg).unwrap();
+            assert_engine_accounting(&res, &format!("workers={workers}"));
+            assert_eq!(res.engine_delta, 0, "weight faults never take the delta engine");
+            runs.push(res);
+        }
+    }
+    let first = &runs[0];
+    assert!(
+        first.engine_dense > 0 && first.engine_batched > 0,
+        "the width-8 network must exercise both engines (dense={} batched={})",
+        first.engine_dense,
+        first.engine_batched
+    );
+    for (i, res) in runs.iter().enumerate().skip(1) {
+        let ctx = format!("golden {} workers {}", i / 3, [1, 4, 8][i % 3]);
+        assert_eq!(res.classes, first.classes, "{ctx}: classes");
+        assert_eq!(res.inferences, first.inferences, "{ctx}: inferences");
+        assert_eq!(res.engine_dense, first.engine_dense, "{ctx}: engine_dense");
+        assert_eq!(res.engine_batched, first.engine_batched, "{ctx}: engine_batched");
     }
 }

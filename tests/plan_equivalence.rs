@@ -23,8 +23,8 @@ use sfi::prelude::*;
 use sfi_faultsim::fault::{FaultModel, FaultSite};
 use sfi_faultsim::multi::AccumulatedFault;
 use sfi_nn::resnet::ResNetConfig;
+use sfi_nn::{ActPatch, CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
 use sfi_nn::{BatchedOutcome, KernelPolicy, Model, NodeOp};
-use sfi_nn::{CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -407,8 +407,11 @@ fn faulted_node_never_reads_its_golden_panel() {
         }
 
         // Engine level, bit for bit: with an exponent flip in the faulted
-        // layer, the dense, delta (every node dense) and batched suffixes
-        // over golden panels reproduce the naive per-image logits.
+        // layer, the dense and batched suffixes over golden panels
+        // reproduce the naive per-image logits. A transient strike on the
+        // layer's output leaves every weight golden, so the delta engine
+        // (every node dense) reads every panel and must reproduce the naive
+        // patched suffix.
         let plan = lowered.plan();
         let bcache = lowered.batched_cache().unwrap();
         let mut arena = ScratchArena::new();
@@ -431,14 +434,20 @@ fn faulted_node_never_reads_its_golden_panel() {
                 };
                 let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
                 assert!(naive.bits_equal(&fast.into_logits(cache)), "{name} L{layer} dense");
+                let strike = ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(node, 0) };
+                let naive_opts =
+                    &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+                let struck = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
+                let struck = struck.into_logits(cache);
                 let delta_opts = &mut DeltaOptions {
                     arena: Some(&mut arena),
                     panels: Some(plan.panels()),
                     saturation: 0.0,
-                    ..Default::default()
                 };
-                let (delta, _) = faulty.forward_delta(node, cache, delta_opts).unwrap();
-                assert!(naive.bits_equal(&delta.into_logits(cache)), "{name} L{layer} delta");
+                let bits = strike.apply_bits(cache.get(node).unwrap().as_slice()[0].to_bits());
+                let (delta, _) =
+                    model.forward_delta_site(node, 0, bits, cache, delta_opts).unwrap();
+                assert!(struck.bits_equal(&delta.into_logits(cache)), "{name} L{layer} delta");
                 rows.extend_from_slice(naive.as_slice());
             }
             let batched = plan
