@@ -990,7 +990,9 @@ fn pass_options<'a>(cfg: &CampaignConfig, arena: &'a mut ScratchArena) -> Forwar
 /// (reusing im2col and activation buffers across faults) and consume any
 /// lowering `golden` has cached for the faulted node — sound because
 /// incremental re-execution feeds the faulted layer its *golden* input, so
-/// the cached column matrix is valid for every fault in the stratum.
+/// the cached column matrix is valid for every fault in the stratum. Only
+/// convs the cache can hold are looked up: a faulted conv that reads its
+/// input in place multiplies that golden input directly.
 /// [`KernelPolicy::Naive`] bypasses both and reproduces the historical
 /// per-fault cost; classifications are bit-identical either way.
 ///
@@ -1065,7 +1067,9 @@ pub(crate) fn classify_one<C: Corruption>(
     for idx in 0..data.len() {
         let timer = wprobe.inference_start();
         let cache = golden.cache(idx);
-        let lowered = if cfg.incremental && fast {
+        // Only convs the cache can hold are looked up; in-place convs
+        // multiply the golden input directly.
+        let lowered = if cfg.incremental && fast && golden.plan().lowers_per_image(dirty) {
             golden.lowering(dirty, idx).map(|l| (dirty, l))
         } else {
             None

@@ -11,8 +11,11 @@ use sfi_tensor::Tensor;
 
 use crate::FaultSimError;
 
-/// Precomputed im2col column matrices of every lowerable conv layer's golden
-/// input, per evaluation image.
+/// Precomputed im2col column matrices of the golden input of every conv
+/// layer whose per-image GEMM still lowers
+/// ([`CompiledPlan::lowers_per_image`]), per evaluation image. Convs that
+/// read their input in place are not held: the faulted conv and its
+/// single-unit probe multiply the golden input directly.
 ///
 /// Weight faults never change a layer's *input* under incremental
 /// re-execution (the cached golden prefix feeds the faulted node), so the
@@ -107,11 +110,14 @@ impl GoldenReference {
         })
     }
 
-    /// Precomputes the im2col lowering of every lowerable conv node's golden
-    /// input, for every evaluation image.
+    /// Precomputes the im2col lowering of the golden input of every conv
+    /// node whose per-image GEMM lowers, for every evaluation image.
     ///
     /// Convolutions that dispatch to the depthwise kernel (which never
-    /// lowers) are skipped. The cached panels are consumed by the campaign
+    /// lowers) are skipped, and so are those that read their input in
+    /// place ([`CompiledPlan::lowers_per_image`]): their faulted GEMM and
+    /// single-unit probe multiply the golden input directly, so nothing
+    /// would read their panels. The cached panels are consumed by the campaign
     /// executor when re-running the *faulted* conv itself: the faulted layer
     /// reads its golden input, so the lowering is valid for every fault in
     /// the stratum. With more than one evaluation image this also builds
@@ -127,6 +133,9 @@ impl GoldenReference {
         let mut bytes = 0usize;
         for (id, node) in model.nodes().iter().enumerate() {
             let NodeOp::Conv { weight, cfg, .. } = node.op else { continue };
+            if !self.plan.lowers_per_image(id) {
+                continue;
+            }
             let weight = &model
                 .store()
                 .get(weight)
@@ -135,10 +144,6 @@ impl GoldenReference {
                 })?
                 .tensor;
             let input_id = node.inputs[0];
-            let sample = self.caches[0].get(input_id).expect("cache covers all nodes");
-            if !ops::conv2d_uses_lowering(sample, weight, cfg) {
-                continue;
-            }
             let mut per_image = Vec::with_capacity(self.caches.len());
             for cache in &self.caches {
                 let input = cache.get(input_id).expect("cache covers all nodes");

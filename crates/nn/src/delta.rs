@@ -513,11 +513,9 @@ impl Model {
                     let x_row = &x[n * in_features..(n + 1) * in_features];
                     let row = &mut data[n * out_features..(n + 1) * out_features];
                     row.fill(0.0);
-                    // Stays on the naive kernel deliberately: n == 1 GEMV
-                    // has no output columns to lane across, so the
-                    // register-tiled tiers are structurally inapplicable —
-                    // `gemm_selected_kernel(m, k, 1)` routes here too.
-                    ops::gemm(out_features, in_features, 1, w.as_slice(), x_row, row);
+                    // The matrix-vector tier `ops::linear` runs, so the
+                    // row's bits match the dense evaluation.
+                    ops::gemm_col(out_features, in_features, w.as_slice(), x_row, row);
                     if let Some(b) = b {
                         for (v, &bv) in row.iter_mut().zip(b.as_slice()) {
                             *v += bv;

@@ -420,7 +420,10 @@ impl Model {
     ///
     /// Under [`KernelPolicy::Fast`] convs consume `kernels.lowered` (im2col
     /// panels of `x0`) and `kernels.panel` (the packed weight) when given,
-    /// and every buffer comes from `arena` when there is one.
+    /// and every buffer comes from `arena` when there is one. Without
+    /// `kernels.lowered`, a conv that [`ops::conv2d_reads_in_place`]
+    /// multiplies `x0` in place (over `kernels.panel`, or its weight packed
+    /// once for the call) and every other conv lowers `x0` itself.
     /// [`KernelPolicy::Naive`] is the historical reference path: it clones
     /// every operand, allocates fresh, runs the naive GEMM and the scalar
     /// depthwise loop, and ignores both conv hints. Every combination is
@@ -614,7 +617,9 @@ impl Model {
     /// - [`ForwardOptions::lowered`]: when it names the first dirty conv
     ///   node, that node's im2col lowering is skipped and the cached panels
     ///   feed the GEMM — the node reads its *golden* input, the exact value
-    ///   the panels were lowered from.
+    ///   the panels were lowered from. Convs that
+    ///   [`ops::conv2d_reads_in_place`] need no panels: they multiply the
+    ///   golden input in place.
     /// - [`ForwardOptions::converge`]: after each recomputed node its
     ///   activation is compared bitwise (`u32`-reinterpreted) against the
     ///   cached golden one, and the pass stops with
@@ -631,7 +636,8 @@ impl Model {
     ///   and none is live. NaN payloads and signed zeros compare by bits.
     ///   When [`ForwardOptions::dirty_unit`] names the one output unit the
     ///   fault can reach, the first dirty node is decided by a
-    ///   *single-unit probe* — one GEMM row instead of the full layer —
+    ///   *single-unit probe* — one GEMM row instead of the full layer, over
+    ///   the cached panels or, for an in-place conv, the golden input —
     ///   and on divergence its activation is materialized as a golden
     ///   clone with that unit overwritten, bit-identical to full
     ///   re-evaluation because no other unit depends on the faulted
@@ -811,8 +817,10 @@ impl Model {
     /// to golden bits; `Dirty` carries the node's full activation (a golden
     /// clone with the probed unit overwritten, bit-identical to a full
     /// re-evaluation). `Unsupported` asks the caller to fall back to full
-    /// evaluation: the op has no single-unit kernel, the conv has no
-    /// cached lowering, or the naive cost-model policy is active.
+    /// evaluation: the op has no single-unit kernel, the conv neither has
+    /// a cached lowering nor reads its golden input in place
+    /// ([`ops::conv2d_reads_in_place`]), or the naive cost-model policy is
+    /// active.
     fn probe_dirty_unit(
         &self,
         id: NodeId,
@@ -829,20 +837,22 @@ impl Model {
         let wrap = |source| NnError::Op { node: id, source };
         let golden = &cache.activations[id];
         let vals: Vec<f32> = match &node.op {
-            NodeOp::Conv { weight, bias, .. } => {
-                let Some((ln, low)) = opts.lowered else { return Ok(ProbeOutcome::Unsupported) };
+            NodeOp::Conv { weight, bias, cfg } => {
                 let w = param(*weight);
-                if ln != id || unit >= w.shape().n() {
+                if unit >= w.shape().n() {
                     return Ok(ProbeOutcome::Unsupported);
                 }
-                ops::conv2d_channel_from_lowered(
-                    low,
-                    w,
-                    bias.map(&param),
-                    unit,
-                    opts.arena.as_deref_mut(),
-                )
-                .map_err(wrap)?
+                let (b, arena) = (bias.map(&param), opts.arena.as_deref_mut());
+                let x = &cache.activations[node.inputs[0]];
+                match opts.lowered {
+                    Some((ln, low)) if ln == id => {
+                        ops::conv2d_channel_from_lowered(low, w, b, unit, arena).map_err(wrap)?
+                    }
+                    _ if ops::conv2d_reads_in_place(x, w, *cfg) => {
+                        ops::conv2d_channel_in_place(x, w, b, *cfg, unit, arena).map_err(wrap)?
+                    }
+                    _ => return Ok(ProbeOutcome::Unsupported),
+                }
             }
             NodeOp::Linear { weight, bias } => {
                 let xv = &cache.activations[node.inputs[0]];

@@ -109,6 +109,10 @@ pub struct CompiledPlan {
     /// Conv nodes whose golden input lowers to im2col panels (depthwise
     /// convs dispatch to a direct kernel and never lower).
     lowerable: Vec<bool>,
+    /// Conv nodes whose per-image GEMMs read the golden input in place
+    /// ([`ops::conv2d_reads_in_place`]) and so never need a per-image
+    /// lowering.
+    in_place: Vec<bool>,
     /// Golden conv weights pre-packed for the GEMM.
     panels: GoldenPanels,
 }
@@ -221,6 +225,7 @@ impl CompiledPlan {
         // Estimated floating-point operations of each step, per image.
         let mut flops = vec![0u64; n];
         let mut lowerable = vec![false; n];
+        let mut in_place = vec![false; n];
         let mut panels = vec![None; n];
         for (id, node) in nodes.iter().enumerate().skip(1) {
             let out = cache.get(id).expect("cache covers all nodes");
@@ -232,6 +237,7 @@ impl CompiledPlan {
                     let k_len: usize = w.shape().dims()[1..].iter().product();
                     let input = cache.get(node.inputs[0]).expect("cache covers all nodes");
                     lowerable[id] = ops::conv2d_uses_lowering(input, w, *cfg);
+                    in_place[id] = ops::conv2d_reads_in_place(input, w, *cfg);
                     let c_out = w.shape().n();
                     let m = c_out / cfg.groups;
                     if lowerable[id]
@@ -330,6 +336,7 @@ impl CompiledPlan {
             member,
             groups,
             lowerable,
+            in_place,
             panels: GoldenPanels { by_node: panels },
         })
     }
@@ -364,6 +371,20 @@ impl CompiledPlan {
     /// Whether node `id` is a conv whose input lowers to im2col panels.
     pub fn is_lowerable_conv(&self, id: NodeId) -> bool {
         self.lowerable.get(id).copied().unwrap_or(false)
+    }
+
+    /// Whether node `id` is a conv whose per-image GEMMs read the golden
+    /// input in place ([`ops::conv2d_reads_in_place`]): the dense suffix
+    /// and its single-unit probe need no per-image lowering of it.
+    pub fn reads_in_place(&self, id: NodeId) -> bool {
+        self.in_place.get(id).copied().unwrap_or(false)
+    }
+
+    /// Whether node `id` is a conv whose per-image GEMMs lower its input to
+    /// im2col panels: a lowerable conv that does not read in place. A
+    /// golden lowering cache holds exactly these convs.
+    pub fn lowers_per_image(&self, id: NodeId) -> bool {
+        self.is_lowerable_conv(id) && !self.reads_in_place(id)
     }
 
     /// Number of conv+bn(+relu) fusion groups in the plan.

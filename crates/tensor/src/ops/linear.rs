@@ -1,7 +1,6 @@
 use crate::{Shape, Tensor, TensorError};
 
-use super::gemm::gemm;
-use super::microkernel::gemm_row;
+use super::microkernel::{gemm_col, gemm_row};
 
 /// Fully-connected layer: `out[b][o] = Σ_i input[b][i] * weight[o][i] + bias[o]`.
 ///
@@ -63,13 +62,14 @@ pub fn linear(
     }
     let mut out = Tensor::zeros([batch, out_features]);
     // out[b, o] = input[b, :] . weight[o, :] — gemm with weight used as the
-    // rhs would need a transpose, so run one dot-product GEMM per batch row
-    // with roles swapped: weight [O, I] x input_row [I, 1].
+    // rhs would need a transpose, so run one matrix-vector GEMM per batch
+    // row with roles swapped: weight [O, I] x input_row [I, 1]. `gemm_col`
+    // interleaves the output chains, each in `gemm(O, I, 1, ..)`'s order.
     let out_data = out.as_mut_slice();
     for b in 0..batch {
         let x_row = &input.as_slice()[b * in_features..(b + 1) * in_features];
         let dst = &mut out_data[b * out_features..(b + 1) * out_features];
-        gemm(out_features, in_features, 1, weight.as_slice(), x_row, dst);
+        gemm_col(out_features, in_features, weight.as_slice(), x_row, dst);
     }
     if let Some(bias) = bias {
         let b_data = bias.as_slice();

@@ -40,16 +40,17 @@ pub mod grad;
 pub use activation::{relu, relu6, relu6_with, relu_with, softmax};
 pub use conv::{
     conv2d, conv2d_batched_from_lowered, conv2d_channel_batched, conv2d_channel_from_lowered,
-    conv2d_direct, conv2d_from_lowered, conv2d_im2col, conv2d_kernel, conv2d_uses_lowering,
-    conv2d_with, im2col_lower, im2col_lower_batched, BatchedLowered, Conv2dCfg, ConvEpilogue,
-    FusedActivation, GemmKernel, LoweredConv, PackedConvWeight, Padding,
+    conv2d_channel_in_place, conv2d_direct, conv2d_from_lowered, conv2d_im2col, conv2d_kernel,
+    conv2d_path_with, conv2d_reads_in_place, conv2d_uses_lowering, conv2d_with, im2col_lower,
+    im2col_lower_batched, BatchedLowered, Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel,
+    LoweredConv, PackedConvWeight, Padding,
 };
 pub use elementwise::{add, add_with, downsample_pad_channels};
 pub use gemm::{gemm, gemm_blocked, gemm_blocked_with};
 pub use linear::{linear, linear_row};
 pub use microkernel::{
-    gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes, gemm_selected_kernel, PackedLhs,
-    MR as MICRO_MR, NR as MICRO_NR, NR1 as MICRO_NR1,
+    gemm_col, gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes, gemm_selected_kernel,
+    PackedLhs, COL_LANES, MR as MICRO_MR, NR as MICRO_NR, NR1 as MICRO_NR1,
 };
 pub use norm::{batch_norm, batch_norm_with, bn_channel_scale_shift, BatchNormParams};
 pub use pool::{avg_pool2d, global_avg_pool, max_pool2d};

@@ -506,3 +506,76 @@ fn faulted_node_never_reads_its_golden_panel() {
         }
     }
 }
+
+/// The in-place rule is invisible end to end. On `cifar_micro` and the
+/// width-8 `resnet20_micro` the rule sends at least one conv each way (in
+/// place, and through an im2col buffer), and weight campaigns with faults
+/// in an in-place conv, a non-strided conv kept on the im2col path and a
+/// strided conv (depthwise on MobileNetV2) classify identically — classes and inference counts —
+/// under `KernelPolicy::Fast` (golden lowering cache, golden panels) and
+/// `KernelPolicy::Naive`, at workers 1, 4 and 8, with convergence (and
+/// with it the single-channel probe) on and off and batched on and off.
+#[test]
+fn in_place_convs_are_invisible_in_campaigns() {
+    let models = [
+        ("mobilenetv2-micro", MobileNetV2Config::cifar_micro().build_seeded(5).unwrap()),
+        (
+            "resnet20-micro-w8",
+            ResNetConfig::resnet20_micro().with_width(8).build_seeded(3).unwrap(),
+        ),
+    ];
+    for (name, model) in models {
+        let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
+        let lowered = golden.clone().with_lowering(&model).unwrap();
+        let plan = golden.plan();
+        let layers = model.weight_layers();
+        let node_of = |l: usize| model.node_of_param(layers[l].param).unwrap();
+        let stride_of = |l: usize| match &model.nodes()[node_of(l)].op {
+            NodeOp::Conv { cfg, .. } => Some(cfg.stride),
+            _ => None,
+        };
+        let gemm_convs: Vec<usize> = (0..layers.len())
+            .filter(|&l| stride_of(l).is_some() && plan.is_lowerable_conv(node_of(l)))
+            .collect();
+        let in_place: Vec<usize> =
+            gemm_convs.iter().copied().filter(|&l| plan.reads_in_place(node_of(l))).collect();
+        let packed: Vec<usize> = gemm_convs
+            .iter()
+            .copied()
+            .filter(|&l| !plan.reads_in_place(node_of(l)) && stride_of(l) == Some(1))
+            .collect();
+        // MobileNetV2's strided convs are all depthwise.
+        let strided = (0..layers.len()).find(|&l| stride_of(l).is_some_and(|s| s != 1));
+        assert!(!in_place.is_empty(), "{name}: the rule reads no conv in place");
+        assert!(!packed.is_empty(), "{name}: the rule keeps no stride-1 conv on im2col");
+        let strided = strided.unwrap_or_else(|| panic!("{name}: no strided conv"));
+        for &l in &in_place {
+            assert!(lowered.lowering(node_of(l), 0).is_none(), "{name}: L{l} lowered in place");
+        }
+        assert!(lowered.lowering(node_of(packed[0]), 0).is_some(), "{name}: packed not lowered");
+
+        let mut faults = Vec::new();
+        for layer in [in_place[in_place.len() / 2], packed[packed.len() / 2], strided] {
+            faults.extend(layer_faults(layer, 30, 3));
+            faults.extend(layer_faults(layer, 22, 2));
+            faults.extend(layer_faults(layer, 1, 1));
+        }
+        let naive_cfg =
+            CampaignConfig { kernel: KernelPolicy::Naive, workers: 1, ..Default::default() };
+        let reference = run_campaign(&model, &data, &golden, &faults, &naive_cfg).unwrap();
+        for workers in [1usize, 4, 8] {
+            for convergence in [false, true] {
+                for batched in [false, true] {
+                    let cfg =
+                        CampaignConfig { workers, convergence, batched, ..Default::default() };
+                    let res = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+                    let ctx = format!(
+                        "{name} workers={workers} convergence={convergence} batched={batched}"
+                    );
+                    assert_eq!(res.classes, reference.classes, "{ctx}");
+                    assert_eq!(res.inferences, reference.inferences, "{ctx}");
+                }
+            }
+        }
+    }
+}
