@@ -15,9 +15,11 @@
 //! small-`n` head shapes, both paths of the in-place rule (`indirect`:
 //! the stride-1 conv read in place against im2col plus the packed GEMM)
 //! at ResNet-20 and MobileNetV2 stride-1 3x3 conv shapes,
-//! the depthwise speedup per shape, a per-op-kind
+//! the depthwise speedup per shape (and, on the shapes the fixed-size rule
+//! picks, the fixed-size kernel against the plane kernel), a per-op-kind
 //! breakdown of one MobileNetV2 forward pass through the arena kernels a
-//! campaign runs (with and without golden weight panels), the end-to-end
+//! campaign runs (with and without golden weight panels, and with the
+//! plan's fusion groups run as one conv each), the end-to-end
 //! trajectory against the recorded fast-path baseline, and a host
 //! fingerprint.
 //! With `--smoke` the binary runs a seconds-scale regression guard
@@ -26,8 +28,9 @@
 //! the shapes it owns, the panel GEMM is slower than per-call packing at
 //! any panel shape, the path the in-place rule picks is more than 10%
 //! slower than the other at any stride-1 conv shape, the depthwise plane
-//! kernel is slower than the scalar
-//! loop at any shape, or the batched campaign diverges from the
+//! kernel is slower than the scalar loop at any shape, the fixed-size
+//! depthwise kernel is more than 10% slower than the plane kernel at any
+//! shape the rule gives it, or the batched campaign diverges from the
 //! per-image one (used by CI).
 
 use std::time::{Duration, Instant};
@@ -228,34 +231,86 @@ fn depthwise_min_secs(
     )
 }
 
+/// Minimum wall times of one depthwise convolution through the plane
+/// kernel and through the fixed-size kernel (`ops::depthwise_path_with`),
+/// each from a warmed arena, in `rounds` interleaved rounds of `iters`
+/// calls.
+fn depthwise_fixed_min_secs(
+    (input, weight, cfg): &(Tensor, Tensor, Conv2dCfg),
+    rounds: usize,
+    iters: usize,
+) -> (f64, f64) {
+    let mut arena = ScratchArena::new();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..rounds {
+        for (fixed, best) in [false, true].into_iter().zip(&mut best) {
+            let secs = min_secs(
+                || {
+                    let out = ops::depthwise_path_with(
+                        input, weight, None, *cfg, fixed, None, &mut arena,
+                    )
+                    .unwrap();
+                    arena.recycle(out.into_vec());
+                },
+                iters,
+            );
+            *best = best.min(secs);
+        }
+    }
+    (best[0], best[1])
+}
+
 /// Op kinds of the per-op forward breakdown, in report order.
 const OP_KINDS: [&str; 6] = ["depthwise", "conv_gemm", "batch_norm", "relu6", "add", "other"];
 
+/// The kernels a by-node forward walk runs: per-call weight packing, the
+/// plan's golden weight panels, or golden panels with every fusion group
+/// run as one conv with its epilogue — the dense suffix's schedule.
+#[derive(Clone, Copy)]
+enum Walk<'a> {
+    Arena,
+    Panels(&'a CompiledPlan),
+    Fused(&'a CompiledPlan),
+}
+
 /// One forward pass of `model`, node by node, through the arena-backed
 /// `ops` kernels the campaign's suffix evaluator (`Model::eval_node`)
-/// runs: `conv2d_with` — over `panels`' golden weight panels when given —
-/// `batch_norm_with`, `relu6_with` and `add_with`, drawing buffers from
-/// `arena` and recycling every activation into it at the end. Returns each
-/// node's [`OP_KINDS`] index and seconds (the input node reads 0), and the
-/// logits.
+/// runs: `conv2d_with` — over the golden weight panels, and with each
+/// fusion group's epilogue, as `walk` says — `batch_norm_with`,
+/// `relu6_with` and `add_with`, drawing buffers from `arena` and recycling
+/// every activation into it at the end. Returns each node's [`OP_KINDS`]
+/// index and seconds (the input node and fused-away nodes read 0), and
+/// the logits.
 fn forward_by_node(
     model: &Model,
     input: &Tensor,
-    panels: Option<&GoldenPanels>,
+    walk: Walk<'_>,
     arena: &mut ScratchArena,
 ) -> (Vec<(usize, f64)>, Tensor) {
     let param = |p| &model.store().get(p).expect("model parameter").tensor;
     let mut vals: Vec<Tensor> = vec![input.clone()];
     let mut times = vec![(OP_KINDS.len() - 1, 0.0)];
+    let (panels, fused) = match walk {
+        Walk::Arena => (None, None),
+        Walk::Panels(plan) => (Some(plan.panels()), None),
+        Walk::Fused(plan) => (Some(plan.panels()), Some(plan)),
+    };
     for (id, node) in model.nodes().iter().enumerate().skip(1) {
+        if vals.len() > id {
+            // Fused into an earlier group.
+            times.push((OP_KINDS.len() - 1, 0.0));
+            continue;
+        }
         let x = |i: usize| &vals[node.inputs[i]];
+        let group = fused.and_then(|plan| plan.fused_at(id));
         let start = Instant::now();
         let (kind, out) = match &node.op {
             NodeOp::Conv { weight, bias, cfg } => {
                 let (w, b) = (param(*weight), bias.map(param));
                 let kind = if ops::conv2d_uses_lowering(x(0), w, *cfg) { 1 } else { 0 };
-                let panel = panels.and_then(|p| p.get(id));
-                (kind, ops::conv2d_with(x(0), w, b, *cfg, panel, arena).unwrap())
+                let panel = panels.and_then(|p: &GoldenPanels| p.get(id));
+                let ep = group.as_ref().map(|(_, ep)| ep);
+                (kind, ops::conv2d_with(x(0), w, b, *cfg, ep, panel, arena).unwrap())
             }
             NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
                 let params = BatchNormParams {
@@ -276,6 +331,9 @@ fn forward_by_node(
             op => panic!("no MobileNetV2 node is a {op:?}"),
         };
         times.push((kind, start.elapsed().as_secs_f64()));
+        if let Some((out_node, _)) = group {
+            vals.extend((id..out_node).map(|_| Tensor::zeros([1])));
+        }
         vals.push(out);
     }
     let logits = vals.pop().expect("the model has nodes");
@@ -287,11 +345,15 @@ fn forward_by_node(
 
 /// The `mbv2_forward_by_op` table: one MobileNetV2 (width 1.0, 32x32)
 /// forward pass per op kind through the campaign's arena kernels, with
-/// per-call weight packing ("arena") and with golden weight panels
-/// ("panels"), as JSON, plus `Model::forward`'s own minimum for
-/// comparison with the per-node sums. Each node's time is its minimum over
-/// interleaved rounds of both walks (each with its own warmed arena); both
-/// walks must return `Model::forward`'s logits bit for bit.
+/// per-call weight packing ("arena"), with golden weight panels
+/// ("panels"), and with golden panels and every conv+BN(+ReLU6) and
+/// depthwise+BN+ReLU6 group fused into one conv ("fused", the dense
+/// suffix's schedule: its batch-norm and ReLU6 rows read 0 and their work
+/// is charged to the group's conv row), as JSON, plus `Model::forward`'s
+/// own minimum for comparison with the per-node sums. Each node's time is
+/// its minimum over interleaved rounds of the three walks (each with its
+/// own warmed arena); every walk must return `Model::forward`'s logits bit
+/// for bit.
 fn mbv2_forward_by_op_json() -> String {
     const ROUNDS: usize = 7;
     let model = MobileNetV2Config::cifar().build_seeded(42).expect("valid config");
@@ -300,12 +362,13 @@ fn mbv2_forward_by_op_json() -> String {
     let forward = model.forward(input).unwrap();
     let plan = CompiledPlan::compile(&model, &model.forward_cached(input).unwrap()).unwrap();
     let mut sides = [
-        (None, ScratchArena::new(), Vec::new()),
-        (Some(plan.panels()), ScratchArena::new(), Vec::new()),
+        (Walk::Arena, ScratchArena::new(), Vec::new()),
+        (Walk::Panels(&plan), ScratchArena::new(), Vec::new()),
+        (Walk::Fused(&plan), ScratchArena::new(), Vec::new()),
     ];
     for _ in 0..ROUNDS {
-        for (panels, arena, best) in &mut sides {
-            let (times, logits) = forward_by_node(&model, input, *panels, arena);
+        for (walk, arena, best) in &mut sides {
+            let (times, logits) = forward_by_node(&model, input, *walk, arena);
             assert!(logits.bits_equal(&forward), "a by-node walk changed the logits");
             if best.is_empty() {
                 *best = times;
@@ -322,25 +385,29 @@ fn mbv2_forward_by_op_json() -> String {
         },
         ROUNDS,
     );
-    let [arena, panels] = sides.map(|(_, _, best)| {
+    let [arena, panels, fused] = sides.map(|(_, _, best)| {
         let mut by_kind = [0.0; OP_KINDS.len()];
         for (kind, secs) in best {
             by_kind[kind] += secs;
         }
         by_kind
     });
-    let (total_arena, total_panels) = (arena.iter().sum::<f64>(), panels.iter().sum::<f64>());
+    let total = |side: &[f64]| side.iter().sum::<f64>();
+    let (total_arena, total_panels, total_fused) = (total(&arena), total(&panels), total(&fused));
     let rows: Vec<String> = OP_KINDS
         .iter()
         .enumerate()
         .map(|(i, kind)| {
             format!(
                 "      {{\"op\": \"{kind}\", \"arena_ms\": {:.3}, \"arena_share\": {:.3}, \
-                 \"panels_ms\": {:.3}, \"panels_share\": {:.3}}}",
+                 \"panels_ms\": {:.3}, \"panels_share\": {:.3}, \"fused_ms\": {:.3}, \
+                 \"fused_share\": {:.3}}}",
                 arena[i] * 1e3,
                 arena[i] / total_arena,
                 panels[i] * 1e3,
-                panels[i] / total_panels
+                panels[i] / total_panels,
+                fused[i] * 1e3,
+                fused[i] / total_fused
             )
         })
         .collect();
@@ -348,14 +415,17 @@ fn mbv2_forward_by_op_json() -> String {
         "{{\n    \"workload\": \"MobileNetV2 (width 1.0, 32x32), one image, through the arena \
          kernels of the campaign's suffix evaluator; per-node minimum of {ROUNDS} interleaved \
          passes, summed per op kind; arena = per-call weight packing, panels = golden weight \
-         panels ({} convs, {:.2} MB)\",\n    \"model_forward_min_ms\": {:.3},\n    \
-         \"arena_total_ms\": {:.3},\n    \"panels_total_ms\": {:.3},\n    \"ops\": \
-         [\n{}\n    ]\n  }}",
+         panels ({} convs, {:.2} MB), fused = golden panels with {} conv/depthwise + BN \
+         (+ ReLU6) groups fused into one conv each\",\n    \"model_forward_min_ms\": {:.3},\n    \
+         \"arena_total_ms\": {:.3},\n    \"panels_total_ms\": {:.3},\n    \
+         \"fused_total_ms\": {:.3},\n    \"ops\": [\n{}\n    ]\n  }}",
         plan.panels().count(),
         plan.panels().memory_bytes() as f64 / 1e6,
+        plan.fused_groups(),
         forward_s * 1e3,
         total_arena * 1e3,
         total_panels * 1e3,
+        total_fused * 1e3,
         rows.join(",\n")
     )
 }
@@ -606,18 +676,33 @@ fn emit_bench_json() {
         .collect();
 
     // Depthwise rows: the same interleaved-rounds minimum discipline.
+    // `dispatch_min_s` is `conv2d` (the kernel the fixed-size rule picks);
+    // on the rule's shapes both fast kernels are timed on their own too.
     let mut depthwise_entries = Vec::new();
     for &(channels, side, stride) in &DEPTHWISE_SHAPES {
         let operands = depthwise_operands(channels, side, stride);
-        let (mut scalar, mut plane) = (f64::INFINITY, f64::INFINITY);
+        let (mut scalar, mut dispatch) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..GEMM_ROUNDS {
             scalar = scalar.min(depthwise_min_secs(&operands, GemmKernel::Naive, GEMM_ITERS));
-            plane = plane.min(depthwise_min_secs(&operands, GemmKernel::Blocked, GEMM_ITERS));
+            dispatch = dispatch.min(depthwise_min_secs(&operands, GemmKernel::Blocked, GEMM_ITERS));
         }
+        let (input, weight, cfg) = &operands;
+        let fixed = if ops::conv2d_depthwise_fixed(input, weight, *cfg) {
+            let (plane, fixed) = depthwise_fixed_min_secs(&operands, GEMM_ROUNDS, GEMM_ITERS);
+            format!(
+                ", \"plane_min_s\": {plane:.9}, \"fixed_min_s\": {fixed:.9}, \
+                 \"fixed_vs_plane_speedup\": {:.3}",
+                plane / fixed
+            )
+        } else {
+            String::new()
+        };
         depthwise_entries.push(format!(
             "    {{\"channels\": {channels}, \"plane\": \"{side}x{side}\", \"stride\": {stride}, \
-             \"scalar_min_s\": {scalar:.9}, \"plane_min_s\": {plane:.9}, \"speedup\": {:.3}}}",
-            scalar / plane
+             \"rule\": \"{}\", \"scalar_min_s\": {scalar:.9}, \"dispatch_min_s\": {dispatch:.9}, \
+             \"speedup\": {:.3}{fixed}}}",
+            if fixed.is_empty() { "plane" } else { "fixed" },
+            scalar / dispatch
         ));
     }
     // In-place rows: both paths of the rule per stride-1 conv shape.
@@ -716,8 +801,10 @@ fn emit_bench_json() {
 /// heuristic must never pick a losing kernel — the panel GEMM is slower
 /// than per-call packing at any [`PANEL_SHAPES`] shape, the path the
 /// in-place rule picks is more than 10% slower than the other at any
-/// [`INDIRECT_SHAPES`] conv, or the depthwise
-/// plane kernel is slower than the scalar loop at any depthwise shape, plus a
+/// [`INDIRECT_SHAPES`] conv, the depthwise plane kernel is slower than
+/// the scalar loop at any depthwise shape, or the fixed-size depthwise
+/// kernel is more than 10% slower than the plane kernel at any shape the
+/// rule gives it, plus a
 /// smoke-scale campaign asserting the compiled-plan batched path
 /// classifies identically to the per-image fast path and recording its
 /// speedup.
@@ -873,6 +960,35 @@ fn smoke() -> i32 {
             eprintln!(
                 "FAIL: depthwise plane kernel slower than the scalar loop at \
                  {channels}@{side}x{side} s{stride}: {plane:.6}s vs {scalar:.6}s"
+            );
+            status = 1;
+        }
+    }
+
+    // Fixed-size depthwise gate: on every shape the rule hands the
+    // fixed-size kernel, it must not be more than 10% slower than the
+    // plane kernel it replaces (min of rounds, one re-measure).
+    for &(channels, side, stride) in &DEPTHWISE_SHAPES {
+        let operands = depthwise_operands(channels, side, stride);
+        let (input, weight, cfg) = &operands;
+        if !ops::conv2d_depthwise_fixed(input, weight, *cfg) {
+            continue;
+        }
+        let (mut plane, mut fixed) = depthwise_fixed_min_secs(&operands, 3, ITERS);
+        if fixed > plane * 1.10 {
+            (plane, fixed) = depthwise_fixed_min_secs(&operands, 3, ITERS);
+        }
+        println!(
+            "smoke depthwise fixed-size {channels}@{side}x{side} s{stride}: plane {:.1}us \
+             fixed {:.1}us (speedup {:.2}x)",
+            plane * 1e6,
+            fixed * 1e6,
+            plane / fixed
+        );
+        if fixed > plane * 1.10 {
+            eprintln!(
+                "FAIL: fixed-size depthwise kernel slower than the plane kernel at \
+                 {channels}@{side}x{side} s{stride}: {fixed:.6}s vs {plane:.6}s"
             );
             status = 1;
         }

@@ -1083,7 +1083,7 @@ pub(crate) fn classify_one<C: Corruption>(
                 lowered,
                 dirty_unit,
                 converge: cfg.convergence && fast,
-                panels: Some(golden.plan().panels()),
+                plan: Some(golden.plan()),
                 ..pass_options(cfg, arena)
             };
             model.forward_suffix(Some(dirty), cache, &[], &mut opts)
@@ -1319,8 +1319,7 @@ fn classify_activation(
         verdict.delta(stats);
         out
     } else {
-        let mut opts =
-            ForwardOptions { panels: Some(golden.plan().panels()), ..pass_options(cfg, arena) };
+        let mut opts = ForwardOptions { plan: Some(golden.plan()), ..pass_options(cfg, arena) };
         model.forward_suffix(None, cache, &[fault.patch()], &mut opts)?
     };
     wprobe.inference_end(timer);

@@ -1,9 +1,12 @@
 use serde::{Deserialize, Serialize};
 
-use sfi_tensor::ops::{self, BatchNormParams, GemmKernel, LoweredConv, PackedConvWeight};
+use sfi_tensor::ops::{
+    self, BatchNormParams, ConvEpilogue, GemmKernel, LoweredConv, PackedConvWeight,
+};
 use sfi_tensor::{ScratchArena, Tensor};
 
-use crate::{GoldenPanels, NnError, Node, NodeId, ParamId, ParameterStore, WeightLayer};
+use crate::plan::vacant;
+use crate::{CompiledPlan, NnError, Node, NodeId, ParamId, ParameterStore, WeightLayer};
 
 /// Kernel and allocation policy of a forward pass.
 ///
@@ -42,14 +45,16 @@ pub struct ForwardOptions<'a> {
     /// input holds during this pass. [`Model::forward_suffix`] ignores
     /// them whenever it applies activation patches.
     pub lowered: Option<(NodeId, &'a LoweredConv)>,
-    /// Golden weight panels ([`CompiledPlan::panels`](crate::CompiledPlan::panels))
-    /// for the conv GEMMs of a [`Model::forward_suffix`] pass under
-    /// [`KernelPolicy::Fast`]. The pass never lets its `weight_dirty` node
-    /// read its panel; the caller asserts every *other* recomputed node's
-    /// weights hold the golden values the panels were packed from — true
-    /// for a single weight fault and for transient faults, not for
-    /// accumulated multi-layer faults. Ignored by [`Model::forward_with`].
-    pub panels: Option<&'a GoldenPanels>,
+    /// The model's compiled plan, for a [`Model::forward_suffix`] pass
+    /// under [`KernelPolicy::Fast`]. Its golden weight panels
+    /// ([`CompiledPlan::panels`]) feed the conv GEMMs: the pass never lets
+    /// its `weight_dirty` node read its panel, and the caller asserts every
+    /// *other* recomputed node's weights hold the golden values the panels
+    /// were packed from — true for a single weight fault and for transient
+    /// faults, not for accumulated multi-layer faults. A pure weight-fault
+    /// pass (no patches) also runs on the plan's schedule: fused groups and
+    /// last-reader recycling. Ignored by [`Model::forward_with`].
+    pub plan: Option<&'a CompiledPlan>,
     /// Output unit (conv out-channel / linear out-feature) through which
     /// the active weight fault reaches the *first dirty* node, when the
     /// caller knows it (see [`Model::param_output_unit`]). A converging
@@ -107,6 +112,9 @@ pub(crate) struct NodeKernels<'a> {
     pub(crate) lowered: Option<&'a LoweredConv>,
     /// This node's conv weight, pre-packed from its live values.
     pub(crate) panel: Option<&'a PackedConvWeight>,
+    /// The fused batch norm and activation of the group this conv heads,
+    /// applied to its output (fast policy only).
+    pub(crate) epilogue: Option<ConvEpilogue<'a>>,
 }
 
 /// Result of the single-unit convergence probe (a converging
@@ -393,14 +401,15 @@ impl Model {
     }
 
     /// Evaluates node `id` with its operands read from `vals`, the cached
-    /// lowering `opts` names for this node, and `panel` as its packed conv
+    /// lowering `opts` names for this node, `panel` as its packed conv
     /// weight (callers pass only a panel packed from this node's live
-    /// weights). See [`Model::eval_node`].
+    /// weights) and `epilogue` as its fused tail. See [`Model::eval_node`].
     pub(crate) fn eval_node_with(
         &self,
         id: NodeId,
         vals: &NodeValues<'_>,
         panel: Option<&PackedConvWeight>,
+        epilogue: Option<ConvEpilogue<'_>>,
         opts: &mut ForwardOptions<'_>,
     ) -> Result<Tensor, NnError> {
         let inputs = &self.nodes[id].inputs;
@@ -410,7 +419,7 @@ impl Model {
             Some((n, low)) if n == id => Some(low),
             _ => None,
         };
-        let kernels = NodeKernels { policy: opts.policy, lowered, panel };
+        let kernels = NodeKernels { policy: opts.policy, lowered, panel, epilogue };
         self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())
     }
 
@@ -420,14 +429,16 @@ impl Model {
     ///
     /// Under [`KernelPolicy::Fast`] convs consume `kernels.lowered` (im2col
     /// panels of `x0`) and `kernels.panel` (the packed weight) when given,
-    /// and every buffer comes from `arena` when there is one. Without
+    /// apply `kernels.epilogue` to their output (the node then stands for
+    /// its whole fusion group), and every buffer comes from `arena` when
+    /// there is one. Without
     /// `kernels.lowered`, a conv that [`ops::conv2d_reads_in_place`]
     /// multiplies `x0` in place (over `kernels.panel`, or its weight packed
     /// once for the call) and every other conv lowers `x0` itself.
     /// [`KernelPolicy::Naive`] is the historical reference path: it clones
     /// every operand, allocates fresh, runs the naive GEMM and the scalar
-    /// depthwise loop, and ignores both conv hints. Every combination is
-    /// bit-identical.
+    /// depthwise loop, and ignores the conv hints; it is never given an
+    /// epilogue. Every combination is bit-identical.
     pub(crate) fn eval_node(
         &self,
         id: NodeId,
@@ -452,12 +463,14 @@ impl Model {
             NodeOp::Input => unreachable!("input node is never re-evaluated"),
             NodeOp::Conv { weight, bias, cfg } => {
                 let (w, b) = (param(*weight), bias.map(&param));
+                let (ep, panel) = (kernels.epilogue.as_ref(), kernels.panel);
+                debug_assert!(!naive || ep.is_none(), "the naive path runs unfused");
                 let conv = match (naive, kernels.lowered, arena) {
                     (true, ..) => ops::conv2d_kernel(x0, w, b, *cfg, GemmKernel::Naive),
-                    (false, Some(low), a) => ops::conv2d_from_lowered(low, w, b, kernels.panel, a),
-                    (false, None, Some(a)) => ops::conv2d_with(x0, w, b, *cfg, kernels.panel, a),
+                    (false, Some(low), a) => ops::conv2d_from_lowered(low, w, b, ep, panel, a),
+                    (false, None, Some(a)) => ops::conv2d_with(x0, w, b, *cfg, ep, panel, a),
                     (false, None, None) => {
-                        ops::conv2d_with(x0, w, b, *cfg, kernels.panel, &mut ScratchArena::new())
+                        ops::conv2d_with(x0, w, b, *cfg, ep, panel, &mut ScratchArena::new())
                     }
                 };
                 conv.map_err(wrap)?
@@ -548,6 +561,7 @@ impl Model {
                     suffix: &suffix,
                 },
                 None,
+                None,
                 opts,
             )?;
             suffix.push(v);
@@ -579,6 +593,7 @@ impl Model {
                     suffix_base: usize::MAX,
                     suffix: &[],
                 },
+                None,
                 None,
                 &mut ForwardOptions::default(),
             )?;
@@ -643,18 +658,31 @@ impl Model {
     ///   re-evaluation because no other unit depends on the faulted
     ///   weight row.
     ///
-    /// With [`ForwardOptions::panels`] every recomputed conv GEMM reads its
+    /// With [`ForwardOptions::plan`] every recomputed conv GEMM reads its
     /// golden weight panel — except the `weight_dirty` node's, which always
     /// packs its live (faulted) weights. This holds for patched passes too.
+    /// A pure weight-fault pass under [`KernelPolicy::Fast`] also runs on
+    /// the plan's schedule:
     ///
-    /// Intermediate tensors are recycled into `opts.arena` when the pass
-    /// ends, so the next image reuses the same scratch.
+    /// - every fusion group the suffix enters at its head (conv or
+    ///   depthwise conv → batch norm → optional ReLU/ReLU6) is one conv
+    ///   with a fused epilogue, bit-identical to the three unfused nodes,
+    ///   and convergence is checked at the group's output only — the
+    ///   intermediates have a single reader inside the group, so they can
+    ///   never be live past it;
+    /// - each recomputed activation goes back to `opts.arena` as soon as
+    ///   its last reader has run ([`CompiledPlan::flush_after`]).
+    ///
+    /// Patched (transient) passes stay unfused, because a strike may land
+    /// inside a group. Intermediate tensors still held when the pass ends
+    /// are recycled into `opts.arena`, so the next image reuses the same
+    /// scratch.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::CacheMismatch`] when the cache does not cover
-    /// this model's nodes or a patch names an out-of-range node or
-    /// element, or the first operator failure.
+    /// Returns [`NnError::CacheMismatch`] when the cache or the plan does
+    /// not cover this model's nodes or a patch names an out-of-range node
+    /// or element, or the first operator failure.
     pub fn forward_suffix(
         &self,
         weight_dirty: Option<NodeId>,
@@ -670,6 +698,11 @@ impl Model {
                     "cache holds {} activations, model has {n_nodes} nodes",
                     golden.len()
                 ),
+            });
+        }
+        if let Some(plan) = opts.plan.filter(|p| p.len() != n_nodes) {
+            return Err(NnError::CacheMismatch {
+                reason: format!("plan covers {} nodes, model has {n_nodes}", plan.len()),
             });
         }
         for p in patches {
@@ -732,8 +765,9 @@ impl Model {
     }
 
     /// The recompute loop of [`Model::forward_suffix`] from node `start`
-    /// on, with the golden-convergence bookkeeping when it applies. Node
-    /// `weight_dirty` never reads its golden panel.
+    /// on, with the golden-convergence bookkeeping when it applies and the
+    /// plan's schedule when it runs on one. Node `weight_dirty` never reads
+    /// its golden panel.
     fn recompute_suffix(
         &self,
         start: NodeId,
@@ -746,6 +780,8 @@ impl Model {
         let n_nodes = self.nodes.len();
         let golden = &cache.activations;
         let converge = opts.converge && patches.is_empty();
+        let plan = opts.plan;
+        let schedule = plan.filter(|_| patches.is_empty() && opts.policy == KernelPolicy::Fast);
         // For each node, the last node that reads its activation: a dirty
         // (differs-from-golden) recomputed node stays live — and blocks
         // convergence — until its last reader has been evaluated.
@@ -778,33 +814,51 @@ impl Model {
                 }
             }
         }
-        for id in next..n_nodes {
+        let mut id = next;
+        while id < n_nodes {
             let vals = NodeValues { prefix: golden, overrides, suffix_base: start, suffix: &fresh };
-            let panel = match opts.panels {
-                Some(p) if weight_dirty != Some(id) => p.get(id),
+            let panel = match plan {
+                Some(p) if weight_dirty != Some(id) => p.panels().get(id),
                 _ => None,
             };
-            let mut v = self.eval_node_with(id, &vals, panel, opts)?;
+            // A group the suffix enters at its head runs as one node whose
+            // value is the group's output.
+            let (out, epilogue) = match schedule.and_then(|p| p.fused_at(id)) {
+                Some((out, ep)) => (out, Some(ep)),
+                None => (id, None),
+            };
+            let mut v = self.eval_node_with(id, &vals, panel, epilogue, opts)?;
             for p in patches.iter().filter(|p| p.node == id) {
                 let s = v.as_mut_slice();
                 s[p.element] = p.apply(s[p.element]);
             }
             if converge {
-                // Node `id` has now read its inputs; dirty nodes last read
-                // here can no longer influence the suffix.
-                live_dirty -= expiring[id];
-                if v.bits_equal(&golden[id]) {
+                // Nodes `id..=out` have now read their inputs; dirty nodes
+                // last read there can no longer influence the suffix.
+                live_dirty -= expiring[id..=out].iter().sum::<u32>();
+                if v.bits_equal(&golden[out]) {
                     if live_dirty == 0 {
                         fresh.push(v);
                         recycle(fresh, opts);
-                        return Ok(ForwardOutcome::Converged { at_node: id });
+                        return Ok(ForwardOutcome::Converged { at_node: out });
                     }
-                } else if last_reader[id] > id {
-                    expiring[last_reader[id]] += 1;
+                } else if last_reader[out] > out {
+                    expiring[last_reader[out]] += 1;
                     live_dirty += 1;
                 }
             }
+            // Fused-away intermediates hold vacant slots: their one reader
+            // is inside the group.
+            fresh.extend((id..out).map(|_| vacant()));
             fresh.push(v);
+            if let (Some(p), Some(arena)) = (schedule, opts.arena.as_deref_mut()) {
+                for dead in (id..=out).flat_map(|step| p.flush_after(step)) {
+                    if let Some(slot) = dead.checked_sub(start) {
+                        arena.recycle(std::mem::replace(&mut fresh[slot], vacant()).into_vec());
+                    }
+                }
+            }
+            id = out + 1;
         }
         let out = fresh.pop().expect("suffix is nonempty");
         recycle(fresh, opts);

@@ -18,12 +18,16 @@
 //!   register-tiled GEMM tier serves, packed once into that kernel's strip
 //!   layout, so every suffix GEMM downstream of a faulted node multiplies
 //!   pre-packed golden panels instead of re-packing the layer per call;
-//! - **conv+bn(+relu) fusion groups** — batch-norm folds to a per-channel
-//!   `mul`+`add` whose coefficients come from the *same*
-//!   [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
-//!   helper the unfused kernel uses, so the fused epilogue is bit-identical
-//!   by construction. BN parameters are not fault-injectable (only weights
-//!   are), so folding at compile time is always sound;
+//! - **conv+bn(+relu) fusion groups** — a conv or depthwise conv, the
+//!   batch norm after it and an optional ReLU/ReLU6 run as one conv with a
+//!   fused epilogue, in the dense per-image suffix
+//!   ([`Model::forward_suffix`]) and the batched engine alike. Batch norm
+//!   folds to a per-channel `mul`+`add` whose coefficients come from the
+//!   *same* [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
+//!   helper the unfused kernel uses, applied by the same element function,
+//!   so the fused epilogue is bit-identical by construction. BN parameters
+//!   are not fault-injectable (only weights are), so folding at compile
+//!   time is always sound;
 //! - the **batched eval-image engine**
 //!   ([`CompiledPlan::forward_batched_from`]) — all E eval images stacked
 //!   into one im2col panel so each suffix node costs one GEMM per fault
@@ -53,9 +57,9 @@ use sfi_tensor::{ScratchArena, Shape, Tensor};
 use crate::model::NodeValues;
 use crate::{ActivationCache, ForwardOptions, Model, NnError, NodeId, NodeOp, ParamId};
 
-/// One conv+bn(+relu) fusion group: the conv head, the folded batch-norm
-/// coefficients, and the optional activation, emitted as a single fused
-/// kernel by the batched engine.
+/// One conv+bn(+relu) fusion group: the conv (or depthwise conv) head,
+/// the folded batch-norm coefficients, and the optional activation,
+/// emitted as a single fused kernel by both suffix engines.
 #[derive(Debug, Clone)]
 struct FusedGroup {
     /// The conv node heading the group.
@@ -77,6 +81,17 @@ impl FusedGroup {
     fn output(&self) -> NodeId {
         self.act.unwrap_or(self.bn)
     }
+
+    /// The folded batch norm and activation, as a conv epilogue.
+    fn epilogue(&self) -> ConvEpilogue<'_> {
+        ConvEpilogue { bn: Some((&self.scale, &self.shift)), act: self.activation }
+    }
+}
+
+/// An empty stand-in for a suffix activation that is fused away or already
+/// recycled; it owns no buffer.
+pub(crate) fn vacant() -> Tensor {
+    Tensor::from_vec([0], Vec::new()).expect("an empty shape holds no elements")
 }
 
 /// Maximum estimated dense-suffix flops (per image) of a weight fault's
@@ -272,15 +287,13 @@ impl CompiledPlan {
 
         // Fusion grouping: conv -> bn (-> relu/relu6) chains whose
         // intermediates have exactly one reader, in consecutive id order
-        // (how every builder emits them). Single-reader is what makes it
-        // sound to never materialize the intermediate activations.
+        // (how every builder emits them), headed by a GEMM or a depthwise
+        // conv. Single-reader is what makes it sound to never materialize
+        // the intermediate activations.
         let mut head = vec![None; n];
         let mut member = vec![None; n];
         let mut groups = Vec::new();
         for id in 1..n {
-            if !lowerable[id] {
-                continue;
-            }
             if !matches!(nodes[id].op, NodeOp::Conv { .. }) {
                 continue;
             }
@@ -390,6 +403,14 @@ impl CompiledPlan {
     /// Number of conv+bn(+relu) fusion groups in the plan.
     pub fn fused_groups(&self) -> usize {
         self.groups.len()
+    }
+
+    /// The fusion group conv node `id` heads, as its output node and the
+    /// epilogue that stands for the rest of the group: running node `id`
+    /// with that epilogue yields the output node's activation.
+    pub fn fused_at(&self, id: NodeId) -> Option<(NodeId, ConvEpilogue<'_>)> {
+        let g = &self.groups[self.head.get(id).copied().flatten()?];
+        Some((g.output(), g.epilogue()))
     }
 
     /// The fusion group node `id` belongs to, as `(head conv, group
@@ -509,7 +530,6 @@ impl CompiledPlan {
                 }
             }
         }
-        let placeholder = || Tensor::zeros([1]);
         let mut id = start;
         while id < n {
             // A fused group executes whole only when the suffix enters at
@@ -578,9 +598,7 @@ impl CompiledPlan {
                     if keep.is_empty() {
                         arena.recycle(value.into_vec());
                         for t in fresh {
-                            if t.len() > 1 {
-                                arena.recycle(t.into_vec());
-                            }
+                            arena.recycle(t.into_vec());
                         }
                         return Ok(BatchedOutcome::Converging {
                             converged_at,
@@ -596,8 +614,8 @@ impl CompiledPlan {
                     arena.recycle(value.into_vec());
                     value = kept;
                     for slot in fresh.iter_mut() {
-                        if slot.len() > 1 {
-                            let old = std::mem::replace(slot, placeholder());
+                        if !slot.is_empty() {
+                            let old = std::mem::replace(slot, vacant());
                             let kept = take_rows(&old, &keep, arena);
                             arena.recycle(old.into_vec());
                             *slot = kept;
@@ -607,31 +625,21 @@ impl CompiledPlan {
                 }
             }
             // Fused-away intermediates occupy their suffix slots with
-            // placeholders; the single-reader fusion condition guarantees
+            // vacant tensors; the single-reader fusion condition guarantees
             // nothing outside the group reads them.
-            for _ in id..out_node {
-                fresh.push(placeholder());
-            }
+            fresh.extend((id..out_node).map(|_| vacant()));
             fresh.push(value);
             // Flush activations whose last reader has now run.
-            for step in id..=out_node {
-                for &dead in &self.flush[step] {
-                    if dead >= first_dirty && dead < out_node {
-                        let slot = dead - first_dirty;
-                        if slot < fresh.len() && fresh[slot].len() > 1 {
-                            let t = std::mem::replace(&mut fresh[slot], placeholder());
-                            arena.recycle(t.into_vec());
-                        }
-                    }
+            for dead in (id..=out_node).flat_map(|step| self.flush_after(step)) {
+                if let Some(slot) = dead.checked_sub(first_dirty) {
+                    arena.recycle(std::mem::replace(&mut fresh[slot], vacant()).into_vec());
                 }
             }
             id = out_node + 1;
         }
         let out = fresh.pop().expect("suffix is nonempty");
         for t in fresh {
-            if t.len() > 1 {
-                arena.recycle(t.into_vec());
-            }
+            arena.recycle(t.into_vec());
         }
         if check_convergence {
             Ok(BatchedOutcome::Converging { converged_at, logits: out.into_vec(), classes })
@@ -645,9 +653,11 @@ impl CompiledPlan {
     /// `images * spatial` panels are exactly the wide-`n` shapes the
     /// `micro` dispatch tier owns), bias + folded BN + activation
     /// applied in the scatter epilogue (bit-identical to the unfused
-    /// three-pass sequence — see the module docs). When the converging
-    /// pass has dropped images (`rows.len() < batch`), golden prefix
-    /// inputs are compacted to the surviving rows before lowering.
+    /// three-pass sequence — see the module docs). A depthwise head runs
+    /// the per-image depthwise kernel with the same epilogue, which treats
+    /// the batch natively. When the converging pass has dropped images
+    /// (`rows.len() < batch`), golden prefix inputs are compacted to the
+    /// surviving rows first.
     #[allow(clippy::too_many_arguments)]
     fn eval_fused(
         &self,
@@ -669,34 +679,36 @@ impl CompiledPlan {
         let w = param(*weight);
         let b = bias.map(&param);
         let wrap = |source| NnError::Op { node: g.conv, source };
-        let ep = ConvEpilogue { bn: Some((&g.scale, &g.shift)), act: g.activation };
+        let ep = g.epilogue();
         let packed = self.golden_panel(g.conv, first_dirty);
-        let out = match lowered {
+        match lowered {
             // The first dirty conv's golden-input panel is shared across
             // every fault at this node; the converging pass only evaluates
             // the seed node while all rows are still live, so the panel
             // never needs compaction.
             Some(low) if g.conv == first_dirty && rows.len() == batch => {
-                ops::conv2d_batched_from_lowered(low, w, b, Some(&ep), packed, Some(arena))
-                    .map_err(wrap)?
+                return ops::conv2d_batched_from_lowered(low, w, b, Some(&ep), packed, Some(arena))
+                    .map_err(wrap);
             }
-            _ => {
-                let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
-                let compacted = (node.inputs[0] < first_dirty && rows.len() < batch)
-                    .then(|| take_rows(raw, rows, arena));
-                let input = compacted.as_ref().unwrap_or(raw);
-                let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
-                let out =
-                    ops::conv2d_batched_from_lowered(&owned, w, b, Some(&ep), packed, Some(arena))
-                        .map_err(wrap)?;
-                arena.recycle(owned.into_cols());
-                if let Some(c) = compacted {
-                    arena.recycle(c.into_vec());
-                }
-                out
-            }
+            _ => {}
+        }
+        let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
+        let compacted = (node.inputs[0] < first_dirty && rows.len() < batch)
+            .then(|| take_rows(raw, rows, arena));
+        let input = compacted.as_ref().unwrap_or(raw);
+        let out = if self.lowerable[g.conv] {
+            let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
+            let out =
+                ops::conv2d_batched_from_lowered(&owned, w, b, Some(&ep), packed, Some(arena));
+            arena.recycle(owned.into_cols());
+            out
+        } else {
+            ops::conv2d_with(input, w, b, *cfg, Some(&ep), None, arena)
         };
-        Ok(out)
+        if let Some(c) = compacted {
+            arena.recycle(c.into_vec());
+        }
+        out.map_err(wrap)
     }
 
     /// Evaluates one unfused plan step over the batched values. Lowerable
@@ -777,7 +789,7 @@ impl CompiledPlan {
             suffix: fresh,
         };
         let mut opts = ForwardOptions { arena: Some(arena), ..ForwardOptions::default() };
-        let out = model.eval_node_with(id, &vals, None, &mut opts);
+        let out = model.eval_node_with(id, &vals, None, None, &mut opts);
         for (_, t) in over_rows {
             arena.recycle(t.into_vec());
         }
@@ -1082,6 +1094,26 @@ mod tests {
                 assert!(plan.is_lowerable_conv(id));
             }
         }
+    }
+
+    #[test]
+    fn depthwise_heads_fuse_with_bn_and_relu6() {
+        let model = crate::mobilenet::MobileNetV2Config::cifar_micro().build_seeded(7).unwrap();
+        let input = Tensor::from_fn([1, 3, 16, 16], |i| (i as f32 * 0.29).sin());
+        let plan = CompiledPlan::compile(&model, &model.forward_cached(&input).unwrap()).unwrap();
+        let mut depthwise = 0;
+        for (id, node) in model.nodes().iter().enumerate() {
+            let NodeOp::Conv { cfg, .. } = node.op else { continue };
+            let (out, ep) = plan.fused_at(id).expect("every MobileNetV2 conv heads a group");
+            assert_eq!(plan.fusion_of(out), Some((id, out)));
+            if cfg.groups > 1 {
+                depthwise += 1;
+                assert!(!plan.is_lowerable_conv(id));
+                assert_eq!(ep.act, FusedActivation::Relu6, "depthwise -> bn -> relu6");
+                assert!(matches!(model.nodes()[out].op, NodeOp::Relu6));
+            }
+        }
+        assert!(depthwise > 0, "inverted-residual blocks hold depthwise convs");
     }
 
     #[test]

@@ -1,19 +1,37 @@
 use crate::{ScratchArena, Tensor, TensorError};
 
+/// ReLU of one element: a compare-and-select, so NaN and `-0.0` pass
+/// through (the `< 0.0` compare is false for either). The only place the
+/// expression is written — the unfused kernels and the fused conv
+/// epilogue all call it.
+#[inline]
+pub(crate) fn relu_element(v: f32) -> f32 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// ReLU6 of one element: `f32::clamp` propagates NaN, matching the
+/// documented semantics. The only place the expression is written, as for
+/// [`relu_element`].
+#[inline]
+pub(crate) fn relu6_element(v: f32) -> f32 {
+    v.clamp(0.0, 6.0)
+}
+
 /// The ReLU kernel behind [`relu`].
 fn relu_apply(data: &mut [f32]) {
     for v in data {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = relu_element(*v);
     }
 }
 
 /// The ReLU6 kernel behind [`relu6`].
 fn relu6_apply(data: &mut [f32]) {
-    // f32::clamp propagates NaN, matching the documented semantics.
     for v in data {
-        *v = v.clamp(0.0, 6.0);
+        *v = relu6_element(*v);
     }
 }
 
@@ -42,13 +60,12 @@ pub fn relu(input: &Tensor) -> Tensor {
 /// (GEMM, batch norm, add), ReLU performs no floating-point *arithmetic* —
 /// only a compare-and-select — so every output bit pattern equals either
 /// the input element or `0.0` regardless of how the loop is compiled.
-/// Bit-identity with [`relu`] therefore holds by value, without needing a
-/// shared compiled kernel (NaN and `-0.0` are preserved by both: the
-/// `< 0.0` compare is false for either).
+/// Bit-identity with [`relu`] therefore holds by value, and both apply the
+/// same element function.
 pub fn relu_with(input: &Tensor, arena: &mut ScratchArena) -> Tensor {
     let mut data = arena.take(input.len());
     for (d, &s) in data.iter_mut().zip(input.as_slice()) {
-        *d = if s < 0.0 { 0.0 } else { s };
+        *d = relu_element(s);
     }
     Tensor::from_vec(input.shape(), data).expect("same length as input")
 }
@@ -69,7 +86,7 @@ pub fn relu6(input: &Tensor) -> Tensor {
 pub fn relu6_with(input: &Tensor, arena: &mut ScratchArena) -> Tensor {
     let mut data = arena.take(input.len());
     for (d, &s) in data.iter_mut().zip(input.as_slice()) {
-        *d = s.clamp(0.0, 6.0);
+        *d = relu6_element(s);
     }
     Tensor::from_vec(input.shape(), data).expect("same length as input")
 }

@@ -2,11 +2,13 @@ use std::ops::Range;
 
 use crate::{ScratchArena, Shape, Tensor, TensorError};
 
+use super::activation::{relu6_element, relu_element};
 use super::gemm::{gemm, gemm_blocked_with};
 use super::microkernel::{
     gemm_indirect, gemm_micro_packed, gemm_row, gemm_row_indirect, gemm_scratch_len,
     gemm_selected_kernel, pack_lhs_into, IndirectRhs, PackedLhs, NR,
 };
+use super::norm::bn_element;
 
 /// Spatial padding policy for [`conv2d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,6 +210,16 @@ impl ConvDims {
     fn reads_in_place(&self, cfg: Conv2dCfg) -> bool {
         let (m, k, n) = (self.c_out, self.c_in * self.k_h * self.k_w, self.h_out * self.w_out);
         self.fits_in_place(cfg) && gemm_selected_kernel(m, k, n) == "micro"
+    }
+
+    /// The plane side of a depthwise conv the fixed-size kernel
+    /// ([`depthwise_fixed`]) serves: stride 1, a 3x3 kernel with one pixel
+    /// of padding, on square 4x4 or 8x8 planes. `None` sends the conv to
+    /// [`depthwise_planes`].
+    fn fixed_side(&self, cfg: Conv2dCfg) -> Option<usize> {
+        let square = self.h_in == self.w_in && matches!(self.h_in, 4 | 8);
+        let taps = self.k_h == 3 && self.k_w == 3 && self.pad == 1;
+        (self.is_depthwise(cfg) && cfg.stride == 1 && taps && square).then_some(self.h_in)
     }
 
     /// Whether the in-place kernel can run this conv at all: a stride-1,
@@ -430,43 +442,55 @@ pub fn conv2d_kernel(
     kernel: GemmKernel,
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
-    if dims.is_depthwise(cfg) {
-        Ok(depthwise(input, weight, bias, cfg, &dims, kernel, None))
-    } else if kernel == GemmKernel::Blocked && dims.reads_in_place(cfg) {
-        Ok(in_place_conv(input, weight, bias, &dims, None, None))
-    } else {
-        Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None, None))
+    match (dims.is_depthwise(cfg), kernel) {
+        (true, GemmKernel::Naive) => Ok(depthwise_scalar(input, weight, bias, cfg, &dims)),
+        (true, GemmKernel::Blocked) => {
+            Ok(depthwise(input, weight, bias, cfg, &dims, dims.fixed_side(cfg), None, None))
+        }
+        (false, GemmKernel::Blocked) if dims.reads_in_place(cfg) => {
+            Ok(in_place_conv(input, weight, bias, &dims, None, None, None))
+        }
+        (false, _) => Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None, None, None)),
     }
 }
 
 /// [`conv2d`] drawing its column, packing, and output buffers from `arena`
 /// instead of the allocator — the campaign-worker hot path — and, when
 /// `packed` is given, multiplying `weight`'s pre-packed panels instead of
-/// packing it per call (depthwise convs never use panels).
+/// packing it per call (depthwise convs never use panels). An `epilogue`
+/// (folded batch norm, activation) runs on each output element after its
+/// `+ bias`, so a conv → batch norm → ReLU chain costs one output buffer.
 ///
-/// Bit-identical to [`conv2d`]; only buffer provenance and packing differ.
+/// Bit-identical to [`conv2d`] followed by the unfused
+/// [`batch_norm`](super::batch_norm)/[`relu`](super::relu)/[`relu6`](super::relu6)
+/// the epilogue stands for; only buffer provenance and packing differ.
 ///
 /// # Errors
 ///
 /// Same conditions as [`conv2d`], plus [`TensorError::InvalidConfig`]
-/// when `packed` was packed for another weight shape or group count.
+/// when `packed` was packed for another weight shape or group count, or
+/// the epilogue's coefficients do not cover the output channels.
 pub fn conv2d_with(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
+    epilogue: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     arena: &mut ScratchArena,
 ) -> Result<Tensor, TensorError> {
+    const OP: &str = "conv2d_with";
     let dims = validate(input, weight, bias, cfg)?;
     if let Some(p) = packed {
-        p.check("conv2d_with", weight, cfg.groups)?;
+        p.check(OP, weight, cfg.groups)?;
     }
+    let ep = ConvEpilogue::checked(OP, epilogue, dims.c_out)?;
     if dims.is_depthwise(cfg) {
-        Ok(depthwise(input, weight, bias, cfg, &dims, GemmKernel::Blocked, Some(arena)))
+        let side = dims.fixed_side(cfg);
+        Ok(depthwise(input, weight, bias, cfg, &dims, side, ep, Some(arena)))
     } else {
         let in_place = dims.reads_in_place(cfg);
-        Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, packed, arena))
+        Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, ep, packed, arena))
     }
 }
 
@@ -506,7 +530,43 @@ pub fn conv2d_path_with(
             reason: format!("no {} GEMM path", if in_place { "in-place" } else { "im2col" }),
         });
     }
-    Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, packed, arena))
+    Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, None, packed, arena))
+}
+
+/// [`conv2d_with`] on a depthwise conv with the fixed-size rule
+/// ([`conv2d_depthwise_fixed`]) overridden: `fixed` picks the fixed-size
+/// kernel or the plane kernel. Bit-identical to [`conv2d_with`] either
+/// way.
+///
+/// Bench and test use only, as for [`conv2d_path_with`].
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_with`], plus [`TensorError::InvalidConfig`]
+/// for a conv that is not depthwise, and for `fixed` on a shape the
+/// fixed-size kernel does not serve.
+#[doc(hidden)]
+pub fn depthwise_path_with(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    fixed: bool,
+    epilogue: Option<&ConvEpilogue<'_>>,
+    arena: &mut ScratchArena,
+) -> Result<Tensor, TensorError> {
+    const OP: &str = "depthwise_path_with";
+    let dims = validate(input, weight, bias, cfg)?;
+    let side = dims.fixed_side(cfg);
+    if !dims.is_depthwise(cfg) || (fixed && side.is_none()) {
+        return Err(TensorError::InvalidConfig {
+            op: OP,
+            reason: format!("no {} depthwise path", if fixed { "fixed-size" } else { "plane" }),
+        });
+    }
+    let ep = ConvEpilogue::checked(OP, epilogue, dims.c_out)?;
+    let side = side.filter(|_| fixed);
+    Ok(depthwise(input, weight, bias, cfg, &dims, side, ep, Some(arena)))
 }
 
 /// The GEMM conv of [`conv2d_with`]: in place or over an im2col buffer.
@@ -518,13 +578,14 @@ fn gemm_conv(
     cfg: Conv2dCfg,
     d: &ConvDims,
     in_place: bool,
+    ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     arena: &mut ScratchArena,
 ) -> Tensor {
     if in_place {
-        in_place_conv(input, weight, bias, d, packed, Some(arena))
+        in_place_conv(input, weight, bias, d, ep, packed, Some(arena))
     } else {
-        im2col_conv(input, weight, bias, cfg, d, GemmKernel::Blocked, packed, Some(arena))
+        im2col_conv(input, weight, bias, cfg, d, GemmKernel::Blocked, ep, packed, Some(arena))
     }
 }
 
@@ -600,7 +661,7 @@ pub fn conv2d_im2col(
     cfg: Conv2dCfg,
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
-    Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Naive, None, None))
+    Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Naive, None, None, None))
 }
 
 /// Whether `(input, weight, cfg)` is a GEMM convolution — one an
@@ -633,6 +694,18 @@ pub fn conv2d_uses_lowering(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> 
 pub fn conv2d_reads_in_place(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> bool {
     match validate(input, weight, None, cfg) {
         Ok(d) => d.reads_in_place(cfg),
+        Err(_) => false,
+    }
+}
+
+/// Whether [`conv2d`] and [`conv2d_with`] run the depthwise conv
+/// `(input, weight, cfg)` through the fixed-size kernel instead of the
+/// plane kernel: stride 1, a 3x3 kernel with one pixel of padding, on
+/// square 4x4 or 8x8 planes. Both kernels are bit-identical to the scalar
+/// loop. Non-depthwise and invalid configurations return `false`.
+pub fn conv2d_depthwise_fixed(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> bool {
+    match validate(input, weight, None, cfg) {
+        Ok(d) => d.fixed_side(cfg).is_some(),
         Err(_) => false,
     }
 }
@@ -780,18 +853,21 @@ pub fn im2col_lower(
 
 /// Convolution over pre-lowered column panels: skips the lowering pass and
 /// goes straight to the blocked GEMM — over `weight`'s pre-packed panels
-/// when `packed` is given. Bit-identical to [`conv2d`] on the input
-/// `lowered` was built from.
+/// when `packed` is given — then `+ bias` and the optional `epilogue`, as
+/// in [`conv2d_with`]. Bit-identical to [`conv2d`] (and the unfused chain
+/// the epilogue stands for) on the input `lowered` was built from.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidConfig`] when `weight`'s shape does not
-/// match the geometry the panels were lowered for or `packed` was packed
-/// for another shape, or a shape error for a mismatched bias.
+/// match the geometry the panels were lowered for, `packed` was packed
+/// for another shape, or the epilogue does not cover the output channels,
+/// or a shape error for a mismatched bias.
 pub fn conv2d_from_lowered(
     lowered: &LoweredConv,
     weight: &Tensor,
     bias: Option<&Tensor>,
+    epilogue: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Result<Tensor, TensorError> {
@@ -800,6 +876,7 @@ pub fn conv2d_from_lowered(
     if let Some(p) = packed {
         p.check(OP, weight, lowered.groups)?;
     }
+    let ep = ConvEpilogue::checked(OP, epilogue, lowered.c_out)?;
     let (k_len, spatial) = (lowered.k_len, lowered.spatial);
     let c_out_per_group = lowered.c_out / lowered.groups;
     let mnk = (c_out_per_group, k_len, spatial);
@@ -817,9 +894,8 @@ pub fn conv2d_from_lowered(
                 [..c_out_per_group * spatial];
             group_gemm(packed, g, mnk, w_group, lowered.panel(n, g), out_group, &mut scratch);
         }
-        if let Some(b) = bias {
-            add_bias(&mut out_data, b, n, lowered.c_out, spatial);
-        }
+        let image_len = lowered.c_out * spatial;
+        finish_image(&mut out_data[n * image_len..][..image_len], bias, ep, spatial);
     }
     if let Some(a) = arena {
         a.recycle(scratch);
@@ -953,24 +1029,66 @@ pub struct ConvEpilogue<'a> {
     pub act: FusedActivation,
 }
 
+impl FusedActivation {
+    /// The activation of one element, through the element function the
+    /// unfused kernel applies.
+    #[inline]
+    fn apply(self, v: f32) -> f32 {
+        match self {
+            FusedActivation::None => v,
+            FusedActivation::Relu => relu_element(v),
+            FusedActivation::Relu6 => relu6_element(v),
+        }
+    }
+}
+
 impl ConvEpilogue<'_> {
+    /// The epilogue of one element of output channel `channel`.
     #[inline]
     fn apply(&self, channel: usize, v: f32) -> f32 {
-        let mut v = v;
+        let v = match self.bn {
+            Some((scale, shift)) => bn_element(v, scale[channel], shift[channel]),
+            None => v,
+        };
+        self.act.apply(v)
+    }
+
+    /// [`Self::apply`] in place over a run of output channel `channel`'s
+    /// elements, one pass per stage: the same per-element sequence, so the
+    /// same bits, with each stage's loop free of branches.
+    fn apply_run(&self, channel: usize, run: &mut [f32]) {
         if let Some((scale, shift)) = self.bn {
-            v = v * scale[channel] + shift[channel];
+            let (s, t) = (scale[channel], shift[channel]);
+            run.iter_mut().for_each(|v| *v = bn_element(*v, s, t));
         }
         match self.act {
-            FusedActivation::None => v,
-            FusedActivation::Relu => {
-                if v < 0.0 {
-                    0.0
-                } else {
-                    v
-                }
-            }
-            FusedActivation::Relu6 => v.clamp(0.0, 6.0),
+            FusedActivation::None => {}
+            FusedActivation::Relu => run.iter_mut().for_each(|v| *v = relu_element(*v)),
+            FusedActivation::Relu6 => run.iter_mut().for_each(|v| *v = relu6_element(*v)),
         }
+    }
+
+    /// `epilogue` checked against `c_out` output channels, with the
+    /// identity epilogue mapped to `None` (nothing to apply).
+    fn checked<'e>(
+        op: &'static str,
+        epilogue: Option<&'e Self>,
+        c_out: usize,
+    ) -> Result<Option<&'e Self>, TensorError> {
+        let Some(ep) = epilogue else { return Ok(None) };
+        if let Some((scale, shift)) = ep.bn {
+            if scale.len() != c_out || shift.len() != c_out {
+                return Err(TensorError::InvalidConfig {
+                    op,
+                    reason: format!(
+                        "epilogue coefficients ({}, {}) do not cover {c_out} output channels",
+                        scale.len(),
+                        shift.len(),
+                    ),
+                });
+            }
+        }
+        Ok((ep.bn.is_some() || ep.act != FusedActivation::None).then_some(ep))
     }
 }
 
@@ -1132,21 +1250,7 @@ pub fn conv2d_batched_from_lowered(
     if let Some(p) = packed {
         p.check(OP, weight, lowered.groups)?;
     }
-    if let Some(ep) = epilogue {
-        if let Some((scale, shift)) = ep.bn {
-            if scale.len() != lowered.c_out || shift.len() != lowered.c_out {
-                return Err(TensorError::InvalidConfig {
-                    op: OP,
-                    reason: format!(
-                        "epilogue coefficients ({}, {}) do not cover {} output channels",
-                        scale.len(),
-                        shift.len(),
-                        lowered.c_out
-                    ),
-                });
-            }
-        }
-    }
+    ConvEpilogue::checked(OP, epilogue, lowered.c_out)?;
     let (k_len, spatial, batch) = (lowered.k_len, lowered.spatial, lowered.batch);
     let bspatial = batch * spatial;
     let c_out_per_group = lowered.c_out / lowered.groups;
@@ -1381,13 +1485,25 @@ fn lower_group_strided(
     }
 }
 
-/// Adds the per-channel bias to image `n` of `out_data`.
-fn add_bias(out_data: &mut [f32], bias: &Tensor, n: usize, c_out: usize, spatial: usize) {
-    let b_data = bias.as_slice();
-    for co in 0..c_out {
-        let dst = &mut out_data[(n * c_out + co) * spatial..][..spatial];
-        for v in dst {
-            *v += b_data[co];
+/// Finishes one image (`c_out x spatial`) of a GEMM conv's output: per
+/// output channel, `+ bias` when there is one, then the epilogue — the
+/// per-element sequence of the unfused conv → batch norm → activation
+/// chain.
+fn finish_image(
+    image: &mut [f32],
+    bias: Option<&Tensor>,
+    ep: Option<&ConvEpilogue<'_>>,
+    spatial: usize,
+) {
+    for (co, run) in image.chunks_exact_mut(spatial).enumerate() {
+        if let Some(b) = bias {
+            let bv = b.as_slice()[co];
+            for v in run.iter_mut() {
+                *v += bv;
+            }
+        }
+        if let Some(ep) = ep {
+            ep.apply_run(co, run);
         }
     }
 }
@@ -1400,6 +1516,7 @@ fn im2col_conv(
     cfg: Conv2dCfg,
     d: &ConvDims,
     kernel: GemmKernel,
+    ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Tensor {
@@ -1443,9 +1560,8 @@ fn im2col_conv(
                 }
             }
         }
-        if let Some(b) = bias {
-            add_bias(&mut out_data, b, n, d.c_out, spatial);
-        }
+        let image_len = d.c_out * spatial;
+        finish_image(&mut out_data[n * image_len..][..image_len], bias, ep, spatial);
     }
     if let Some(a) = arena {
         a.recycle(cols);
@@ -1458,7 +1574,8 @@ fn im2col_conv(
 /// The in-place convolution of a conv that [`ConvDims::reads_in_place`]:
 /// per image, one indirect GEMM of the weight — `packed`'s golden panels,
 /// or the weight packed once for the whole call — against the image's
-/// zero-padded copy (or the image itself when unpadded), then the bias.
+/// zero-padded copy (or the image itself when unpadded), then the bias and
+/// the epilogue.
 ///
 /// Bit-identical to the im2col path: each output element receives the
 /// same products, explicit padding zeros included, one multiply and one
@@ -1469,6 +1586,7 @@ fn in_place_conv(
     weight: &Tensor,
     bias: Option<&Tensor>,
     d: &ConvDims,
+    ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Tensor {
@@ -1490,10 +1608,9 @@ fn in_place_conv(
     let mut padded = take_buf(arena.as_deref_mut(), geometry.padded_len(d));
     for img in 0..d.batch {
         let rhs = geometry.rhs(d, input.as_slice(), img, &mut padded);
-        gemm_indirect(m, k, n, a, &rhs, &mut out_data[img * m * n..][..m * n]);
-        if let Some(b) = bias {
-            add_bias(&mut out_data, b, img, d.c_out, n);
-        }
+        let image = &mut out_data[img * m * n..][..m * n];
+        gemm_indirect(m, k, n, a, &rhs, image);
+        finish_image(image, bias, ep, n);
     }
     if let Some(arena) = arena {
         arena.recycle(padded);
@@ -1503,35 +1620,128 @@ fn in_place_conv(
         .expect("output length follows from conv dims")
 }
 
-/// Depthwise convolution (`groups == C_in == C_out`): the scalar reference
-/// loop for [`GemmKernel::Naive`], the plane kernel otherwise.
+/// Depthwise convolution (`groups == C_in == C_out`) on the fast path,
+/// then `+ bias` and the epilogue: the fixed-size kernel for a plane side
+/// `fixed` ([`ConvDims::fixed_side`]), the plane kernel otherwise.
+#[allow(clippy::too_many_arguments)]
 fn depthwise(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
     d: &ConvDims,
-    kernel: GemmKernel,
+    fixed: Option<usize>,
+    ep: Option<&ConvEpilogue<'_>>,
     arena: Option<&mut ScratchArena>,
 ) -> Tensor {
-    if kernel == GemmKernel::Naive {
-        return depthwise_scalar(input, weight, bias, cfg, d);
-    }
     let out_len = d.batch * d.c_out * d.h_out * d.w_out;
-    let mut out_data = match arena {
-        Some(a) => a.take_zeroed(out_len),
-        None => vec![0.0f32; out_len],
+    let (x, w, b) = (input.as_slice(), weight.as_slice(), bias.map(Tensor::as_slice));
+    // The fixed-size kernel writes every output element; the plane kernel
+    // accumulates into a zeroed buffer.
+    let out_data = match fixed {
+        Some(side) => {
+            let mut out = take_buf(arena, out_len);
+            match side {
+                4 => depthwise_fixed::<4>(x, w, b, d.c_in, ep, &mut out),
+                _ => depthwise_fixed::<8>(x, w, b, d.c_in, ep, &mut out),
+            }
+            out
+        }
+        None => {
+            let mut out = match arena {
+                Some(a) => a.take_zeroed(out_len),
+                None => vec![0.0f32; out_len],
+            };
+            depthwise_planes(x, w, b, cfg.stride, d, ep, &mut out);
+            out
+        }
     };
-    depthwise_planes(
-        input.as_slice(),
-        weight.as_slice(),
-        bias.map(Tensor::as_slice),
-        cfg.stride,
-        d,
-        &mut out_data,
-    );
     Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out_data)
         .expect("output length follows from conv dims")
+}
+
+/// Largest plane (8x8) of [`depthwise_fixed`].
+const FIXED_MAX: usize = 64;
+
+/// Per tap `t = kh * 3 + kw` of a 3x3 kernel with one pixel of padding
+/// over an `s x s` plane, per output position `i = oh * s + ow` (the first
+/// `s * s` entries): all ones where the tap lands inside the input
+/// (`0 <= oh + kh - 1 < s` and `0 <= ow + kw - 1 < s`), zero where it
+/// misses.
+const fn fixed_masks(s: usize) -> [[u32; FIXED_MAX]; 9] {
+    let mut masks = [[0u32; FIXED_MAX]; 9];
+    let mut t = 0;
+    while t < 9 {
+        let (kh, kw) = (t / 3, t % 3);
+        let mut i = 0;
+        while i < s * s {
+            let (oh, ow) = (i / s, i % s);
+            if oh + kh >= 1 && oh + kh <= s && ow + kw >= 1 && ow + kw <= s {
+                masks[t][i] = !0;
+            }
+            i += 1;
+        }
+        t += 1;
+    }
+    masks
+}
+
+/// The tap masks of [`depthwise_fixed`] for each plane side it serves.
+struct FixedPlane<const S: usize>;
+
+impl<const S: usize> FixedPlane<S> {
+    const MASKS: [[u32; FIXED_MAX]; 9] = fixed_masks(S);
+}
+
+/// The fixed-size depthwise kernel: stride 1, 3x3 taps, one pixel of
+/// padding, on `S x S` planes (`S` is 4 or 8, so a plane fits a handful of
+/// vector registers). Bit-identical to [`depthwise_scalar`].
+///
+/// Per plane (channel `c` of one image) the input is copied between two
+/// zero borders of `S + 1` elements, so tap `(kh, kw)` reads every output
+/// position's input at one constant offset `kh * S + kw`. The nine taps run
+/// in increasing `(kh, kw)` order over the whole plane from a zeroed
+/// accumulator, each adding `x * w` and keeping the previous value bit for
+/// bit, by a bitwise select, where it misses the input — a row or column
+/// wrapped or in the border — so a miss is skipped, never multiplied as a
+/// padding zero. Then `+ base` (the bias, or `0.0`), then the epilogue:
+/// the scalar loop's per-element chain, with a constant trip count the
+/// compiler unrolls and vectorises.
+///
+/// Writes every element of `out`. `#[inline(never)]` for the reason given
+/// on [`depthwise_planes`].
+#[inline(never)]
+fn depthwise_fixed<const S: usize>(
+    input: &[f32],
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    channels: usize,
+    ep: Option<&ConvEpilogue<'_>>,
+    out: &mut [f32],
+) {
+    let masks = &FixedPlane::<S>::MASKS;
+    let mut xs = [0.0f32; FIXED_MAX + 2 * 9];
+    let mut acc = [0.0f32; FIXED_MAX];
+    let (xs, acc) = (&mut xs[..S * S + 2 * (S + 1)], &mut acc[..S * S]);
+    for (plane, (x, y)) in input.chunks_exact(S * S).zip(out.chunks_exact_mut(S * S)).enumerate() {
+        let c = plane % channels;
+        xs[S + 1..][..S * S].copy_from_slice(x);
+        acc.fill(0.0);
+        for (t, (&wv, mask)) in weight[c * 9..][..9].iter().zip(masks).enumerate() {
+            let src = &xs[(t / 3) * S + t % 3..][..S * S];
+            for ((a, &xv), &keep) in acc.iter_mut().zip(src).zip(&mask[..S * S]) {
+                let v = *a + xv * wv;
+                // Bitwise select: `keep` is all ones or all zeros.
+                *a = f32::from_bits((v.to_bits() & keep) | (a.to_bits() & !keep));
+            }
+        }
+        let base = bias.map_or(0.0, |b| b[c]);
+        acc.iter_mut().for_each(|a| *a += base);
+        if let Some(ep) = ep {
+            ep.apply_run(c, acc);
+        }
+        y.copy_from_slice(acc);
+    }
 }
 
 /// The output positions `[lo, hi)` along one axis at which kernel tap `k`
@@ -1577,7 +1787,8 @@ struct PlaneTap {
 /// When a phase plane needs more columns than the output has
 /// (`w_in.div_ceil(stride) > w_out`, as with explicit padding below
 /// `(k - 1) / 2`), the channel is computed on a grid of that width and its
-/// rows compacted into `out`.
+/// rows compacted into `out`. The epilogue, when given, runs on each
+/// channel after its `+ base`.
 ///
 /// `out` must be zeroed. `#[inline(never)]` keeps one compiled copy behind
 /// every caller ([`conv2d`] and [`conv2d_with`]), for the NaN-payload
@@ -1590,6 +1801,7 @@ fn depthwise_planes(
     bias: Option<&[f32]>,
     stride: usize,
     d: &ConvDims,
+    ep: Option<&ConvEpilogue<'_>>,
     out: &mut [f32],
 ) {
     let (plane_in, plane_out, k_taps) = (d.h_in * d.w_in, d.h_out * d.w_out, d.k_h * d.k_w);
@@ -1681,8 +1893,11 @@ fn depthwise_planes(
                 }
             }
             let base = bias.map_or(0.0, |b| b[c]);
-            for o in y {
+            for o in y.iter_mut() {
                 *o += base;
+            }
+            if let Some(ep) = ep {
+                ep.apply_run(c, y);
             }
         }
     }
@@ -1822,13 +2037,13 @@ mod tests {
         let cfg = Conv2dCfg::same(1);
         let plain = conv2d(&input, &weight, None, cfg).unwrap();
         let mut arena = ScratchArena::new();
-        let a = conv2d_with(&input, &weight, None, cfg, None, &mut arena).unwrap();
+        let a = conv2d_with(&input, &weight, None, cfg, None, None, &mut arena).unwrap();
         assert_bits_equal(&plain, &a, "arena first call");
         let parked = arena.free_buffers();
         assert!(parked >= 1, "cols buffer must be recycled");
         // A second call reuses the parked buffers and stays identical even
         // though they now hold stale contents.
-        let b = conv2d_with(&input, &weight, None, cfg, None, &mut arena).unwrap();
+        let b = conv2d_with(&input, &weight, None, cfg, None, None, &mut arena).unwrap();
         assert_bits_equal(&plain, &b, "arena second call");
         assert!(arena.peak_bytes() > 0);
     }
@@ -1843,11 +2058,13 @@ mod tests {
         let plain = conv2d(&input, &weight, Some(&bias), cfg).unwrap();
         let lowered = im2col_lower(&input, &weight, cfg).unwrap();
         assert_eq!(lowered.memory_bytes() % 4, 0);
-        let from_cols = conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None).unwrap();
+        let from_cols =
+            conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None, None).unwrap();
         assert_bits_equal(&plain, &from_cols, "lowered, no arena");
         let mut arena = ScratchArena::new();
         let with_arena =
-            conv2d_from_lowered(&lowered, &weight, Some(&bias), None, Some(&mut arena)).unwrap();
+            conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None, Some(&mut arena))
+                .unwrap();
         assert_bits_equal(&plain, &with_arena, "lowered, arena");
     }
 
@@ -1863,7 +2080,7 @@ mod tests {
         let bias = Tensor::from_fn([6], |i| i as f32 * 0.1);
         let cfg = Conv2dCfg::same(2).with_groups(2);
         let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        let full = conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None).unwrap();
+        let full = conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None, None).unwrap();
         let shape = full.shape();
         let dims = shape.dims();
         let (batch, c_out) = (dims[0], dims[1]);
@@ -1904,7 +2121,7 @@ mod tests {
         weight.as_mut_slice()[7] = f32::NAN;
         weight.as_mut_slice()[20] = f32::INFINITY;
         let plain = conv2d(&input, &weight, None, cfg).unwrap();
-        let from_cols = conv2d_from_lowered(&lowered, &weight, None, None, None).unwrap();
+        let from_cols = conv2d_from_lowered(&lowered, &weight, None, None, None, None).unwrap();
         assert_bits_equal(&plain, &from_cols, "faulted weight");
     }
 
@@ -1925,11 +2142,11 @@ mod tests {
         let lowered = im2col_lower(&input, &weight, Conv2dCfg::same(1)).unwrap();
         let wrong = seq_tensor([4, 3, 5, 5]);
         assert!(matches!(
-            conv2d_from_lowered(&lowered, &wrong, None, None, None),
+            conv2d_from_lowered(&lowered, &wrong, None, None, None, None),
             Err(TensorError::InvalidConfig { .. })
         ));
         let bad_bias = Tensor::zeros([7]);
-        assert!(conv2d_from_lowered(&lowered, &weight, Some(&bad_bias), None, None).is_err());
+        assert!(conv2d_from_lowered(&lowered, &weight, Some(&bad_bias), None, None, None).is_err());
     }
 
     #[test]

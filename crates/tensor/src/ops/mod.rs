@@ -40,10 +40,10 @@ pub mod grad;
 pub use activation::{relu, relu6, relu6_with, relu_with, softmax};
 pub use conv::{
     conv2d, conv2d_batched_from_lowered, conv2d_channel_batched, conv2d_channel_from_lowered,
-    conv2d_channel_in_place, conv2d_direct, conv2d_from_lowered, conv2d_im2col, conv2d_kernel,
-    conv2d_path_with, conv2d_reads_in_place, conv2d_uses_lowering, conv2d_with, im2col_lower,
-    im2col_lower_batched, BatchedLowered, Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel,
-    LoweredConv, PackedConvWeight, Padding,
+    conv2d_channel_in_place, conv2d_depthwise_fixed, conv2d_direct, conv2d_from_lowered,
+    conv2d_im2col, conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_uses_lowering,
+    conv2d_with, depthwise_path_with, im2col_lower, im2col_lower_batched, BatchedLowered,
+    Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel, LoweredConv, PackedConvWeight, Padding,
 };
 pub use elementwise::{add, add_with, downsample_pad_channels};
 pub use gemm::{gemm, gemm_blocked, gemm_blocked_with};

@@ -99,10 +99,18 @@ fn bn_apply(data: &mut [f32], shape: Shape, params: &BatchNormParams<'_>) {
         for ni in 0..n {
             let chan = &mut data[(ni * c + ci) * spatial..][..spatial];
             for v in chan {
-                *v = *v * scale + shift;
+                *v = bn_element(*v, scale, shift);
             }
         }
     }
+}
+
+/// Batch normalisation of one element with its channel's folded
+/// coefficients: one `mul`, then one `add`. The only place the expression
+/// is written — [`bn_apply`] and the fused conv epilogue both call it.
+#[inline]
+pub(crate) fn bn_element(v: f32, scale: f32, shift: f32) -> f32 {
+    v * scale + shift
 }
 
 /// The per-channel affine coefficients batch normalisation folds to:
@@ -113,7 +121,7 @@ fn bn_apply(data: &mut [f32], shape: Shape, params: &BatchNormParams<'_>) {
 /// and the compiled-plan conv+bn(+ReLU) fused epilogue both call it — so
 /// the folded and unfused paths stay bit-identical by construction: the
 /// same f32 operation sequence produces the coefficients, and both apply
-/// them as one `mul` followed by one `add` per element.
+/// them through [`bn_element`].
 pub fn bn_channel_scale_shift(params: &BatchNormParams<'_>, channel: usize) -> (f32, f32) {
     let inv_std = 1.0 / (params.var.as_slice()[channel] + params.eps).sqrt();
     let scale = params.gamma.as_slice()[channel] * inv_std;

@@ -24,11 +24,12 @@ use proptest::prelude::*;
 
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
-    conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_channel_in_place, conv2d_direct,
-    conv2d_from_lowered, conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_with, gemm,
-    gemm_blocked, gemm_col, gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes, im2col_lower,
-    im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation,
-    GemmKernel, PackedConvWeight, PackedLhs, Padding, COL_LANES, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_channel_in_place,
+    conv2d_depthwise_fixed, conv2d_direct, conv2d_from_lowered, conv2d_kernel, conv2d_path_with,
+    conv2d_reads_in_place, conv2d_with, depthwise_path_with, gemm, gemm_blocked, gemm_col,
+    gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes, im2col_lower, im2col_lower_batched,
+    relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel,
+    PackedConvWeight, PackedLhs, Padding, COL_LANES, MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -216,15 +217,15 @@ proptest! {
         let mut arena = ScratchArena::new();
         // Two rounds so the second consumes recycled (dirty) buffers.
         for _ in 0..2 {
-            let with_arena = conv2d_with(&input, &weight, bias, cfg, None, &mut arena).unwrap();
+            let with_arena = conv2d_with(&input, &weight, bias, cfg, None, None, &mut arena).unwrap();
             assert_bits_equal(naive.as_slice(), with_arena.as_slice());
         }
 
         let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        let from_lowered = conv2d_from_lowered(&lowered, &weight, bias, None, None).unwrap();
+        let from_lowered = conv2d_from_lowered(&lowered, &weight, bias, None, None, None).unwrap();
         assert_bits_equal(naive.as_slice(), from_lowered.as_slice());
         let from_lowered_arena =
-            conv2d_from_lowered(&lowered, &weight, bias, None, Some(&mut arena)).unwrap();
+            conv2d_from_lowered(&lowered, &weight, bias, None, None, Some(&mut arena)).unwrap();
         assert_bits_equal(naive.as_slice(), from_lowered_arena.as_slice());
     }
 
@@ -329,7 +330,7 @@ proptest! {
             )
             .unwrap();
             let lowered_img = im2col_lower(&img, &weight, cfg).unwrap();
-            let plain = conv2d_from_lowered(&lowered_img, &weight, bias, None, None).unwrap();
+            let plain = conv2d_from_lowered(&lowered_img, &weight, bias, None, None, None).unwrap();
             let bn = batch_norm(&plain, &params).unwrap();
             let activated = match act {
                 FusedActivation::None => bn,
@@ -453,13 +454,162 @@ proptest! {
         // Two rounds; the second also consumes the first round's output,
         // dirtied, so the plane kernel must not rely on fresh memory.
         for _ in 0..2 {
-            let with_arena = conv2d_with(&input, &weight, bias, cfg, None, &mut arena).unwrap();
+            let with_arena = conv2d_with(&input, &weight, bias, cfg, None, None, &mut arena).unwrap();
             assert_bits_equal(scalar.as_slice(), with_arena.as_slice());
             let mut spent = with_arena.into_vec();
             spent.fill(f32::NAN);
             arena.recycle(spent);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A depthwise conv with a fused epilogue — through `conv2d_with`
+    /// (whichever kernel the shape rule picks), the plane kernel forced,
+    /// and the fixed-size kernel forced where it can run — is bit-identical
+    /// to the scalar loop followed by the unfused `batch_norm` and
+    /// `relu`/`relu6`: planes on both sides of the fixed-size rule (4x4,
+    /// 8x8, 16x16, odd and non-square sides), strides 1 and 2, kernels 1, 3
+    /// and 5 with pads 0..=k, bias on and off, epilogues None, BN,
+    /// BN+ReLU and BN+ReLU6, one NaN family per case with ±Inf and -0
+    /// operands, through dirty, undersized arena buffers.
+    #[test]
+    fn depthwise_epilogue_is_bit_identical(
+        batch in 1usize..3,
+        channels in 1usize..6,
+        side_pick in 0usize..7,
+        square in any::<bool>(),
+        kernel_pick in 0usize..4,
+        stride in 1usize..3,
+        pad_pick in 0usize..6,
+        values in vec(fault_like_f32(), 4..12),
+        neg_zero_at in 0usize..12,
+        with_bias in any::<bool>(),
+        ep_pick in 0u8..4,
+        nan_mode in any::<bool>(),
+        on_rule in any::<bool>(),
+    ) {
+        let mut values = one_nan_family(&values, nan_mode);
+        let at = neg_zero_at % values.len();
+        values[at] = -0.0;
+        // Half the cases sit on the fixed-size rule's shapes (stride 1, a
+        // 3x3 kernel with one pixel of padding, 4x4 or 8x8 planes), the
+        // rest anywhere.
+        let kernel = if on_rule { 3 } else { [3, 1, 3, 5][kernel_pick] };
+        let pad = if on_rule { 1 } else { pad_pick.min(kernel) };
+        let stride = if on_rule { 1 } else { stride };
+        let side = [4, 8, 16, 3, 5, 7, 9][if on_rule { side_pick % 2 } else { side_pick }];
+        let square = square || on_rule;
+        let (h, w) = (side, if square { side } else { side + 1 });
+        let (h, w) = (h.max(kernel.saturating_sub(2 * pad)), w.max(kernel.saturating_sub(2 * pad)));
+        let cfg = Conv2dCfg { stride, padding: Padding::Explicit(pad), groups: channels };
+        let input = Tensor::from_vec(
+            [batch, channels, h, w],
+            cycled(&values, batch * channels * h * w, 1, 0),
+        )
+        .unwrap();
+        let weight = Tensor::from_vec(
+            [channels, 1, kernel, kernel],
+            cycled(&values, channels * kernel * kernel, 5, 1),
+        )
+        .unwrap();
+        let bias_t = Tensor::from_vec([channels], cycled(&values, channels, 3, 2)).unwrap();
+        let bias = with_bias.then_some(&bias_t);
+        // Finite batch-norm coefficients, as in the batched test above.
+        let finite = |len: usize, stride: usize, off: usize| -> Vec<f32> {
+            cycled(&values, len, stride, off)
+                .into_iter()
+                .map(|t| if t.is_finite() { t } else { 0.75 })
+                .collect()
+        };
+        let gamma = Tensor::from_vec([channels], finite(channels, 2, 1)).unwrap();
+        let beta = Tensor::from_vec([channels], finite(channels, 4, 2)).unwrap();
+        let mean = Tensor::from_vec([channels], finite(channels, 6, 0)).unwrap();
+        let var = Tensor::from_fn([channels], |i| (i as f32).mul_add(0.13, 0.5));
+        let params = BatchNormParams { gamma: &gamma, beta: &beta, mean: &mean, var: &var, eps: 1e-5 };
+        let (scale, shift): (Vec<f32>, Vec<f32>) =
+            (0..channels).map(|c| bn_channel_scale_shift(&params, c)).unzip();
+
+        let scalar = conv2d_kernel(&input, &weight, bias, cfg, GemmKernel::Naive).unwrap();
+        let (want, ep) = match ep_pick {
+            0 => (scalar, None),
+            pick => {
+                let bn = batch_norm(&scalar, &params).unwrap();
+                let (want, act) = match pick {
+                    1 => (bn, FusedActivation::None),
+                    2 => (relu(&bn), FusedActivation::Relu),
+                    _ => (relu6(&bn), FusedActivation::Relu6),
+                };
+                (want, Some(ConvEpilogue { bn: Some((&scale, &shift)), act }))
+            }
+        };
+        let fixed = stride == 1 && kernel == 3 && pad == 1 && square && matches!(side, 4 | 8);
+        prop_assert_eq!(conv2d_depthwise_fixed(&input, &weight, cfg), fixed);
+
+        let mut arena = ScratchArena::new();
+        arena.recycle(vec![f32::NAN; want.len().div_ceil(2)]);
+        arena.recycle(vec![f32::NAN; 3]);
+        // Two rounds; the second consumes the first round's outputs, dirtied.
+        for _ in 0..2 {
+            let mut outs =
+                vec![conv2d_with(&input, &weight, bias, cfg, ep.as_ref(), None, &mut arena).unwrap()];
+            for forced in [false, true].into_iter().filter(|&f| fixed || !f) {
+                outs.push(
+                    depthwise_path_with(&input, &weight, bias, cfg, forced, ep.as_ref(), &mut arena)
+                        .unwrap(),
+                );
+            }
+            for out in outs {
+                assert_bits_equal(want.as_slice(), out.as_slice());
+                let mut spent = out.into_vec();
+                spent.fill(f32::NAN);
+                arena.recycle(spent);
+            }
+        }
+        prop_assert_eq!(
+            depthwise_path_with(&input, &weight, bias, cfg, true, None, &mut arena).is_ok(),
+            fixed
+        );
+    }
+}
+
+/// The fixed-size depthwise rule on MobileNetV2's ten depthwise shapes at
+/// CIFAR resolution `(channels, plane side, stride)`: the stride-1 4x4 and
+/// 8x8 planes take the fixed-size kernel; the 16x16 and 32x32 planes and
+/// every strided conv keep the plane kernel, and so do other kernel sizes,
+/// pads and non-square planes.
+#[test]
+fn depthwise_rule_covers_the_measured_shapes() {
+    let rule = |channels: usize, (h, w): (usize, usize), kernel: usize, cfg: Conv2dCfg| {
+        let input = Tensor::zeros([1, channels, h, w]);
+        let weight = Tensor::zeros([channels, 1, kernel, kernel]);
+        conv2d_depthwise_fixed(&input, &weight, cfg.with_groups(channels))
+    };
+    for (channels, side, stride, fixed) in [
+        (32, 32, 1, false),
+        (96, 32, 1, false),
+        (144, 32, 1, false),
+        (144, 32, 2, false),
+        (192, 16, 1, false),
+        (192, 16, 2, false),
+        (384, 8, 1, true),
+        (576, 8, 1, true),
+        (576, 8, 2, false),
+        (960, 4, 1, true),
+    ] {
+        let picked = rule(channels, (side, side), 3, Conv2dCfg::same(stride));
+        assert_eq!(picked, fixed, "{channels}@{side}x{side} s{stride}");
+    }
+    assert!(!rule(8, (4, 4), 1, Conv2dCfg::same(1)), "1x1 kernel");
+    assert!(!rule(8, (8, 8), 5, Conv2dCfg::same(1)), "5x5 kernel");
+    assert!(!rule(8, (8, 8), 3, Conv2dCfg::valid(1)), "unpadded");
+    assert!(!rule(8, (8, 4), 3, Conv2dCfg::same(1)), "non-square plane");
+    assert!(!rule(8, (2, 2), 3, Conv2dCfg::same(1)), "2x2 plane");
+    let grouped = Conv2dCfg::same(1).with_groups(2);
+    let (input, weight) = (Tensor::zeros([1, 8, 4, 4]), Tensor::zeros([8, 4, 3, 3]));
+    assert!(!conv2d_depthwise_fixed(&input, &weight, grouped), "grouped, not depthwise");
 }
 
 /// Maps the fault-like values of one proptest case onto a single NaN
@@ -566,7 +716,7 @@ proptest! {
         let fits = kernel > 1 && w_out.is_multiple_of(MICRO_NR);
         // Two rounds; the second consumes the first round's outputs, dirtied.
         for _ in 0..2 {
-            let mut outs = vec![conv2d_with(&input, &weight, bias, cfg, panel, &mut arena).unwrap()];
+            let mut outs = vec![conv2d_with(&input, &weight, bias, cfg, None, panel, &mut arena).unwrap()];
             let forced = [false, true].into_iter().filter(|&in_place| fits || !in_place);
             for in_place in forced {
                 outs.push(
@@ -682,15 +832,22 @@ fn packed_conv_paths_are_bit_identical_on_mobilenet_pointwise_shapes() {
             for round in 0..2 {
                 for panel in [None, Some(&packed)] {
                     let per_image =
-                        conv2d_with(&input, &weight, Some(&bias), cfg, panel, &mut arena).unwrap();
+                        conv2d_with(&input, &weight, Some(&bias), cfg, None, panel, &mut arena)
+                            .unwrap();
                     assert_bits_equal(naive.as_slice(), per_image.as_slice());
                     arena.recycle(per_image.into_vec());
                 }
                 let lowered = im2col_lower(&input, &weight, cfg).unwrap();
                 let arena_opt = (round == 1).then_some(&mut arena);
-                let from_lowered =
-                    conv2d_from_lowered(&lowered, &weight, Some(&bias), Some(&packed), arena_opt)
-                        .unwrap();
+                let from_lowered = conv2d_from_lowered(
+                    &lowered,
+                    &weight,
+                    Some(&bias),
+                    None,
+                    Some(&packed),
+                    arena_opt,
+                )
+                .unwrap();
                 assert_bits_equal(naive.as_slice(), from_lowered.as_slice());
             }
 
@@ -736,9 +893,9 @@ fn packed_conv_rejects_mismatched_panels() {
     let grouped = PackedConvWeight::pack(&weight, 2).unwrap();
     let mut arena = ScratchArena::new();
     let cfg = Conv2dCfg::same(1);
-    assert!(conv2d_with(&input, &weight, None, cfg, Some(&other), &mut arena).is_err());
-    assert!(conv2d_with(&input, &weight, None, cfg, Some(&grouped), &mut arena).is_err());
+    assert!(conv2d_with(&input, &weight, None, cfg, None, Some(&other), &mut arena).is_err());
+    assert!(conv2d_with(&input, &weight, None, cfg, None, Some(&grouped), &mut arena).is_err());
     let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-    assert!(conv2d_from_lowered(&lowered, &weight, None, Some(&other), None).is_err());
+    assert!(conv2d_from_lowered(&lowered, &weight, None, None, Some(&other), None).is_err());
     assert!(PackedConvWeight::pack(&weight, 3).is_err());
 }

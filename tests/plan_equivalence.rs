@@ -429,7 +429,7 @@ fn faulted_node_never_reads_its_golden_panel() {
                 let naive = naive.into_logits(cache);
                 let fast_opts = &mut ForwardOptions {
                     arena: Some(&mut arena),
-                    panels: Some(plan.panels()),
+                    plan: Some(plan),
                     ..Default::default()
                 };
                 let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
@@ -578,4 +578,133 @@ fn in_place_convs_are_invisible_in_campaigns() {
             }
         }
     }
+}
+
+/// The dense weight-fault suffix on the plan's schedule — fused conv and
+/// depthwise groups, convergence at group outputs, last-reader recycling —
+/// is invisible end to end. On `cifar_micro` and the width-8
+/// `resnet20_micro`, faults in a group with an activation (an expansion,
+/// or a block's first conv), a depthwise group, a group without an
+/// activation (a projection, or a block's second conv) and the last conv
+/// reproduce the naive per-image logits bit for bit, and classify
+/// identically — classes and inference counts — under `KernelPolicy::Fast`
+/// and `KernelPolicy::Naive`, at workers 1, 4 and 8, with convergence on
+/// and off and batched on and off.
+#[test]
+fn fused_dense_suffix_is_invisible_in_campaigns() {
+    let models = [
+        ("mobilenetv2-micro", MobileNetV2Config::cifar_micro().build_seeded(5).unwrap()),
+        (
+            "resnet20-micro-w8",
+            ResNetConfig::resnet20_micro().with_width(8).build_seeded(3).unwrap(),
+        ),
+    ];
+    for (name, model) in models {
+        let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
+        let lowered = golden.clone().with_lowering(&model).unwrap();
+        let plan = lowered.plan();
+        let layers = model.weight_layers();
+        let node_of = |l: usize| model.node_of_param(layers[l].param).unwrap();
+        let convs: Vec<usize> = (0..layers.len())
+            .filter(|&l| matches!(model.nodes()[node_of(l)].op, NodeOp::Conv { .. }))
+            .collect();
+        // Each conv's group output, and whether the conv is depthwise.
+        let group_of = |l: usize| {
+            let (out, _) = plan.fused_at(node_of(l)).expect("every conv heads a group");
+            let NodeOp::Conv { cfg, .. } = model.nodes()[node_of(l)].op else { unreachable!() };
+            (model.nodes()[out].op.clone(), cfg.groups > 1)
+        };
+        let activated = |l: usize| {
+            let (op, depthwise) = group_of(l);
+            !depthwise && matches!(op, NodeOp::Relu | NodeOp::Relu6)
+        };
+        let with_act = *convs.iter().skip(1).find(|&&l| activated(l)).unwrap();
+        let no_act = *convs
+            .iter()
+            .find(|&&l| matches!(group_of(l).0, NodeOp::BatchNorm { .. }))
+            .unwrap_or_else(|| panic!("{name}: no group without an activation"));
+        let last = *convs.last().unwrap();
+        let mut picked = vec![with_act, no_act, last];
+        if let Some(&depthwise) = convs.iter().find(|&&l| group_of(l).1) {
+            assert!(matches!(group_of(depthwise).0, NodeOp::Relu6), "{name}: depthwise group");
+            picked.push(depthwise);
+        }
+
+        let mut arena = ScratchArena::new();
+        for &layer in &picked {
+            let node = node_of(layer);
+            let mut faulty = model.clone();
+            let w = &mut faulty.store_mut().get_mut(layers[layer].param).unwrap().tensor;
+            w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << 30));
+            for img in 0..data.len() {
+                let cache = golden.cache(img);
+                let naive_opts =
+                    &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+                let naive = faulty.forward_suffix(Some(node), cache, &[], naive_opts).unwrap();
+                let fast_opts = &mut ForwardOptions {
+                    arena: Some(&mut arena),
+                    plan: Some(plan),
+                    ..Default::default()
+                };
+                let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
+                let (naive, fast) = (naive.into_logits(cache), fast.into_logits(cache));
+                assert!(naive.bits_equal(&fast), "{name} L{layer} image {img}");
+            }
+        }
+
+        let mut faults = Vec::new();
+        for &layer in &picked {
+            faults.extend(layer_faults(layer, 30, 3));
+            faults.extend(layer_faults(layer, 22, 2));
+            faults.extend(layer_faults(layer, 1, 1));
+        }
+        let naive_cfg =
+            CampaignConfig { kernel: KernelPolicy::Naive, workers: 1, ..Default::default() };
+        let reference = run_campaign(&model, &data, &golden, &faults, &naive_cfg).unwrap();
+        for workers in [1usize, 4, 8] {
+            for convergence in [false, true] {
+                for batched in [false, true] {
+                    let cfg =
+                        CampaignConfig { workers, convergence, batched, ..Default::default() };
+                    let res = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+                    let ctx = format!(
+                        "{name} workers={workers} convergence={convergence} batched={batched}"
+                    );
+                    assert_eq!(res.classes, reference.classes, "{ctx}");
+                    assert_eq!(res.inferences, reference.inferences, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// Last-reader recycling keeps the dense suffix allocation-free: after a
+/// warm-up fault, a MobileNetV2 weight-fault suffix on the plan's schedule
+/// serves every arena request from a recycled buffer.
+#[test]
+fn fused_dense_suffix_allocates_nothing_after_warm_up() {
+    let model = MobileNetV2Config::cifar_micro().build_seeded(5).unwrap();
+    let (_, golden) = campaign_world(&model, model.input_dims()[1], 1);
+    let cache = golden.cache(0);
+    let layers = model.weight_layers();
+    let first = model.node_of_param(layers[1].param).unwrap();
+    let mut arena = ScratchArena::new();
+    let pass = |arena: &mut ScratchArena, bit: u32| {
+        let mut faulty = model.clone();
+        let w = &mut faulty.store_mut().get_mut(layers[1].param).unwrap().tensor;
+        w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << bit));
+        let opts = &mut ForwardOptions {
+            arena: Some(arena),
+            plan: Some(golden.plan()),
+            ..Default::default()
+        };
+        faulty.forward_suffix(Some(first), cache, &[], opts).unwrap().into_logits(cache)
+    };
+    pass(&mut arena, 30);
+    let before = arena.stats();
+    pass(&mut arena, 29);
+    let after = arena.stats();
+    let takes = after.takes - before.takes;
+    assert!(takes > 0, "the suffix draws its buffers from the arena");
+    assert_eq!(takes, after.reuses - before.reuses, "a warm suffix allocates nothing new");
 }
