@@ -26,10 +26,10 @@ use sfi_faultsim::golden::GoldenReference;
 use sfi_faultsim::injector::{inject_with, revert};
 use sfi_faultsim::multi::CampaignFault;
 use sfi_faultsim::population::FaultSpace;
-use sfi_nn::{ForwardOptions, Model};
+use sfi_nn::plan::row_argmax;
+use sfi_nn::{Model, SessionState};
 use sfi_obs::{Probe, TraceLevel};
 use sfi_stats::sampling::sample_without_replacement;
-use sfi_tensor::ScratchArena;
 
 /// The network-wide bit-level workload: `per_bit` faults from every
 /// (layer, bit) stratum — the plan shape the paper's Table I runs and the
@@ -49,17 +49,20 @@ fn bit_level_faults(space: &FaultSpace, per_bit: u64) -> Vec<Fault> {
 }
 
 /// The pre-observability classification loop, hand-rolled from public
-/// APIs: inject, incremental forward from the dirty node with the cached
-/// lowering and a scratch arena, count mismatches against the golden
-/// top-1 with early exit, revert. No probe anywhere — this is the
-/// baseline the instrumented executor is gated against.
+/// APIs: inject, run the plan's suffix pass from the dirty node at the
+/// width the plan picks (all images at once, over a worker's shared panel,
+/// or one image at a time over the cached lowering) — converging, with the
+/// single-unit probe armed — count mismatches against the golden top-1
+/// with early exit, revert. No probe anywhere — this is the baseline the
+/// instrumented executor is gated against.
 fn classify_probe_free(
     model: &mut Model,
     data: &sfi_dataset::Dataset,
     golden: &GoldenReference,
     faults: &[Fault],
-    arena: &mut ScratchArena,
+    session: &mut SessionState,
 ) -> Vec<FaultClass> {
+    let plan = golden.plan();
     let corruption = Ieee754Corruption;
     let mut classes = Vec::with_capacity(faults.len());
     for fault in faults {
@@ -72,24 +75,46 @@ fn classify_probe_free(
             }
             let mut mismatches = 0usize;
             let mut failed = false;
-            for idx in 0..data.len() {
-                let lowered =
-                    golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                let mut opts =
-                    ForwardOptions { arena: Some(&mut *arena), lowered, ..Default::default() };
-                let cache = golden.cache(idx);
-                let logits = model
-                    .forward_suffix(Some(injection.dirty_node), cache, &[], &mut opts)
-                    .unwrap()
-                    .into_logits(cache);
-                let Some(pred) = logits.argmax() else {
-                    failed = true;
-                    break;
-                };
-                if pred != golden.prediction(idx) {
-                    mismatches += 1;
-                    break; // AnyMismatch criterion: one mismatch is critical.
+            let dirty = injection.dirty_node;
+            let unit = model.param_output_unit(injection.param, injection.index);
+            let stacked = golden.batched_cache().filter(|_| plan.batched_profitable(dirty));
+            let width = if stacked.is_some() { data.len() } else { 1 };
+            'images: for first in (0..data.len()).step_by(width) {
+                let out = match stacked {
+                    Some(bcache) => {
+                        session.ensure_panel(model, plan, bcache, dirty).unwrap();
+                        let (arena, lowered) = session.arena_and_panel(dirty);
+                        plan.weight_suffix(model, dirty, bcache, lowered, unit, true, arena)
+                    }
+                    None => {
+                        let (cache, lowered) = (golden.cache(first), golden.lowering(dirty, first));
+                        plan.weight_suffix(
+                            model,
+                            dirty,
+                            cache,
+                            lowered,
+                            unit,
+                            true,
+                            &mut session.arena,
+                        )
+                    }
                 }
+                .unwrap();
+                let mut rows = out.logits.chunks_exact(out.classes.max(1));
+                for (i, converged_at) in out.converged_at.iter().enumerate() {
+                    if converged_at.is_some() {
+                        continue;
+                    }
+                    let Some(pred) = rows.next().and_then(row_argmax) else {
+                        failed = true;
+                        break 'images;
+                    };
+                    if pred != golden.prediction(first + i) {
+                        mismatches += 1;
+                        break 'images; // AnyMismatch criterion: one mismatch is critical.
+                    }
+                }
+                session.arena.recycle(out.logits);
             }
             revert(model, &injection);
             if failed {
@@ -175,9 +200,9 @@ fn measure(per_bit: u64, iters: usize) -> Measurement {
     // Identity first: the instrumented executor must classify exactly as
     // the probe-free loop does (both single-threaded here).
     let mut scratch_model = model.clone();
-    let mut arena = ScratchArena::new();
+    let mut session = SessionState::new();
     let baseline_classes =
-        classify_probe_free(&mut scratch_model, data, golden, faults, &mut arena);
+        classify_probe_free(&mut scratch_model, data, golden, faults, &mut session);
     let library = run_campaign(model, data, golden, faults, cfg).unwrap();
     let identical = baseline_classes == library.classes;
 
@@ -199,8 +224,7 @@ fn measure(per_bit: u64, iters: usize) -> Measurement {
     for round in 0..=iters {
         let b = time(&mut || {
             let mut m = model.clone();
-            let mut a = ScratchArena::new();
-            classify_probe_free(&mut m, data, golden, faults, &mut a);
+            classify_probe_free(&mut m, data, golden, faults, &mut SessionState::new());
         });
         let o = time(&mut || {
             run_campaign(model, data, golden, faults, cfg).unwrap();
@@ -232,8 +256,7 @@ fn bench_obs(c: &mut Criterion) {
     g.bench_function("probe_free_baseline", |b| {
         b.iter(|| {
             let mut m = model.clone();
-            let mut a = ScratchArena::new();
-            classify_probe_free(&mut m, data, golden, faults, &mut a)
+            classify_probe_free(&mut m, data, golden, faults, &mut SessionState::new())
         })
     });
     g.bench_function("tracing_off", |b| {

@@ -374,9 +374,8 @@ pub fn run_activation_campaign(
     for fault in faults {
         validate_activation_site(golden, fault)?;
         let cache = golden.cache(fault.site.image);
-        let logits = model
-            .forward_suffix(None, cache, &[fault.patch()], &mut ForwardOptions::default())?
-            .into_logits(cache);
+        let logits =
+            model.forward_suffix(None, cache, &[fault.patch()], &mut ForwardOptions::default())?;
         inferences += 1;
         let pred = logits.argmax().ok_or(NnError::Op {
             node: model.nodes().len() - 1,

@@ -86,8 +86,8 @@ use serde::{Deserialize, Serialize};
 use sfi_dataset::Dataset;
 use sfi_nn::plan::row_argmax;
 use sfi_nn::{
-    ActPatch, BatchedOutcome, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome,
-    KernelPolicy, Model, NodeId, SessionState,
+    ActPatch, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, KernelPolicy, Model,
+    NodeId, SessionState, SuffixOutcome,
 };
 use sfi_obs::{Probe, WorkerProbe};
 use sfi_tensor::ScratchArena;
@@ -944,16 +944,32 @@ impl<'a> Verdict<'a> {
         self.wprobe.record_convergence(at_node + 1 - self.start, skipped);
     }
 
-    /// Records image `idx`'s forward outcome; returns whether further
-    /// images must be evaluated.
-    fn outcome(&mut self, idx: usize, out: ForwardOutcome) -> bool {
+    /// Records image `idx`'s forward outcome.
+    fn outcome(&mut self, idx: usize, out: ForwardOutcome) {
         match out {
-            ForwardOutcome::Logits(l) => self.predicted(idx, l.argmax()),
-            ForwardOutcome::Converged { at_node } => {
-                self.converged(at_node);
-                true
+            ForwardOutcome::Logits(l) => {
+                self.predicted(idx, l.argmax());
+            }
+            ForwardOutcome::Converged { at_node } => self.converged(at_node),
+        }
+    }
+
+    /// Records a suffix pass over images `first..` (see [`SuffixOutcome`])
+    /// in ascending image order; returns whether further images must be
+    /// evaluated.
+    fn replay(&mut self, first: usize, out: &SuffixOutcome) -> bool {
+        let mut rows = out.logits.chunks_exact(out.classes.max(1));
+        for (i, converged_at) in out.converged_at.iter().enumerate() {
+            match *converged_at {
+                Some(at_node) => self.converged(at_node),
+                None => {
+                    if !self.predicted(first + i, rows.next().and_then(row_argmax)) {
+                        return false;
+                    }
+                }
             }
         }
+        true
     }
 
     /// Adds one delta pass's work counters.
@@ -986,23 +1002,12 @@ fn pass_options<'a>(cfg: &CampaignConfig, arena: &'a mut ScratchArena) -> Forwar
 /// Injects one fault, classifies it against the golden reference, and
 /// reverts, returning the class and the number of inferences spent.
 ///
-/// Under [`KernelPolicy::Fast`] the re-executions run through `arena`
-/// (reusing im2col and activation buffers across faults) and consume any
-/// lowering `golden` has cached for the faulted node — sound because
-/// incremental re-execution feeds the faulted layer its *golden* input, so
-/// the cached column matrix is valid for every fault in the stratum. Only
-/// convs the cache can hold are looked up: a faulted conv that reads its
-/// input in place multiplies that golden input directly.
-/// [`KernelPolicy::Naive`] bypasses both and reproduces the historical
-/// per-fault cost; classifications are bit-identical either way.
-///
-/// With [`CampaignConfig::convergence`] enabled (and the incremental fast
-/// path active) each image's suffix stops at the first node whose
-/// recomputed activation is bit-identical to the golden one: the image's
-/// prediction then provably equals the golden prediction, so no mismatch is
-/// counted and the remaining nodes are skipped. The classification is
-/// unchanged — an effective-but-harmless fault stays
-/// [`FaultClass::NonCritical`] — only the suffix cost drops.
+/// Under [`KernelPolicy::Fast`] with incremental re-execution the fault
+/// runs on the compiled plan's suffix pass ([`classify_weight_suffix`]).
+/// [`KernelPolicy::Naive`] re-executes each image's suffix unfused and
+/// without early exit, and a non-incremental campaign runs full forward
+/// passes: the historical per-fault costs. Classifications are
+/// bit-identical on every path.
 ///
 /// Degenerate (empty) logits classify the fault as
 /// [`FaultClass::ExecutionFailure`] rather than panicking, so campaigns
@@ -1025,163 +1030,153 @@ pub(crate) fn classify_one<C: Corruption>(
         revert(model, &injection);
         return Ok(FaultOutcome::masked());
     }
-    let fast = cfg.kernel == KernelPolicy::Fast;
-    // The one output unit (conv out-channel / fc out-feature) the fault
-    // can reach: arms the single-unit convergence probe, which decides
-    // whole-node convergence from one GEMM row instead of re-running the
-    // faulted layer in full.
-    let dirty_unit = if cfg.convergence && cfg.incremental && fast {
-        model.param_output_unit(injection.param, injection.index)
+    let res = if cfg.incremental && cfg.kernel == KernelPolicy::Fast {
+        classify_weight_suffix(model, golden, &injection, needed_for_critical, cfg, session, wprobe)
     } else {
-        None
+        let dirty = injection.dirty_node;
+        let arena = &mut session.arena;
+        classify_reference(model, data, golden, dirty, needed_for_critical, cfg, arena, wprobe)
     };
-    // Batched eval-image fast path: run the dirty suffix of all images as
-    // one pass over the compiled plan, then replay the per-image
-    // classification loop over the bit-identical per-image rows. The plan
-    // decides from the suffix's static cost alone, so dispatch is the same
-    // on every host.
-    if cfg.batched
-        && cfg.incremental
-        && fast
-        && golden.has_batched()
-        && golden.plan().batched_profitable(injection.dirty_node)
-    {
-        let res = classify_weight_batched(
-            model,
-            golden,
-            injection.dirty_node,
-            dirty_unit,
-            needed_for_critical,
-            cfg,
-            session,
-            wprobe,
-        );
-        revert(model, &injection);
-        return res;
-    }
-    let dirty = injection.dirty_node;
-    let arena = &mut session.arena;
+    revert(model, &injection);
+    res
+}
+
+/// The reference per-image loop of [`classify_one`]: each image's suffix
+/// from `dirty` re-executed node by node ([`Model::forward_suffix`]), or
+/// its full forward pass without incremental re-execution.
+#[allow(clippy::too_many_arguments)]
+fn classify_reference(
+    model: &Model,
+    data: &Dataset,
+    golden: &GoldenReference,
+    dirty: NodeId,
+    needed_for_critical: usize,
+    cfg: &CampaignConfig,
+    arena: &mut ScratchArena,
+    wprobe: WorkerProbe<'_>,
+) -> Result<FaultOutcome, FaultSimError> {
     let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, dirty, wprobe);
     verdict.tally.engine_dense = 1;
-    let mut outcome: Result<(), FaultSimError> = Ok(());
     for idx in 0..data.len() {
         let timer = wprobe.inference_start();
-        let cache = golden.cache(idx);
-        // Only convs the cache can hold are looked up; in-place convs
-        // multiply the golden input directly.
-        let lowered = if cfg.incremental && fast && golden.plan().lowers_per_image(dirty) {
-            golden.lowering(dirty, idx).map(|l| (dirty, l))
+        let opts = &mut pass_options(cfg, arena);
+        let logits = if cfg.incremental {
+            model.forward_suffix(Some(dirty), golden.cache(idx), &[], opts)?
         } else {
-            None
-        };
-        let out = if !cfg.incremental {
-            model
-                .forward_with(data.image(idx), &mut pass_options(cfg, arena))
-                .map(ForwardOutcome::Logits)
-        } else {
-            let mut opts = ForwardOptions {
-                lowered,
-                dirty_unit,
-                converge: cfg.convergence && fast,
-                plan: Some(golden.plan()),
-                ..pass_options(cfg, arena)
-            };
-            model.forward_suffix(Some(dirty), cache, &[], &mut opts)
-        };
-        let out = match out {
-            Ok(out) => out,
-            Err(e) => {
-                outcome = Err(e.into());
-                break;
-            }
+            model.forward_with(data.image(idx), opts)?
         };
         wprobe.inference_end(timer);
-        if !verdict.outcome(idx, out) {
+        if !verdict.predicted(idx, logits.argmax()) {
             break;
         }
     }
-    revert(model, &injection);
-    outcome?;
     Ok(verdict.finish())
 }
 
-/// Classifies one injected weight fault through the batched eval-image
-/// engine: the dirty suffix of **all** E images runs as a single pass over
-/// the compiled plan (one fused GEMM per conv step for the whole batch),
-/// then the per-image [`Verdict`] is replayed over the resulting per-image
-/// logits rows — which are bit-identical to E per-image passes — so
-/// classifications, early-exit behaviour and inference counts match the
-/// per-image path exactly, at any worker count.
+/// Classifies one injected weight fault on the compiled plan's suffix
+/// pass ([`CompiledPlan::weight_suffix`](sfi_nn::CompiledPlan::weight_suffix)),
+/// in chunks of images: all E images in one pass when the plan's static
+/// cost rule picks that width
+/// ([`batched_profitable`](sfi_nn::CompiledPlan::batched_profitable)) and
+/// the golden reference holds the stacked cache, one image at a time
+/// otherwise. Each chunk's outcome replays the per-image [`Verdict`] in
+/// ascending image order, and every image's convergence node and logits
+/// row are the same at both widths, so classifications, early-exit
+/// behaviour and inference counts cannot depend on the width, at any
+/// worker count.
+///
+/// With [`CampaignConfig::convergence`] each image's suffix stops at the
+/// first step whose recomputed activation is bit-identical to the golden
+/// one with nothing dirty left to read: the image's prediction then
+/// provably equals the golden prediction, so no mismatch is counted. The
+/// classification is unchanged — an effective-but-harmless fault stays
+/// [`FaultClass::NonCritical`] — only the suffix cost drops.
 ///
 /// The caller injects before and reverts after; this function only
-/// evaluates. The im2col panel of the dirty conv is built lazily in the
-/// worker's [`SessionState`] single-slot cache and shared by every
-/// same-node fault the depth-sorted stratum queue hands this worker —
-/// sound because the panel lowers the *golden* input activation (weight
-/// values never enter it), which is identical for every fault in the
-/// stratum.
-#[allow(clippy::too_many_arguments)]
-fn classify_weight_batched(
+/// evaluates. The first dirty conv skips its lowering: a one-image pass
+/// reads the golden reference's lowering cache, and an E-wide pass the
+/// panel built lazily in the worker's [`SessionState`] single-slot cache,
+/// shared by every same-node fault the depth-sorted stratum queue hands
+/// this worker. Both are sound because they lower the *golden* input
+/// activation (weight values never enter it), which is identical for every
+/// fault at the node.
+fn classify_weight_suffix(
     model: &Model,
     golden: &GoldenReference,
-    dirty_node: NodeId,
-    dirty_unit: Option<usize>,
+    injection: &Injection,
     needed_for_critical: usize,
     cfg: &CampaignConfig,
     session: &mut SessionState,
     wprobe: WorkerProbe<'_>,
 ) -> Result<FaultOutcome, FaultSimError> {
     let plan = golden.plan();
-    let bcache = golden.batched_cache().expect("caller checked has_batched");
+    let dirty = injection.dirty_node;
+    // The one output unit (conv out-channel / fc out-feature) the fault
+    // can reach: arms the single-unit convergence probe, which decides
+    // whole-node convergence from one GEMM row instead of re-running the
+    // faulted layer in full.
+    let dirty_unit = cfg
+        .convergence
+        .then(|| model.param_output_unit(injection.param, injection.index))
+        .flatten();
+    let stacked = golden.batched_cache().filter(|_| cfg.batched && plan.batched_profitable(dirty));
     let images = golden.len();
-    let timer = wprobe.inference_start();
-    if session.ensure_panel(model, plan, bcache, dirty_node)? {
-        golden.record_panel_hit();
-    } else {
-        golden.record_panel_miss();
-    }
-    let (arena, lowered) = session.arena_and_panel(dirty_node);
-    let outcome = plan.forward_batched_from(
-        model,
-        dirty_node,
-        bcache,
-        lowered,
-        dirty_unit,
-        cfg.convergence,
-        arena,
-    )?;
-    wprobe.inference_end(timer);
-    // Survivors' logits rows in ascending image order; converged images
-    // (only a converging pass has any) carry no row.
-    let (converged_at, logits, classes) = match outcome {
-        BatchedOutcome::Converging { converged_at, logits, classes } => {
-            (converged_at, logits, classes)
+    let width = if stacked.is_some() { images } else { 1 };
+    let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, dirty.max(1), wprobe);
+    verdict.tally.engine_batched = u64::from(stacked.is_some());
+    verdict.tally.engine_dense = u64::from(stacked.is_none());
+    for first in (0..images).step_by(width) {
+        let timer = wprobe.inference_start();
+        let (outcome, arena) = match stacked {
+            Some(bcache) => {
+                if session.ensure_panel(model, plan, bcache, dirty)? {
+                    golden.record_panel_hit();
+                } else {
+                    golden.record_panel_miss();
+                }
+                let (arena, lowered) = session.arena_and_panel(dirty);
+                let out = plan.weight_suffix(
+                    model,
+                    dirty,
+                    bcache,
+                    lowered,
+                    dirty_unit,
+                    cfg.convergence,
+                    arena,
+                )?;
+                (out, arena)
+            }
+            None => {
+                // Only convs the cache can hold are looked up; in-place
+                // convs multiply the golden input directly.
+                let lowered = plan.lowers_per_image(dirty).then(|| golden.lowering(dirty, first));
+                let (cache, arena) = (golden.cache(first), &mut session.arena);
+                let out = plan.weight_suffix(
+                    model,
+                    dirty,
+                    cache,
+                    lowered.flatten(),
+                    dirty_unit,
+                    cfg.convergence,
+                    arena,
+                )?;
+                (out, arena)
+            }
+        };
+        wprobe.inference_end(timer);
+        let counted = verdict.tally.inferences;
+        let more = verdict.replay(first, &outcome);
+        arena.recycle(outcome.logits);
+        // The probe's inference counter mirrors the logical per-image
+        // count; the chunk's first image carried the whole pass's latency.
+        for _ in counted + 1..verdict.tally.inferences {
+            wprobe.inference_end(wprobe.inference_start());
         }
-        BatchedOutcome::Logits(logits) => {
-            let classes = logits.len() / images;
-            (Vec::new(), logits.into_vec(), classes)
-        }
-    };
-    let mut verdict =
-        Verdict::new(model, golden, needed_for_critical, cfg, dirty_node.max(1), wprobe);
-    verdict.tally.engine_batched = 1;
-    let mut rows = logits.chunks_exact(classes.max(1));
-    for idx in 0..images {
-        if let Some(at_node) = converged_at.get(idx).copied().flatten() {
-            verdict.converged(at_node);
-        } else if !verdict.predicted(idx, rows.next().and_then(row_argmax)) {
+        if !more {
             break;
         }
     }
-    arena.recycle(logits);
-    let out = verdict.finish();
-    // The probe's inference counter mirrors the logical per-image count
-    // (one batched pass evaluated `inferences` images); the first entry
-    // above carried the whole pass's latency.
-    for _ in 1..out.tally.inferences {
-        wprobe.inference_end(wprobe.inference_start());
-    }
-    Ok(out)
+    Ok(verdict.finish())
 }
 
 /// Classifies any [`CampaignFault`] variant: the executor's per-fault
@@ -1320,7 +1315,7 @@ fn classify_activation(
         out
     } else {
         let mut opts = ForwardOptions { plan: Some(golden.plan()), ..pass_options(cfg, arena) };
-        model.forward_suffix(None, cache, &[fault.patch()], &mut opts)?
+        ForwardOutcome::Logits(model.forward_suffix(None, cache, &[fault.patch()], &mut opts)?)
     };
     wprobe.inference_end(timer);
     verdict.outcome(site.image, out);
@@ -1400,20 +1395,20 @@ fn classify_accumulated<C: Corruption>(
             continue;
         }
         let timer = wprobe.inference_start();
-        let out = match model.forward_suffix(
+        let logits = match model.forward_suffix(
             weight_dirty,
             golden.cache(idx),
             &patches,
             &mut pass_options(cfg, arena),
         ) {
-            Ok(out) => out,
+            Ok(logits) => logits,
             Err(e) => {
                 outcome = Err(e.into());
                 break;
             }
         };
         wprobe.inference_end(timer);
-        if !verdict.outcome(idx, out) {
+        if !verdict.predicted(idx, logits.argmax()) {
             break;
         }
     }

@@ -6,15 +6,16 @@ use std::sync::Arc;
 
 use sfi_dataset::Dataset;
 use sfi_nn::{ActivationCache, CompiledPlan, Model, NnError, NodeId, NodeOp};
-use sfi_tensor::ops::{self, LoweredConv};
+use sfi_tensor::ops::{self, BatchedLowered};
 use sfi_tensor::Tensor;
 
 use crate::FaultSimError;
 
 /// Precomputed im2col column matrices of the golden input of every conv
 /// layer whose per-image GEMM still lowers
-/// ([`CompiledPlan::lowers_per_image`]), per evaluation image. Convs that
-/// read their input in place are not held: the faulted conv and its
+/// ([`CompiledPlan::lowers_per_image`]), per evaluation image: one-image
+/// [`BatchedLowered`] panels, the width of a one-image suffix pass. Convs
+/// that read their input in place are not held: the faulted conv and its
 /// single-unit probe multiply the golden input directly.
 ///
 /// Weight faults never change a layer's *input* under incremental
@@ -26,7 +27,7 @@ use crate::FaultSimError;
 #[derive(Debug, Clone)]
 struct LoweringCache {
     /// `by_node[&node][image]` — one lowered panel set per eval image.
-    by_node: HashMap<NodeId, Vec<LoweredConv>>,
+    by_node: HashMap<NodeId, Vec<BatchedLowered>>,
     bytes: usize,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
@@ -121,15 +122,15 @@ impl GoldenReference {
     /// executor when re-running the *faulted* conv itself: the faulted layer
     /// reads its golden input, so the lowering is valid for every fault in
     /// the stratum. With more than one evaluation image this also builds
-    /// the batched golden state the batched suffix engine classifies
-    /// against.
+    /// the stacked golden state that suffix passes over all images at once
+    /// classify against.
     ///
     /// # Errors
     ///
     /// Returns [`FaultSimError::Nn`] when a conv node references a missing
     /// weight parameter or its golden input fails to lower.
     pub fn with_lowering(mut self, model: &Model) -> Result<Self, FaultSimError> {
-        let mut by_node: HashMap<NodeId, Vec<LoweredConv>> = HashMap::new();
+        let mut by_node: HashMap<NodeId, Vec<BatchedLowered>> = HashMap::new();
         let mut bytes = 0usize;
         for (id, node) in model.nodes().iter().enumerate() {
             let NodeOp::Conv { weight, cfg, .. } = node.op else { continue };
@@ -147,7 +148,7 @@ impl GoldenReference {
             let mut per_image = Vec::with_capacity(self.caches.len());
             for cache in &self.caches {
                 let input = cache.get(input_id).expect("cache covers all nodes");
-                let lowered = ops::im2col_lower(input, weight, cfg)
+                let lowered = ops::im2col_lower_batched(input, weight, cfg, None)
                     .map_err(|source| NnError::Op { node: id, source })?;
                 bytes += lowered.memory_bytes();
                 per_image.push(lowered);
@@ -170,7 +171,7 @@ impl GoldenReference {
     /// input and runs the fault-free model once over the stack. The batched
     /// activations are bit-identical, image by image, to the per-image
     /// caches (every operator treats the batch dimension independently), so
-    /// the batched suffix engine classifies against the same golden bits.
+    /// an all-images suffix pass classifies against the same golden bits.
     /// At E = 1 the stack would be a copy of `caches[0]`, so
     /// [`with_lowering`](Self::with_lowering) skips it there.
     fn build_batched(&mut self, model: &Model) -> Result<(), FaultSimError> {
@@ -195,7 +196,7 @@ impl GoldenReference {
     /// Counts a hit or miss only when the cache is enabled; with the cache
     /// absent (built without [`with_lowering`](Self::with_lowering)) every
     /// lookup returns `None` without touching the counters.
-    pub fn lowering(&self, node: NodeId, image: usize) -> Option<&LoweredConv> {
+    pub fn lowering(&self, node: NodeId, image: usize) -> Option<&BatchedLowered> {
         let cache = self.lowering.as_ref()?;
         match cache.by_node.get(&node).and_then(|per_image| per_image.get(image)) {
             Some(lowered) => {

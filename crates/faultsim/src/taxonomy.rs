@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
 use sfi_nn::{ForwardOptions, Model};
-use sfi_tensor::ScratchArena;
+use sfi_tensor::{ScratchArena, Tensor};
 
 use crate::campaign::{Corruption, Ieee754Corruption};
 use crate::fault::Fault;
@@ -158,16 +158,22 @@ pub fn run_campaign_detailed(
         let mut any_nonfinite = false;
         for idx in 0..data.len() {
             let logits = if incremental {
-                // Feed the first dirty conv its precomputed golden im2col
-                // panels when the golden reference carries them.
-                let lowered =
-                    golden.lowering(injection.dirty_node, idx).map(|l| (injection.dirty_node, l));
-                let mut opts =
-                    ForwardOptions { arena: Some(&mut arena), lowered, ..Default::default() };
-                let cache = golden.cache(idx);
-                worker
-                    .forward_suffix(Some(injection.dirty_node), cache, &[], &mut opts)?
-                    .into_logits(cache)
+                // The plan's suffix pass one image wide, without early exit
+                // (the class reads the logits themselves); the first dirty
+                // conv reads its precomputed golden im2col panels when the
+                // golden reference carries them.
+                let dirty = injection.dirty_node;
+                let lowered = golden.lowering(dirty, idx);
+                let out = golden.plan().weight_suffix(
+                    &worker,
+                    dirty,
+                    golden.cache(idx),
+                    lowered,
+                    None,
+                    false,
+                    &mut arena,
+                )?;
+                Tensor::from_vec([1, out.classes], out.logits).expect("one logits row")
             } else {
                 let mut opts = ForwardOptions { arena: Some(&mut arena), ..Default::default() };
                 worker.forward_with(data.image(idx), &mut opts)?

@@ -177,7 +177,7 @@ impl Model {
         mut stats: DeltaStats,
     ) -> Result<(ForwardOutcome, DeltaStats), NnError> {
         let n_nodes = self.nodes().len();
-        // Same live-dirty bookkeeping as the converging forward_suffix: a node
+        // Same live-dirty bookkeeping as the converging suffix pass: a node
         // with a nonempty mask blocks convergence until its last reader
         // has consumed it.
         let mut last_reader: Vec<NodeId> = (0..n_nodes).collect();
@@ -837,9 +837,7 @@ mod tests {
 
     /// The dense suffix re-execution the delta pass must reproduce.
     fn dense_suffix(m: &Model, cache: &ActivationCache, patches: &[ActPatch]) -> Tensor {
-        m.forward_suffix(None, cache, patches, &mut ForwardOptions::default())
-            .unwrap()
-            .into_logits(cache)
+        m.forward_suffix(None, cache, patches, &mut ForwardOptions::default()).unwrap()
     }
 
     fn bits_eq(a: &Tensor, b: &Tensor) -> bool {

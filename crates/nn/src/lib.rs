@@ -13,6 +13,9 @@
 //!   re-execution* ([`forward_suffix`](Model::forward_suffix)) that
 //!   recomputes only from the first node affected by a fault — the key
 //!   optimisation that makes million-fault campaigns tractable;
+//! - [`CompiledPlan`] — the model's compiled schedule and its one
+//!   weight-fault suffix pass ([`weight_suffix`](CompiledPlan::weight_suffix)),
+//!   fused, early-exiting, one image or all evaluation images wide;
 //! - [`resnet`] / [`mobilenet`] — CIFAR-10 builders for **ResNet-20**
 //!   (20 weight layers, 268,336 weights) and **MobileNetV2** (54 weight
 //!   layers, 2,203,584 weights), with width multipliers for reduced-scale
@@ -61,6 +64,4 @@ pub use model::{
 };
 pub use node::{Node, NodeId, NodeOp};
 pub use param::{ParamId, ParamKind, Parameter, ParameterStore, WeightLayer};
-pub use plan::{
-    BatchedOutcome, CompiledPlan, GoldenPanels, SessionState, BATCHED_MAX_SUFFIX_FLOPS,
-};
+pub use plan::{CompiledPlan, GoldenPanels, SessionState, SuffixOutcome, BATCHED_MAX_SUFFIX_FLOPS};

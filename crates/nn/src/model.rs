@@ -1,11 +1,8 @@
 use serde::{Deserialize, Serialize};
 
-use sfi_tensor::ops::{
-    self, BatchNormParams, ConvEpilogue, GemmKernel, LoweredConv, PackedConvWeight,
-};
+use sfi_tensor::ops::{self, BatchNormParams, ConvEpilogue, GemmKernel, PackedConvWeight};
 use sfi_tensor::{ScratchArena, Tensor};
 
-use crate::plan::vacant;
 use crate::{CompiledPlan, NnError, Node, NodeId, ParamId, ParameterStore, WeightLayer};
 
 /// Kernel and allocation policy of a forward pass.
@@ -31,7 +28,7 @@ pub enum KernelPolicy {
 /// [`Model::forward_suffix`].
 ///
 /// The plain [`Model::forward`] uses the defaults (fast kernels, no arena,
-/// no pre-lowered panels, no convergence check).
+/// no golden weight panels).
 #[derive(Default)]
 pub struct ForwardOptions<'a> {
     /// Kernel and allocation policy.
@@ -39,41 +36,19 @@ pub struct ForwardOptions<'a> {
     /// Scratch arena for im2col/GEMM buffers; intermediate activations are
     /// recycled into it when the pass finishes.
     pub arena: Option<&'a mut ScratchArena>,
-    /// Pre-lowered im2col panels for one conv node. Consulted only when
-    /// that exact node is evaluated under [`KernelPolicy::Fast`]; the
-    /// caller asserts the panels were lowered from the value the node's
-    /// input holds during this pass. [`Model::forward_suffix`] ignores
-    /// them whenever it applies activation patches.
-    pub lowered: Option<(NodeId, &'a LoweredConv)>,
     /// The model's compiled plan, for a [`Model::forward_suffix`] pass
-    /// under [`KernelPolicy::Fast`]. Its golden weight panels
-    /// ([`CompiledPlan::panels`]) feed the conv GEMMs: the pass never lets
+    /// under [`KernelPolicy::Fast`]: its golden weight panels
+    /// ([`CompiledPlan::panels`]) feed the conv GEMMs. The pass never lets
     /// its `weight_dirty` node read its panel, and the caller asserts every
     /// *other* recomputed node's weights hold the golden values the panels
     /// were packed from — true for a single weight fault and for transient
-    /// faults, not for accumulated multi-layer faults. A pure weight-fault
-    /// pass (no patches) also runs on the plan's schedule: fused groups and
-    /// last-reader recycling. Ignored by [`Model::forward_with`].
+    /// faults, not for accumulated multi-layer faults. Ignored by
+    /// [`Model::forward_with`].
     pub plan: Option<&'a CompiledPlan>,
-    /// Output unit (conv out-channel / linear out-feature) through which
-    /// the active weight fault reaches the *first dirty* node, when the
-    /// caller knows it (see [`Model::param_output_unit`]). A converging
-    /// [`Model::forward_suffix`] then evaluates only that unit of the
-    /// first dirty node — every other unit is a deterministic
-    /// recomputation from golden inputs and unfaulted weight rows, hence
-    /// bit-golden — deciding convergence (or materializing the node's full
-    /// activation) at a fraction of the node cost. Ignored unless
-    /// [`converge`](Self::converge) is in effect, and by unsupported node
-    /// kinds.
-    pub dirty_unit: Option<usize>,
-    /// Golden-convergence early exit for [`Model::forward_suffix`]: stop
-    /// with [`ForwardOutcome::Converged`] once the recomputed suffix is
-    /// provably bit-golden. Honoured only for pure weight faults (no
-    /// activation patches); ignored by [`Model::forward_with`].
-    pub converge: bool,
 }
 
-/// Outcome of a suffix re-execution ([`Model::forward_suffix`]).
+/// Outcome of a suffix re-execution that can stop early
+/// ([`Model::forward_delta_site`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ForwardOutcome {
     /// The suffix diverged from the golden activations all the way to the
@@ -108,27 +83,11 @@ impl ForwardOutcome {
 pub(crate) struct NodeKernels<'a> {
     /// Kernel and allocation policy.
     pub(crate) policy: KernelPolicy,
-    /// im2col panels lowered from this node's operand.
-    pub(crate) lowered: Option<&'a LoweredConv>,
     /// This node's conv weight, pre-packed from its live values.
     pub(crate) panel: Option<&'a PackedConvWeight>,
     /// The fused batch norm and activation of the group this conv heads,
     /// applied to its output (fast policy only).
     pub(crate) epilogue: Option<ConvEpilogue<'a>>,
-}
-
-/// Result of the single-unit convergence probe (a converging
-/// [`Model::forward_suffix`] with [`ForwardOptions::dirty_unit`] set).
-enum ProbeOutcome {
-    /// The node/op/options combination has no single-unit kernel; fall
-    /// back to full evaluation.
-    Unsupported,
-    /// The probed unit recomputed to golden bits — the whole node is
-    /// provably golden.
-    Clean,
-    /// The probed unit diverged; this is the node's full activation
-    /// (golden clone with the unit overwritten).
-    Dirty(Tensor),
 }
 
 /// Resolves node-output references during a forward pass: a clean prefix
@@ -145,7 +104,7 @@ pub(crate) struct NodeValues<'a> {
 }
 
 impl NodeValues<'_> {
-    fn get(&self, id: NodeId) -> &Tensor {
+    pub(crate) fn get(&self, id: NodeId) -> &Tensor {
         if let Some((_, t)) = self.overrides.iter().find(|(n, _)| *n == id) {
             return t;
         }
@@ -373,9 +332,10 @@ impl Model {
     /// in every parameter layout this graph uses: conv weights are
     /// `[c_out, c_in/g, k_h, k_w]`, linear weights `[out, in]`, and
     /// vector parameters (biases, batch-norm terms) are indexed by unit
-    /// directly. Feed the result to [`ForwardOptions::dirty_unit`] to arm
-    /// the single-unit convergence probe. `None` when the parameter is
-    /// unknown or the index is out of range.
+    /// directly. Pass the result as `dirty_unit` to
+    /// [`CompiledPlan::weight_suffix`] to arm the single-unit convergence
+    /// probe. `None` when the parameter is unknown or the index is out of
+    /// range.
     pub fn param_output_unit(&self, param: ParamId, index: usize) -> Option<usize> {
         let tensor = &self.store.get(param)?.tensor;
         if index >= tensor.len() {
@@ -400,41 +360,35 @@ impl Model {
         }
     }
 
-    /// Evaluates node `id` with its operands read from `vals`, the cached
-    /// lowering `opts` names for this node, `panel` as its packed conv
-    /// weight (callers pass only a panel packed from this node's live
-    /// weights) and `epilogue` as its fused tail. See [`Model::eval_node`].
-    pub(crate) fn eval_node_with(
+    /// Evaluates node `id` with its operands read from `vals` and `panel`
+    /// as its packed conv weight (callers pass only a panel packed from
+    /// this node's live weights). See [`Model::eval_node`].
+    fn eval_node_with(
         &self,
         id: NodeId,
         vals: &NodeValues<'_>,
         panel: Option<&PackedConvWeight>,
-        epilogue: Option<ConvEpilogue<'_>>,
         opts: &mut ForwardOptions<'_>,
     ) -> Result<Tensor, NnError> {
         let inputs = &self.nodes[id].inputs;
         let x0 = vals.get(inputs.first().copied().unwrap_or(0));
         let x1 = inputs.get(1).map(|&i| vals.get(i));
-        let lowered = match opts.lowered {
-            Some((n, low)) if n == id => Some(low),
-            _ => None,
-        };
-        let kernels = NodeKernels { policy: opts.policy, lowered, panel, epilogue };
+        let kernels = NodeKernels { policy: opts.policy, panel, epilogue: None };
         self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())
     }
 
     /// The one dense operator evaluator: node `id` over its explicitly
     /// resolved operands `x0` (and `x1` for `Add`), shared by every forward
-    /// pass and the delta engine's dense fallback.
+    /// pass, the compiled plan's suffix pass and the delta engine's dense
+    /// fallback.
     ///
-    /// Under [`KernelPolicy::Fast`] convs consume `kernels.lowered` (im2col
-    /// panels of `x0`) and `kernels.panel` (the packed weight) when given,
-    /// apply `kernels.epilogue` to their output (the node then stands for
-    /// its whole fusion group), and every buffer comes from `arena` when
-    /// there is one. Without
-    /// `kernels.lowered`, a conv that [`ops::conv2d_reads_in_place`]
-    /// multiplies `x0` in place (over `kernels.panel`, or its weight packed
-    /// once for the call) and every other conv lowers `x0` itself.
+    /// Under [`KernelPolicy::Fast`] convs consume `kernels.panel` (the
+    /// packed weight) when given, apply `kernels.epilogue` to their output
+    /// (the node then stands for its whole fusion group), and every buffer
+    /// comes from `arena` when there is one. A conv that
+    /// [`ops::conv2d_reads_in_place`] multiplies `x0` in place (over
+    /// `kernels.panel`, or its weight packed once for the call) and every
+    /// other conv lowers `x0` itself.
     /// [`KernelPolicy::Naive`] is the historical reference path: it clones
     /// every operand, allocates fresh, runs the naive GEMM and the scalar
     /// depthwise loop, and ignores the conv hints; it is never given an
@@ -465,11 +419,10 @@ impl Model {
                 let (w, b) = (param(*weight), bias.map(&param));
                 let (ep, panel) = (kernels.epilogue.as_ref(), kernels.panel);
                 debug_assert!(!naive || ep.is_none(), "the naive path runs unfused");
-                let conv = match (naive, kernels.lowered, arena) {
-                    (true, ..) => ops::conv2d_kernel(x0, w, b, *cfg, GemmKernel::Naive),
-                    (false, Some(low), a) => ops::conv2d_from_lowered(low, w, b, ep, panel, a),
-                    (false, None, Some(a)) => ops::conv2d_with(x0, w, b, *cfg, ep, panel, a),
-                    (false, None, None) => {
+                let conv = match (naive, arena) {
+                    (true, _) => ops::conv2d_kernel(x0, w, b, *cfg, GemmKernel::Naive),
+                    (false, Some(a)) => ops::conv2d_with(x0, w, b, *cfg, ep, panel, a),
+                    (false, None) => {
                         ops::conv2d_with(x0, w, b, *cfg, ep, panel, &mut ScratchArena::new())
                     }
                 };
@@ -561,7 +514,6 @@ impl Model {
                     suffix: &suffix,
                 },
                 None,
-                None,
                 opts,
             )?;
             suffix.push(v);
@@ -594,7 +546,6 @@ impl Model {
                     suffix: &[],
                 },
                 None,
-                None,
                 &mut ForwardOptions::default(),
             )?;
             values.push(v);
@@ -603,8 +554,11 @@ impl Model {
     }
 
     /// Re-runs inference over one input's cached golden activations after
-    /// a fault — the single suffix re-execution primitive behind every
-    /// fault model.
+    /// a fault, unfused, node by node: the reference suffix re-execution
+    /// behind transient and accumulated faults and the
+    /// [`KernelPolicy::Naive`] baseline. A single weight fault under
+    /// [`KernelPolicy::Fast`] runs on [`CompiledPlan::weight_suffix`]
+    /// instead, with fused groups, early exit and recycling.
     ///
     /// - `weight_dirty` names the first node whose *recomputation* differs:
     ///   the node consuming a faulted parameter (see
@@ -625,58 +579,11 @@ impl Model {
     /// to recompute the cached — possibly patched — final activation is
     /// returned.
     ///
-    /// Pure weight faults (`patches` empty) additionally honour two
-    /// options that assume golden activations upstream of the faulted
-    /// node:
-    ///
-    /// - [`ForwardOptions::lowered`]: when it names the first dirty conv
-    ///   node, that node's im2col lowering is skipped and the cached panels
-    ///   feed the GEMM — the node reads its *golden* input, the exact value
-    ///   the panels were lowered from. Convs that
-    ///   [`ops::conv2d_reads_in_place`] need no panels: they multiply the
-    ///   golden input in place.
-    /// - [`ForwardOptions::converge`]: after each recomputed node its
-    ///   activation is compared bitwise (`u32`-reinterpreted) against the
-    ///   cached golden one, and the pass stops with
-    ///   [`ForwardOutcome::Converged`] once the skipped suffix is provably
-    ///   golden. Every operator is deterministic and bit-exact in its
-    ///   inputs, so that holds once **every activation the suffix can
-    ///   still read** is bitwise-golden — stronger than "node `k`
-    ///   matches": with skip connections (ResNet's residual `Add`) a node
-    ///   after `k` may read a recomputed activation *before* `k` that still
-    ///   differs (a diverged conv whose following ReLU clamped back to
-    ///   golden). The pass therefore tracks the *live dirty* nodes —
-    ///   recomputed nodes that differ from golden and are read past the
-    ///   current one — and converges only when the current node matches
-    ///   and none is live. NaN payloads and signed zeros compare by bits.
-    ///   When [`ForwardOptions::dirty_unit`] names the one output unit the
-    ///   fault can reach, the first dirty node is decided by a
-    ///   *single-unit probe* — one GEMM row instead of the full layer, over
-    ///   the cached panels or, for an in-place conv, the golden input —
-    ///   and on divergence its activation is materialized as a golden
-    ///   clone with that unit overwritten, bit-identical to full
-    ///   re-evaluation because no other unit depends on the faulted
-    ///   weight row.
-    ///
     /// With [`ForwardOptions::plan`] every recomputed conv GEMM reads its
     /// golden weight panel — except the `weight_dirty` node's, which always
-    /// packs its live (faulted) weights. This holds for patched passes too.
-    /// A pure weight-fault pass under [`KernelPolicy::Fast`] also runs on
-    /// the plan's schedule:
-    ///
-    /// - every fusion group the suffix enters at its head (conv or
-    ///   depthwise conv → batch norm → optional ReLU/ReLU6) is one conv
-    ///   with a fused epilogue, bit-identical to the three unfused nodes,
-    ///   and convergence is checked at the group's output only — the
-    ///   intermediates have a single reader inside the group, so they can
-    ///   never be live past it;
-    /// - each recomputed activation goes back to `opts.arena` as soon as
-    ///   its last reader has run ([`CompiledPlan::flush_after`]).
-    ///
-    /// Patched (transient) passes stay unfused, because a strike may land
-    /// inside a group. Intermediate tensors still held when the pass ends
-    /// are recycled into `opts.arena`, so the next image reuses the same
-    /// scratch.
+    /// packs its live (faulted) weights. Intermediate tensors are recycled
+    /// into `opts.arena` when the pass ends, so the next image reuses the
+    /// same scratch.
     ///
     /// # Errors
     ///
@@ -689,7 +596,7 @@ impl Model {
         cache: &ActivationCache,
         patches: &[ActPatch],
         opts: &mut ForwardOptions<'_>,
-    ) -> Result<ForwardOutcome, NnError> {
+    ) -> Result<Tensor, NnError> {
         let n_nodes = self.nodes.len();
         let golden = &cache.activations;
         if golden.len() != n_nodes {
@@ -746,221 +653,33 @@ impl Model {
         }
         if start >= n_nodes {
             let last = n_nodes - 1;
-            return Ok(ForwardOutcome::Logits(
-                match overrides.into_iter().find(|(n, _)| *n == last) {
-                    Some((_, t)) => t,
-                    None => golden[last].clone(),
-                },
-            ));
+            return Ok(match overrides.into_iter().find(|(n, _)| *n == last) {
+                Some((_, t)) => t,
+                None => golden[last].clone(),
+            });
         }
-        // A corrupted activation upstream of a lowered conv makes its
-        // panels unsound.
-        let lowered = opts.lowered;
-        if !patches.is_empty() {
-            opts.lowered = None;
-        }
-        let out = self.recompute_suffix(start, weight_dirty, cache, &overrides, patches, opts);
-        opts.lowered = lowered;
-        out
-    }
-
-    /// The recompute loop of [`Model::forward_suffix`] from node `start`
-    /// on, with the golden-convergence bookkeeping when it applies and the
-    /// plan's schedule when it runs on one. Node `weight_dirty` never reads
-    /// its golden panel.
-    fn recompute_suffix(
-        &self,
-        start: NodeId,
-        weight_dirty: Option<NodeId>,
-        cache: &ActivationCache,
-        overrides: &[(NodeId, Tensor)],
-        patches: &[ActPatch],
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<ForwardOutcome, NnError> {
-        let n_nodes = self.nodes.len();
-        let golden = &cache.activations;
-        let converge = opts.converge && patches.is_empty();
-        let plan = opts.plan;
-        let schedule = plan.filter(|_| patches.is_empty() && opts.policy == KernelPolicy::Fast);
-        // For each node, the last node that reads its activation: a dirty
-        // (differs-from-golden) recomputed node stays live — and blocks
-        // convergence — until its last reader has been evaluated.
-        // `expiring[id]` counts the live dirty nodes that die once node
-        // `id` has consumed them. Both stay empty without convergence.
-        let (mut last_reader, mut expiring) = (Vec::new(), Vec::new());
-        if converge {
-            last_reader = (0..n_nodes).collect();
-            for (id, node) in self.nodes.iter().enumerate().skip(start) {
-                for &inp in &node.inputs {
-                    last_reader[inp] = id;
-                }
-            }
-            expiring = vec![0u32; n_nodes];
-        }
-        let mut live_dirty: u32 = 0;
         let mut fresh: Vec<Tensor> = Vec::with_capacity(n_nodes - start);
-        let mut next = start;
-        if let (true, Some(unit)) = (converge, opts.dirty_unit) {
-            match self.probe_dirty_unit(start, cache, unit, opts)? {
-                ProbeOutcome::Unsupported => {}
-                ProbeOutcome::Clean => return Ok(ForwardOutcome::Converged { at_node: start }),
-                ProbeOutcome::Dirty(t) => {
-                    if last_reader[start] > start {
-                        expiring[last_reader[start]] += 1;
-                        live_dirty += 1;
-                    }
-                    fresh.push(t);
-                    next = start + 1;
-                }
-            }
-        }
-        let mut id = next;
-        while id < n_nodes {
-            let vals = NodeValues { prefix: golden, overrides, suffix_base: start, suffix: &fresh };
-            let panel = match plan {
+        for id in start..n_nodes {
+            let vals = NodeValues {
+                prefix: golden,
+                overrides: &overrides,
+                suffix_base: start,
+                suffix: &fresh,
+            };
+            let panel = match opts.plan {
                 Some(p) if weight_dirty != Some(id) => p.panels().get(id),
                 _ => None,
             };
-            // A group the suffix enters at its head runs as one node whose
-            // value is the group's output.
-            let (out, epilogue) = match schedule.and_then(|p| p.fused_at(id)) {
-                Some((out, ep)) => (out, Some(ep)),
-                None => (id, None),
-            };
-            let mut v = self.eval_node_with(id, &vals, panel, epilogue, opts)?;
+            let mut v = self.eval_node_with(id, &vals, panel, opts)?;
             for p in patches.iter().filter(|p| p.node == id) {
                 let s = v.as_mut_slice();
                 s[p.element] = p.apply(s[p.element]);
             }
-            if converge {
-                // Nodes `id..=out` have now read their inputs; dirty nodes
-                // last read there can no longer influence the suffix.
-                live_dirty -= expiring[id..=out].iter().sum::<u32>();
-                if v.bits_equal(&golden[out]) {
-                    if live_dirty == 0 {
-                        fresh.push(v);
-                        recycle(fresh, opts);
-                        return Ok(ForwardOutcome::Converged { at_node: out });
-                    }
-                } else if last_reader[out] > out {
-                    expiring[last_reader[out]] += 1;
-                    live_dirty += 1;
-                }
-            }
-            // Fused-away intermediates hold vacant slots: their one reader
-            // is inside the group.
-            fresh.extend((id..out).map(|_| vacant()));
             fresh.push(v);
-            if let (Some(p), Some(arena)) = (schedule, opts.arena.as_deref_mut()) {
-                for dead in (id..=out).flat_map(|step| p.flush_after(step)) {
-                    if let Some(slot) = dead.checked_sub(start) {
-                        arena.recycle(std::mem::replace(&mut fresh[slot], vacant()).into_vec());
-                    }
-                }
-            }
-            id = out + 1;
         }
         let out = fresh.pop().expect("suffix is nonempty");
         recycle(fresh, opts);
-        Ok(ForwardOutcome::Logits(out))
-    }
-
-    /// Evaluates only output unit `unit` of node `id` and compares it
-    /// against the golden activation: `Clean` means the unit — and hence
-    /// the whole node, since the fault reaches no other unit — recomputed
-    /// to golden bits; `Dirty` carries the node's full activation (a golden
-    /// clone with the probed unit overwritten, bit-identical to a full
-    /// re-evaluation). `Unsupported` asks the caller to fall back to full
-    /// evaluation: the op has no single-unit kernel, the conv neither has
-    /// a cached lowering nor reads its golden input in place
-    /// ([`ops::conv2d_reads_in_place`]), or the naive cost-model policy is
-    /// active.
-    fn probe_dirty_unit(
-        &self,
-        id: NodeId,
-        cache: &ActivationCache,
-        unit: usize,
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<ProbeOutcome, NnError> {
-        use crate::NodeOp;
-        if opts.policy == KernelPolicy::Naive {
-            return Ok(ProbeOutcome::Unsupported);
-        }
-        let node = &self.nodes[id];
-        let param = |p: ParamId| &self.store.get(p).expect("validated at construction").tensor;
-        let wrap = |source| NnError::Op { node: id, source };
-        let golden = &cache.activations[id];
-        let vals: Vec<f32> = match &node.op {
-            NodeOp::Conv { weight, bias, cfg } => {
-                let w = param(*weight);
-                if unit >= w.shape().n() {
-                    return Ok(ProbeOutcome::Unsupported);
-                }
-                let (b, arena) = (bias.map(&param), opts.arena.as_deref_mut());
-                let x = &cache.activations[node.inputs[0]];
-                match opts.lowered {
-                    Some((ln, low)) if ln == id => {
-                        ops::conv2d_channel_from_lowered(low, w, b, unit, arena).map_err(wrap)?
-                    }
-                    _ if ops::conv2d_reads_in_place(x, w, *cfg) => {
-                        ops::conv2d_channel_in_place(x, w, b, *cfg, unit, arena).map_err(wrap)?
-                    }
-                    _ => return Ok(ProbeOutcome::Unsupported),
-                }
-            }
-            NodeOp::Linear { weight, bias } => {
-                let xv = &cache.activations[node.inputs[0]];
-                let reshaped;
-                let x2 = if xv.shape().rank() == 2 {
-                    xv
-                } else {
-                    let n = xv.shape().dims()[0];
-                    let rest = xv.len() / n;
-                    reshaped = xv.reshape([n, rest]).map_err(wrap)?;
-                    &reshaped
-                };
-                let w = param(*weight);
-                if unit >= w.shape().dims()[0] {
-                    return Ok(ProbeOutcome::Unsupported);
-                }
-                ops::linear_row(x2, w, bias.map(&param), unit).map_err(wrap)?
-            }
-            _ => return Ok(ProbeOutcome::Unsupported),
-        };
-        // Unit `unit` occupies `chunk` contiguous elements per image in the
-        // golden layout ([batch, units, ...]); `vals` holds the same
-        // elements back to back, one image after another.
-        let shape = golden.shape();
-        let dims = shape.dims();
-        let (batch, units) = (dims[0], dims[1]);
-        let chunk: usize = dims[2..].iter().product();
-        let g = golden.as_slice();
-        let clean = (0..batch).all(|n| {
-            let gs = &g[(n * units + unit) * chunk..][..chunk];
-            let vs = &vals[n * chunk..][..chunk];
-            gs.iter().zip(vs).all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-        if clean {
-            if let Some(a) = opts.arena.as_deref_mut() {
-                a.recycle(vals);
-            }
-            return Ok(ProbeOutcome::Clean);
-        }
-        let mut data = match opts.arena.as_deref_mut() {
-            Some(a) => a.take(g.len()),
-            None => vec![0.0f32; g.len()],
-        };
-        data.copy_from_slice(g);
-        for n in 0..batch {
-            data[(n * units + unit) * chunk..][..chunk]
-                .copy_from_slice(&vals[n * chunk..][..chunk]);
-        }
-        if let Some(a) = opts.arena.as_deref_mut() {
-            a.recycle(vals);
-        }
-        let t = Tensor::from_vec(shape, data)
-            .expect("materialized activation matches the golden shape");
-        Ok(ProbeOutcome::Dirty(t))
+        Ok(out)
     }
 
     /// A human-readable summary: one line per weight layer with its name,
@@ -1087,8 +806,8 @@ pub(crate) fn argmax_slice(row: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NodeOp, ParamKind};
-    use sfi_tensor::ops::Conv2dCfg;
+    use crate::{NodeOp, ParamKind, SuffixOutcome};
+    use sfi_tensor::ops::{BatchedLowered, Conv2dCfg};
 
     /// A tiny two-layer model: conv(1->2, 3x3) -> relu -> gap -> linear.
     fn tiny_model() -> Model {
@@ -1143,25 +862,14 @@ mod tests {
         assert_eq!(plain, *last);
     }
 
-    /// [`Model::forward_suffix`] with `opts`, resolved to its logits.
-    fn suffix_with(
-        m: &Model,
-        weight_dirty: Option<NodeId>,
-        cache: &ActivationCache,
-        patches: &[ActPatch],
-        opts: &mut ForwardOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        Ok(m.forward_suffix(weight_dirty, cache, patches, opts)?.into_logits(cache))
-    }
-
-    /// [`Model::forward_suffix`] with default options, resolved to its logits.
+    /// [`Model::forward_suffix`] with default options.
     fn suffix(
         m: &Model,
         weight_dirty: Option<NodeId>,
         cache: &ActivationCache,
         patches: &[ActPatch],
     ) -> Result<Tensor, NnError> {
-        suffix_with(m, weight_dirty, cache, patches, &mut ForwardOptions::default())
+        m.forward_suffix(weight_dirty, cache, patches, &mut ForwardOptions::default())
     }
 
     /// A patch that overwrites its element with `v`.
@@ -1211,13 +919,13 @@ mod tests {
     fn suffix_rejects_foreign_cache_and_bad_sites() {
         let m = tiny_model();
         let foreign = ActivationCache { activations: vec![Tensor::zeros([1])] };
-        for converge in [false, true] {
-            let opts = &mut ForwardOptions { converge, ..Default::default() };
-            assert!(matches!(
-                m.forward_suffix(Some(1), &foreign, &[], opts),
-                Err(NnError::CacheMismatch { .. })
-            ));
-        }
+        assert!(matches!(suffix(&m, Some(1), &foreign, &[]), Err(NnError::CacheMismatch { .. })));
+        let plan = CompiledPlan::compile(&m, &m.forward_cached(&tiny_input()).unwrap()).unwrap();
+        let arena = &mut ScratchArena::new();
+        assert!(matches!(
+            plan.weight_suffix(&m, 1, &foreign, None, None, true, arena),
+            Err(NnError::CacheMismatch { .. })
+        ));
         let cache = m.forward_cached(&tiny_input()).unwrap();
         for bad in [ActPatch::identity(99, 0), ActPatch::identity(1, usize::MAX)] {
             for weight_dirty in [None, Some(1)] {
@@ -1407,87 +1115,116 @@ mod tests {
 
     /// Golden im2col panels of tiny_model's conv (node 1), whose input is
     /// the image itself.
-    fn conv_panels(m: &Model, cache: &ActivationCache) -> LoweredConv {
+    fn conv_panels(m: &Model, cache: &ActivationCache) -> BatchedLowered {
         let NodeOp::Conv { weight, cfg, .. } = m.nodes()[1].op else {
             panic!("node 1 is the conv")
         };
         let w = &m.store().get(weight).unwrap().tensor;
-        ops::im2col_lower(cache.get(0).unwrap(), w, cfg).unwrap()
+        ops::im2col_lower_batched(cache.get(0).unwrap(), w, cfg, None).unwrap()
+    }
+
+    /// A one-image plan pass's outcome as a per-image one: the convergence
+    /// node, or the logits.
+    fn per_image(out: SuffixOutcome) -> ForwardOutcome {
+        match out.converged_at[..] {
+            [Some(at_node)] => ForwardOutcome::Converged { at_node },
+            _ => ForwardOutcome::Logits(Tensor::from_vec([1, out.classes], out.logits).unwrap()),
+        }
     }
 
     #[test]
-    fn suffix_with_lowered_panels_and_arena_matches_plain() {
+    fn plan_pass_with_lowered_panels_and_arena_matches_plain() {
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
+        let plan = CompiledPlan::compile(&m, &cache).unwrap();
         let lowered = conv_panels(&m, &cache);
         let plain = suffix(&m, Some(1), &cache, &[]).unwrap();
         let mut arena = ScratchArena::new();
-        let opts = &mut ForwardOptions {
-            arena: Some(&mut arena),
-            lowered: Some((1, &lowered)),
-            ..Default::default()
-        };
-        let fast = suffix_with(&m, Some(1), &cache, &[], opts).unwrap();
-        assert_bits_equal(&plain, &fast, "lowered suffix");
-        assert!(opts.lowered.is_some(), "the caller's options are left as given");
+        for low in [Some(&lowered), None] {
+            let out = plan.weight_suffix(&m, 1, &cache, low, None, false, &mut arena).unwrap();
+            match per_image(out) {
+                ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "plan pass"),
+                other => panic!("pass without a convergence check gave {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn patches_bypass_lowered_panels_and_convergence() {
-        // Panels lowered from the golden image are unsound once the image
-        // is struck, and a converging pass would stop at the first node
-        // matching golden although a later patch still strikes: both
-        // options must be ignored whenever a patch applies.
+    fn patched_suffix_with_plan_and_arena_matches_plain() {
+        // Golden weight panels stay sound under activation strikes: every
+        // weight holds its golden value.
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let lowered = conv_panels(&m, &cache);
+        let plan = CompiledPlan::compile(&m, &cache).unwrap();
         let patches = [set(0, 5, 3.0), ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(3, 0) }];
         let plain = suffix(&m, None, &cache, &patches).unwrap();
         let mut arena = ScratchArena::new();
-        let opts = &mut ForwardOptions {
-            arena: Some(&mut arena),
-            lowered: Some((1, &lowered)),
-            converge: true,
-            ..Default::default()
-        };
-        let out = m.forward_suffix(None, &cache, &patches, opts).unwrap();
-        match out {
-            ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "patched with options"),
-            ForwardOutcome::Converged { at_node } => panic!("patched pass converged at {at_node}"),
+        for _ in 0..2 {
+            let opts = &mut ForwardOptions {
+                arena: Some(&mut arena),
+                plan: Some(&plan),
+                ..Default::default()
+            };
+            let out = m.forward_suffix(None, &cache, &patches, opts).unwrap();
+            assert_bits_equal(&plain, &out, "patched with plan and arena");
         }
-        assert!(opts.lowered.is_some(), "the caller's options are left as given");
-        let patched_arena = &mut ForwardOptions { arena: Some(&mut arena), ..Default::default() };
-        let again = suffix_with(&m, None, &cache, &patches, patched_arena).unwrap();
-        assert_bits_equal(&plain, &again, "patched with arena");
     }
 
-    /// A converging pass with default options otherwise.
-    fn converging(m: &Model, first_dirty: NodeId, cache: &ActivationCache) -> ForwardOutcome {
-        let opts = &mut ForwardOptions { converge: true, ..Default::default() };
-        m.forward_suffix(Some(first_dirty), cache, &[], opts).unwrap()
+    /// The converging plan pass one image wide: `faulty`'s suffix from
+    /// `first_dirty` over `cache`, on the plan of the golden model `m`,
+    /// with the single-unit probe armed by `dirty_unit` and the first dirty
+    /// conv's golden-input lowering when its GEMM lowers per image.
+    fn converging_probed(
+        m: &Model,
+        faulty: &Model,
+        first_dirty: NodeId,
+        cache: &ActivationCache,
+        dirty_unit: Option<usize>,
+    ) -> ForwardOutcome {
+        let plan = CompiledPlan::compile(m, cache).unwrap();
+        let lowered = match &faulty.nodes()[first_dirty].op {
+            NodeOp::Conv { weight, cfg, .. } if plan.lowers_per_image(first_dirty) => {
+                let input = cache.get(faulty.nodes()[first_dirty].inputs[0]).unwrap();
+                let w = &faulty.store().get(*weight).unwrap().tensor;
+                Some(ops::im2col_lower_batched(input, w, *cfg, None).unwrap())
+            }
+            _ => None,
+        };
+        let arena = &mut ScratchArena::new();
+        let out = plan
+            .weight_suffix(faulty, first_dirty, cache, lowered.as_ref(), dirty_unit, true, arena)
+            .unwrap();
+        per_image(out)
+    }
+
+    /// A converging pass without the probe.
+    fn converging(
+        m: &Model,
+        faulty: &Model,
+        first_dirty: NodeId,
+        cache: &ActivationCache,
+    ) -> ForwardOutcome {
+        converging_probed(m, faulty, first_dirty, cache, None)
     }
 
     #[test]
     fn converging_suffix_detects_an_unchanged_model() {
-        // With no fault injected, the very first recomputed node matches
+        // With no fault injected, the very first recomputed step matches
         // the cache and the pass stops immediately.
         let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
-        let mut arena = ScratchArena::new();
-        let opts =
-            &mut ForwardOptions { arena: Some(&mut arena), converge: true, ..Default::default() };
-        let out = m.forward_suffix(Some(1), &cache, &[], opts).unwrap();
-        assert_eq!(out, ForwardOutcome::Converged { at_node: 1 });
+        assert_eq!(converging(&m, &m, 1, &cache), ForwardOutcome::Converged { at_node: 1 });
     }
 
     #[test]
     fn converging_suffix_matches_plain_on_a_diverging_model() {
-        let mut m = tiny_model();
+        let m = tiny_model();
         let cache = m.forward_cached(&tiny_input()).unwrap();
         // A large conv-weight change diverges all the way to the logits.
-        m.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let plain = suffix(&m, Some(1), &cache, &[]).unwrap();
-        match converging(&m, 1, &cache) {
+        let mut faulty = m.clone();
+        faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
+        let plain = suffix(&faulty, Some(1), &cache, &[]).unwrap();
+        match converging(&m, &faulty, 1, &cache) {
             ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "diverged logits"),
             ForwardOutcome::Converged { at_node } => panic!("spurious convergence at {at_node}"),
         }
@@ -1508,7 +1245,7 @@ mod tests {
         let mut faulty = m.clone();
         // Weight 13 belongs to output channel 1 and is 0.4; keep it positive.
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        assert_eq!(converging(&faulty, 1, &cache), ForwardOutcome::Converged { at_node: 2 });
+        assert_eq!(converging(&m, &faulty, 1, &cache), ForwardOutcome::Converged { at_node: 2 });
     }
 
     /// conv -> relu -> add(relu, conv) -> gap -> linear: the residual Add
@@ -1554,7 +1291,7 @@ mod tests {
         assert!(refreshed.get(2).unwrap().bits_equal(cache.get(2).unwrap()));
         assert!(!refreshed.get(1).unwrap().bits_equal(cache.get(1).unwrap()));
         let full = faulty.forward(&input).unwrap();
-        match converging(&faulty, 1, &cache) {
+        match converging(&m, &faulty, 1, &cache) {
             ForwardOutcome::Logits(l) => assert_bits_equal(&full, &l, "skip logits"),
             ForwardOutcome::Converged { at_node } => {
                 panic!("unsound convergence at node {at_node} past a live dirty skip input")
@@ -1562,36 +1299,18 @@ mod tests {
         }
     }
 
-    /// Runs a converging `forward_suffix` with and without the single-unit
+    /// Runs the converging plan pass with and without the single-unit
     /// probe armed and asserts the outcomes are indistinguishable.
     fn assert_probe_invisible(
+        m: &Model,
         faulty: &Model,
         first_dirty: NodeId,
         cache: &ActivationCache,
         dirty_unit: usize,
         ctx: &str,
     ) -> ForwardOutcome {
-        let input = cache.get(0).unwrap();
-        let lowered = match &faulty.nodes()[first_dirty].op {
-            NodeOp::Conv { weight, cfg, .. } => Some(
-                ops::im2col_lower(input, &faulty.store().get(*weight).unwrap().tensor, *cfg)
-                    .unwrap(),
-            ),
-            _ => None,
-        };
-        let mut arena = ScratchArena::new();
-        let run = |dirty_unit, arena| {
-            let opts = &mut ForwardOptions {
-                arena,
-                lowered: lowered.as_ref().map(|l| (first_dirty, l)),
-                dirty_unit,
-                converge: true,
-                ..Default::default()
-            };
-            faulty.forward_suffix(Some(first_dirty), cache, &[], opts).unwrap()
-        };
-        let probed = run(Some(dirty_unit), Some(&mut arena));
-        let full = run(None, None);
+        let probed = converging_probed(m, faulty, first_dirty, cache, Some(dirty_unit));
+        let full = converging(m, faulty, first_dirty, cache);
         match (&probed, &full) {
             (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => assert_bits_equal(a, b, ctx),
             (a, b) => assert_eq!(a, b, "{ctx}: probe changed the outcome"),
@@ -1610,14 +1329,14 @@ mod tests {
         let cache = m.forward_cached(&input).unwrap();
         let mut faulty = m.clone();
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[0] += 100.0;
-        let out = assert_probe_invisible(&faulty, 1, &cache, 0, "conv channel 0");
+        let out = assert_probe_invisible(&m, &faulty, 1, &cache, 0, "conv channel 0");
         assert!(matches!(out, ForwardOutcome::Logits(_)));
 
         // Non-finite faulted weight: NaN bits must flow through the probed
         // row exactly as through the full kernel.
         let mut nan_faulty = m.clone();
         nan_faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[3] = f32::NAN;
-        assert_probe_invisible(&nan_faulty, 1, &cache, 0, "conv channel 0 NaN");
+        assert_probe_invisible(&m, &nan_faulty, 1, &cache, 0, "conv channel 0 NaN");
 
         // Linear fault (last node): the probe's materialized activation IS
         // the returned logits.
@@ -1625,7 +1344,7 @@ mod tests {
         let mut fc_faulty = m.clone();
         fc_faulty.store_mut().get_mut(1).unwrap().tensor.as_mut_slice()[5] += 7.0;
         let unit = fc_faulty.param_output_unit(1, 5).unwrap();
-        let out = assert_probe_invisible(&fc_faulty, fc, &cache, unit, "fc row");
+        let out = assert_probe_invisible(&m, &fc_faulty, fc, &cache, unit, "fc row");
         assert!(matches!(out, ForwardOutcome::Logits(_)));
     }
 
@@ -1640,7 +1359,7 @@ mod tests {
         let cache = m.forward_cached(&input).unwrap();
         let mut faulty = m.clone();
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        let out = assert_probe_invisible(&faulty, 1, &cache, 1, "masked conv channel");
+        let out = assert_probe_invisible(&m, &faulty, 1, &cache, 1, "masked conv channel");
         assert_eq!(out, ForwardOutcome::Converged { at_node: 1 });
     }
 
@@ -1656,7 +1375,7 @@ mod tests {
         let cache = m.forward_cached(&input).unwrap();
         let mut faulty = m.clone();
         faulty.store_mut().get_mut(0).unwrap().tensor.as_mut_slice()[13] *= 1.5;
-        let out = assert_probe_invisible(&faulty, 1, &cache, 1, "skip with probe");
+        let out = assert_probe_invisible(&m, &faulty, 1, &cache, 1, "skip with probe");
         assert!(matches!(out, ForwardOutcome::Logits(_)));
     }
 

@@ -1,50 +1,49 @@
 //! Compiled execution plans: the explicit, analyzable form of a forward
-//! pass.
+//! pass, and the one weight-fault suffix evaluator that runs on them.
 //!
-//! [`Model`]'s forward variants historically re-derived scheduling facts on
-//! every call — topological order is implicit in node ids, tensor lifetime
-//! (who reads an activation last) was recomputed per pass, and the
-//! dense/sparse kernel choice hid behind runtime flags. [`CompiledPlan`]
-//! hoists all of that to compile time, once per `(model, eval set)`:
+//! [`CompiledPlan`] hoists every scheduling fact of a forward pass to
+//! compile time, once per `(model, eval set)`:
 //!
 //! - **step list with input/flush lists** — per node, who reads it last
 //!   ([`CompiledPlan::last_reader`]) and which activations die after each
 //!   step ([flush lists](CompiledPlan::flush_after)), driving arena
 //!   recycling at the earliest sound point;
 //! - **suffix cost estimates** ([`CompiledPlan::suffix_flops`]) — the flop
-//!   counts that make the batched-vs-dense choice a pure function of the
-//!   plan ([`CompiledPlan::batched_profitable`]);
+//!   counts that make the choice of the pass's width (one image or all E)
+//!   a pure function of the plan ([`CompiledPlan::batched_profitable`]);
 //! - **golden weight panels** ([`GoldenPanels`]) — every conv weight the
 //!   register-tiled GEMM tier serves, packed once into that kernel's strip
 //!   layout, so every suffix GEMM downstream of a faulted node multiplies
 //!   pre-packed golden panels instead of re-packing the layer per call;
 //! - **conv+bn(+relu) fusion groups** — a conv or depthwise conv, the
 //!   batch norm after it and an optional ReLU/ReLU6 run as one conv with a
-//!   fused epilogue, in the dense per-image suffix
-//!   ([`Model::forward_suffix`]) and the batched engine alike. Batch norm
-//!   folds to a per-channel `mul`+`add` whose coefficients come from the
-//!   *same* [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
+//!   fused epilogue. Batch norm folds to a per-channel `mul`+`add` whose
+//!   coefficients come from the *same*
+//!   [`bn_channel_scale_shift`](sfi_tensor::ops::bn_channel_scale_shift)
 //!   helper the unfused kernel uses, applied by the same element function,
 //!   so the fused epilogue is bit-identical by construction. BN parameters
 //!   are not fault-injectable (only weights are), so folding at compile
-//!   time is always sound;
-//! - the **batched eval-image engine**
-//!   ([`CompiledPlan::forward_batched_from`]) — all E eval images stacked
-//!   into one im2col panel so each suffix node costs one GEMM per fault
-//!   instead of E, with golden-convergence checks and single-unit probing
-//!   expressed as plan transforms (a dirty suffix start, an early-exit
-//!   rewrite) rather than forward-pass flags.
+//!   time is always sound.
 //!
-//! # Bit-identity of the batched pass
+//! The **weight-fault suffix pass** ([`CompiledPlan::weight_suffix`]) walks
+//! that step list from the faulted node on, with golden-convergence checks
+//! and a single-unit probe of the faulted node. It runs one image wide over
+//! a per-image golden cache, or E images wide over the stacked cache of
+//! all evaluation images, where each conv step costs one GEMM per fault
+//! instead of E.
+//!
+//! # Bit-identity across widths
 //!
 //! Every operator in the graph treats the batch dimension as fully
 //! independent: image `i`'s output elements depend only on image `i`'s
 //! inputs, and each output element accumulates its `k` products in the same
-//! increasing-`ki` order on the per-image and batched paths (the batched
-//! im2col panel concatenates images along the *column* axis, which never
-//! reorders any single element's accumulation chain). The batched suffix is
-//! therefore bit-identical, image by image, to E per-image suffixes — the
-//! invariant the differential proptests in `tests/plan_equivalence.rs` pin.
+//! increasing-`ki` order at every width (the multi-image im2col panel
+//! concatenates images along the *column* axis, which never reorders any
+//! single element's accumulation chain). An E-wide pass is therefore
+//! bit-identical, image by image, to E one-image passes, and since both
+//! check convergence at the same steps, each image converges at the same
+//! node — the invariant the differential proptests in
+//! `tests/plan_equivalence.rs` pin.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,12 +53,12 @@ use sfi_tensor::ops::{
 };
 use sfi_tensor::{ScratchArena, Shape, Tensor};
 
-use crate::model::NodeValues;
-use crate::{ActivationCache, ForwardOptions, Model, NnError, NodeId, NodeOp, ParamId};
+use crate::model::{NodeKernels, NodeValues};
+use crate::{ActivationCache, KernelPolicy, Model, NnError, NodeId, NodeOp, ParamId};
 
 /// One conv+bn(+relu) fusion group: the conv (or depthwise conv) head,
 /// the folded batch-norm coefficients, and the optional activation,
-/// emitted as a single fused kernel by both suffix engines.
+/// emitted as a single fused kernel by the suffix pass.
 #[derive(Debug, Clone)]
 struct FusedGroup {
     /// The conv node heading the group.
@@ -94,8 +93,21 @@ pub(crate) fn vacant() -> Tensor {
     Tensor::from_vec([0], Vec::new()).expect("an empty shape holds no elements")
 }
 
-/// Maximum estimated dense-suffix flops (per image) of a weight fault's
-/// suffix for the batched eval-image engine to take it
+/// The operands one step of a suffix pass reads: the golden cache, the
+/// recomputed suffix values from `first_dirty` on, the first dirty conv's
+/// lowering, the cache's width and the images still in the panel.
+#[derive(Clone, Copy)]
+struct Pass<'a> {
+    first_dirty: NodeId,
+    cache: &'a ActivationCache,
+    fresh: &'a [Tensor],
+    lowered: Option<&'a BatchedLowered>,
+    batch: usize,
+    rows: &'a [usize],
+}
+
+/// Maximum estimated suffix flops (per image) of a weight fault for its
+/// suffix pass to run all evaluation images at once
 /// ([`CompiledPlan::batched_profitable`]). Small suffixes are
 /// per-call-overhead-dominated, and batching the images into one GEMM per
 /// node wins; large suffixes are compute-bound, and the per-image GEMMs
@@ -139,9 +151,9 @@ pub struct CompiledPlan {
 /// inside the `Arc`-shared plan).
 ///
 /// A panel is golden data: it is only sound for a node whose weights hold
-/// their golden values during the pass. The suffix engines enforce this
+/// their golden values during the pass. The suffix passes enforce this
 /// for the one node a weight fault dirties — [`Model::forward_suffix`] and
-/// [`CompiledPlan::forward_batched_from`] always re-pack that node's live
+/// [`CompiledPlan::weight_suffix`] always re-pack that node's live
 /// weights — so callers pass panels only to passes with at most one faulted
 /// weight tensor.
 #[derive(Debug, Clone, Default)]
@@ -166,42 +178,34 @@ impl GoldenPanels {
     }
 }
 
-/// Result of a single-unit probe of the first dirty node on the batched
-/// path (mirrors the per-image probe of a converging [`Model::forward_suffix`]).
-enum BatchedProbe {
+/// Result of the single-unit probe of the first dirty node.
+enum UnitProbe {
     /// No single-unit kernel for this node/op; fall back to full eval.
     Unsupported,
     /// Per-image probe verdicts: `clean[i]` — image `i`'s probed unit
     /// recomputed to golden bits (that image is provably golden from here
-    /// on). `dirty` is the node's materialized batched activation
-    /// restricted to the non-clean images (rows in ascending image order,
-    /// golden clone with the probed unit overwritten per image), `None`
-    /// when every image probed clean.
+    /// on). `dirty` is the node's materialized activation restricted to the
+    /// non-clean images (rows in ascending image order, golden clone with
+    /// the probed unit overwritten per image), `None` when every image
+    /// probed clean.
     Probed { clean: Vec<bool>, dirty: Option<Tensor> },
 }
 
-/// Outcome of a batched suffix execution
-/// ([`CompiledPlan::forward_batched_from`]).
+/// Outcome of a weight-fault suffix pass ([`CompiledPlan::weight_suffix`])
+/// over the images of its cache.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BatchedOutcome {
-    /// Per-image converging outcome (`check_convergence` was set): each
-    /// image either went bitwise-golden at `converged_at[i]` (its
-    /// prediction provably equals the golden one, exactly as the per-image
-    /// loop would conclude) or survived to the output — `logits` holds the
-    /// survivors' rows in **ascending image order**, bit-identical to
-    /// their per-image forward passes.
-    Converging {
-        /// Per image: the step its rows went golden with no live dirty
-        /// values, `None` when it reached the output.
-        converged_at: Vec<Option<NodeId>>,
-        /// `[survivors, classes]` logits rows, ascending image order.
-        logits: Vec<f32>,
-        /// Row width of `logits`.
-        classes: usize,
-    },
-    /// Batched logits, `[images, classes]`; per-image rows are
-    /// bit-identical to the per-image forward passes.
-    Logits(Tensor),
+pub struct SuffixOutcome {
+    /// Per image: the node at which its rows went bitwise-golden with no
+    /// live dirty values — its prediction provably equals the golden one —
+    /// or `None` when it reached the output. All `None` without a
+    /// convergence check.
+    pub converged_at: Vec<Option<NodeId>>,
+    /// `[survivors, classes]` logits rows of the images that reached the
+    /// output, in ascending image order, bit-identical to their per-image
+    /// forward passes.
+    pub logits: Vec<f32>,
+    /// Row width of `logits`.
+    pub classes: usize,
 }
 
 impl CompiledPlan {
@@ -426,9 +430,9 @@ impl CompiledPlan {
         Some((g.conv, g.output()))
     }
 
-    /// The batched-vs-per-image decision for a weight fault whose first
-    /// dirty node is `first_dirty`: the batched engine takes it when the
-    /// estimated dense suffix from there costs at most
+    /// The width of the suffix pass of a weight fault whose first dirty
+    /// node is `first_dirty`: all evaluation images at once when the
+    /// estimated suffix from there costs at most
     /// [`BATCHED_MAX_SUFFIX_FLOPS`] per image. A pure function of the
     /// compiled plan, so every build and every host dispatches alike.
     /// Classifications and inference counts are identical on both sides of
@@ -437,33 +441,55 @@ impl CompiledPlan {
         first_dirty < self.n_nodes && self.suffix_flops(first_dirty) <= BATCHED_MAX_SUFFIX_FLOPS
     }
 
-    /// Runs the batched suffix from `first_dirty` over the stacked
-    /// evaluation images: one fused GEMM per conv step for the whole batch
-    /// instead of one per image. `cache` is the **batched** golden cache
-    /// (built by running [`Model::forward_cached`] on the stacked images),
-    /// `lowered` the batched im2col panels of the first dirty conv's golden
-    /// input, and `dirty_unit` the one output unit the weight fault can
-    /// reach (arming the batched single-unit probe).
+    /// The weight-fault suffix pass: re-executes nodes `first_dirty..`
+    /// over the golden activations in `cache` after a fault in the
+    /// parameters of node `first_dirty`, on the plan's schedule — each
+    /// fusion group the suffix enters at its head runs as one conv with a
+    /// fused epilogue, and each recomputed activation goes back to `arena`
+    /// once its last reader has run ([`CompiledPlan::flush_after`]).
     ///
-    /// With `check_convergence` this is a **converging** pass: every step
-    /// compares each surviving image's rows against the golden cache, and
-    /// an image whose rows went bitwise-golden with no live dirty values is
-    /// dropped out of the panel — all live suffix tensors are compacted to
-    /// the surviving rows (`rows` keeps the row→image map), so later steps
-    /// shrink as images converge, recovering per image exactly the early
-    /// exit the per-image loop takes. Each image's convergence verdict and
-    /// surviving logits row are bit-identical to its own per-image pass
-    /// (see the module docs and DESIGN.md §5h for the argument); only the
-    /// *step* at which convergence is detected may differ by up to one
-    /// fusion group (the batched pass checks at group outputs), which
-    /// affects the `nodes_skipped` telemetry and nothing else.
+    /// The pass is as wide as `cache`: a per-image golden cache (batch 1)
+    /// or the stacked cache of all E evaluation images, which then share
+    /// one pass. Each conv step keeps its width's kernel: one image runs
+    /// [`ops::conv2d_with`] (in place or over an im2col buffer), several
+    /// images one GEMM over their interleaved im2col panel. `lowered`
+    /// holds the im2col panels of the first dirty conv's golden input at
+    /// the cache's width, so that conv skips its lowering; `dirty_unit` is
+    /// the one output unit the weight fault can reach (see
+    /// [`Model::param_output_unit`]). Every conv except the first dirty
+    /// one multiplies its golden weight panel, so the caller asserts that
+    /// only node `first_dirty`'s parameters differ from the golden ones.
+    ///
+    /// With `check_convergence` this is a **converging** pass: after each
+    /// step every surviving image's rows are compared bitwise
+    /// (`u32`-reinterpreted, so NaN payloads and signed zeros count)
+    /// against the golden cache. Every operator is deterministic and
+    /// bit-exact in its inputs, so an image's remaining suffix is provably
+    /// golden once its current rows match and none of its *live dirty*
+    /// values — recomputed activations that differ from golden and are
+    /// still read later, such as a diverged conv whose ReLU clamped back
+    /// to golden but which a residual `Add` reads — remains. Such an image
+    /// drops out of the panel: all live suffix tensors are compacted to
+    /// the surviving rows, so later steps shrink as images converge. A
+    /// fusion group is checked at its output only; its intermediates have
+    /// one reader inside the group, so they are never live past it. With
+    /// `dirty_unit` set the first dirty node is decided by a *single-unit
+    /// probe* — one GEMM row over `lowered` or, for a conv that
+    /// [`ops::conv2d_reads_in_place`], the golden input — and the images
+    /// whose unit diverged get their activation materialized as a golden
+    /// clone with that unit overwritten, bit-identical to full evaluation
+    /// because no other unit depends on the faulted weight row.
+    ///
+    /// Each image's convergence node and surviving logits row are the same
+    /// at every width, given the first dirty conv's lowering at both
+    /// widths or at neither (see the module docs and DESIGN.md §5h).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::CacheMismatch`] when the plan or cache does not
     /// match the model, or the first operator failure.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub fn forward_batched_from(
+    #[allow(clippy::too_many_arguments)]
+    pub fn weight_suffix(
         &self,
         model: &Model,
         first_dirty: NodeId,
@@ -472,109 +498,78 @@ impl CompiledPlan {
         dirty_unit: Option<usize>,
         check_convergence: bool,
         arena: &mut ScratchArena,
-    ) -> Result<BatchedOutcome, NnError> {
+    ) -> Result<SuffixOutcome, NnError> {
         let n = self.n_nodes;
         if model.nodes().len() != n || cache.len() != n {
             return Err(NnError::CacheMismatch {
                 reason: format!(
-                    "batched forward: plan covers {n} nodes, model has {}, cache {}",
+                    "suffix pass: plan covers {n} nodes, model has {}, cache {}",
                     model.nodes().len(),
                     cache.len()
                 ),
             });
         }
+        let batch = cache.get(0).expect("cache covers all nodes").shape().dims()[0];
+        let output = cache.get(n - 1).expect("nonempty");
+        let classes = output.len() / batch.max(1);
+        let mut converged_at: Vec<Option<NodeId>> = vec![None; batch];
         let first_dirty = first_dirty.max(1);
         if first_dirty >= n {
-            return Ok(BatchedOutcome::Logits(cache.get(n - 1).expect("nonempty").clone()));
+            let logits = output.as_slice().to_vec();
+            return Ok(SuffixOutcome { converged_at, logits, classes });
         }
-        let batch = cache.get(0).expect("cache covers all nodes").shape().dims()[0];
-        let classes = cache.get(n - 1).expect("nonempty").len() / batch;
         // Per-image converging bookkeeping, indexed by ORIGINAL image id:
         // `rows[r]` maps the panel's surviving row `r` back to its image
         // (always ascending), `expiring[step * batch + img]` counts image
         // `img`'s dirty tensors whose last reader is `step`.
-        let mut converged_at: Vec<Option<NodeId>> = vec![None; batch];
         let mut rows: Vec<usize> = (0..batch).collect();
+        let mut keep: Vec<usize> = Vec::with_capacity(batch);
         let mut expiring: Vec<u32> = vec![0; if check_convergence { n * batch } else { 0 }];
         let mut live_dirty: Vec<u32> = vec![0; batch];
         let mut fresh: Vec<Tensor> = Vec::with_capacity(n - first_dirty);
         let mut start = first_dirty;
-        if check_convergence {
-            if let Some(unit) = dirty_unit {
-                match self.probe_batched(model, first_dirty, cache, lowered, unit, arena)? {
-                    BatchedProbe::Unsupported => {}
-                    BatchedProbe::Probed { clean, dirty } => {
-                        for (img, c) in clean.iter().enumerate() {
-                            if *c {
-                                converged_at[img] = Some(first_dirty);
-                            }
-                        }
-                        rows.retain(|&img| !clean[img]);
-                        let Some(t) = dirty else {
-                            return Ok(BatchedOutcome::Converging {
-                                converged_at,
-                                logits: Vec::new(),
-                                classes,
-                            });
-                        };
-                        let lr = self.last_reader[first_dirty];
-                        if lr > first_dirty {
-                            for &img in &rows {
-                                expiring[lr * batch + img] += 1;
-                                live_dirty[img] += 1;
-                            }
-                        }
-                        fresh.push(t);
-                        start = first_dirty + 1;
+        if let (true, Some(unit)) = (check_convergence, dirty_unit) {
+            if let UnitProbe::Probed { clean, dirty } =
+                self.probe_unit(model, first_dirty, cache, lowered, unit, arena)?
+            {
+                for (img, c) in clean.iter().enumerate() {
+                    if *c {
+                        converged_at[img] = Some(first_dirty);
                     }
                 }
+                rows.retain(|&img| !clean[img]);
+                let Some(t) = dirty else {
+                    return Ok(SuffixOutcome { converged_at, logits: Vec::new(), classes });
+                };
+                let lr = self.last_reader[first_dirty];
+                if lr > first_dirty {
+                    for &img in &rows {
+                        expiring[lr * batch + img] += 1;
+                        live_dirty[img] += 1;
+                    }
+                }
+                fresh.push(t);
+                start = first_dirty + 1;
             }
         }
         let mut id = start;
         while id < n {
             // A fused group executes whole only when the suffix enters at
             // (or before) its head; a mid-group suffix start runs the
-            // remaining members unfused (the suffix-start transform splits
-            // the group).
-            let group = self.head[id].map(|gi| &self.groups[gi]);
-            let (out_node, mut value) = match group {
-                Some(g) if g.output() < n => {
-                    let v = self.eval_fused(
-                        model,
-                        g,
-                        first_dirty,
-                        cache,
-                        &fresh,
-                        lowered,
-                        batch,
-                        &rows,
-                        arena,
-                    )?;
-                    (g.output(), v)
-                }
-                _ => {
-                    let v = self.eval_step(
-                        model,
-                        id,
-                        first_dirty,
-                        cache,
-                        &fresh,
-                        lowered,
-                        batch,
-                        &rows,
-                        arena,
-                    )?;
-                    (id, v)
-                }
+            // remaining members unfused.
+            let (out_node, epilogue) = match self.fused_at(id) {
+                Some((out, ep)) => (out, Some(ep)),
+                None => (id, None),
             };
+            let pass = Pass { first_dirty, cache, fresh: &fresh, lowered, batch, rows: &rows };
+            let mut value = self.eval_at(model, id, epilogue, &pass, arena)?;
             if check_convergence {
                 let golden = cache.get(out_node).expect("cache covers all nodes");
                 let chunk = golden.len() / batch;
                 let gbits = golden.as_slice();
                 let vbits = value.as_slice();
                 let lr = self.last_reader[out_node];
-                // Surviving row indices into the current panel width.
-                let mut keep: Vec<usize> = Vec::with_capacity(rows.len());
+                keep.clear();
                 for (r, &img) in rows.iter().enumerate() {
                     // The steps id..=out_node have now read their inputs:
                     // this image's dirty values last read inside the group
@@ -600,11 +595,7 @@ impl CompiledPlan {
                         for t in fresh {
                             arena.recycle(t.into_vec());
                         }
-                        return Ok(BatchedOutcome::Converging {
-                            converged_at,
-                            logits: Vec::new(),
-                            classes,
-                        });
+                        return Ok(SuffixOutcome { converged_at, logits: Vec::new(), classes });
                     }
                     // Compact the new value AND every live suffix tensor to
                     // the surviving rows, so all live tensors always agree
@@ -621,7 +612,10 @@ impl CompiledPlan {
                             *slot = kept;
                         }
                     }
-                    rows = keep.iter().map(|&r| rows[r]).collect();
+                    for (r, &k) in keep.iter().enumerate() {
+                        rows[r] = rows[k];
+                    }
+                    rows.truncate(keep.len());
                 }
             }
             // Fused-away intermediates occupy their suffix slots with
@@ -641,164 +635,88 @@ impl CompiledPlan {
         for t in fresh {
             arena.recycle(t.into_vec());
         }
-        if check_convergence {
-            Ok(BatchedOutcome::Converging { converged_at, logits: out.into_vec(), classes })
-        } else {
-            Ok(BatchedOutcome::Logits(out))
-        }
+        Ok(SuffixOutcome { converged_at, logits: out.into_vec(), classes })
     }
 
-    /// Evaluates one fused conv+bn(+relu) group over the batched values:
-    /// one register-tiled GEMM per conv group (the interleaved
-    /// `images * spatial` panels are exactly the wide-`n` shapes the
-    /// `micro` dispatch tier owns), bias + folded BN + activation
-    /// applied in the scatter epilogue (bit-identical to the unfused
-    /// three-pass sequence — see the module docs). A depthwise head runs
-    /// the per-image depthwise kernel with the same epilogue, which treats
-    /// the batch natively. When the converging pass has dropped images
-    /// (`rows.len() < batch`), golden prefix inputs are compacted to the
-    /// surviving rows first.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_fused(
-        &self,
-        model: &Model,
-        g: &FusedGroup,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
-        fresh: &[Tensor],
-        lowered: Option<&BatchedLowered>,
-        batch: usize,
-        rows: &[usize],
-        arena: &mut ScratchArena,
-    ) -> Result<Tensor, NnError> {
-        let node = &model.nodes()[g.conv];
-        let NodeOp::Conv { weight, bias, cfg } = &node.op else {
-            unreachable!("fusion heads are conv nodes");
-        };
-        let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
-        let w = param(*weight);
-        let b = bias.map(&param);
-        let wrap = |source| NnError::Op { node: g.conv, source };
-        let ep = g.epilogue();
-        let packed = self.golden_panel(g.conv, first_dirty);
-        match lowered {
-            // The first dirty conv's golden-input panel is shared across
-            // every fault at this node; the converging pass only evaluates
-            // the seed node while all rows are still live, so the panel
-            // never needs compaction.
-            Some(low) if g.conv == first_dirty && rows.len() == batch => {
-                return ops::conv2d_batched_from_lowered(low, w, b, Some(&ep), packed, Some(arena))
-                    .map_err(wrap);
-            }
-            _ => {}
-        }
-        let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
-        let compacted = (node.inputs[0] < first_dirty && rows.len() < batch)
-            .then(|| take_rows(raw, rows, arena));
-        let input = compacted.as_ref().unwrap_or(raw);
-        let out = if self.lowerable[g.conv] {
-            let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
-            let out =
-                ops::conv2d_batched_from_lowered(&owned, w, b, Some(&ep), packed, Some(arena));
-            arena.recycle(owned.into_cols());
-            out
-        } else {
-            ops::conv2d_with(input, w, b, *cfg, Some(&ep), None, arena)
-        };
-        if let Some(c) = compacted {
-            arena.recycle(c.into_vec());
-        }
-        out.map_err(wrap)
-    }
-
-    /// Evaluates one unfused plan step over the batched values. Lowerable
-    /// convs still take the batched single-GEMM path (without an epilogue);
-    /// everything else dispatches through the model's fast per-op kernels,
-    /// which treat the batch dimension natively. Golden prefix inputs are
-    /// compacted to the surviving rows when the converging pass has
-    /// dropped images.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_step(
+    /// Evaluates step `id` of a suffix pass — with `epilogue`, the whole
+    /// fusion group it heads. Golden prefix inputs are compacted to the
+    /// surviving rows when the converging pass has dropped images. A conv
+    /// multiplies its golden weight panel (never the first dirty node's):
+    /// the first dirty conv over `lowered` when given, a multi-image conv
+    /// that lowers as one register-tiled GEMM over the interleaved panel
+    /// (the wide-`n` shapes the `micro` dispatch tier owns), and every
+    /// other node through the model's fast per-op kernels, which treat the
+    /// batch dimension natively.
+    fn eval_at(
         &self,
         model: &Model,
         id: NodeId,
-        first_dirty: NodeId,
-        cache: &ActivationCache,
-        fresh: &[Tensor],
-        lowered: Option<&BatchedLowered>,
-        batch: usize,
-        rows: &[usize],
+        epilogue: Option<ConvEpilogue<'_>>,
+        pass: &Pass<'_>,
         arena: &mut ScratchArena,
     ) -> Result<Tensor, NnError> {
+        let Pass { first_dirty, cache, fresh, lowered, batch, rows } = *pass;
         let node = &model.nodes()[id];
-        if self.lowerable[id] {
-            if let NodeOp::Conv { weight, bias, cfg } = &node.op {
-                let param =
-                    |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
-                let w = param(*weight);
-                let b = bias.map(&param);
-                let wrap = |source| NnError::Op { node: id, source };
-                let packed = self.golden_panel(id, first_dirty);
-                let out = match lowered {
-                    Some(low) if id == first_dirty && rows.len() == batch => {
-                        ops::conv2d_batched_from_lowered(low, w, b, None, packed, Some(arena))
-                            .map_err(wrap)?
-                    }
-                    _ => {
-                        let raw = value_of(node.inputs[0], first_dirty, cache, fresh);
-                        let compacted = (node.inputs[0] < first_dirty && rows.len() < batch)
-                            .then(|| take_rows(raw, rows, arena));
-                        let input = compacted.as_ref().unwrap_or(raw);
-                        let owned =
-                            ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
-                        let out = ops::conv2d_batched_from_lowered(
-                            &owned,
-                            w,
-                            b,
-                            None,
-                            packed,
-                            Some(arena),
-                        )
-                        .map_err(wrap)?;
-                        arena.recycle(owned.into_cols());
-                        if let Some(c) = compacted {
-                            arena.recycle(c.into_vec());
-                        }
-                        out
-                    }
-                };
-                return Ok(out);
-            }
-        }
-        // Generic path: golden prefix inputs this node reads are shadowed
-        // with row-compacted copies via the `multi` override, so every
-        // operand agrees on the surviving panel width.
-        let mut over_rows: Vec<(NodeId, Tensor)> = Vec::new();
+        let mut compacted: Vec<(NodeId, Tensor)> = Vec::new();
         if rows.len() < batch {
             for &inp in &node.inputs {
-                if inp < first_dirty && !over_rows.iter().any(|(held, _)| *held == inp) {
+                if inp < first_dirty && !compacted.iter().any(|(held, _)| *held == inp) {
                     let golden = cache.get(inp).expect("cache covers all nodes");
-                    over_rows.push((inp, take_rows(golden, rows, arena)));
+                    compacted.push((inp, take_rows(golden, rows, arena)));
                 }
             }
         }
         let vals = NodeValues {
             prefix: cache.activations(),
-            overrides: &over_rows,
+            overrides: &compacted,
             suffix_base: first_dirty,
             suffix: fresh,
         };
-        let mut opts = ForwardOptions { arena: Some(arena), ..ForwardOptions::default() };
-        let out = model.eval_node_with(id, &vals, None, None, &mut opts);
-        for (_, t) in over_rows {
+        let panel = self.golden_panel(id, first_dirty);
+        let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
+        let wrap = |source| NnError::Op { node: id, source };
+        let out = match (&node.op, lowered) {
+            // The first dirty conv's golden-input panel is shared across
+            // every fault at this node; the converging pass only evaluates
+            // the seed node while all rows are still live, so the panel
+            // never needs compaction.
+            (NodeOp::Conv { weight, bias, .. }, Some(low))
+                if id == first_dirty && rows.len() == batch =>
+            {
+                let (w, b) = (param(*weight), bias.map(&param));
+                ops::conv2d_batched_from_lowered(low, w, b, epilogue.as_ref(), panel, Some(arena))
+                    .map_err(wrap)
+            }
+            (NodeOp::Conv { weight, bias, cfg }, _) if batch > 1 && self.lowerable[id] => {
+                let (w, b) = (param(*weight), bias.map(&param));
+                let input = vals.get(node.inputs[0]);
+                let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
+                let out = ops::conv2d_batched_from_lowered(
+                    &owned,
+                    w,
+                    b,
+                    epilogue.as_ref(),
+                    panel,
+                    Some(arena),
+                );
+                arena.recycle(owned.into_cols());
+                out.map_err(wrap)
+            }
+            _ => {
+                let x1 = node.inputs.get(1).map(|&i| vals.get(i));
+                let kernels = NodeKernels { policy: KernelPolicy::Fast, panel, epilogue };
+                model.eval_node(id, vals.get(node.inputs[0]), x1, kernels, Some(arena))
+            }
+        };
+        for (_, t) in compacted {
             arena.recycle(t.into_vec());
         }
         out
     }
 
-    /// The golden panel of conv node `id` for a batched pass whose faulted
-    /// node is `first_dirty`: none for the faulted node itself, whose live
-    /// weights differ from the golden ones the panel was packed from.
+    /// The golden panel of conv node `id` for a pass whose faulted node is
+    /// `first_dirty`: none for the faulted node itself, whose live weights
+    /// differ from the golden ones the panel was packed from.
     fn golden_panel(&self, id: NodeId, first_dirty: NodeId) -> Option<&PackedConvWeight> {
         if id == first_dirty {
             None
@@ -807,11 +725,12 @@ impl CompiledPlan {
         }
     }
 
-    /// Batched single-unit probe of the first dirty node: evaluates only
-    /// the faulted output unit for **all** images with one GEMM row over
-    /// the batched panel, and compares it against the batched golden
-    /// activation bit-for-bit.
-    fn probe_batched(
+    /// Single-unit probe of the first dirty node: evaluates only the
+    /// faulted output unit for **all** images — one GEMM row over
+    /// `lowered`, or over the golden input in place for a conv that reads
+    /// it in place — and compares it against the golden activation
+    /// bit-for-bit.
+    fn probe_unit(
         &self,
         model: &Model,
         id: NodeId,
@@ -819,39 +738,46 @@ impl CompiledPlan {
         lowered: Option<&BatchedLowered>,
         unit: usize,
         arena: &mut ScratchArena,
-    ) -> Result<BatchedProbe, NnError> {
+    ) -> Result<UnitProbe, NnError> {
         let node = &model.nodes()[id];
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
         let wrap = |source| NnError::Op { node: id, source };
         let golden = cache.get(id).expect("cache covers all nodes");
+        let x =
+            cache.get(node.inputs.first().copied().unwrap_or(0)).expect("cache covers all nodes");
         let vals: Vec<f32> = match &node.op {
-            NodeOp::Conv { weight, bias, .. } => {
-                let Some(low) = lowered else { return Ok(BatchedProbe::Unsupported) };
+            NodeOp::Conv { weight, bias, cfg } => {
                 let w = param(*weight);
                 if unit >= w.shape().n() {
-                    return Ok(BatchedProbe::Unsupported);
+                    return Ok(UnitProbe::Unsupported);
                 }
-                ops::conv2d_channel_batched(low, w, bias.map(&param), unit, Some(arena))
-                    .map_err(wrap)?
+                let b = bias.map(&param);
+                match lowered {
+                    Some(low) => ops::conv2d_channel_batched(low, w, b, unit, Some(arena)),
+                    None if self.in_place[id] => {
+                        ops::conv2d_channel_in_place(x, w, b, *cfg, unit, Some(arena))
+                    }
+                    None => return Ok(UnitProbe::Unsupported),
+                }
+                .map_err(wrap)?
             }
             NodeOp::Linear { weight, bias } => {
-                let xv = cache.get(node.inputs[0]).expect("cache covers all nodes");
                 let reshaped;
-                let x2 = if xv.shape().rank() == 2 {
-                    xv
+                let x2 = if x.shape().rank() == 2 {
+                    x
                 } else {
-                    let b = xv.shape().dims()[0];
-                    let rest = xv.len() / b;
-                    reshaped = xv.reshape([b, rest]).map_err(wrap)?;
+                    let b = x.shape().dims()[0];
+                    let rest = x.len() / b;
+                    reshaped = x.reshape([b, rest]).map_err(wrap)?;
                     &reshaped
                 };
                 let w = param(*weight);
                 if unit >= w.shape().dims()[0] {
-                    return Ok(BatchedProbe::Unsupported);
+                    return Ok(UnitProbe::Unsupported);
                 }
                 ops::linear_row(x2, w, bias.map(&param), unit).map_err(wrap)?
             }
-            _ => return Ok(BatchedProbe::Unsupported),
+            _ => return Ok(UnitProbe::Unsupported),
         };
         let shape = golden.shape();
         let dims = shape.dims();
@@ -868,7 +794,7 @@ impl CompiledPlan {
         let survivors: Vec<usize> = (0..batch).filter(|&n| !clean[n]).collect();
         if survivors.is_empty() {
             arena.recycle(vals);
-            return Ok(BatchedProbe::Probed { clean, dirty: None });
+            return Ok(UnitProbe::Probed { clean, dirty: None });
         }
         // Materialize the node's activation for the dirty images only:
         // their golden rows with the probed unit overwritten, already
@@ -885,7 +811,7 @@ impl CompiledPlan {
         nd[0] = survivors.len();
         let t = Tensor::from_vec(Shape::new(&nd), data)
             .expect("materialized activation matches golden row shape");
-        Ok(BatchedProbe::Probed { clean, dirty: Some(t) })
+        Ok(UnitProbe::Probed { clean, dirty: Some(t) })
     }
 }
 
@@ -912,21 +838,6 @@ fn take_rows(t: &Tensor, keep: &[usize], arena: &mut ScratchArena) -> Tensor {
     let mut nd = dims.to_vec();
     nd[0] = keep.len();
     Tensor::from_vec(Shape::new(&nd), data).expect("row subset preserves the element count")
-}
-
-/// Resolves a node reference during a batched suffix: cached golden values
-/// for the prefix, freshly computed values for the suffix.
-fn value_of<'a>(
-    id: NodeId,
-    first_dirty: NodeId,
-    cache: &'a ActivationCache,
-    fresh: &'a [Tensor],
-) -> &'a Tensor {
-    if id >= first_dirty {
-        &fresh[id - first_dirty]
-    } else {
-        cache.get(id).expect("cache covers all nodes")
-    }
 }
 
 /// NaN-aware argmax over one logits row, identical to
@@ -1141,13 +1052,11 @@ mod tests {
         let mut arena = ScratchArena::new();
         // Re-run the whole graph batched (suffix start = 1, no probe, no
         // convergence) and compare per-image rows to per-image passes.
-        let out =
-            plan.forward_batched_from(&model, 1, &bcache, None, None, false, &mut arena).unwrap();
-        let BatchedOutcome::Logits(logits) = out else { panic!("no convergence requested") };
-        let classes = logits.len() / 3;
+        let out = plan.weight_suffix(&model, 1, &bcache, None, None, false, &mut arena).unwrap();
+        assert_eq!(out.converged_at, vec![None; 3], "no convergence requested");
         for (i, img) in images.iter().enumerate() {
             let per_image = model.forward(img).unwrap();
-            let row = &logits.as_slice()[i * classes..][..classes];
+            let row = &out.logits[i * out.classes..][..out.classes];
             for (a, b) in row.iter().zip(per_image.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "image {i}");
             }
@@ -1163,11 +1072,8 @@ mod tests {
         let mut arena = ScratchArena::new();
         // Nothing is dirty: recomputing from node 1 must converge every
         // image with no surviving logits rows.
-        let out =
-            plan.forward_batched_from(&model, 1, &bcache, None, None, true, &mut arena).unwrap();
-        let BatchedOutcome::Converging { converged_at, logits, .. } = out else {
-            panic!("convergence was requested");
-        };
+        let out = plan.weight_suffix(&model, 1, &bcache, None, None, true, &mut arena).unwrap();
+        let SuffixOutcome { converged_at, logits, .. } = out;
         assert_eq!(converged_at.len(), 2);
         assert!(converged_at.iter().all(Option::is_some), "golden recompute converges everywhere");
         assert!(logits.is_empty(), "no image survives to the output");

@@ -237,10 +237,8 @@ mod tests {
         let target = &layers[10];
         let node = m.node_of_param(target.param).unwrap();
         m.store_mut().get_mut(target.param).unwrap().tensor.as_mut_slice()[3] = 2.5;
-        let incremental = m
-            .forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default())
-            .unwrap()
-            .into_logits(&cache);
+        let incremental =
+            m.forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default()).unwrap();
         let full = m.forward(&input).unwrap();
         assert!(incremental.max_abs_diff(&full).unwrap() < 1e-5);
     }

@@ -156,10 +156,8 @@ mod tests {
         let info = m.weight_layers()[2].clone();
         let node = m.node_of_param(info.param).unwrap();
         m.store_mut().get_mut(info.param).unwrap().tensor.as_mut_slice()[7] = 3.0;
-        let incremental = m
-            .forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default())
-            .unwrap()
-            .into_logits(&cache);
+        let incremental =
+            m.forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default()).unwrap();
         let full = m.forward(&input).unwrap();
         assert!(incremental.max_abs_diff(&full).unwrap() < 1e-5);
     }

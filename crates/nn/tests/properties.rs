@@ -41,8 +41,7 @@ proptest! {
         m.store_mut().get_mut(info.param).unwrap().tensor.as_mut_slice()[idx] += delta;
         let incremental = m
             .forward_suffix(Some(node), &cache, &[], &mut ForwardOptions::default())
-            .unwrap()
-            .into_logits(&cache);
+            .unwrap();
         let full = m.forward(&input).unwrap();
         prop_assert!(
             incremental.max_abs_diff(&full).unwrap() <= 1e-4,

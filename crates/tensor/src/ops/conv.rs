@@ -88,7 +88,7 @@ pub enum GemmKernel {
 /// register-tiled kernel's strip layout.
 ///
 /// The conv entry points that accept one ([`conv2d_with`],
-/// [`conv2d_from_lowered`], [`conv2d_batched_from_lowered`]) multiply
+/// [`conv2d_batched_from_lowered`]) multiply
 /// these panels instead of re-packing `weight` on every call. They read
 /// `weight` only for its shape: the caller guarantees the panels were
 /// packed from the values `weight` holds. Fault campaigns pack each golden
@@ -665,13 +665,13 @@ pub fn conv2d_im2col(
 }
 
 /// Whether `(input, weight, cfg)` is a GEMM convolution — one an
-/// [`im2col_lower`] or [`im2col_lower_batched`] of this input can feed —
-/// rather than a depthwise one. Depthwise-dispatched and invalid
-/// configurations return `false`.
+/// [`im2col_lower_batched`] of this input can feed — rather than a
+/// depthwise one. Depthwise-dispatched and invalid configurations return
+/// `false`.
 ///
-/// Not every such conv lowers on every path: per-image GEMMs of the convs
+/// Not every such conv lowers at every width: one-image GEMMs of the convs
 /// [`conv2d_reads_in_place`] accepts read the input in place, and only
-/// the batched engine's panels lower them.
+/// multi-image panels lower them.
 pub fn conv2d_uses_lowering(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> bool {
     match validate(input, weight, None, cfg) {
         Ok(d) => !d.is_depthwise(cfg),
@@ -715,7 +715,7 @@ pub fn conv2d_depthwise_fixed(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -
 /// multiplied in place over each image's zero-padded input, plus the
 /// channel's bias term. Returns `batch * h_out * w_out` values laid out
 /// `[batch][spatial]`, drawn from `arena` when one is supplied — the
-/// in-place counterpart of [`conv2d_channel_from_lowered`] behind the
+/// in-place counterpart of [`conv2d_channel_batched`] behind the
 /// campaign's single-channel convergence probe.
 ///
 /// # Errors
@@ -764,237 +764,6 @@ pub fn conv2d_channel_in_place(
     }
     if let Some(a) = arena {
         a.recycle(padded);
-    }
-    Ok(out)
-}
-
-/// The im2col column panels of one convolution input, precomputed by
-/// [`im2col_lower`] and consumed by [`conv2d_from_lowered`].
-///
-/// Fault campaigns cache one of these per `(conv node, eval image)`: every
-/// fault in a stratum perturbs the same layer, and incremental re-execution
-/// feeds that layer its *golden* input, so the column matrix is byte-
-/// identical across all of the stratum's faults and need only be lowered
-/// once.
-#[derive(Debug, Clone)]
-pub struct LoweredConv {
-    /// `[batch][group]` panels of `k_len * spatial` elements each.
-    cols: Vec<f32>,
-    batch: usize,
-    groups: usize,
-    c_out: usize,
-    c_in_per_group: usize,
-    k_h: usize,
-    k_w: usize,
-    k_len: usize,
-    spatial: usize,
-    h_out: usize,
-    w_out: usize,
-}
-
-impl LoweredConv {
-    /// Heap footprint of the cached panels, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.cols.len() * std::mem::size_of::<f32>()
-    }
-
-    fn panel(&self, n: usize, g: usize) -> &[f32] {
-        let len = self.k_len * self.spatial;
-        &self.cols[(n * self.groups + g) * len..][..len]
-    }
-}
-
-/// Precomputes the im2col column panels of `input` for the convolution
-/// described by `(weight, cfg)`.
-///
-/// The panels depend only on the *input* values and the geometry — not on
-/// the weight values — so they stay valid under any weight fault.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn im2col_lower(
-    input: &Tensor,
-    weight: &Tensor,
-    cfg: Conv2dCfg,
-) -> Result<LoweredConv, TensorError> {
-    let d = validate(input, weight, None, cfg)?;
-    let spatial = d.h_out * d.w_out;
-    let k_len = d.c_in_per_group * d.k_h * d.k_w;
-    let panel = k_len * spatial;
-    let mut cols = vec![0.0f32; d.batch * cfg.groups * panel];
-    let in_data = input.as_slice();
-    for n in 0..d.batch {
-        for g in 0..cfg.groups {
-            lower_group_fast(
-                in_data,
-                cfg,
-                &d,
-                n,
-                g,
-                &mut cols[(n * cfg.groups + g) * panel..][..panel],
-            );
-        }
-    }
-    Ok(LoweredConv {
-        cols,
-        batch: d.batch,
-        groups: cfg.groups,
-        c_out: d.c_out,
-        c_in_per_group: d.c_in_per_group,
-        k_h: d.k_h,
-        k_w: d.k_w,
-        k_len,
-        spatial,
-        h_out: d.h_out,
-        w_out: d.w_out,
-    })
-}
-
-/// Convolution over pre-lowered column panels: skips the lowering pass and
-/// goes straight to the blocked GEMM — over `weight`'s pre-packed panels
-/// when `packed` is given — then `+ bias` and the optional `epilogue`, as
-/// in [`conv2d_with`]. Bit-identical to [`conv2d`] (and the unfused chain
-/// the epilogue stands for) on the input `lowered` was built from.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidConfig`] when `weight`'s shape does not
-/// match the geometry the panels were lowered for, `packed` was packed
-/// for another shape, or the epilogue does not cover the output channels,
-/// or a shape error for a mismatched bias.
-pub fn conv2d_from_lowered(
-    lowered: &LoweredConv,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    epilogue: Option<&ConvEpilogue<'_>>,
-    packed: Option<&PackedConvWeight>,
-    mut arena: Option<&mut ScratchArena>,
-) -> Result<Tensor, TensorError> {
-    const OP: &str = "conv2d_from_lowered";
-    validate_lowered(OP, lowered, weight, bias)?;
-    if let Some(p) = packed {
-        p.check(OP, weight, lowered.groups)?;
-    }
-    let ep = ConvEpilogue::checked(OP, epilogue, lowered.c_out)?;
-    let (k_len, spatial) = (lowered.k_len, lowered.spatial);
-    let c_out_per_group = lowered.c_out / lowered.groups;
-    let mnk = (c_out_per_group, k_len, spatial);
-    let out_len = lowered.batch * lowered.c_out * spatial;
-    let mut out_data = match arena.as_deref_mut() {
-        Some(a) => a.take_zeroed(out_len),
-        None => vec![0.0f32; out_len],
-    };
-    let mut scratch = gemm_scratch(arena.as_deref_mut(), mnk, packed.is_some());
-    let w_data = weight.as_slice();
-    for n in 0..lowered.batch {
-        for g in 0..lowered.groups {
-            let w_group = &w_data[g * c_out_per_group * k_len..][..c_out_per_group * k_len];
-            let out_group = &mut out_data[(n * lowered.c_out + g * c_out_per_group) * spatial..]
-                [..c_out_per_group * spatial];
-            group_gemm(packed, g, mnk, w_group, lowered.panel(n, g), out_group, &mut scratch);
-        }
-        let image_len = lowered.c_out * spatial;
-        finish_image(&mut out_data[n * image_len..][..image_len], bias, ep, spatial);
-    }
-    if let Some(a) = arena {
-        a.recycle(scratch);
-    }
-    Ok(Tensor::from_vec([lowered.batch, lowered.c_out, lowered.h_out, lowered.w_out], out_data)
-        .expect("output length follows from lowered dims"))
-}
-
-/// Weight/bias validation shared by the from-lowered entry points.
-fn validate_lowered(
-    op: &'static str,
-    lowered: &LoweredConv,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-) -> Result<(), TensorError> {
-    let ws = weight.shape();
-    if ws.rank() != 4 {
-        return Err(TensorError::RankMismatch { op, expected: 4, actual: ws.rank() });
-    }
-    if ws.n() != lowered.c_out
-        || ws.c() != lowered.c_in_per_group
-        || ws.h() != lowered.k_h
-        || ws.w() != lowered.k_w
-    {
-        return Err(TensorError::InvalidConfig {
-            op,
-            reason: format!(
-                "weight {ws} does not match panels lowered for [{}, {}, {}, {}]",
-                lowered.c_out, lowered.c_in_per_group, lowered.k_h, lowered.k_w
-            ),
-        });
-    }
-    if let Some(b) = bias {
-        if b.shape() != Shape::new(&[lowered.c_out]) {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: b.shape(),
-                rhs: Shape::new(&[lowered.c_out]),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One output channel of [`conv2d_from_lowered`], bit-identically: the
-/// single GEMM row `channel` over each image's panel plus that channel's
-/// bias term. Returns `batch * spatial` values laid out `[batch][spatial]`
-/// (drawn from `arena` when one is supplied — recycle the buffer when
-/// done).
-///
-/// This is the kernel behind the campaign's *single-channel convergence
-/// probe*: a weight fault in a conv layer can only reach output channel
-/// `weight_index / (c_in_per_group * k_h * k_w)`; every other channel is a
-/// deterministic recomputation from golden inputs and golden weight rows,
-/// so probing the one reachable channel decides whole-node convergence at
-/// `~1/c_out` of the node's GEMM cost. Bit identity with the full kernel
-/// holds because every GEMM kernel accumulates each output element one
-/// partial product at a time in increasing-`k` order (see
-/// [`gemm_blocked`](super::gemm_blocked)), so a lone row carries exactly
-/// the bits the full multiply would give it.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_from_lowered`], plus
-/// [`TensorError::InvalidConfig`] when `channel` is out of range.
-pub fn conv2d_channel_from_lowered(
-    lowered: &LoweredConv,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    channel: usize,
-    arena: Option<&mut ScratchArena>,
-) -> Result<Vec<f32>, TensorError> {
-    const OP: &str = "conv2d_channel_from_lowered";
-    validate_lowered(OP, lowered, weight, bias)?;
-    if channel >= lowered.c_out {
-        return Err(TensorError::InvalidConfig {
-            op: OP,
-            reason: format!("channel {channel} out of range for {} output channels", lowered.c_out),
-        });
-    }
-    let (k_len, spatial) = (lowered.k_len, lowered.spatial);
-    let c_out_per_group = lowered.c_out / lowered.groups;
-    let g = channel / c_out_per_group;
-    let w_row = &weight.as_slice()[channel * k_len..][..k_len];
-    let mut out = match arena {
-        Some(a) => a.take_zeroed(lowered.batch * spatial),
-        None => vec![0.0f32; lowered.batch * spatial],
-    };
-    for n in 0..lowered.batch {
-        // gemm_row self-selects between the lane-tiled row microkernel and
-        // the naive loop by panel footprint; both are bit-identical to
-        // `gemm(1, ..)`.
-        gemm_row(k_len, spatial, w_row, lowered.panel(n, g), &mut out[n * spatial..][..spatial]);
-    }
-    if let Some(b) = bias {
-        let bv = b.as_slice()[channel];
-        for v in out.iter_mut() {
-            *v += bv;
-        }
     }
     Ok(out)
 }
@@ -1092,16 +861,21 @@ impl ConvEpilogue<'_> {
     }
 }
 
-/// The image-interleaved im2col panels of one convolution input batch,
-/// shaped for the batched eval-image forward: per group, one
+/// The im2col column panels of one convolution input batch: per group, one
 /// `k_len x (batch * spatial)` panel whose columns are image-major
 /// (`column = image * spatial + pixel`), so the whole batch costs **one
-/// GEMM per group** instead of one per image.
+/// GEMM per group** instead of one per image. At batch 1 these are exactly
+/// the per-image panels of the im2col path.
 ///
-/// Per output element the GEMM accumulation is indistinguishable from the
-/// per-image [`LoweredConv`] path — batching concatenates independent
-/// columns, never touching any element's `k`-order accumulation chain — so
-/// batched and per-image convolution are bit-identical.
+/// The panels depend only on the *input* values and the geometry — not on
+/// the weight values — so they stay valid under any weight fault: fault
+/// campaigns lower a conv's golden input once and reuse it for every fault
+/// at that conv.
+///
+/// Per output element the GEMM accumulation is that of the per-image
+/// im2col path — batching concatenates independent columns, never touching
+/// any element's `k`-order accumulation chain — so batched and per-image
+/// convolution are bit-identical.
 #[derive(Debug, Clone)]
 pub struct BatchedLowered {
     /// `[group]` panels of `k_len * batch * spatial` elements each.
@@ -1141,10 +915,10 @@ impl BatchedLowered {
     }
 }
 
-/// Lowers a (multi-image) input batch directly into the image-interleaved
-/// panels of [`BatchedLowered`], drawing the buffer from `arena` when one
-/// is supplied. The per-(row, image) bytes written are exactly those of
-/// [`im2col_lower`] — only their placement differs.
+/// Lowers an input batch directly into the image-interleaved panels of
+/// [`BatchedLowered`], drawing the buffer from `arena` when one is
+/// supplied. The per-(row, image) bytes written are exactly those of the
+/// im2col path's per-image lowering — only their placement differs.
 ///
 /// # Errors
 ///
@@ -1186,8 +960,7 @@ pub fn im2col_lower_batched(
     })
 }
 
-/// Weight/bias validation for the batched panels (mirrors
-/// [`validate_lowered`]).
+/// Weight/bias validation for the batched panels.
 fn validate_batched(
     op: &'static str,
     lowered: &BatchedLowered,
@@ -1223,20 +996,26 @@ fn validate_batched(
     Ok(())
 }
 
-/// Batched convolution over image-interleaved panels: one GEMM per group
-/// covers every image — over `weight`'s pre-packed panels when `packed` is
-/// given — and the GEMM-output scatter back to NCHW applies the bias and
-/// an optional fused epilogue (folded batch norm, ReLU) in the same pass.
+/// Convolution over pre-lowered panels: skips the lowering pass and goes
+/// straight to one GEMM per group covering every image — over `weight`'s
+/// pre-packed panels when `packed` is given — then applies the bias and an
+/// optional fused epilogue (folded batch norm, ReLU). Several images are
+/// scattered back to NCHW with the bias and epilogue fused into the
+/// scatter; one image's GEMM writes the result directly, finished per
+/// channel as in [`conv2d_with`].
 ///
-/// Bit-identical to running [`conv2d_from_lowered`] per image followed by
-/// the unfused `batch_norm`/`relu` ops: each output element's `k`
-/// accumulation order, bias add, affine fold, and clamp are the exact
+/// Bit-identical to [`conv2d`] on the input `lowered` was built from,
+/// followed by the unfused `batch_norm`/`relu` ops: each output element's
+/// `k` accumulation order, bias add, affine fold, and clamp are the exact
 /// per-element operation sequence of the unfused chain (see
 /// [`ConvEpilogue`]).
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_from_lowered`].
+/// Returns [`TensorError::InvalidConfig`] when `weight`'s shape does not
+/// match the geometry the panels were lowered for, `packed` was packed
+/// for another shape, or the epilogue does not cover the output channels,
+/// or a shape error for a mismatched bias.
 pub fn conv2d_batched_from_lowered(
     lowered: &BatchedLowered,
     weight: &Tensor,
@@ -1250,11 +1029,35 @@ pub fn conv2d_batched_from_lowered(
     if let Some(p) = packed {
         p.check(OP, weight, lowered.groups)?;
     }
-    ConvEpilogue::checked(OP, epilogue, lowered.c_out)?;
+    let checked = ConvEpilogue::checked(OP, epilogue, lowered.c_out)?;
     let (k_len, spatial, batch) = (lowered.k_len, lowered.spatial, lowered.batch);
     let bspatial = batch * spatial;
     let c_out_per_group = lowered.c_out / lowered.groups;
     let mnk = (c_out_per_group, k_len, bspatial);
+    let w_data = weight.as_slice();
+    let dims = [batch, lowered.c_out, lowered.h_out, lowered.w_out];
+    if batch == 1 {
+        // One image: each group's GEMM rows are already its NCHW output.
+        let out_len = lowered.c_out * spatial;
+        let mut out_data = match arena.as_deref_mut() {
+            Some(a) => a.take_zeroed(out_len),
+            None => vec![0.0f32; out_len],
+        };
+        let mut scratch = gemm_scratch(arena.as_deref_mut(), mnk, packed.is_some());
+        for g in 0..lowered.groups {
+            let w_group = &w_data[g * c_out_per_group * k_len..][..c_out_per_group * k_len];
+            let out_group =
+                &mut out_data[g * c_out_per_group * spatial..][..c_out_per_group * spatial];
+            group_gemm(packed, g, mnk, w_group, lowered.panel(g), out_group, &mut scratch);
+        }
+        finish_image(&mut out_data, bias, checked, spatial);
+        if let Some(a) = arena {
+            a.recycle(scratch);
+        }
+        return Ok(
+            Tensor::from_vec(dims, out_data).expect("output length follows from lowered dims")
+        );
+    }
     let mut gemm_out = match arena.as_deref_mut() {
         Some(a) => a.take_zeroed(c_out_per_group * bspatial),
         None => vec![0.0f32; c_out_per_group * bspatial],
@@ -1264,7 +1067,6 @@ pub fn conv2d_batched_from_lowered(
         Some(a) => a.take(batch * lowered.c_out * spatial),
         None => vec![0.0f32; batch * lowered.c_out * spatial],
     };
-    let w_data = weight.as_slice();
     let b_data = bias.map(Tensor::as_slice);
     let identity = ConvEpilogue::default();
     let ep = epilogue.unwrap_or(&identity);
@@ -1301,19 +1103,30 @@ pub fn conv2d_batched_from_lowered(
         a.recycle(scratch);
         a.recycle(gemm_out);
     }
-    Ok(Tensor::from_vec([batch, lowered.c_out, lowered.h_out, lowered.w_out], out_data)
-        .expect("output length follows from lowered dims"))
+    Ok(Tensor::from_vec(dims, out_data).expect("output length follows from lowered dims"))
 }
 
-/// One output channel of the batched convolution, bit-identically: a
-/// single GEMM row over the image-interleaved panel plus the channel's
-/// bias term. Returns `batch * spatial` values laid out `[image][spatial]`
-/// — the same layout as [`conv2d_channel_from_lowered`], so the two probe
-/// kernels are interchangeable bit-for-bit.
+/// One output channel of [`conv2d_batched_from_lowered`], bit-identically:
+/// the single GEMM row `channel` over the image-interleaved panel plus the
+/// channel's bias term. Returns `batch * spatial` values laid out
+/// `[image][spatial]` (drawn from `arena` when one is supplied — recycle
+/// the buffer when done), the layout of [`conv2d_channel_in_place`].
+///
+/// This is the kernel behind the campaign's *single-channel convergence
+/// probe*: a weight fault in a conv layer can only reach output channel
+/// `weight_index / (c_in_per_group * k_h * k_w)`; every other channel is a
+/// deterministic recomputation from golden inputs and golden weight rows,
+/// so probing the one reachable channel decides whole-node convergence at
+/// `~1/c_out` of the node's GEMM cost. Bit identity with the full kernel
+/// holds because every GEMM kernel accumulates each output element one
+/// partial product at a time in increasing-`k` order (see
+/// [`gemm_blocked`](super::gemm_blocked)), so a lone row carries exactly
+/// the bits the full multiply would give it.
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_channel_from_lowered`].
+/// Same conditions as [`conv2d_batched_from_lowered`], plus
+/// [`TensorError::InvalidConfig`] when `channel` is out of range.
 pub fn conv2d_channel_batched(
     lowered: &BatchedLowered,
     weight: &Tensor,
@@ -2048,6 +1861,19 @@ mod tests {
         assert!(arena.peak_bytes() > 0);
     }
 
+    /// One image and two, each a separate lowering of `input`'s images.
+    fn lowerings(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> Vec<BatchedLowered> {
+        let first = Tensor::from_vec(
+            [1, input.shape().c(), input.shape().h(), input.shape().w()],
+            input.as_slice()[..input.len() / input.shape().n()].to_vec(),
+        )
+        .unwrap();
+        [&first, input]
+            .iter()
+            .map(|x| im2col_lower_batched(x, weight, cfg, None).unwrap())
+            .collect()
+    }
+
     #[test]
     fn lowered_path_is_bit_identical() {
         let input = seq_tensor([2, 4, 7, 7]);
@@ -2056,58 +1882,74 @@ mod tests {
         let cfg = Conv2dCfg::same(2).with_groups(2);
         assert!(conv2d_uses_lowering(&input, &weight, cfg));
         let plain = conv2d(&input, &weight, Some(&bias), cfg).unwrap();
-        let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        assert_eq!(lowered.memory_bytes() % 4, 0);
-        let from_cols =
-            conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None, None).unwrap();
-        assert_bits_equal(&plain, &from_cols, "lowered, no arena");
         let mut arena = ScratchArena::new();
-        let with_arena =
-            conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None, Some(&mut arena))
-                .unwrap();
-        assert_bits_equal(&plain, &with_arena, "lowered, arena");
+        for lowered in lowerings(&input, &weight, cfg) {
+            assert_eq!(lowered.memory_bytes() % 4, 0);
+            let want = &plain.as_slice()[..plain.len() / 2 * lowered.batch()];
+            let from_cols =
+                conv2d_batched_from_lowered(&lowered, &weight, Some(&bias), None, None, None)
+                    .unwrap();
+            assert_eq!(from_cols.as_slice().len(), want.len());
+            let same =
+                from_cols.as_slice().iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "batch {}: lowered, no arena", lowered.batch());
+            let with_arena = conv2d_batched_from_lowered(
+                &lowered,
+                &weight,
+                Some(&bias),
+                None,
+                None,
+                Some(&mut arena),
+            )
+            .unwrap();
+            assert_bits_equal(&from_cols, &with_arena, "lowered, arena");
+        }
     }
 
     #[test]
-    fn channel_from_lowered_matches_full_kernel() {
+    fn channel_batched_matches_full_kernel() {
         // Every channel of the single-row kernel must carry exactly the
         // bits the full from-lowered conv gives it — grouped geometry,
-        // bias, and a NaN/Inf-corrupted weight row included.
+        // bias, and a NaN/Inf-corrupted weight row included — at one image
+        // and at two.
         let input = seq_tensor([2, 4, 7, 7]);
         let mut weight = seq_tensor([6, 2, 3, 3]); // groups = 2
         weight.as_mut_slice()[3] = f32::NAN;
         weight.as_mut_slice()[20] = f32::INFINITY;
         let bias = Tensor::from_fn([6], |i| i as f32 * 0.1);
         let cfg = Conv2dCfg::same(2).with_groups(2);
-        let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        let full = conv2d_from_lowered(&lowered, &weight, Some(&bias), None, None, None).unwrap();
-        let shape = full.shape();
-        let dims = shape.dims();
-        let (batch, c_out) = (dims[0], dims[1]);
-        let spatial = dims[2] * dims[3];
         let mut arena = ScratchArena::new();
-        for channel in 0..c_out {
-            let row = conv2d_channel_from_lowered(
-                &lowered,
-                &weight,
-                Some(&bias),
-                channel,
-                Some(&mut arena),
-            )
-            .unwrap();
-            assert_eq!(row.len(), batch * spatial);
-            for n in 0..batch {
-                let got = &row[n * spatial..][..spatial];
-                let want = &full.as_slice()[(n * c_out + channel) * spatial..][..spatial];
-                let same = got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "channel {channel}, image {n} diverges from the full kernel");
+        for lowered in lowerings(&input, &weight, cfg) {
+            let full =
+                conv2d_batched_from_lowered(&lowered, &weight, Some(&bias), None, None, None)
+                    .unwrap();
+            let shape = full.shape();
+            let dims = shape.dims();
+            let (batch, c_out) = (dims[0], dims[1]);
+            let spatial = dims[2] * dims[3];
+            for channel in 0..c_out {
+                let row = conv2d_channel_batched(
+                    &lowered,
+                    &weight,
+                    Some(&bias),
+                    channel,
+                    Some(&mut arena),
+                )
+                .unwrap();
+                assert_eq!(row.len(), batch * spatial);
+                for n in 0..batch {
+                    let got = &row[n * spatial..][..spatial];
+                    let want = &full.as_slice()[(n * c_out + channel) * spatial..][..spatial];
+                    let same = got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "channel {channel}, image {n} diverges from the full kernel");
+                }
+                arena.recycle(row);
             }
-            arena.recycle(row);
+            assert!(
+                conv2d_channel_batched(&lowered, &weight, None, c_out, None).is_err(),
+                "out-of-range channel must be rejected"
+            );
         }
-        assert!(
-            conv2d_channel_from_lowered(&lowered, &weight, None, c_out, None).is_err(),
-            "out-of-range channel must be rejected"
-        );
     }
 
     #[test]
@@ -2117,11 +1959,12 @@ mod tests {
         let input = seq_tensor([1, 3, 6, 6]);
         let mut weight = seq_tensor([4, 3, 3, 3]);
         let cfg = Conv2dCfg::same(1);
-        let lowered = im2col_lower(&input, &weight, cfg).unwrap();
+        let lowered = im2col_lower_batched(&input, &weight, cfg, None).unwrap();
         weight.as_mut_slice()[7] = f32::NAN;
         weight.as_mut_slice()[20] = f32::INFINITY;
         let plain = conv2d(&input, &weight, None, cfg).unwrap();
-        let from_cols = conv2d_from_lowered(&lowered, &weight, None, None, None, None).unwrap();
+        let from_cols =
+            conv2d_batched_from_lowered(&lowered, &weight, None, None, None, None).unwrap();
         assert_bits_equal(&plain, &from_cols, "faulted weight");
     }
 
@@ -2139,14 +1982,16 @@ mod tests {
     fn from_lowered_rejects_mismatched_weight() {
         let input = seq_tensor([1, 3, 6, 6]);
         let weight = seq_tensor([4, 3, 3, 3]);
-        let lowered = im2col_lower(&input, &weight, Conv2dCfg::same(1)).unwrap();
+        let lowered = im2col_lower_batched(&input, &weight, Conv2dCfg::same(1), None).unwrap();
         let wrong = seq_tensor([4, 3, 5, 5]);
         assert!(matches!(
-            conv2d_from_lowered(&lowered, &wrong, None, None, None, None),
+            conv2d_batched_from_lowered(&lowered, &wrong, None, None, None, None),
             Err(TensorError::InvalidConfig { .. })
         ));
         let bad_bias = Tensor::zeros([7]);
-        assert!(conv2d_from_lowered(&lowered, &weight, Some(&bad_bias), None, None, None).is_err());
+        let with_bad_bias =
+            conv2d_batched_from_lowered(&lowered, &weight, Some(&bad_bias), None, None, None);
+        assert!(with_bad_bias.is_err());
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub fn linear(
 /// Returns `batch` values.
 ///
 /// The fully-connected counterpart of the single-channel convergence probe
-/// (see `conv2d_channel_from_lowered`): a fault in `weight[row, :]` or
+/// (see `conv2d_channel_batched`): a fault in `weight[row, :]` or
 /// `bias[row]` can only reach this output feature, and the per-element
 /// accumulation order of the lone GEMM row matches the full kernel's, so
 /// the values carry exactly the bits [`linear`] would produce for them.

@@ -30,7 +30,7 @@
 //!   registers; ragged edge tiles (`m % MR`, `n % NR`, and the final
 //!   partial `k`/`n` blocks) take a runtime-width copy of the same loop.
 //! - [`gemm_row_lanes`] — the `m == 1` variant behind the early-exit row
-//!   probes (`conv2d_channel_from_lowered`, `linear_row`): one output row
+//!   probes (`conv2d_channel_batched`, `linear_row`): one output row
 //!   held as [`NR1`]-wide lane groups across the full `k` depth, reading B
 //!   directly (a single row has no panel reuse to pay packing for).
 //! - [`gemm_col`] — the `n == 1` matrix-vector tier behind

@@ -7,10 +7,11 @@
 //!
 //! - [`conv2d`] (grouped / depthwise aware), with [`conv2d_direct`] and
 //!   [`conv2d_im2col`] exposed separately for the conv-strategy ablation
-//!   bench, [`conv2d_with`] for arena-backed buffers, and the
-//!   [`im2col_lower`] / [`conv2d_from_lowered`] pair for campaign-level
-//!   column-matrix caching, and [`PackedConvWeight`] for weights packed
-//!   once into the GEMM's panel layout,
+//!   bench, [`conv2d_with`] for arena-backed buffers, the
+//!   [`im2col_lower_batched`] / [`conv2d_batched_from_lowered`] pair for
+//!   column matrices lowered once and reused (one image or several
+//!   interleaved), and [`PackedConvWeight`] for weights packed once into
+//!   the GEMM's panel layout,
 //! - [`linear`] fully-connected layers,
 //! - [`batch_norm`] in inference mode,
 //! - [`relu`], [`relu6`], [`softmax`],
@@ -24,7 +25,7 @@
 //!   [`PackedLhs`] packed once) and [`gemm_row_lanes`] (lane-per-output
 //!   tiling — see the `microkernel` module docs for why that SIMD shape is
 //!   the bit-exact one). These feed every forward pass, including the
-//!   suffix re-execution `Model::forward_suffix` of the `sfi-nn` crate.
+//!   compiled plan's weight-fault suffix pass in the `sfi-nn` crate.
 
 mod activation;
 mod conv;
@@ -39,11 +40,11 @@ pub mod grad;
 
 pub use activation::{relu, relu6, relu6_with, relu_with, softmax};
 pub use conv::{
-    conv2d, conv2d_batched_from_lowered, conv2d_channel_batched, conv2d_channel_from_lowered,
-    conv2d_channel_in_place, conv2d_depthwise_fixed, conv2d_direct, conv2d_from_lowered,
-    conv2d_im2col, conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_uses_lowering,
-    conv2d_with, depthwise_path_with, im2col_lower, im2col_lower_batched, BatchedLowered,
-    Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel, LoweredConv, PackedConvWeight, Padding,
+    conv2d, conv2d_batched_from_lowered, conv2d_channel_batched, conv2d_channel_in_place,
+    conv2d_depthwise_fixed, conv2d_direct, conv2d_im2col, conv2d_kernel, conv2d_path_with,
+    conv2d_reads_in_place, conv2d_uses_lowering, conv2d_with, depthwise_path_with,
+    im2col_lower_batched, BatchedLowered, Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel,
+    PackedConvWeight, Padding,
 };
 pub use elementwise::{add, add_with, downsample_pad_channels};
 pub use gemm::{gemm, gemm_blocked, gemm_blocked_with};

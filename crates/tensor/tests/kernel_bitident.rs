@@ -24,12 +24,11 @@ use proptest::prelude::*;
 
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
-    conv2d_channel_batched, conv2d_channel_from_lowered, conv2d_channel_in_place,
-    conv2d_depthwise_fixed, conv2d_direct, conv2d_from_lowered, conv2d_kernel, conv2d_path_with,
-    conv2d_reads_in_place, conv2d_with, depthwise_path_with, gemm, gemm_blocked, gemm_col,
-    gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes, im2col_lower, im2col_lower_batched,
-    relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation, GemmKernel,
-    PackedConvWeight, PackedLhs, Padding, COL_LANES, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_channel_batched, conv2d_channel_in_place, conv2d_depthwise_fixed, conv2d_direct,
+    conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_with, depthwise_path_with, gemm,
+    gemm_blocked, gemm_col, gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes,
+    im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation,
+    GemmKernel, PackedConvWeight, PackedLhs, Padding, COL_LANES, MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -180,9 +179,9 @@ proptest! {
     }
 
     /// All im2col-family convolution paths — naive GEMM, blocked GEMM,
-    /// arena-backed, and precomputed lowering (with and without arena) —
-    /// produce bit-identical outputs, with fault-like specials in both the
-    /// input and the weights.
+    /// arena-backed, and precomputed lowering of the whole batch and of its
+    /// first image alone (with and without arena) — produce bit-identical
+    /// outputs, with fault-like specials in both the input and the weights.
     #[test]
     fn conv_paths_are_bit_identical(
         batch in 1usize..3,
@@ -221,18 +220,29 @@ proptest! {
             assert_bits_equal(naive.as_slice(), with_arena.as_slice());
         }
 
-        let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-        let from_lowered = conv2d_from_lowered(&lowered, &weight, bias, None, None, None).unwrap();
-        assert_bits_equal(naive.as_slice(), from_lowered.as_slice());
-        let from_lowered_arena =
-            conv2d_from_lowered(&lowered, &weight, bias, None, None, Some(&mut arena)).unwrap();
-        assert_bits_equal(naive.as_slice(), from_lowered_arena.as_slice());
+        let first = Tensor::from_vec(
+            [1, c_in, size, size],
+            input.as_slice()[..c_in * size * size].to_vec(),
+        )
+        .unwrap();
+        for x in [&input, &first] {
+            let want = &naive.as_slice()[..naive.len() / batch * x.shape().n()];
+            let lowered = im2col_lower_batched(x, &weight, cfg, None).unwrap();
+            let from_lowered =
+                conv2d_batched_from_lowered(&lowered, &weight, bias, None, None, None).unwrap();
+            assert_bits_equal(want, from_lowered.as_slice());
+            let from_lowered_arena =
+                conv2d_batched_from_lowered(&lowered, &weight, bias, None, None, Some(&mut arena))
+                    .unwrap();
+            assert_bits_equal(want, from_lowered_arena.as_slice());
+        }
     }
 
     /// The batched (image-interleaved) convolution — plain, fused with the
     /// folded conv+bn(+ReLU/ReLU6) epilogue, and the single-channel probe
-    /// row — is bit-identical to the per-image lowered path followed by the
-    /// unfused `batch_norm`/`relu` chain, with fault-like specials in both
+    /// row — is bit-identical to the one-image lowered path followed by the
+    /// unfused `batch_norm`/`relu` chain, and the one-image path fused with
+    /// the epilogue equals that chain too, with fault-like specials in both
     /// operands and through dirty arena buffers.
     #[test]
     fn batched_conv_paths_are_bit_identical(
@@ -311,8 +321,8 @@ proptest! {
             _ => FusedActivation::Relu6,
         };
 
-        // Per-image unfused reference: lowered conv, then batch_norm, then
-        // the activation — the exact legacy forward chain. (The reference
+        // Per-image unfused reference: one-image lowered conv, then
+        // batch_norm, then the activation — the exact legacy forward chain. (The reference
         // must stay in the im2col family: 1x1-channel draws would send
         // `conv2d_kernel` down the direct depthwise loop, which skips
         // padded taps and is only value-identical under NaN/Inf weights.)
@@ -322,6 +332,7 @@ proptest! {
         let mut plain_rows = Vec::new();
         let mut per_image_channel = Vec::new();
         let (scale, shift) = (0..c_out).map(|c| bn_channel_scale_shift(&params, c)).unzip::<f32, f32, Vec<_>, Vec<_>>();
+        let ep = ConvEpilogue { bn: Some((&scale, &shift)), act };
         let channel = channel_pick % c_out;
         for n in 0..batch {
             let img = Tensor::from_vec(
@@ -329,18 +340,23 @@ proptest! {
                 in_data[n * img_len..][..img_len].to_vec(),
             )
             .unwrap();
-            let lowered_img = im2col_lower(&img, &weight, cfg).unwrap();
-            let plain = conv2d_from_lowered(&lowered_img, &weight, bias, None, None, None).unwrap();
+            let lowered_img = im2col_lower_batched(&img, &weight, cfg, None).unwrap();
+            let plain =
+                conv2d_batched_from_lowered(&lowered_img, &weight, bias, None, None, None).unwrap();
             let bn = batch_norm(&plain, &params).unwrap();
             let activated = match act {
                 FusedActivation::None => bn,
                 FusedActivation::Relu => relu(&bn),
                 FusedActivation::Relu6 => relu6(&bn),
             };
+            let fused_img =
+                conv2d_batched_from_lowered(&lowered_img, &weight, bias, Some(&ep), None, None)
+                    .unwrap();
+            assert_bits_equal(activated.as_slice(), fused_img.as_slice());
             unfused_rows.extend_from_slice(activated.as_slice());
             plain_rows.extend_from_slice(plain.as_slice());
             per_image_channel.extend(
-                conv2d_channel_from_lowered(&lowered_img, &weight, bias, channel, None).unwrap(),
+                conv2d_channel_batched(&lowered_img, &weight, bias, channel, None).unwrap(),
             );
         }
 
@@ -356,7 +372,6 @@ proptest! {
             let plain =
                 conv2d_batched_from_lowered(&blowered, &weight, bias, None, None, None).unwrap();
             assert_bits_equal(&plain_rows, plain.as_slice());
-            let ep = ConvEpilogue { bn: Some((&scale, &shift)), act };
             let fused = conv2d_batched_from_lowered(
                 &blowered,
                 &weight,
@@ -798,10 +813,9 @@ const MBV2_POINTWISE: [(usize, usize, usize); 6] =
     [(16, 96, 32), (96, 24, 32), (32, 192, 16), (576, 96, 8), (960, 160, 4), (320, 1280, 4)];
 
 /// Every conv entry point that takes golden weight panels — per image
-/// (`conv2d_with`), over cached lowerings (`conv2d_from_lowered`), and
-/// batched with and without the fused epilogue
-/// (`conv2d_batched_from_lowered`) — is bit-identical with and without the
-/// panels and to the naive kernel, on MobileNetV2's pointwise shapes, for
+/// (`conv2d_with`), over one image's cached lowering and batched, with and
+/// without the fused epilogue (`conv2d_batched_from_lowered`) — is
+/// bit-identical with and without the panels and to the naive kernel, on MobileNetV2's pointwise shapes, for
 /// finite operands and each fault-like special family (a NaN weight, an
 /// infinite input), through dirty arena buffers.
 #[test]
@@ -837,9 +851,13 @@ fn packed_conv_paths_are_bit_identical_on_mobilenet_pointwise_shapes() {
                     assert_bits_equal(naive.as_slice(), per_image.as_slice());
                     arena.recycle(per_image.into_vec());
                 }
-                let lowered = im2col_lower(&input, &weight, cfg).unwrap();
+                let image_len = c_in * side * side;
+                let first =
+                    Tensor::from_vec([1, c_in, side, side], input.as_slice()[..image_len].to_vec())
+                        .unwrap();
+                let lowered = im2col_lower_batched(&first, &weight, cfg, None).unwrap();
                 let arena_opt = (round == 1).then_some(&mut arena);
-                let from_lowered = conv2d_from_lowered(
+                let from_lowered = conv2d_batched_from_lowered(
                     &lowered,
                     &weight,
                     Some(&bias),
@@ -848,7 +866,8 @@ fn packed_conv_paths_are_bit_identical_on_mobilenet_pointwise_shapes() {
                     arena_opt,
                 )
                 .unwrap();
-                assert_bits_equal(naive.as_slice(), from_lowered.as_slice());
+                let want = &naive.as_slice()[..naive.len() / 2];
+                assert_bits_equal(want, from_lowered.as_slice());
             }
 
             let blowered = im2col_lower_batched(&input, &weight, cfg, Some(&mut arena)).unwrap();
@@ -895,7 +914,8 @@ fn packed_conv_rejects_mismatched_panels() {
     let cfg = Conv2dCfg::same(1);
     assert!(conv2d_with(&input, &weight, None, cfg, None, Some(&other), &mut arena).is_err());
     assert!(conv2d_with(&input, &weight, None, cfg, None, Some(&grouped), &mut arena).is_err());
-    let lowered = im2col_lower(&input, &weight, cfg).unwrap();
-    assert!(conv2d_from_lowered(&lowered, &weight, None, None, Some(&other), None).is_err());
+    let lowered = im2col_lower_batched(&input, &weight, cfg, None).unwrap();
+    let mismatched = conv2d_batched_from_lowered(&lowered, &weight, None, None, Some(&other), None);
+    assert!(mismatched.is_err());
     assert!(PackedConvWeight::pack(&weight, 3).is_err());
 }

@@ -26,8 +26,8 @@ use sfi_faultsim::multi::{AccumulatedFault, FaultTarget};
 use sfi_faultsim::population::FaultSpace;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{
-    ActPatch, ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, Model,
-    Node, NodeOp, ParamKind, ParameterStore,
+    ActPatch, ActivationCache, CompiledPlan, DeltaOptions, DeltaStats, ForwardOptions,
+    ForwardOutcome, Model, Node, NodeOp, ParamKind, ParameterStore,
 };
 use sfi_tensor::ops::{self, Conv2dCfg};
 use sfi_tensor::{ScratchArena, Tensor};
@@ -173,8 +173,7 @@ pub fn random_accumulated_faults(
 /// 0, where every node takes the dense bit-compare path), and full sparse
 /// delta propagation all classify the injected site identically — the same
 /// predicted class, with any `Converged` outcome backed by bit-golden dense
-/// logits. A patched `forward_suffix` must ignore the convergence switch.
-/// Returns the predicted class of the faulty inference.
+/// logits. Returns the predicted class of the faulty inference.
 pub fn assert_site_forward_equiv(
     model: &Model,
     cache: &ActivationCache,
@@ -186,17 +185,7 @@ pub fn assert_site_forward_equiv(
     let golden_v = cache.get(site.node).unwrap().as_slice()[site.element];
     let faulty_bits = fault.model.apply(golden_v, site.bit).to_bits();
     let patch = [fault.patch()];
-    let suffix = |converge| {
-        let opts = &mut ForwardOptions { converge, ..Default::default() };
-        match model.forward_suffix(None, cache, &patch, opts).unwrap() {
-            ForwardOutcome::Logits(l) => l,
-            ForwardOutcome::Converged { at_node } => {
-                panic!("{ctx}: patched suffix converged at node {at_node}")
-            }
-        }
-    };
-    let dense = suffix(false);
-    assert_bits_equal(suffix(true).as_slice(), dense.as_slice());
+    let dense = model.forward_suffix(None, cache, &patch, &mut ForwardOptions::default()).unwrap();
     let dense_pred = dense.argmax().unwrap_or(usize::MAX);
     let golden_logits = cache.get(cache.len() - 1).unwrap();
     for (name, saturation) in [("early-exit", 0.0f64), ("delta", 0.25)] {
@@ -358,69 +347,74 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
     Tensor::from_vec(shape, (0..len).map(|_| rng.gen_range(-1.5f32..1.5)).collect()).unwrap()
 }
 
-/// The weight-fault forward oracle: asserts that dense incremental
+/// The weight-fault forward oracle: asserts that the unfused incremental
 /// re-execution (`forward_suffix` from `first_dirty`, which must be the
-/// faulted parameter's node) reproduces the full `Model::forward` of the
-/// faulted model bit for bit, and that the golden-convergence pass
-/// (`forward_suffix` with `converge` on, the single-unit probe armed by
-/// `dirty_unit` and the node's golden-input lowering) observes the same
-/// faulty inference — bit-identical logits on divergence, and on
-/// convergence dense logits that are bit-golden (so their prediction is
-/// the golden one). Returns the dense logits.
+/// faulted parameter's node) and the plan's suffix pass as wide as `cache`
+/// (`plan` compiled from the golden model) reproduce the full
+/// `Model::forward` of the faulted model bit for bit, and that the
+/// converging plan pass — the single-unit probe armed by `dirty_unit`, the
+/// node's golden-input lowering fed when its GEMM lowers per image —
+/// observes the same faulty inference: bit-identical logits on divergence,
+/// and on convergence dense logits that are bit-golden (so their
+/// prediction is the golden one). Returns the dense logits.
 pub fn assert_forward_equiv(
     faulty: &Model,
+    plan: &CompiledPlan,
     first_dirty: usize,
     cache: &ActivationCache,
     dirty_unit: Option<usize>,
     ctx: &str,
 ) -> Tensor {
-    let tensor_bits = |a: &Tensor, b: &Tensor| -> bool {
-        a.shape() == b.shape()
-            && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
-    };
+    let dense = faulty
+        .forward_suffix(Some(first_dirty), cache, &[], &mut ForwardOptions::default())
+        .unwrap();
+    let full = faulty.forward(cache.get(0).unwrap()).unwrap();
+    assert!(dense.bits_equal(&full), "{ctx}: suffix diverges from the full faulty forward");
     // Pre-lowered panels for the first dirty conv, exactly as the campaign
     // executor would feed them from the golden reference (lowered from the
     // node's *golden* input, which incremental re-execution hands it).
-    let seed_node = &faulty.nodes()[first_dirty.max(1).min(faulty.nodes().len() - 1)];
-    let lowered = match &seed_node.op {
-        NodeOp::Conv { weight, cfg, .. } => {
-            let input = cache.get(seed_node.inputs[0]).expect("prefix cached");
+    let seed = first_dirty.max(1).min(faulty.nodes().len() - 1);
+    let lowered = match &faulty.nodes()[seed].op {
+        NodeOp::Conv { weight, cfg, .. } if plan.lowers_per_image(seed) => {
+            let input = cache.get(faulty.nodes()[seed].inputs[0]).expect("prefix cached");
             let w = &faulty.store().get(*weight).unwrap().tensor;
-            if ops::conv2d_uses_lowering(input, w, *cfg) {
-                Some(ops::im2col_lower(input, w, *cfg).unwrap())
-            } else {
-                None
-            }
+            Some(ops::im2col_lower_batched(input, w, *cfg, None).unwrap())
         }
         _ => None,
     };
-    let dense = match faulty
-        .forward_suffix(Some(first_dirty), cache, &[], &mut ForwardOptions::default())
-        .unwrap()
-    {
-        ForwardOutcome::Logits(l) => l,
-        ForwardOutcome::Converged { at_node } => {
-            panic!("{ctx}: suffix without convergence check converged at node {at_node}")
+    let mut arena = ScratchArena::new();
+    let golden = cache.get(cache.len() - 1).unwrap();
+    for (converge, dirty_unit) in [(false, None), (true, dirty_unit)] {
+        let out = plan
+            .weight_suffix(
+                faulty,
+                first_dirty,
+                cache,
+                lowered.as_ref(),
+                dirty_unit,
+                converge,
+                &mut arena,
+            )
+            .unwrap();
+        // Image by image: a survivor's row bit-equals its dense row, and a
+        // converged image's dense row is bit-golden.
+        let classes = out.classes;
+        let mut survivors = out.logits.chunks_exact(classes.max(1));
+        for (img, converged_at) in out.converged_at.iter().enumerate() {
+            let dense_row = &dense.as_slice()[img * classes..][..classes];
+            match converged_at {
+                None => assert_bits_equal(survivors.next().expect("survivor row"), dense_row),
+                Some(at_node) => assert!(
+                    converge
+                        && dense_row
+                            .iter()
+                            .zip(&golden.as_slice()[img * classes..])
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{ctx}: plan pass spuriously converged image {img} at node {at_node}"
+                ),
+            }
         }
-    };
-    let full = faulty.forward(cache.get(0).unwrap()).unwrap();
-    assert!(tensor_bits(&dense, &full), "{ctx}: suffix diverges from the full faulty forward");
-    let lowered_pair = lowered.as_ref().map(|l| (first_dirty, l));
-
-    let mut conv_opts =
-        ForwardOptions { lowered: lowered_pair, dirty_unit, converge: true, ..Default::default() };
-    let converging = faulty.forward_suffix(Some(first_dirty), cache, &[], &mut conv_opts).unwrap();
-    match &converging {
-        ForwardOutcome::Logits(l) => {
-            assert!(tensor_bits(l, &dense), "{ctx}: converging pass diverges from dense bits");
-        }
-        ForwardOutcome::Converged { at_node } => {
-            let golden = cache.get(cache.len() - 1).unwrap();
-            assert!(
-                tensor_bits(&dense, golden),
-                "{ctx}: converging pass spuriously converged at node {at_node}"
-            );
-        }
+        assert!(survivors.next().is_none(), "{ctx}: extra logits rows");
     }
     dense
 }
@@ -445,13 +439,7 @@ pub fn assert_site_delta_equiv(
             && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
     };
     let set = ActPatch { and_mask: 0, or_mask: faulty_bits, ..ActPatch::identity(node, element) };
-    let dense =
-        match model.forward_suffix(None, cache, &[set], &mut ForwardOptions::default()).unwrap() {
-            ForwardOutcome::Logits(l) => l,
-            ForwardOutcome::Converged { at_node } => {
-                panic!("{ctx}: patched suffix converged at node {at_node}")
-            }
-        };
+    let dense = model.forward_suffix(None, cache, &[set], &mut ForwardOptions::default()).unwrap();
     let mut arena = ScratchArena::new();
     let (delta_out, stats) = model
         .forward_delta_site(

@@ -22,7 +22,7 @@ use fixtures::{
 use proptest::prelude::*;
 use sfi::faultsim::campaign::run_campaign;
 use sfi::prelude::*;
-use sfi_nn::{ParamKind, DELTA_SATURATION_DEFAULT};
+use sfi_nn::{CompiledPlan, ParamKind, DELTA_SATURATION_DEFAULT};
 
 /// ParamIds of every fault-injectable weight tensor in `model`.
 fn weight_params(model: &Model) -> Vec<usize> {
@@ -85,9 +85,10 @@ proptest! {
         }
     }
 
-    /// Dense incremental re-execution reproduces the full faulty forward,
-    /// and the converging pass (with and without the single-unit probe)
-    /// observes the same inference, on the same random graphs under random
+    /// Unfused incremental re-execution and the plan's suffix pass one
+    /// image wide reproduce the full faulty forward, and the converging
+    /// plan pass (with and without the single-unit probe) observes the same
+    /// inference, on the same random graphs under random
     /// single-bit weight faults with guaranteed NaN/±Inf coverage.
     #[test]
     fn suffix_is_bitwise_equal_on_random_graphs(
@@ -118,9 +119,10 @@ proptest! {
         }
         let first_dirty = model.node_of_param(pid).unwrap();
         let unit = model.param_output_unit(pid, idx);
+        let plan = CompiledPlan::compile(&model, &cache).unwrap();
         for (dirty_unit, tag) in [(unit, "probe"), (None, "dense-seed")] {
             let ctx = format!("seed={seed} pid={pid} idx={idx} {tag}");
-            assert_forward_equiv(&faulty, first_dirty, &cache, dirty_unit, &ctx);
+            assert_forward_equiv(&faulty, &plan, first_dirty, &cache, dirty_unit, &ctx);
         }
     }
 }

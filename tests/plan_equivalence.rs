@@ -2,13 +2,13 @@
 //!
 //! The compiled plan re-expresses what the legacy forward passes derived
 //! per call — topological step order, tensor lifetime, fusion, dispatch —
-//! and adds the batched eval-image engine. Its contract is *bitwise*
-//! equivalence: on any graph and any weight fault (NaN/Inf exponent flips
-//! included) the batched suffix must reproduce every per-image inference
-//! exactly, and a campaign classified through it must be byte-identical
-//! to the per-image path at any worker count, for all three fault models.
-//! These properties are what let `batched` default on without a
-//! checkpoint-fingerprint bump.
+//! and runs the one weight-fault suffix pass, one image or all eval images
+//! wide. Its contract is *bitwise* equivalence: on any graph and any
+//! weight fault (NaN/Inf exponent flips included) the pass must reproduce
+//! every per-image inference exactly at either width, and a campaign
+//! classified through it must be byte-identical to the naive reference at
+//! any worker count, for all three fault models. These properties are
+//! what let `batched` default on without a checkpoint-fingerprint bump.
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
@@ -24,8 +24,8 @@ use sfi_faultsim::fault::{FaultModel, FaultSite};
 use sfi_faultsim::multi::AccumulatedFault;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{ActPatch, CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
-use sfi_nn::{BatchedOutcome, KernelPolicy, Model, NodeOp};
-use sfi_tensor::ops::{self, Conv2dCfg};
+use sfi_nn::{ActivationCache, KernelPolicy, Model, NodeOp};
+use sfi_tensor::ops;
 use sfi_tensor::{ScratchArena, Tensor};
 
 /// ParamIds of every fault-injectable weight tensor in `model`.
@@ -61,11 +61,14 @@ fn per_image_inputs(model: &Model, n: usize, seed: u64) -> Vec<Tensor> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The batched suffix pass is bitwise-equal to the per-image dense
-    /// re-execution on random small conv/bn/relu/add/pool graphs under
-    /// random single-bit weight faults — with guaranteed NaN/±Inf coverage
-    /// on top of uniform flips — with and without the single-unit probe,
-    /// cached lowered panels, and convergence checking.
+    /// The suffix pass E images wide is bitwise-equal to the per-image
+    /// unfused re-execution on random small conv/bn/relu/add/pool graphs
+    /// under random single-bit weight faults — with guaranteed NaN/±Inf
+    /// coverage on top of uniform flips — with and without the single-unit
+    /// probe, cached lowered panels, and convergence checking. The same
+    /// pass one image wide over each per-image cache, with the one-image
+    /// lowering on and off, reports every image's convergence node and
+    /// surviving logits bits exactly as the E-wide pass does.
     #[test]
     fn batched_suffix_is_bitwise_equal_on_random_graphs(
         seed in 0u64..1_000_000,
@@ -99,28 +102,28 @@ proptest! {
         let first_dirty = model.node_of_param(pid).unwrap();
         let unit = model.param_output_unit(pid, idx);
 
-        // The per-image reference: dense incremental re-execution, exactly
-        // what the per-image campaign path computes.
+        // The per-image reference: unfused incremental re-execution.
         let dense: Vec<Tensor> = caches
             .iter()
             .map(|c| {
                 let opts = &mut ForwardOptions::default();
-                faulty.forward_suffix(Some(first_dirty), c, &[], opts).unwrap().into_logits(c)
+                faulty.forward_suffix(Some(first_dirty), c, &[], opts).unwrap()
             })
             .collect();
 
-        // Batched golden im2col panels of the first dirty conv, as the
-        // campaign executor would feed them from the golden reference.
+        // Golden im2col panels of the first dirty conv's input, at both
+        // widths, as the campaign executor would feed them.
         let node = &faulty.nodes()[first_dirty];
-        let lowered = match &node.op {
+        let lower = |cache: &ActivationCache| match &node.op {
             NodeOp::Conv { weight, cfg, .. } if plan.is_lowerable_conv(first_dirty) => {
-                let input = bcache.get(node.inputs[0]).unwrap();
+                let input = cache.get(node.inputs[0]).unwrap();
                 let w = &faulty.store().get(*weight).unwrap().tensor;
-                let _: &Conv2dCfg = cfg;
                 Some(ops::im2col_lower_batched(input, w, *cfg, None).unwrap())
             }
             _ => None,
         };
+        let lowered = lower(&bcache);
+        let lowered_1: Vec<_> = caches.iter().map(lower).collect();
 
         let mut arena = ScratchArena::new();
         for check_convergence in [false, true] {
@@ -130,67 +133,82 @@ proptest! {
                         "seed={seed} pid={pid} idx={idx} {tag} conv={check_convergence} \
                          lowered={use_lowered}"
                     );
+                    let dirty_unit = if check_convergence { dirty_unit } else { None };
                     let out = plan
-                        .forward_batched_from(
+                        .weight_suffix(
                             &faulty,
                             first_dirty,
                             &bcache,
                             if use_lowered { lowered.as_ref() } else { None },
-                            if check_convergence { dirty_unit } else { None },
+                            dirty_unit,
                             check_convergence,
                             &mut arena,
                         )
                         .unwrap();
-                    match out {
-                        BatchedOutcome::Logits(logits) => {
-                            let classes = logits.len() / images.len();
-                            for (i, d) in dense.iter().enumerate() {
-                                let row = &logits.as_slice()[i * classes..][..classes];
+                    // Per image: a converged image is only sound if its
+                    // dense inference is bit-golden; a survivor's logits
+                    // row must bit-equal its dense inference.
+                    let classes = out.classes;
+                    prop_assert_eq!(out.converged_at.len(), images.len(), "{}", &ctx);
+                    if !check_convergence {
+                        prop_assert!(out.converged_at.iter().all(Option::is_none), "{}", &ctx);
+                    }
+                    let survivors = out.converged_at.iter().filter(|c| c.is_none()).count();
+                    prop_assert_eq!(out.logits.len(), survivors * classes, "{}", &ctx);
+                    let mut cursor = 0usize;
+                    for (i, d) in dense.iter().enumerate() {
+                        let row = match out.converged_at[i] {
+                            Some(at_node) => {
+                                let c = &caches[i];
+                                let golden = c.get(c.len() - 1).unwrap();
+                                prop_assert!(
+                                    d.bits_equal(golden),
+                                    "{} image {} spuriously converged at {}", &ctx, i, at_node
+                                );
+                                None
+                            }
+                            None => {
+                                let row = &out.logits[cursor * classes..][..classes];
+                                cursor += 1;
                                 prop_assert_eq!(row.len(), d.len(), "{} image {}", &ctx, i);
                                 for (a, b) in row.iter().zip(d.as_slice()) {
                                     prop_assert_eq!(
                                         a.to_bits(), b.to_bits(),
-                                        "{} image {} diverges", &ctx, i
+                                        "{} survivor image {} diverges", &ctx, i
                                     );
                                 }
+                                Some(row)
+                            }
+                        };
+                        // The same pass one image wide.
+                        let low = if use_lowered { lowered_1[i].as_ref() } else { None };
+                        let one = plan
+                            .weight_suffix(
+                                &faulty,
+                                first_dirty,
+                                &caches[i],
+                                low,
+                                dirty_unit,
+                                check_convergence,
+                                &mut arena,
+                            )
+                            .unwrap();
+                        prop_assert_eq!(
+                            &one.converged_at, &vec![out.converged_at[i]],
+                            "{} image {}: convergence differs across widths", &ctx, i
+                        );
+                        if let Some(row) = row {
+                            prop_assert_eq!(one.logits.len(), row.len(), "{} image {}", &ctx, i);
+                            for (a, b) in one.logits.iter().zip(row) {
+                                prop_assert_eq!(
+                                    a.to_bits(), b.to_bits(),
+                                    "{} image {}: logits differ across widths", &ctx, i
+                                );
                             }
                         }
-                        BatchedOutcome::Converging { converged_at, logits, classes } => {
-                            // Per image: a converged image is only sound if
-                            // its dense inference is bit-golden; a survivor's
-                            // logits row must bit-equal its dense inference.
-                            prop_assert_eq!(converged_at.len(), images.len(), "{}", &ctx);
-                            let survivors = converged_at.iter().filter(|c| c.is_none()).count();
-                            prop_assert_eq!(logits.len(), survivors * classes, "{}", &ctx);
-                            let mut cursor = 0usize;
-                            for (i, d) in dense.iter().enumerate() {
-                                match converged_at[i] {
-                                    Some(at_node) => {
-                                        let c = &caches[i];
-                                        let golden = c.get(c.len() - 1).unwrap();
-                                        for (a, b) in d.as_slice().iter().zip(golden.as_slice()) {
-                                            prop_assert_eq!(
-                                                a.to_bits(), b.to_bits(),
-                                                "{} image {} spuriously converged at {}",
-                                                &ctx, i, at_node
-                                            );
-                                        }
-                                    }
-                                    None => {
-                                        let row = &logits[cursor * classes..][..classes];
-                                        cursor += 1;
-                                        prop_assert_eq!(row.len(), d.len(), "{} image {}", &ctx, i);
-                                        for (a, b) in row.iter().zip(d.as_slice()) {
-                                            prop_assert_eq!(
-                                                a.to_bits(), b.to_bits(),
-                                                "{} survivor image {} diverges", &ctx, i
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        arena.recycle(one.logits);
                     }
+                    arena.recycle(out.logits);
                 }
             }
         }
@@ -407,8 +425,9 @@ fn faulted_node_never_reads_its_golden_panel() {
         }
 
         // Engine level, bit for bit: with an exponent flip in the faulted
-        // layer, the dense and batched suffixes over golden panels
-        // reproduce the naive per-image logits. A transient strike on the
+        // layer, the unfused suffix over golden panels and the plan's
+        // suffix pass one image and E images wide reproduce the naive
+        // per-image logits. A transient strike on the
         // layer's output leaves every weight golden, so the delta engine
         // (every node dense) reads every panel and must reproduce the naive
         // patched suffix.
@@ -426,19 +445,19 @@ fn faulted_node_never_reads_its_golden_panel() {
                 let naive_opts =
                     &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
                 let naive = faulty.forward_suffix(Some(node), cache, &[], naive_opts).unwrap();
-                let naive = naive.into_logits(cache);
                 let fast_opts = &mut ForwardOptions {
                     arena: Some(&mut arena),
                     plan: Some(plan),
                     ..Default::default()
                 };
                 let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
-                assert!(naive.bits_equal(&fast.into_logits(cache)), "{name} L{layer} dense");
+                assert!(naive.bits_equal(&fast), "{name} L{layer} unfused");
+                let one = plan.weight_suffix(&faulty, node, cache, None, None, false, &mut arena);
+                fixtures::assert_bits_equal(naive.as_slice(), &one.unwrap().logits);
                 let strike = ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(node, 0) };
                 let naive_opts =
                     &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
                 let struck = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
-                let struck = struck.into_logits(cache);
                 let delta_opts = &mut DeltaOptions {
                     arena: Some(&mut arena),
                     panels: Some(plan.panels()),
@@ -450,11 +469,9 @@ fn faulted_node_never_reads_its_golden_panel() {
                 assert!(struck.bits_equal(&delta.into_logits(cache)), "{name} L{layer} delta");
                 rows.extend_from_slice(naive.as_slice());
             }
-            let batched = plan
-                .forward_batched_from(&faulty, node, bcache, None, None, false, &mut arena)
-                .unwrap();
-            let BatchedOutcome::Logits(batched) = batched else { panic!("non-converging pass") };
-            fixtures::assert_bits_equal(&rows, batched.as_slice());
+            let batched =
+                plan.weight_suffix(&faulty, node, bcache, None, None, false, &mut arena).unwrap();
+            fixtures::assert_bits_equal(&rows, &batched.logits);
         }
 
         let mut faults = Vec::new();
@@ -641,14 +658,11 @@ fn fused_dense_suffix_is_invisible_in_campaigns() {
                 let naive_opts =
                     &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
                 let naive = faulty.forward_suffix(Some(node), cache, &[], naive_opts).unwrap();
-                let fast_opts = &mut ForwardOptions {
-                    arena: Some(&mut arena),
-                    plan: Some(plan),
-                    ..Default::default()
-                };
-                let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
-                let (naive, fast) = (naive.into_logits(cache), fast.into_logits(cache));
-                assert!(naive.bits_equal(&fast), "{name} L{layer} image {img}");
+                let fast = plan
+                    .weight_suffix(&faulty, node, cache, None, None, false, &mut arena)
+                    .unwrap();
+                assert_eq!(fast.converged_at, [None], "{name} L{layer} image {img}");
+                fixtures::assert_bits_equal(naive.as_slice(), &fast.logits);
             }
         }
 
@@ -678,33 +692,44 @@ fn fused_dense_suffix_is_invisible_in_campaigns() {
     }
 }
 
-/// Last-reader recycling keeps the dense suffix allocation-free: after a
-/// warm-up fault, a MobileNetV2 weight-fault suffix on the plan's schedule
-/// serves every arena request from a recycled buffer.
+/// Last-reader recycling keeps the suffix pass allocation-free: after a
+/// warm-up fault, a MobileNetV2 weight-fault suffix one image wide serves
+/// every arena request from a recycled buffer, with and without the
+/// convergence check (and the single-unit probe it arms).
 #[test]
 fn fused_dense_suffix_allocates_nothing_after_warm_up() {
     let model = MobileNetV2Config::cifar_micro().build_seeded(5).unwrap();
     let (_, golden) = campaign_world(&model, model.input_dims()[1], 1);
+    let golden = golden.with_lowering(&model).unwrap();
     let cache = golden.cache(0);
     let layers = model.weight_layers();
-    let first = model.node_of_param(layers[1].param).unwrap();
+    let param = layers[1].param;
+    let first = model.node_of_param(param).unwrap();
+    let unit = model.param_output_unit(param, 0);
     let mut arena = ScratchArena::new();
-    let pass = |arena: &mut ScratchArena, bit: u32| {
+    let pass = |arena: &mut ScratchArena, bit: u32, converge: bool| {
         let mut faulty = model.clone();
-        let w = &mut faulty.store_mut().get_mut(layers[1].param).unwrap().tensor;
+        let w = &mut faulty.store_mut().get_mut(param).unwrap().tensor;
         w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << bit));
-        let opts = &mut ForwardOptions {
-            arena: Some(arena),
-            plan: Some(golden.plan()),
-            ..Default::default()
-        };
-        faulty.forward_suffix(Some(first), cache, &[], opts).unwrap().into_logits(cache)
+        let lowered = golden.lowering(first, 0);
+        let dirty_unit = unit.filter(|_| converge);
+        let out = golden
+            .plan()
+            .weight_suffix(&faulty, first, cache, lowered, dirty_unit, converge, arena)
+            .unwrap();
+        arena.recycle(out.logits);
     };
-    pass(&mut arena, 30);
-    let before = arena.stats();
-    pass(&mut arena, 29);
-    let after = arena.stats();
-    let takes = after.takes - before.takes;
-    assert!(takes > 0, "the suffix draws its buffers from the arena");
-    assert_eq!(takes, after.reuses - before.reuses, "a warm suffix allocates nothing new");
+    for converge in [false, true] {
+        pass(&mut arena, 30, converge);
+        let before = arena.stats();
+        pass(&mut arena, 29, converge);
+        let after = arena.stats();
+        let takes = after.takes - before.takes;
+        assert!(takes > 0, "converge={converge}: the suffix draws its buffers from the arena");
+        assert_eq!(
+            takes,
+            after.reuses - before.reuses,
+            "converge={converge}: a warm suffix allocates nothing new"
+        );
+    }
 }
