@@ -1304,11 +1304,8 @@ fn classify_activation(
     verdict.tally.engine_dense = u64::from(!use_delta);
     let timer = wprobe.inference_start();
     let out = if use_delta {
-        let mut dopts = DeltaOptions {
-            arena: Some(&mut *arena),
-            panels: Some(golden.plan().panels()),
-            ..Default::default()
-        };
+        let mut dopts =
+            DeltaOptions { arena: Some(&mut *arena), ..DeltaOptions::new(golden.plan()) };
         let (out, stats) =
             model.forward_delta_site(site.node, site.element, faulty_bits, cache, &mut dopts)?;
         verdict.delta(stats);

@@ -28,6 +28,12 @@
 //! An empty mask ⇔ the activation is provably bit-golden, so the pass
 //! inherits the golden-convergence early exit for free.
 //!
+//! The pass runs on the model's [`CompiledPlan`]: a conv that heads a
+//! conv+bn(+relu) fusion group and goes dense runs the whole group as one
+//! fused conv, every dense conv multiplies its golden weight panel, and
+//! each dirty activation goes back to the arena once its last reader has
+//! run ([`CompiledPlan::flush_after`]).
+//!
 //! Weight faults do not take this engine: a weight fault dirties a whole
 //! output channel, so its cone saturates at the first downstream conv and
 //! the pass degrades to the dense suffix plus mask bookkeeping.
@@ -36,26 +42,26 @@ use sfi_tensor::ops::{self, Conv2dCfg, Padding};
 use sfi_tensor::{DirtyMask, ScratchArena, Tensor, DIRTY_BLOCK};
 
 use crate::model::{ActivationCache, ForwardOutcome, NodeKernels};
-use crate::{GoldenPanels, Model, NnError, NodeId, NodeOp, ParamId};
+use crate::{CompiledPlan, Model, NnError, NodeId, NodeOp, ParamId};
 
 /// Default [`DeltaOptions::saturation`] threshold: when a node's candidate
-/// dirty region covers at least this fraction of its blocks, the scalar
-/// sparse kernels lose to the blocked dense path and the node is evaluated
+/// dirty region covers at least this fraction of its blocks, the sparse
+/// kernels lose to the blocked dense path and the node is evaluated
 /// densely. Lower thresholds give up the sparse wins while a transient's
-/// cone is still narrow; higher ones drag scalar kernels through
+/// cone is still narrow; higher ones drag sparse kernels through
 /// near-dense cones. At 0.125 the full-scale ResNet-20 transient campaign
-/// runs 1.69x over the dense patched suffix (`BENCH_transient.json`).
+/// runs 1.78x over the dense patched suffix (`BENCH_transient.json`).
 pub const DELTA_SATURATION_DEFAULT: f64 = 0.125;
 
 /// Per-caller state threaded through [`Model::forward_delta_site`].
 pub struct DeltaOptions<'a> {
-    /// Scratch arena for materialized activations; recycled when the pass
-    /// converges.
+    /// Scratch arena for materialized activations; each dirty activation
+    /// returns to it once its last reader has run.
     pub arena: Option<&'a mut ScratchArena>,
-    /// Golden weight panels ([`CompiledPlan::panels`](crate::CompiledPlan::panels))
-    /// for the dense fallback of every node. A transient fault leaves every
-    /// weight golden, so every panel is sound.
-    pub panels: Option<&'a GoldenPanels>,
+    /// The model's compiled plan: activation lifetimes, fusion groups and
+    /// golden weight panels. A transient fault leaves every weight golden,
+    /// so every panel is sound.
+    pub plan: &'a CompiledPlan,
     /// Dense-fallback threshold on the candidate mask's dirty fraction, in
     /// `[0, 1]`. A node whose candidate fraction is `>=` this value is
     /// evaluated densely. `0.0` forces every node dense; `1.0` (or more)
@@ -63,9 +69,11 @@ pub struct DeltaOptions<'a> {
     pub saturation: f64,
 }
 
-impl Default for DeltaOptions<'_> {
-    fn default() -> Self {
-        Self { arena: None, panels: None, saturation: DELTA_SATURATION_DEFAULT }
+impl<'a> DeltaOptions<'a> {
+    /// Options over `plan` with no arena and the default saturation
+    /// threshold.
+    pub fn new(plan: &'a CompiledPlan) -> Self {
+        Self { arena: None, plan, saturation: DELTA_SATURATION_DEFAULT }
     }
 }
 
@@ -75,10 +83,11 @@ pub struct DeltaStats {
     /// Nodes recomputed through the sparse (dirty-cone) kernels.
     pub sparse_nodes: u64,
     /// Nodes that saturated past the threshold and fell back to the dense
-    /// kernel.
+    /// kernel; a fused group counts every member it stands for.
     pub dense_nodes: u64,
     /// Nodes proven clean without per-element work (empty candidate or all
-    /// inputs clean), plus nodes whose recomputed delta trimmed to empty.
+    /// inputs clean), plus nodes (or fused groups) whose recomputed delta
+    /// trimmed to empty.
     pub clean_nodes: u64,
     /// Total dirty blocks across all surviving per-node masks — the volume
     /// of the fault's dirty cone.
@@ -110,13 +119,15 @@ impl Model {
     /// returned without any downstream work.
     ///
     /// With `saturation == 0.0` every downstream node takes the dense
-    /// bit-compare fast path, which makes this hook behave exactly like the
-    /// dense golden-convergence pass — same classifications, same bits.
+    /// bit-compare fast path, which makes this hook behave like the dense
+    /// golden-convergence pass on the plan's schedule — same
+    /// classifications, same bits — converging at fusion-group outputs, as
+    /// that pass does.
     ///
     /// # Errors
     ///
-    /// [`NnError::CacheMismatch`] when the cache does not cover the model or
-    /// the site names a node/element out of range.
+    /// [`NnError::CacheMismatch`] when the cache or plan does not cover the
+    /// model or the site names a node/element out of range.
     pub fn forward_delta_site(
         &self,
         node: NodeId,
@@ -126,11 +137,12 @@ impl Model {
         opts: &mut DeltaOptions<'_>,
     ) -> Result<(ForwardOutcome, DeltaStats), NnError> {
         let n_nodes = self.nodes().len();
-        if cache.len() != n_nodes {
+        if cache.len() != n_nodes || opts.plan.len() != n_nodes {
             return Err(NnError::CacheMismatch {
                 reason: format!(
-                    "cache holds {} activations, model has {n_nodes} nodes",
-                    cache.len()
+                    "cache holds {} activations, plan covers {} nodes, model has {n_nodes}",
+                    cache.len(),
+                    opts.plan.len()
                 ),
             });
         }
@@ -165,9 +177,9 @@ impl Model {
     }
 
     /// Propagates the seeded delta state of [`Model::forward_delta_site`]
-    /// through the suffix after `first_dirty`. `first_dirty` may be `0`
-    /// (input faults), in which case node 0's state is the patched input
-    /// itself.
+    /// through the suffix after `first_dirty` on the plan's schedule.
+    /// `first_dirty` may be `0` (input faults), in which case node 0's
+    /// state is the patched input itself.
     fn delta_run(
         &self,
         first_dirty: NodeId,
@@ -177,66 +189,50 @@ impl Model {
         mut stats: DeltaStats,
     ) -> Result<(ForwardOutcome, DeltaStats), NnError> {
         let n_nodes = self.nodes().len();
-        // Same live-dirty bookkeeping as the converging suffix pass: a node
-        // with a nonempty mask blocks convergence until its last reader
-        // has consumed it.
-        let mut last_reader: Vec<NodeId> = (0..n_nodes).collect();
-        for (id, node) in self.nodes().iter().enumerate().skip(first_dirty) {
-            for &inp in &node.inputs {
-                last_reader[inp] = id;
-            }
-        }
-        let mut expiring: Vec<u32> = vec![0; n_nodes];
-        let mut live_dirty: u32 = 0;
+        // `states[i]` is node `first_dirty + i`'s dirty state: `None` when
+        // the node is clean, fused away, or flushed after its last reader.
+        // `live` counts the dirty states still held: while one remains, a
+        // later reader may spread its diff, so the pass cannot converge
+        // (a diverged conv whose ReLU clamped back to golden can still
+        // reach a residual `Add`).
         let mut states: Vec<Option<DeltaState>> = Vec::with_capacity(n_nodes - first_dirty);
         stats.dirty_blocks += seed.mask.dirty_blocks() as u64;
-        if last_reader[first_dirty] > first_dirty {
-            expiring[last_reader[first_dirty]] += 1;
-            live_dirty += 1;
-        }
         states.push(Some(seed));
-        for id in first_dirty + 1..n_nodes {
-            let state = self.delta_node(id, first_dirty, cache, &states, opts, &mut stats)?;
-            live_dirty -= expiring[id];
-            match state {
-                None => {
-                    if live_dirty == 0 {
-                        if let Some(a) = opts.arena.as_deref_mut() {
-                            for s in states.into_iter().flatten() {
-                                a.recycle(s.value.into_vec());
-                            }
-                        }
-                        return Ok((ForwardOutcome::Converged { at_node: id }, stats));
-                    }
-                    states.push(None);
-                }
-                Some(s) => {
-                    stats.dirty_blocks += s.mask.dirty_blocks() as u64;
-                    if last_reader[id] > id {
-                        expiring[last_reader[id]] += 1;
-                        live_dirty += 1;
-                    }
-                    states.push(Some(s));
-                }
+        let mut live = 1 - flush(opts, first_dirty, first_dirty..=first_dirty, &mut states);
+        let mut id = first_dirty + 1;
+        while id < n_nodes {
+            let (out, state) =
+                self.delta_step(id, first_dirty, cache, &states, opts, &mut stats)?;
+            // Fused-away members hold no state: the single-reader fusion
+            // condition guarantees nothing outside the group reads them.
+            states.extend((id..out).map(|_| None));
+            let dirty = state.is_some();
+            if let Some(s) = &state {
+                stats.dirty_blocks += s.mask.dirty_blocks() as u64;
+                live += 1;
             }
+            states.push(state);
+            live -= flush(opts, first_dirty, id..=out, &mut states);
+            if !dirty && live == 0 {
+                return Ok((ForwardOutcome::Converged { at_node: out }, stats));
+            }
+            id = out + 1;
         }
-        let last = states.pop().expect("suffix is nonempty");
-        let out = match last {
+        // Every state but the output's was flushed after its last reader.
+        let out = match states.pop().flatten() {
             Some(s) => s.value,
             None => cache.get(n_nodes - 1).expect("nonempty").clone(),
         };
-        if let Some(a) = opts.arena.as_deref_mut() {
-            for s in states.into_iter().flatten() {
-                a.recycle(s.value.into_vec());
-            }
-        }
         Ok((ForwardOutcome::Logits(out), stats))
     }
 
-    /// Evaluates one downstream node of the delta pass: clean inputs ⇒ no
-    /// work; otherwise candidate geometry, then sparse recompute + trim or
-    /// dense fallback past the saturation threshold.
-    fn delta_node(
+    /// Evaluates step `id` of the delta pass: clean inputs ⇒ no work;
+    /// otherwise candidate geometry, then sparse recompute + trim or dense
+    /// fallback past the saturation threshold. A dense conv that heads a
+    /// fusion group runs the whole group. Returns the node whose state the
+    /// step produced (the group output, or `id`) and that state, `None`
+    /// when it is bit-golden.
+    fn delta_step(
         &self,
         id: NodeId,
         first_dirty: NodeId,
@@ -244,7 +240,7 @@ impl Model {
         states: &[Option<DeltaState>],
         opts: &mut DeltaOptions<'_>,
         stats: &mut DeltaStats,
-    ) -> Result<Option<DeltaState>, NnError> {
+    ) -> Result<(NodeId, Option<DeltaState>), NnError> {
         let node = &self.nodes()[id];
         let resolve = |inp: NodeId| -> (&Tensor, Option<&DirtyMask>, bool) {
             if inp >= first_dirty {
@@ -263,75 +259,62 @@ impl Model {
             // this node's dense recomputation would be too. No per-element
             // work happens here.
             stats.clean_nodes += 1;
-            return Ok(None);
+            return Ok((id, None));
         }
         let golden = cache.get(id).expect("cache covers model");
         let wrap = |source| NnError::Op { node: id, source };
-        if x0full.2 || x1full.is_some_and(|x| x.2) {
-            // Saturated-cone fast path: candidate geometry over a saturated
-            // input could only rediscover a (near-)full mask, so skip it and
-            // decide dirtiness with the convergence pass's short-circuit
-            // bitwise compare. This caps the per-node delta overhead at
-            // exactly the dense early-exit cost once the cone has gone dense.
-            stats.dense_nodes += 1;
-            let value = self.eval_node_dense(id, x0.0, x1.map(|x| x.0), opts)?;
-            if value.bits_equal(golden) {
-                if let Some(a) = opts.arena.as_deref_mut() {
-                    a.recycle(value.into_vec());
-                }
+        // Candidate geometry runs over unsaturated inputs only: over a
+        // saturated one it could only rediscover a (near-)full mask, so the
+        // node goes dense at once. This caps the per-node delta overhead at
+        // exactly the dense early-exit cost once the cone has gone dense.
+        if !x0full.2 && !x1full.is_some_and(|x| x.2) {
+            let cand = self.candidate_mask(id, golden, x0, x1).map_err(wrap)?;
+            if cand.is_empty() {
                 stats.clean_nodes += 1;
-                return Ok(None);
+                return Ok((id, None));
             }
-            let mask = DirtyMask::full(golden.shape()).map_err(wrap)?;
-            return Ok(Some(DeltaState { value, mask, saturated: true }));
-        }
-        let cand = self.candidate_mask(id, golden, x0, x1).map_err(wrap)?;
-        if cand.is_empty() {
-            stats.clean_nodes += 1;
-            return Ok(None);
-        }
-        let (value, mask) = if cand.dirty_fraction() >= opts.saturation {
-            stats.dense_nodes += 1;
-            let value = self.eval_node_dense(id, x0.0, x1.map(|x| x.0), opts)?;
-            if value.bits_equal(golden) {
-                if let Some(a) = opts.arena.as_deref_mut() {
-                    a.recycle(value.into_vec());
+            if cand.dirty_fraction() < opts.saturation {
+                stats.sparse_nodes += 1;
+                let mut arena = opts.arena.as_deref_mut();
+                let mut data = golden_copy(golden, arena.as_deref_mut());
+                self.sparse_recompute(id, x0.0, x1.map(|x| x.0), &cand, &mut data, arena)
+                    .map_err(wrap)?;
+                let mask = trimmed_mask(golden, &data, &cand).map_err(wrap)?;
+                let value = Tensor::from_vec(golden.shape(), data).expect("golden-shaped buffer");
+                if mask.is_empty() {
+                    if let Some(a) = opts.arena.as_deref_mut() {
+                        a.recycle(value.into_vec());
+                    }
+                    stats.clean_nodes += 1;
+                    return Ok((id, None));
                 }
-                stats.clean_nodes += 1;
-                return Ok(None);
+                let saturated = mask.dirty_fraction() >= opts.saturation;
+                return Ok((id, Some(DeltaState { value, mask, saturated })));
             }
-            let mask = DirtyMask::full(golden.shape()).map_err(wrap)?;
-            (value, mask)
-        } else {
-            stats.sparse_nodes += 1;
-            let mut data = golden_copy(golden, opts.arena.as_deref_mut());
-            self.sparse_recompute(id, x0.0, x1.map(|x| x.0), &cand, &mut data).map_err(wrap)?;
-            let mask = trimmed_mask(golden, &data, &cand).map_err(wrap)?;
-            (Tensor::from_vec(golden.shape(), data).expect("golden-shaped buffer"), mask)
+        }
+        // Dense: the node, or the whole fusion group it heads, decided by
+        // the convergence pass's short-circuit bitwise compare at the
+        // group output.
+        let (out, epilogue) = match opts.plan.fused_at(id) {
+            Some((out, ep)) => (out, Some(ep)),
+            None => (id, None),
         };
-        if mask.is_empty() {
+        stats.dense_nodes += (out - id + 1) as u64;
+        let panel = opts.plan.panels().get(id);
+        let kernels = NodeKernels { panel, epilogue, ..NodeKernels::default() };
+        let value =
+            self.eval_node(id, x0.0, x1.map(|x| x.0), kernels, opts.arena.as_deref_mut())?;
+        let golden = cache.get(out).expect("cache covers model");
+        if value.bits_equal(golden) {
             if let Some(a) = opts.arena.as_deref_mut() {
                 a.recycle(value.into_vec());
             }
             stats.clean_nodes += 1;
-            return Ok(None);
+            return Ok((out, None));
         }
-        let saturated = mask.dirty_fraction() >= opts.saturation;
-        Ok(Some(DeltaState { value, mask, saturated }))
-    }
-
-    /// Dense evaluation of downstream node `id` (its weights are golden,
-    /// so it reads its golden panel when `opts` carries them).
-    fn eval_node_dense(
-        &self,
-        id: NodeId,
-        x0: &Tensor,
-        x1: Option<&Tensor>,
-        opts: &mut DeltaOptions<'_>,
-    ) -> Result<Tensor, NnError> {
-        let panel = opts.panels.and_then(|p| p.get(id));
-        let kernels = NodeKernels { panel, ..NodeKernels::default() };
-        self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())
+        let mask =
+            DirtyMask::full(golden.shape()).map_err(|source| NnError::Op { node: out, source })?;
+        Ok((out, Some(DeltaState { value, mask, saturated: true })))
     }
 
     /// Conservative candidate mask of node `id` from its inputs' masks:
@@ -403,7 +386,8 @@ impl Model {
     }
 
     /// Recomputes the candidate elements of node `id` into `data` (a copy
-    /// of the golden activation) with order-exact scalar kernels.
+    /// of the golden activation) with order-exact kernels, drawing scratch
+    /// from `arena`.
     fn sparse_recompute(
         &self,
         id: NodeId,
@@ -411,13 +395,14 @@ impl Model {
         x1: Option<&Tensor>,
         cand: &DirtyMask,
         data: &mut [f32],
+        arena: Option<&mut ScratchArena>,
     ) -> Result<(), sfi_tensor::TensorError> {
         let node = &self.nodes()[id];
         let param = |p: ParamId| &self.store().get(p).expect("validated at construction").tensor;
         match &node.op {
             NodeOp::Input => unreachable!("input node is never re-evaluated"),
             NodeOp::Conv { weight, bias, cfg } => {
-                sparse_conv(x0, param(*weight), bias.map(&param), *cfg, cand, data);
+                sparse_conv(x0, param(*weight), bias.map(&param), *cfg, cand, data, arena);
             }
             NodeOp::BatchNorm { gamma, beta, mean, var, eps } => {
                 let (gs, bs, ms, vs) = (
@@ -547,16 +532,43 @@ impl Model {
     }
 }
 
+/// Drops the dirty states whose last reader is one of `steps` (the plan's
+/// flush lists), returning their buffers to the arena. Returns how many
+/// dirty states it dropped.
+fn flush(
+    opts: &mut DeltaOptions<'_>,
+    first_dirty: NodeId,
+    steps: std::ops::RangeInclusive<NodeId>,
+    states: &mut [Option<DeltaState>],
+) -> u32 {
+    let mut dropped = 0;
+    for dead in steps.flat_map(|step| opts.plan.flush_after(step)) {
+        let Some(slot) = dead.checked_sub(first_dirty) else { continue };
+        if let Some(s) = states[slot].take() {
+            dropped += 1;
+            if let Some(a) = opts.arena.as_deref_mut() {
+                a.recycle(s.value.into_vec());
+            }
+        }
+    }
+    dropped
+}
+
 /// Copies the golden activation into a working buffer, via the arena when
 /// available.
 fn golden_copy(golden: &Tensor, arena: Option<&mut ScratchArena>) -> Vec<f32> {
-    let g = golden.as_slice();
-    let mut data = match arena {
-        Some(a) => a.take(g.len()),
-        None => vec![0.0f32; g.len()],
-    };
-    data.copy_from_slice(g);
+    let mut data = take_buf(arena, golden.len());
+    data.copy_from_slice(golden.as_slice());
     data
+}
+
+/// A buffer of `len` floats from `arena` (unspecified contents) or freshly
+/// allocated.
+fn take_buf(arena: Option<&mut ScratchArena>, len: usize) -> Vec<f32> {
+    match arena {
+        Some(a) => a.take(len),
+        None => vec![0.0f32; len],
+    }
 }
 
 /// Visits every pixel of every dirty block of `mask` as `(plane, y, x)`.
@@ -753,15 +765,27 @@ fn down_candidate(
     Ok(cand)
 }
 
-/// Order-exact scalar convolution over the candidate region.
+/// Output channels per lane group of the sparse GEMM conv.
+const LANES: usize = 16;
+
+/// Output pixels per tile of the sparse GEMM conv.
+const PIX: usize = 4;
+
+/// Order-exact convolution over the candidate region.
 ///
-/// The im2col path computes each output element as `acc = Σ_k w[k]·col[k]`
-/// with `k = (ci_g·k_h + kh)·k_w + kw` ascending, padding multiplied as
-/// explicit zeros, and the bias added *after* the GEMM with a separate
-/// `+=`. The depthwise kernel instead *skips* out-of-bounds taps and
-/// writes `acc + base` in one add. Both forms are replicated exactly so
-/// NaN/Inf weights produce identical bits (e.g. `0.0 × NaN = NaN` at
-/// padded border pixels of the im2col family).
+/// The GEMM paths (im2col and in place) compute each output element as
+/// `acc = Σ_k w[k]·col[k]` with `k = (ci_g·k_h + kh)·k_w + kw` ascending,
+/// starting from `0.0`, padding multiplied as explicit zeros, and the bias
+/// added *after* the GEMM with a separate `+=`. Here each dirty block of
+/// a group runs as tiles of [`PIX`] pixels × [`LANES`] output channels
+/// ([`lanes_tile`]) over the group's `[k][c_out]` weight transpose: the
+/// vector lanes sit on output channels, and every output still receives
+/// its products one at a time in ascending `k`, so its bits are the dense
+/// kernels' — NaN/Inf included (e.g. `0.0 × NaN = NaN` at padded border
+/// pixels).
+///
+/// The depthwise kernel instead *skips* out-of-bounds taps and writes
+/// `acc + base` in one add; it is replicated by a scalar loop.
 fn sparse_conv(
     input: &Tensor,
     weight: &Tensor,
@@ -769,8 +793,10 @@ fn sparse_conv(
     cfg: Conv2dCfg,
     cand: &DirtyMask,
     data: &mut [f32],
+    mut arena: Option<&mut ScratchArena>,
 ) {
-    let (c_in, h_in, w_in) = (input.shape().c(), input.shape().h(), input.shape().w());
+    let (batch, c_in, h_in, w_in) =
+        (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
     let (c_out, cpg_in, k_h, k_w) =
         (weight.shape().n(), weight.shape().c(), weight.shape().h(), weight.shape().w());
     let groups = cfg.groups;
@@ -779,12 +805,9 @@ fn sparse_conv(
     let (h_out, w_out) = (cand.height(), cand.width());
     let x = input.as_slice();
     let w = weight.as_slice();
-    let depthwise = groups == c_in && c_out == c_in && cpg_in == 1;
-    for_dirty_pixels(cand, |p, oh, ow| {
-        let (n, co) = (p / c_out, p % c_out);
-        let g = co / cpg_out;
-        let out_idx = (p * h_out + oh) * w_out + ow;
-        if depthwise {
+    if groups == c_in && c_out == c_in && cpg_in == 1 {
+        for_dirty_pixels(cand, |p, oh, ow| {
+            let (n, co) = (p / c_out, p % c_out);
             let in_chan = &x[(n * c_in + co) * h_in * w_in..][..h_in * w_in];
             let w_chan = &w[co * k_h * k_w..][..k_h * k_w];
             let base = bias.map_or(0.0, |b| b.as_slice()[co]);
@@ -802,32 +825,116 @@ fn sparse_conv(
                     acc += in_chan[ih as usize * w_in + iw as usize] * w_chan[kh * k_w + kw];
                 }
             }
-            data[out_idx] = acc + base;
-        } else {
-            let mut acc = 0.0f32;
-            for ci_g in 0..cpg_in {
-                let ci = g * cpg_in + ci_g;
-                let in_chan = &x[(n * c_in + ci) * h_in * w_in..][..h_in * w_in];
-                for kh in 0..k_h {
-                    let ih = (oh * cfg.stride + kh) as isize - pad;
-                    let row_ok = ih >= 0 && (ih as usize) < h_in;
-                    for kw in 0..k_w {
-                        let iw = (ow * cfg.stride + kw) as isize - pad;
-                        let v = if row_ok && iw >= 0 && (iw as usize) < w_in {
-                            in_chan[ih as usize * w_in + iw as usize]
-                        } else {
-                            0.0
-                        };
-                        acc += w[((co * cpg_in + ci_g) * k_h + kh) * k_w + kw] * v;
+            data[(p * h_out + oh) * w_out + ow] = acc + base;
+        });
+        return;
+    }
+    let k_len = cpg_in * k_h * k_w;
+    // The weight transpose, one `[k][LANES]` strip per lane group of each
+    // channel group; lanes past the group's channels hold zeros (their
+    // outputs are never stored).
+    let strips = cpg_out.div_ceil(LANES);
+    let strip_len = k_len * LANES;
+    let mut wt = take_buf(arena.as_deref_mut(), groups * strips * strip_len);
+    for (s, strip) in wt.chunks_exact_mut(strip_len).enumerate() {
+        let (g, co0) = (s / strips, s % strips * LANES);
+        let w_g = &w[g * cpg_out * k_len..][..cpg_out * k_len];
+        for (k, lanes) in strip.chunks_exact_mut(LANES).enumerate() {
+            for (l, v) in lanes.iter_mut().enumerate() {
+                *v = if co0 + l < cpg_out { w_g[(co0 + l) * k_len + k] } else { 0.0 };
+            }
+        }
+    }
+    // `cols[k][p]`: the im2col column of each pixel of the tile.
+    let mut cols = take_buf(arena.as_deref_mut(), k_len * PIX);
+    let mut pixels = [(0usize, 0usize); DIRTY_BLOCK * DIRTY_BLOCK];
+    for n in 0..batch {
+        for g in 0..groups {
+            let planes = n * c_out + g * cpg_out..n * c_out + (g + 1) * cpg_out;
+            for by in 0..cand.blocks_h() {
+                for bx in 0..cand.blocks_w() {
+                    if !planes.clone().any(|p| cand.block_is_dirty(p, by, bx)) {
+                        continue;
+                    }
+                    let (y0, y1, x0, x1) = cand.block_pixels(by, bx);
+                    let mut count = 0;
+                    for oh in y0..y1 {
+                        for ow in x0..x1 {
+                            pixels[count] = (oh, ow);
+                            count += 1;
+                        }
+                    }
+                    for tile in pixels[..count].chunks(PIX) {
+                        for (p, &(oh, ow)) in tile.iter().enumerate() {
+                            let mut k = 0;
+                            for ci_g in 0..cpg_in {
+                                let ci = g * cpg_in + ci_g;
+                                let in_chan = &x[(n * c_in + ci) * h_in * w_in..][..h_in * w_in];
+                                for kh in 0..k_h {
+                                    let ih = (oh * cfg.stride + kh) as isize - pad;
+                                    let row_ok = ih >= 0 && (ih as usize) < h_in;
+                                    for kw in 0..k_w {
+                                        let iw = (ow * cfg.stride + kw) as isize - pad;
+                                        cols[k * PIX + p] =
+                                            if row_ok && iw >= 0 && (iw as usize) < w_in {
+                                                in_chan[ih as usize * w_in + iw as usize]
+                                            } else {
+                                                0.0
+                                            };
+                                        k += 1;
+                                    }
+                                }
+                            }
+                        }
+                        for s in 0..strips {
+                            let co0 = s * LANES;
+                            let strip = &wt[(g * strips + s) * strip_len..][..strip_len];
+                            let acc = lanes_tile(strip, &cols);
+                            for co_g in co0..(co0 + LANES).min(cpg_out) {
+                                let plane = planes.start + co_g;
+                                if !cand.block_is_dirty(plane, by, bx) {
+                                    continue;
+                                }
+                                let base = bias.map(|b| b.as_slice()[g * cpg_out + co_g]);
+                                for (acc_p, &(oh, ow)) in acc.iter().zip(tile) {
+                                    let mut v = acc_p[co_g - co0];
+                                    if let Some(b) = base {
+                                        v += b;
+                                    }
+                                    data[(plane * h_out + oh) * w_out + ow] = v;
+                                }
+                            }
+                        }
                     }
                 }
             }
-            if let Some(b) = bias {
-                acc += b.as_slice()[co];
-            }
-            data[out_idx] = acc;
         }
-    });
+    }
+    if let Some(a) = arena {
+        a.recycle(wt);
+        a.recycle(cols);
+    }
+}
+
+/// One tile of the sparse GEMM conv: [`PIX`] pixels × [`LANES`] output
+/// channels. `strip` holds the channels' weights as `[k][LANES]`, `cols`
+/// the pixels' im2col columns as `[k][PIX]`. Each output owns one
+/// accumulator lane that starts at `0.0` and receives its products one
+/// multiply and one add at a time in ascending `k` — the dense GEMM's
+/// chain — so vector width never reorders it. Lanes and pixels past the
+/// tile's real extent compute values nobody stores.
+#[inline(never)]
+fn lanes_tile(strip: &[f32], cols: &[f32]) -> [[f32; LANES]; PIX] {
+    let mut acc = [[0.0f32; LANES]; PIX];
+    for (w_k, x_k) in strip.chunks_exact(LANES).zip(cols.chunks_exact(PIX)) {
+        for (p, row) in acc.iter_mut().enumerate() {
+            let x_v = x_k[p];
+            for (acc_v, &w_v) in row.iter_mut().zip(w_k) {
+                *acc_v += w_v * x_v;
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -885,8 +992,9 @@ mod tests {
         let bits = value.to_bits();
         let set = ActPatch { and_mask: 0, or_mask: bits, ..ActPatch::identity(node, element) };
         let dense = dense_suffix(m, cache, &[set]);
+        let plan = CompiledPlan::compile(m, cache).unwrap();
         let mut arena = ScratchArena::new();
-        let opts = &mut DeltaOptions { arena: Some(&mut arena), saturation, ..Default::default() };
+        let opts = &mut DeltaOptions { arena: Some(&mut arena), plan: &plan, saturation };
         let (out, stats) = m.forward_delta_site(node, element, bits, cache, opts).unwrap();
         match &out {
             ForwardOutcome::Logits(l) => {
@@ -897,7 +1005,7 @@ mod tests {
                 assert!(bits_eq(&dense, golden), "{ctx}: spurious convergence at node {at_node}");
             }
         }
-        let plain = &mut DeltaOptions { saturation, ..Default::default() };
+        let plain = &mut DeltaOptions { saturation, ..DeltaOptions::new(&plan) };
         let (out2, _) = m.forward_delta_site(node, element, bits, cache, plain).unwrap();
         match (&out, &out2) {
             (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {
@@ -1153,6 +1261,109 @@ mod tests {
         assert!(!cand.block_is_dirty(0, 3, 3));
     }
 
+    /// Deterministic operand values: finite values of mixed magnitude (so
+    /// a reordered accumulation chain rounds differently), with specials
+    /// from one NaN payload family per case sprinkled in — literal NaNs
+    /// (`family` 1), ±Inf (2, whose `0 × Inf` and `Inf − Inf` are the one
+    /// indefinite NaN), or −0 (3) — as a single fault produces.
+    fn operand(seed: usize, i: usize, family: usize) -> f32 {
+        let h = (i + 1).wrapping_mul(2_654_435_761).wrapping_add(seed.wrapping_mul(40_503)) >> 7;
+        let v = ((h % 2001) as f32 - 1000.0) * 0.0137 * [1.0, 3.1e-3, 17.0][h % 3];
+        match (family, h % 11) {
+            (1, 0) => f32::NAN,
+            (2, 0) => f32::INFINITY,
+            (2, 1) => f32::NEG_INFINITY,
+            (3, 0 | 1) => -0.0,
+            _ => v,
+        }
+    }
+
+    #[test]
+    fn sparse_conv_lanes_are_bit_identical_to_dense_kernels() {
+        let mut arena = ScratchArena::new();
+        let mut cases = 0usize;
+        for groups in [1usize, 2, 4] {
+            for stride in [1usize, 2] {
+                for k in [1usize, 3, 5] {
+                    for pad in 0..=k {
+                        for side in [3usize, 5, 7, 9] {
+                            if side + 2 * pad < k {
+                                continue;
+                            }
+                            for bias in [false, true] {
+                                cases += 1;
+                                // Group widths below, at and past one lane
+                                // group of output channels.
+                                let cpg_out = [1usize, 3, 16, 17, 5][cases % 5];
+                                let cpg_in = 1 + cases % 3;
+                                let cfg =
+                                    Conv2dCfg { stride, padding: Padding::Explicit(pad), groups };
+                                let (c_in, c_out) = (groups * cpg_in, groups * cpg_out);
+                                let family = cases % 4;
+                                let x = Tensor::from_fn([2, c_in, side, side], |i| {
+                                    operand(cases, i, family)
+                                });
+                                let w = Tensor::from_fn([c_out, cpg_in, k, k], |i| {
+                                    operand(cases + 7, i, family)
+                                });
+                                let b = Tensor::from_fn([c_out], |i| operand(cases + 3, i, family));
+                                let b = bias.then_some(&b);
+                                let ctx = format!(
+                                    "groups {groups} stride {stride} k {k} pad {pad} side {side} \
+                                     bias {bias} c_out {c_out} family {family}"
+                                );
+                                assert_lanes_exact(&x, &w, b, cfg, &mut arena, &ctx);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 500, "{cases} cases");
+    }
+
+    /// Runs the sparse conv over candidates seeded from one input site and
+    /// from a union of sites, and compares every candidate element with
+    /// the naive GEMM conv and with `conv2d_with`, bit for bit; elements
+    /// outside the candidate must stay untouched.
+    fn assert_lanes_exact(
+        x: &Tensor,
+        w: &Tensor,
+        b: Option<&Tensor>,
+        cfg: Conv2dCfg,
+        arena: &mut ScratchArena,
+        ctx: &str,
+    ) {
+        let naive = ops::conv2d_kernel(x, w, b, cfg, ops::GemmKernel::Naive).unwrap();
+        let fast = ops::conv2d_with(x, w, b, cfg, None, None, arena).unwrap();
+        let len = x.len();
+        let mut union = DirtyMask::single_site(x.shape(), len / 3).unwrap();
+        for site in [0, len - 1, len / 2 + 1] {
+            union.union_with(&DirtyMask::single_site(x.shape(), site).unwrap());
+        }
+        let seeds = [DirtyMask::single_site(x.shape(), len * 2 / 5).unwrap(), union];
+        for xm in &seeds {
+            let (kh, kw) = (w.shape().h(), w.shape().w());
+            let cand = conv_candidate(&naive, x, kh, kw, cfg, xm).unwrap();
+            let sentinel = f32::from_bits(0x7f80_1234);
+            let mut data = vec![sentinel; naive.len()];
+            sparse_conv(x, w, b, cfg, &cand, &mut data, Some(&mut *arena));
+            let (h, wd) = (cand.height(), cand.width());
+            for (idx, v) in data.iter().enumerate() {
+                let (p, y, xx) = (idx / (h * wd), idx / wd % h, idx % wd);
+                let bits = v.to_bits();
+                if cand.block_is_dirty(p, y / DIRTY_BLOCK, xx / DIRTY_BLOCK) {
+                    let (n, f) = (naive.as_slice()[idx], fast.as_slice()[idx]);
+                    assert_eq!(bits, n.to_bits(), "{ctx}: element {idx} {v} vs naive {n}");
+                    assert_eq!(bits, f.to_bits(), "{ctx}: element {idx} {v} vs conv2d_with {f}");
+                } else {
+                    assert_eq!(bits, sentinel.to_bits(), "{ctx}: element {idx} off the candidate");
+                }
+            }
+        }
+        arena.recycle(fast.into_vec());
+    }
+
     #[test]
     fn dense_fallback_and_sparse_agree_under_nonfinite_faults() {
         let m = tiny_model();
@@ -1196,9 +1407,10 @@ mod tests {
         let m = tiny_model();
         let input = Tensor::from_fn([1, 1, 4, 4], |i| i as f32 * 0.1);
         let cache = m.forward_cached(&input).unwrap();
+        let plan = CompiledPlan::compile(&m, &cache).unwrap();
         let golden_bits = cache.get(2).unwrap().as_slice()[3].to_bits();
-        let (out, stats) =
-            m.forward_delta_site(2, 3, golden_bits, &cache, &mut DeltaOptions::default()).unwrap();
+        let opts = &mut DeltaOptions::new(&plan);
+        let (out, stats) = m.forward_delta_site(2, 3, golden_bits, &cache, opts).unwrap();
         assert_eq!(out, ForwardOutcome::Converged { at_node: 2 });
         assert_eq!(
             stats,
@@ -1222,12 +1434,13 @@ mod tests {
         let m = tiny_model();
         let input = Tensor::zeros([1, 1, 4, 4]);
         let cache = m.forward_cached(&input).unwrap();
+        let plan = CompiledPlan::compile(&m, &cache).unwrap();
         assert!(matches!(
-            m.forward_delta_site(99, 0, 0, &cache, &mut DeltaOptions::default()),
+            m.forward_delta_site(99, 0, 0, &cache, &mut DeltaOptions::new(&plan)),
             Err(NnError::CacheMismatch { .. })
         ));
         assert!(matches!(
-            m.forward_delta_site(1, usize::MAX, 0, &cache, &mut DeltaOptions::default()),
+            m.forward_delta_site(1, usize::MAX, 0, &cache, &mut DeltaOptions::new(&plan)),
             Err(NnError::CacheMismatch { .. })
         ));
         let other = Model::new(
@@ -1239,7 +1452,12 @@ mod tests {
         .unwrap();
         let foreign = other.forward_cached(&input).unwrap();
         assert!(matches!(
-            m.forward_delta_site(0, 0, 0, &foreign, &mut DeltaOptions::default()),
+            m.forward_delta_site(0, 0, 0, &foreign, &mut DeltaOptions::new(&plan)),
+            Err(NnError::CacheMismatch { .. })
+        ));
+        let foreign_plan = CompiledPlan::compile(&other, &foreign).unwrap();
+        assert!(matches!(
+            m.forward_delta_site(0, 0, 0, &cache, &mut DeltaOptions::new(&foreign_plan)),
             Err(NnError::CacheMismatch { .. })
         ));
     }

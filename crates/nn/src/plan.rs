@@ -237,7 +237,7 @@ impl CompiledPlan {
             }
         }
         let mut flush: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for i in 1..n.saturating_sub(1) {
+        for i in 0..n.saturating_sub(1) {
             flush[last_reader[i]].push(i);
         }
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
@@ -375,7 +375,9 @@ impl CompiledPlan {
         &self.last_reader
     }
 
-    /// Nodes whose activations die once step `id` has executed.
+    /// Nodes whose activations die once step `id` has executed: every node
+    /// but the output, the input included, is listed once, after its last
+    /// reader.
     pub fn flush_after(&self, id: NodeId) -> &[NodeId] {
         &self.flush[id]
     }
@@ -980,17 +982,18 @@ mod tests {
         for (i, &lr) in plan.last_reader().iter().enumerate() {
             assert!(lr >= i, "a reader never precedes its producer");
         }
-        // Every non-final node dies exactly once across the flush lists.
+        // Every non-final node, the input included, dies exactly once
+        // across the flush lists, after its last reader.
         let mut flushed = vec![0usize; plan.len()];
         for id in 0..plan.len() {
             for &dead in plan.flush_after(id) {
+                assert_eq!(plan.last_reader()[dead], id, "node {dead} flushed early or late");
                 flushed[dead] += 1;
             }
         }
-        for (i, &count) in flushed.iter().enumerate().skip(1) {
-            if i < plan.len() - 1 {
-                assert_eq!(count, 1, "node {i} must be flushed exactly once");
-            }
+        for (i, &count) in flushed.iter().enumerate() {
+            let want = usize::from(i < plan.len() - 1);
+            assert_eq!(count, want, "node {i} must be flushed exactly once");
         }
     }
 

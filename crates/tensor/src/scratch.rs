@@ -53,13 +53,13 @@ pub struct ArenaStats {
 /// Maximum number of parked buffers; beyond this, [`ScratchArena::recycle`]
 /// keeps only the largest.
 ///
-/// The weight-fault suffixes return each activation once its last reader
-/// has run, so their working set stays well under the cap. Traced
-/// benchmark runs (seed 1, 2-core host) read `faultsim.arena_reuse_ratio`
-/// 0.9992 on MobileNetV2 (arena peak 2.45 MB), 0.9999 on the data-aware
-/// ResNet-20 (1.43 MB) and 1.0 on the batched micro ResNet-20 (0.37 MB).
-/// The transient workload's delta engine still reads 0.751 (3.46 MB): a
-/// quarter of its requests allocate. The cap stays because callers also
+/// The weight-fault suffixes and the transient delta engine return each
+/// activation once its last reader has run, so their working set stays
+/// well under the cap. Traced benchmark runs (seed 1, 2-core host) read
+/// `faultsim.arena_reuse_ratio` 0.9992 on MobileNetV2 (arena peak
+/// 2.45 MB), 0.9999 on the data-aware ResNet-20 (1.43 MB), 1.0 on the
+/// batched micro ResNet-20 (0.37 MB) and 0.9998 on the transient
+/// ResNet-20 (1.38 MB). The cap stays because callers also
 /// recycle buffers they never took — the outputs of ops that allocate their
 /// own, such as pooling and linear layers — so an uncapped free list, and
 /// the best-fit scan over it, would grow across a campaign's thousands of

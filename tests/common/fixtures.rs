@@ -188,9 +188,10 @@ pub fn assert_site_forward_equiv(
     let dense = model.forward_suffix(None, cache, &patch, &mut ForwardOptions::default()).unwrap();
     let dense_pred = dense.argmax().unwrap_or(usize::MAX);
     let golden_logits = cache.get(cache.len() - 1).unwrap();
+    let plan = CompiledPlan::compile(model, cache).unwrap();
     for (name, saturation) in [("early-exit", 0.0f64), ("delta", 0.25)] {
         let mut arena = ScratchArena::new();
-        let mut opts = DeltaOptions { arena: Some(&mut arena), saturation, ..Default::default() };
+        let mut opts = DeltaOptions { arena: Some(&mut arena), plan: &plan, saturation };
         let (out, _stats) = model
             .forward_delta_site(site.node, site.element, faulty_bits, cache, &mut opts)
             .unwrap();
@@ -440,6 +441,7 @@ pub fn assert_site_delta_equiv(
     };
     let set = ActPatch { and_mask: 0, or_mask: faulty_bits, ..ActPatch::identity(node, element) };
     let dense = model.forward_suffix(None, cache, &[set], &mut ForwardOptions::default()).unwrap();
+    let plan = CompiledPlan::compile(model, cache).unwrap();
     let mut arena = ScratchArena::new();
     let (delta_out, stats) = model
         .forward_delta_site(
@@ -447,7 +449,7 @@ pub fn assert_site_delta_equiv(
             element,
             faulty_bits,
             cache,
-            &mut DeltaOptions { arena: Some(&mut arena), saturation, ..Default::default() },
+            &mut DeltaOptions { arena: Some(&mut arena), plan: &plan, saturation },
         )
         .unwrap();
     match &delta_out {
@@ -470,7 +472,7 @@ pub fn assert_site_delta_equiv(
             element,
             faulty_bits,
             cache,
-            &mut DeltaOptions { saturation, ..Default::default() },
+            &mut DeltaOptions { saturation, ..DeltaOptions::new(&plan) },
         )
         .unwrap();
     match (&delta_out, &delta_plain) {

@@ -25,6 +25,7 @@ use sfi_faultsim::multi::AccumulatedFault;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{ActPatch, CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
 use sfi_nn::{ActivationCache, KernelPolicy, Model, NodeOp};
+use sfi_nn::{ForwardOutcome, NodeId, DELTA_SATURATION_DEFAULT};
 use sfi_tensor::ops;
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -458,11 +459,8 @@ fn faulted_node_never_reads_its_golden_panel() {
                 let naive_opts =
                     &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
                 let struck = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
-                let delta_opts = &mut DeltaOptions {
-                    arena: Some(&mut arena),
-                    panels: Some(plan.panels()),
-                    saturation: 0.0,
-                };
+                let delta_opts =
+                    &mut DeltaOptions { arena: Some(&mut arena), plan, saturation: 0.0 };
                 let bits = strike.apply_bits(cache.get(node).unwrap().as_slice()[0].to_bits());
                 let (delta, _) =
                     model.forward_delta_site(node, 0, bits, cache, delta_opts).unwrap();
@@ -730,6 +728,115 @@ fn fused_dense_suffix_allocates_nothing_after_warm_up() {
             takes,
             after.reuses - before.reuses,
             "converge={converge}: a warm suffix allocates nothing new"
+        );
+    }
+}
+
+/// One site per stage of `model`: the middle element of the first conv
+/// output at each plane size, plus the input.
+fn stage_sites(model: &Model, cache: &ActivationCache) -> Vec<(NodeId, usize)> {
+    let mut sites = vec![(0, cache.get(0).unwrap().len() / 2)];
+    let mut sides = Vec::new();
+    for (id, node) in model.nodes().iter().enumerate() {
+        let out = cache.get(id).unwrap();
+        if matches!(node.op, NodeOp::Conv { .. }) && !sides.contains(&out.shape().h()) {
+            sides.push(out.shape().h());
+            sites.push((id, out.len() / 2 + 1));
+        }
+    }
+    sites
+}
+
+/// The plan's transient delta pass is the naive patched suffix: on
+/// `resnet20_micro` (width 8) and `cifar_micro`, a strike on every node
+/// at two bits reproduces the naive per-image logits bit for bit at
+/// saturation 0.0 (every node dense, fusion groups whole), at the default
+/// and at 1.0 (every node sparse until its candidate fills the tensor),
+/// and a pass that converges does so only when the naive logits are
+/// golden.
+#[test]
+fn transient_delta_on_the_plan_matches_the_naive_patched_suffix() {
+    let models = [
+        ("mobilenetv2-micro", MobileNetV2Config::cifar_micro().build_seeded(5).unwrap()),
+        (
+            "resnet20-micro-w8",
+            ResNetConfig::resnet20_micro().with_width(8).build_seeded(3).unwrap(),
+        ),
+    ];
+    for (name, model) in models {
+        let (_, golden) = campaign_world(&model, model.input_dims()[1], 1);
+        let (cache, plan) = (golden.cache(0), golden.plan());
+        let golden_logits = cache.get(cache.len() - 1).unwrap();
+        let mut arena = ScratchArena::new();
+        let mut converged = 0;
+        for node in 0..model.nodes().len() {
+            let element = cache.get(node).unwrap().len() / 3;
+            for bit in [30u32, 22] {
+                let strike = ActPatch { xor_mask: 1 << bit, ..ActPatch::identity(node, element) };
+                let naive_opts =
+                    &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+                let naive = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
+                let bits =
+                    strike.apply_bits(cache.get(node).unwrap().as_slice()[element].to_bits());
+                for saturation in [0.0, DELTA_SATURATION_DEFAULT, 1.0] {
+                    let ctx = format!("{name} node {node} bit {bit} saturation {saturation}");
+                    let opts = &mut DeltaOptions { arena: Some(&mut arena), plan, saturation };
+                    let (out, stats) =
+                        model.forward_delta_site(node, element, bits, cache, opts).unwrap();
+                    if saturation == 0.0 {
+                        assert!(stats.sparse_nodes <= 1, "{ctx}: only the seed is sparse");
+                    }
+                    match out {
+                        ForwardOutcome::Logits(l) => {
+                            fixtures::assert_bits_equal(naive.as_slice(), l.as_slice());
+                        }
+                        ForwardOutcome::Converged { at_node } => {
+                            converged += 1;
+                            assert!(
+                                naive.bits_equal(golden_logits),
+                                "{ctx}: converged at node {at_node} off golden logits"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(converged > 0, "{name}: some strike is masked");
+    }
+}
+
+/// Last-reader recycling keeps the transient delta pass allocation-free:
+/// after one warm-up strike on the input of `resnet20_micro`, strikes in
+/// every stage (the input again, and each stage's first conv output)
+/// serve every arena request from a recycled buffer, at the default
+/// saturation (sparse seeds, then dense groups) and at 1.0 (sparse
+/// throughout).
+#[test]
+fn transient_delta_allocates_nothing_after_warm_up() {
+    let model = ResNetConfig::resnet20_micro().build_seeded(7).unwrap();
+    let (_, golden) = campaign_world(&model, model.input_dims()[1], 1);
+    let (cache, plan) = (golden.cache(0), golden.plan());
+    let sites = stage_sites(&model, cache);
+    assert_eq!(sites.len(), 4, "the input and three stages");
+    let strike = |arena: &mut ScratchArena, (node, element): (NodeId, usize), saturation| {
+        let bits = cache.get(node).unwrap().as_slice()[element].to_bits() ^ (1 << 30);
+        let opts = &mut DeltaOptions { arena: Some(arena), plan, saturation };
+        model.forward_delta_site(node, element, bits, cache, opts).unwrap();
+    };
+    for saturation in [DELTA_SATURATION_DEFAULT, 1.0] {
+        let mut arena = ScratchArena::new();
+        strike(&mut arena, sites[0], saturation);
+        let before = arena.stats();
+        for &site in &sites {
+            strike(&mut arena, site, saturation);
+        }
+        let after = arena.stats();
+        let takes = after.takes - before.takes;
+        assert!(takes > 0, "saturation {saturation}: the pass draws its buffers from the arena");
+        assert_eq!(
+            takes,
+            after.reuses - before.reuses,
+            "saturation {saturation}: a warm pass allocates nothing new"
         );
     }
 }
