@@ -166,6 +166,8 @@ fn indirect_min_secs(
                     None,
                     cfg,
                     in_place,
+                    None,
+                    None,
                     Some(&panels),
                     &mut arena,
                 )

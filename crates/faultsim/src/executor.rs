@@ -977,7 +977,8 @@ impl<'a> Verdict<'a> {
         self.tally.delta_sparse_nodes += stats.sparse_nodes;
         self.tally.delta_fallbacks += stats.dense_nodes;
         self.tally.delta_dirty_blocks += stats.dirty_blocks;
-        self.wprobe.record_delta(stats.sparse_nodes, stats.dense_nodes, stats.dirty_blocks);
+        let rows = (stats.conv_rows, stats.conv_rows_full);
+        self.wprobe.record_delta(stats.sparse_nodes, stats.dense_nodes, stats.dirty_blocks, rows);
     }
 
     fn finish(self) -> FaultOutcome {

@@ -28,6 +28,17 @@
 //! An empty mask ⇔ the activation is provably bit-golden, so the pass
 //! inherits the golden-convergence early exit for free.
 //!
+//! A saturated state trades its mask for a **row band**: rows `y0..y1` of
+//! every plane hold every element that may differ from golden. Dense
+//! readers carry the band through their geometry (a conv widens it by its
+//! kernel reach and divides it by its stride; pooling and the strided
+//! downsample divide it; element-wise ops keep it; `Add` unions; rank-2
+//! outputs take their one row), and a dense GEMM conv computes only the
+//! band's output rows, copying every other row from golden: those rows
+//! would read only golden input rows, so their dense values are the golden
+//! bits. Each dense output's band is then trimmed to its first and last
+//! row that differs from golden; an empty band means bit-golden.
+//!
 //! The pass runs on the model's [`CompiledPlan`]: a conv that heads a
 //! conv+bn(+relu) fusion group and goes dense runs the whole group as one
 //! fused conv, every dense conv multiplies its golden weight panel, and
@@ -38,8 +49,10 @@
 //! output channel, so its cone saturates at the first downstream conv and
 //! the pass degrades to the dense suffix plus mask bookkeeping.
 
-use sfi_tensor::ops::{self, Conv2dCfg, Padding};
-use sfi_tensor::{DirtyMask, ScratchArena, Tensor, DIRTY_BLOCK};
+use std::ops::Range;
+
+use sfi_tensor::ops::{self, Conv2dCfg, ConvRows, Padding};
+use sfi_tensor::{DirtyMask, ScratchArena, Shape, Tensor, DIRTY_BLOCK};
 
 use crate::model::{ActivationCache, ForwardOutcome, NodeKernels};
 use crate::{CompiledPlan, Model, NnError, NodeId, NodeOp, ParamId};
@@ -50,7 +63,7 @@ use crate::{CompiledPlan, Model, NnError, NodeId, NodeOp, ParamId};
 /// densely. Lower thresholds give up the sparse wins while a transient's
 /// cone is still narrow; higher ones drag sparse kernels through
 /// near-dense cones. At 0.125 the full-scale ResNet-20 transient campaign
-/// runs 1.78x over the dense patched suffix (`BENCH_transient.json`).
+/// runs 2.20x over the dense patched suffix (`BENCH_transient.json`).
 pub const DELTA_SATURATION_DEFAULT: f64 = 0.125;
 
 /// Per-caller state threaded through [`Model::forward_delta_site`].
@@ -89,21 +102,66 @@ pub struct DeltaStats {
     /// inputs clean), plus nodes (or fused groups) whose recomputed delta
     /// trimmed to empty.
     pub clean_nodes: u64,
-    /// Total dirty blocks across all surviving per-node masks — the volume
-    /// of the fault's dirty cone.
+    /// Total dirty blocks across all surviving per-node masks and dense
+    /// row bands — the volume of the fault's dirty cone.
     pub dirty_blocks: u64,
+    /// Output rows (per plane) the dense convs computed: a GEMM conv
+    /// computes the rows its input band reaches, a depthwise conv every
+    /// row.
+    pub conv_rows: u64,
+    /// Output rows (per plane) of those same dense convs: the rows a
+    /// full-height pass would compute.
+    pub conv_rows_full: u64,
 }
 
-/// One node's materialized faulty activation plus its dirty-region mask.
+/// Where one node's faulty activation may differ from golden.
+enum Cone {
+    /// Below the saturation threshold: readers run candidate geometry over
+    /// these blocks.
+    Blocks(DirtyMask),
+    /// Saturated: every element that may differ from golden lies in these
+    /// rows of some plane. Readers skip candidate geometry and evaluate
+    /// densely over the rows the band reaches, deciding dirtiness with a
+    /// compare of those rows alone.
+    Rows(Range<usize>),
+}
+
+/// One node's materialized faulty activation plus where it is dirty.
 struct DeltaState {
     value: Tensor,
-    mask: DirtyMask,
-    /// The mask crossed the saturation threshold when this state was
-    /// created. Downstream readers then skip candidate geometry and mask
-    /// rebuilds entirely — the cone is already dense, so they evaluate
-    /// densely and decide dirtiness with the same short-circuit bitwise
-    /// compare the convergence pass uses, paying no delta overhead.
-    saturated: bool,
+    cone: Cone,
+}
+
+impl DeltaState {
+    /// The state of a sparse node with trimmed (nonempty) mask `mask`: the
+    /// mask itself, or its dirty block rows once it covers at least
+    /// `saturation` of its blocks.
+    fn sparse(value: Tensor, mask: DirtyMask, saturation: f64, stats: &mut DeltaStats) -> Self {
+        stats.dirty_blocks += mask.dirty_blocks() as u64;
+        let cone = if mask.dirty_fraction() >= saturation {
+            Cone::Rows(mask.dirty_rows())
+        } else {
+            Cone::Blocks(mask)
+        };
+        Self { value, cone }
+    }
+
+    /// The mask of a state below saturation.
+    fn mask(&self) -> Option<&DirtyMask> {
+        match &self.cone {
+            Cone::Blocks(m) => Some(m),
+            Cone::Rows(_) => None,
+        }
+    }
+
+    /// The rows of every plane that hold all of this state's differences
+    /// from golden.
+    fn rows(&self) -> Range<usize> {
+        match &self.cone {
+            Cone::Blocks(m) => m.dirty_rows(),
+            Cone::Rows(r) => r.clone(),
+        }
+    }
 }
 
 impl Model {
@@ -118,11 +176,11 @@ impl Model {
     /// provably masked and [`ForwardOutcome::Converged`] at `node` is
     /// returned without any downstream work.
     ///
-    /// With `saturation == 0.0` every downstream node takes the dense
-    /// bit-compare fast path, which makes this hook behave like the dense
-    /// golden-convergence pass on the plan's schedule — same
-    /// classifications, same bits — converging at fusion-group outputs, as
-    /// that pass does.
+    /// With `saturation == 0.0` every downstream node goes dense (GEMM
+    /// convs over the row bands their inputs reach), which makes this hook
+    /// behave like the dense golden-convergence pass on the plan's schedule
+    /// — same classifications, same bits — converging at fusion-group
+    /// outputs, as that pass does.
     ///
     /// # Errors
     ///
@@ -170,10 +228,10 @@ impl Model {
         let mut data = golden_copy(golden, opts.arena.as_deref_mut());
         data[element] = f32::from_bits(faulty_bits);
         let mask = DirtyMask::single_site(golden.shape(), element).map_err(wrap)?;
-        let saturated = mask.dirty_fraction() >= opts.saturation;
         let value = Tensor::from_vec(golden.shape(), data).expect("golden-shaped buffer");
         stats.sparse_nodes += 1;
-        self.delta_run(node, cache, DeltaState { value, mask, saturated }, opts, stats)
+        let seed = DeltaState::sparse(value, mask, opts.saturation, &mut stats);
+        self.delta_run(node, cache, seed, opts, stats)
     }
 
     /// Propagates the seeded delta state of [`Model::forward_delta_site`]
@@ -196,7 +254,6 @@ impl Model {
         // (a diverged conv whose ReLU clamped back to golden can still
         // reach a residual `Add`).
         let mut states: Vec<Option<DeltaState>> = Vec::with_capacity(n_nodes - first_dirty);
-        stats.dirty_blocks += seed.mask.dirty_blocks() as u64;
         states.push(Some(seed));
         let mut live = 1 - flush(opts, first_dirty, first_dirty..=first_dirty, &mut states);
         let mut id = first_dirty + 1;
@@ -207,10 +264,7 @@ impl Model {
             // condition guarantees nothing outside the group reads them.
             states.extend((id..out).map(|_| None));
             let dirty = state.is_some();
-            if let Some(s) = &state {
-                stats.dirty_blocks += s.mask.dirty_blocks() as u64;
-                live += 1;
-            }
+            live += u32::from(dirty);
             states.push(state);
             live -= flush(opts, first_dirty, id..=out, &mut states);
             if !dirty && live == 0 {
@@ -229,9 +283,9 @@ impl Model {
     /// Evaluates step `id` of the delta pass: clean inputs ⇒ no work;
     /// otherwise candidate geometry, then sparse recompute + trim or dense
     /// fallback past the saturation threshold. A dense conv that heads a
-    /// fusion group runs the whole group. Returns the node whose state the
-    /// step produced (the group output, or `id`) and that state, `None`
-    /// when it is bit-golden.
+    /// fusion group runs the whole group, over the output rows its input
+    /// band reaches. Returns the node whose state the step produced (the
+    /// group output, or `id`) and that state, `None` when it is bit-golden.
     fn delta_step(
         &self,
         id: NodeId,
@@ -242,19 +296,16 @@ impl Model {
         stats: &mut DeltaStats,
     ) -> Result<(NodeId, Option<DeltaState>), NnError> {
         let node = &self.nodes()[id];
-        let resolve = |inp: NodeId| -> (&Tensor, Option<&DirtyMask>, bool) {
-            if inp >= first_dirty {
-                if let Some(s) = &states[inp - first_dirty] {
-                    return (&s.value, Some(&s.mask), s.saturated);
-                }
+        let resolve = |inp: NodeId| -> (&Tensor, Option<&DeltaState>) {
+            match inp.checked_sub(first_dirty).and_then(|slot| states[slot].as_ref()) {
+                Some(s) => (&s.value, Some(s)),
+                None => (cache.get(inp).expect("cache covers model"), None),
             }
-            (cache.get(inp).expect("cache covers model"), None, false)
         };
-        let x0full = resolve(node.inputs[0]);
-        let x1full = node.inputs.get(1).map(|&i| resolve(i));
-        let x0 = (x0full.0, x0full.1);
-        let x1 = x1full.map(|x| (x.0, x.1));
-        if x0.1.is_none() && x1.is_none_or(|x| x.1.is_none()) {
+        let x0 = resolve(node.inputs[0]);
+        let x1 = node.inputs.get(1).map(|&i| resolve(i));
+        let dirty = || x0.1.into_iter().chain(x1.and_then(|x| x.1));
+        if dirty().next().is_none() {
             // Zero-delta fast path: every readable input is bit-golden, so
             // this node's dense recomputation would be too. No per-element
             // work happens here.
@@ -263,12 +314,15 @@ impl Model {
         }
         let golden = cache.get(id).expect("cache covers model");
         let wrap = |source| NnError::Op { node: id, source };
+        let param = |p: ParamId| &self.store().get(p).expect("validated at construction").tensor;
         // Candidate geometry runs over unsaturated inputs only: over a
         // saturated one it could only rediscover a (near-)full mask, so the
         // node goes dense at once. This caps the per-node delta overhead at
         // exactly the dense early-exit cost once the cone has gone dense.
-        if !x0full.2 && !x1full.is_some_and(|x| x.2) {
-            let cand = self.candidate_mask(id, golden, x0, x1).map_err(wrap)?;
+        if dirty().all(|s| s.mask().is_some()) {
+            let m0 = (x0.0, x0.1.and_then(DeltaState::mask));
+            let m1 = x1.map(|x| (x.0, x.1.and_then(DeltaState::mask)));
+            let cand = self.candidate_mask(id, golden, m0, m1).map_err(wrap)?;
             if cand.is_empty() {
                 stats.clean_nodes += 1;
                 return Ok((id, None));
@@ -288,33 +342,83 @@ impl Model {
                     stats.clean_nodes += 1;
                     return Ok((id, None));
                 }
-                let saturated = mask.dirty_fraction() >= opts.saturation;
-                return Ok((id, Some(DeltaState { value, mask, saturated })));
+                return Ok((id, Some(DeltaState::sparse(value, mask, opts.saturation, stats))));
             }
         }
-        // Dense: the node, or the whole fusion group it heads, decided by
-        // the convergence pass's short-circuit bitwise compare at the
-        // group output.
+        // Dense: the node, or the whole fusion group it heads, over the
+        // output rows its inputs' bands reach, decided by a compare of
+        // those rows at the group output.
         let (out, epilogue) = match opts.plan.fused_at(id) {
             Some((out, ep)) => (out, Some(ep)),
             None => (id, None),
         };
         stats.dense_nodes += (out - id + 1) as u64;
+        let golden_out = cache.get(out).expect("cache covers model");
+        let rows_in = dirty().map(DeltaState::rows).reduce(union).expect("a dirty input");
+        let rows = self.reach(id, rows_in, golden.shape());
+        // GEMM convs compute the band's rows; a depthwise conv computes
+        // every row whenever it runs.
+        let banded = match &node.op {
+            NodeOp::Conv { weight, cfg, .. } => {
+                let h_out = golden.shape().h();
+                let gemm = ops::conv2d_uses_lowering(x0.0, param(*weight), *cfg);
+                let computed = match (rows.is_empty(), gemm) {
+                    (true, _) => 0,
+                    (false, true) => rows.len(),
+                    (false, false) => h_out,
+                };
+                stats.conv_rows += computed as u64;
+                stats.conv_rows_full += h_out as u64;
+                gemm
+            }
+            _ => false,
+        };
+        if rows.is_empty() {
+            stats.clean_nodes += 1;
+            return Ok((out, None));
+        }
+        let band = ConvRows { rows: rows.clone(), base: golden_out };
         let panel = opts.plan.panels().get(id);
-        let kernels = NodeKernels { panel, epilogue, ..NodeKernels::default() };
+        let kernels = NodeKernels {
+            panel,
+            epilogue,
+            rows: banded.then_some(&band),
+            ..NodeKernels::default()
+        };
         let value =
             self.eval_node(id, x0.0, x1.map(|x| x.0), kernels, opts.arena.as_deref_mut())?;
-        let golden = cache.get(out).expect("cache covers model");
-        if value.bits_equal(golden) {
+        let Some(rows) = differing_rows(golden_out, &value, rows) else {
             if let Some(a) = opts.arena.as_deref_mut() {
                 a.recycle(value.into_vec());
             }
             stats.clean_nodes += 1;
             return Ok((out, None));
+        };
+        stats.dirty_blocks += band_blocks(golden_out.shape(), &rows);
+        Ok((out, Some(DeltaState { value, cone: Cone::Rows(rows) })))
+    }
+
+    /// The output rows of node `id` (of output shape `out`) that input rows
+    /// `rows` of its dirty inputs' planes reach.
+    fn reach(&self, id: NodeId, rows: Range<usize>, out: Shape) -> Range<usize> {
+        let h_out = plane_dims(out).1;
+        let clip = |r: Range<usize>| r.start.min(h_out)..r.end.min(h_out);
+        let param = |p: ParamId| &self.store().get(p).expect("validated at construction").tensor;
+        match &self.nodes()[id].op {
+            NodeOp::Input => unreachable!("input node is never re-evaluated"),
+            NodeOp::Conv { weight, cfg, .. } => {
+                let (k_h, k_w) = (param(*weight).shape().h(), param(*weight).shape().w());
+                conv_reach(rows, cfg.stride, k_h, resolve_pad(*cfg, k_h, k_w), h_out)
+            }
+            NodeOp::BatchNorm { .. } | NodeOp::Relu | NodeOp::Relu6 | NodeOp::Add => rows,
+            NodeOp::AvgPool { kernel: k } | NodeOp::MaxPool { kernel: k } => {
+                clip(rows.start / k..(rows.end - 1) / k + 1)
+            }
+            NodeOp::DownsamplePad { stride: s, .. } => {
+                clip(rows.start.div_ceil(*s)..rows.end.div_ceil(*s))
+            }
+            NodeOp::GlobalAvgPool | NodeOp::Linear { .. } => 0..h_out,
         }
-        let mask =
-            DirtyMask::full(golden.shape()).map_err(|source| NnError::Op { node: out, source })?;
-        Ok((out, Some(DeltaState { value, mask, saturated: true })))
     }
 
     /// Conservative candidate mask of node `id` from its inputs' masks:
@@ -569,6 +673,63 @@ fn take_buf(arena: Option<&mut ScratchArena>, len: usize) -> Vec<f32> {
         Some(a) => a.take(len),
         None => vec![0.0f32; len],
     }
+}
+
+/// The smallest row range covering `a` and `b` (dirty bands are never
+/// empty).
+fn union(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    a.start.min(b.start)..a.end.max(b.end)
+}
+
+/// `(planes, height, width)` of `shape` under the [`DirtyMask`]
+/// convention: rank-4 `[N, C, H, W]` is `N * C` planes of `H x W`, any
+/// other rank one 1x1 plane per element.
+fn plane_dims(shape: Shape) -> (usize, usize, usize) {
+    match shape.rank() {
+        4 => (shape.n() * shape.c(), shape.h(), shape.w()),
+        _ => (shape.len(), 1, 1),
+    }
+}
+
+/// The rows of `rows` from the first to the last one in which some plane
+/// of `value` differs bitwise from `golden`; `None` when none does. Rows
+/// outside `rows` are not read.
+fn differing_rows(golden: &Tensor, value: &Tensor, rows: Range<usize>) -> Option<Range<usize>> {
+    let (planes, h, w) = plane_dims(golden.shape());
+    let (g, v) = (golden.as_slice(), value.as_slice());
+    let differs = |y: usize| {
+        (0..planes).any(|p| {
+            let row = (p * h + y) * w..(p * h + y + 1) * w;
+            g[row.clone()].iter().zip(&v[row]).any(|(a, b)| a.to_bits() != b.to_bits())
+        })
+    };
+    let first = rows.clone().find(|&y| differs(y))?;
+    let last = (first..rows.end).rev().find(|&y| differs(y)).expect("the first row differs");
+    Some(first..last + 1)
+}
+
+/// Dirty blocks a row band of a `shape` activation stands for: every
+/// block of every plane that holds one of its rows.
+fn band_blocks(shape: Shape, rows: &Range<usize>) -> u64 {
+    let (planes, _, w) = plane_dims(shape);
+    let block_rows = rows.end.div_ceil(DIRTY_BLOCK) - rows.start / DIRTY_BLOCK;
+    (planes * block_rows * w.div_ceil(DIRTY_BLOCK)) as u64
+}
+
+/// The output rows (of `h_out`) of a conv with vertical stride `stride`,
+/// kernel height `k_h` and padding `pad` whose windows read any of input
+/// rows `rows`: output row `oh` reads input rows `oh * stride - pad ..
+/// oh * stride - pad + k_h`.
+fn conv_reach(
+    rows: Range<usize>,
+    stride: usize,
+    k_h: usize,
+    pad: usize,
+    h_out: usize,
+) -> Range<usize> {
+    let lo = (rows.start + pad + 1).saturating_sub(k_h).div_ceil(stride);
+    let hi = ((rows.end - 1 + pad) / stride + 1).min(h_out);
+    lo.min(hi)..hi
 }
 
 /// Visits every pixel of every dirty block of `mask` as `(plane, y, x)`.
@@ -1261,6 +1422,46 @@ mod tests {
         assert!(!cand.block_is_dirty(0, 3, 3));
     }
 
+    #[test]
+    fn row_bands_follow_the_window_geometry() {
+        // 3x3, pad 1, stride 1: one row reaches its neighbours, clipped.
+        assert_eq!(conv_reach(5..6, 1, 3, 1, 8), 4..7);
+        assert_eq!(conv_reach(0..1, 1, 3, 1, 8), 0..2);
+        assert_eq!(conv_reach(7..8, 1, 3, 1, 8), 6..8);
+        // 1x1 convs keep the band; 5x5 pad 2 widens it by two rows a side.
+        assert_eq!(conv_reach(3..5, 1, 1, 0, 8), 3..5);
+        assert_eq!(conv_reach(3..5, 1, 5, 2, 8), 1..7);
+        // Stride 2, 3x3 pad 1: output row oh reads input rows 2oh-1..=2oh+1.
+        assert_eq!(conv_reach(4..5, 2, 3, 1, 4), 2..3);
+        assert_eq!(conv_reach(5..6, 2, 3, 1, 4), 2..4);
+        assert_eq!(conv_reach(0..8, 2, 3, 1, 4), 0..4);
+        // Stride 2, 1x1 unpadded: odd input rows reach nothing.
+        assert!(conv_reach(3..4, 2, 1, 0, 4).is_empty());
+        assert_eq!(conv_reach(3..5, 2, 1, 0, 4), 2..3);
+        // No padding: the last input row only reaches the last output row.
+        assert_eq!(conv_reach(7..8, 1, 3, 0, 6), 5..6);
+        // The band of a sparse mask's blocks, and its block count.
+        let shape = Shape::new(&[1, 2, 10, 9]);
+        let mask = DirtyMask::single_site(shape, 90 + 5 * 9 + 8).unwrap();
+        assert_eq!(mask.dirty_rows(), 4..8);
+        assert_eq!(band_blocks(shape, &(4..8)), 2 * 3);
+        assert_eq!(band_blocks(shape, &(3..9)), 2 * 3 * 3);
+        assert_eq!(band_blocks(Shape::new(&[2, 10]), &(0..1)), 20);
+    }
+
+    #[test]
+    fn differing_rows_trim_a_band_to_its_first_and_last_difference() {
+        let golden = Tensor::from_fn([1, 2, 6, 3], |i| i as f32);
+        let mut data = golden.as_slice().to_vec();
+        data[18 + 2 * 3 + 1] = f32::NAN; // plane 1, row 2
+        data[4 * 3] = -0.0; // plane 0, row 4: -0.0 differs from golden 12.0
+        let value = Tensor::from_vec([1, 2, 6, 3], data).unwrap();
+        assert_eq!(differing_rows(&golden, &value, 0..6), Some(2..5));
+        assert_eq!(differing_rows(&golden, &value, 3..6), Some(4..5));
+        assert_eq!(differing_rows(&golden, &value, 5..6), None, "rows outside are not read");
+        assert_eq!(differing_rows(&golden, &golden, 0..6), None);
+    }
+
     /// Deterministic operand values: finite values of mixed magnitude (so
     /// a reordered accumulation chain rounds differently), with specials
     /// from one NaN payload family per case sprinkled in — literal NaNs
@@ -1412,10 +1613,7 @@ mod tests {
         let opts = &mut DeltaOptions::new(&plan);
         let (out, stats) = m.forward_delta_site(2, 3, golden_bits, &cache, opts).unwrap();
         assert_eq!(out, ForwardOutcome::Converged { at_node: 2 });
-        assert_eq!(
-            stats,
-            DeltaStats { sparse_nodes: 0, dense_nodes: 0, clean_nodes: 1, dirty_blocks: 0 }
-        );
+        assert_eq!(stats, DeltaStats { clean_nodes: 1, ..DeltaStats::default() });
     }
 
     #[test]

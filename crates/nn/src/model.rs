@@ -1,6 +1,8 @@
 use serde::{Deserialize, Serialize};
 
-use sfi_tensor::ops::{self, BatchNormParams, ConvEpilogue, GemmKernel, PackedConvWeight};
+use sfi_tensor::ops::{
+    self, BatchNormParams, ConvEpilogue, ConvRows, GemmKernel, PackedConvWeight,
+};
 use sfi_tensor::{ScratchArena, Tensor};
 
 use crate::{CompiledPlan, NnError, Node, NodeId, ParamId, ParameterStore, WeightLayer};
@@ -88,6 +90,9 @@ pub(crate) struct NodeKernels<'a> {
     /// The fused batch norm and activation of the group this conv heads,
     /// applied to its output (fast policy only).
     pub(crate) epilogue: Option<ConvEpilogue<'a>>,
+    /// The output rows this conv computes and the tensor its other rows
+    /// are copied from (fast policy only).
+    pub(crate) rows: Option<&'a ConvRows<'a>>,
 }
 
 /// Resolves node-output references during a forward pass: a clean prefix
@@ -373,7 +378,7 @@ impl Model {
         let inputs = &self.nodes[id].inputs;
         let x0 = vals.get(inputs.first().copied().unwrap_or(0));
         let x1 = inputs.get(1).map(|&i| vals.get(i));
-        let kernels = NodeKernels { policy: opts.policy, panel, epilogue: None };
+        let kernels = NodeKernels { policy: opts.policy, panel, ..NodeKernels::default() };
         self.eval_node(id, x0, x1, kernels, opts.arena.as_deref_mut())
     }
 
@@ -384,8 +389,9 @@ impl Model {
     ///
     /// Under [`KernelPolicy::Fast`] convs consume `kernels.panel` (the
     /// packed weight) when given, apply `kernels.epilogue` to their output
-    /// (the node then stands for its whole fusion group), and every buffer
-    /// comes from `arena` when there is one. A conv that
+    /// (the node then stands for its whole fusion group), compute only
+    /// `kernels.rows` when given ([`ops::conv2d_rows_with`]), and every
+    /// buffer comes from `arena` when there is one. A conv that
     /// [`ops::conv2d_reads_in_place`] multiplies `x0` in place (over
     /// `kernels.panel`, or its weight packed once for the call) and every
     /// other conv lowers `x0` itself.
@@ -418,12 +424,19 @@ impl Model {
             NodeOp::Conv { weight, bias, cfg } => {
                 let (w, b) = (param(*weight), bias.map(&param));
                 let (ep, panel) = (kernels.epilogue.as_ref(), kernels.panel);
-                debug_assert!(!naive || ep.is_none(), "the naive path runs unfused");
+                debug_assert!(
+                    !naive || (ep.is_none() && kernels.rows.is_none()),
+                    "the naive path runs unfused over every row"
+                );
+                let mut fresh = None;
                 let conv = match (naive, arena) {
                     (true, _) => ops::conv2d_kernel(x0, w, b, *cfg, GemmKernel::Naive),
-                    (false, Some(a)) => ops::conv2d_with(x0, w, b, *cfg, ep, panel, a),
-                    (false, None) => {
-                        ops::conv2d_with(x0, w, b, *cfg, ep, panel, &mut ScratchArena::new())
+                    (false, arena) => {
+                        let a = arena.unwrap_or_else(|| fresh.insert(ScratchArena::new()));
+                        match kernels.rows {
+                            Some(band) => ops::conv2d_rows_with(x0, w, b, *cfg, band, ep, panel, a),
+                            None => ops::conv2d_with(x0, w, b, *cfg, ep, panel, a),
+                        }
                     }
                 };
                 conv.map_err(wrap)?

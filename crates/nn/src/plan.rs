@@ -706,7 +706,8 @@ impl CompiledPlan {
             }
             _ => {
                 let x1 = node.inputs.get(1).map(|&i| vals.get(i));
-                let kernels = NodeKernels { policy: KernelPolicy::Fast, panel, epilogue };
+                let kernels =
+                    NodeKernels { policy: KernelPolicy::Fast, panel, epilogue, rows: None };
                 model.eval_node(id, vals.get(node.inputs[0]), x1, kernels, Some(arena))
             }
         };

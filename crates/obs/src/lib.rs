@@ -121,7 +121,9 @@ const C_DELTA_DIRTY_BLOCKS: usize = 12;
 const C_WEIGHT_FAULTS: usize = 13;
 const C_TRANSIENT_FAULTS: usize = 14;
 const C_ACCUMULATED_FAULTS: usize = 15;
-const COUNTERS: usize = 16;
+const C_DELTA_CONV_ROWS: usize = 16;
+const C_DELTA_CONV_ROWS_FULL: usize = 17;
+const COUNTERS: usize = 18;
 
 /// One worker's slice of the session metrics. All operations are relaxed
 /// atomics; totals are merged by [`Probe::snapshot`].
@@ -206,6 +208,11 @@ pub struct MetricsSnapshot {
     /// Dirty spatial blocks summed over every delta pass's node masks (the
     /// total dirty-cone volume).
     pub delta_dirty_blocks: u64,
+    /// Output rows (per plane) the delta passes' dense convs computed.
+    pub delta_conv_rows: u64,
+    /// Output rows (per plane) of those dense convs at full height; the
+    /// ratio to [`Self::delta_conv_rows`] is the row-band share.
+    pub delta_conv_rows_full: u64,
     /// Permanent weight faults classified.
     pub weight_faults: u64,
     /// Transient activation/input faults classified.
@@ -479,7 +486,8 @@ impl Event<'_> {
                  \"p99_inference_us\":{:.3},\"requeues\":{},\"worker_retirements\":{},\
                  \"fsyncs\":{},\"mean_fsync_us\":{:.3},\"arena_takes\":{},\"arena_reuses\":{},\
                  \"converged\":{},\"nodes_skipped\":{},\"delta_sparse_nodes\":{},\
-                 \"delta_fallbacks\":{},\"delta_dirty_blocks\":{},\"weight_faults\":{},\
+                 \"delta_fallbacks\":{},\"delta_dirty_blocks\":{},\"delta_conv_rows\":{},\
+                 \"delta_conv_rows_full\":{},\"weight_faults\":{},\
                  \"transient_faults\":{},\"accumulated_faults\":{}",
                 snapshot.inferences,
                 snapshot.mean_inference_us(),
@@ -495,6 +503,8 @@ impl Event<'_> {
                 snapshot.delta_sparse_nodes,
                 snapshot.delta_fallbacks,
                 snapshot.delta_dirty_blocks,
+                snapshot.delta_conv_rows,
+                snapshot.delta_conv_rows_full,
                 snapshot.weight_faults,
                 snapshot.transient_faults,
                 snapshot.accumulated_faults
@@ -720,6 +730,8 @@ impl Probe {
             delta_sparse_nodes: totals[C_DELTA_SPARSE],
             delta_fallbacks: totals[C_DELTA_FALLBACKS],
             delta_dirty_blocks: totals[C_DELTA_DIRTY_BLOCKS],
+            delta_conv_rows: totals[C_DELTA_CONV_ROWS],
+            delta_conv_rows_full: totals[C_DELTA_CONV_ROWS_FULL],
             weight_faults: totals[C_WEIGHT_FAULTS],
             transient_faults: totals[C_TRANSIENT_FAULTS],
             accumulated_faults: totals[C_ACCUMULATED_FAULTS],
@@ -804,13 +816,23 @@ impl WorkerProbe<'_> {
 
     /// Records one delta-propagation pass: `sparse` nodes recomputed
     /// through the dirty-cone kernels, `fallbacks` saturated nodes
-    /// evaluated densely, and a cone of `dirty_blocks` total dirty blocks
-    /// (one dirty-region histogram entry per pass).
-    pub fn record_delta(&self, sparse: u64, fallbacks: u64, dirty_blocks: u64) {
+    /// evaluated densely, a cone of `dirty_blocks` total dirty blocks (one
+    /// dirty-region histogram entry per pass), and `(computed, full)`
+    /// output rows of its dense convs: the rows their row bands reached
+    /// against the rows of the convs at full height.
+    pub fn record_delta(
+        &self,
+        sparse: u64,
+        fallbacks: u64,
+        dirty_blocks: u64,
+        (computed, full): (u64, u64),
+    ) {
         let Some(shard) = self.shard else { return };
         shard.add(C_DELTA_SPARSE, sparse);
         shard.add(C_DELTA_FALLBACKS, fallbacks);
         shard.add(C_DELTA_DIRTY_BLOCKS, dirty_blocks);
+        shard.add(C_DELTA_CONV_ROWS, computed);
+        shard.add(C_DELTA_CONV_ROWS_FULL, full);
         shard.delta[delta_bucket(dirty_blocks)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -844,7 +866,7 @@ mod tests {
         w.inference_end(None);
         w.record_arena(10, 5);
         w.record_convergence(3, 7);
-        w.record_delta(2, 1, 9);
+        w.record_delta(2, 1, 9, (3, 8));
         probe.record_requeue();
         probe.record_fsync(1, 100);
         probe.emit(&Event::CampaignStart {
@@ -881,7 +903,7 @@ mod tests {
             w.inference_end(t0);
             w.record_arena(2, 1);
             w.record_convergence(4, 10);
-            w.record_delta(5, 1, 12);
+            w.record_delta(5, 1, 12, (5, 32));
             w.record_fault_kind("weight");
             w.record_fault_kind("activation");
             w.record_fault_kind("accumulated");
@@ -908,6 +930,7 @@ mod tests {
         assert_eq!(snap.delta_sparse_nodes, 20);
         assert_eq!(snap.delta_fallbacks, 4);
         assert_eq!(snap.delta_dirty_blocks, 48);
+        assert_eq!((snap.delta_conv_rows, snap.delta_conv_rows_full), (20, 128));
         // A 12-block cone lands in log2 bucket 4 ([8, 16)).
         assert_eq!(snap.delta_buckets[4], 4);
         assert_eq!(snap.delta_buckets.iter().sum::<u64>(), 4);

@@ -279,6 +279,12 @@ pub struct MetricsLine {
     pub transient_faults: u64,
     /// Accumulated multi-fault instances classified (0 for older streams).
     pub accumulated_faults: u64,
+    /// Output rows the delta passes' dense convs computed (0 for older
+    /// streams).
+    pub delta_conv_rows: u64,
+    /// Output rows of those dense convs at full height (0 for older
+    /// streams).
+    pub delta_conv_rows_full: u64,
 }
 
 /// The `plan_compiled` event: the compiled execution plan in effect.
@@ -491,6 +497,12 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     accumulated_faults: field(&fields, "accumulated_faults")
                         .and_then(Value::as_u64)
                         .unwrap_or(0),
+                    delta_conv_rows: field(&fields, "delta_conv_rows")
+                        .and_then(Value::as_u64)
+                        .unwrap_or(0),
+                    delta_conv_rows_full: field(&fields, "delta_conv_rows_full")
+                        .and_then(Value::as_u64)
+                        .unwrap_or(0),
                 });
             }
             other => return Err(at(format!("unknown event kind `{other}`"))),
@@ -574,5 +586,12 @@ mod tests {
         assert_eq!(m.transient_faults, 2);
         assert_eq!(m.weight_faults, 0);
         assert_eq!(m.accumulated_faults, 0);
+        assert_eq!((m.delta_conv_rows, m.delta_conv_rows_full), (0, 0), "older stream");
+        let banded = text.replace(
+            "\"accumulated_faults\":0}",
+            "\"accumulated_faults\":0,\"delta_conv_rows\":5,\"delta_conv_rows_full\":32}",
+        );
+        let m = summarize(&banded).unwrap().metrics.unwrap();
+        assert_eq!((m.delta_conv_rows, m.delta_conv_rows_full), (5, 32));
     }
 }

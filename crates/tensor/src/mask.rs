@@ -83,24 +83,6 @@ impl DirtyMask {
         }
     }
 
-    /// An all-dirty mask matching `shape` — the saturated-cone
-    /// representation: every block is conservatively dirty without any
-    /// per-element scan.
-    ///
-    /// # Errors
-    ///
-    /// Same rank conditions as [`DirtyMask::for_shape`].
-    pub fn full(shape: Shape) -> Result<Self, TensorError> {
-        let mut mask = Self::for_shape(shape)?;
-        let bits = mask.total_blocks();
-        for (i, word) in mask.words.iter_mut().enumerate() {
-            let remaining = bits - (i * 64).min(bits);
-            *word = if remaining >= 64 { u64::MAX } else { (1u64 << remaining) - 1 };
-        }
-        mask.dirty = bits;
-        Ok(mask)
-    }
-
     /// A mask with exactly one dirty block: the block containing the flat
     /// `element` index of a tensor of `shape` — the seed of a transient
     /// activation fault's sparse cone.
@@ -217,6 +199,18 @@ impl DirtyMask {
         (by0..by1).any(|by| (bx0..bx1).any(|bx| self.block_is_dirty(plane, by, bx)))
     }
 
+    /// The pixel rows spanned by the dirty blocks of every plane: from the
+    /// first dirty block row's first pixel row to the last one's last,
+    /// clipped to the plane. Empty for a clean mask.
+    pub fn dirty_rows(&self) -> std::ops::Range<usize> {
+        let dirty_row = |by: usize| {
+            (0..self.planes).any(|p| (0..self.bw).any(|bx| self.block_is_dirty(p, by, bx)))
+        };
+        let Some(first) = (0..self.bh).find(|&by| dirty_row(by)) else { return 0..0 };
+        let last = (first..self.bh).rev().find(|&by| dirty_row(by)).expect("first is dirty");
+        first * DIRTY_BLOCK..((last + 1) * DIRTY_BLOCK).min(self.h)
+    }
+
     /// Pixel bounds `(y0, y1, x0, x1)` of block `(by, bx)`, clipped to the
     /// plane.
     pub fn block_pixels(&self, by: usize, bx: usize) -> (usize, usize, usize, usize) {
@@ -307,6 +301,18 @@ mod tests {
         let m = DirtyMask::clean(1, 6, 9);
         assert_eq!(m.block_pixels(0, 0), (0, 4, 0, 4));
         assert_eq!(m.block_pixels(1, 2), (4, 6, 8, 9));
+    }
+
+    #[test]
+    fn dirty_rows_span_the_dirty_block_rows_of_every_plane() {
+        let mut m = DirtyMask::clean(3, 10, 9);
+        assert_eq!(m.dirty_rows(), 0..0);
+        m.mark_pixel(2, 5, 8);
+        assert_eq!(m.dirty_rows(), 4..8);
+        m.mark_pixel(0, 9, 0);
+        assert_eq!(m.dirty_rows(), 4..10, "clipped to the plane's 10 rows");
+        m.mark_pixel(1, 0, 3);
+        assert_eq!(m.dirty_rows(), 0..10);
     }
 
     #[test]

@@ -245,6 +245,75 @@ fn take_buf(arena: Option<&mut ScratchArena>, len: usize) -> Vec<f32> {
     }
 }
 
+/// The output rows a banded convolution ([`conv2d_rows_with`]) computes in
+/// every plane, and the tensor all its other rows are copied from.
+#[derive(Debug, Clone)]
+pub struct ConvRows<'a> {
+    /// Output rows `r0..r1` computed in every `(image, channel)` plane.
+    pub rows: Range<usize>,
+    /// A tensor of the conv's output shape; every row outside `rows` is
+    /// copied from it.
+    pub base: &'a Tensor,
+}
+
+impl ConvRows<'_> {
+    /// Checks the band against the output geometry of `d`.
+    fn check(&self, op: &'static str, d: &ConvDims) -> Result<(), TensorError> {
+        let out = Shape::new(&[d.batch, d.c_out, d.h_out, d.w_out]);
+        if self.base.shape() != out {
+            return Err(TensorError::ShapeMismatch { op, lhs: self.base.shape(), rhs: out });
+        }
+        if self.rows.start > self.rows.end || self.rows.end > d.h_out {
+            return Err(TensorError::InvalidConfig {
+                op,
+                reason: format!("rows {:?} outside {} output rows", self.rows, d.h_out),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The output rows a conv computes: `band`'s, or all `h_out` without one.
+fn band_rows(d: &ConvDims, band: Option<&ConvRows<'_>>) -> Range<usize> {
+    band.map_or(0..d.h_out, |b| b.rows.clone())
+}
+
+/// The output buffer of a GEMM conv over `band`: the band's rows of every
+/// plane zeroed for the GEMM to accumulate into, every other row copied
+/// from the band's base. Without a band the whole buffer is zeroed.
+fn band_output(
+    d: &ConvDims,
+    band: Option<&ConvRows<'_>>,
+    arena: Option<&mut ScratchArena>,
+) -> Vec<f32> {
+    let len = d.batch * d.c_out * d.h_out * d.w_out;
+    let Some(band) = band else {
+        return match arena {
+            Some(a) => a.take_zeroed(len),
+            None => vec![0.0f32; len],
+        };
+    };
+    let mut out = take_buf(arena, len);
+    copy_outside(&mut out, d, band);
+    let (c0, c1) = (band.rows.start * d.w_out, band.rows.end * d.w_out);
+    for plane in out.chunks_exact_mut(d.h_out * d.w_out) {
+        plane[c0..c1].fill(0.0);
+    }
+    out
+}
+
+/// Copies every row outside `band.rows` of every plane from `band.base`
+/// into `out`. Pure data movement.
+fn copy_outside(out: &mut [f32], d: &ConvDims, band: &ConvRows<'_>) {
+    let spatial = d.h_out * d.w_out;
+    let (c0, c1) = (band.rows.start * d.w_out, band.rows.end * d.w_out);
+    for (dst, src) in out.chunks_exact_mut(spatial).zip(band.base.as_slice().chunks_exact(spatial))
+    {
+        dst[..c0].copy_from_slice(&src[..c0]);
+        dst[c1..].copy_from_slice(&src[c1..]);
+    }
+}
+
 /// The in-place operand geometry of a conv that
 /// [`ConvDims::reads_in_place`]: reduction row `ki = (ci, kh, kw)` of the
 /// column matrix starts at `offs[ki] = ci * plane + kh * pitch + kw` in
@@ -448,9 +517,11 @@ pub fn conv2d_kernel(
             Ok(depthwise(input, weight, bias, cfg, &dims, dims.fixed_side(cfg), None, None))
         }
         (false, GemmKernel::Blocked) if dims.reads_in_place(cfg) => {
-            Ok(in_place_conv(input, weight, bias, &dims, None, None, None))
+            Ok(in_place_conv(input, weight, bias, &dims, None, None, None, None))
         }
-        (false, _) => Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None, None, None)),
+        (false, _) => {
+            Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None, None, None, None))
+        }
     }
 }
 
@@ -479,43 +550,105 @@ pub fn conv2d_with(
     packed: Option<&PackedConvWeight>,
     arena: &mut ScratchArena,
 ) -> Result<Tensor, TensorError> {
-    const OP: &str = "conv2d_with";
-    let dims = validate(input, weight, bias, cfg)?;
-    if let Some(p) = packed {
-        p.check(OP, weight, cfg.groups)?;
-    }
-    let ep = ConvEpilogue::checked(OP, epilogue, dims.c_out)?;
-    if dims.is_depthwise(cfg) {
-        let side = dims.fixed_side(cfg);
-        Ok(depthwise(input, weight, bias, cfg, &dims, side, ep, Some(arena)))
-    } else {
-        let in_place = dims.reads_in_place(cfg);
-        Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, ep, packed, arena))
-    }
+    conv_with("conv2d_with", input, weight, bias, cfg, None, epilogue, packed, arena)
 }
 
-/// [`conv2d_with`] with the in-place rule ([`conv2d_reads_in_place`])
-/// overridden: `in_place` picks the indirect kernel over the input or the
-/// im2col path for any GEMM conv the indirect kernel can run.
-/// Bit-identical to [`conv2d`] either way.
+/// [`conv2d_with`] computing only the output rows `band.rows` of every
+/// plane, every other row copied from `band.base`: the banded conv behind
+/// the delta engine's saturated transient cones, whose dirty input rows
+/// reach only a band of the output.
 ///
-/// Bench and test use only: the kernels bench times both sides of the
-/// rule with it and the bit-identity suite forces both paths. Production
-/// callers use [`conv2d_with`], which follows the rule.
+/// Every computed element is bit-identical to [`conv2d_with`]'s. The GEMM
+/// paths run the same `k`-ordered chain per element over the band's output
+/// columns `[r0 * w_out, r1 * w_out)` alone: the in-place kernel reads
+/// those columns of the padded input, the im2col path lowers only the
+/// band's rows. `+ bias` and the epilogue then run on the band. Depthwise
+/// convs compute every row, then copy the rows outside the band from
+/// `band.base`. An empty band returns a copy of `band.base`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_with`], plus [`TensorError::InvalidConfig`]
-/// for a depthwise conv (it has no GEMM path), and for `in_place` on a
-/// conv that is not stride-1 and single-group, has a 1x1 kernel, or whose
-/// output rows split the kernel's 8-lane tiles.
+/// Same conditions as [`conv2d_with`], plus [`TensorError::ShapeMismatch`]
+/// when `band.base` is not of the output's shape and
+/// [`TensorError::InvalidConfig`] when `band.rows` is not a range within
+/// the output's rows.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_rows_with(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    band: &ConvRows<'_>,
+    epilogue: Option<&ConvEpilogue<'_>>,
+    packed: Option<&PackedConvWeight>,
+    arena: &mut ScratchArena,
+) -> Result<Tensor, TensorError> {
+    conv_with("conv2d_rows_with", input, weight, bias, cfg, Some(band), epilogue, packed, arena)
+}
+
+/// [`conv2d_with`] and [`conv2d_rows_with`]: validation, then the kernel
+/// the shape rules pick, over `band` or every row.
+#[allow(clippy::too_many_arguments)]
+fn conv_with(
+    op: &'static str,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    band: Option<&ConvRows<'_>>,
+    epilogue: Option<&ConvEpilogue<'_>>,
+    packed: Option<&PackedConvWeight>,
+    arena: &mut ScratchArena,
+) -> Result<Tensor, TensorError> {
+    let dims = validate(input, weight, bias, cfg)?;
+    if let Some(p) = packed {
+        p.check(op, weight, cfg.groups)?;
+    }
+    if let Some(b) = band {
+        b.check(op, &dims)?;
+    }
+    let ep = ConvEpilogue::checked(op, epilogue, dims.c_out)?;
+    if dims.is_depthwise(cfg) {
+        let side = dims.fixed_side(cfg);
+        let mut out = depthwise(input, weight, bias, cfg, &dims, side, ep, Some(arena));
+        if let Some(b) = band {
+            copy_outside(out.as_mut_slice(), &dims, b);
+        }
+        Ok(out)
+    } else {
+        let in_place = dims.reads_in_place(cfg);
+        Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, band, ep, packed, arena))
+    }
+}
+
+/// [`conv2d_with`] (over `band` when given, as [`conv2d_rows_with`]) with
+/// the in-place rule ([`conv2d_reads_in_place`]) overridden: `in_place`
+/// picks the indirect kernel over the input or the im2col path for any
+/// GEMM conv the indirect kernel can run. Bit-identical to [`conv2d`]
+/// followed by the unfused epilogue either way.
+///
+/// Bench and test use only: the kernels bench times both sides of the
+/// rule with it and the bit-identity suite forces both paths. Production
+/// callers use [`conv2d_with`] and [`conv2d_rows_with`], which follow the
+/// rule.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_rows_with`], plus
+/// [`TensorError::InvalidConfig`] for a depthwise conv (it has no GEMM
+/// path), and for `in_place` on a conv that is not stride-1 and
+/// single-group, has a 1x1 kernel, or whose output rows split the
+/// kernel's 8-lane tiles.
 #[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
 pub fn conv2d_path_with(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
     in_place: bool,
+    band: Option<&ConvRows<'_>>,
+    epilogue: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     arena: &mut ScratchArena,
 ) -> Result<Tensor, TensorError> {
@@ -524,13 +657,17 @@ pub fn conv2d_path_with(
     if let Some(p) = packed {
         p.check(OP, weight, cfg.groups)?;
     }
+    if let Some(b) = band {
+        b.check(OP, &dims)?;
+    }
     if dims.is_depthwise(cfg) || (in_place && !dims.fits_in_place(cfg)) {
         return Err(TensorError::InvalidConfig {
             op: OP,
             reason: format!("no {} GEMM path", if in_place { "in-place" } else { "im2col" }),
         });
     }
-    Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, None, packed, arena))
+    let ep = ConvEpilogue::checked(OP, epilogue, dims.c_out)?;
+    Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, band, ep, packed, arena))
 }
 
 /// [`conv2d_with`] on a depthwise conv with the fixed-size rule
@@ -569,7 +706,8 @@ pub fn depthwise_path_with(
     Ok(depthwise(input, weight, bias, cfg, &dims, side, ep, Some(arena)))
 }
 
-/// The GEMM conv of [`conv2d_with`]: in place or over an im2col buffer.
+/// The GEMM conv of [`conv2d_with`] and [`conv2d_rows_with`]: in place or
+/// over an im2col buffer, over `band` or every row.
 #[allow(clippy::too_many_arguments)]
 fn gemm_conv(
     input: &Tensor,
@@ -578,14 +716,16 @@ fn gemm_conv(
     cfg: Conv2dCfg,
     d: &ConvDims,
     in_place: bool,
+    band: Option<&ConvRows<'_>>,
     ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     arena: &mut ScratchArena,
 ) -> Tensor {
     if in_place {
-        in_place_conv(input, weight, bias, d, ep, packed, Some(arena))
+        in_place_conv(input, weight, bias, d, band, ep, packed, Some(arena))
     } else {
-        im2col_conv(input, weight, bias, cfg, d, GemmKernel::Blocked, ep, packed, Some(arena))
+        let kernel = GemmKernel::Blocked;
+        im2col_conv(input, weight, bias, cfg, d, kernel, band, ep, packed, Some(arena))
     }
 }
 
@@ -661,7 +801,7 @@ pub fn conv2d_im2col(
     cfg: Conv2dCfg,
 ) -> Result<Tensor, TensorError> {
     let dims = validate(input, weight, bias, cfg)?;
-    Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Naive, None, None, None))
+    Ok(im2col_conv(input, weight, bias, cfg, &dims, GemmKernel::Naive, None, None, None, None))
 }
 
 /// Whether `(input, weight, cfg)` is a GEMM convolution — one an
@@ -942,7 +1082,8 @@ pub fn im2col_lower_batched(
     for g in 0..cfg.groups {
         let dst = &mut cols[g * panel..][..panel];
         for n in 0..d.batch {
-            lower_group_fast_strided(in_data, cfg, &d, n, g, dst, row_stride, n * spatial);
+            let rows = 0..d.h_out;
+            lower_group_fast_strided(in_data, cfg, &d, n, g, rows, dst, row_stride, n * spatial);
         }
     }
     Ok(BatchedLowered {
@@ -1050,7 +1191,7 @@ pub fn conv2d_batched_from_lowered(
                 &mut out_data[g * c_out_per_group * spatial..][..c_out_per_group * spatial];
             group_gemm(packed, g, mnk, w_group, lowered.panel(g), out_group, &mut scratch);
         }
-        finish_image(&mut out_data, bias, checked, spatial);
+        finish_image(&mut out_data, bias, checked, spatial, 0..spatial);
         if let Some(a) = arena {
             a.recycle(scratch);
         }
@@ -1160,11 +1301,11 @@ pub fn conv2d_channel_batched(
     Ok(out)
 }
 
-/// Lowers image `n`, group `g` of `in_data` into `cols` (`k_len x spatial`,
-/// row-major). Writes **every** element — padding positions become explicit
-/// zeros — so dirty (recycled) buffers are safe destinations.
-/// [`lower_group`] with the per-element border test hoisted out of the
-/// inner loop — the fast-path lowering.
+/// Lowers output rows `rows` of image `n`, group `g` of `in_data` into
+/// `cols` (`k_len x rows.len() * w_out`, row-major). Writes **every**
+/// element — padding positions become explicit zeros — so dirty (recycled)
+/// buffers are safe destinations. [`lower_group`] with the per-element
+/// border test hoisted out of the inner loop — the fast-path lowering.
 ///
 /// For stride-1 convolutions every destination row splits into a zero
 /// left border, one contiguous slice copy from the input row, and a zero
@@ -1180,14 +1321,15 @@ fn lower_group_fast(
     d: &ConvDims,
     n: usize,
     g: usize,
+    rows: Range<usize>,
     cols: &mut [f32],
 ) {
-    let spatial = d.h_out * d.w_out;
-    lower_group_fast_strided(in_data, cfg, d, n, g, cols, spatial, 0);
+    let band = rows.len() * d.w_out;
+    lower_group_fast_strided(in_data, cfg, d, n, g, rows, cols, band, 0);
 }
 
 /// [`lower_group_fast`] writing each column-matrix row at
-/// `row * row_stride + row_offset` instead of densely at `row * spatial` —
+/// `row * row_stride + row_offset` instead of densely at `row * band` —
 /// the addressing hook that lets one lowering kernel serve both the
 /// per-image panels (`row_stride == spatial`) and the image-interleaved
 /// batched panels of [`im2col_lower_batched`] (`row_stride ==
@@ -1200,30 +1342,30 @@ fn lower_group_fast_strided(
     d: &ConvDims,
     n: usize,
     g: usize,
+    rows: Range<usize>,
     cols: &mut [f32],
     row_stride: usize,
     row_offset: usize,
 ) {
     if cfg.stride != 1 {
-        return lower_group_strided(in_data, cfg, d, n, g, cols, row_stride, row_offset);
+        return lower_group_strided(in_data, cfg, d, n, g, rows, cols, row_stride, row_offset);
     }
-    let spatial = d.h_out * d.w_out;
+    let band = rows.len() * d.w_out;
     for ci_g in 0..d.c_in_per_group {
         let ci = g * d.c_in_per_group + ci_g;
         let in_chan = &in_data[(n * d.c_in + ci) * d.h_in * d.w_in..][..d.h_in * d.w_in];
         for kh in 0..d.k_h {
             for kw in 0..d.k_w {
                 let row = (ci_g * d.k_h + kh) * d.k_w + kw;
-                let dst = &mut cols[row * row_stride + row_offset..][..spatial];
+                let dst = &mut cols[row * row_stride + row_offset..][..band];
                 // iw = ow + w_shift; valid input columns are a contiguous
                 // run of ow, bounded below by iw >= 0 and above by
                 // iw < w_in.
                 let w_shift = kw as isize - d.pad as isize;
                 let ow_hi = ((d.w_in as isize - w_shift).max(0) as usize).min(d.w_out);
                 let ow_lo = ((-w_shift).max(0) as usize).min(ow_hi);
-                for oh in 0..d.h_out {
+                for (dst_row, oh) in dst.chunks_exact_mut(d.w_out).zip(rows.clone()) {
                     let ih = (oh + kh) as isize - d.pad as isize;
-                    let dst_row = &mut dst[oh * d.w_out..(oh + 1) * d.w_out];
                     if ih < 0 || ih as usize >= d.h_in {
                         dst_row.fill(0.0);
                         continue;
@@ -1247,10 +1389,11 @@ fn lower_group(
     d: &ConvDims,
     n: usize,
     g: usize,
+    rows: Range<usize>,
     cols: &mut [f32],
 ) {
-    let spatial = d.h_out * d.w_out;
-    lower_group_strided(in_data, cfg, d, n, g, cols, spatial, 0);
+    let band = rows.len() * d.w_out;
+    lower_group_strided(in_data, cfg, d, n, g, rows, cols, band, 0);
 }
 
 /// [`lower_group`] with the strided row addressing of
@@ -1263,20 +1406,21 @@ fn lower_group_strided(
     d: &ConvDims,
     n: usize,
     g: usize,
+    rows: Range<usize>,
     cols: &mut [f32],
     row_stride: usize,
     row_offset: usize,
 ) {
-    let spatial = d.h_out * d.w_out;
+    let band = rows.len() * d.w_out;
     for ci_g in 0..d.c_in_per_group {
         let ci = g * d.c_in_per_group + ci_g;
         let in_chan = &in_data[(n * d.c_in + ci) * d.h_in * d.w_in..][..d.h_in * d.w_in];
         for kh in 0..d.k_h {
             for kw in 0..d.k_w {
                 let row = (ci_g * d.k_h + kh) * d.k_w + kw;
-                let dst = &mut cols[row * row_stride + row_offset..][..spatial];
+                let dst = &mut cols[row * row_stride + row_offset..][..band];
                 let mut idx = 0usize;
-                for oh in 0..d.h_out {
+                for oh in rows.clone() {
                     let ih = (oh * cfg.stride + kh) as isize - d.pad as isize;
                     if ih < 0 || ih as usize >= d.h_in {
                         for _ in 0..d.w_out {
@@ -1298,17 +1442,19 @@ fn lower_group_strided(
     }
 }
 
-/// Finishes one image (`c_out x spatial`) of a GEMM conv's output: per
-/// output channel, `+ bias` when there is one, then the epilogue — the
-/// per-element sequence of the unfused conv → batch norm → activation
-/// chain.
+/// Finishes the elements `cols` of each output channel of one image
+/// (`c_out x spatial`) of a GEMM conv's output: `+ bias` when there is
+/// one, then the epilogue — the per-element sequence of the unfused conv →
+/// batch norm → activation chain.
 fn finish_image(
     image: &mut [f32],
     bias: Option<&Tensor>,
     ep: Option<&ConvEpilogue<'_>>,
     spatial: usize,
+    cols: Range<usize>,
 ) {
-    for (co, run) in image.chunks_exact_mut(spatial).enumerate() {
+    for (co, plane) in image.chunks_exact_mut(spatial).enumerate() {
+        let run = &mut plane[cols.clone()];
         if let Some(b) = bias {
             let bv = b.as_slice()[co];
             for v in run.iter_mut() {
@@ -1321,6 +1467,11 @@ fn finish_image(
     }
 }
 
+/// The im2col convolution over output rows `band` (every row without
+/// one): per image and group, the band's rows lowered into a column
+/// buffer, one `c_out/groups x k_len x band` GEMM, then the bias and the
+/// epilogue on the band. A band narrower than the plane multiplies into a
+/// buffer of its own and copies each channel's rows into place.
 #[allow(clippy::too_many_arguments)]
 fn im2col_conv(
     input: &Tensor,
@@ -1329,85 +1480,101 @@ fn im2col_conv(
     cfg: Conv2dCfg,
     d: &ConvDims,
     kernel: GemmKernel,
+    band: Option<&ConvRows<'_>>,
     ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Tensor {
     let spatial = d.h_out * d.w_out;
+    let rows = band_rows(d, band);
+    let (c0, n_band) = (rows.start * d.w_out, rows.len() * d.w_out);
     let k_len = d.c_in_per_group * d.k_h * d.k_w;
     let c_out_per_group = d.c_out / cfg.groups;
-    let mnk = (c_out_per_group, k_len, spatial);
-    let out_len = d.batch * d.c_out * spatial;
-    let mut out_data = match arena.as_deref_mut() {
-        Some(a) => a.take_zeroed(out_len),
-        None => vec![0.0f32; out_len],
-    };
+    let mnk = (c_out_per_group, k_len, n_band);
+    let mut out_data = band_output(d, band, arena.as_deref_mut());
     let in_data = input.as_slice();
     let w_data = weight.as_slice();
-    // Column buffer reused across images and groups; `lower_group` writes
-    // every element, so a dirty recycled buffer is fine.
-    let mut cols = match arena.as_deref_mut() {
-        Some(a) => a.take(k_len * spatial),
-        None => vec![0.0f32; k_len * spatial],
-    };
-    let mut scratch = gemm_scratch(arena.as_deref_mut(), mnk, packed.is_some());
+    // Buffers are taken at their full-plane sizes whatever the band, so a
+    // warm arena serves every band. The column buffer is reused across
+    // images and groups; `lower_group` writes every element, so a dirty
+    // recycled buffer is fine.
+    let mut cols_buf = take_buf(arena.as_deref_mut(), k_len * spatial);
+    let cols = &mut cols_buf[..k_len * n_band];
+    let full_mnk = (c_out_per_group, k_len, spatial);
+    let mut scratch = gemm_scratch(arena.as_deref_mut(), full_mnk, packed.is_some());
+    let direct = n_band == spatial;
+    let mut band_buf =
+        take_buf(arena.as_deref_mut(), if direct { 0 } else { c_out_per_group * spatial });
+    let band_out = &mut band_buf[..if direct { 0 } else { c_out_per_group * n_band }];
     for n in 0..d.batch {
         for g in 0..cfg.groups {
             // The Naive kernel keeps the historical scalar gather so the
             // pre-optimization cost model stays measurable; the fast path
             // lowers with slice copies. Both write the same column matrix.
             match kernel {
-                GemmKernel::Naive => lower_group(in_data, cfg, d, n, g, &mut cols),
-                GemmKernel::Blocked => lower_group_fast(in_data, cfg, d, n, g, &mut cols),
+                GemmKernel::Naive => lower_group(in_data, cfg, d, n, g, rows.clone(), cols),
+                GemmKernel::Blocked => lower_group_fast(in_data, cfg, d, n, g, rows.clone(), cols),
             }
-            // GEMM: weights [c_out_per_group, k_len] x cols [k_len, spatial].
+            // GEMM: weights [c_out_per_group, k_len] x cols [k_len, n_band].
             let w_group = &w_data[g * c_out_per_group * k_len..][..c_out_per_group * k_len];
+            let mut multiply = |c: &mut [f32]| match kernel {
+                GemmKernel::Naive => gemm(c_out_per_group, k_len, n_band, w_group, cols, c),
+                GemmKernel::Blocked => group_gemm(packed, g, mnk, w_group, cols, c, &mut scratch),
+            };
             let out_group = &mut out_data[(n * d.c_out + g * c_out_per_group) * spatial..]
                 [..c_out_per_group * spatial];
-            match kernel {
-                GemmKernel::Naive => {
-                    gemm(c_out_per_group, k_len, spatial, w_group, &cols, out_group)
-                }
-                GemmKernel::Blocked => {
-                    group_gemm(packed, g, mnk, w_group, &cols, out_group, &mut scratch)
+            if direct {
+                multiply(out_group);
+            } else {
+                band_out.fill(0.0);
+                multiply(band_out);
+                for cg in 0..c_out_per_group {
+                    out_group[cg * spatial + c0..][..n_band]
+                        .copy_from_slice(&band_out[cg * n_band..][..n_band]);
                 }
             }
         }
         let image_len = d.c_out * spatial;
-        finish_image(&mut out_data[n * image_len..][..image_len], bias, ep, spatial);
+        let image = &mut out_data[n * image_len..][..image_len];
+        finish_image(image, bias, ep, spatial, c0..c0 + n_band);
     }
     if let Some(a) = arena {
-        a.recycle(cols);
+        a.recycle(cols_buf);
         a.recycle(scratch);
+        a.recycle(band_buf);
     }
     Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out_data)
         .expect("output length follows from conv dims")
 }
 
-/// The in-place convolution of a conv that [`ConvDims::reads_in_place`]:
-/// per image, one indirect GEMM of the weight — `packed`'s golden panels,
-/// or the weight packed once for the whole call — against the image's
-/// zero-padded copy (or the image itself when unpadded), then the bias and
-/// the epilogue.
+/// The in-place convolution of a conv that [`ConvDims::reads_in_place`],
+/// over output rows `band` (every row without one): per image, one
+/// indirect GEMM of the weight — `packed`'s golden panels, or the weight
+/// packed once for the whole call — against the band's output columns of
+/// the image's zero-padded copy (or the image itself when unpadded), then
+/// the bias and the epilogue on those columns. The band's columns
+/// `[r0 * w_out, r1 * w_out)` start and end on whole output rows, so on
+/// whole `NR`-lane tiles.
 ///
 /// Bit-identical to the im2col path: each output element receives the
 /// same products, explicit padding zeros included, one multiply and one
 /// add at a time in increasing-`k` order from a zeroed accumulator, then
 /// the same `+ bias`.
+#[allow(clippy::too_many_arguments)]
 fn in_place_conv(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     d: &ConvDims,
+    band: Option<&ConvRows<'_>>,
     ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Tensor {
     let (m, k, n) = (d.c_out, d.c_in * d.k_h * d.k_w, d.h_out * d.w_out);
-    let mut out_data = match arena.as_deref_mut() {
-        Some(a) => a.take_zeroed(d.batch * m * n),
-        None => vec![0.0f32; d.batch * m * n],
-    };
+    let rows = band_rows(d, band);
+    let cols = rows.start * d.w_out..rows.end * d.w_out;
+    let mut out_data = band_output(d, band, arena.as_deref_mut());
     let mut per_call = Vec::new();
     let a: &[f32] = match packed {
         Some(p) => p.groups[0].data(),
@@ -1422,8 +1589,8 @@ fn in_place_conv(
     for img in 0..d.batch {
         let rhs = geometry.rhs(d, input.as_slice(), img, &mut padded);
         let image = &mut out_data[img * m * n..][..m * n];
-        gemm_indirect(m, k, n, a, &rhs, image);
-        finish_image(image, bias, ep, n);
+        gemm_indirect(m, k, n, cols.clone(), a, &rhs, image);
+        finish_image(image, bias, ep, n, cols.clone());
     }
     if let Some(arena) = arena {
         arena.recycle(padded);

@@ -497,10 +497,13 @@ fn indirect_edge(
     }
 }
 
-/// Indirect register-tiled multiply `c[m][n] += a[m][k] * b[k][n]` with
-/// `a` in [`PackedLhs`] layout (golden panels, or an A packed once per
-/// call) and `b` read in place through `b`'s offsets: bit-identical to
-/// [`gemm`](super::gemm) over the materialised column matrix.
+/// Indirect register-tiled multiply `c[m][j] += a[m][k] * b[k][j]` over
+/// the columns `j` in `cols` of an `n`-column product, with `a` in
+/// [`PackedLhs`] layout (golden panels, or an A packed once per call) and
+/// `b` read in place through `b`'s offsets: bit-identical to
+/// [`gemm`](super::gemm) over the materialised column matrix. Columns
+/// outside `cols` are neither read nor written; `0..n` is the whole
+/// product.
 ///
 /// Walks `k` blocks ([`KC`], in increasing order, each extending the
 /// stored chains where the previous block left them), then
@@ -511,13 +514,15 @@ fn indirect_edge(
 /// # Panics
 ///
 /// Panics when the slice lengths do not match `m*k` / `k` offsets / `m*n`,
-/// or when `NR`-lane groups do not fit `b`'s rows
-/// ([`IndirectRhs::lanes_fit`]).
+/// when `NR`-lane groups do not fit `b`'s rows
+/// ([`IndirectRhs::lanes_fit`]), or when `cols` does not start and end on
+/// a lane group within `0..=n`.
 #[inline(never)]
 pub(crate) fn gemm_indirect(
     m: usize,
     k: usize,
     n: usize,
+    cols: std::ops::Range<usize>,
     a: &[f32],
     b: &IndirectRhs<'_>,
     c: &mut [f32],
@@ -526,12 +531,16 @@ pub(crate) fn gemm_indirect(
     assert_eq!(b.offs.len(), k, "gemm: rhs offsets");
     assert_eq!(c.len(), m * n, "gemm: out length");
     assert!(b.lanes_fit(NR, n), "gemm: {NR}-lane groups straddle rhs rows");
+    assert!(
+        cols.start.is_multiple_of(NR) && cols.end.is_multiple_of(NR) && cols.end <= n,
+        "gemm: columns {cols:?} split {NR}-lane groups of {n}"
+    );
     for k0 in (0..k).step_by(KC) {
         let kw = KC.min(k - k0);
         let ap = &a[m * k0..][..m * kw];
         let offs = &b.offs[k0..][..kw];
-        for n0 in (0..n).step_by(NC_INDIRECT) {
-            let n1 = (n0 + NC_INDIRECT).min(n);
+        for n0 in cols.clone().step_by(NC_INDIRECT) {
+            let n1 = (n0 + NC_INDIRECT).min(cols.end);
             let mut a_base = 0;
             let mut m0 = 0;
             while m0 < m {

@@ -25,10 +25,11 @@ use proptest::prelude::*;
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
     conv2d_channel_batched, conv2d_channel_in_place, conv2d_depthwise_fixed, conv2d_direct,
-    conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_with, depthwise_path_with, gemm,
-    gemm_blocked, gemm_col, gemm_micro, gemm_micro_packed, gemm_row, gemm_row_lanes,
-    im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue, FusedActivation,
-    GemmKernel, PackedConvWeight, PackedLhs, Padding, COL_LANES, MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_rows_with, conv2d_with,
+    depthwise_path_with, gemm, gemm_blocked, gemm_col, gemm_micro, gemm_micro_packed, gemm_row,
+    gemm_row_lanes, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue,
+    ConvRows, FusedActivation, GemmKernel, PackedConvWeight, PackedLhs, Padding, COL_LANES,
+    MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -735,7 +736,7 @@ proptest! {
             let forced = [false, true].into_iter().filter(|&in_place| fits || !in_place);
             for in_place in forced {
                 outs.push(
-                    conv2d_path_with(&input, &weight, bias, cfg, in_place, panel, &mut arena)
+                    conv2d_path_with(&input, &weight, bias, cfg, in_place, None, None, panel, &mut arena)
                         .unwrap(),
                 );
             }
@@ -765,6 +766,146 @@ proptest! {
                 "the probe must refuse a conv the rule keeps on the im2col path"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A banded conv (`conv2d_rows_with`, and `conv2d_path_with` over a
+    /// band with the in-place and the im2col path forced) computes the
+    /// band's rows bit-identically to the naive conv followed by the
+    /// unfused `batch_norm`/`relu` chain and copies every other row from
+    /// the base tensor bit for bit: bands empty, of one middle row, of the
+    /// first and of the last row, interior and full; strides 1 and 2,
+    /// kernels 1, 3 and 5 with pads 0..=k, one to three groups (depthwise
+    /// convs included, which compute every row), bias on and off, with
+    /// and without golden weight panels, epilogues None, BN and BN+ReLU,
+    /// one NaN family per case with ±Inf and -0 operands, through dirty
+    /// arena buffers. Half the cases take shapes the in-place kernel runs.
+    #[test]
+    fn banded_conv_is_bit_identical(
+        batch in 1usize..3,
+        groups in 1usize..4,
+        cpg_in in 1usize..4,
+        cpg_out in 1usize..6,
+        kernel_pick in 0usize..3,
+        pad_pick in 0usize..6,
+        stride in 1usize..3,
+        w_pick in 0usize..3,
+        h_in in 1usize..11,
+        values in vec(fault_like_f32(), 4..12),
+        neg_zero_at in 0usize..12,
+        with_bias in any::<bool>(),
+        with_panels in any::<bool>(),
+        nan_mode in any::<bool>(),
+        in_place_shape in any::<bool>(),
+    ) {
+        let mut values = one_nan_family(&values, nan_mode);
+        let at = neg_zero_at % values.len();
+        values[at] = -0.0;
+        let kernel = if in_place_shape { [3, 5, 3][kernel_pick] } else { [1, 3, 5][kernel_pick] };
+        let pad = pad_pick.min(kernel);
+        // In-place shapes: one group of at least two input channels (a
+        // one-channel conv dispatches as depthwise).
+        let (stride, groups) = if in_place_shape { (1, 1) } else { (stride, groups) };
+        let cpg_in = cpg_in + usize::from(in_place_shape);
+        // In-place shapes: output rows of 8 or 16 lanes.
+        let w_in = if in_place_shape {
+            [8, 16, 8][w_pick] + kernel - 1 - 2 * pad
+        } else {
+            [3, 6, 9][w_pick].max(kernel.saturating_sub(2 * pad))
+        };
+        let h_in = h_in.max(kernel.saturating_sub(2 * pad));
+        let (c_in, c_out) = (groups * cpg_in, groups * cpg_out);
+        let cfg = Conv2dCfg { stride, padding: Padding::Explicit(pad), groups };
+        let input = Tensor::from_vec(
+            [batch, c_in, h_in, w_in],
+            cycled(&values, batch * c_in * h_in * w_in, 1, 0),
+        )
+        .unwrap();
+        let weight_len = c_out * cpg_in * kernel * kernel;
+        let weight =
+            Tensor::from_vec([c_out, cpg_in, kernel, kernel], cycled(&values, weight_len, 5, 1))
+                .unwrap();
+        let bias_t = Tensor::from_vec([c_out], cycled(&values, c_out, 3, 2)).unwrap();
+        let bias = with_bias.then_some(&bias_t);
+        let depthwise = groups == c_in && c_out == c_in && cpg_in == 1;
+        let panels = PackedConvWeight::pack(&weight, groups).unwrap();
+        let panel = (with_panels && !depthwise).then_some(&panels);
+        // Finite batch-norm coefficients, as in the depthwise test above.
+        let finite = |len: usize, stride: usize, off: usize| -> Vec<f32> {
+            cycled(&values, len, stride, off)
+                .into_iter()
+                .map(|t| if t.is_finite() { t } else { 0.75 })
+                .collect()
+        };
+        let gamma = Tensor::from_vec([c_out], finite(c_out, 2, 1)).unwrap();
+        let beta = Tensor::from_vec([c_out], finite(c_out, 4, 2)).unwrap();
+        let mean = Tensor::from_vec([c_out], finite(c_out, 6, 0)).unwrap();
+        let var = Tensor::from_fn([c_out], |i| (i as f32).mul_add(0.13, 0.5));
+        let params = BatchNormParams { gamma: &gamma, beta: &beta, mean: &mean, var: &var, eps: 1e-5 };
+        let (scale, shift): (Vec<f32>, Vec<f32>) =
+            (0..c_out).map(|c| bn_channel_scale_shift(&params, c)).unzip();
+
+        let naive = conv2d_kernel(&input, &weight, bias, cfg, GemmKernel::Naive).unwrap();
+        let (h_out, w_out) = (naive.shape().h(), naive.shape().w());
+        let fits = !depthwise && stride == 1 && groups == 1 && kernel > 1
+            && w_out.is_multiple_of(MICRO_NR);
+        prop_assert!(fits || !in_place_shape);
+        let bn = batch_norm(&naive, &params).unwrap();
+        let chains = [
+            (naive.clone(), None),
+            (bn.clone(), Some(ConvEpilogue { bn: Some((&scale, &shift)), act: FusedActivation::None })),
+            (relu(&bn), Some(ConvEpilogue { bn: Some((&scale, &shift)), act: FusedActivation::Relu })),
+        ];
+        // A base whose every element is a NaN payload of its own index.
+        let base = Tensor::from_fn(naive.shape(), |i| f32::from_bits(0x7fc0_0000 | i as u32));
+        let mid = h_out / 2;
+        let bands = [0..0, mid..mid + 1, 0..1, h_out - 1..h_out, 1..h_out.max(2) - 1, 0..h_out];
+
+        let mut arena = ScratchArena::new();
+        arena.recycle(vec![f32::NAN; naive.len().div_ceil(3)]);
+        arena.recycle(vec![f32::NAN; 5]);
+        let spatial = h_out * w_out;
+        // Two rounds; the second consumes the first round's outputs, dirtied.
+        for _ in 0..2 {
+            for rows in &bands {
+                let band = ConvRows { rows: rows.clone(), base: &base };
+                for (want, ep) in &chains {
+                    let mut outs = vec![conv2d_rows_with(
+                        &input, &weight, bias, cfg, &band, ep.as_ref(), panel, &mut arena,
+                    )
+                    .unwrap()];
+                    let forced = [false, true].into_iter().filter(|&f| !depthwise && (fits || !f));
+                    for in_place in forced {
+                        outs.push(
+                            conv2d_path_with(
+                                &input, &weight, bias, cfg, in_place, Some(&band), ep.as_ref(),
+                                panel, &mut arena,
+                            )
+                            .unwrap(),
+                        );
+                    }
+                    for out in outs {
+                        for (p, plane) in out.as_slice().chunks_exact(spatial).enumerate() {
+                            for (y, row) in plane.chunks_exact(w_out).enumerate() {
+                                let src = if rows.contains(&y) { want } else { &base };
+                                assert_bits_equal(&src.as_slice()[(p * h_out + y) * w_out..][..w_out], row);
+                            }
+                        }
+                        let mut spent = out.into_vec();
+                        spent.fill(f32::NAN);
+                        arena.recycle(spent);
+                    }
+                }
+            }
+        }
+        let wide = ConvRows { rows: 0..h_out + 1, base: &base };
+        prop_assert!(conv2d_rows_with(&input, &weight, bias, cfg, &wide, None, panel, &mut arena).is_err());
+        let short = Tensor::zeros([batch, c_out, h_out, w_out + 1]);
+        let wrong = ConvRows { rows: 0..1, base: &short };
+        prop_assert!(conv2d_rows_with(&input, &weight, bias, cfg, &wrong, None, panel, &mut arena).is_err());
     }
 }
 

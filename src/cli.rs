@@ -952,6 +952,15 @@ pub fn run(
                     group_digits(m.arena_reuses),
                     group_digits(m.arena_takes),
                 )?;
+                if m.delta_conv_rows_full > 0 {
+                    writeln!(
+                        out,
+                        "delta dense conv rows: {} of {} ({})",
+                        group_digits(m.delta_conv_rows),
+                        group_digits(m.delta_conv_rows_full),
+                        percent(m.delta_conv_rows as f64 / m.delta_conv_rows_full as f64, 1)
+                    )?;
+                }
             }
             if let Some(completed) = trace.interrupted {
                 writeln!(out, "interrupted after {} classification(s)", group_digits(completed))?;
@@ -1145,12 +1154,29 @@ mod tests {
             "run --model resnet20-micro --fault-model activation --scheme layer-wise              --error 0.2 --images 2 --workers 2",
         ))
         .unwrap();
+        let trace_path = std::env::temp_dir()
+            .join(format!("sfi-cli-transient-trace-{}.jsonl", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let opts = CliOptions { trace_out: Some(trace_path.clone()), ..opts };
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("layer-wise activation campaign"), "{text}");
         assert!(text.contains("N0"), "expected node-group rows: {text}");
         assert!(text.contains("network:"), "{text}");
+
+        // The trace counts the rows the delta engine's dense convs computed
+        // against their full height, and `sfi trace report` prints the share.
+        let raw = std::fs::read_to_string(&trace_path).unwrap();
+        let m = summary::summarize(&raw).unwrap().metrics.unwrap();
+        assert!(0 < m.delta_conv_rows && m.delta_conv_rows <= m.delta_conv_rows_full, "{m:?}");
+        let report_opts = parse(&["trace".to_string(), "report".to_string(), trace_path.clone()]);
+        let mut report = Vec::new();
+        run(&report_opts.unwrap(), &mut report).unwrap();
+        let report = String::from_utf8(report).unwrap();
+        assert!(report.contains("delta dense conv rows: "), "{report}");
+        std::fs::remove_file(&trace_path).ok();
     }
 
     #[test]

@@ -747,13 +747,41 @@ fn stage_sites(model: &Model, cache: &ActivationCache) -> Vec<(NodeId, usize)> {
     sites
 }
 
+/// The elements struck in node `node`'s activation: its element at a third
+/// of its length, and for a rank-4 activation one element in its top row,
+/// one in its bottom row and one in its middle row.
+fn strike_elements(cache: &ActivationCache, node: NodeId) -> Vec<usize> {
+    let t = cache.get(node).unwrap();
+    let mut elements = vec![t.len() / 3];
+    if t.shape().rank() == 4 {
+        let (c, h, w) = (t.shape().c(), t.shape().h(), t.shape().w());
+        let at = |y: usize| ((c / 2) * h + y) * w + w / 2;
+        elements.extend([at(0), at(h - 1), at(h / 2)]);
+    }
+    elements
+}
+
+/// Node `node`'s activation under `strike`, through the naive patched
+/// suffix of the model cut after `node`.
+fn naive_activation(model: &Model, input: &Tensor, strike: ActPatch, node: NodeId) -> Tensor {
+    let nodes = model.nodes()[..=node].to_vec();
+    let prefix =
+        Model::new("prefix", nodes, model.store().clone(), model.input_dims().to_vec()).unwrap();
+    let cache = prefix.forward_cached(input).unwrap();
+    let naive_opts = &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+    prefix.forward_suffix(None, &cache, &[strike], naive_opts).unwrap()
+}
+
 /// The plan's transient delta pass is the naive patched suffix: on
 /// `resnet20_micro` (width 8) and `cifar_micro`, a strike on every node
-/// at two bits reproduces the naive per-image logits bit for bit at
-/// saturation 0.0 (every node dense, fusion groups whole), at the default
-/// and at 1.0 (every node sparse until its candidate fills the tensor),
-/// and a pass that converges does so only when the naive logits are
-/// golden.
+/// (the input included) at two bits — at a third of the activation, and
+/// in its top, bottom and middle rows — reproduces the naive per-image
+/// logits bit for bit at saturation 0.0 (every node dense, fusion groups
+/// whole, convs over the row bands their inputs reach), at the default and
+/// at 1.0 (every node sparse until its candidate fills the tensor). A pass
+/// converges exactly when the naive logits are golden, and at a node whose
+/// naive activation is golden. On ResNet-20 some dense conv computes fewer
+/// rows than its full height.
 #[test]
 fn transient_delta_on_the_plan_matches_the_naive_patched_suffix() {
     let models = [
@@ -768,40 +796,56 @@ fn transient_delta_on_the_plan_matches_the_naive_patched_suffix() {
         let (cache, plan) = (golden.cache(0), golden.plan());
         let golden_logits = cache.get(cache.len() - 1).unwrap();
         let mut arena = ScratchArena::new();
-        let mut converged = 0;
+        let (mut converged, mut banded) = (0, 0);
         for node in 0..model.nodes().len() {
-            let element = cache.get(node).unwrap().len() / 3;
-            for bit in [30u32, 22] {
-                let strike = ActPatch { xor_mask: 1 << bit, ..ActPatch::identity(node, element) };
-                let naive_opts =
-                    &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
-                let naive = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
-                let bits =
-                    strike.apply_bits(cache.get(node).unwrap().as_slice()[element].to_bits());
-                for saturation in [0.0, DELTA_SATURATION_DEFAULT, 1.0] {
-                    let ctx = format!("{name} node {node} bit {bit} saturation {saturation}");
-                    let opts = &mut DeltaOptions { arena: Some(&mut arena), plan, saturation };
-                    let (out, stats) =
-                        model.forward_delta_site(node, element, bits, cache, opts).unwrap();
-                    if saturation == 0.0 {
-                        assert!(stats.sparse_nodes <= 1, "{ctx}: only the seed is sparse");
-                    }
-                    match out {
-                        ForwardOutcome::Logits(l) => {
-                            fixtures::assert_bits_equal(naive.as_slice(), l.as_slice());
+            for element in strike_elements(cache, node) {
+                for bit in [30u32, 22] {
+                    let strike =
+                        ActPatch { xor_mask: 1 << bit, ..ActPatch::identity(node, element) };
+                    let naive_opts =
+                        &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+                    let naive = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
+                    let bits =
+                        strike.apply_bits(cache.get(node).unwrap().as_slice()[element].to_bits());
+                    for saturation in [0.0, DELTA_SATURATION_DEFAULT, 1.0] {
+                        let ctx = format!(
+                            "{name} node {node}[{element}] bit {bit} saturation {saturation}"
+                        );
+                        let opts = &mut DeltaOptions { arena: Some(&mut arena), plan, saturation };
+                        let (out, stats) =
+                            model.forward_delta_site(node, element, bits, cache, opts).unwrap();
+                        if saturation == 0.0 {
+                            assert!(stats.sparse_nodes <= 1, "{ctx}: only the seed is sparse");
                         }
-                        ForwardOutcome::Converged { at_node } => {
-                            converged += 1;
-                            assert!(
-                                naive.bits_equal(golden_logits),
-                                "{ctx}: converged at node {at_node} off golden logits"
-                            );
+                        assert!(stats.conv_rows <= stats.conv_rows_full, "{ctx}: {stats:?}");
+                        banded += usize::from(stats.conv_rows < stats.conv_rows_full);
+                        match out {
+                            ForwardOutcome::Logits(l) => {
+                                assert!(!naive.bits_equal(golden_logits), "{ctx}: no convergence");
+                                fixtures::assert_bits_equal(naive.as_slice(), l.as_slice());
+                            }
+                            ForwardOutcome::Converged { at_node } => {
+                                converged += 1;
+                                assert!(
+                                    naive.bits_equal(golden_logits),
+                                    "{ctx}: converged at node {at_node} off golden logits"
+                                );
+                                let input = cache.get(0).unwrap();
+                                let at = naive_activation(&model, input, strike, at_node);
+                                assert!(
+                                    at.bits_equal(cache.get(at_node).unwrap()),
+                                    "{ctx}: converged at node {at_node} off its golden activation"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
         assert!(converged > 0, "{name}: some strike is masked");
+        if name.starts_with("resnet20") {
+            assert!(banded > 0, "{name}: some dense conv ran on a row band");
+        }
     }
 }
 
