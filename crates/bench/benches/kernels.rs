@@ -7,15 +7,17 @@
 //! the end-to-end bit-level campaign with the pre-optimisation path
 //! (naive kernels, no lowering cache) against the per-image fast path
 //! (dispatched GEMM, cached lowerings, scratch arenas) and the
-//! compiled-plan batched path (all eval images in one GEMM per node),
+//! compiled-plan batched path (all eval images in one suffix pass),
 //! asserting the classifications stay byte-identical. Under `cargo bench`
 //! the comparison is written to `BENCH_kernels.json` at the workspace
 //! root, including the microkernel speedup per shape, the pre-packed
 //! (golden panel) GEMM against per-call packing at MobileNetV2's
 //! small-`n` head shapes, both paths of the in-place rule (`indirect`:
 //! the stride-1 conv read in place against im2col plus the packed GEMM)
-//! at ResNet-20 and MobileNetV2 stride-1 3x3 conv shapes,
-//! the depthwise speedup per shape (and, on the shapes the fixed-size rule
+//! at ResNet-20 and MobileNetV2 stride-1 3x3 conv shapes, the direct
+//! small-plane kernel against the path it replaced (`small_plane`: im2col
+//! for one image, the interleaved im2col panel for four) on every reduced
+//! ResNet-20 conv, the depthwise speedup per shape (and, on the shapes the fixed-size rule
 //! picks, the fixed-size kernel against the plane kernel), a per-op-kind
 //! breakdown of one MobileNetV2 forward pass through the arena kernels a
 //! campaign runs (with and without golden weight panels, and with the
@@ -27,7 +29,9 @@
 //! naive one at any shape, the microkernel is not the selected tier on
 //! the shapes it owns, the panel GEMM is slower than per-call packing at
 //! any panel shape, the path the in-place rule picks is more than 10%
-//! slower than the other at any stride-1 conv shape, the depthwise plane
+//! slower than the other at any stride-1 conv shape, the small-plane
+//! kernel is more than 10% slower than the path it replaced at any reduced
+//! ResNet-20 conv (or the rule stops admitting one), the depthwise plane
 //! kernel is slower than the scalar loop at any shape, the fixed-size
 //! depthwise kernel is more than 10% slower than the plane kernel at any
 //! shape the rule gives it, or the batched campaign diverges from the
@@ -50,7 +54,7 @@ use sfi_nn::{CompiledPlan, GoldenPanels, KernelPolicy, Model, NodeOp};
 use sfi_stats::sampling::sample_without_replacement;
 use sfi_tensor::ops::{
     self, gemm, gemm_blocked_with, gemm_micro, gemm_micro_packed, gemm_selected_kernel,
-    BatchNormParams, Conv2dCfg, GemmKernel, PackedConvWeight, PackedLhs,
+    BatchNormParams, Conv2dCfg, ConvPath, GemmKernel, PackedConvWeight, PackedLhs,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -157,7 +161,7 @@ fn indirect_min_secs(
     let panels = PackedConvWeight::pack(&weight, 1).unwrap();
     let cfg = Conv2dCfg::same(1);
     let mut arena = ScratchArena::new();
-    let mut time = |in_place: bool| {
+    let mut time = |path: ConvPath| {
         min_secs(
             || {
                 let out = ops::conv2d_path_with(
@@ -165,7 +169,7 @@ fn indirect_min_secs(
                     &weight,
                     None,
                     cfg,
-                    in_place,
+                    path,
                     None,
                     None,
                     Some(&panels),
@@ -179,8 +183,8 @@ fn indirect_min_secs(
     };
     let (mut im2col, mut in_place) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..rounds {
-        im2col = im2col.min(time(false));
-        in_place = in_place.min(time(true));
+        im2col = im2col.min(time(ConvPath::Im2col));
+        in_place = in_place.min(time(ConvPath::InPlace));
     }
     (im2col, in_place)
 }
@@ -191,6 +195,79 @@ fn indirect_rule_picks((c_in, c_out, kernel, side): (usize, usize, usize, usize)
     let input = Tensor::zeros([1, c_in, side, side]);
     let weight = Tensor::zeros([c_out, c_in, kernel, kernel]);
     ops::conv2d_reads_in_place(&input, &weight, Conv2dCfg::same(1))
+}
+
+/// The reduced ResNet-20's (`resnet20_micro`, width 2 at 16x16) convs,
+/// every one of which the small-plane rule (`ops::conv2d_small_plane`)
+/// sends to the direct kernel: `(c_in, c_out, input plane side, stride)` —
+/// the stem, the 2->2, 4->4 and 8->8 stage convs and the two stride-2
+/// convs between stages.
+const SMALL_PLANE_SHAPES: [(usize, usize, usize, usize); 6] =
+    [(3, 2, 16, 1), (2, 2, 16, 1), (2, 4, 16, 2), (4, 4, 8, 1), (4, 8, 8, 2), (8, 8, 4, 1)];
+
+/// Minimum wall times of one [`SMALL_PLANE_SHAPES`] conv over `images`
+/// images through the path the direct kernel replaced and through the
+/// direct kernel (`ops::conv2d_with`), measured in `rounds` interleaved
+/// rounds of `iters` runs each from one arena. The replaced path is the
+/// im2col GEMM (`ConvPath::Im2col`) for one image and, for several, the
+/// one GEMM over their interleaved im2col panel
+/// (`ops::im2col_lower_batched` then `ops::conv2d_batched_from_lowered`)
+/// the multi-image suffix pass ran before. Returns `(old, direct)`.
+fn small_plane_min_secs(
+    (c_in, c_out, side, stride): (usize, usize, usize, usize),
+    images: usize,
+    rounds: usize,
+    iters: usize,
+) -> (f64, f64) {
+    let len = images * c_in * side * side;
+    let input = Tensor::from_vec([images, c_in, side, side], filled(len, 5)).unwrap();
+    let weight = Tensor::from_vec([c_out, c_in, 3, 3], filled(c_out * c_in * 9, 6)).unwrap();
+    let cfg = Conv2dCfg::same(stride);
+    let mut arena = ScratchArena::new();
+    let old = |arena: &mut ScratchArena| {
+        let out = if images == 1 {
+            ops::conv2d_path_with(
+                &input,
+                &weight,
+                None,
+                cfg,
+                ConvPath::Im2col,
+                None,
+                None,
+                None,
+                arena,
+            )
+            .unwrap()
+        } else {
+            let low = ops::im2col_lower_batched(&input, &weight, cfg, Some(arena)).unwrap();
+            let out =
+                ops::conv2d_batched_from_lowered(&low, &weight, None, None, None, Some(arena))
+                    .unwrap();
+            arena.recycle(low.into_cols());
+            out
+        };
+        arena.recycle(out.into_vec());
+    };
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..rounds {
+        best[0] = best[0].min(min_secs(|| old(&mut arena), iters));
+        best[1] = best[1].min(min_secs(
+            || {
+                let out =
+                    ops::conv2d_with(&input, &weight, None, cfg, None, None, &mut arena).unwrap();
+                arena.recycle(out.into_vec());
+            },
+            iters,
+        ));
+    }
+    (best[0], best[1])
+}
+
+/// Whether the small-plane rule admits a [`SMALL_PLANE_SHAPES`] entry.
+fn small_plane_rule_picks((c_in, c_out, side, stride): (usize, usize, usize, usize)) -> bool {
+    let input = Tensor::zeros([1, c_in, side, side]);
+    let weight = Tensor::zeros([c_out, c_in, 3, 3]);
+    ops::conv2d_small_plane(&input, &weight, Conv2dCfg::same(stride))
 }
 
 /// MobileNetV2's ten distinct 3x3 depthwise convolutions at CIFAR
@@ -542,7 +619,7 @@ fn fast_cfg() -> CampaignConfig {
 }
 
 /// The compiled-plan batched path (the default configuration): all eval
-/// images of a faulty suffix evaluated in one GEMM per node.
+/// images of a faulty suffix evaluated in one pass.
 fn batched_cfg() -> CampaignConfig {
     CampaignConfig::default()
 }
@@ -722,6 +799,23 @@ fn emit_bench_json() {
             )
         })
         .collect();
+    // Small-plane rows: the replaced path against the direct kernel, one
+    // image and four images wide (the micro workload's eval set).
+    let mut small_plane_entries = Vec::new();
+    for &shape in &SMALL_PLANE_SHAPES {
+        let (c_in, c_out, side, stride) = shape;
+        for images in [1, 4] {
+            let (old, direct) = small_plane_min_secs(shape, images, GEMM_ROUNDS, GEMM_ITERS);
+            small_plane_entries.push(format!(
+                "    {{\"family\": \"resnet20-micro\", \"conv\": \"{c_in}->{c_out} 3x3 s{stride} \
+                 @{side}x{side}\", \"images\": {images}, \"rule\": \"{}\", \"old_path\": \"{}\", \
+                 \"old_min_s\": {old:.9}, \"direct_min_s\": {direct:.9}, \"speedup\": {:.3}}}",
+                if small_plane_rule_picks(shape) { "small_plane" } else { "gemm" },
+                if images == 1 { "im2col" } else { "interleaved_panel" },
+                old / direct
+            ));
+        }
+    }
     let by_op = mbv2_forward_by_op_json();
 
     let baseline = run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
@@ -769,7 +863,7 @@ fn emit_bench_json() {
          \"gemm_iters_per_point\": {GEMM_ITERS},\n  \"campaign_iters_per_point\": \
          {CAMPAIGN_ITERS},\n  \"gemm\": [\n{}\n  ],\n  \"micro_meets_1_4x_on_two_largest\": \
          {micro_meets_1_4x},\n  \"panel_gemm\": [\n{}\n  ],\n  \"indirect\": [\n{}\n  ],\n  \
-         \"depthwise\": [\n{}\n  ],\n  \
+         \"small_plane\": [\n{}\n  ],\n  \"depthwise\": [\n{}\n  ],\n  \
          \"mbv2_forward_by_op\": {by_op},\n  \
          \"campaign\": {{\n    \"naive_uncached_mean_s\": {naive_s:.6},\n    \
          \"fast_cached_mean_s\": {fast_s:.6},\n    \"batched_plan_mean_s\": {batched_s:.6},\n    \
@@ -786,6 +880,7 @@ fn emit_bench_json() {
         gemm_entries.join(",\n"),
         panel_entries.join(",\n"),
         indirect_entries.join(",\n"),
+        small_plane_entries.join(",\n"),
         depthwise_entries.join(",\n"),
         e2e_vs_pr9 >= 1.3,
         speedup >= 1.5,
@@ -803,7 +898,9 @@ fn emit_bench_json() {
 /// heuristic must never pick a losing kernel — the panel GEMM is slower
 /// than per-call packing at any [`PANEL_SHAPES`] shape, the path the
 /// in-place rule picks is more than 10% slower than the other at any
-/// [`INDIRECT_SHAPES`] conv, the depthwise plane kernel is slower than
+/// [`INDIRECT_SHAPES`] conv, the small-plane kernel is more than 10%
+/// slower than the path it replaced at any [`SMALL_PLANE_SHAPES`] conv one
+/// or four images wide, the depthwise plane kernel is slower than
 /// the scalar loop at any depthwise shape, or the fixed-size depthwise
 /// kernel is more than 10% slower than the plane kernel at any shape the
 /// rule gives it, plus a
@@ -934,6 +1031,39 @@ fn smoke() -> i32 {
                  in-place {in_place:.6}s"
             );
             status = 1;
+        }
+    }
+
+    // Small-plane gate: the rule must admit every reduced ResNet-20 conv,
+    // and on each the direct kernel must not be more than 10% slower than
+    // the path it replaced, one image or four images wide (minimum of
+    // three rounds, one re-measure).
+    for &shape in &SMALL_PLANE_SHAPES {
+        let (c_in, c_out, side, stride) = shape;
+        let conv = format!("{c_in}->{c_out} 3x3 s{stride}@{side}");
+        if !small_plane_rule_picks(shape) {
+            eprintln!("FAIL: the small-plane rule no longer admits {conv}");
+            status = 1;
+        }
+        for images in [1, 4] {
+            let (mut old, mut direct) = small_plane_min_secs(shape, images, 3, ITERS);
+            if direct > old * 1.10 {
+                (old, direct) = small_plane_min_secs(shape, images, 3, ITERS);
+            }
+            println!(
+                "smoke small-plane {conv} x{images}: replaced path {:.1}us direct {:.1}us \
+                 (speedup {:.2}x)",
+                old * 1e6,
+                direct * 1e6,
+                old / direct
+            );
+            if direct > old * 1.10 {
+                eprintln!(
+                    "FAIL: the small-plane kernel is slower than the path it replaced at \
+                     {conv} x{images}: {direct:.6}s vs {old:.6}s"
+                );
+                status = 1;
+            }
         }
     }
 

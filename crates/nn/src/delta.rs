@@ -106,8 +106,8 @@ pub struct DeltaStats {
     /// row bands — the volume of the fault's dirty cone.
     pub dirty_blocks: u64,
     /// Output rows (per plane) the dense convs computed: a GEMM conv
-    /// computes the rows its input band reaches, a depthwise conv every
-    /// row.
+    /// computes the rows its input band reaches, a depthwise or
+    /// small-plane ([`ops::conv2d_small_plane`]) conv every row.
     pub conv_rows: u64,
     /// Output rows (per plane) of those same dense convs: the rows a
     /// full-height pass would compute.
@@ -356,12 +356,14 @@ impl Model {
         let golden_out = cache.get(out).expect("cache covers model");
         let rows_in = dirty().map(DeltaState::rows).reduce(union).expect("a dirty input");
         let rows = self.reach(id, rows_in, golden.shape());
-        // GEMM convs compute the band's rows; a depthwise conv computes
-        // every row whenever it runs.
+        // GEMM convs compute the band's rows; depthwise and small-plane
+        // convs compute every row whenever they run.
         let banded = match &node.op {
             NodeOp::Conv { weight, cfg, .. } => {
                 let h_out = golden.shape().h();
-                let gemm = ops::conv2d_uses_lowering(x0.0, param(*weight), *cfg);
+                let (x, w) = (x0.0, param(*weight));
+                let gemm =
+                    ops::conv2d_uses_lowering(x, w, *cfg) && !ops::conv2d_small_plane(x, w, *cfg);
                 let computed = match (rows.is_empty(), gemm) {
                     (true, _) => 0,
                     (false, true) => rows.len(),

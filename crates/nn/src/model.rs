@@ -393,8 +393,10 @@ impl Model {
     /// `kernels.rows` when given ([`ops::conv2d_rows_with`]), and every
     /// buffer comes from `arena` when there is one. A conv that
     /// [`ops::conv2d_reads_in_place`] multiplies `x0` in place (over
-    /// `kernels.panel`, or its weight packed once for the call) and every
-    /// other conv lowers `x0` itself.
+    /// `kernels.panel`, or its weight packed once for the call), a conv
+    /// that [`ops::conv2d_small_plane`] runs the direct small-plane kernel
+    /// (computing every row even with `kernels.rows`), and every other conv
+    /// lowers `x0` itself.
     /// [`KernelPolicy::Naive`] is the historical reference path: it clones
     /// every operand, allocates fresh, runs the naive GEMM and the scalar
     /// depthwise loop, and ignores the conv hints; it is never given an

@@ -29,8 +29,8 @@
 //! that step list from the faulted node on, with golden-convergence checks
 //! and a single-unit probe of the faulted node. It runs one image wide over
 //! a per-image golden cache, or E images wide over the stacked cache of
-//! all evaluation images, where each conv step costs one GEMM per fault
-//! instead of E.
+//! all evaluation images, which then share one walk, one probe and the
+//! faulted conv's cached im2col panel instead of E of each.
 //!
 //! # Bit-identity across widths
 //!
@@ -109,8 +109,8 @@ struct Pass<'a> {
 /// Maximum estimated suffix flops (per image) of a weight fault for its
 /// suffix pass to run all evaluation images at once
 /// ([`CompiledPlan::batched_profitable`]). Small suffixes are
-/// per-call-overhead-dominated, and batching the images into one GEMM per
-/// node wins; large suffixes are compute-bound, and the per-image GEMMs
+/// per-call-overhead-dominated, and running the images through one pass
+/// wins; large suffixes are compute-bound, and the per-image passes
 /// already run at full arithmetic throughput.
 pub const BATCHED_MAX_SUFFIX_FLOPS: u64 = 2_000_000;
 
@@ -133,8 +133,9 @@ pub struct CompiledPlan {
     /// Fusion group index a node is a *non-head* member of, if any.
     member: Vec<Option<usize>>,
     groups: Vec<FusedGroup>,
-    /// Conv nodes whose golden input lowers to im2col panels (depthwise
-    /// convs dispatch to a direct kernel and never lower).
+    /// Conv nodes whose golden input can lower to im2col panels, as the
+    /// first dirty conv's cached panel (depthwise convs dispatch to a
+    /// direct kernel and never lower).
     lowerable: Vec<bool>,
     /// Conv nodes whose per-image GEMMs read the golden input in place
     /// ([`ops::conv2d_reads_in_place`]) and so never need a per-image
@@ -452,12 +453,13 @@ impl CompiledPlan {
     ///
     /// The pass is as wide as `cache`: a per-image golden cache (batch 1)
     /// or the stacked cache of all E evaluation images, which then share
-    /// one pass. Each conv step keeps its width's kernel: one image runs
-    /// [`ops::conv2d_with`] (in place or over an im2col buffer), several
-    /// images one GEMM over their interleaved im2col panel. `lowered`
-    /// holds the im2col panels of the first dirty conv's golden input at
-    /// the cache's width, so that conv skips its lowering; `dirty_unit` is
-    /// the one output unit the weight fault can reach (see
+    /// one pass. Every conv step but the first dirty one runs the same
+    /// one-image kernels at either width: [`ops::conv2d_with`] reads the
+    /// input in place, runs the direct small-plane kernel, or lowers each
+    /// image to im2col, by the shape rules. `lowered` holds the im2col
+    /// panels of the first dirty conv's golden input at the cache's width,
+    /// so that conv skips its lowering; `dirty_unit` is the one output unit
+    /// the weight fault can reach (see
     /// [`Model::param_output_unit`]). Every conv except the first dirty
     /// one multiplies its golden weight panel, so the caller asserts that
     /// only node `first_dirty`'s parameters differ from the golden ones.
@@ -642,13 +644,12 @@ impl CompiledPlan {
 
     /// Evaluates step `id` of a suffix pass — with `epilogue`, the whole
     /// fusion group it heads. Golden prefix inputs are compacted to the
-    /// surviving rows when the converging pass has dropped images. A conv
-    /// multiplies its golden weight panel (never the first dirty node's):
-    /// the first dirty conv over `lowered` when given, a multi-image conv
-    /// that lowers as one register-tiled GEMM over the interleaved panel
-    /// (the wide-`n` shapes the `micro` dispatch tier owns), and every
-    /// other node through the model's fast per-op kernels, which treat the
-    /// batch dimension natively.
+    /// surviving rows when the converging pass has dropped images. The
+    /// first dirty conv runs over `lowered` when given; every other node
+    /// runs through the model's fast per-op kernels ([`Model::eval_node`],
+    /// so [`ops::conv2d_with`] for a conv), one image at a time inside the
+    /// batch, at either width. A conv multiplies its golden weight panel
+    /// when it has one, never the first dirty node's.
     fn eval_at(
         &self,
         model: &Model,
@@ -688,21 +689,6 @@ impl CompiledPlan {
                 let (w, b) = (param(*weight), bias.map(&param));
                 ops::conv2d_batched_from_lowered(low, w, b, epilogue.as_ref(), panel, Some(arena))
                     .map_err(wrap)
-            }
-            (NodeOp::Conv { weight, bias, cfg }, _) if batch > 1 && self.lowerable[id] => {
-                let (w, b) = (param(*weight), bias.map(&param));
-                let input = vals.get(node.inputs[0]);
-                let owned = ops::im2col_lower_batched(input, w, *cfg, Some(arena)).map_err(wrap)?;
-                let out = ops::conv2d_batched_from_lowered(
-                    &owned,
-                    w,
-                    b,
-                    epilogue.as_ref(),
-                    panel,
-                    Some(arena),
-                );
-                arena.recycle(owned.into_cols());
-                out.map_err(wrap)
             }
             _ => {
                 let x1 = node.inputs.get(1).map(|&i| vals.get(i));

@@ -82,6 +82,21 @@ pub enum GemmKernel {
     Naive,
 }
 
+/// The kernel of a non-depthwise convolution, as [`conv2d_path_with`]
+/// forces it. Every path is bit-identical to [`conv2d`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ConvPath {
+    /// Lower the input to an im2col column buffer, then one GEMM per image
+    /// and group.
+    Im2col,
+    /// One indirect GEMM per image over the zero-padded input
+    /// ([`conv2d_reads_in_place`]).
+    InPlace,
+    /// The direct small-plane kernel ([`conv2d_small_plane`]).
+    SmallPlane,
+}
+
 /// A convolution weight pre-packed for the `im2col` GEMM: one
 /// [`PackedLhs`] per channel group, each the group's
 /// `c_out/groups x (c_in/groups * k_h * k_w)` weight matrix in the
@@ -222,6 +237,41 @@ impl ConvDims {
         (self.is_depthwise(cfg) && cfg.stride == 1 && taps && square).then_some(self.h_in)
     }
 
+    /// The small-plane rule (see [`conv2d_small_plane`]): a conv the direct
+    /// kernel can run whose per-image GEMM the micro tier refuses.
+    fn small_plane(&self, cfg: Conv2dCfg) -> bool {
+        let (m, k, n) = (self.c_out, self.c_in * self.k_h * self.k_w, self.h_out * self.w_out);
+        self.fits_small_plane(cfg) && gemm_selected_kernel(m, k, n) != "micro"
+    }
+
+    /// Whether the small-plane kernel ([`small_plane_conv`]) can run this
+    /// conv at all: a stride-1 or stride-2, single-group, non-depthwise 3x3
+    /// conv with one pixel of padding from a square 4x4, 8x8 or 16x16
+    /// input plane to a 4x4, 8x8 or 16x16 output plane.
+    fn fits_small_plane(&self, cfg: Conv2dCfg) -> bool {
+        let side = |s: usize| matches!(s, 4 | 8 | SMALL_PLANE_MAX);
+        matches!(cfg.stride, 1 | 2)
+            && cfg.groups == 1
+            && !self.is_depthwise(cfg)
+            && (self.k_h, self.k_w, self.pad) == (3, 3, 1)
+            && self.h_in == self.w_in
+            && side(self.h_in)
+            && side(self.h_out)
+    }
+
+    /// The kernel [`conv2d_with`] runs a non-depthwise conv through: the
+    /// small-plane kernel, the in-place kernel, or im2col, by the constant
+    /// shape rules (which never both admit one conv).
+    fn path(&self, cfg: Conv2dCfg) -> ConvPath {
+        if self.small_plane(cfg) {
+            ConvPath::SmallPlane
+        } else if self.reads_in_place(cfg) {
+            ConvPath::InPlace
+        } else {
+            ConvPath::Im2col
+        }
+    }
+
     /// Whether the in-place kernel can run this conv at all: a stride-1,
     /// single-group, non-depthwise conv with a kernel larger than 1x1
     /// whose `NR`-lane tiles never straddle an output row. 1x1 convs stay
@@ -346,13 +396,16 @@ impl InPlace {
         }
     }
 
-    /// The column matrix of image `n` of `input`: the image itself when
-    /// unpadded, otherwise its zero-padded copy written into `padded`.
+    /// The column matrix of image `n` of `input` for the output rows
+    /// `rows`: the image itself when unpadded, otherwise its zero-padded
+    /// copy written into `padded` — only the padded rows
+    /// `r0 .. r1 - 1 + k_h` those output rows' windows read (stride 1).
     fn rhs<'a>(
         &'a self,
         d: &ConvDims,
         input: &'a [f32],
         n: usize,
+        rows: Range<usize>,
         padded: &'a mut [f32],
     ) -> IndirectRhs<'a> {
         let len = d.c_in * d.h_in * d.w_in;
@@ -360,25 +413,27 @@ impl InPlace {
         let src = if d.pad == 0 {
             image
         } else {
-            pad_image(image, d, self.pitch, padded);
+            let read = if rows.is_empty() { 0..0 } else { rows.start..rows.end - 1 + d.k_h };
+            pad_image(image, d, self.pitch, read, padded);
             &*padded
         };
         IndirectRhs { src, offs: &self.offs, w_out: d.w_out, pitch: self.pitch }
     }
 }
 
-/// Writes `image` (`c_in x h_in x w_in`) into `dst` with a `d.pad`-pixel
-/// zero border, rows `pitch` wide. Writes every element of `dst`, so a
-/// dirty recycled buffer is a safe destination. Pure data movement.
-fn pad_image(image: &[f32], d: &ConvDims, pitch: usize, dst: &mut [f32]) {
+/// Writes the rows `rows` of `image` (`c_in x h_in x w_in`) with a
+/// `d.pad`-pixel zero border, rows `pitch` wide, into each channel's
+/// padded plane in `dst`. Writes every element of those rows, so a dirty
+/// recycled buffer is a safe destination for a reader of those rows
+/// alone. Pure data movement.
+fn pad_image(image: &[f32], d: &ConvDims, pitch: usize, rows: Range<usize>, dst: &mut [f32]) {
     let (pad, h_in, w_in) = (d.pad, d.h_in, d.w_in);
     let plane = (h_in + 2 * pad) * pitch;
-    dst.fill(0.0);
-    for c in 0..d.c_in {
-        let src = &image[c * h_in * w_in..][..h_in * w_in];
-        let dst = &mut dst[c * plane + pad * pitch + pad..];
-        for ih in 0..h_in {
-            dst[ih * pitch..][..w_in].copy_from_slice(&src[ih * w_in..][..w_in]);
+    let inside = rows.start.max(pad)..rows.end.min(pad + h_in);
+    for (src, dst) in image.chunks_exact(h_in * w_in).zip(dst.chunks_exact_mut(plane)) {
+        dst[rows.start * pitch..rows.end * pitch].fill(0.0);
+        for r in inside.clone() {
+            dst[r * pitch + pad..][..w_in].copy_from_slice(&src[(r - pad) * w_in..][..w_in]);
         }
     }
 }
@@ -516,10 +571,10 @@ pub fn conv2d_kernel(
         (true, GemmKernel::Blocked) => {
             Ok(depthwise(input, weight, bias, cfg, &dims, dims.fixed_side(cfg), None, None))
         }
-        (false, GemmKernel::Blocked) if dims.reads_in_place(cfg) => {
-            Ok(in_place_conv(input, weight, bias, &dims, None, None, None, None))
+        (false, GemmKernel::Blocked) => {
+            Ok(dense_conv(input, weight, bias, cfg, &dims, dims.path(cfg), None, None, None, None))
         }
-        (false, _) => {
+        (false, GemmKernel::Naive) => {
             Ok(im2col_conv(input, weight, bias, cfg, &dims, kernel, None, None, None, None))
         }
     }
@@ -560,11 +615,12 @@ pub fn conv2d_with(
 ///
 /// Every computed element is bit-identical to [`conv2d_with`]'s. The GEMM
 /// paths run the same `k`-ordered chain per element over the band's output
-/// columns `[r0 * w_out, r1 * w_out)` alone: the in-place kernel reads
-/// those columns of the padded input, the im2col path lowers only the
-/// band's rows. `+ bias` and the epilogue then run on the band. Depthwise
-/// convs compute every row, then copy the rows outside the band from
-/// `band.base`. An empty band returns a copy of `band.base`.
+/// columns `[r0 * w_out, r1 * w_out)` alone: the in-place kernel pads and
+/// reads only the input rows those columns' windows cover, the im2col path
+/// lowers only the band's rows. `+ bias` and the epilogue then run on the
+/// band. Depthwise and small-plane ([`conv2d_small_plane`]) convs compute
+/// every row, then copy the rows outside the band from `band.base`. An
+/// empty band returns a copy of `band.base`.
 ///
 /// # Errors
 ///
@@ -616,29 +672,31 @@ fn conv_with(
         }
         Ok(out)
     } else {
-        let in_place = dims.reads_in_place(cfg);
-        Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, band, ep, packed, arena))
+        let path = dims.path(cfg);
+        Ok(dense_conv(input, weight, bias, cfg, &dims, path, band, ep, packed, Some(arena)))
     }
 }
 
 /// [`conv2d_with`] (over `band` when given, as [`conv2d_rows_with`]) with
-/// the in-place rule ([`conv2d_reads_in_place`]) overridden: `in_place`
-/// picks the indirect kernel over the input or the im2col path for any
-/// GEMM conv the indirect kernel can run. Bit-identical to [`conv2d`]
-/// followed by the unfused epilogue either way.
+/// the shape rules ([`conv2d_small_plane`], [`conv2d_reads_in_place`])
+/// overridden: `path` picks the kernel for any non-depthwise conv it can
+/// run. Bit-identical to [`conv2d`] followed by the unfused epilogue
+/// whichever it is.
 ///
-/// Bench and test use only: the kernels bench times both sides of the
-/// rule with it and the bit-identity suite forces both paths. Production
+/// Bench and test use only: the kernels bench times the sides of each
+/// rule with it and the bit-identity suite forces every path. Production
 /// callers use [`conv2d_with`] and [`conv2d_rows_with`], which follow the
-/// rule.
+/// rules.
 ///
 /// # Errors
 ///
 /// Same conditions as [`conv2d_rows_with`], plus
-/// [`TensorError::InvalidConfig`] for a depthwise conv (it has no GEMM
-/// path), and for `in_place` on a conv that is not stride-1 and
-/// single-group, has a 1x1 kernel, or whose output rows split the
-/// kernel's 8-lane tiles.
+/// [`TensorError::InvalidConfig`] for a depthwise conv (it has none of
+/// these paths); for [`ConvPath::InPlace`] on a conv that is not stride-1
+/// and single-group, has a 1x1 kernel, or whose output rows split the
+/// kernel's 8-lane tiles; and for [`ConvPath::SmallPlane`] on a conv that
+/// is not a stride-1 or stride-2, single-group 3x3 conv with one pixel of
+/// padding between square 4x4, 8x8 or 16x16 planes.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_path_with(
@@ -646,7 +704,7 @@ pub fn conv2d_path_with(
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
-    in_place: bool,
+    path: ConvPath,
     band: Option<&ConvRows<'_>>,
     epilogue: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
@@ -660,14 +718,16 @@ pub fn conv2d_path_with(
     if let Some(b) = band {
         b.check(OP, &dims)?;
     }
-    if dims.is_depthwise(cfg) || (in_place && !dims.fits_in_place(cfg)) {
-        return Err(TensorError::InvalidConfig {
-            op: OP,
-            reason: format!("no {} GEMM path", if in_place { "in-place" } else { "im2col" }),
-        });
+    let fits = match path {
+        ConvPath::Im2col => true,
+        ConvPath::InPlace => dims.fits_in_place(cfg),
+        ConvPath::SmallPlane => dims.fits_small_plane(cfg),
+    };
+    if dims.is_depthwise(cfg) || !fits {
+        return Err(TensorError::InvalidConfig { op: OP, reason: format!("no {path:?} path") });
     }
     let ep = ConvEpilogue::checked(OP, epilogue, dims.c_out)?;
-    Ok(gemm_conv(input, weight, bias, cfg, &dims, in_place, band, ep, packed, arena))
+    Ok(dense_conv(input, weight, bias, cfg, &dims, path, band, ep, packed, Some(arena)))
 }
 
 /// [`conv2d_with`] on a depthwise conv with the fixed-size rule
@@ -706,26 +766,31 @@ pub fn depthwise_path_with(
     Ok(depthwise(input, weight, bias, cfg, &dims, side, ep, Some(arena)))
 }
 
-/// The GEMM conv of [`conv2d_with`] and [`conv2d_rows_with`]: in place or
-/// over an im2col buffer, over `band` or every row.
+/// The non-depthwise conv of [`conv2d_with`] and [`conv2d_rows_with`]
+/// through `path`, over `band` or every row. The small-plane kernel
+/// multiplies the weight itself and never reads `packed`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_conv(
+fn dense_conv(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: Conv2dCfg,
     d: &ConvDims,
-    in_place: bool,
+    path: ConvPath,
     band: Option<&ConvRows<'_>>,
     ep: Option<&ConvEpilogue<'_>>,
     packed: Option<&PackedConvWeight>,
-    arena: &mut ScratchArena,
+    arena: Option<&mut ScratchArena>,
 ) -> Tensor {
-    if in_place {
-        in_place_conv(input, weight, bias, d, band, ep, packed, Some(arena))
-    } else {
-        let kernel = GemmKernel::Blocked;
-        im2col_conv(input, weight, bias, cfg, d, kernel, band, ep, packed, Some(arena))
+    match path {
+        ConvPath::SmallPlane => {
+            small_plane_conv(input, weight, bias, cfg.stride, d, band, ep, arena)
+        }
+        ConvPath::InPlace => in_place_conv(input, weight, bias, d, band, ep, packed, arena),
+        ConvPath::Im2col => {
+            let kernel = GemmKernel::Blocked;
+            im2col_conv(input, weight, bias, cfg, d, kernel, band, ep, packed, arena)
+        }
     }
 }
 
@@ -809,9 +874,11 @@ pub fn conv2d_im2col(
 /// depthwise one. Depthwise-dispatched and invalid configurations return
 /// `false`.
 ///
-/// Not every such conv lowers at every width: one-image GEMMs of the convs
-/// [`conv2d_reads_in_place`] accepts read the input in place, and only
-/// multi-image panels lower them.
+/// [`conv2d_with`] does not lower every such conv: at any batch width it
+/// reads the convs [`conv2d_reads_in_place`] accepts in place, and runs
+/// the convs [`conv2d_small_plane`] accepts through the direct small-plane
+/// kernel. A lowering of such a conv's input is only ever read through
+/// [`conv2d_batched_from_lowered`] and [`conv2d_channel_batched`].
 pub fn conv2d_uses_lowering(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> bool {
     match validate(input, weight, None, cfg) {
         Ok(d) => !d.is_depthwise(cfg),
@@ -846,6 +913,22 @@ pub fn conv2d_reads_in_place(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) ->
 pub fn conv2d_depthwise_fixed(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> bool {
     match validate(input, weight, None, cfg) {
         Ok(d) => d.fixed_side(cfg).is_some(),
+        Err(_) => false,
+    }
+}
+
+/// Whether [`conv2d`] and [`conv2d_with`] run `(input, weight, cfg)`
+/// through the direct small-plane kernel instead of a GEMM: a stride-1 or
+/// stride-2, single-group, non-depthwise 3x3 conv with one pixel of
+/// padding from a square 4x4, 8x8 or 16x16 input plane to a 4x4, 8x8 or
+/// 16x16 output plane, whose per-image GEMM the register-tiled micro tier
+/// refuses (so the GEMM path would lower the image to im2col and run a
+/// small naive multiply). A constant shape predicate, like
+/// [`conv2d_depthwise_fixed`]; the kernel is bit-identical to the im2col
+/// path. Invalid configurations return `false`.
+pub fn conv2d_small_plane(input: &Tensor, weight: &Tensor, cfg: Conv2dCfg) -> bool {
+    match validate(input, weight, None, cfg) {
+        Ok(d) => d.small_plane(cfg),
         Err(_) => false,
     }
 }
@@ -893,7 +976,7 @@ pub fn conv2d_channel_in_place(
         None => vec![0.0f32; d.batch * n],
     };
     for img in 0..d.batch {
-        let rhs = geometry.rhs(&d, input.as_slice(), img, &mut padded);
+        let rhs = geometry.rhs(&d, input.as_slice(), img, 0..d.h_out, &mut padded);
         gemm_row_indirect(k, n, w_row, &rhs, &mut out[img * n..][..n]);
     }
     if let Some(b) = bias {
@@ -1552,7 +1635,9 @@ fn im2col_conv(
 /// indirect GEMM of the weight — `packed`'s golden panels, or the weight
 /// packed once for the whole call — against the band's output columns of
 /// the image's zero-padded copy (or the image itself when unpadded), then
-/// the bias and the epilogue on those columns. The band's columns
+/// the bias and the epilogue on those columns. Only the padded input rows
+/// those columns' windows read are written, so a narrow band pays for its
+/// own rows only. The band's columns
 /// `[r0 * w_out, r1 * w_out)` start and end on whole output rows, so on
 /// whole `NR`-lane tiles.
 ///
@@ -1587,7 +1672,7 @@ fn in_place_conv(
     let geometry = InPlace::new(d);
     let mut padded = take_buf(arena.as_deref_mut(), geometry.padded_len(d));
     for img in 0..d.batch {
-        let rhs = geometry.rhs(d, input.as_slice(), img, &mut padded);
+        let rhs = geometry.rhs(d, input.as_slice(), img, rows.clone(), &mut padded);
         let image = &mut out_data[img * m * n..][..m * n];
         gemm_indirect(m, k, n, cols.clone(), a, &rhs, image);
         finish_image(image, bias, ep, n, cols.clone());
@@ -1598,6 +1683,99 @@ fn in_place_conv(
     }
     Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out_data)
         .expect("output length follows from conv dims")
+}
+
+/// Largest plane side of [`small_plane_conv`].
+const SMALL_PLANE_MAX: usize = 16;
+
+/// The direct small-plane convolution of a conv that
+/// [`ConvDims::small_plane`]: per image, each input channel is padded once
+/// into an `(h_in + 2) x (h_in + 2)` plane, then [`small_plane_image`] adds
+/// every tap's products into the zeroed output planes, then `+ bias` and
+/// the epilogue run over the image ([`finish_image`]). With a band, every
+/// row is computed and the rows outside it are copied from `band.base`, as
+/// for depthwise convs.
+#[allow(clippy::too_many_arguments)]
+fn small_plane_conv(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    d: &ConvDims,
+    band: Option<&ConvRows<'_>>,
+    ep: Option<&ConvEpilogue<'_>>,
+    mut arena: Option<&mut ScratchArena>,
+) -> Tensor {
+    let (s, pitch) = (d.h_out, d.h_in + 2);
+    let (plane, image_len) = (s * s, d.c_out * s * s);
+    let mut out = match arena.as_deref_mut() {
+        Some(a) => a.take_zeroed(d.batch * image_len),
+        None => vec![0.0f32; d.batch * image_len],
+    };
+    let mut padded = take_buf(arena.as_deref_mut(), d.c_in * pitch * pitch);
+    let w = weight.as_slice();
+    let x_len = d.c_in * d.h_in * d.w_in;
+    for (x, y) in input.as_slice().chunks_exact(x_len).zip(out.chunks_exact_mut(image_len)) {
+        pad_image(x, d, pitch, 0..pitch, &mut padded);
+        match (s, stride) {
+            (4, 1) => small_plane_image::<4, 1>(&padded, w, d.c_in, y),
+            (8, 1) => small_plane_image::<8, 1>(&padded, w, d.c_in, y),
+            (16, 1) => small_plane_image::<16, 1>(&padded, w, d.c_in, y),
+            (4, _) => small_plane_image::<4, 2>(&padded, w, d.c_in, y),
+            _ => small_plane_image::<8, 2>(&padded, w, d.c_in, y),
+        }
+        finish_image(y, bias, ep, plane, 0..plane);
+    }
+    if let Some(b) = band {
+        copy_outside(&mut out, d, b);
+    }
+    if let Some(a) = arena {
+        a.recycle(padded);
+    }
+    Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out)
+        .expect("output length follows from conv dims")
+}
+
+/// One image of [`small_plane_conv`] onto `S x S` output planes at stride
+/// `STRIDE`: for each tap `(ci, kh, kw)` in increasing order, the shifted
+/// plane that tap reads from the padded input (`c_in` planes of
+/// `(STRIDE * S + 2)²`) is built once, and `w[co][ci][kh][kw] * shifted` is
+/// added to every output plane `co` of the zeroed `y`. The constant plane
+/// size lets the compiler unroll and vectorise both loops.
+///
+/// Bit-identical to the im2col path: each output element starts from `+0`
+/// and receives the same products — padding zeros multiplied, not
+/// skipped — one multiply and one add at a time in increasing-`k` order,
+/// the chain of the naive GEMM over the column matrix. `#[inline(never)]`
+/// for the reason given on [`depthwise_planes`].
+#[inline(never)]
+fn small_plane_image<const S: usize, const STRIDE: usize>(
+    padded: &[f32],
+    w: &[f32],
+    c_in: usize,
+    y: &mut [f32],
+) {
+    let (pitch, plane, taps) = (STRIDE * S + 2, S * S, c_in * 9);
+    let mut buf = [0.0f32; SMALL_PLANE_MAX * SMALL_PLANE_MAX];
+    let shifted = &mut buf[..plane];
+    for tap in 0..taps {
+        let (ci, kh, kw) = (tap / 9, tap % 9 / 3, tap % 3);
+        let src = &padded[ci * pitch * pitch + kh * pitch + kw..];
+        for (oh, row) in shifted.chunks_exact_mut(S).enumerate() {
+            let src = &src[STRIDE * oh * pitch..][..STRIDE * (S - 1) + 1];
+            if STRIDE == 1 {
+                row.copy_from_slice(src);
+            } else {
+                row.iter_mut().zip(src.iter().step_by(STRIDE)).for_each(|(v, &x)| *v = x);
+            }
+        }
+        for (co, &wv) in w[tap..].iter().step_by(taps).enumerate() {
+            let y_plane = &mut y[co * plane..][..plane];
+            for (o, &xv) in y_plane.iter_mut().zip(shifted.iter()) {
+                *o += wv * xv;
+            }
+        }
+    }
 }
 
 /// Depthwise convolution (`groups == C_in == C_out`) on the fast path,

@@ -25,11 +25,11 @@ use proptest::prelude::*;
 use sfi_tensor::ops::{
     batch_norm, bn_channel_scale_shift, conv2d, conv2d_batched_from_lowered,
     conv2d_channel_batched, conv2d_channel_in_place, conv2d_depthwise_fixed, conv2d_direct,
-    conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_rows_with, conv2d_with,
-    depthwise_path_with, gemm, gemm_blocked, gemm_col, gemm_micro, gemm_micro_packed, gemm_row,
-    gemm_row_lanes, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg, ConvEpilogue,
-    ConvRows, FusedActivation, GemmKernel, PackedConvWeight, PackedLhs, Padding, COL_LANES,
-    MICRO_MR, MICRO_NR, MICRO_NR1,
+    conv2d_kernel, conv2d_path_with, conv2d_reads_in_place, conv2d_rows_with, conv2d_small_plane,
+    conv2d_with, depthwise_path_with, gemm, gemm_blocked, gemm_col, gemm_micro, gemm_micro_packed,
+    gemm_row, gemm_row_lanes, im2col_lower_batched, relu, relu6, BatchNormParams, Conv2dCfg,
+    ConvEpilogue, ConvPath, ConvRows, FusedActivation, GemmKernel, PackedConvWeight, PackedLhs,
+    Padding, COL_LANES, MICRO_MR, MICRO_NR, MICRO_NR1,
 };
 use sfi_tensor::{ScratchArena, Tensor};
 
@@ -733,10 +733,12 @@ proptest! {
         // Two rounds; the second consumes the first round's outputs, dirtied.
         for _ in 0..2 {
             let mut outs = vec![conv2d_with(&input, &weight, bias, cfg, None, panel, &mut arena).unwrap()];
-            let forced = [false, true].into_iter().filter(|&in_place| fits || !in_place);
-            for in_place in forced {
+            let forced = [ConvPath::Im2col, ConvPath::InPlace]
+                .into_iter()
+                .filter(|&path| fits || path == ConvPath::Im2col);
+            for path in forced {
                 outs.push(
-                    conv2d_path_with(&input, &weight, bias, cfg, in_place, None, None, panel, &mut arena)
+                    conv2d_path_with(&input, &weight, bias, cfg, path, None, None, panel, &mut arena)
                         .unwrap(),
                 );
             }
@@ -773,7 +775,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A banded conv (`conv2d_rows_with`, and `conv2d_path_with` over a
-    /// band with the in-place and the im2col path forced) computes the
+    /// band with the in-place, the im2col and, where it fits, the
+    /// small-plane path forced) computes the
     /// band's rows bit-identically to the naive conv followed by the
     /// unfused `batch_norm`/`relu` chain and copies every other row from
     /// the base tensor bit for bit: bands empty, of one middle row, of the
@@ -853,6 +856,8 @@ proptest! {
         let fits = !depthwise && stride == 1 && groups == 1 && kernel > 1
             && w_out.is_multiple_of(MICRO_NR);
         prop_assert!(fits || !in_place_shape);
+        let fits_small = !depthwise && groups == 1 && (kernel, pad) == (3, 1) && h_in == w_in
+            && [h_in, h_out].iter().all(|s| matches!(s, 4 | 8 | 16));
         let bn = batch_norm(&naive, &params).unwrap();
         let chains = [
             (naive.clone(), None),
@@ -877,11 +882,15 @@ proptest! {
                         &input, &weight, bias, cfg, &band, ep.as_ref(), panel, &mut arena,
                     )
                     .unwrap()];
-                    let forced = [false, true].into_iter().filter(|&f| !depthwise && (fits || !f));
-                    for in_place in forced {
+                    let forced = [
+                        (ConvPath::Im2col, !depthwise),
+                        (ConvPath::InPlace, fits),
+                        (ConvPath::SmallPlane, fits_small),
+                    ];
+                    for (path, _) in forced.into_iter().filter(|&(_, ok)| ok) {
                         outs.push(
                             conv2d_path_with(
-                                &input, &weight, bias, cfg, in_place, Some(&band), ep.as_ref(),
+                                &input, &weight, bias, cfg, path, Some(&band), ep.as_ref(),
                                 panel, &mut arena,
                             )
                             .unwrap(),
@@ -906,6 +915,181 @@ proptest! {
         let short = Tensor::zeros([batch, c_out, h_out, w_out + 1]);
         let wrong = ConvRows { rows: 0..1, base: &short };
         prop_assert!(conv2d_rows_with(&input, &weight, bias, cfg, &wrong, None, panel, &mut arena).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The direct small-plane kernel — through `conv2d` and `conv2d_with`
+    /// (the rule picks it), forced through `conv2d_path_with`, and banded
+    /// through `conv2d_rows_with` — is bit-identical to the naive im2col
+    /// conv followed by the unfused `batch_norm`/`relu` chain: 4x4, 8x8 and
+    /// 16x16 output planes at stride 1 and 4x4 and 8x8 at stride 2, with
+    /// channel counts inside the rule, batches of 1-4,
+    /// bias on and off, epilogues None, BN and BN+ReLU, one NaN family per
+    /// case with ±Inf and -0 operands and a non-finite weight on a border
+    /// tap (which meets the padding zeros), bands empty, of one middle row,
+    /// first, last, interior and full (rows outside the band copied from
+    /// the base), through NaN-dirtied arena buffers.
+    #[test]
+    fn small_plane_conv_is_bit_identical(
+        batch in 1usize..5,
+        stride in 1usize..3,
+        side_pick in 0usize..3,
+        c_in in 1usize..12,
+        c_out in 1usize..12,
+        values in vec(fault_like_f32(), 4..12),
+        neg_zero_at in 0usize..12,
+        border_tap in 0usize..8,
+        border_at in 0usize..64,
+        with_bias in any::<bool>(),
+        nan_mode in any::<bool>(),
+    ) {
+        let mut values = one_nan_family(&values, nan_mode);
+        let at = neg_zero_at % values.len();
+        values[at] = -0.0;
+        // The micro tier takes an `m x 9 c_in x side²` GEMM from 16 Ki
+        // multiplies, so the rule admits `c_out * c_in` up to 113, 28 and 7
+        // on output planes of side 4, 8 and 16 (inputs at most 16x16).
+        let (side, max_product) = [(4, 113), (8, 28), (16, 7)][side_pick % (4 - stride)];
+        let in_side = stride * side;
+        let c_in = c_in.min(max_product);
+        let c_out = c_out.min(max_product / c_in).max(1);
+        // One input and one output channel make a depthwise conv.
+        let c_out = if c_in == 1 && c_out == 1 { 2 } else { c_out };
+        let cfg = Conv2dCfg::same(stride);
+        let input = Tensor::from_vec(
+            [batch, c_in, in_side, in_side],
+            cycled(&values, batch * c_in * in_side * in_side, 1, 0),
+        )
+        .unwrap();
+        let mut w = cycled(&values, c_out * c_in * 9, 5, 1);
+        // A non-finite weight on a border tap (a tap of the top row or the
+        // left column reads a padding zero at some output pixel at either
+        // stride): `0 * ±Inf` and `0 * NaN` must come out of both paths
+        // alike.
+        let tap = [0, 1, 2, 3, 6][border_tap % 5];
+        w[(border_at % (c_out * c_in)) * 9 + tap] = if nan_mode { f32::NAN } else { f32::INFINITY };
+        let weight = Tensor::from_vec([c_out, c_in, 3, 3], w).unwrap();
+        prop_assert!(conv2d_small_plane(&input, &weight, cfg), "{c_in}->{c_out}@{in_side} s{stride}");
+        prop_assert!(!conv2d_reads_in_place(&input, &weight, cfg));
+        let bias_t = Tensor::from_vec([c_out], cycled(&values, c_out, 3, 2)).unwrap();
+        let bias = with_bias.then_some(&bias_t);
+        // Finite batch-norm coefficients, as in the depthwise test above.
+        let finite = |len: usize, stride: usize, off: usize| -> Vec<f32> {
+            cycled(&values, len, stride, off)
+                .into_iter()
+                .map(|t| if t.is_finite() { t } else { 0.75 })
+                .collect()
+        };
+        let gamma = Tensor::from_vec([c_out], finite(c_out, 2, 1)).unwrap();
+        let beta = Tensor::from_vec([c_out], finite(c_out, 4, 2)).unwrap();
+        let mean = Tensor::from_vec([c_out], finite(c_out, 6, 0)).unwrap();
+        let var = Tensor::from_fn([c_out], |i| (i as f32).mul_add(0.13, 0.5));
+        let params = BatchNormParams { gamma: &gamma, beta: &beta, mean: &mean, var: &var, eps: 1e-5 };
+        let (scale, shift): (Vec<f32>, Vec<f32>) =
+            (0..c_out).map(|c| bn_channel_scale_shift(&params, c)).unzip();
+
+        let naive = conv2d_kernel(&input, &weight, bias, cfg, GemmKernel::Naive).unwrap();
+        assert_bits_equal(naive.as_slice(), conv2d(&input, &weight, bias, cfg).unwrap().as_slice());
+        let bn = batch_norm(&naive, &params).unwrap();
+        let chains = [
+            (naive.clone(), None),
+            (bn.clone(), Some(ConvEpilogue { bn: Some((&scale, &shift)), act: FusedActivation::None })),
+            (relu(&bn), Some(ConvEpilogue { bn: Some((&scale, &shift)), act: FusedActivation::Relu })),
+        ];
+        let base = Tensor::from_fn(naive.shape(), |i| f32::from_bits(0x7fc0_0000 | i as u32));
+        let mid = side / 2;
+        let bands = [0..0, mid..mid + 1, 0..1, side - 1..side, 1..side - 1, 0..side];
+
+        let mut arena = ScratchArena::new();
+        arena.recycle(vec![f32::NAN; naive.len().div_ceil(3)]);
+        arena.recycle(vec![f32::NAN; 5]);
+        let plane = side * side;
+        // Two rounds; the second consumes the first round's outputs, dirtied.
+        for _ in 0..2 {
+            for (want, ep) in &chains {
+                let ep = ep.as_ref();
+                let mut outs = vec![
+                    conv2d_with(&input, &weight, bias, cfg, ep, None, &mut arena).unwrap(),
+                    conv2d_path_with(
+                        &input, &weight, bias, cfg, ConvPath::SmallPlane, None, ep, None,
+                        &mut arena,
+                    )
+                    .unwrap(),
+                ];
+                for out in outs.drain(..) {
+                    assert_bits_equal(want.as_slice(), out.as_slice());
+                    let mut spent = out.into_vec();
+                    spent.fill(f32::NAN);
+                    arena.recycle(spent);
+                }
+                for rows in &bands {
+                    let band = ConvRows { rows: rows.clone(), base: &base };
+                    let out =
+                        conv2d_rows_with(&input, &weight, bias, cfg, &band, ep, None, &mut arena)
+                            .unwrap();
+                    for (p, y_plane) in out.as_slice().chunks_exact(plane).enumerate() {
+                        for (y, row) in y_plane.chunks_exact(side).enumerate() {
+                            let src = if rows.contains(&y) { want } else { &base };
+                            assert_bits_equal(&src.as_slice()[(p * side + y) * side..][..side], row);
+                        }
+                    }
+                    let mut spent = out.into_vec();
+                    spent.fill(f32::NAN);
+                    arena.recycle(spent);
+                }
+            }
+        }
+    }
+}
+
+/// The small-plane rule on the shapes it was measured on: every conv of
+/// the reduced ResNet-20 (`resnet20_micro`, width 2 at 16x16) — its stem,
+/// the 2->2 at 16x16, 4->4 at 8x8 and 8->8 at 4x4 stage convs and the two
+/// stride-2 convs — takes the direct kernel; full-width ResNet-20's 3x3
+/// convs (on the micro tier, or on planes above 16x16), the MobileNetV2
+/// stem, grouped, 1x1, unpadded, 5x5, non-square and depthwise convs, and
+/// strided convs onto 2x2 planes do not.
+#[test]
+fn small_plane_rule_covers_the_measured_shapes() {
+    let rule =
+        |(c_in, c_out, kernel, (h, w), cfg): (usize, usize, usize, (usize, usize), Conv2dCfg)| {
+            let input = Tensor::zeros([1, c_in, h, w]);
+            let weight = Tensor::zeros([c_out, c_in / cfg.groups, kernel, kernel]);
+            conv2d_small_plane(&input, &weight, cfg)
+        };
+    let s1 = Conv2dCfg::same(1);
+    for shape in [
+        (3, 2, 3, (16, 16), s1),
+        (2, 2, 3, (16, 16), s1),
+        (4, 4, 3, (8, 8), s1),
+        (8, 8, 3, (4, 4), s1),
+        (2, 4, 3, (16, 16), Conv2dCfg::same(2)),
+        (4, 8, 3, (8, 8), Conv2dCfg::same(2)),
+    ] {
+        assert!(rule(shape), "{shape:?} must take the small-plane kernel");
+    }
+    for shape in [
+        (3, 16, 3, (32, 32), s1),
+        (16, 16, 3, (32, 32), s1),
+        (32, 32, 3, (16, 16), s1),
+        (64, 64, 3, (8, 8), s1),
+        (3, 32, 3, (32, 32), s1),
+        (3, 3, 3, (16, 16), s1),
+        (16, 32, 3, (32, 32), Conv2dCfg::same(2)),
+        (32, 64, 3, (16, 16), Conv2dCfg::same(2)),
+        (4, 8, 3, (4, 4), Conv2dCfg::same(2)),
+        (4, 4, 3, (8, 8), s1.with_groups(2)),
+        (8, 8, 1, (4, 4), s1),
+        (8, 8, 3, (4, 4), Conv2dCfg::valid(1)),
+        (8, 8, 5, (4, 4), s1),
+        (4, 4, 3, (8, 4), s1),
+        (4, 4, 3, (4, 8), s1),
+        (8, 8, 3, (4, 4), s1.with_groups(8)),
+    ] {
+        assert!(!rule(shape), "{shape:?} must keep its GEMM or depthwise kernel");
     }
 }
 

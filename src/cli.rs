@@ -300,7 +300,7 @@ OPTIONS:
                               densely instead of as sparse deltas (run);
                               slower, same results
     --no-batched              evaluate eval images one at a time instead of in
-                              a single batched GEMM per node (run); slower,
+                              a single batched pass per fault (run); slower,
                               same results
     --trace-out <file>        write a JSONL event trace of the campaign (run);
                               summarize it later with `sfi trace report <file>`

@@ -732,6 +732,136 @@ fn fused_dense_suffix_allocates_nothing_after_warm_up() {
     }
 }
 
+/// Every conv of `resnet20_micro` runs the direct small-plane kernel
+/// (`ops::conv2d_small_plane`), at either width of the suffix pass. For an
+/// exponent flip, a mid-mantissa flip and a sign flip in each of its conv
+/// and linear layers, the pass four images wide reproduces each image's
+/// one-image pass bit for bit — convergence node and surviving logits —
+/// and both match the naive per-image suffix, with the convergence check
+/// off, on with the single-unit probe, and on with the first dirty conv's
+/// cached lowering. Then, after one warm-up fault, a second four-image
+/// pass through every small-plane conv takes all its arena buffers from
+/// the free list, with and without the convergence check.
+#[test]
+fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
+    const E: usize = 4;
+    let model = micro_resnet(3);
+    let (_, golden) = campaign_world(&model, model.input_dims()[1], E);
+    let golden = golden.with_lowering(&model).unwrap();
+    let plan = golden.plan();
+    let bcache = golden.batched_cache().unwrap();
+    assert_eq!(bcache.get(0).unwrap().shape().dims()[0], E);
+    let param = |p: usize| &model.store().get(p).unwrap().tensor;
+    let mut convs = 0;
+    for (id, node) in model.nodes().iter().enumerate() {
+        if let NodeOp::Conv { weight, cfg, .. } = &node.op {
+            let x = bcache.get(node.inputs[0]).unwrap();
+            assert!(ops::conv2d_small_plane(x, param(*weight), *cfg), "conv node {id}");
+            convs += 1;
+        }
+    }
+    assert!(convs >= 19, "resnet20_micro has {convs} convs");
+
+    let lower =
+        |faulty: &Model, node: NodeId, cache: &ActivationCache| match &faulty.nodes()[node].op {
+            NodeOp::Conv { weight, cfg, .. } if plan.is_lowerable_conv(node) => {
+                let input = cache.get(faulty.nodes()[node].inputs[0]).unwrap();
+                let w = &faulty.store().get(*weight).unwrap().tensor;
+                Some(ops::im2col_lower_batched(input, w, *cfg, None).unwrap())
+            }
+            _ => None,
+        };
+    let mut arena = ScratchArena::new();
+    for layer in model.weight_layers() {
+        let node = model.node_of_param(layer.param).unwrap();
+        let len = param(layer.param).len();
+        for (bit, idx) in [(30u32, 0usize), (19, len / 2), (31, len - 1)] {
+            let mut faulty = model.clone();
+            let w = &mut faulty.store_mut().get_mut(layer.param).unwrap().tensor;
+            w.as_mut_slice()[idx] = f32::from_bits(w.as_slice()[idx].to_bits() ^ (1 << bit));
+            let unit = model.param_output_unit(layer.param, idx);
+            let naive: Vec<Tensor> = (0..E)
+                .map(|img| {
+                    let opts =
+                        &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
+                    faulty.forward_suffix(Some(node), golden.cache(img), &[], opts).unwrap()
+                })
+                .collect();
+            let wide_low = lower(&faulty, node, bcache);
+            for (converge, use_low) in [(false, false), (true, false), (true, true)] {
+                let ctx =
+                    format!("node {node} idx {idx} bit {bit} converge={converge} low={use_low}");
+                let dirty_unit = unit.filter(|_| converge);
+                let low = wide_low.as_ref().filter(|_| use_low);
+                let wide = plan
+                    .weight_suffix(&faulty, node, bcache, low, dirty_unit, converge, &mut arena)
+                    .unwrap();
+                let classes = wide.classes;
+                let mut cursor = 0;
+                for (img, want) in naive.iter().enumerate() {
+                    let cache = golden.cache(img);
+                    let low_1 = lower(&faulty, node, cache).filter(|_| use_low);
+                    let one = plan
+                        .weight_suffix(
+                            &faulty,
+                            node,
+                            cache,
+                            low_1.as_ref(),
+                            dirty_unit,
+                            converge,
+                            &mut arena,
+                        )
+                        .unwrap();
+                    assert_eq!(one.converged_at, vec![wide.converged_at[img]], "{ctx} image {img}");
+                    match wide.converged_at[img] {
+                        Some(_) => {
+                            let out = cache.get(cache.len() - 1).unwrap();
+                            assert!(want.bits_equal(out), "{ctx} image {img} converged spuriously");
+                        }
+                        None => {
+                            let row = &wide.logits[cursor * classes..][..classes];
+                            cursor += 1;
+                            fixtures::assert_bits_equal(want.as_slice(), row);
+                            fixtures::assert_bits_equal(want.as_slice(), &one.logits);
+                        }
+                    }
+                    arena.recycle(one.logits);
+                }
+                assert_eq!(wide.logits.len(), cursor * classes, "{ctx}");
+                arena.recycle(wide.logits);
+            }
+        }
+    }
+
+    // The first stage's first conv: its suffix runs every later conv.
+    let layer = model.weight_layers()[1].clone();
+    let first = model.node_of_param(layer.param).unwrap();
+    let unit = model.param_output_unit(layer.param, 0);
+    let pass = |arena: &mut ScratchArena, bit: u32, converge: bool| {
+        let mut faulty = model.clone();
+        let w = &mut faulty.store_mut().get_mut(layer.param).unwrap().tensor;
+        w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << bit));
+        let dirty_unit = unit.filter(|_| converge);
+        let out =
+            plan.weight_suffix(&faulty, first, bcache, None, dirty_unit, converge, arena).unwrap();
+        arena.recycle(out.logits);
+    };
+    for converge in [false, true] {
+        let mut arena = ScratchArena::new();
+        pass(&mut arena, 30, converge);
+        let before = arena.stats();
+        pass(&mut arena, 29, converge);
+        let after = arena.stats();
+        let takes = after.takes - before.takes;
+        assert!(takes > 0, "converge={converge}: the suffix draws its buffers from the arena");
+        assert_eq!(
+            takes,
+            after.reuses - before.reuses,
+            "converge={converge}: a warm E-wide suffix allocates nothing new"
+        );
+    }
+}
+
 /// One site per stage of `model`: the middle element of the first conv
 /// output at each plane size, plus the input.
 fn stage_sites(model: &Model, cache: &ActivationCache) -> Vec<(NodeId, usize)> {
