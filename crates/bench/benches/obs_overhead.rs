@@ -49,9 +49,10 @@ fn bit_level_faults(space: &FaultSpace, per_bit: u64) -> Vec<Fault> {
 }
 
 /// The pre-observability classification loop, hand-rolled from public
-/// APIs: inject, run the plan's suffix pass from the dirty node at the
-/// width the plan picks (all images at once, over a worker's shared panel,
-/// or one image at a time over the cached lowering) — converging, with the
+/// APIs: inject, run the plan's suffix pass from the dirty node over
+/// chunks of the per-image golden caches as wide as the plan picks (all
+/// images at once, over a worker's shared panel, or one image at a time
+/// over the cached lowering) — converging, with the
 /// single-unit probe armed — count mismatches against the golden top-1
 /// with early exit, revert. No probe anywhere — this is the baseline the
 /// instrumented executor is gated against.
@@ -77,29 +78,17 @@ fn classify_probe_free(
             let mut failed = false;
             let dirty = injection.dirty_node;
             let unit = model.param_output_unit(injection.param, injection.index);
-            let stacked = golden.batched_cache().filter(|_| plan.batched_profitable(dirty));
-            let width = if stacked.is_some() { data.len() } else { 1 };
-            'images: for first in (0..data.len()).step_by(width) {
-                let out = match stacked {
-                    Some(bcache) => {
-                        session.ensure_panel(model, plan, bcache, dirty).unwrap();
-                        let (arena, lowered) = session.arena_and_panel(dirty);
-                        plan.weight_suffix(model, dirty, bcache, lowered, unit, true, arena)
-                    }
-                    None => {
-                        let (cache, lowered) = (golden.cache(first), golden.lowering(dirty, first));
-                        plan.weight_suffix(
-                            model,
-                            dirty,
-                            cache,
-                            lowered,
-                            unit,
-                            true,
-                            &mut session.arena,
-                        )
-                    }
-                }
-                .unwrap();
+            let width = if plan.batched_profitable(dirty) { data.len() } else { 1 };
+            'images: for (c, chunk) in golden.caches().chunks(width).enumerate() {
+                let first = c * width;
+                let (arena, lowered) = if width == 1 {
+                    (&mut session.arena, golden.lowering(dirty, first))
+                } else {
+                    session.ensure_panel(model, plan, chunk, dirty).unwrap();
+                    session.arena_and_panel(dirty)
+                };
+                let out =
+                    plan.weight_suffix(model, dirty, chunk, lowered, unit, true, arena).unwrap();
                 let mut rows = out.logits.chunks_exact(out.classes.max(1));
                 for (i, converged_at) in out.converged_at.iter().enumerate() {
                     if converged_at.is_some() {

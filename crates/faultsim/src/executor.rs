@@ -86,10 +86,11 @@ use serde::{Deserialize, Serialize};
 use sfi_dataset::Dataset;
 use sfi_nn::plan::row_argmax;
 use sfi_nn::{
-    ActPatch, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, KernelPolicy, Model,
-    NodeId, SessionState, SuffixOutcome,
+    ActPatch, ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome,
+    KernelPolicy, Model, NodeId, SessionState, SuffixOutcome,
 };
 use sfi_obs::{Probe, WorkerProbe};
+use sfi_tensor::ops::BatchedLowered;
 use sfi_tensor::ScratchArena;
 
 use crate::activation::ActivationFault;
@@ -1076,15 +1077,16 @@ fn classify_reference(
 
 /// Classifies one injected weight fault on the compiled plan's suffix
 /// pass ([`CompiledPlan::weight_suffix`](sfi_nn::CompiledPlan::weight_suffix)),
-/// in chunks of images: all E images in one pass when the plan's static
+/// in chunks of the golden reference's per-image caches: all E images in
+/// one pass when [`CampaignConfig::batched`] is on and the plan's static
 /// cost rule picks that width
-/// ([`batched_profitable`](sfi_nn::CompiledPlan::batched_profitable)) and
-/// the golden reference holds the stacked cache, one image at a time
-/// otherwise. Each chunk's outcome replays the per-image [`Verdict`] in
-/// ascending image order, and every image's convergence node and logits
-/// row are the same at both widths, so classifications, early-exit
-/// behaviour and inference counts cannot depend on the width, at any
-/// worker count.
+/// ([`batched_profitable`](sfi_nn::CompiledPlan::batched_profitable)), one
+/// image at a time otherwise. Each chunk's outcome replays the per-image
+/// [`Verdict`] in ascending image order, and every image's convergence
+/// node and logits row are the same at both widths, so classifications,
+/// early-exit behaviour and inference counts cannot depend on the width,
+/// at any worker count. The width does not depend on the golden lowering
+/// cache either.
 ///
 /// With [`CampaignConfig::convergence`] each image's suffix stops at the
 /// first step whose recomputed activation is bit-identical to the golden
@@ -1095,12 +1097,13 @@ fn classify_reference(
 ///
 /// The caller injects before and reverts after; this function only
 /// evaluates. The first dirty conv skips its lowering: a one-image pass
-/// reads the golden reference's lowering cache, and an E-wide pass the
-/// panel built lazily in the worker's [`SessionState`] single-slot cache,
-/// shared by every same-node fault the depth-sorted stratum queue hands
-/// this worker. Both are sound because they lower the *golden* input
-/// activation (weight values never enter it), which is identical for every
-/// fault at the node.
+/// reads the golden reference's lowering cache when it was built, and an
+/// E-wide pass the panel gathered and lowered lazily from the chunk into
+/// the worker's [`SessionState`] single-slot cache, shared by every
+/// same-node fault the depth-sorted stratum queue hands this worker. Both
+/// are sound because they lower the *golden* input activation (weight
+/// values never enter it), which is identical for every fault at the
+/// node.
 fn classify_weight_suffix(
     model: &Model,
     golden: &GoldenReference,
@@ -1120,50 +1123,16 @@ fn classify_weight_suffix(
         .convergence
         .then(|| model.param_output_unit(injection.param, injection.index))
         .flatten();
-    let stacked = golden.batched_cache().filter(|_| cfg.batched && plan.batched_profitable(dirty));
-    let images = golden.len();
-    let width = if stacked.is_some() { images } else { 1 };
+    let width = if cfg.batched && plan.batched_profitable(dirty) { golden.len() } else { 1 };
     let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, dirty.max(1), wprobe);
-    verdict.tally.engine_batched = u64::from(stacked.is_some());
-    verdict.tally.engine_dense = u64::from(stacked.is_none());
-    for first in (0..images).step_by(width) {
+    verdict.tally.engine_batched = u64::from(width > 1);
+    verdict.tally.engine_dense = u64::from(width == 1);
+    for (c, chunk) in golden.caches().chunks(width).enumerate() {
+        let first = c * width;
         let timer = wprobe.inference_start();
-        let (outcome, arena) = match stacked {
-            Some(bcache) => {
-                if session.ensure_panel(model, plan, bcache, dirty)? {
-                    golden.record_panel_hit();
-                } else {
-                    golden.record_panel_miss();
-                }
-                let (arena, lowered) = session.arena_and_panel(dirty);
-                let out = plan.weight_suffix(
-                    model,
-                    dirty,
-                    bcache,
-                    lowered,
-                    dirty_unit,
-                    cfg.convergence,
-                    arena,
-                )?;
-                (out, arena)
-            }
-            None => {
-                // Only convs the cache can hold are looked up; in-place
-                // convs multiply the golden input directly.
-                let lowered = plan.lowers_per_image(dirty).then(|| golden.lowering(dirty, first));
-                let (cache, arena) = (golden.cache(first), &mut session.arena);
-                let out = plan.weight_suffix(
-                    model,
-                    dirty,
-                    cache,
-                    lowered.flatten(),
-                    dirty_unit,
-                    cfg.convergence,
-                    arena,
-                )?;
-                (out, arena)
-            }
-        };
+        let (arena, lowered) = suffix_panel(model, golden, chunk, first, dirty, session)?;
+        let outcome =
+            plan.weight_suffix(model, dirty, chunk, lowered, dirty_unit, cfg.convergence, arena)?;
         wprobe.inference_end(timer);
         let counted = verdict.tally.inferences;
         let more = verdict.replay(first, &outcome);
@@ -1178,6 +1147,29 @@ fn classify_weight_suffix(
         }
     }
     Ok(verdict.finish())
+}
+
+/// The worker's arena and the im2col panel of the first dirty conv's
+/// golden input for a suffix pass over `chunk`, whose first image is
+/// `first`: the golden reference's lowering cache one image wide (only
+/// convs the cache can hold are looked up; in-place convs multiply the
+/// golden input directly), the worker's session panel of the chunk
+/// wider, counted as a lowering hit or miss.
+pub(crate) fn suffix_panel<'s>(
+    model: &Model,
+    golden: &'s GoldenReference,
+    chunk: &[ActivationCache],
+    first: usize,
+    dirty: NodeId,
+    session: &'s mut SessionState,
+) -> Result<(&'s mut ScratchArena, Option<&'s BatchedLowered>), FaultSimError> {
+    let plan = golden.plan();
+    if chunk.len() == 1 {
+        let lowered = plan.lowers_per_image(dirty).then(|| golden.lowering(dirty, first));
+        return Ok((&mut session.arena, lowered.flatten()));
+    }
+    golden.record_panel(session.ensure_panel(model, plan, chunk, dirty)?);
+    Ok(session.arena_and_panel(dirty))
 }
 
 /// Classifies any [`CampaignFault`] variant: the executor's per-fault

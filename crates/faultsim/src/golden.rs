@@ -7,7 +7,6 @@ use std::sync::Arc;
 use sfi_dataset::Dataset;
 use sfi_nn::{ActivationCache, CompiledPlan, Model, NnError, NodeId, NodeOp};
 use sfi_tensor::ops::{self, BatchedLowered};
-use sfi_tensor::Tensor;
 
 use crate::FaultSimError;
 
@@ -33,25 +32,15 @@ struct LoweringCache {
     misses: Arc<AtomicU64>,
 }
 
-/// Golden state of the **batched** eval-image forward: the activation cache
-/// of all E images stacked into one input. Shared read-only across workers
-/// (the executor clones the whole [`GoldenReference`] behind an `Arc`).
-/// Batched im2col panels are *not* prebuilt here — each worker lazily
-/// builds the panel of the conv it is currently faulting into its
-/// [`SessionState`](sfi_nn::plan::SessionState) single-slot cache, sharing
-/// it across the adjacent same-node faults of the depth-sorted stratum
-/// queue. That bounds panel memory to one panel per worker instead of
-/// every conv's panel for the whole campaign.
-#[derive(Debug, Clone)]
-struct BatchedGolden {
-    cache: ActivationCache,
-}
-
 /// Golden top-1 predictions plus per-image activation caches.
 ///
 /// Built once per `(model, evaluation set)` pair; campaign workers share it
 /// read-only. The caches enable incremental re-execution: a fault in weight
 /// layer `l` re-runs inference from `l`'s node, reusing the cached prefix.
+/// They are the only golden activation store: a suffix pass over all E
+/// images reads them as one chunk ([`caches`](Self::caches)), and the
+/// faulted conv's E-wide im2col panel is built lazily into each worker's
+/// [`SessionState`](sfi_nn::plan::SessionState) single-slot cache.
 ///
 /// # Example
 ///
@@ -77,7 +66,6 @@ pub struct GoldenReference {
     caches: Vec<ActivationCache>,
     lowering: Option<LoweringCache>,
     plan: Arc<CompiledPlan>,
-    batched: Option<BatchedGolden>,
 }
 
 impl GoldenReference {
@@ -107,7 +95,6 @@ impl GoldenReference {
             caches,
             lowering: None,
             plan,
-            batched: None,
         })
     }
 
@@ -121,9 +108,9 @@ impl GoldenReference {
     /// would read their panels. The cached panels are consumed by the campaign
     /// executor when re-running the *faulted* conv itself: the faulted layer
     /// reads its golden input, so the lowering is valid for every fault in
-    /// the stratum. With more than one evaluation image this also builds
-    /// the stacked golden state that suffix passes over all images at once
-    /// classify against.
+    /// the stratum, by one-image suffix passes; an E-wide pass lowers its
+    /// chunk's input into the worker's session panel instead, so the
+    /// pass's width does not depend on this cache.
     ///
     /// # Errors
     ///
@@ -161,33 +148,7 @@ impl GoldenReference {
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
         });
-        if self.caches.len() > 1 {
-            self.build_batched(model)?;
-        }
         Ok(self)
-    }
-
-    /// Builds the batched golden state: stacks the E eval images into one
-    /// input and runs the fault-free model once over the stack. The batched
-    /// activations are bit-identical, image by image, to the per-image
-    /// caches (every operator treats the batch dimension independently), so
-    /// an all-images suffix pass classifies against the same golden bits.
-    /// At E = 1 the stack would be a copy of `caches[0]`, so
-    /// [`with_lowering`](Self::with_lowering) skips it there.
-    fn build_batched(&mut self, model: &Model) -> Result<(), FaultSimError> {
-        let first = self.caches[0].get(0).expect("cache covers all nodes");
-        let per_image = first.len();
-        let mut dims = first.shape().dims().to_vec();
-        dims[0] = self.caches.len();
-        let mut stacked = Vec::with_capacity(per_image * self.caches.len());
-        for cache in &self.caches {
-            stacked.extend_from_slice(cache.get(0).expect("cache covers all nodes").as_slice());
-        }
-        let input = Tensor::from_vec(sfi_tensor::Shape::new(&dims), stacked)
-            .expect("stacked images match the input shape");
-        let cache = model.forward_cached(&input)?;
-        self.batched = Some(BatchedGolden { cache });
-        Ok(())
     }
 
     /// Cached lowering of conv node `node`'s golden input for image `image`,
@@ -221,40 +182,22 @@ impl GoldenReference {
         &self.plan
     }
 
-    /// Whether the batched golden state (the stacked-image cache) was built:
-    /// by [`with_lowering`](Self::with_lowering) on more than one image.
-    /// Implies [`has_lowering`](Self::has_lowering).
-    pub fn has_batched(&self) -> bool {
-        self.batched.is_some()
-    }
-
-    /// The activation cache of the stacked eval images, when built.
-    pub fn batched_cache(&self) -> Option<&ActivationCache> {
-        self.batched.as_ref().map(|b| &b.cache)
-    }
-
-    /// Records one shared-panel reuse in the lowering-cache tallies: a
-    /// batched pass performs one panel lookup per fault (against the
-    /// worker's `SessionState` single-slot cache), not one per image.
-    pub fn record_panel_hit(&self) {
+    /// Records one shared-panel lookup in the lowering-cache tallies: a
+    /// reuse (`hit`), or a build or non-lowerable lookup. A batched pass
+    /// performs one lookup per fault (against the worker's `SessionState`
+    /// single-slot cache), not one per image.
+    pub fn record_panel(&self, hit: bool) {
         if let Some(cache) = &self.lowering {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
+            let tally = if hit { &cache.hits } else { &cache.misses };
+            tally.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Records one shared-panel build (or non-lowerable lookup) in the
-    /// lowering-cache tallies.
-    pub fn record_panel_miss(&self) {
-        if let Some(cache) = &self.lowering {
-            cache.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Heap bytes held by the batched golden state (0 when disabled).
-    /// Per-worker lazy panels are not included — they live in each
-    /// worker's arena-backed session slot, not in the shared reference.
+    /// Heap bytes held by a second, stacked golden store: always 0, since
+    /// the per-image caches are the only one. Kept for the end-to-end
+    /// benchmark, which still reports it as `faultsim.batched_mb`.
     pub fn batched_bytes(&self) -> usize {
-        self.batched.as_ref().map_or(0, |b| b.cache.memory_bytes())
+        0
     }
 
     /// Heap bytes held by the cached column matrices (0 when disabled).
@@ -328,12 +271,16 @@ impl GoldenReference {
         &self.caches[idx]
     }
 
+    /// Every image's activation cache, in image order: the chunks a suffix
+    /// pass reads ([`CompiledPlan::weight_suffix`]).
+    pub fn caches(&self) -> &[ActivationCache] {
+        &self.caches
+    }
+
     /// Total heap footprint of the activation caches plus any lowering
-    /// cache and batched golden state, in bytes.
+    /// cache, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.caches.iter().map(ActivationCache::memory_bytes).sum::<usize>()
-            + self.lowering_bytes()
-            + self.batched_bytes()
+        self.caches.iter().map(ActivationCache::memory_bytes).sum::<usize>() + self.lowering_bytes()
     }
 }
 
@@ -384,12 +331,8 @@ mod tests {
         let golden = plain.with_lowering(&model).unwrap();
         assert!(golden.has_lowering());
         assert!(golden.lowering_bytes() > 0);
-        assert!(golden.has_batched());
-        assert!(golden.batched_bytes() > 0);
-        assert_eq!(
-            golden.memory_bytes(),
-            base_bytes + golden.lowering_bytes() + golden.batched_bytes()
-        );
+        assert_eq!(golden.batched_bytes(), 0, "the per-image caches are the only golden store");
+        assert_eq!(golden.memory_bytes(), base_bytes + golden.lowering_bytes());
 
         let conv_nodes: Vec<usize> = model
             .nodes()
@@ -412,42 +355,6 @@ mod tests {
         // A non-conv node is an honest miss once the cache is enabled.
         assert!(golden.lowering(0, 0).is_none());
         assert_eq!(golden.lowering_misses(), 1);
-    }
-
-    #[test]
-    fn batched_cache_rows_match_per_image_bits() {
-        let model = ResNetConfig::resnet20_micro().build_seeded(8).unwrap();
-        let data = SynthCifarConfig::new().with_size(16).with_samples(3).generate();
-        let golden = GoldenReference::build(&model, &data).unwrap().with_lowering(&model).unwrap();
-        let batched = golden.batched_cache().expect("built by with_lowering");
-        assert_eq!(batched.len(), model.nodes().len());
-        assert_eq!(golden.plan().len(), model.nodes().len());
-        for id in 0..batched.len() {
-            let bt = batched.get(id).unwrap();
-            let per_image = bt.len() / golden.len();
-            for i in 0..golden.len() {
-                let row = &bt.as_slice()[i * per_image..][..per_image];
-                let gold = golden.cache(i).get(id).unwrap().as_slice();
-                assert_eq!(row.len(), gold.len());
-                for (a, b) in row.iter().zip(gold) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "node {id}, image {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn one_image_builds_no_batched_state() {
-        let model = ResNetConfig::resnet20_micro().build_seeded(8).unwrap();
-        let data = SynthCifarConfig::new().with_size(16).with_samples(1).generate();
-        let plain = GoldenReference::build(&model, &data).unwrap();
-        let base_bytes = plain.memory_bytes();
-        let golden = plain.with_lowering(&model).unwrap();
-        assert!(golden.has_lowering());
-        assert!(!golden.has_batched(), "a one-image stack would copy caches[0]");
-        assert!(golden.batched_cache().is_none());
-        assert_eq!(golden.batched_bytes(), 0);
-        assert_eq!(golden.memory_bytes(), base_bytes + golden.lowering_bytes());
     }
 
     #[test]

@@ -24,10 +24,11 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use sfi_dataset::Dataset;
-use sfi_nn::{ForwardOptions, Model};
-use sfi_tensor::{ScratchArena, Tensor};
+use sfi_nn::{ForwardOptions, Model, SessionState};
+use sfi_tensor::Tensor;
 
 use crate::campaign::{Corruption, Ieee754Corruption};
+use crate::executor::suffix_panel;
 use crate::fault::Fault;
 use crate::golden::GoldenReference;
 use crate::injector::{inject_with, revert};
@@ -142,10 +143,12 @@ pub fn run_campaign_detailed(
     let mut worker = model.clone();
     let mut classes = Vec::with_capacity(faults.len());
     let mut inferences = 0u64;
-    // One scratch arena for the whole campaign: every inference recycles
-    // its intermediate tensors, so allocation traffic amortizes to zero
-    // after the first image (mirrors the binary campaign's fast path).
-    let mut arena = ScratchArena::new();
+    // One session for the whole campaign: every inference recycles its
+    // intermediate tensors into its arena, so allocation traffic amortizes
+    // to zero after the first image (mirrors the binary campaign's fast
+    // path).
+    let mut session = SessionState::new();
+    let plan = golden.plan();
     for fault in faults {
         let injection =
             inject_with(&mut worker, fault, |f, original| Ieee754Corruption.corrupt(f, original))?;
@@ -156,26 +159,20 @@ pub fn run_campaign_detailed(
         }
         let mut any_mismatch = false;
         let mut any_nonfinite = false;
-        for idx in 0..data.len() {
+        // The plan's suffix pass one image wide, without early exit (the
+        // class reads the logits themselves; the E-wide width rule was
+        // measured on campaigns that stop early, not on this loop), or one
+        // full forward pass per image without incremental re-execution.
+        let dirty = injection.dirty_node;
+        for (idx, chunk) in golden.caches().chunks(1).enumerate() {
             let logits = if incremental {
-                // The plan's suffix pass one image wide, without early exit
-                // (the class reads the logits themselves); the first dirty
-                // conv reads its precomputed golden im2col panels when the
-                // golden reference carries them.
-                let dirty = injection.dirty_node;
-                let lowered = golden.lowering(dirty, idx);
-                let out = golden.plan().weight_suffix(
-                    &worker,
-                    dirty,
-                    golden.cache(idx),
-                    lowered,
-                    None,
-                    false,
-                    &mut arena,
-                )?;
+                let (arena, lowered) =
+                    suffix_panel(&worker, golden, chunk, idx, dirty, &mut session)?;
+                let out = plan.weight_suffix(&worker, dirty, chunk, lowered, None, false, arena)?;
                 Tensor::from_vec([1, out.classes], out.logits).expect("one logits row")
             } else {
-                let mut opts = ForwardOptions { arena: Some(&mut arena), ..Default::default() };
+                let mut opts =
+                    ForwardOptions { arena: Some(&mut session.arena), ..Default::default() };
                 worker.forward_with(data.image(idx), &mut opts)?
             };
             inferences += 1;

@@ -202,12 +202,6 @@ impl ActivationCache {
     pub fn memory_bytes(&self) -> usize {
         self.activations.iter().map(|t| t.len() * std::mem::size_of::<f32>()).sum()
     }
-
-    /// All cached activations in node order (the compiled-plan engine
-    /// resolves prefix reads against this slice directly).
-    pub(crate) fn activations(&self) -> &[Tensor] {
-        &self.activations
-    }
 }
 
 /// A CNN as a topologically ordered operator graph plus its parameters.
@@ -823,6 +817,7 @@ mod tests {
     use super::*;
     use crate::{NodeOp, ParamKind, SuffixOutcome};
     use sfi_tensor::ops::{BatchedLowered, Conv2dCfg};
+    use std::slice::from_ref;
 
     /// A tiny two-layer model: conv(1->2, 3x3) -> relu -> gap -> linear.
     fn tiny_model() -> Model {
@@ -938,7 +933,7 @@ mod tests {
         let plan = CompiledPlan::compile(&m, &m.forward_cached(&tiny_input()).unwrap()).unwrap();
         let arena = &mut ScratchArena::new();
         assert!(matches!(
-            plan.weight_suffix(&m, 1, &foreign, None, None, true, arena),
+            plan.weight_suffix(&m, 1, from_ref(&foreign), None, None, true, arena),
             Err(NnError::CacheMismatch { .. })
         ));
         let cache = m.forward_cached(&tiny_input()).unwrap();
@@ -1156,7 +1151,8 @@ mod tests {
         let plain = suffix(&m, Some(1), &cache, &[]).unwrap();
         let mut arena = ScratchArena::new();
         for low in [Some(&lowered), None] {
-            let out = plan.weight_suffix(&m, 1, &cache, low, None, false, &mut arena).unwrap();
+            let caches = from_ref(&cache);
+            let out = plan.weight_suffix(&m, 1, caches, low, None, false, &mut arena).unwrap();
             match per_image(out) {
                 ForwardOutcome::Logits(l) => assert_bits_equal(&plain, &l, "plan pass"),
                 other => panic!("pass without a convergence check gave {other:?}"),
@@ -1207,7 +1203,15 @@ mod tests {
         };
         let arena = &mut ScratchArena::new();
         let out = plan
-            .weight_suffix(faulty, first_dirty, cache, lowered.as_ref(), dirty_unit, true, arena)
+            .weight_suffix(
+                faulty,
+                first_dirty,
+                from_ref(cache),
+                lowered.as_ref(),
+                dirty_unit,
+                true,
+                arena,
+            )
             .unwrap();
         per_image(out)
     }

@@ -27,10 +27,12 @@
 //!
 //! The **weight-fault suffix pass** ([`CompiledPlan::weight_suffix`]) walks
 //! that step list from the faulted node on, with golden-convergence checks
-//! and a single-unit probe of the faulted node. It runs one image wide over
-//! a per-image golden cache, or E images wide over the stacked cache of
-//! all evaluation images, which then share one walk, one probe and the
-//! faulted conv's cached im2col panel instead of E of each.
+//! and a single-unit probe of the faulted node. It reads a chunk of the
+//! per-image golden caches and is as wide as the chunk: one image, reading
+//! that image's golden tensors in place, or all E evaluation images, which
+//! then share one walk, one probe and the faulted conv's cached im2col
+//! panel instead of E of each, and gather the golden rows they read into
+//! arena buffers. The per-image caches are the only golden store.
 //!
 //! # Bit-identity across widths
 //!
@@ -45,6 +47,7 @@
 //! node — the invariant the differential proptests in
 //! `tests/plan_equivalence.rs` pin.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,7 +56,7 @@ use sfi_tensor::ops::{
 };
 use sfi_tensor::{ScratchArena, Shape, Tensor};
 
-use crate::model::{NodeKernels, NodeValues};
+use crate::model::NodeKernels;
 use crate::{ActivationCache, KernelPolicy, Model, NnError, NodeId, NodeOp, ParamId};
 
 /// One conv+bn(+relu) fusion group: the conv (or depthwise conv) head,
@@ -93,16 +96,85 @@ pub(crate) fn vacant() -> Tensor {
     Tensor::from_vec([0], Vec::new()).expect("an empty shape holds no elements")
 }
 
-/// The operands one step of a suffix pass reads: the golden cache, the
-/// recomputed suffix values from `first_dirty` on, the first dirty conv's
-/// lowering, the cache's width and the images still in the panel.
+/// The golden activations of the images one suffix pass covers: one
+/// per-image cache each, in the chunk's order. Every golden read of the
+/// pass goes through here.
+#[derive(Clone, Copy)]
+struct Golden<'a> {
+    caches: &'a [ActivationCache],
+}
+
+impl<'a> Golden<'a> {
+    /// Checks that `caches` is a nonempty chunk of one-image caches of
+    /// `model`'s `n` nodes (the plan's).
+    fn new(caches: &'a [ActivationCache], n: usize, model: &Model) -> Result<Self, NnError> {
+        let one_image = |c: &ActivationCache| c.get(0).is_some_and(|t| t.shape().dims()[0] == 1);
+        let fits = |c: &ActivationCache| c.len() == n && one_image(c);
+        if caches.is_empty() || model.nodes().len() != n || !caches.iter().all(fits) {
+            let (nodes, chunk) = (model.nodes().len(), caches.len());
+            let reason =
+                format!("suffix pass: plan of {n} nodes, model of {nodes}, {chunk} caches");
+            return Err(NnError::CacheMismatch { reason });
+        }
+        Ok(Self { caches })
+    }
+
+    /// Number of images the chunk covers: the pass's width.
+    fn width(&self) -> usize {
+        self.caches.len()
+    }
+
+    /// Image `img`'s golden activation of node `id`.
+    fn tensor(&self, id: NodeId, img: usize) -> &'a Tensor {
+        self.caches[img].get(id).expect("cache covers all nodes")
+    }
+
+    /// Image `img`'s row of node `id`'s golden activation.
+    fn row(&self, id: NodeId, img: usize) -> &'a [f32] {
+        self.tensor(id, img).as_slice()
+    }
+
+    /// Node `id`'s golden activation at the images `rows` (ascending): the
+    /// cache's own tensor, uncopied, at width 1 while the image survives;
+    /// else [gathered](Self::gather).
+    fn rows(&self, id: NodeId, rows: &[usize], arena: &mut ScratchArena) -> Cow<'a, Tensor> {
+        if self.caches.len() == 1 && rows.len() == 1 {
+            return Cow::Borrowed(self.tensor(id, 0));
+        }
+        Cow::Owned(self.gather(id, rows, arena))
+    }
+
+    /// The rows of node `id`'s golden activation at the images `rows`,
+    /// copied into an arena buffer, which the caller recycles.
+    fn gather(&self, id: NodeId, rows: &[usize], arena: &mut ScratchArena) -> Tensor {
+        let first = self.tensor(id, 0);
+        let len = first.len();
+        let mut data = arena.take(rows.len() * len);
+        for (r, &img) in rows.iter().enumerate() {
+            data[r * len..][..len].copy_from_slice(self.row(id, img));
+        }
+        let mut dims = first.shape().dims().to_vec();
+        dims[0] = rows.len();
+        Tensor::from_vec(Shape::new(&dims), data).expect("rows keep the row shape")
+    }
+}
+
+/// Returns a gathered golden tensor's buffer to `arena`.
+fn recycle(golden: Cow<'_, Tensor>, arena: &mut ScratchArena) {
+    if let Cow::Owned(t) = golden {
+        arena.recycle(t.into_vec());
+    }
+}
+
+/// The operands one step of a suffix pass reads: the chunk's golden
+/// activations, the recomputed suffix values from `first_dirty` on, the
+/// first dirty conv's lowering and the images still in the panel.
 #[derive(Clone, Copy)]
 struct Pass<'a> {
     first_dirty: NodeId,
-    cache: &'a ActivationCache,
+    golden: Golden<'a>,
     fresh: &'a [Tensor],
     lowered: Option<&'a BatchedLowered>,
-    batch: usize,
     rows: &'a [usize],
 }
 
@@ -445,29 +517,33 @@ impl CompiledPlan {
     }
 
     /// The weight-fault suffix pass: re-executes nodes `first_dirty..`
-    /// over the golden activations in `cache` after a fault in the
+    /// over the golden activations in `caches` after a fault in the
     /// parameters of node `first_dirty`, on the plan's schedule — each
     /// fusion group the suffix enters at its head runs as one conv with a
     /// fused epilogue, and each recomputed activation goes back to `arena`
     /// once its last reader has run ([`CompiledPlan::flush_after`]).
     ///
-    /// The pass is as wide as `cache`: a per-image golden cache (batch 1)
-    /// or the stacked cache of all E evaluation images, which then share
-    /// one pass. Every conv step but the first dirty one runs the same
-    /// one-image kernels at either width: [`ops::conv2d_with`] reads the
-    /// input in place, runs the direct small-plane kernel, or lowers each
-    /// image to im2col, by the shape rules. `lowered` holds the im2col
-    /// panels of the first dirty conv's golden input at the cache's width,
-    /// so that conv skips its lowering; `dirty_unit` is the one output unit
-    /// the weight fault can reach (see
-    /// [`Model::param_output_unit`]). Every conv except the first dirty
-    /// one multiplies its golden weight panel, so the caller asserts that
-    /// only node `first_dirty`'s parameters differ from the golden ones.
+    /// `caches` is the chunk of evaluation images the pass covers, one
+    /// per-image golden cache each, and the pass is as wide as their count:
+    /// one image, or all E evaluation images, which then share one pass.
+    /// Golden reads of a one-image pass use the cache's tensors in place; a
+    /// wider pass gathers the rows of its surviving images into arena
+    /// buffers where a step reads a golden prefix input. Every conv step
+    /// but the first dirty one runs the same one-image kernels at either
+    /// width: [`ops::conv2d_with`] reads the input in place, runs the
+    /// direct small-plane kernel, or lowers each image to im2col, by the
+    /// shape rules. `lowered` holds the im2col panels of the first dirty
+    /// conv's golden input at the pass's width, so that conv skips its
+    /// lowering; `dirty_unit` is the one output unit the weight fault can
+    /// reach (see [`Model::param_output_unit`]). Every conv except the
+    /// first dirty one multiplies its golden weight panel, so the caller
+    /// asserts that only node `first_dirty`'s parameters differ from the
+    /// golden ones.
     ///
     /// With `check_convergence` this is a **converging** pass: after each
     /// step every surviving image's rows are compared bitwise
     /// (`u32`-reinterpreted, so NaN payloads and signed zeros count)
-    /// against the golden cache. Every operator is deterministic and
+    /// against its golden cache. Every operator is deterministic and
     /// bit-exact in its inputs, so an image's remaining suffix is provably
     /// golden once its current rows match and none of its *live dirty*
     /// values — recomputed activations that differ from golden and are
@@ -490,43 +566,35 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::CacheMismatch`] when the plan or cache does not
-    /// match the model, or the first operator failure.
+    /// Returns [`NnError::CacheMismatch`] when the plan or a cache does not
+    /// match the model, `caches` is empty or one of its caches holds more
+    /// than one image, or the first operator failure.
     #[allow(clippy::too_many_arguments)]
     pub fn weight_suffix(
         &self,
         model: &Model,
         first_dirty: NodeId,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         lowered: Option<&BatchedLowered>,
         dirty_unit: Option<usize>,
         check_convergence: bool,
         arena: &mut ScratchArena,
     ) -> Result<SuffixOutcome, NnError> {
         let n = self.n_nodes;
-        if model.nodes().len() != n || cache.len() != n {
-            return Err(NnError::CacheMismatch {
-                reason: format!(
-                    "suffix pass: plan covers {n} nodes, model has {}, cache {}",
-                    model.nodes().len(),
-                    cache.len()
-                ),
-            });
-        }
-        let batch = cache.get(0).expect("cache covers all nodes").shape().dims()[0];
-        let output = cache.get(n - 1).expect("nonempty");
-        let classes = output.len() / batch.max(1);
+        let golden = Golden::new(caches, n, model)?;
+        let batch = golden.width();
+        let classes = golden.row(n - 1, 0).len();
         let mut converged_at: Vec<Option<NodeId>> = vec![None; batch];
-        let first_dirty = first_dirty.max(1);
-        if first_dirty >= n {
-            let logits = output.as_slice().to_vec();
-            return Ok(SuffixOutcome { converged_at, logits, classes });
-        }
         // Per-image converging bookkeeping, indexed by ORIGINAL image id:
         // `rows[r]` maps the panel's surviving row `r` back to its image
         // (always ascending), `expiring[step * batch + img]` counts image
         // `img`'s dirty tensors whose last reader is `step`.
         let mut rows: Vec<usize> = (0..batch).collect();
+        let first_dirty = first_dirty.max(1);
+        if first_dirty >= n {
+            let logits = golden.rows(n - 1, &rows, arena).into_owned().into_vec();
+            return Ok(SuffixOutcome { converged_at, logits, classes });
+        }
         let mut keep: Vec<usize> = Vec::with_capacity(batch);
         let mut expiring: Vec<u32> = vec![0; if check_convergence { n * batch } else { 0 }];
         let mut live_dirty: Vec<u32> = vec![0; batch];
@@ -534,7 +602,7 @@ impl CompiledPlan {
         let mut start = first_dirty;
         if let (true, Some(unit)) = (check_convergence, dirty_unit) {
             if let UnitProbe::Probed { clean, dirty } =
-                self.probe_unit(model, first_dirty, cache, lowered, unit, arena)?
+                self.probe_unit(model, first_dirty, golden, lowered, unit, arena)?
             {
                 for (img, c) in clean.iter().enumerate() {
                     if *c {
@@ -565,13 +633,11 @@ impl CompiledPlan {
                 Some((out, ep)) => (out, Some(ep)),
                 None => (id, None),
             };
-            let pass = Pass { first_dirty, cache, fresh: &fresh, lowered, batch, rows: &rows };
+            let pass = Pass { first_dirty, golden, fresh: &fresh, lowered, rows: &rows };
             let mut value = self.eval_at(model, id, epilogue, &pass, arena)?;
             if check_convergence {
-                let golden = cache.get(out_node).expect("cache covers all nodes");
-                let chunk = golden.len() / batch;
-                let gbits = golden.as_slice();
                 let vbits = value.as_slice();
+                let chunk = vbits.len() / rows.len();
                 let lr = self.last_reader[out_node];
                 keep.clear();
                 for (r, &img) in rows.iter().enumerate() {
@@ -581,8 +647,7 @@ impl CompiledPlan {
                     for step in id..=out_node {
                         live_dirty[img] -= expiring[step * batch + img];
                     }
-                    let clean =
-                        bits_eq(&vbits[r * chunk..][..chunk], &gbits[img * chunk..][..chunk]);
+                    let clean = bits_eq(&vbits[r * chunk..][..chunk], golden.row(out_node, img));
                     if clean && live_dirty[img] == 0 {
                         converged_at[img] = Some(out_node);
                         continue;
@@ -643,13 +708,13 @@ impl CompiledPlan {
     }
 
     /// Evaluates step `id` of a suffix pass — with `epilogue`, the whole
-    /// fusion group it heads. Golden prefix inputs are compacted to the
-    /// surviving rows when the converging pass has dropped images. The
-    /// first dirty conv runs over `lowered` when given; every other node
-    /// runs through the model's fast per-op kernels ([`Model::eval_node`],
-    /// so [`ops::conv2d_with`] for a conv), one image at a time inside the
-    /// batch, at either width. A conv multiplies its golden weight panel
-    /// when it has one, never the first dirty node's.
+    /// fusion group it heads. Golden prefix inputs are the surviving
+    /// images' rows ([`Golden::rows`]). The first dirty conv runs over
+    /// `lowered` when given; every other node runs through the model's
+    /// fast per-op kernels ([`Model::eval_node`], so [`ops::conv2d_with`]
+    /// for a conv), one image at a time inside the batch, at either width.
+    /// A conv multiplies its golden weight panel when it has one, never the
+    /// first dirty node's.
     fn eval_at(
         &self,
         model: &Model,
@@ -658,49 +723,37 @@ impl CompiledPlan {
         pass: &Pass<'_>,
         arena: &mut ScratchArena,
     ) -> Result<Tensor, NnError> {
-        let Pass { first_dirty, cache, fresh, lowered, batch, rows } = *pass;
+        let Pass { first_dirty, golden, fresh, lowered, rows } = *pass;
         let node = &model.nodes()[id];
-        let mut compacted: Vec<(NodeId, Tensor)> = Vec::new();
-        if rows.len() < batch {
-            for &inp in &node.inputs {
-                if inp < first_dirty && !compacted.iter().any(|(held, _)| *held == inp) {
-                    let golden = cache.get(inp).expect("cache covers all nodes");
-                    compacted.push((inp, take_rows(golden, rows, arena)));
-                }
-            }
-        }
-        let vals = NodeValues {
-            prefix: cache.activations(),
-            overrides: &compacted,
-            suffix_base: first_dirty,
-            suffix: fresh,
-        };
         let panel = self.golden_panel(id, first_dirty);
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
         let wrap = |source| NnError::Op { node: id, source };
-        let out = match (&node.op, lowered) {
+        match (&node.op, lowered) {
             // The first dirty conv's golden-input panel is shared across
             // every fault at this node; the converging pass only evaluates
             // the seed node while all rows are still live, so the panel
             // never needs compaction.
             (NodeOp::Conv { weight, bias, .. }, Some(low))
-                if id == first_dirty && rows.len() == batch =>
+                if id == first_dirty && rows.len() == golden.width() =>
             {
                 let (w, b) = (param(*weight), bias.map(&param));
                 ops::conv2d_batched_from_lowered(low, w, b, epilogue.as_ref(), panel, Some(arena))
                     .map_err(wrap)
             }
             _ => {
-                let x1 = node.inputs.get(1).map(|&i| vals.get(i));
+                let mut input = |i: NodeId| match i.checked_sub(first_dirty) {
+                    Some(slot) => Cow::Borrowed(&fresh[slot]),
+                    None => golden.rows(i, rows, arena),
+                };
+                let x0 = input(node.inputs[0]);
+                let x1 = node.inputs.get(1).map(|&i| input(i));
                 let kernels =
                     NodeKernels { policy: KernelPolicy::Fast, panel, epilogue, rows: None };
-                model.eval_node(id, vals.get(node.inputs[0]), x1, kernels, Some(arena))
+                let out = model.eval_node(id, &x0, x1.as_deref(), kernels, Some(arena));
+                [Some(x0), x1].into_iter().flatten().for_each(|x| recycle(x, arena));
+                out
             }
-        };
-        for (_, t) in compacted {
-            arena.recycle(t.into_vec());
         }
-        out
     }
 
     /// The golden panel of conv node `id` for a pass whose faulted node is
@@ -723,7 +776,7 @@ impl CompiledPlan {
         &self,
         model: &Model,
         id: NodeId,
-        cache: &ActivationCache,
+        golden: Golden<'_>,
         lowered: Option<&BatchedLowered>,
         unit: usize,
         arena: &mut ScratchArena,
@@ -731,9 +784,9 @@ impl CompiledPlan {
         let node = &model.nodes()[id];
         let param = |p: ParamId| &model.store().get(p).expect("validated at construction").tensor;
         let wrap = |source| NnError::Op { node: id, source };
-        let golden = cache.get(id).expect("cache covers all nodes");
-        let x =
-            cache.get(node.inputs.first().copied().unwrap_or(0)).expect("cache covers all nodes");
+        let batch = golden.width();
+        let all: Vec<usize> = (0..batch).collect();
+        let input = node.inputs.first().copied().unwrap_or(0);
         let vals: Vec<f32> = match &node.op {
             NodeOp::Conv { weight, bias, cfg } => {
                 let w = param(*weight);
@@ -744,40 +797,37 @@ impl CompiledPlan {
                 match lowered {
                     Some(low) => ops::conv2d_channel_batched(low, w, b, unit, Some(arena)),
                     None if self.in_place[id] => {
-                        ops::conv2d_channel_in_place(x, w, b, *cfg, unit, Some(arena))
+                        let x = golden.rows(input, &all, arena);
+                        let out = ops::conv2d_channel_in_place(&x, w, b, *cfg, unit, Some(arena));
+                        recycle(x, arena);
+                        out
                     }
                     None => return Ok(UnitProbe::Unsupported),
                 }
                 .map_err(wrap)?
             }
             NodeOp::Linear { weight, bias } => {
-                let reshaped;
-                let x2 = if x.shape().rank() == 2 {
-                    x
-                } else {
-                    let b = x.shape().dims()[0];
-                    let rest = x.len() / b;
-                    reshaped = x.reshape([b, rest]).map_err(wrap)?;
-                    &reshaped
-                };
                 let w = param(*weight);
                 if unit >= w.shape().dims()[0] {
                     return Ok(UnitProbe::Unsupported);
                 }
-                ops::linear_row(x2, w, bias.map(&param), unit).map_err(wrap)?
+                let x = golden.rows(input, &all, arena);
+                let out = if x.shape().rank() == 2 {
+                    ops::linear_row(&x, w, bias.map(&param), unit)
+                } else {
+                    x.reshape([batch, x.len() / batch])
+                        .and_then(|x2| ops::linear_row(&x2, w, bias.map(&param), unit))
+                };
+                recycle(x, arena);
+                out.map_err(wrap)?
             }
             _ => return Ok(UnitProbe::Unsupported),
         };
-        let shape = golden.shape();
-        let dims = shape.dims();
-        let (batch, units) = (dims[0], dims[1]);
-        let chunk: usize = dims[2..].iter().product();
-        let g = golden.as_slice();
+        let shape = golden.tensor(id, 0).shape();
+        let chunk: usize = shape.dims()[2..].iter().product();
         let clean: Vec<bool> = (0..batch)
             .map(|n| {
-                let gs = &g[(n * units + unit) * chunk..][..chunk];
-                let vs = &vals[n * chunk..][..chunk];
-                bits_eq(gs, vs)
+                bits_eq(&golden.row(id, n)[unit * chunk..][..chunk], &vals[n * chunk..][..chunk])
             })
             .collect();
         let survivors: Vec<usize> = (0..batch).filter(|&n| !clean[n]).collect();
@@ -788,18 +838,13 @@ impl CompiledPlan {
         // Materialize the node's activation for the dirty images only:
         // their golden rows with the probed unit overwritten, already
         // compacted to the surviving panel width.
-        let row = units * chunk;
-        let mut data = arena.take(survivors.len() * row);
+        let mut t = golden.gather(id, &survivors, arena);
+        let row = shape.dims()[1] * chunk;
         for (r, &img) in survivors.iter().enumerate() {
-            let dst = &mut data[r * row..][..row];
-            dst.copy_from_slice(&g[img * row..][..row]);
-            dst[unit * chunk..][..chunk].copy_from_slice(&vals[img * chunk..][..chunk]);
+            t.as_mut_slice()[r * row + unit * chunk..][..chunk]
+                .copy_from_slice(&vals[img * chunk..][..chunk]);
         }
         arena.recycle(vals);
-        let mut nd = dims.to_vec();
-        nd[0] = survivors.len();
-        let t = Tensor::from_vec(Shape::new(&nd), data)
-            .expect("materialized activation matches golden row shape");
         Ok(UnitProbe::Probed { clean, dirty: Some(t) })
     }
 }
@@ -811,10 +856,9 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// Copies the given leading-axis rows of `t` into a new arena-backed
-/// tensor, preserving the per-row layout. The converging batched pass uses
-/// this both to drop converged images out of live suffix tensors (`keep` =
-/// surviving row indices) and to shrink full-batch golden prefix inputs to
-/// the surviving images (`keep` = image ids).
+/// tensor, preserving the per-row layout. The converging pass uses this to
+/// drop converged images out of live suffix tensors (`keep` = surviving
+/// row indices).
 fn take_rows(t: &Tensor, keep: &[usize], arena: &mut ScratchArena) -> Tensor {
     let shape = t.shape();
     let dims = shape.dims();
@@ -855,7 +899,7 @@ pub struct SessionState {
     /// The worker's scratch arena; persists across faults and campaigns.
     pub arena: ScratchArena,
     shared_peak: Option<Arc<AtomicU64>>,
-    /// The one batched golden-input panel this worker currently holds.
+    /// The one E-wide golden-input panel this worker currently holds.
     panel: Option<(NodeId, BatchedLowered)>,
 }
 
@@ -872,8 +916,11 @@ impl SessionState {
     }
 
     /// Ensures the panel slot holds the batched im2col panel of `node`'s
-    /// golden input (from the batched golden `cache`), building it into
-    /// this worker's arena when absent. Returns `true` when the held panel
+    /// golden input over the chunk `caches` (one per-image golden cache per
+    /// image of the pass, as [`CompiledPlan::weight_suffix`] takes them),
+    /// gathering that input and lowering it into this worker's arena when
+    /// absent. The slot is keyed by node alone: every E-wide pass of a
+    /// campaign covers the same chunk. Returns `true` when the held panel
     /// was reused (a sharing hit), `false` when it was (re)built or the
     /// node does not lower. The faulty weight values never enter the
     /// panel — lowering reads only the node's *input* activation and the
@@ -881,13 +928,13 @@ impl SessionState {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::CacheMismatch`] when the cache misses the node's
-    /// input, or the lowering kernel's first failure.
+    /// Returns [`NnError::CacheMismatch`] when the caches do not match the
+    /// plan, or the lowering kernel's first failure.
     pub fn ensure_panel(
         &mut self,
         model: &Model,
         plan: &CompiledPlan,
-        cache: &ActivationCache,
+        caches: &[ActivationCache],
         node: NodeId,
     ) -> Result<bool, NnError> {
         if !plan.is_lowerable_conv(node) {
@@ -900,16 +947,16 @@ impl SessionState {
             return Ok(false);
         };
         let w = &model.store().get(*weight).expect("validated at construction").tensor;
-        let input_id = model.nodes()[node].inputs[0];
-        let input = cache.get(input_id).ok_or_else(|| NnError::CacheMismatch {
-            reason: format!("panel build: batched cache misses node {input_id}"),
-        })?;
+        let golden = Golden::new(caches, plan.len(), model)?;
         if let Some((_, old)) = self.panel.take() {
             self.arena.recycle(old.into_cols());
         }
-        let built = ops::im2col_lower_batched(input, w, *cfg, Some(&mut self.arena))
-            .map_err(|source| NnError::Op { node, source })?;
-        self.panel = Some((node, built));
+        let all: Vec<usize> = (0..golden.width()).collect();
+        let input = golden.rows(model.nodes()[node].inputs[0], &all, &mut self.arena);
+        let built = ops::im2col_lower_batched(&input, w, *cfg, Some(&mut self.arena))
+            .map_err(|source| NnError::Op { node, source });
+        recycle(input, &mut self.arena);
+        self.panel = Some((node, built?));
         Ok(false)
     }
 
@@ -1026,43 +1073,48 @@ mod tests {
         assert!(plan.suffix_flops(1) > 0);
     }
 
+    /// Per-image golden caches of `n` deterministic inputs.
+    fn per_image_caches(model: &Model, n: usize, phase: f32) -> Vec<ActivationCache> {
+        (0..n)
+            .map(|s| {
+                let input =
+                    Tensor::from_fn([1, 3, 16, 16], |i| ((i + s * 31) as f32 * phase).cos());
+                model.forward_cached(&input).unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn batched_forward_matches_per_image_bitwise() {
-        let (model, _, _) = setup();
-        let images: Vec<Tensor> = (0..3)
-            .map(|s| Tensor::from_fn([1, 3, 16, 16], |i| ((i + s * 31) as f32 * 0.21).cos()))
-            .collect();
-        let mut stacked = Vec::new();
-        for img in &images {
-            stacked.extend_from_slice(img.as_slice());
-        }
-        let batched_input = Tensor::from_vec([3, 3, 16, 16], stacked).unwrap();
-        let bcache = model.forward_cached(&batched_input).unwrap();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let (model, _, plan) = setup();
+        let caches = per_image_caches(&model, 3, 0.21);
         let mut arena = ScratchArena::new();
-        // Re-run the whole graph batched (suffix start = 1, no probe, no
-        // convergence) and compare per-image rows to per-image passes.
-        let out = plan.weight_suffix(&model, 1, &bcache, None, None, false, &mut arena).unwrap();
+        // Re-run the whole graph three images wide (suffix start = 1, no
+        // probe, no convergence) and compare per-image rows to per-image
+        // passes.
+        let out = plan.weight_suffix(&model, 1, &caches, None, None, false, &mut arena).unwrap();
         assert_eq!(out.converged_at, vec![None; 3], "no convergence requested");
-        for (i, img) in images.iter().enumerate() {
-            let per_image = model.forward(img).unwrap();
+        for (i, cache) in caches.iter().enumerate() {
+            let per_image = model.forward(cache.get(0).unwrap()).unwrap();
             let row = &out.logits[i * out.classes..][..out.classes];
             for (a, b) in row.iter().zip(per_image.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "image {i}");
             }
         }
+        assert!(
+            plan.weight_suffix(&model, 1, &[], None, None, false, &mut arena).is_err(),
+            "an empty chunk is a cache mismatch"
+        );
     }
 
     #[test]
     fn batched_convergence_detects_golden_recompute() {
-        let (model, _, _) = setup();
-        let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.11).sin());
-        let bcache = model.forward_cached(&input).unwrap();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let (model, _, plan) = setup();
+        let caches = per_image_caches(&model, 2, 0.11);
         let mut arena = ScratchArena::new();
         // Nothing is dirty: recomputing from node 1 must converge every
         // image with no surviving logits rows.
-        let out = plan.weight_suffix(&model, 1, &bcache, None, None, true, &mut arena).unwrap();
+        let out = plan.weight_suffix(&model, 1, &caches, None, None, true, &mut arena).unwrap();
         let SuffixOutcome { converged_at, logits, .. } = out;
         assert_eq!(converged_at.len(), 2);
         assert!(converged_at.iter().all(Option::is_some), "golden recompute converges everywhere");
@@ -1071,20 +1123,18 @@ mod tests {
 
     #[test]
     fn session_state_panel_slot_hits_on_repeat_node() {
-        let (model, _, _) = setup();
-        let input = Tensor::from_fn([2, 3, 16, 16], |i| (i as f32 * 0.13).cos());
-        let bcache = model.forward_cached(&input).unwrap();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let (model, _, plan) = setup();
+        let caches = per_image_caches(&model, 2, 0.13);
         let conv = (1..plan.len()).find(|&id| plan.is_lowerable_conv(id)).expect("has convs");
         let other = (conv + 1..plan.len()).find(|&id| plan.is_lowerable_conv(id)).unwrap();
         let mut session = SessionState::new();
-        assert!(!session.ensure_panel(&model, &plan, &bcache, conv).unwrap(), "first build");
-        assert!(session.ensure_panel(&model, &plan, &bcache, conv).unwrap(), "repeat hits");
+        assert!(!session.ensure_panel(&model, &plan, &caches, conv).unwrap(), "first build");
+        assert!(session.ensure_panel(&model, &plan, &caches, conv).unwrap(), "repeat hits");
         let (_, panel) = session.arena_and_panel(conv);
         assert!(panel.is_some());
         let (_, wrong) = session.arena_and_panel(other);
         assert!(wrong.is_none(), "slot is keyed by node");
-        assert!(!session.ensure_panel(&model, &plan, &bcache, other).unwrap(), "rebuild on switch");
+        assert!(!session.ensure_panel(&model, &plan, &caches, other).unwrap(), "rebuild on switch");
         let (_, panel) = session.arena_and_panel(other);
         assert!(panel.is_some());
     }

@@ -350,8 +350,9 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
 
 /// The weight-fault forward oracle: asserts that the unfused incremental
 /// re-execution (`forward_suffix` from `first_dirty`, which must be the
-/// faulted parameter's node) and the plan's suffix pass as wide as `cache`
-/// (`plan` compiled from the golden model) reproduce the full
+/// faulted parameter's node) and the plan's suffix pass as wide as
+/// `cache`'s batch, over one golden cache per image (`cache`, `plan` and
+/// those caches all from the golden `model`), reproduce the full
 /// `Model::forward` of the faulted model bit for bit, and that the
 /// converging plan pass — the single-unit probe armed by `dirty_unit`, the
 /// node's golden-input lowering fed when its GEMM lowers per image —
@@ -359,6 +360,7 @@ pub fn random_small_input(seed: u64, model: &Model) -> Tensor {
 /// and on convergence dense logits that are bit-golden (so their
 /// prediction is the golden one). Returns the dense logits.
 pub fn assert_forward_equiv(
+    model: &Model,
     faulty: &Model,
     plan: &CompiledPlan,
     first_dirty: usize,
@@ -383,6 +385,10 @@ pub fn assert_forward_equiv(
         }
         _ => None,
     };
+    let d = model.input_dims();
+    let image = |x: &[f32]| Tensor::from_vec([1, d[0], d[1], d[2]], x.to_vec()).unwrap();
+    let images = cache.get(0).unwrap().as_slice().chunks_exact(d.iter().product());
+    let caches: Vec<_> = images.map(|x| model.forward_cached(&image(x)).unwrap()).collect();
     let mut arena = ScratchArena::new();
     let golden = cache.get(cache.len() - 1).unwrap();
     for (converge, dirty_unit) in [(false, None), (true, dirty_unit)] {
@@ -390,7 +396,7 @@ pub fn assert_forward_equiv(
             .weight_suffix(
                 faulty,
                 first_dirty,
-                cache,
+                &caches,
                 lowered.as_ref(),
                 dirty_unit,
                 converge,

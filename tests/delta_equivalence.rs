@@ -122,7 +122,7 @@ proptest! {
         let plan = CompiledPlan::compile(&model, &cache).unwrap();
         for (dirty_unit, tag) in [(unit, "probe"), (None, "dense-seed")] {
             let ctx = format!("seed={seed} pid={pid} idx={idx} {tag}");
-            assert_forward_equiv(&faulty, &plan, first_dirty, &cache, dirty_unit, &ctx);
+            assert_forward_equiv(&model, &faulty, &plan, first_dirty, &cache, dirty_unit, &ctx);
         }
     }
 }

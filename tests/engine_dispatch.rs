@@ -66,7 +66,6 @@ fn every_engine_fires_on_the_tier_it_owns() {
     let model = micro_resnet(3);
     let (data, golden) = campaign_world(&model, 16, 8);
     let golden = golden.with_lowering(&model).unwrap();
-    assert!(golden.has_batched(), "with_lowering builds the batched golden state");
     let cfg = CampaignConfig::default();
 
     // Weight tier: every fault on a batched-owned layer routes batched,
@@ -264,4 +263,38 @@ fn weight_dispatch_is_a_function_of_the_plan() {
         assert_eq!(res.engine_dense, first.engine_dense, "{ctx}: engine_dense");
         assert_eq!(res.engine_batched, first.engine_batched, "{ctx}: engine_batched");
     }
+}
+
+/// The E-wide width does not depend on the golden lowering cache. On
+/// `resnet20_micro` with 8 images, a golden reference built without
+/// `with_lowering` (what `sfi run --no-lowering-cache` builds) still runs
+/// the faults on batched-owned layers all 8 images wide, and classifies
+/// every fault exactly as the reference with the cache does: same engine
+/// counts, classes and inference counts.
+#[test]
+fn batched_width_does_not_need_the_lowering_cache() {
+    let model = micro_resnet(3);
+    let (data, plain) = campaign_world(&model, 16, 8);
+    assert!(!plain.has_lowering());
+    let lowered = plain.clone().with_lowering(&model).unwrap();
+    let mut faults = Vec::new();
+    for layer in 0..model.weight_layers().len() {
+        for bit in [22, 30] {
+            faults.extend(weight_faults(layer, bit, 2));
+        }
+    }
+    let cfg = CampaignConfig::default();
+    let without = run_campaign(&model, &data, &plain, &faults, &cfg).unwrap();
+    let with = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+    assert_engine_accounting(&without, "without the lowering cache");
+    assert!(
+        without.engine_batched > 0,
+        "no fault ran E wide without the lowering cache (dense={} batched={})",
+        without.engine_dense,
+        without.engine_batched
+    );
+    assert_eq!(without.engine_batched, with.engine_batched, "engine_batched");
+    assert_eq!(without.engine_dense, with.engine_dense, "engine_dense");
+    assert_eq!(without.classes, with.classes, "classes");
+    assert_eq!(without.inferences, with.inferences, "inferences");
 }

@@ -24,27 +24,17 @@ use sfi_faultsim::fault::{FaultModel, FaultSite};
 use sfi_faultsim::multi::AccumulatedFault;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{ActPatch, CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
-use sfi_nn::{ActivationCache, KernelPolicy, Model, NodeOp};
+use sfi_nn::{ActivationCache, KernelPolicy, Model, NodeOp, SessionState};
 use sfi_nn::{ForwardOutcome, NodeId, DELTA_SATURATION_DEFAULT};
 use sfi_tensor::ops;
 use sfi_tensor::{ScratchArena, Tensor};
+use std::slice::from_ref;
 
 /// ParamIds of every fault-injectable weight tensor in `model`.
 fn weight_params(model: &Model) -> Vec<usize> {
     (0..model.store().len())
         .filter(|&p| matches!(model.store().get(p).unwrap().kind, ParamKind::Weight { .. }))
         .collect()
-}
-
-/// Stacks `images` (each `[1, c, h, w]`) into one `[n, c, h, w]` batch.
-fn stack(images: &[Tensor]) -> Tensor {
-    let dims = images[0].shape().dims().to_vec();
-    let mut stacked = Vec::new();
-    for img in images {
-        stacked.extend_from_slice(img.as_slice());
-    }
-    let shape = [images.len(), dims[1], dims[2], dims[3]];
-    Tensor::from_vec(shape, stacked).unwrap()
 }
 
 /// Per-image deterministic inputs for `model` (batch 1 each).
@@ -62,14 +52,15 @@ fn per_image_inputs(model: &Model, n: usize, seed: u64) -> Vec<Tensor> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The suffix pass E images wide is bitwise-equal to the per-image
-    /// unfused re-execution on random small conv/bn/relu/add/pool graphs
-    /// under random single-bit weight faults — with guaranteed NaN/±Inf
-    /// coverage on top of uniform flips — with and without the single-unit
-    /// probe, cached lowered panels, and convergence checking. The same
-    /// pass one image wide over each per-image cache, with the one-image
-    /// lowering on and off, reports every image's convergence node and
-    /// surviving logits bits exactly as the E-wide pass does.
+    /// The suffix pass E images wide over the per-image caches is
+    /// bitwise-equal to the per-image unfused re-execution on random small
+    /// conv/bn/relu/add/pool graphs under random single-bit weight faults —
+    /// with guaranteed NaN/±Inf coverage on top of uniform flips — with and
+    /// without the single-unit probe, the session's lowered panel of the
+    /// chunk, and convergence checking. The same pass one image wide over
+    /// each per-image cache, with the one-image lowering on and off,
+    /// reports every image's convergence node and surviving logits bits
+    /// exactly as the E-wide pass does.
     #[test]
     fn batched_suffix_is_bitwise_equal_on_random_graphs(
         seed in 0u64..1_000_000,
@@ -80,11 +71,9 @@ proptest! {
     ) {
         let model = random_small_model(seed);
         let images = per_image_inputs(&model, 2 + (seed % 2) as usize, seed);
-        let batched_input = stack(&images);
-        let bcache = model.forward_cached(&batched_input).unwrap();
         let caches: Vec<_> =
             images.iter().map(|img| model.forward_cached(img).unwrap()).collect();
-        let plan = CompiledPlan::compile(&model, &bcache).unwrap();
+        let plan = CompiledPlan::compile(&model, &caches[0]).unwrap();
 
         let weights = weight_params(&model);
         let pid = weights[param_pick % weights.len()];
@@ -113,7 +102,8 @@ proptest! {
             .collect();
 
         // Golden im2col panels of the first dirty conv's input, at both
-        // widths, as the campaign executor would feed them.
+        // widths, as the campaign executor would feed them: the session
+        // panel gathered from the chunk, and each image's own lowering.
         let node = &faulty.nodes()[first_dirty];
         let lower = |cache: &ActivationCache| match &node.op {
             NodeOp::Conv { weight, cfg, .. } if plan.is_lowerable_conv(first_dirty) => {
@@ -123,7 +113,10 @@ proptest! {
             }
             _ => None,
         };
-        let lowered = lower(&bcache);
+        let mut session = SessionState::new();
+        session.ensure_panel(&faulty, &plan, &caches, first_dirty).unwrap();
+        let (_, lowered) = session.arena_and_panel(first_dirty);
+        prop_assert_eq!(lowered.is_some(), plan.is_lowerable_conv(first_dirty));
         let lowered_1: Vec<_> = caches.iter().map(lower).collect();
 
         let mut arena = ScratchArena::new();
@@ -139,8 +132,8 @@ proptest! {
                         .weight_suffix(
                             &faulty,
                             first_dirty,
-                            &bcache,
-                            if use_lowered { lowered.as_ref() } else { None },
+                            &caches,
+                            if use_lowered { lowered } else { None },
                             dirty_unit,
                             check_convergence,
                             &mut arena,
@@ -187,7 +180,7 @@ proptest! {
                             .weight_suffix(
                                 &faulty,
                                 first_dirty,
-                                &caches[i],
+                                from_ref(&caches[i]),
                                 low,
                                 dirty_unit,
                                 check_convergence,
@@ -221,9 +214,8 @@ proptest! {
 
     /// Campaign classifications and inference counts are identical with the
     /// batched engine on and off, at workers ∈ {1, 4, 8}, across the
-    /// convergence/delta configuration matrix — on a golden reference with
-    /// the batched cache built (the only configuration that can take the
-    /// batched branch).
+    /// convergence/delta configuration matrix, on a golden reference with
+    /// its lowering cache.
     #[test]
     fn batched_campaign_is_invisible_across_workers(
         fault_seed in 0u64..1_000_000,
@@ -433,7 +425,6 @@ fn faulted_node_never_reads_its_golden_panel() {
         // (every node dense) reads every panel and must reproduce the naive
         // patched suffix.
         let plan = lowered.plan();
-        let bcache = lowered.batched_cache().unwrap();
         let mut arena = ScratchArena::new();
         for layer in [first, middle, last] {
             let node = node_of(layer);
@@ -453,7 +444,15 @@ fn faulted_node_never_reads_its_golden_panel() {
                 };
                 let fast = faulty.forward_suffix(Some(node), cache, &[], fast_opts).unwrap();
                 assert!(naive.bits_equal(&fast), "{name} L{layer} unfused");
-                let one = plan.weight_suffix(&faulty, node, cache, None, None, false, &mut arena);
+                let one = plan.weight_suffix(
+                    &faulty,
+                    node,
+                    from_ref(cache),
+                    None,
+                    None,
+                    false,
+                    &mut arena,
+                );
                 fixtures::assert_bits_equal(naive.as_slice(), &one.unwrap().logits);
                 let strike = ActPatch { xor_mask: 1 << 30, ..ActPatch::identity(node, 0) };
                 let naive_opts =
@@ -467,8 +466,9 @@ fn faulted_node_never_reads_its_golden_panel() {
                 assert!(struck.bits_equal(&delta.into_logits(cache)), "{name} L{layer} delta");
                 rows.extend_from_slice(naive.as_slice());
             }
+            let caches = golden.caches();
             let batched =
-                plan.weight_suffix(&faulty, node, bcache, None, None, false, &mut arena).unwrap();
+                plan.weight_suffix(&faulty, node, caches, None, None, false, &mut arena).unwrap();
             fixtures::assert_bits_equal(&rows, &batched.logits);
         }
 
@@ -657,7 +657,7 @@ fn fused_dense_suffix_is_invisible_in_campaigns() {
                     &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
                 let naive = faulty.forward_suffix(Some(node), cache, &[], naive_opts).unwrap();
                 let fast = plan
-                    .weight_suffix(&faulty, node, cache, None, None, false, &mut arena)
+                    .weight_suffix(&faulty, node, from_ref(cache), None, None, false, &mut arena)
                     .unwrap();
                 assert_eq!(fast.converged_at, [None], "{name} L{layer} image {img}");
                 fixtures::assert_bits_equal(naive.as_slice(), &fast.logits);
@@ -699,7 +699,7 @@ fn fused_dense_suffix_allocates_nothing_after_warm_up() {
     let model = MobileNetV2Config::cifar_micro().build_seeded(5).unwrap();
     let (_, golden) = campaign_world(&model, model.input_dims()[1], 1);
     let golden = golden.with_lowering(&model).unwrap();
-    let cache = golden.cache(0);
+    let caches = golden.caches();
     let layers = model.weight_layers();
     let param = layers[1].param;
     let first = model.node_of_param(param).unwrap();
@@ -713,7 +713,7 @@ fn fused_dense_suffix_allocates_nothing_after_warm_up() {
         let dirty_unit = unit.filter(|_| converge);
         let out = golden
             .plan()
-            .weight_suffix(&faulty, first, cache, lowered, dirty_unit, converge, arena)
+            .weight_suffix(&faulty, first, caches, lowered, dirty_unit, converge, arena)
             .unwrap();
         arena.recycle(out.logits);
     };
@@ -741,7 +741,9 @@ fn fused_dense_suffix_allocates_nothing_after_warm_up() {
 /// off, on with the single-unit probe, and on with the first dirty conv's
 /// cached lowering. Then, after one warm-up fault, a second four-image
 /// pass through every small-plane conv takes all its arena buffers from
-/// the free list, with and without the convergence check.
+/// the free list, with and without the convergence check; so does a warm
+/// converging pass whose images drop out before a residual `Add` gathers
+/// the survivors' golden rows.
 #[test]
 fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
     const E: usize = 4;
@@ -749,13 +751,13 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
     let (_, golden) = campaign_world(&model, model.input_dims()[1], E);
     let golden = golden.with_lowering(&model).unwrap();
     let plan = golden.plan();
-    let bcache = golden.batched_cache().unwrap();
-    assert_eq!(bcache.get(0).unwrap().shape().dims()[0], E);
+    let caches = golden.caches();
+    assert_eq!(caches.len(), E);
     let param = |p: usize| &model.store().get(p).unwrap().tensor;
     let mut convs = 0;
     for (id, node) in model.nodes().iter().enumerate() {
         if let NodeOp::Conv { weight, cfg, .. } = &node.op {
-            let x = bcache.get(node.inputs[0]).unwrap();
+            let x = caches[0].get(node.inputs[0]).unwrap();
             assert!(ops::conv2d_small_plane(x, param(*weight), *cfg), "conv node {id}");
             convs += 1;
         }
@@ -772,6 +774,7 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
             _ => None,
         };
     let mut arena = ScratchArena::new();
+    let mut session = SessionState::new();
     for layer in model.weight_layers() {
         let node = model.node_of_param(layer.param).unwrap();
         let len = param(layer.param).len();
@@ -787,14 +790,15 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
                     faulty.forward_suffix(Some(node), golden.cache(img), &[], opts).unwrap()
                 })
                 .collect();
-            let wide_low = lower(&faulty, node, bcache);
+            session.ensure_panel(&faulty, plan, caches, node).unwrap();
+            let (_, wide_low) = session.arena_and_panel(node);
             for (converge, use_low) in [(false, false), (true, false), (true, true)] {
                 let ctx =
                     format!("node {node} idx {idx} bit {bit} converge={converge} low={use_low}");
                 let dirty_unit = unit.filter(|_| converge);
-                let low = wide_low.as_ref().filter(|_| use_low);
+                let low = wide_low.filter(|_| use_low);
                 let wide = plan
-                    .weight_suffix(&faulty, node, bcache, low, dirty_unit, converge, &mut arena)
+                    .weight_suffix(&faulty, node, caches, low, dirty_unit, converge, &mut arena)
                     .unwrap();
                 let classes = wide.classes;
                 let mut cursor = 0;
@@ -805,7 +809,7 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
                         .weight_suffix(
                             &faulty,
                             node,
-                            cache,
+                            from_ref(cache),
                             low_1.as_ref(),
                             dirty_unit,
                             converge,
@@ -833,32 +837,45 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
         }
     }
 
-    // The first stage's first conv: its suffix runs every later conv.
+    // The first stage's first conv: its suffix runs every later conv. The
+    // flip of its weight 16's lowest bit drops images out of a converging
+    // pass before the block's residual `Add`, which then gathers the
+    // survivors' rows of the block's golden input.
     let layer = model.weight_layers()[1].clone();
     let first = model.node_of_param(layer.param).unwrap();
-    let unit = model.param_output_unit(layer.param, 0);
-    let pass = |arena: &mut ScratchArena, bit: u32, converge: bool| {
+    let pass = |arena: &mut ScratchArena, (idx, bit): (usize, u32), converge: bool| {
         let mut faulty = model.clone();
         let w = &mut faulty.store_mut().get_mut(layer.param).unwrap().tensor;
-        w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << bit));
-        let dirty_unit = unit.filter(|_| converge);
+        w.as_mut_slice()[idx] = f32::from_bits(w.as_slice()[idx].to_bits() ^ (1 << bit));
+        let dirty_unit = model.param_output_unit(layer.param, idx).filter(|_| converge);
         let out =
-            plan.weight_suffix(&faulty, first, bcache, None, dirty_unit, converge, arena).unwrap();
+            plan.weight_suffix(&faulty, first, caches, None, dirty_unit, converge, arena).unwrap();
         arena.recycle(out.logits);
+        out.converged_at
     };
-    for converge in [false, true] {
+    let nodes = model.nodes();
+    let add = (first + 1..nodes.len())
+        .find(|&id| {
+            matches!(nodes[id].op, NodeOp::Add) && nodes[id].inputs.iter().any(|&i| i < first)
+        })
+        .expect("the first block's shortcut reads its golden input");
+    for (warm, fault, converge) in
+        [((0, 30), (0, 29), false), ((0, 30), (0, 29), true), ((16, 0), (16, 0), true)]
+    {
+        let ctx = format!("fault {fault:?} converge={converge}");
         let mut arena = ScratchArena::new();
-        pass(&mut arena, 30, converge);
+        pass(&mut arena, warm, converge);
         let before = arena.stats();
-        pass(&mut arena, 29, converge);
+        let converged_at = pass(&mut arena, fault, converge);
         let after = arena.stats();
         let takes = after.takes - before.takes;
-        assert!(takes > 0, "converge={converge}: the suffix draws its buffers from the arena");
-        assert_eq!(
-            takes,
-            after.reuses - before.reuses,
-            "converge={converge}: a warm E-wide suffix allocates nothing new"
-        );
+        assert!(takes > 0, "{ctx}: the suffix draws its buffers from the arena");
+        assert_eq!(takes, after.reuses - before.reuses, "{ctx}: a warm pass allocates nothing new");
+        if fault == (16, 0) {
+            let dropped = converged_at.iter().any(|c| c.is_some_and(|at| at < add));
+            let reached = converged_at.iter().any(|c| c.is_none_or(|at| at > add));
+            assert!(dropped && reached, "{ctx}: images must split at the Add: {converged_at:?}");
+        }
     }
 }
 
