@@ -2,7 +2,7 @@
 //!
 //! The workload is the ResNet-20 bit-level plan over all 32 bit strata
 //! (every layer sampled per bit). The baseline is the PR-3 fast path
-//! (blocked GEMM, cached lowerings, scratch arenas) with convergence
+//! (blocked GEMM, lowering panels, scratch arenas) with convergence
 //! checking disabled; the contender is the same path with the early exit
 //! on. The two must produce byte-identical classifications *and* inference
 //! counts — the exit only skips work that is provably unobservable.
@@ -90,7 +90,7 @@ fn bit_line(bit: u8, result: &CampaignResult) -> BitLine {
 fn bench_earlyexit(c: &mut Criterion) {
     let setup = resnet20_setup(Scale::Default);
     let (model, data) = (&setup.model, &setup.data);
-    let golden = GoldenReference::build(model, data).unwrap().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     let faults: Vec<Fault> = (0..32).rev().flat_map(|bit| bit_stratum(&space, bit, 1)).collect();
 
@@ -125,7 +125,7 @@ fn scale_json(name: &str, faults: usize, converged: u64, base_s: f64, fast_s: f6
 fn scale_line(scale: Scale, name: &str, per_layer: u64, iters: usize) -> String {
     let setup = resnet20_setup(scale);
     let (model, data) = (&setup.model, &setup.data);
-    let golden = GoldenReference::build(model, data).unwrap().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     let faults: Vec<Fault> =
         (0..32).rev().flat_map(|bit| bit_stratum(&space, bit, per_layer)).collect();
@@ -153,7 +153,7 @@ fn emit_bench_json() {
 
     let setup = resnet20_setup(Scale::Full);
     let (model, data) = (&setup.model, &setup.data);
-    let golden = GoldenReference::build(model, data).unwrap().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     let strata: Vec<(u8, Vec<Fault>)> =
         (0..32).rev().map(|bit| (bit, bit_stratum(&space, bit, PER_LAYER))).collect();
@@ -231,7 +231,7 @@ fn smoke() -> i32 {
     const ITERS: usize = 3;
     let setup = resnet20_setup(Scale::from_args());
     let (model, data) = (&setup.model, &setup.data);
-    let golden = GoldenReference::build(model, data).unwrap().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     let faults: Vec<Fault> = (0..32).rev().flat_map(|bit| bit_stratum(&space, bit, 1)).collect();
 

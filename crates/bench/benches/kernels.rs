@@ -5,10 +5,10 @@
 //! loop (`GemmKernel::Naive`) with the plane kernel behind `conv2d` at
 //! MobileNetV2's ten depthwise shapes; `campaign_fast_path` measures
 //! the end-to-end bit-level campaign with the pre-optimisation path
-//! (naive kernels, no lowering cache) against the per-image fast path
-//! (dispatched GEMM, cached lowerings, scratch arenas) and the
-//! compiled-plan batched path (all eval images in one suffix pass),
-//! asserting the classifications stay byte-identical. Under `cargo bench`
+//! (naive kernels, no lowering panels) against the per-image fast path
+//! (dispatched GEMM, the workers' golden-input lowering panels, scratch
+//! arenas) and the compiled-plan batched path (all eval images in one
+//! suffix pass), asserting the classifications stay byte-identical. Under `cargo bench`
 //! the comparison is written to `BENCH_kernels.json` at the workspace
 //! root, including the microkernel speedup per shape, the pre-packed
 //! (golden panel) GEMM against per-call packing at MobileNetV2's
@@ -605,14 +605,14 @@ fn bit_level_faults(space: &FaultSpace, layer: usize, per_bit: u64) -> Vec<Fault
     faults
 }
 
-/// The pre-optimisation configuration: naive GEMM, no lowering cache (the
+/// The pre-optimisation configuration: naive GEMM, no lowering panels (the
 /// arena is tied to the kernel policy, so this also skips buffer reuse).
 fn naive_cfg() -> CampaignConfig {
     CampaignConfig { kernel: KernelPolicy::Naive, batched: false, ..CampaignConfig::default() }
 }
 
 /// The per-image fast path as it existed before the compiled-plan batched
-/// engine: blocked GEMM, cached lowerings, scratch arenas — but one
+/// engine: blocked GEMM, lowering panels, scratch arenas — but one
 /// forward pass per eval image.
 fn fast_cfg() -> CampaignConfig {
     CampaignConfig { batched: false, ..CampaignConfig::default() }
@@ -627,16 +627,15 @@ fn batched_cfg() -> CampaignConfig {
 fn bench_campaign_fast_path(c: &mut Criterion) {
     let setup = resnet20_setup(Scale::Default);
     let (model, data) = (&setup.model, &setup.data);
-    let golden_plain = GoldenReference::build(model, data).unwrap();
-    let golden_cached = golden_plain.clone().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     let faults = bit_level_faults(&space, 7, 8);
 
     // The fast paths are only fast paths if they are invisible in the
     // results: same classes, same inference counts, at every tier.
-    let baseline = run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
-    let batched = run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
+    let baseline = run_campaign(model, data, &golden, &faults, &naive_cfg()).unwrap();
+    let fast = run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap();
+    let batched = run_campaign(model, data, &golden, &faults, &batched_cfg()).unwrap();
     assert_eq!(baseline.classes, fast.classes, "fast path changed classifications");
     assert_eq!(baseline.inferences, fast.inferences, "fast path changed inference counts");
     assert_eq!(baseline.classes, batched.classes, "batched path changed classifications");
@@ -645,13 +644,13 @@ fn bench_campaign_fast_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_fast_path");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
     g.bench_function("naive_uncached", |b| {
-        b.iter(|| run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap())
+        b.iter(|| run_campaign(model, data, &golden, &faults, &naive_cfg()).unwrap())
     });
     g.bench_function("fast_cached", |b| {
-        b.iter(|| run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap())
+        b.iter(|| run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap())
     });
     g.bench_function("batched_plan", |b| {
-        b.iter(|| run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap())
+        b.iter(|| run_campaign(model, data, &golden, &faults, &batched_cfg()).unwrap())
     });
     g.finish();
 }
@@ -671,8 +670,7 @@ fn emit_bench_json() {
 
     let setup = resnet20_setup(Scale::Full);
     let (model, data) = (&setup.model, &setup.data);
-    let golden_plain = GoldenReference::build(model, data).unwrap();
-    let golden_cached = golden_plain.clone().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     // The paper's statistical plan samples every (layer, bit) stratum of
     // the network; one fault per stratum keeps the bench to seconds while
@@ -818,33 +816,32 @@ fn emit_bench_json() {
     }
     let by_op = mbv2_forward_by_op_json();
 
-    let baseline = run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
-    let fast = run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
-    let batched = run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
+    let baseline = run_campaign(model, data, &golden, &faults, &naive_cfg()).unwrap();
+    let fast = run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap();
+    let batched = run_campaign(model, data, &golden, &faults, &batched_cfg()).unwrap();
     let identical = baseline.classes == fast.classes && baseline.classes == batched.classes;
     // Worker-count invisibility at full scale: the acceptance contract is
     // byte-identical classifications at 1, 4, and 8 workers on the default
     // (batched) configuration.
     let identical_across_workers = [1usize, 4, 8].iter().all(|&workers| {
         let cfg = CampaignConfig { workers, ..batched_cfg() };
-        run_campaign(model, data, &golden_cached, &faults, &cfg).unwrap().classes
-            == baseline.classes
+        run_campaign(model, data, &golden, &faults, &cfg).unwrap().classes == baseline.classes
     });
     let naive_s = mean_secs(
         || {
-            run_campaign(model, data, &golden_plain, &faults, &naive_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &naive_cfg()).unwrap();
         },
         CAMPAIGN_ITERS,
     );
     let fast_s = mean_secs(
         || {
-            run_campaign(model, data, &golden_cached, &faults, &fast_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap();
         },
         CAMPAIGN_ITERS,
     );
     let batched_s = mean_secs(
         || {
-            run_campaign(model, data, &golden_cached, &faults, &batched_cfg()).unwrap();
+            run_campaign(model, data, &golden, &faults, &batched_cfg()).unwrap();
         },
         CAMPAIGN_ITERS,
     );
@@ -1131,7 +1128,7 @@ fn smoke() -> i32 {
     // speedup over the per-image fast path is recorded for the CI log.
     let setup = resnet20_setup(Scale::Smoke);
     let (model, data) = (&setup.model, &setup.data);
-    let golden = GoldenReference::build(model, data).unwrap().with_lowering(model).unwrap();
+    let golden = GoldenReference::build(model, data).unwrap();
     let space = FaultSpace::stuck_at(model);
     let faults = bit_level_faults(&space, 1, 4);
     let fast = run_campaign(model, data, &golden, &faults, &fast_cfg()).unwrap();

@@ -51,8 +51,8 @@ fn bit_level_faults(space: &FaultSpace, per_bit: u64) -> Vec<Fault> {
 /// The pre-observability classification loop, hand-rolled from public
 /// APIs: inject, run the plan's suffix pass from the dirty node over
 /// chunks of the per-image golden caches as wide as the plan picks (all
-/// images at once, over a worker's shared panel, or one image at a time
-/// over the cached lowering) — converging, with the
+/// images at once or one image at a time, over the worker's session
+/// panel of the chunk) — converging, with the
 /// single-unit probe armed — count mismatches against the golden top-1
 /// with early exit, revert. No probe anywhere — this is the baseline the
 /// instrumented executor is gated against.
@@ -81,12 +81,8 @@ fn classify_probe_free(
             let width = if plan.batched_profitable(dirty) { data.len() } else { 1 };
             'images: for (c, chunk) in golden.caches().chunks(width).enumerate() {
                 let first = c * width;
-                let (arena, lowered) = if width == 1 {
-                    (&mut session.arena, golden.lowering(dirty, first))
-                } else {
-                    session.ensure_panel(model, plan, chunk, dirty).unwrap();
-                    session.arena_and_panel(dirty)
-                };
+                let (arena, lowered, _) =
+                    session.ensure_panel(model, plan, chunk, c, dirty).unwrap();
                 let out =
                     plan.weight_suffix(model, dirty, chunk, lowered, unit, true, arena).unwrap();
                 let mut rows = out.logits.chunks_exact(out.classes.max(1));
@@ -152,10 +148,7 @@ struct Workload {
 
 fn workload(per_bit: u64) -> Workload {
     let setup = resnet20_setup(Scale::Default);
-    let golden = GoldenReference::build(&setup.model, &setup.data)
-        .unwrap()
-        .with_lowering(&setup.model)
-        .unwrap();
+    let golden = GoldenReference::build(&setup.model, &setup.data).unwrap();
     let space = FaultSpace::stuck_at(&setup.model);
     let faults = bit_level_faults(&space, per_bit);
     Workload {

@@ -87,6 +87,4 @@ fn main() {
     run("MobileNetV2 (reduced)", &mobilenet_setup(scale));
     println!("paper (full size): ResNet-20 margins 1.57 / 0.19 / 0.06 / 0.08 %,");
     println!("                   MobileNetV2 margins 3.28 / 0.01 / 0.01 / 0.008 %");
-    println!("expected shape: network-wise margin exceeds the planned e; data-unaware");
-    println!("is tightest but costliest; data-aware ~ layer-wise margin at lower cost.");
 }

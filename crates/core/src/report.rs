@@ -227,7 +227,7 @@ pub fn outcome_to_csv(
 
 /// Renders an executed outcome's per-stratum telemetry as a text table:
 /// one row per stratum (layer/bit labels, injections, inferences, class
-/// tallies, execution failures, lowering-cache hits/misses,
+/// tallies, execution failures, lowering-panel hits/misses,
 /// golden-convergence early-exit rate and skipped-node count, scratch-arena
 /// high-water mark, wall time, throughput) plus a totals row.
 pub fn telemetry_report(outcome: &crate::execute::SfiOutcome) -> String {

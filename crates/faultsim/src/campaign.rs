@@ -198,12 +198,12 @@ pub struct CampaignResult {
     pub inferences: u64,
     /// Wall-clock duration of the campaign.
     pub elapsed: Duration,
-    /// Lowering-cache lookups served from precomputed column matrices
-    /// during this campaign (0 when the cache is disabled).
+    /// Weight-fault suffix passes that reused a worker's im2col panel of
+    /// the faulted conv's golden input.
     #[serde(default)]
     pub lowering_hits: u64,
-    /// Lowering-cache lookups that missed (faulted node not lowerable or
-    /// not covered; 0 when the cache is disabled).
+    /// Weight-fault suffix passes that built that panel (passes whose
+    /// faulted node has no panel count as neither).
     #[serde(default)]
     pub lowering_misses: u64,
     /// High-water mark of per-worker scratch-arena bytes at campaign end
@@ -350,8 +350,6 @@ pub fn run_campaign_static<C: Corruption>(
 ) -> Result<CampaignResult, FaultSimError> {
     golden.check_session(model, data)?;
     let start = Instant::now();
-    let hits0 = golden.lowering_hits();
-    let misses0 = golden.lowering_misses();
     let workers = cfg.workers.max(1).min(faults.len().max(1));
     let shard_out = if workers <= 1 {
         let mut worker_model = model.clone();
@@ -383,16 +381,7 @@ pub fn run_campaign_static<C: Corruption>(
         }
         merged
     };
-    let lowering = (
-        golden.lowering_hits().saturating_sub(hits0),
-        golden.lowering_misses().saturating_sub(misses0),
-    );
-    Ok(shard_out.tally.into_result(
-        shard_out.classes,
-        start.elapsed(),
-        lowering,
-        shard_out.arena_peak,
-    ))
+    Ok(shard_out.tally.into_result(shard_out.classes, start.elapsed(), shard_out.arena_peak))
 }
 
 /// Tallies of one static shard.

@@ -86,11 +86,10 @@ use serde::{Deserialize, Serialize};
 use sfi_dataset::Dataset;
 use sfi_nn::plan::row_argmax;
 use sfi_nn::{
-    ActPatch, ActivationCache, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome,
-    KernelPolicy, Model, NodeId, SessionState, SuffixOutcome,
+    ActPatch, DeltaOptions, DeltaStats, ForwardOptions, ForwardOutcome, KernelPolicy, Model,
+    NodeId, SessionState, SuffixOutcome,
 };
 use sfi_obs::{Probe, WorkerProbe};
-use sfi_tensor::ops::BatchedLowered;
 use sfi_tensor::ScratchArena;
 
 use crate::activation::ActivationFault;
@@ -161,10 +160,10 @@ pub struct CampaignTelemetry {
     /// Faults that could not be classified (panicked beyond the retry
     /// budget or produced degenerate logits).
     pub exec_failures: u64,
-    /// Lowering-cache lookups served from precomputed column matrices.
+    /// Weight-fault suffix passes that reused a worker's lowering panel.
     #[serde(default)]
     pub lowering_hits: u64,
-    /// Lowering-cache lookups that missed.
+    /// Weight-fault suffix passes that built it.
     #[serde(default)]
     pub lowering_misses: u64,
     /// High-water mark of per-worker scratch-arena bytes.
@@ -514,8 +513,6 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
         let golden = self.golden;
         let cfg = self.cfg;
         let corruption = self.corruption;
-        let lowering_hits0 = golden.lowering_hits();
-        let lowering_misses0 = golden.lowering_misses();
         // Execution order; classes, on_classified indices, and error
         // precedence always use the caller's fault order.
         let order = self.execution_order(faults);
@@ -700,28 +697,21 @@ impl<C: Corruption> CampaignExecutor<'_, C> {
         Ok(tally.into_result(
             classes,
             start.elapsed(),
-            (
-                golden.lowering_hits().saturating_sub(lowering_hits0),
-                golden.lowering_misses().saturating_sub(lowering_misses0),
-            ),
             self.stats.arena_peak.load(Ordering::Relaxed),
         ))
     }
 
     /// The order faults are *executed* in (indices into the caller's
-    /// slice). Identity unless convergence, delta propagation, or the
-    /// batched engine is enabled: with either early exit active, faults
-    /// striking deeper nodes have shorter suffixes, so draining them first
-    /// shrinks the straggler tail of a work-stealing batch — and the sort
-    /// makes same-node faults adjacent, so a worker's single-slot im2col
-    /// panel is built once per node and shared by every batched fault that
-    /// strikes it. The sort is stable, and results/errors always surface
-    /// in the caller's fault order regardless of this permutation.
+    /// slice): deepest first. The sort makes same-node faults adjacent, so
+    /// a worker's single-slot im2col panels are built once per node and
+    /// shared by every fault that strikes it, whatever the engine flags;
+    /// and with an early exit active, faults striking deeper nodes have
+    /// shorter suffixes, so draining them first shrinks the straggler tail
+    /// of a work-stealing batch. The sort is stable, and results/errors
+    /// always surface in the caller's fault order regardless of this
+    /// permutation.
     fn execution_order(&self, faults: &[CampaignFault]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..faults.len()).collect();
-        if !(self.cfg.convergence || self.cfg.delta || self.cfg.batched) {
-            return order;
-        }
         let layers = self.model.weight_layers();
         let weight_depth = |f: &Fault| -> usize {
             layers
@@ -818,6 +808,10 @@ pub(crate) struct FaultTally {
     pub engine_delta: u64,
     /// 1 when the batched eval-image engine evaluated this fault.
     pub engine_batched: u64,
+    /// Suffix passes that reused the worker's golden-input panel.
+    pub lowering_hits: u64,
+    /// Suffix passes that built it.
+    pub lowering_misses: u64,
 }
 
 impl AddAssign for FaultTally {
@@ -831,6 +825,8 @@ impl AddAssign for FaultTally {
         self.engine_dense += o.engine_dense;
         self.engine_delta += o.engine_delta;
         self.engine_batched += o.engine_batched;
+        self.lowering_hits += o.lowering_hits;
+        self.lowering_misses += o.lowering_misses;
     }
 }
 
@@ -840,7 +836,6 @@ impl FaultTally {
         self,
         classes: Vec<FaultClass>,
         elapsed: Duration,
-        lowering: (u64, u64),
         arena_peak_bytes: u64,
     ) -> CampaignResult {
         CampaignResult {
@@ -848,8 +843,8 @@ impl FaultTally {
             classes,
             inferences: self.inferences,
             elapsed,
-            lowering_hits: lowering.0,
-            lowering_misses: lowering.1,
+            lowering_hits: self.lowering_hits,
+            lowering_misses: self.lowering_misses,
             arena_peak_bytes,
             converged: self.converged,
             nodes_skipped: self.nodes_skipped,
@@ -1085,8 +1080,7 @@ fn classify_reference(
 /// [`Verdict`] in ascending image order, and every image's convergence
 /// node and logits row are the same at both widths, so classifications,
 /// early-exit behaviour and inference counts cannot depend on the width,
-/// at any worker count. The width does not depend on the golden lowering
-/// cache either.
+/// at any worker count.
 ///
 /// With [`CampaignConfig::convergence`] each image's suffix stops at the
 /// first step whose recomputed activation is bit-identical to the golden
@@ -1096,14 +1090,14 @@ fn classify_reference(
 /// [`FaultClass::NonCritical`] — only the suffix cost drops.
 ///
 /// The caller injects before and reverts after; this function only
-/// evaluates. The first dirty conv skips its lowering: a one-image pass
-/// reads the golden reference's lowering cache when it was built, and an
-/// E-wide pass the panel gathered and lowered lazily from the chunk into
-/// the worker's [`SessionState`] single-slot cache, shared by every
-/// same-node fault the depth-sorted stratum queue hands this worker. Both
-/// are sound because they lower the *golden* input activation (weight
-/// values never enter it), which is identical for every fault at the
-/// node.
+/// evaluates. The first dirty conv skips its lowering: each pass reads
+/// its chunk's panel from the worker's [`SessionState`] single-slot
+/// cache ([`SessionState::ensure_panel`]), built lazily on the first pass
+/// over the chunk and shared by every same-node fault the depth-sorted
+/// stratum queue hands this worker, and counted as a lowering hit or
+/// miss. That is sound because the panel lowers the *golden* input
+/// activation (weight values never enter it), which is identical for
+/// every fault at the node.
 fn classify_weight_suffix(
     model: &Model,
     golden: &GoldenReference,
@@ -1130,7 +1124,9 @@ fn classify_weight_suffix(
     for (c, chunk) in golden.caches().chunks(width).enumerate() {
         let first = c * width;
         let timer = wprobe.inference_start();
-        let (arena, lowered) = suffix_panel(model, golden, chunk, first, dirty, session)?;
+        let (arena, lowered, reused) = session.ensure_panel(model, plan, chunk, c, dirty)?;
+        verdict.tally.lowering_hits += u64::from(reused == Some(true));
+        verdict.tally.lowering_misses += u64::from(reused == Some(false));
         let outcome =
             plan.weight_suffix(model, dirty, chunk, lowered, dirty_unit, cfg.convergence, arena)?;
         wprobe.inference_end(timer);
@@ -1147,29 +1143,6 @@ fn classify_weight_suffix(
         }
     }
     Ok(verdict.finish())
-}
-
-/// The worker's arena and the im2col panel of the first dirty conv's
-/// golden input for a suffix pass over `chunk`, whose first image is
-/// `first`: the golden reference's lowering cache one image wide (only
-/// convs the cache can hold are looked up; in-place convs multiply the
-/// golden input directly), the worker's session panel of the chunk
-/// wider, counted as a lowering hit or miss.
-pub(crate) fn suffix_panel<'s>(
-    model: &Model,
-    golden: &'s GoldenReference,
-    chunk: &[ActivationCache],
-    first: usize,
-    dirty: NodeId,
-    session: &'s mut SessionState,
-) -> Result<(&'s mut ScratchArena, Option<&'s BatchedLowered>), FaultSimError> {
-    let plan = golden.plan();
-    if chunk.len() == 1 {
-        let lowered = plan.lowers_per_image(dirty).then(|| golden.lowering(dirty, first));
-        return Ok((&mut session.arena, lowered.flatten()));
-    }
-    golden.record_panel(session.ensure_panel(model, plan, chunk, dirty)?);
-    Ok(session.arena_and_panel(dirty))
 }
 
 /// Classifies any [`CampaignFault`] variant: the executor's per-fault

@@ -28,7 +28,6 @@ use sfi_nn::{ForwardOptions, Model, SessionState};
 use sfi_tensor::Tensor;
 
 use crate::campaign::{Corruption, Ieee754Corruption};
-use crate::executor::suffix_panel;
 use crate::fault::Fault;
 use crate::golden::GoldenReference;
 use crate::injector::{inject_with, revert};
@@ -166,8 +165,7 @@ pub fn run_campaign_detailed(
         let dirty = injection.dirty_node;
         for (idx, chunk) in golden.caches().chunks(1).enumerate() {
             let logits = if incremental {
-                let (arena, lowered) =
-                    suffix_panel(&worker, golden, chunk, idx, dirty, &mut session)?;
+                let (arena, lowered, _) = session.ensure_panel(&worker, plan, chunk, idx, dirty)?;
                 let out = plan.weight_suffix(&worker, dirty, chunk, lowered, None, false, arena)?;
                 Tensor::from_vec([1, out.classes], out.logits).expect("one logits row")
             } else {

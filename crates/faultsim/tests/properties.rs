@@ -113,8 +113,7 @@ proptest! {
     ) {
         let model = tiny_model(seed);
         let data = SynthCifarConfig::new().with_size(8).with_samples(2).generate();
-        let golden = GoldenReference::build(&model, &data).unwrap()
-            .with_lowering(&model).unwrap();
+        let golden = GoldenReference::build(&model, &data).unwrap();
         let layers = model.weight_layers();
         let mut faults: Vec<Fault> = picks
             .iter()

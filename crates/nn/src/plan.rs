@@ -474,7 +474,8 @@ impl CompiledPlan {
 
     /// Whether node `id` is a conv whose per-image GEMMs lower its input to
     /// im2col panels: a lowerable conv that does not read in place. A
-    /// golden lowering cache holds exactly these convs.
+    /// one-image pass gets its panel from the worker's [`SessionState`]
+    /// for exactly these convs.
     pub fn lowers_per_image(&self, id: NodeId) -> bool {
         self.is_lowerable_conv(id) && !self.reads_in_place(id)
     }
@@ -561,8 +562,7 @@ impl CompiledPlan {
     /// because no other unit depends on the faulted weight row.
     ///
     /// Each image's convergence node and surviving logits row are the same
-    /// at every width, given the first dirty conv's lowering at both
-    /// widths or at neither (see the module docs and DESIGN.md §5h).
+    /// at every width (see the module docs and DESIGN.md §5h).
     ///
     /// # Errors
     ///
@@ -888,19 +888,28 @@ pub fn row_argmax(row: &[f32]) -> Option<usize> {
 /// mark shared across every worker of a campaign session (so telemetry
 /// reports one session-wide arena peak instead of summing — and
 /// double-counting — per-worker figures), and a single-slot cache of the
-/// batched im2col panel of one conv node's golden input. Faults are
-/// dispatched deepest-first within a stratum, so every fault sharing a
-/// first dirty conv lands adjacent on one worker and the single slot
-/// captures nearly all panel reuse while bounding memory to one panel per
-/// worker (the former campaign-wide prebuilt panel map held every conv's
-/// panel for the whole run).
+/// im2col panels of one conv node's golden input at one pass width, one
+/// panel per chunk of the pass. The executor runs faults deepest-first,
+/// so every fault sharing a first dirty conv lands adjacent on one
+/// worker and the single slot captures nearly all panel reuse while
+/// bounding memory to one node's panels per worker.
 #[derive(Debug, Default)]
 pub struct SessionState {
     /// The worker's scratch arena; persists across faults and campaigns.
     pub arena: ScratchArena,
     shared_peak: Option<Arc<AtomicU64>>,
-    /// The one E-wide golden-input panel this worker currently holds.
-    panel: Option<(NodeId, BatchedLowered)>,
+    /// The golden-input panels this worker currently holds.
+    panels: Option<PanelSlot>,
+}
+
+/// The im2col panels of conv node `node`'s golden input for passes
+/// `width` images wide: `chunks[c]` is chunk `c`'s panel, built on the
+/// first pass over that chunk.
+#[derive(Debug)]
+struct PanelSlot {
+    node: NodeId,
+    width: usize,
+    chunks: Vec<Option<BatchedLowered>>,
 }
 
 impl SessionState {
@@ -912,19 +921,23 @@ impl SessionState {
     /// A fresh state publishing its arena peak into `peak` (shared by
     /// every worker of one session).
     pub fn with_shared_peak(peak: Arc<AtomicU64>) -> Self {
-        Self { arena: ScratchArena::new(), shared_peak: Some(peak), panel: None }
+        Self { arena: ScratchArena::new(), shared_peak: Some(peak), panels: None }
     }
 
-    /// Ensures the panel slot holds the batched im2col panel of `node`'s
-    /// golden input over the chunk `caches` (one per-image golden cache per
-    /// image of the pass, as [`CompiledPlan::weight_suffix`] takes them),
-    /// gathering that input and lowering it into this worker's arena when
-    /// absent. The slot is keyed by node alone: every E-wide pass of a
-    /// campaign covers the same chunk. Returns `true` when the held panel
-    /// was reused (a sharing hit), `false` when it was (re)built or the
-    /// node does not lower. The faulty weight values never enter the
-    /// panel — lowering reads only the node's *input* activation and the
-    /// kernel geometry — so one panel serves every fault at the node.
+    /// What a suffix pass over `chunk` needs beside the plan: the worker's
+    /// arena and the im2col panel of first dirty conv `node`'s golden
+    /// input, with whether that panel was reused (`Some(true)`) or built
+    /// (`Some(false)`). `chunk` holds one per-image golden cache per image,
+    /// as [`CompiledPlan::weight_suffix`] takes them, and is the chunk at
+    /// `index` of its pass. A one-image pass gets a panel for a conv that
+    /// [lowers per image](CompiledPlan::lowers_per_image), a wider one for
+    /// any [lowerable conv](CompiledPlan::is_lowerable_conv); otherwise the
+    /// panel and the flag are `None`. The panel is gathered and lowered
+    /// into the arena on the first pass over the chunk. The slot is keyed
+    /// by node and width: every pass of a campaign at one width covers
+    /// the same chunks. The faulty weight values never enter the panel —
+    /// lowering reads only the node's *input* activation and the kernel
+    /// geometry — so one panel serves every fault at the node.
     ///
     /// # Errors
     ///
@@ -934,43 +947,39 @@ impl SessionState {
         &mut self,
         model: &Model,
         plan: &CompiledPlan,
-        caches: &[ActivationCache],
+        chunk: &[ActivationCache],
+        index: usize,
         node: NodeId,
-    ) -> Result<bool, NnError> {
-        if !plan.is_lowerable_conv(node) {
-            return Ok(false);
-        }
-        if self.panel.as_ref().is_some_and(|(held, _)| *held == node) {
-            return Ok(true);
-        }
-        let NodeOp::Conv { weight, cfg, .. } = &model.nodes()[node].op else {
-            return Ok(false);
+    ) -> Result<(&mut ScratchArena, Option<&BatchedLowered>, Option<bool>), NnError> {
+        let width = chunk.len();
+        let lowers =
+            if width == 1 { plan.lowers_per_image(node) } else { plan.is_lowerable_conv(node) };
+        let conv = match model.nodes().get(node).map(|n| &n.op) {
+            Some(NodeOp::Conv { weight, cfg, .. }) if lowers => (*weight, *cfg),
+            _ => return Ok((&mut self.arena, None, None)),
         };
-        let w = &model.store().get(*weight).expect("validated at construction").tensor;
-        let golden = Golden::new(caches, plan.len(), model)?;
-        if let Some((_, old)) = self.panel.take() {
-            self.arena.recycle(old.into_cols());
+        if self.panels.as_ref().is_none_or(|s| (s.node, s.width) != (node, width)) {
+            for old in self.panels.take().into_iter().flat_map(|s| s.chunks).flatten() {
+                self.arena.recycle(old.into_cols());
+            }
+            self.panels = Some(PanelSlot { node, width, chunks: Vec::new() });
         }
-        let all: Vec<usize> = (0..golden.width()).collect();
-        let input = golden.rows(model.nodes()[node].inputs[0], &all, &mut self.arena);
-        let built = ops::im2col_lower_batched(&input, w, *cfg, Some(&mut self.arena))
-            .map_err(|source| NnError::Op { node, source });
-        recycle(input, &mut self.arena);
-        self.panel = Some((node, built?));
-        Ok(false)
-    }
-
-    /// Splits the state into the arena and the panel held for `node` (if
-    /// any), so a batched forward can borrow both at once.
-    pub fn arena_and_panel(
-        &mut self,
-        node: NodeId,
-    ) -> (&mut ScratchArena, Option<&BatchedLowered>) {
-        let panel = match &self.panel {
-            Some((held, p)) if *held == node => Some(p),
-            _ => None,
-        };
-        (&mut self.arena, panel)
+        let slot = self.panels.as_mut().expect("slot set above");
+        if slot.chunks.len() <= index {
+            slot.chunks.resize_with(index + 1, || None);
+        }
+        let reused = slot.chunks[index].is_some();
+        if !reused {
+            let golden = Golden::new(chunk, plan.len(), model)?;
+            let w = &model.store().get(conv.0).expect("validated at construction").tensor;
+            let all: Vec<usize> = (0..width).collect();
+            let input = golden.rows(model.nodes()[node].inputs[0], &all, &mut self.arena);
+            let built = ops::im2col_lower_batched(&input, w, conv.1, Some(&mut self.arena))
+                .map_err(|source| NnError::Op { node, source });
+            recycle(input, &mut self.arena);
+            slot.chunks[index] = Some(built?);
+        }
+        Ok((&mut self.arena, slot.chunks[index].as_ref(), Some(reused)))
     }
 
     /// Publishes the arena's current high-water mark into the shared
@@ -1125,18 +1134,27 @@ mod tests {
     fn session_state_panel_slot_hits_on_repeat_node() {
         let (model, _, plan) = setup();
         let caches = per_image_caches(&model, 2, 0.13);
-        let conv = (1..plan.len()).find(|&id| plan.is_lowerable_conv(id)).expect("has convs");
-        let other = (conv + 1..plan.len()).find(|&id| plan.is_lowerable_conv(id)).unwrap();
+        let conv = (1..plan.len()).find(|&id| plan.lowers_per_image(id)).expect("has convs");
+        let other = (conv + 1..plan.len()).find(|&id| plan.lowers_per_image(id)).unwrap();
         let mut session = SessionState::new();
-        assert!(!session.ensure_panel(&model, &plan, &caches, conv).unwrap(), "first build");
-        assert!(session.ensure_panel(&model, &plan, &caches, conv).unwrap(), "repeat hits");
-        let (_, panel) = session.arena_and_panel(conv);
-        assert!(panel.is_some());
-        let (_, wrong) = session.arena_and_panel(other);
-        assert!(wrong.is_none(), "slot is keyed by node");
-        assert!(!session.ensure_panel(&model, &plan, &caches, other).unwrap(), "rebuild on switch");
-        let (_, panel) = session.arena_and_panel(other);
-        assert!(panel.is_some());
+        let mut lookup = |node, chunk: &[ActivationCache], index| {
+            let (_, panel, reused) =
+                session.ensure_panel(&model, &plan, chunk, index, node).unwrap();
+            assert_eq!(panel.is_some(), reused.is_some());
+            reused
+        };
+        assert_eq!(lookup(conv, &caches, 0), Some(false), "first build");
+        assert_eq!(lookup(conv, &caches, 0), Some(true), "repeat hits");
+        assert_eq!(lookup(other, &caches, 0), Some(false), "rebuild on switch");
+        // One image wide the slot holds one panel per image, built once each.
+        for (index, chunk) in caches.chunks(1).enumerate() {
+            assert_eq!(lookup(other, chunk, index), Some(false), "image {index} builds");
+        }
+        for (index, chunk) in caches.chunks(1).enumerate() {
+            assert_eq!(lookup(other, chunk, index), Some(true), "image {index} hits");
+        }
+        assert_eq!(lookup(other, &caches, 0), Some(false), "the slot is keyed by width");
+        assert_eq!(lookup(0, &caches, 0), None, "the input node has no panel");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A fault-injection campaign is a profiling problem as much as a
 //! statistics problem: the time/accuracy trade-off of a sampling plan can
 //! only be attributed if the run itself is observable — which strata are
-//! slow, how often the lowering cache hits, how long the journal spends in
+//! slow, how often a worker's lowering panel is reused, how long the journal spends in
 //! `fsync`, how many faults had to be re-queued after a worker panic.
 //! This crate provides that layer for the whole SFI stack:
 //!
@@ -333,9 +333,9 @@ pub enum Event<'a> {
         /// Execution failures (panics beyond the retry budget, degenerate
         /// logits).
         failures: u64,
-        /// Lowering-cache hits during this stratum.
+        /// Suffix passes that reused a lowering panel during this stratum.
         lowering_hits: u64,
-        /// Lowering-cache misses during this stratum.
+        /// Suffix passes that built a lowering panel during this stratum.
         lowering_misses: u64,
         /// Faults with at least one golden-convergence early exit.
         converged: u64,

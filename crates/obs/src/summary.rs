@@ -4,7 +4,7 @@
 //! [`Probe`](crate::Probe), validates it line by line (strict JSON
 //! objects, strictly increasing `seq`, known event kinds), and folds it
 //! into a [`TraceSummary`]: per-stratum fault counts and telemetry,
-//! per-phase wall time, lowering-cache hit rate, and the final merged
+//! per-phase wall time, lowering-panel hit rate, and the final merged
 //! metrics. The parser is hand-rolled — the workspace is hermetic and the
 //! vendored `serde` is a no-op stand-in — and only needs to cover the
 //! flat objects the emitter produces.
@@ -222,9 +222,9 @@ pub struct StratumTrace {
     pub non_critical: u64,
     /// Execution failures reported by `stratum_end`.
     pub failures: u64,
-    /// Lowering-cache hits reported by `stratum_end`.
+    /// Lowering-panel reuses reported by `stratum_end`.
     pub lowering_hits: u64,
-    /// Lowering-cache misses reported by `stratum_end`.
+    /// Lowering-panel builds reported by `stratum_end`.
     pub lowering_misses: u64,
     /// Faults with a golden-convergence early exit (0 for streams written
     /// before the field existed).
@@ -347,8 +347,8 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Lowering-cache hit rate across every `stratum_end` event; `None`
-    /// when the stream recorded no cache lookups.
+    /// Lowering-panel hit rate across every `stratum_end` event; `None`
+    /// when the stream recorded no panel lookups.
     pub fn lowering_hit_rate(&self) -> Option<f64> {
         let hits: u64 = self.strata.iter().map(|s| s.lowering_hits).sum();
         let misses: u64 = self.strata.iter().map(|s| s.lowering_misses).sum();

@@ -200,10 +200,6 @@ pub struct CliOptions {
     pub resume: bool,
     /// Fsync the journal every this many classifications (`run`).
     pub checkpoint_every: u64,
-    /// Precompute im2col lowerings of every conv layer's golden input
-    /// (`run`). On by default; `--no-lowering-cache` disables it to trade
-    /// speed for memory. Classifications are identical either way.
-    pub lowering_cache: bool,
     /// Stop each faulty forward pass as soon as the activation wavefront
     /// is provably back to golden (`run`). On by default;
     /// `--no-early-exit` disables it. Classifications and inference counts
@@ -245,7 +241,6 @@ impl Default for CliOptions {
             checkpoint_dir: None,
             resume: false,
             checkpoint_every: 64,
-            lowering_cache: true,
             early_exit: true,
             delta: true,
             batched: true,
@@ -291,8 +286,6 @@ OPTIONS:
                               interrupted campaign can then be continued
     --resume                  continue from the journal in --checkpoint-dir
     --checkpoint-every <n>    fsync the journal every n classifications (default 64)
-    --no-lowering-cache       skip precomputing im2col lowerings of golden conv
-                              inputs (run); slower but lighter on memory
     --no-early-exit           always run faulty forward passes to the logits
                               instead of stopping once the activations are
                               provably golden again (run); slower, same results
@@ -415,7 +408,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, ParseCliError> {
                 opts.checkpoint_dir = Some(v);
             }
             "--resume" => opts.resume = true,
-            "--no-lowering-cache" => opts.lowering_cache = false,
             "--no-early-exit" => opts.early_exit = false,
             "--no-delta" => opts.delta = false,
             "--no-batched" => opts.batched = false,
@@ -635,7 +627,6 @@ pub fn run(
                 .generate();
             phase_end("model", &mut phases, &mut mark);
             let golden = GoldenReference::build(&model, &data)?;
-            let golden = if opts.lowering_cache { golden.with_lowering(&model)? } else { golden };
             phase_end("golden", &mut phases, &mut mark);
             let space = FaultSpace::stuck_at(&model);
             let acts: Option<ActivationSpace> = if opts.accumulate > 1 {
@@ -682,9 +673,8 @@ pub fn run(
             )?;
             writeln!(
                 out,
-                "golden reference: {} activation-cache bytes + {} lowering-cache bytes",
-                group_digits((golden.memory_bytes() - golden.lowering_bytes()) as u64),
-                group_digits(golden.lowering_bytes() as u64),
+                "golden reference: {} activation-cache bytes",
+                group_digits(golden.memory_bytes() as u64),
             )?;
             let cfg = CampaignConfig {
                 workers: opts.workers,
@@ -921,7 +911,7 @@ pub fn run(
                 )?;
             }
             if let Some(rate) = trace.lowering_hit_rate() {
-                writeln!(out, "lowering-cache hit rate: {}", percent(rate, 1))?;
+                writeln!(out, "lowering-panel hit rate: {}", percent(rate, 1))?;
             }
             if !trace.phases.is_empty() {
                 let phases: Vec<PhaseLine> = trace
@@ -1334,43 +1324,9 @@ mod tests {
 
     #[test]
     fn parse_no_lowering_cache() {
-        let o = parse(&args("run --no-lowering-cache")).unwrap();
-        assert!(!o.lowering_cache);
-        assert!(parse(&args("run")).unwrap().lowering_cache, "cache is on by default");
-    }
-
-    #[test]
-    fn lowering_cache_does_not_change_estimates() {
-        let base =
-            parse(&args("run --model resnet20-micro --scheme network-wise --error 0.2 --images 2"))
-                .unwrap();
-        let mut cached = Vec::new();
-        run(&base, &mut cached).unwrap();
-        let mut uncached = Vec::new();
-        run(&CliOptions { lowering_cache: false, ..base }, &mut uncached).unwrap();
-        // Drop the memory header (cache bytes differ by construction) and
-        // the summary's wall-clock tail; every estimate must match exactly.
-        let strip = |b: &[u8]| {
-            String::from_utf8(b.to_vec())
-                .unwrap()
-                .lines()
-                .filter(|l| !l.contains("...") && !l.starts_with("golden reference:"))
-                .map(|l| {
-                    if l.starts_with("network:") {
-                        l.rsplit_once(", ").map(|(a, _)| a.to_string()).unwrap_or_default()
-                    } else {
-                        l.to_string()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&cached), strip(&uncached));
-        let text = String::from_utf8(cached).unwrap();
-        assert!(text.contains("golden reference:"), "{text}");
-        assert!(text.contains("lowering-cache bytes"));
-        let text = String::from_utf8(uncached).unwrap();
-        assert!(text.contains("+ 0 lowering-cache bytes"), "{text}");
+        // The golden lowering cache is gone: the flag is an unknown one.
+        let e = parse(&args("run --no-lowering-cache")).unwrap_err();
+        assert!(e.message.contains("unknown flag `--no-lowering-cache`"), "{e}");
     }
 
     #[test]

@@ -65,7 +65,6 @@ fn assert_engine_accounting(res: &CampaignResult, ctx: &str) {
 fn every_engine_fires_on_the_tier_it_owns() {
     let model = micro_resnet(3);
     let (data, golden) = campaign_world(&model, 16, 8);
-    let golden = golden.with_lowering(&model).unwrap();
     let cfg = CampaignConfig::default();
 
     // Weight tier: every fault on a batched-owned layer routes batched,
@@ -142,7 +141,6 @@ fn every_engine_fires_on_the_tier_it_owns() {
 fn cli_engine_flag_matrix_composes() {
     let model = micro_resnet(5);
     let (data, golden) = campaign_world(&model, 16, 4);
-    let golden = golden.with_lowering(&model).unwrap();
     let deep = model.weight_layers().len() - 1;
     let mut faults = weight_faults(0, 30, 3);
     faults.extend(weight_faults(deep, 12, 3));
@@ -230,7 +228,7 @@ fn weight_dispatch_is_a_function_of_the_plan() {
 
     let model = ResNetConfig::resnet20_micro().with_width(8).build_seeded(3).unwrap();
     let data = fixtures::synth_images(16, 4);
-    let build = || GoldenReference::build(&model, &data).unwrap().with_lowering(&model).unwrap();
+    let build = || GoldenReference::build(&model, &data).unwrap();
     let goldens = [build(), build()];
     let layers = model.weight_layers();
     let mut faults = Vec::new();
@@ -265,36 +263,65 @@ fn weight_dispatch_is_a_function_of_the_plan() {
     }
 }
 
-/// The E-wide width does not depend on the golden lowering cache. On
-/// `resnet20_micro` with 8 images, a golden reference built without
-/// `with_lowering` (what `sfi run --no-lowering-cache` builds) still runs
-/// the faults on batched-owned layers all 8 images wide, and classifies
-/// every fault exactly as the reference with the cache does: same engine
-/// counts, classes and inference counts.
+/// The pass width is invisible in everything a campaign reports about a
+/// weight fault. On `resnet20_micro` with 4 images and a plain golden
+/// reference, bit flips over the first 24 weights of every layer classify
+/// identically with the batched engine on and off: classes, inference
+/// counts, and the convergence counters, which depend on the faulted
+/// conv's golden-input panel feeding the single-unit probe at both widths.
 #[test]
-fn batched_width_does_not_need_the_lowering_cache() {
+fn weight_pass_width_is_invisible() {
     let model = micro_resnet(3);
-    let (data, plain) = campaign_world(&model, 16, 8);
-    assert!(!plain.has_lowering());
-    let lowered = plain.clone().with_lowering(&model).unwrap();
+    let (data, golden) = campaign_world(&model, 16, 4);
     let mut faults = Vec::new();
     for layer in 0..model.weight_layers().len() {
-        for bit in [22, 30] {
-            faults.extend(weight_faults(layer, bit, 2));
+        for bit in [0, 12, 23, 26, 30] {
+            faults.extend(weight_faults(layer, bit, 24));
         }
     }
-    let cfg = CampaignConfig::default();
-    let without = run_campaign(&model, &data, &plain, &faults, &cfg).unwrap();
-    let with = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
-    assert_engine_accounting(&without, "without the lowering cache");
-    assert!(
-        without.engine_batched > 0,
-        "no fault ran E wide without the lowering cache (dense={} batched={})",
-        without.engine_dense,
-        without.engine_batched
-    );
-    assert_eq!(without.engine_batched, with.engine_batched, "engine_batched");
-    assert_eq!(without.engine_dense, with.engine_dense, "engine_dense");
-    assert_eq!(without.classes, with.classes, "classes");
-    assert_eq!(without.inferences, with.inferences, "inferences");
+    let wide = CampaignConfig::default();
+    let one = CampaignConfig { batched: false, ..wide };
+    let wide = run_campaign(&model, &data, &golden, &faults, &wide).unwrap();
+    let one = run_campaign(&model, &data, &golden, &faults, &one).unwrap();
+    assert!(wide.engine_batched > 0, "no fault ran E wide");
+    assert_eq!(one.engine_batched, 0, "batched off runs every fault one image wide");
+    assert_eq!(wide.classes, one.classes, "classes");
+    assert_eq!(wide.inferences, one.inferences, "inferences");
+    assert_eq!(wide.converged, one.converged, "converged");
+    assert_eq!(wide.nodes_skipped, one.nodes_skipped, "nodes_skipped");
+}
+
+/// A worker builds the faulted conv's golden-input panels once per image
+/// and reuses them for every later fault at that conv: the slot does not
+/// thrash between the images of a one-image-wide campaign. With one
+/// worker, no early exit and 4 images, `k` faults on one conv that lowers
+/// per image build 4 panels and hit on the other `4k - 4` passes. Faults
+/// on two such convs, interleaved in the caller's order, build each
+/// conv's panels once even with every engine flag off, since the
+/// executor runs same-node faults adjacently.
+#[test]
+fn one_image_panels_are_built_once_per_image() {
+    const E: usize = 4;
+    let model = micro_resnet(3);
+    let (data, golden) = campaign_world(&model, 16, E);
+    let layers = model.weight_layers();
+    let lowering: Vec<usize> = (0..layers.len())
+        .filter(|&l| golden.plan().lowers_per_image(model.node_of_param(layers[l].param).unwrap()))
+        .collect();
+    assert!(lowering.len() >= 2, "resnet20_micro has two convs that lower per image");
+    let faults = weight_faults(lowering[0], 30, 6);
+    let cfg =
+        CampaignConfig { workers: 1, batched: false, early_exit: false, ..Default::default() };
+    let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
+    assert_eq!(res.engine_dense, faults.len() as u64, "every fault ran one image wide");
+    assert_eq!(res.inferences, (faults.len() * E) as u64, "no early exit");
+    assert_eq!(res.lowering_misses, E as u64, "one panel per image");
+    assert_eq!(res.lowering_hits, ((faults.len() - 1) * E) as u64, "every other pass hits");
+
+    let (a, b) = (weight_faults(lowering[0], 30, 3), weight_faults(lowering[1], 30, 3));
+    let interleaved: Vec<Fault> = a.into_iter().zip(b).flat_map(|(x, y)| [x, y]).collect();
+    let off = CampaignConfig { convergence: false, delta: false, ..cfg };
+    let res = run_campaign(&model, &data, &golden, &interleaved, &off).unwrap();
+    assert_eq!(res.lowering_misses, (2 * E) as u64, "one panel per image and conv");
+    assert_eq!(res.lowering_hits, ((interleaved.len() - 2) * E) as u64);
 }

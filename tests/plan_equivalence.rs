@@ -114,8 +114,8 @@ proptest! {
             _ => None,
         };
         let mut session = SessionState::new();
-        session.ensure_panel(&faulty, &plan, &caches, first_dirty).unwrap();
-        let (_, lowered) = session.arena_and_panel(first_dirty);
+        let (_, lowered, _) =
+            session.ensure_panel(&faulty, &plan, &caches, 0, first_dirty).unwrap();
         prop_assert_eq!(lowered.is_some(), plan.is_lowerable_conv(first_dirty));
         let lowered_1: Vec<_> = caches.iter().map(lower).collect();
 
@@ -214,15 +214,13 @@ proptest! {
 
     /// Campaign classifications and inference counts are identical with the
     /// batched engine on and off, at workers ∈ {1, 4, 8}, across the
-    /// convergence/delta configuration matrix, on a golden reference with
-    /// its lowering cache.
+    /// convergence/delta configuration matrix.
     #[test]
     fn batched_campaign_is_invisible_across_workers(
         fault_seed in 0u64..1_000_000,
     ) {
         let model = micro_resnet(3);
         let (data, golden) = campaign_world(&model, 16, 2);
-        let golden = golden.with_lowering(&model).unwrap();
         let space = FaultSpace::stuck_at(&model);
         let faults = random_faults(&space, fault_seed, 12);
 
@@ -278,7 +276,6 @@ proptest! {
     ) {
         let model = micro_resnet(3);
         let (data, golden) = campaign_world(&model, 16, 2);
-        let golden = golden.with_lowering(&model).unwrap();
         let space = FaultSpace::stuck_at(&model);
         let acts = activation_space(&model, &data);
 
@@ -343,15 +340,14 @@ fn depthwise_kernel_is_invisible_on_mobilenet() {
         }
     }
 
-    let lowered = golden.clone().with_lowering(&model).unwrap();
     let faults = random_faults(&FaultSpace::stuck_at(&model), 11, 32);
     let naive_cfg =
         CampaignConfig { kernel: KernelPolicy::Naive, workers: 1, ..Default::default() };
     let reference = run_campaign(&model, &data, &golden, &faults, &naive_cfg).unwrap();
     for workers in [1usize, 4] {
-        for (kernel, golden) in [(KernelPolicy::Naive, &golden), (KernelPolicy::Fast, &lowered)] {
+        for kernel in [KernelPolicy::Naive, KernelPolicy::Fast] {
             let cfg = CampaignConfig { kernel, workers, ..Default::default() };
-            let res = run_campaign(&model, &data, golden, &faults, &cfg).unwrap();
+            let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
             assert_eq!(res.classes, reference.classes, "{kernel:?} workers={workers}");
             assert_eq!(res.inferences, reference.inferences, "{kernel:?} workers={workers}");
         }
@@ -390,7 +386,6 @@ fn faulted_node_never_reads_its_golden_panel() {
     ];
     for (name, model, expect_panels) in models {
         let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
-        let lowered = golden.clone().with_lowering(&model).unwrap();
         let layers = model.weight_layers();
         let node_of = |l: usize| model.node_of_param(layers[l].param).unwrap();
         let conv_kernel = |l: usize| match &model.nodes()[node_of(l)].op {
@@ -424,7 +419,7 @@ fn faulted_node_never_reads_its_golden_panel() {
         // layer's output leaves every weight golden, so the delta engine
         // (every node dense) reads every panel and must reproduce the naive
         // patched suffix.
-        let plan = lowered.plan();
+        let plan = golden.plan();
         let mut arena = ScratchArena::new();
         for layer in [first, middle, last] {
             let node = node_of(layer);
@@ -485,7 +480,7 @@ fn faulted_node_never_reads_its_golden_panel() {
                 for batched in [false, true] {
                     let cfg =
                         CampaignConfig { workers, convergence, batched, ..Default::default() };
-                    let res = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+                    let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
                     let ctx = format!(
                         "{name} workers={workers} convergence={convergence} batched={batched}"
                     );
@@ -512,7 +507,7 @@ fn faulted_node_never_reads_its_golden_panel() {
         let reference = run_campaign(&model, &data, &golden, &accumulated, &naive_cfg).unwrap();
         for workers in [1usize, 4, 8] {
             let cfg = CampaignConfig { workers, ..Default::default() };
-            let res = run_campaign(&model, &data, &lowered, &accumulated, &cfg).unwrap();
+            let res = run_campaign(&model, &data, &golden, &accumulated, &cfg).unwrap();
             assert_eq!(res.classes, reference.classes, "{name} accumulated workers={workers}");
             assert_eq!(
                 res.inferences, reference.inferences,
@@ -527,7 +522,7 @@ fn faulted_node_never_reads_its_golden_panel() {
 /// place, and through an im2col buffer), and weight campaigns with faults
 /// in an in-place conv, a non-strided conv kept on the im2col path and a
 /// strided conv (depthwise on MobileNetV2) classify identically — classes and inference counts —
-/// under `KernelPolicy::Fast` (golden lowering cache, golden panels) and
+/// under `KernelPolicy::Fast` (session lowering panels, golden panels) and
 /// `KernelPolicy::Naive`, at workers 1, 4 and 8, with convergence (and
 /// with it the single-channel probe) on and off and batched on and off.
 #[test]
@@ -541,7 +536,6 @@ fn in_place_convs_are_invisible_in_campaigns() {
     ];
     for (name, model) in models {
         let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
-        let lowered = golden.clone().with_lowering(&model).unwrap();
         let plan = golden.plan();
         let layers = model.weight_layers();
         let node_of = |l: usize| model.node_of_param(layers[l].param).unwrap();
@@ -564,10 +558,19 @@ fn in_place_convs_are_invisible_in_campaigns() {
         assert!(!in_place.is_empty(), "{name}: the rule reads no conv in place");
         assert!(!packed.is_empty(), "{name}: the rule keeps no stride-1 conv on im2col");
         let strided = strided.unwrap_or_else(|| panic!("{name}: no strided conv"));
+        // One image wide, a faulted in-place conv gets no lowering panel.
+        let mut session = SessionState::new();
+        let mut panel_of = |l: usize| {
+            let image = &golden.caches()[..1];
+            let (_, panel, _) = session.ensure_panel(&model, plan, image, 0, node_of(l)).unwrap();
+            panel.is_some()
+        };
         for &l in &in_place {
-            assert!(lowered.lowering(node_of(l), 0).is_none(), "{name}: L{l} lowered in place");
+            assert!(!plan.lowers_per_image(node_of(l)), "{name}: L{l} lowered in place");
+            assert!(!panel_of(l), "{name}: L{l} has a one-image panel");
         }
-        assert!(lowered.lowering(node_of(packed[0]), 0).is_some(), "{name}: packed not lowered");
+        assert!(plan.lowers_per_image(node_of(packed[0])), "{name}: packed not lowered");
+        assert!(panel_of(packed[0]), "{name}: packed has no one-image panel");
 
         let mut faults = Vec::new();
         for layer in [in_place[in_place.len() / 2], packed[packed.len() / 2], strided] {
@@ -583,7 +586,7 @@ fn in_place_convs_are_invisible_in_campaigns() {
                 for batched in [false, true] {
                     let cfg =
                         CampaignConfig { workers, convergence, batched, ..Default::default() };
-                    let res = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+                    let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
                     let ctx = format!(
                         "{name} workers={workers} convergence={convergence} batched={batched}"
                     );
@@ -616,8 +619,7 @@ fn fused_dense_suffix_is_invisible_in_campaigns() {
     ];
     for (name, model) in models {
         let (data, golden) = campaign_world(&model, model.input_dims()[1], 2);
-        let lowered = golden.clone().with_lowering(&model).unwrap();
-        let plan = lowered.plan();
+        let plan = golden.plan();
         let layers = model.weight_layers();
         let node_of = |l: usize| model.node_of_param(layers[l].param).unwrap();
         let convs: Vec<usize> = (0..layers.len())
@@ -678,7 +680,7 @@ fn fused_dense_suffix_is_invisible_in_campaigns() {
                 for batched in [false, true] {
                     let cfg =
                         CampaignConfig { workers, convergence, batched, ..Default::default() };
-                    let res = run_campaign(&model, &data, &lowered, &faults, &cfg).unwrap();
+                    let res = run_campaign(&model, &data, &golden, &faults, &cfg).unwrap();
                     let ctx = format!(
                         "{name} workers={workers} convergence={convergence} batched={batched}"
                     );
@@ -698,30 +700,29 @@ fn fused_dense_suffix_is_invisible_in_campaigns() {
 fn fused_dense_suffix_allocates_nothing_after_warm_up() {
     let model = MobileNetV2Config::cifar_micro().build_seeded(5).unwrap();
     let (_, golden) = campaign_world(&model, model.input_dims()[1], 1);
-    let golden = golden.with_lowering(&model).unwrap();
     let caches = golden.caches();
     let layers = model.weight_layers();
     let param = layers[1].param;
     let first = model.node_of_param(param).unwrap();
     let unit = model.param_output_unit(param, 0);
-    let mut arena = ScratchArena::new();
-    let pass = |arena: &mut ScratchArena, bit: u32, converge: bool| {
+    let mut session = SessionState::new();
+    let pass = |session: &mut SessionState, bit: u32, converge: bool| {
         let mut faulty = model.clone();
         let w = &mut faulty.store_mut().get_mut(param).unwrap().tensor;
         w.as_mut_slice()[0] = f32::from_bits(w.as_slice()[0].to_bits() ^ (1 << bit));
-        let lowered = golden.lowering(first, 0);
+        let plan = golden.plan();
+        let (arena, lowered, _) = session.ensure_panel(&faulty, plan, caches, 0, first).unwrap();
         let dirty_unit = unit.filter(|_| converge);
-        let out = golden
-            .plan()
+        let out = plan
             .weight_suffix(&faulty, first, caches, lowered, dirty_unit, converge, arena)
             .unwrap();
         arena.recycle(out.logits);
     };
     for converge in [false, true] {
-        pass(&mut arena, 30, converge);
-        let before = arena.stats();
-        pass(&mut arena, 29, converge);
-        let after = arena.stats();
+        pass(&mut session, 30, converge);
+        let before = session.arena.stats();
+        pass(&mut session, 29, converge);
+        let after = session.arena.stats();
         let takes = after.takes - before.takes;
         assert!(takes > 0, "converge={converge}: the suffix draws its buffers from the arena");
         assert_eq!(
@@ -749,7 +750,6 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
     const E: usize = 4;
     let model = micro_resnet(3);
     let (_, golden) = campaign_world(&model, model.input_dims()[1], E);
-    let golden = golden.with_lowering(&model).unwrap();
     let plan = golden.plan();
     let caches = golden.caches();
     assert_eq!(caches.len(), E);
@@ -790,8 +790,7 @@ fn small_plane_suffix_matches_across_widths_on_resnet20_micro() {
                     faulty.forward_suffix(Some(node), golden.cache(img), &[], opts).unwrap()
                 })
                 .collect();
-            session.ensure_panel(&faulty, plan, caches, node).unwrap();
-            let (_, wide_low) = session.arena_and_panel(node);
+            let (_, wide_low, _) = session.ensure_panel(&faulty, plan, caches, 0, node).unwrap();
             for (converge, use_low) in [(false, false), (true, false), (true, true)] {
                 let ctx =
                     format!("node {node} idx {idx} bit {bit} converge={converge} low={use_low}");
