@@ -1,4 +1,4 @@
-//! `transient`: measures sparse delta propagation on transient
+//! `transient`: measures row-band delta propagation on transient
 //! activation faults end-to-end.
 //!
 //! The workload is a network-wise sample of single-bit transient faults
@@ -11,9 +11,10 @@
 //! an exact re-encoding of the faulty inference, never an approximation.
 //!
 //! Transient faults are where the delta engine earns its keep: a single
-//! struck activation element starts a one-element dirty cone (against the
-//! channel-wide cone a weight fault opens), and faults deep in the network
-//! skip the entire clean prefix. Under `cargo bench -- --bench` the
+//! struck activation element starts a one-row band (against the
+//! channel-wide cone a weight fault opens), each GEMM conv computes only
+//! the rows its input band reaches, and faults deep in the network skip
+//! the entire clean prefix. Under `cargo bench -- --bench` the
 //! comparison (plus per-depth-quartile telemetry) is written to
 //! `BENCH_transient.json` at the workspace root. With `--smoke` the binary
 //! runs a seconds-scale regression guard instead and exits non-zero if
@@ -42,7 +43,7 @@ fn transient_sample(space: &ActivationSpace, seed: u64, n: usize) -> Vec<Campaig
         .collect()
 }
 
-/// Dense suffix re-execution from the struck node (no sparse propagation).
+/// Dense suffix re-execution from the struck node (no row bands).
 fn baseline_cfg() -> CampaignConfig {
     CampaignConfig { delta: false, ..CampaignConfig::default() }
 }
@@ -92,10 +93,10 @@ fn bench_transient(c: &mut Criterion) {
 }
 
 /// One formatted `by_scale` JSON line.
-fn scale_json(name: &str, faults: usize, sparse_nodes: u64, base_s: f64, fast_s: f64) -> String {
+fn scale_json(name: &str, faults: usize, base_s: f64, fast_s: f64) -> String {
     format!(
-        "    {{\"scale\": \"{name}\", \"faults\": {faults}, \"sparse_nodes\": {sparse_nodes}, \
-         \"dense_mean_s\": {base_s:.6}, \"delta_mean_s\": {fast_s:.6}, \"speedup\": {:.3}}}",
+        "    {{\"scale\": \"{name}\", \"faults\": {faults}, \"dense_mean_s\": {base_s:.6}, \
+         \"delta_mean_s\": {fast_s:.6}, \"speedup\": {:.3}}}",
         base_s / fast_s,
     )
 }
@@ -107,7 +108,6 @@ fn scale_line(scale: Scale, name: &str, n: usize, iters: usize) -> String {
     let golden = GoldenReference::build(model, data).unwrap();
     let space = ActivationSpace::build_for(model, data, FaultTarget::Activation).unwrap();
     let faults = transient_sample(&space, 2300, n);
-    let fast = run_campaign(model, data, &golden, &faults, &delta_cfg()).unwrap();
     let (base_s, fast_s) = mean_secs_pair(
         || {
             run_campaign(model, data, &golden, &faults, &baseline_cfg()).unwrap();
@@ -117,7 +117,7 @@ fn scale_line(scale: Scale, name: &str, n: usize, iters: usize) -> String {
         },
         iters,
     );
-    scale_json(name, faults.len(), fast.delta_sparse_nodes, base_s, fast_s)
+    scale_json(name, faults.len(), base_s, fast_s)
 }
 
 /// Splits the sample into depth quartiles by struck node and reports the
@@ -153,11 +153,10 @@ fn depth_lines(
             iters,
         );
         lines.push(format!(
-            "    {{\"depth_quartile\": {q}, \"faults\": {}, \"sparse_nodes\": {}, \
-             \"fallbacks\": {}, \"dirty_blocks\": {}, \"dense_mean_s\": {base_s:.6}, \
-             \"delta_mean_s\": {fast_s:.6}, \"speedup\": {:.3}}}",
+            "    {{\"depth_quartile\": {q}, \"faults\": {}, \"fallbacks\": {}, \
+             \"dirty_blocks\": {}, \"dense_mean_s\": {base_s:.6}, \"delta_mean_s\": {fast_s:.6}, \
+             \"speedup\": {:.3}}}",
             fs.len(),
-            r.delta_sparse_nodes,
             r.delta_fallbacks,
             r.delta_dirty_blocks,
             base_s / fast_s,
@@ -199,7 +198,7 @@ fn emit_bench_json() {
     let scales = [
         scale_line(Scale::Smoke, "smoke", 256, ITERS),
         scale_line(Scale::Default, "default", 512, ITERS),
-        scale_json("full", faults.len(), fast.delta_sparse_nodes, base_s, fast_s),
+        scale_json("full", faults.len(), base_s, fast_s),
     ]
     .join(",\n");
 
@@ -210,14 +209,12 @@ fn emit_bench_json() {
          images\",\n  \"baseline\": \"dense suffix re-execution from the struck node (delta \
          off)\",\n  \"iters_per_point\": {ITERS},\n  \"campaign\": {{\n    \"dense_mean_s\": \
          {base_s:.6},\n    \"delta_mean_s\": {fast_s:.6},\n    \"speedup\": {speedup:.3},\n    \
-         \"classes_identical\": {identical},\n    \"sparse_nodes\": {},\n    \
-         \"dense_fallbacks\": {},\n    \"dirty_blocks\": {}\n  }},\n  \"by_scale\": \
+         \"classes_identical\": {identical},\n    \"dense_fallbacks\": {},\n    \"dirty_blocks\": {}\n  }},\n  \"by_scale\": \
          [\n{scales}\n  ],\n  \"by_depth\": [\n{by_depth}\n  ]\n}}\n",
         host_fingerprint(),
         faults.len(),
         space.total(),
         data.len(),
-        fast.delta_sparse_nodes,
         fast.delta_fallbacks,
         fast.delta_dirty_blocks,
     );
@@ -253,17 +250,17 @@ fn smoke() -> i32 {
         ITERS,
     );
     println!(
-        "smoke transient: dense {:.1}ms delta {:.1}ms (speedup {:.2}x), {} faults, sparse nodes \
-         {} fallbacks {}",
+        "smoke transient: dense {:.1}ms delta {:.1}ms (speedup {:.2}x), {} faults, dense nodes \
+         {}",
         base_s * 1e3,
         fast_s * 1e3,
         base_s / fast_s,
         faults.len(),
-        fast.delta_sparse_nodes,
         fast.delta_fallbacks,
     );
-    // Single-element transient cones stay sparse, so delta must never lose
-    // to dense re-execution (10% tolerance for machine noise).
+    // A transient's band starts at one row and the delta pass skips the
+    // clean prefix, so delta must never lose to dense re-execution (10%
+    // tolerance for machine noise).
     if fast_s > base_s * 1.1 {
         eprintln!(
             "FAIL: delta path slower than dense on transient faults: {fast_s:.6}s vs {base_s:.6}s"

@@ -501,7 +501,6 @@ impl<'a, C: Corruption> Campaign<'a, C> {
                                 lowering_misses: tel.lowering_misses,
                                 converged: tel.converged,
                                 nodes_skipped: tel.nodes_skipped,
-                                delta_sparse: tel.delta_sparse_nodes,
                                 delta_fallbacks: tel.delta_fallbacks,
                                 delta_dirty_blocks: tel.delta_dirty_blocks,
                                 wall_ms: tel.wall.as_secs_f64() * 1e3,

@@ -125,13 +125,13 @@ pub struct CampaignConfig {
     /// like `workers` and `kernel`.
     #[serde(default = "default_convergence")]
     pub convergence: bool,
-    /// Sparse delta-propagation faulty inference for transient activation
-    /// and input faults: during incremental fast-path re-execution,
-    /// represent the faulty activation as golden + delta and recompute only
-    /// the struck element's dirty cone with order-exact sparse kernels
-    /// ([`sfi_nn::Model::forward_delta_site`]), falling back to the dense
-    /// kernel per node when the dirty region saturates. When off,
-    /// transients run the dense patched suffix. Weight faults never take
+    /// Row-band delta propagation for transient activation and input
+    /// faults: during incremental fast-path re-execution, carry each faulty
+    /// activation with the band of rows that may differ from golden,
+    /// starting from the struck element's row, skip every node whose
+    /// inputs are golden, and run each GEMM conv over only the rows its
+    /// input band reaches ([`sfi_nn::Model::forward_delta_site`]). When
+    /// off, transients run the dense patched suffix. Weight faults never take
     /// this engine: they run dense or batched whatever this field says.
     /// Classifications and inference counts are bit-identical either way;
     /// only the per-inference cost changes. Excluded from plan
@@ -219,16 +219,12 @@ pub struct CampaignResult {
     /// every converged image of every fault.
     #[serde(default)]
     pub nodes_skipped: u64,
-    /// Nodes recomputed through sparse delta (dirty-cone) kernels (0 with
-    /// [`CampaignConfig::delta`] disabled).
-    #[serde(default)]
-    pub delta_sparse_nodes: u64,
-    /// Delta nodes whose candidate dirty region saturated past the
-    /// threshold and fell back to the dense kernel.
+    /// Nodes the delta engine evaluated densely over their row bands (0
+    /// with [`CampaignConfig::delta`] disabled).
     #[serde(default)]
     pub delta_fallbacks: u64,
-    /// Dirty spatial blocks summed over every delta pass's surviving node
-    /// masks — the total dirty-cone volume of the campaign.
+    /// Dirty 4x4 spatial blocks summed over every delta pass's surviving
+    /// row bands — the total dirty-cone volume of the campaign.
     #[serde(default)]
     pub delta_dirty_blocks: u64,
     /// Faults evaluated by the dense (early-exit) engine. Masked faults
@@ -236,7 +232,7 @@ pub struct CampaignResult {
     /// engine; every evaluated fault counts toward exactly one.
     #[serde(default)]
     pub engine_dense: u64,
-    /// Faults evaluated by the sparse-delta engine.
+    /// Faults evaluated by the row-band delta engine.
     #[serde(default)]
     pub engine_delta: u64,
     /// Faults evaluated by the batched eval-image engine.

@@ -175,19 +175,21 @@ pub struct CampaignTelemetry {
     /// Graph nodes skipped by golden-convergence early exits.
     #[serde(default)]
     pub nodes_skipped: u64,
-    /// Nodes recomputed through sparse delta (dirty-cone) kernels.
+    /// Always 0: the delta engine has no sparse phase. A stub kept for
+    /// `benchmark/layers.rs`, which reads it, until the benchmark drops
+    /// it.
     #[serde(default)]
     pub delta_sparse_nodes: u64,
-    /// Delta nodes that saturated and fell back to the dense kernel.
+    /// Nodes the delta engine evaluated densely over their row bands.
     #[serde(default)]
     pub delta_fallbacks: u64,
-    /// Dirty spatial blocks summed over every delta pass's node masks.
+    /// Dirty 4x4 spatial blocks summed over every delta pass's row bands.
     #[serde(default)]
     pub delta_dirty_blocks: u64,
     /// Faults evaluated by the dense (early-exit) engine.
     #[serde(default)]
     pub engine_dense: u64,
-    /// Faults evaluated by the sparse-delta engine.
+    /// Faults evaluated by the row-band delta engine.
     #[serde(default)]
     pub engine_delta: u64,
     /// Faults evaluated by the batched eval-image engine.
@@ -212,7 +214,7 @@ impl CampaignTelemetry {
             arena_peak_bytes: result.arena_peak_bytes,
             converged: result.converged,
             nodes_skipped: result.nodes_skipped,
-            delta_sparse_nodes: result.delta_sparse_nodes,
+            delta_sparse_nodes: 0,
             delta_fallbacks: result.delta_fallbacks,
             delta_dirty_blocks: result.delta_dirty_blocks,
             engine_dense: result.engine_dense,
@@ -796,15 +798,13 @@ pub(crate) struct FaultTally {
     pub converged: u64,
     /// Graph nodes skipped by convergence early exits, over all images.
     pub nodes_skipped: u64,
-    /// Nodes recomputed through sparse delta kernels, over all images.
-    pub delta_sparse_nodes: u64,
-    /// Delta nodes that saturated and fell back to the dense kernel.
+    /// Nodes the delta engine evaluated densely over their row bands.
     pub delta_fallbacks: u64,
-    /// Dirty blocks summed over every image's surviving node masks.
+    /// Dirty blocks summed over every image's surviving row bands.
     pub delta_dirty_blocks: u64,
     /// 1 when the dense (early-exit) engine evaluated this fault.
     pub engine_dense: u64,
-    /// 1 when the sparse-delta engine evaluated this fault.
+    /// 1 when the row-band delta engine evaluated this fault.
     pub engine_delta: u64,
     /// 1 when the batched eval-image engine evaluated this fault.
     pub engine_batched: u64,
@@ -819,7 +819,6 @@ impl AddAssign for FaultTally {
         self.inferences += o.inferences;
         self.converged += o.converged;
         self.nodes_skipped += o.nodes_skipped;
-        self.delta_sparse_nodes += o.delta_sparse_nodes;
         self.delta_fallbacks += o.delta_fallbacks;
         self.delta_dirty_blocks += o.delta_dirty_blocks;
         self.engine_dense += o.engine_dense;
@@ -848,7 +847,6 @@ impl FaultTally {
             arena_peak_bytes,
             converged: self.converged,
             nodes_skipped: self.nodes_skipped,
-            delta_sparse_nodes: self.delta_sparse_nodes,
             delta_fallbacks: self.delta_fallbacks,
             delta_dirty_blocks: self.delta_dirty_blocks,
             engine_dense: self.engine_dense,
@@ -970,11 +968,10 @@ impl<'a> Verdict<'a> {
 
     /// Adds one delta pass's work counters.
     fn delta(&mut self, stats: DeltaStats) {
-        self.tally.delta_sparse_nodes += stats.sparse_nodes;
         self.tally.delta_fallbacks += stats.dense_nodes;
         self.tally.delta_dirty_blocks += stats.dirty_blocks;
         let rows = (stats.conv_rows, stats.conv_rows_full);
-        self.wprobe.record_delta(stats.sparse_nodes, stats.dense_nodes, stats.dirty_blocks, rows);
+        self.wprobe.record_delta(stats.dense_nodes, stats.dirty_blocks, rows);
     }
 
     fn finish(self) -> FaultOutcome {
@@ -1240,7 +1237,7 @@ pub(crate) fn validate_activation_site(
 /// the golden activation bits unchanged is [`FaultClass::Masked`] with zero
 /// inferences, mirroring the weight path's effectiveness check.
 ///
-/// With the delta engine active the single dirty site seeds a sparse cone
+/// With the delta engine active the single dirty site seeds a one-row band
 /// via [`Model::forward_delta_site`] (this is the workload the per-image
 /// dirty-site machinery was built for); otherwise the dense
 /// [`Model::forward_suffix`] path re-executes the suffix. The model is
@@ -1262,8 +1259,8 @@ fn classify_activation(
     if faulty_bits == golden_v.to_bits() {
         return Ok(FaultOutcome::masked());
     }
-    // A transient's one-element cone stays sparse at any bit, so delta
-    // takes every transient when enabled.
+    // A transient's band starts at one row at any bit, so delta takes
+    // every transient when enabled.
     let use_delta = cfg.delta && cfg.incremental && cfg.kernel == KernelPolicy::Fast;
     let mut verdict = Verdict::new(model, golden, needed_for_critical, cfg, site.node, wprobe);
     verdict.tally.engine_delta = u64::from(use_delta);
@@ -1294,7 +1291,7 @@ fn classify_activation(
 /// is a no-op on the value it would strike. Images touched by neither a
 /// weight fault nor an activation patch are provably golden and skipped.
 /// Re-execution always runs the dense [`Model::forward_suffix`] path
-/// (patches on multiple sites make the sparse cone immediately wide), which
+/// (patches on multiple sites make the dirty cone immediately wide), which
 /// starts from the shallowest effective component. It passes no golden
 /// weight panels: the weight components may fault several layers, and
 /// the pass only knows to re-pack the shallowest one.

@@ -13,11 +13,14 @@
 //!   to runtime checks.
 //! - **DUE** (detectable uncorrectable error stand-in) — at least one
 //!   evaluated inference produced non-finite logits; a NaN/Inf guard at
-//!   the network output would flag it.
+//!   the network output would flag it. A DUE records whether some top-1
+//!   prediction also changed: non-finite logits can leave every top-1
+//!   intact.
 //!
-//! The paper's *Critical* class is `SDC ∪ DUE`; [`DetailedClass::is_critical`]
-//! makes that mapping explicit so detailed campaigns remain comparable with
-//! the headline results.
+//! The paper's *Critical* class is a top-1 change: SDC plus the DUEs whose
+//! top-1 changed. [`DetailedClass::is_critical`] makes that mapping
+//! explicit, so a detailed campaign agrees with the binary one fault by
+//! fault.
 
 use std::time::{Duration, Instant};
 
@@ -43,13 +46,17 @@ pub enum DetailedClass {
     /// Silent data corruption: a top-1 change with finite logits.
     Sdc,
     /// Non-finite logits on at least one image (detectable at runtime).
-    Due,
+    Due {
+        /// Whether some evaluated top-1 prediction changed too.
+        top1_changed: bool,
+    },
 }
 
 impl DetailedClass {
-    /// Whether the class maps to the paper's *Critical* outcome.
+    /// Whether the class maps to the paper's *Critical* outcome (a top-1
+    /// change on some image).
     pub fn is_critical(&self) -> bool {
-        matches!(self, DetailedClass::Sdc | DetailedClass::Due)
+        matches!(self, DetailedClass::Sdc | DetailedClass::Due { top1_changed: true })
     }
 }
 
@@ -59,7 +66,7 @@ impl std::fmt::Display for DetailedClass {
             DetailedClass::Masked => write!(f, "masked"),
             DetailedClass::Benign => write!(f, "benign"),
             DetailedClass::Sdc => write!(f, "SDC"),
-            DetailedClass::Due => write!(f, "DUE"),
+            DetailedClass::Due { .. } => write!(f, "DUE"),
         }
     }
 }
@@ -76,24 +83,30 @@ pub struct DetailedResult {
 }
 
 impl DetailedResult {
-    /// Count of one class.
+    /// Count of one class (a DUE counts only with the same
+    /// `top1_changed`).
     pub fn count(&self, class: DetailedClass) -> u64 {
         self.classes.iter().filter(|&&c| c == class).count() as u64
     }
 
-    /// Count of paper-critical faults (`SDC + DUE`).
+    /// Count of paper-critical faults (SDC plus the DUEs whose top-1
+    /// changed).
     pub fn critical(&self) -> u64 {
         self.classes.iter().filter(|c| c.is_critical()).count() as u64
     }
 
-    /// `(masked, benign, sdc, due)` counts.
+    /// `(masked, benign, sdc, due)` counts, every DUE in the last.
     pub fn tally(&self) -> (u64, u64, u64, u64) {
-        (
-            self.count(DetailedClass::Masked),
-            self.count(DetailedClass::Benign),
-            self.count(DetailedClass::Sdc),
-            self.count(DetailedClass::Due),
-        )
+        let mut t = (0, 0, 0, 0);
+        for class in &self.classes {
+            match class {
+                DetailedClass::Masked => t.0 += 1,
+                DetailedClass::Benign => t.1 += 1,
+                DetailedClass::Sdc => t.2 += 1,
+                DetailedClass::Due { .. } => t.3 += 1,
+            }
+        }
+        t
     }
 }
 
@@ -182,7 +195,7 @@ pub fn run_campaign_detailed(
             }
         }
         classes.push(if any_nonfinite {
-            DetailedClass::Due
+            DetailedClass::Due { top1_changed: any_mismatch }
         } else if any_mismatch {
             DetailedClass::Sdc
         } else {
@@ -257,6 +270,24 @@ mod tests {
     }
 
     #[test]
+    fn due_is_critical_exactly_when_a_top1_changes() {
+        let (model, data, golden) = setup();
+        // Exponent-MSB stuck-at-1 on these layers drives some logits
+        // non-finite while every top-1 prediction holds, a DUE the binary
+        // campaign counts non-critical.
+        let cfg = CampaignConfig { early_exit: false, ..Default::default() };
+        for layer in [8, 10] {
+            let fs = faults(layer, 30, FaultModel::StuckAt1, 16);
+            let detailed = run_campaign_detailed(&model, &data, &golden, &fs, true).unwrap();
+            let binary = run_campaign(&model, &data, &golden, &fs, &cfg).unwrap();
+            for (w, (d, b)) in detailed.classes.iter().zip(&binary.classes).enumerate() {
+                assert_eq!(d.is_critical(), b.is_critical(), "layer {layer} weight {w}: {d}");
+            }
+            assert_eq!(detailed.critical(), binary.critical(), "layer {layer}");
+        }
+    }
+
+    #[test]
     fn masked_faults_run_no_inference() {
         let (model, data, golden) = setup();
         let fs = faults(0, 30, FaultModel::StuckAt0, 8); // bit 30 already 0
@@ -287,7 +318,7 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(DetailedClass::Sdc.to_string(), "SDC");
-        assert_eq!(DetailedClass::Due.to_string(), "DUE");
+        assert_eq!(DetailedClass::Due { top1_changed: false }.to_string(), "DUE");
         assert_eq!(DetailedClass::Masked.to_string(), "masked");
         assert_eq!(DetailedClass::Benign.to_string(), "benign");
     }

@@ -57,7 +57,7 @@ pub mod resnet;
 pub mod train;
 pub mod vgg;
 
-pub use delta::{DeltaOptions, DeltaStats, DELTA_SATURATION_DEFAULT};
+pub use delta::{DeltaOptions, DeltaStats};
 pub use error::NnError;
 pub use model::{
     ActPatch, ActivationCache, ForwardOptions, ForwardOutcome, KernelPolicy, LayerStats, Model,

@@ -101,7 +101,7 @@ pub const CONVERGENCE_BUCKETS: usize = 16;
 
 /// Number of log₂ buckets in the dirty-region histogram. Bucket `b` counts
 /// delta-propagation passes whose dirty cone spanned `[2^(b-1), 2^b)` dirty
-/// spatial blocks summed over every node mask; bucket 0 counts empty cones
+/// spatial blocks summed over every node's row band; bucket 0 counts empty cones
 /// (masked faults) and the last bucket absorbs any larger cone.
 pub const DELTA_BUCKETS: usize = 32;
 
@@ -115,15 +115,14 @@ const C_ARENA_TAKES: usize = 6;
 const C_ARENA_REUSES: usize = 7;
 const C_CONVERGED: usize = 8;
 const C_NODES_SKIPPED: usize = 9;
-const C_DELTA_SPARSE: usize = 10;
-const C_DELTA_FALLBACKS: usize = 11;
-const C_DELTA_DIRTY_BLOCKS: usize = 12;
-const C_WEIGHT_FAULTS: usize = 13;
-const C_TRANSIENT_FAULTS: usize = 14;
-const C_ACCUMULATED_FAULTS: usize = 15;
-const C_DELTA_CONV_ROWS: usize = 16;
-const C_DELTA_CONV_ROWS_FULL: usize = 17;
-const COUNTERS: usize = 18;
+const C_DELTA_FALLBACKS: usize = 10;
+const C_DELTA_DIRTY_BLOCKS: usize = 11;
+const C_WEIGHT_FAULTS: usize = 12;
+const C_TRANSIENT_FAULTS: usize = 13;
+const C_ACCUMULATED_FAULTS: usize = 14;
+const C_DELTA_CONV_ROWS: usize = 15;
+const C_DELTA_CONV_ROWS_FULL: usize = 16;
+const COUNTERS: usize = 17;
 
 /// One worker's slice of the session metrics. All operations are relaxed
 /// atomics; totals are merged by [`Probe::snapshot`].
@@ -200,13 +199,10 @@ pub struct MetricsSnapshot {
     pub converged: u64,
     /// Graph nodes skipped by golden-convergence early exits.
     pub nodes_skipped: u64,
-    /// Nodes recomputed through sparse delta (dirty-cone) kernels.
-    pub delta_sparse_nodes: u64,
-    /// Delta nodes that saturated past the threshold and fell back to the
-    /// dense kernel.
+    /// Nodes the delta passes evaluated densely over their row bands.
     pub delta_fallbacks: u64,
-    /// Dirty spatial blocks summed over every delta pass's node masks (the
-    /// total dirty-cone volume).
+    /// Dirty 4x4 spatial blocks summed over every delta pass's row bands
+    /// (the total dirty-cone volume).
     pub delta_dirty_blocks: u64,
     /// Output rows (per plane) the delta passes' dense convs computed.
     pub delta_conv_rows: u64,
@@ -341,11 +337,10 @@ pub enum Event<'a> {
         converged: u64,
         /// Graph nodes skipped by golden-convergence early exits.
         nodes_skipped: u64,
-        /// Nodes recomputed through sparse delta kernels.
-        delta_sparse: u64,
-        /// Delta nodes that saturated and fell back to the dense kernel.
+        /// Nodes the delta passes evaluated densely over their row bands.
         delta_fallbacks: u64,
-        /// Dirty spatial blocks summed over every delta pass's node masks.
+        /// Dirty 4x4 spatial blocks summed over every delta pass's row
+        /// bands.
         delta_dirty_blocks: u64,
         /// Stratum wall-clock time in milliseconds.
         wall_ms: f64,
@@ -448,7 +443,6 @@ impl Event<'_> {
                 lowering_misses,
                 converged,
                 nodes_skipped,
-                delta_sparse,
                 delta_fallbacks,
                 delta_dirty_blocks,
                 wall_ms,
@@ -457,8 +451,7 @@ impl Event<'_> {
                  \"masked\":{masked},\"critical\":{critical},\"non_critical\":{non_critical},\
                  \"failures\":{failures},\"lowering_hits\":{lowering_hits},\
                  \"lowering_misses\":{lowering_misses},\"converged\":{converged},\
-                 \"nodes_skipped\":{nodes_skipped},\"delta_sparse\":{delta_sparse},\
-                 \"delta_fallbacks\":{delta_fallbacks},\
+                 \"nodes_skipped\":{nodes_skipped},\"delta_fallbacks\":{delta_fallbacks},\
                  \"delta_dirty_blocks\":{delta_dirty_blocks},\"wall_ms\":{wall_ms:.3}"
             ),
             Event::Resume { resumed, dropped } => {
@@ -485,8 +478,8 @@ impl Event<'_> {
                 "\"metrics\",\"inferences\":{},\"mean_inference_us\":{:.3},\
                  \"p99_inference_us\":{:.3},\"requeues\":{},\"worker_retirements\":{},\
                  \"fsyncs\":{},\"mean_fsync_us\":{:.3},\"arena_takes\":{},\"arena_reuses\":{},\
-                 \"converged\":{},\"nodes_skipped\":{},\"delta_sparse_nodes\":{},\
-                 \"delta_fallbacks\":{},\"delta_dirty_blocks\":{},\"delta_conv_rows\":{},\
+                 \"converged\":{},\"nodes_skipped\":{},\"delta_fallbacks\":{},\
+                 \"delta_dirty_blocks\":{},\"delta_conv_rows\":{},\
                  \"delta_conv_rows_full\":{},\"weight_faults\":{},\
                  \"transient_faults\":{},\"accumulated_faults\":{}",
                 snapshot.inferences,
@@ -500,7 +493,6 @@ impl Event<'_> {
                 snapshot.arena_reuses,
                 snapshot.converged,
                 snapshot.nodes_skipped,
-                snapshot.delta_sparse_nodes,
                 snapshot.delta_fallbacks,
                 snapshot.delta_dirty_blocks,
                 snapshot.delta_conv_rows,
@@ -727,7 +719,6 @@ impl Probe {
             arena_reuses: totals[C_ARENA_REUSES],
             converged: totals[C_CONVERGED],
             nodes_skipped: totals[C_NODES_SKIPPED],
-            delta_sparse_nodes: totals[C_DELTA_SPARSE],
             delta_fallbacks: totals[C_DELTA_FALLBACKS],
             delta_dirty_blocks: totals[C_DELTA_DIRTY_BLOCKS],
             delta_conv_rows: totals[C_DELTA_CONV_ROWS],
@@ -814,21 +805,13 @@ impl WorkerProbe<'_> {
         shard.convergence[convergence_bucket(depth as u64)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one delta-propagation pass: `sparse` nodes recomputed
-    /// through the dirty-cone kernels, `fallbacks` saturated nodes
-    /// evaluated densely, a cone of `dirty_blocks` total dirty blocks (one
-    /// dirty-region histogram entry per pass), and `(computed, full)`
-    /// output rows of its dense convs: the rows their row bands reached
-    /// against the rows of the convs at full height.
-    pub fn record_delta(
-        &self,
-        sparse: u64,
-        fallbacks: u64,
-        dirty_blocks: u64,
-        (computed, full): (u64, u64),
-    ) {
+    /// Records one delta-propagation pass: `fallbacks` nodes evaluated
+    /// densely over their row bands, a cone of `dirty_blocks` total dirty
+    /// blocks (one dirty-region histogram entry per pass), and
+    /// `(computed, full)` output rows of its dense convs: the rows their
+    /// row bands reached against the rows of the convs at full height.
+    pub fn record_delta(&self, fallbacks: u64, dirty_blocks: u64, (computed, full): (u64, u64)) {
         let Some(shard) = self.shard else { return };
-        shard.add(C_DELTA_SPARSE, sparse);
         shard.add(C_DELTA_FALLBACKS, fallbacks);
         shard.add(C_DELTA_DIRTY_BLOCKS, dirty_blocks);
         shard.add(C_DELTA_CONV_ROWS, computed);
@@ -866,7 +849,7 @@ mod tests {
         w.inference_end(None);
         w.record_arena(10, 5);
         w.record_convergence(3, 7);
-        w.record_delta(2, 1, 9, (3, 8));
+        w.record_delta(1, 9, (3, 8));
         probe.record_requeue();
         probe.record_fsync(1, 100);
         probe.emit(&Event::CampaignStart {
@@ -903,7 +886,7 @@ mod tests {
             w.inference_end(t0);
             w.record_arena(2, 1);
             w.record_convergence(4, 10);
-            w.record_delta(5, 1, 12, (5, 32));
+            w.record_delta(1, 12, (5, 32));
             w.record_fault_kind("weight");
             w.record_fault_kind("activation");
             w.record_fault_kind("accumulated");
@@ -927,7 +910,6 @@ mod tests {
         // Depth 4 lands in log2 bucket 3 ([4, 8)).
         assert_eq!(snap.convergence_buckets[3], 4);
         assert_eq!(snap.convergence_buckets.iter().sum::<u64>(), 4);
-        assert_eq!(snap.delta_sparse_nodes, 20);
         assert_eq!(snap.delta_fallbacks, 4);
         assert_eq!(snap.delta_dirty_blocks, 48);
         assert_eq!((snap.delta_conv_rows, snap.delta_conv_rows_full), (20, 128));

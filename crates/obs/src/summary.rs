@@ -593,5 +593,12 @@ mod tests {
         );
         let m = summarize(&banded).unwrap().metrics.unwrap();
         assert_eq!((m.delta_conv_rows, m.delta_conv_rows_full), (5, 32));
+        // Streams written while the delta engine had a sparse phase carry a
+        // `delta_sparse_nodes` counter, which the summary ignores.
+        let sparse =
+            banded.replace("\"nodes_skipped\":0,", "\"nodes_skipped\":0,\"delta_sparse_nodes\":3,");
+        assert_ne!(sparse, banded);
+        let m = summarize(&sparse).unwrap().metrics.unwrap();
+        assert_eq!((m.transient_faults, m.delta_conv_rows), (2, 5));
     }
 }

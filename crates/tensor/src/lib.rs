@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod mask;
 mod scratch;
 mod shape;
 mod tensor;
@@ -46,7 +45,6 @@ mod tensor;
 pub mod ops;
 
 pub use error::TensorError;
-pub use mask::{DirtyMask, DIRTY_BLOCK};
 pub use scratch::{ArenaStats, ScratchArena};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;

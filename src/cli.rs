@@ -205,9 +205,9 @@ pub struct CliOptions {
     /// `--no-early-exit` disables it. Classifications and inference counts
     /// are identical either way.
     pub early_exit: bool,
-    /// Propagate transient activation and input faults as sparse deltas
-    /// over the golden activations, recomputing only the struck element's
-    /// dirty cone (`run`). On by default; `--no-delta` re-executes
+    /// Propagate transient activation and input faults as row-band deltas
+    /// over the golden activations, recomputing only the rows the struck
+    /// element's row reaches (`run`). On by default; `--no-delta` re-executes
     /// transients densely. Weight faults are unaffected. Classifications
     /// and inference counts are identical either way.
     pub delta: bool,
@@ -290,7 +290,7 @@ OPTIONS:
                               instead of stopping once the activations are
                               provably golden again (run); slower, same results
     --no-delta                re-execute transient activation/input faults
-                              densely instead of as sparse deltas (run);
+                              densely instead of as row-band deltas (run);
                               slower, same results
     --no-batched              evaluate eval images one at a time instead of in
                               a single batched pass per fault (run); slower,

@@ -168,12 +168,11 @@ pub fn random_accumulated_faults(
 }
 
 /// The transient-site differential oracle: asserts that the dense patched
-/// suffix re-execution (`forward_suffix` with the fault's single patch),
-/// the early-exit-equivalent delta pass (`forward_delta_site` at saturation
-/// 0, where every node takes the dense bit-compare path), and full sparse
-/// delta propagation all classify the injected site identically — the same
-/// predicted class, with any `Converged` outcome backed by bit-golden dense
-/// logits. Returns the predicted class of the faulty inference.
+/// suffix re-execution (`forward_suffix` with the fault's single patch) and
+/// the row-band delta pass (`forward_delta_site`) classify the injected
+/// site identically — the same predicted class and logits bits, with any
+/// `Converged` outcome backed by bit-golden dense logits. Returns the
+/// predicted class of the faulty inference.
 pub fn assert_site_forward_equiv(
     model: &Model,
     cache: &ActivationCache,
@@ -189,29 +188,26 @@ pub fn assert_site_forward_equiv(
     let dense_pred = dense.argmax().unwrap_or(usize::MAX);
     let golden_logits = cache.get(cache.len() - 1).unwrap();
     let plan = CompiledPlan::compile(model, cache).unwrap();
-    for (name, saturation) in [("early-exit", 0.0f64), ("delta", 0.25)] {
-        let mut arena = ScratchArena::new();
-        let mut opts = DeltaOptions { arena: Some(&mut arena), plan: &plan, saturation };
-        let (out, _stats) = model
-            .forward_delta_site(site.node, site.element, faulty_bits, cache, &mut opts)
-            .unwrap();
-        match out {
-            ForwardOutcome::Logits(l) => {
-                assert_eq!(
-                    l.argmax().unwrap_or(usize::MAX),
-                    dense_pred,
-                    "{ctx}: {name} path classifies the injected site differently"
-                );
-                assert_bits_equal(l.as_slice(), dense.as_slice());
-            }
-            ForwardOutcome::Converged { at_node } => {
-                assert_bits_equal(dense.as_slice(), golden_logits.as_slice());
-                assert_eq!(
-                    dense_pred, golden_prediction,
-                    "{ctx}: {name} path converged at node {at_node} but dense prediction \
-                     differs from golden"
-                );
-            }
+    let mut arena = ScratchArena::new();
+    let mut opts = DeltaOptions { arena: Some(&mut arena), plan: &plan };
+    let (out, _stats) =
+        model.forward_delta_site(site.node, site.element, faulty_bits, cache, &mut opts).unwrap();
+    match out {
+        ForwardOutcome::Logits(l) => {
+            assert_eq!(
+                l.argmax().unwrap_or(usize::MAX),
+                dense_pred,
+                "{ctx}: delta path classifies the injected site differently"
+            );
+            assert_bits_equal(l.as_slice(), dense.as_slice());
+        }
+        ForwardOutcome::Converged { at_node } => {
+            assert_bits_equal(dense.as_slice(), golden_logits.as_slice());
+            assert_eq!(
+                dense_pred, golden_prediction,
+                "{ctx}: delta path converged at node {at_node} but dense prediction differs \
+                 from golden"
+            );
         }
     }
     dense_pred
@@ -427,9 +423,9 @@ pub fn assert_forward_equiv(
 }
 
 /// The delta oracle: strikes element `element` of node `node`'s golden
-/// activation with `faulty_bits` and asserts that sparse delta propagation
-/// (`forward_delta_site` at `saturation`, with and without a scratch
-/// arena) observes exactly the inference of the dense patched suffix —
+/// activation with `faulty_bits` and asserts that row-band delta
+/// propagation (`forward_delta_site`, with and without a scratch arena)
+/// observes exactly the inference of the dense patched suffix —
 /// bit-identical logits on divergence, and on convergence dense logits
 /// that are bit-golden. Returns the delta pass's outcome and work counters.
 pub fn assert_site_delta_equiv(
@@ -438,7 +434,6 @@ pub fn assert_site_delta_equiv(
     node: usize,
     element: usize,
     faulty_bits: u32,
-    saturation: f64,
     ctx: &str,
 ) -> (ForwardOutcome, DeltaStats) {
     let tensor_bits = |a: &Tensor, b: &Tensor| -> bool {
@@ -455,7 +450,7 @@ pub fn assert_site_delta_equiv(
             element,
             faulty_bits,
             cache,
-            &mut DeltaOptions { arena: Some(&mut arena), plan: &plan, saturation },
+            &mut DeltaOptions { arena: Some(&mut arena), plan: &plan },
         )
         .unwrap();
     match &delta_out {
@@ -473,13 +468,7 @@ pub fn assert_site_delta_equiv(
     // The pass must be arena-invariant: recycled dirty buffers cannot leak
     // into results.
     let (delta_plain, _) = model
-        .forward_delta_site(
-            node,
-            element,
-            faulty_bits,
-            cache,
-            &mut DeltaOptions { saturation, ..DeltaOptions::new(&plan) },
-        )
+        .forward_delta_site(node, element, faulty_bits, cache, &mut DeltaOptions::new(&plan))
         .unwrap();
     match (&delta_out, &delta_plain) {
         (ForwardOutcome::Logits(a), ForwardOutcome::Logits(b)) => {

@@ -1,4 +1,4 @@
-//! Differential harness pinning the sparse delta-propagation path and the
+//! Differential harness pinning the row-band delta-propagation path and the
 //! per-image suffix passes it is checked against.
 //!
 //! The delta engine's contract is *bitwise* equivalence: on any graph and
@@ -22,7 +22,7 @@ use fixtures::{
 use proptest::prelude::*;
 use sfi::faultsim::campaign::run_campaign;
 use sfi::prelude::*;
-use sfi_nn::{CompiledPlan, ParamKind, DELTA_SATURATION_DEFAULT};
+use sfi_nn::{CompiledPlan, ParamKind};
 
 /// ParamIds of every fault-injectable weight tensor in `model`.
 fn weight_params(model: &Model) -> Vec<usize> {
@@ -56,8 +56,7 @@ proptest! {
     /// `forward_suffix` on random small conv/bn/relu/add/pool graphs under
     /// random single-element strikes on any node (the input included) —
     /// with guaranteed NaN/±Inf coverage on top of uniform single-bit
-    /// flips — at the forced-sparse (1.1) threshold, where every node runs
-    /// the sparse kernels, and at the default threshold.
+    /// flips.
     #[test]
     fn delta_is_bitwise_equal_on_random_graphs(
         seed in 0u64..1_000_000,
@@ -79,10 +78,8 @@ proptest! {
             2 => f32::NEG_INFINITY.to_bits(),
             _ => golden[element].to_bits() ^ (1u32 << bit),
         };
-        for saturation in [1.1, DELTA_SATURATION_DEFAULT] {
-            let ctx = format!("seed={seed} node={node} element={element} sat={saturation}");
-            assert_site_delta_equiv(&model, &cache, node, element, faulty_bits, saturation, &ctx);
-        }
+        let ctx = format!("seed={seed} node={node} element={element}");
+        assert_site_delta_equiv(&model, &cache, node, element, faulty_bits, &ctx);
     }
 
     /// Unfused incremental re-execution and the plan's suffix pass one
@@ -167,8 +164,7 @@ proptest! {
     }
 
     /// Transient activation and input faults classify identically on the
-    /// dense patched path, the early-exit-equivalent delta pass
-    /// (saturation 0), and full sparse delta propagation — per injected
+    /// dense patched path and the row-band delta pass — per injected
     /// site and for whole campaigns at any worker count, with and without
     /// convergence/delta enabled.
     #[test]

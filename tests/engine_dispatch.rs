@@ -59,7 +59,7 @@ fn assert_engine_accounting(res: &CampaignResult, ctx: &str) {
 /// Representative fault tiers each select the engine that owns them at
 /// least once under the default (everything-enabled) configuration:
 /// weight faults on batched-owned layers take the batched eval-image
-/// engine, transient activation faults take the sparse-delta engine, and
+/// engine, transient activation faults take the row-band delta engine, and
 /// accumulated k=2 instances take the dense early-exit engine.
 #[test]
 fn every_engine_fires_on_the_tier_it_owns() {

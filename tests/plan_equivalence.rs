@@ -25,7 +25,7 @@ use sfi_faultsim::multi::AccumulatedFault;
 use sfi_nn::resnet::ResNetConfig;
 use sfi_nn::{ActPatch, CompiledPlan, DeltaOptions, ForwardOptions, ParamKind};
 use sfi_nn::{ActivationCache, KernelPolicy, Model, NodeOp, SessionState};
-use sfi_nn::{ForwardOutcome, NodeId, DELTA_SATURATION_DEFAULT};
+use sfi_nn::{ForwardOutcome, NodeId};
 use sfi_tensor::ops;
 use sfi_tensor::{ScratchArena, Tensor};
 use std::slice::from_ref;
@@ -453,8 +453,7 @@ fn faulted_node_never_reads_its_golden_panel() {
                 let naive_opts =
                     &mut ForwardOptions { policy: KernelPolicy::Naive, ..Default::default() };
                 let struck = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
-                let delta_opts =
-                    &mut DeltaOptions { arena: Some(&mut arena), plan, saturation: 0.0 };
+                let delta_opts = &mut DeltaOptions { arena: Some(&mut arena), plan };
                 let bits = strike.apply_bits(cache.get(node).unwrap().as_slice()[0].to_bits());
                 let (delta, _) =
                     model.forward_delta_site(node, 0, bits, cache, delta_opts).unwrap();
@@ -922,12 +921,10 @@ fn naive_activation(model: &Model, input: &Tensor, strike: ActPatch, node: NodeI
 /// `resnet20_micro` (width 8) and `cifar_micro`, a strike on every node
 /// (the input included) at two bits — at a third of the activation, and
 /// in its top, bottom and middle rows — reproduces the naive per-image
-/// logits bit for bit at saturation 0.0 (every node dense, fusion groups
-/// whole, convs over the row bands their inputs reach), at the default and
-/// at 1.0 (every node sparse until its candidate fills the tensor). A pass
-/// converges exactly when the naive logits are golden, and at a node whose
-/// naive activation is golden. On ResNet-20 some dense conv computes fewer
-/// rows than its full height.
+/// logits bit for bit (fusion groups whole, convs over the row bands their
+/// inputs reach). A pass converges exactly when the naive logits are
+/// golden, and at a node whose naive activation is golden. On ResNet-20
+/// some dense conv computes fewer rows than its full height.
 #[test]
 fn transient_delta_on_the_plan_matches_the_naive_patched_suffix() {
     let models = [
@@ -953,36 +950,29 @@ fn transient_delta_on_the_plan_matches_the_naive_patched_suffix() {
                     let naive = model.forward_suffix(None, cache, &[strike], naive_opts).unwrap();
                     let bits =
                         strike.apply_bits(cache.get(node).unwrap().as_slice()[element].to_bits());
-                    for saturation in [0.0, DELTA_SATURATION_DEFAULT, 1.0] {
-                        let ctx = format!(
-                            "{name} node {node}[{element}] bit {bit} saturation {saturation}"
-                        );
-                        let opts = &mut DeltaOptions { arena: Some(&mut arena), plan, saturation };
-                        let (out, stats) =
-                            model.forward_delta_site(node, element, bits, cache, opts).unwrap();
-                        if saturation == 0.0 {
-                            assert!(stats.sparse_nodes <= 1, "{ctx}: only the seed is sparse");
+                    let ctx = format!("{name} node {node}[{element}] bit {bit}");
+                    let opts = &mut DeltaOptions { arena: Some(&mut arena), plan };
+                    let (out, stats) =
+                        model.forward_delta_site(node, element, bits, cache, opts).unwrap();
+                    assert!(stats.conv_rows <= stats.conv_rows_full, "{ctx}: {stats:?}");
+                    banded += usize::from(stats.conv_rows < stats.conv_rows_full);
+                    match out {
+                        ForwardOutcome::Logits(l) => {
+                            assert!(!naive.bits_equal(golden_logits), "{ctx}: no convergence");
+                            fixtures::assert_bits_equal(naive.as_slice(), l.as_slice());
                         }
-                        assert!(stats.conv_rows <= stats.conv_rows_full, "{ctx}: {stats:?}");
-                        banded += usize::from(stats.conv_rows < stats.conv_rows_full);
-                        match out {
-                            ForwardOutcome::Logits(l) => {
-                                assert!(!naive.bits_equal(golden_logits), "{ctx}: no convergence");
-                                fixtures::assert_bits_equal(naive.as_slice(), l.as_slice());
-                            }
-                            ForwardOutcome::Converged { at_node } => {
-                                converged += 1;
-                                assert!(
-                                    naive.bits_equal(golden_logits),
-                                    "{ctx}: converged at node {at_node} off golden logits"
-                                );
-                                let input = cache.get(0).unwrap();
-                                let at = naive_activation(&model, input, strike, at_node);
-                                assert!(
-                                    at.bits_equal(cache.get(at_node).unwrap()),
-                                    "{ctx}: converged at node {at_node} off its golden activation"
-                                );
-                            }
+                        ForwardOutcome::Converged { at_node } => {
+                            converged += 1;
+                            assert!(
+                                naive.bits_equal(golden_logits),
+                                "{ctx}: converged at node {at_node} off golden logits"
+                            );
+                            let input = cache.get(0).unwrap();
+                            let at = naive_activation(&model, input, strike, at_node);
+                            assert!(
+                                at.bits_equal(cache.get(at_node).unwrap()),
+                                "{ctx}: converged at node {at_node} off its golden activation"
+                            );
                         }
                     }
                 }
@@ -998,9 +988,7 @@ fn transient_delta_on_the_plan_matches_the_naive_patched_suffix() {
 /// Last-reader recycling keeps the transient delta pass allocation-free:
 /// after one warm-up strike on the input of `resnet20_micro`, strikes in
 /// every stage (the input again, and each stage's first conv output)
-/// serve every arena request from a recycled buffer, at the default
-/// saturation (sparse seeds, then dense groups) and at 1.0 (sparse
-/// throughout).
+/// serve every arena request from a recycled buffer.
 #[test]
 fn transient_delta_allocates_nothing_after_warm_up() {
     let model = ResNetConfig::resnet20_micro().build_seeded(7).unwrap();
@@ -1008,25 +996,19 @@ fn transient_delta_allocates_nothing_after_warm_up() {
     let (cache, plan) = (golden.cache(0), golden.plan());
     let sites = stage_sites(&model, cache);
     assert_eq!(sites.len(), 4, "the input and three stages");
-    let strike = |arena: &mut ScratchArena, (node, element): (NodeId, usize), saturation| {
+    let strike = |arena: &mut ScratchArena, (node, element): (NodeId, usize)| {
         let bits = cache.get(node).unwrap().as_slice()[element].to_bits() ^ (1 << 30);
-        let opts = &mut DeltaOptions { arena: Some(arena), plan, saturation };
+        let opts = &mut DeltaOptions { arena: Some(arena), plan };
         model.forward_delta_site(node, element, bits, cache, opts).unwrap();
     };
-    for saturation in [DELTA_SATURATION_DEFAULT, 1.0] {
-        let mut arena = ScratchArena::new();
-        strike(&mut arena, sites[0], saturation);
-        let before = arena.stats();
-        for &site in &sites {
-            strike(&mut arena, site, saturation);
-        }
-        let after = arena.stats();
-        let takes = after.takes - before.takes;
-        assert!(takes > 0, "saturation {saturation}: the pass draws its buffers from the arena");
-        assert_eq!(
-            takes,
-            after.reuses - before.reuses,
-            "saturation {saturation}: a warm pass allocates nothing new"
-        );
+    let mut arena = ScratchArena::new();
+    strike(&mut arena, sites[0]);
+    let before = arena.stats();
+    for &site in &sites {
+        strike(&mut arena, site);
     }
+    let after = arena.stats();
+    let takes = after.takes - before.takes;
+    assert!(takes > 0, "the pass draws its buffers from the arena");
+    assert_eq!(takes, after.reuses - before.reuses, "a warm pass allocates nothing new");
 }
