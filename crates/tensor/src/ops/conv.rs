@@ -1688,13 +1688,44 @@ fn in_place_conv(
 /// Largest plane side of [`small_plane_conv`].
 const SMALL_PLANE_MAX: usize = 16;
 
+/// Elements of one output channel's block in [`small_plane_image`]: a
+/// whole 4x4 or 8x8 plane, or 4 rows of a 16x16 one.
+const SMALL_PLANE_BLOCK: usize = 64;
+
+/// The input row a border row of [`small_plane_image`]'s copies reads.
+const ZERO_ROW: [f32; SMALL_PLANE_MAX] = [0.0; SMALL_PLANE_MAX];
+
+/// The geometry of [`small_plane_image`] on `S x S` output planes at stride
+/// `STRIDE`.
+struct SmallPlane<const S: usize, const STRIDE: usize>;
+
+impl<const S: usize, const STRIDE: usize> SmallPlane<S, STRIDE> {
+    /// Rows of one shifted copy.
+    const ROWS: usize = S + 3 - STRIDE;
+    /// Elements of one input channel's `3 * STRIDE` shifted copies.
+    const CHANNEL: usize = 3 * STRIDE * Self::ROWS * S;
+    /// Output rows of one block.
+    const BLOCK_ROWS: usize = if S * S <= SMALL_PLANE_BLOCK { S } else { SMALL_PLANE_BLOCK / S };
+    /// Per tap `t = kh * 3 + kw`, where it reads in one input channel's
+    /// copies: row `kh / STRIDE` of copy `(kw, kh % STRIDE)`.
+    const TAPS: [usize; 9] = {
+        let mut taps = [0; 9];
+        let mut t = 0;
+        while t < 9 {
+            let (kh, kw) = (t / 3, t % 3);
+            taps[t] = ((kw * STRIDE + kh % STRIDE) * Self::ROWS + kh / STRIDE) * S;
+            t += 1;
+        }
+        taps
+    };
+}
+
 /// The direct small-plane convolution of a conv that
-/// [`ConvDims::small_plane`]: per image, each input channel is padded once
-/// into an `(h_in + 2) x (h_in + 2)` plane, then [`small_plane_image`] adds
-/// every tap's products into the zeroed output planes, then `+ bias` and
-/// the epilogue run over the image ([`finish_image`]). With a band, every
-/// row is computed and the rows outside it are copied from `band.base`, as
-/// for depthwise convs.
+/// [`ConvDims::small_plane`]: [`small_plane_image`] writes each image's
+/// output planes, `+ bias` and the epilogue included, through one buffer
+/// of shifted input copies reused across images. With a band, every row
+/// is computed and the rows outside it are copied from `band.base`, as for
+/// depthwise convs.
 #[allow(clippy::too_many_arguments)]
 fn small_plane_conv(
     input: &Tensor,
@@ -1706,74 +1737,159 @@ fn small_plane_conv(
     ep: Option<&ConvEpilogue<'_>>,
     mut arena: Option<&mut ScratchArena>,
 ) -> Tensor {
-    let (s, pitch) = (d.h_out, d.h_in + 2);
-    let (plane, image_len) = (s * s, d.c_out * s * s);
-    let mut out = match arena.as_deref_mut() {
-        Some(a) => a.take_zeroed(d.batch * image_len),
-        None => vec![0.0f32; d.batch * image_len],
-    };
-    let mut padded = take_buf(arena.as_deref_mut(), d.c_in * pitch * pitch);
-    let w = weight.as_slice();
+    let s = d.h_out;
+    let image_len = d.c_out * s * s;
+    // `small_plane_image` writes every element of both buffers.
+    let mut out = take_buf(arena.as_deref_mut(), d.batch * image_len);
+    let mut copies = take_buf(arena.as_deref_mut(), d.c_in * 3 * stride * (s + 3 - stride) * s);
+    let (w, b) = (weight.as_slice(), bias.map(Tensor::as_slice));
     let x_len = d.c_in * d.h_in * d.w_in;
     for (x, y) in input.as_slice().chunks_exact(x_len).zip(out.chunks_exact_mut(image_len)) {
-        pad_image(x, d, pitch, 0..pitch, &mut padded);
         match (s, stride) {
-            (4, 1) => small_plane_image::<4, 1>(&padded, w, d.c_in, y),
-            (8, 1) => small_plane_image::<8, 1>(&padded, w, d.c_in, y),
-            (16, 1) => small_plane_image::<16, 1>(&padded, w, d.c_in, y),
-            (4, _) => small_plane_image::<4, 2>(&padded, w, d.c_in, y),
-            _ => small_plane_image::<8, 2>(&padded, w, d.c_in, y),
+            (4, 1) => small_plane_image::<4, 1, 3>(x, w, b, ep, &mut copies, y),
+            (8, 1) => small_plane_image::<8, 1, 2>(x, w, b, ep, &mut copies, y),
+            (16, 1) => small_plane_image::<16, 1, 2>(x, w, b, ep, &mut copies, y),
+            (4, _) => small_plane_image::<4, 2, 3>(x, w, b, ep, &mut copies, y),
+            _ => small_plane_image::<8, 2, 2>(x, w, b, ep, &mut copies, y),
         }
-        finish_image(y, bias, ep, plane, 0..plane);
     }
     if let Some(b) = band {
         copy_outside(&mut out, d, b);
     }
     if let Some(a) = arena {
-        a.recycle(padded);
+        a.recycle(copies);
     }
     Tensor::from_vec([d.batch, d.c_out, d.h_out, d.w_out], out)
         .expect("output length follows from conv dims")
 }
 
-/// One image of [`small_plane_conv`] onto `S x S` output planes at stride
-/// `STRIDE`: for each tap `(ci, kh, kw)` in increasing order, the shifted
-/// plane that tap reads from the padded input (`c_in` planes of
-/// `(STRIDE * S + 2)²`) is built once, and `w[co][ci][kh][kw] * shifted` is
-/// added to every output plane `co` of the zeroed `y`. The constant plane
-/// size lets the compiler unroll and vectorise both loops.
+/// One image `x` (`c_in` planes of `(STRIDE * S)²`) of [`small_plane_conv`]
+/// onto the `S x S` output planes `y`, at stride `STRIDE`, in blocks of `C`
+/// output channels.
+///
+/// First, per input channel, the zero-bordered plane is written straight
+/// from `x` as `3 * STRIDE` shifted copies of `S + 3 - STRIDE` rows of `S`
+/// into `copies`: copy `(kw, p)` holds, at `(r, c)`, the padded input at
+/// `(STRIDE * r + p, STRIDE * c + kw)`. Tap `(kh, kw)` at output
+/// `(oh, ow)` reads the padded input at `(STRIDE * oh + kh,
+/// STRIDE * ow + kw)`, which is copy `(kw, kh % STRIDE)` at
+/// `(oh + kh / STRIDE, ow)`, so a tap's inputs for a run of whole output
+/// rows are one contiguous run of a copy ([`SmallPlane::TAPS`]).
+///
+/// Then [`small_plane_block`] runs each block of `C` output channels and
+/// the remainder. `C` is 3 on 4x4 planes and 2 on larger ones, the
+/// fastest measured (DESIGN.md §5c); the remainder dispatch assumes
+/// `C <= 3`.
+///
+/// Writes every element of `y` and of the `copies` it reads.
+/// `#[inline(never)]` for the reason given on [`depthwise_planes`].
+#[inline(never)]
+fn small_plane_image<const S: usize, const STRIDE: usize, const C: usize>(
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    ep: Option<&ConvEpilogue<'_>>,
+    copies: &mut [f32],
+    y: &mut [f32],
+) {
+    let (side_in, rows) = (STRIDE * S, SmallPlane::<S, STRIDE>::ROWS);
+    let planes_in = x.chunks_exact(side_in * side_in);
+    for (xc, chan) in planes_in.zip(copies.chunks_exact_mut(SmallPlane::<S, STRIDE>::CHANNEL)) {
+        for (p, r) in (0..STRIDE).flat_map(|p| (0..rows).map(move |r| (p, r))) {
+            // Padded row `STRIDE * r + p` is input row `ih`, one less; the
+            // top border (wrapped) and the bottom one fall outside and read
+            // zeros. At stride 2 the row is split into its two column
+            // phases: `phases[m][c]` is column `2 * c + m`.
+            let ih = (STRIDE * r + p).wrapping_sub(1);
+            let x_row =
+                if ih < side_in { &xc[ih * side_in..][..side_in] } else { &ZERO_ROW[..side_in] };
+            let mut phases = [[0.0f32; SMALL_PLANE_MAX]; STRIDE];
+            if STRIDE > 1 {
+                for (c, xs) in x_row.chunks_exact(STRIDE).enumerate() {
+                    phases.iter_mut().zip(xs).for_each(|(ph, &x)| ph[c] = x);
+                }
+            }
+            // Column `STRIDE * c + kw - 1` is phase `m % STRIDE` at
+            // `c + m / STRIDE - 1`, for `m = kw + STRIDE - 1`: shifted one
+            // column right, unshifted or shifted one left, with a padding
+            // zero in the column that falls outside.
+            for kw in 0..3 {
+                let m = kw + STRIDE - 1;
+                let ph = if STRIDE == 1 { x_row } else { &phases[m % STRIDE][..S] };
+                let row = &mut chan[((kw * STRIDE + p) * rows + r) * S..][..S];
+                match m / STRIDE {
+                    0 => {
+                        row[0] = 0.0;
+                        row[1..].copy_from_slice(&ph[..S - 1]);
+                    }
+                    1 => row.copy_from_slice(ph),
+                    _ => {
+                        row[..S - 1].copy_from_slice(&ph[1..]);
+                        row[S - 1] = 0.0;
+                    }
+                }
+            }
+        }
+    }
+    let (copies, c_out, plane) = (&*copies, y.len() / (S * S), S * S);
+    let taps = x.len() / (side_in * side_in) * 9;
+    for co in (0..c_out).step_by(C) {
+        let (w, y, bias) = (&w[co * taps..], &mut y[co * plane..], bias.map(|b| &b[co..]));
+        match c_out - co {
+            1 => small_plane_block::<S, STRIDE, 1>(copies, w, bias, ep, co, y),
+            2 => small_plane_block::<S, STRIDE, 2>(copies, w, bias, ep, co, y),
+            _ => small_plane_block::<S, STRIDE, C>(copies, w, bias, ep, co, y),
+        }
+    }
+}
+
+/// Output channels `co .. co + K` of [`small_plane_image`], whose weights,
+/// biases and output planes start `w`, `bias` and `y`: per block of
+/// [`SmallPlane::BLOCK_ROWS`] output rows, a `K x` [`SMALL_PLANE_BLOCK`]
+/// local accumulator the registers hold adds every tap `(ci, kh, kw)` in
+/// increasing order, then takes `+ bias` and the epilogue and is stored
+/// once.
 ///
 /// Bit-identical to the im2col path: each output element starts from `+0`
 /// and receives the same products — padding zeros multiplied, not
 /// skipped — one multiply and one add at a time in increasing-`k` order,
-/// the chain of the naive GEMM over the column matrix. `#[inline(never)]`
-/// for the reason given on [`depthwise_planes`].
-#[inline(never)]
-fn small_plane_image<const S: usize, const STRIDE: usize>(
-    padded: &[f32],
+/// the chain of the naive GEMM over the column matrix, then the same
+/// `+ bias` and epilogue as [`finish_image`].
+#[inline(always)]
+fn small_plane_block<const S: usize, const STRIDE: usize, const K: usize>(
+    copies: &[f32],
     w: &[f32],
-    c_in: usize,
+    bias: Option<&[f32]>,
+    ep: Option<&ConvEpilogue<'_>>,
+    co: usize,
     y: &mut [f32],
 ) {
-    let (pitch, plane, taps) = (STRIDE * S + 2, S * S, c_in * 9);
-    let mut buf = [0.0f32; SMALL_PLANE_MAX * SMALL_PLANE_MAX];
-    let shifted = &mut buf[..plane];
-    for tap in 0..taps {
-        let (ci, kh, kw) = (tap / 9, tap % 9 / 3, tap % 3);
-        let src = &padded[ci * pitch * pitch + kh * pitch + kw..];
-        for (oh, row) in shifted.chunks_exact_mut(S).enumerate() {
-            let src = &src[STRIDE * oh * pitch..][..STRIDE * (S - 1) + 1];
-            if STRIDE == 1 {
-                row.copy_from_slice(src);
-            } else {
-                row.iter_mut().zip(src.iter().step_by(STRIDE)).for_each(|(v, &x)| *v = x);
+    let (rows, chan_len) = (SmallPlane::<S, STRIDE>::BLOCK_ROWS, SmallPlane::<S, STRIDE>::CHANNEL);
+    let (run, taps) = (rows * S, copies.len() / chan_len * 9);
+    let w: [&[f32]; K] = std::array::from_fn(|j| &w[j * taps..][..taps]);
+    for r0 in (0..S).step_by(rows) {
+        let mut acc = [[0.0f32; SMALL_PLANE_BLOCK]; K];
+        for (ci, chan) in copies.chunks_exact(chan_len).enumerate() {
+            let w9: [&[f32]; K] = std::array::from_fn(|j| &w[j][ci * 9..][..9]);
+            for (t, &off) in SmallPlane::<S, STRIDE>::TAPS.iter().enumerate() {
+                let src = &chan[off + r0 * S..][..run];
+                for (a, w) in acc.iter_mut().zip(&w9) {
+                    let wv = w[t];
+                    for (o, &xv) in a[..run].iter_mut().zip(src) {
+                        *o += wv * xv;
+                    }
+                }
             }
         }
-        for (co, &wv) in w[tap..].iter().step_by(taps).enumerate() {
-            let y_plane = &mut y[co * plane..][..plane];
-            for (o, &xv) in y_plane.iter_mut().zip(shifted.iter()) {
-                *o += wv * xv;
+        for (j, a) in acc.iter_mut().enumerate() {
+            let a = &mut a[..run];
+            if let Some(b) = bias {
+                a.iter_mut().for_each(|v| *v += b[j]);
             }
+            if let Some(ep) = ep {
+                ep.apply_run(co + j, a);
+            }
+            y[j * S * S + r0 * S..][..run].copy_from_slice(a);
         }
     }
 }

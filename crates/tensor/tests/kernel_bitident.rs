@@ -1045,6 +1045,82 @@ proptest! {
     }
 }
 
+/// Every remainder of the small-plane kernel's output-channel blocks (3
+/// channels on 4x4 planes, 2 on larger ones) on each of its five
+/// instances — 4x4, 8x8 and 16x16 output planes at stride 1, 4x4 and 8x8
+/// at stride 2 — at `c_out` 1 to 7 and batches 1 and 4, forced through
+/// `conv2d_path_with`: bit-identical to the naive im2col conv followed by
+/// the unfused `batch_norm`/`relu` chain, with epilogues None, BN and
+/// BN+ReLU, a NaN or +Inf weight on a border tap of the last output
+/// channel (the remainder block's), and arena buffers dirtied with a NaN
+/// payload no result carries.
+#[test]
+fn small_plane_block_remainders_are_bit_identical() {
+    let dirty = f32::from_bits(0x7fc0_0bad);
+    let c_in = 2;
+    for (side, stride) in [(4, 1), (8, 1), (16, 1), (4, 2), (8, 2)] {
+        let (in_side, cfg) = (stride * side, Conv2dCfg::same(stride));
+        for (c_out, batch, special) in (1..=7)
+            .flat_map(|c| [1, 4].map(|b| (c, b)))
+            .flat_map(|(c, b)| [f32::NAN, f32::INFINITY].map(|v| (c, b, v)))
+        {
+            let shape = [batch, c_in, in_side, in_side];
+            let input = Tensor::from_fn(shape, |i| ((i * 7 + 3) % 23) as f32 * 0.125 - 1.25);
+            let mut w: Vec<f32> =
+                (0..c_out * c_in * 9).map(|i| ((i * 5 + 1) % 17) as f32 * 0.0625 - 0.5).collect();
+            // The top-left tap of the last output channel's last input
+            // channel: it reads a padding zero at output (0, 0) at either
+            // stride, so `0 * NaN` and `0 * Inf` meet there.
+            w[(c_out * c_in - 1) * 9] = special;
+            let weight = Tensor::from_vec([c_out, c_in, 3, 3], w).unwrap();
+            let bias = Tensor::from_fn([c_out], |i| i as f32 * 0.375 - 0.75);
+            let gamma = Tensor::from_fn([c_out], |i| 1.0 - i as f32 * 0.125);
+            let beta = Tensor::from_fn([c_out], |i| i as f32 * 0.25 - 0.5);
+            let mean = Tensor::from_fn([c_out], |i| i as f32 * -0.0625);
+            let var = Tensor::from_fn([c_out], |i| (i as f32).mul_add(0.13, 0.5));
+            let params =
+                BatchNormParams { gamma: &gamma, beta: &beta, mean: &mean, var: &var, eps: 1e-5 };
+            let (scale, shift): (Vec<f32>, Vec<f32>) =
+                (0..c_out).map(|c| bn_channel_scale_shift(&params, c)).unzip();
+            let naive =
+                conv2d_kernel(&input, &weight, Some(&bias), cfg, GemmKernel::Naive).unwrap();
+            let bn = batch_norm(&naive, &params).unwrap();
+            let bn_ep = ConvEpilogue { bn: Some((&scale, &shift)), act: FusedActivation::None };
+            let relu_ep = ConvEpilogue { act: FusedActivation::Relu, ..bn_ep };
+            let chains =
+                [(naive.clone(), None), (bn.clone(), Some(bn_ep)), (relu(&bn), Some(relu_ep))];
+
+            // Two dirty buffers, so the output and the shifted copies both
+            // start dirty; each spent output is dirtied and returned.
+            let mut arena = ScratchArena::new();
+            arena.recycle(vec![dirty; 8192]);
+            arena.recycle(vec![dirty; 8192]);
+            for (want, ep) in chains.iter().chain(&chains) {
+                let out = conv2d_path_with(
+                    &input,
+                    &weight,
+                    Some(&bias),
+                    cfg,
+                    ConvPath::SmallPlane,
+                    None,
+                    ep.as_ref(),
+                    None,
+                    &mut arena,
+                )
+                .unwrap();
+                let case = format!("{c_in}->{c_out}@{in_side} s{stride} x{batch} {special} {ep:?}");
+                for (i, (x, y)) in want.as_slice().iter().zip(out.as_slice()).enumerate() {
+                    let (x, y) = (x.to_bits(), y.to_bits());
+                    assert_eq!(x, y, "{case}: element {i}: {x:#010x} vs {y:#010x}");
+                }
+                let mut spent = out.into_vec();
+                spent.fill(dirty);
+                arena.recycle(spent);
+            }
+        }
+    }
+}
+
 /// The small-plane rule on the shapes it was measured on: every conv of
 /// the reduced ResNet-20 (`resnet20_micro`, width 2 at 16x16) — its stem,
 /// the 2->2 at 16x16, 4->4 at 8x8 and 8->8 at 4x4 stage convs and the two
